@@ -233,12 +233,22 @@
 //     (grow-only backing arrays), so a long-lived sketch stops allocating
 //     on the query path entirely.
 //   - When the only writes since the last build were plain updates that
-//     stayed in level 0 — the common few-writes-between-queries case — the
-//     cached view is repaired by merging the small sorted append tail into
-//     it in one linear pass (an order of magnitude cheaper than the k-way
-//     merge). Compactions, merges, stream-length growths, and weighted
-//     updates force a full, storage-reusing rebuild instead. Both paths
-//     answer identically to a from-scratch build.
+//     stayed in level 0 — the common few-writes-between-queries case —
+//     Quantile and QuantilesInto do not revalidate the view at all. Level
+//     0's append tail is the weight-1 compactor of the paper's
+//     Estimate-Rank, so they sort a copy of the tail and answer each φ by
+//     a two-array selection against the cached view, leaving the view
+//     stale: the sketch stays unfrozen (Frozen reports false) and a
+//     following Rank searches the levels. The answers are bit-identical to
+//     those of the repaired view. A tail too long to sort for less than
+//     the view's size falls back to the repair below.
+//   - Every other view query in that state (SortedView, Freeze, Snapshot,
+//     RankBatch, CDF/PMF, registry export) repairs the cached view by
+//     merging the sorted append tail into it in one linear pass, several
+//     times cheaper than the k-way merge. Compactions, merges,
+//     stream-length growths, and weighted updates force a full,
+//     storage-reusing rebuild instead. Both paths answer identically to a
+//     from-scratch build.
 //
 // Freeze additionally builds an Eytzinger-layout (cache-friendly,
 // branch-free descent) rank index over the view, making every subsequent

@@ -203,3 +203,56 @@ func TestAllocsKernelUpdateBatch(t *testing.T) {
 		t.Fatalf("kernel UpdateBatch allocates %v allocs/op", avg)
 	}
 }
+
+// TestAllocsReadThroughCycle pins a polling reader's cycle — 64 Updates,
+// then QuantilesInto — for kernel and closure orders. Most reads answer
+// through the stale view, sorting the tail into scratch; a read after a
+// compaction rebuilds the view. Both must reuse their storage.
+func TestAllocsReadThroughCycle(t *testing.T) {
+	for _, ord := range []struct {
+		name string
+		less func(a, b float64) bool
+	}{{"kernel", LessF64}, {"closure", nonCanonLessF64}} {
+		t.Run(ord.name, func(t *testing.T) {
+			s, err := New(ord.less, Config{Seed: 12, HRA: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(13)
+			vals := make([]float64, 1<<16)
+			for i := range vals {
+				vals[i] = r.Float64()
+			}
+			for i := 0; i < 1<<18; i++ {
+				s.Update(vals[i&(1<<16-1)])
+			}
+			phis := []float64{0.5, 0.9, 0.99}
+			var dst []float64
+			i, through := 0, 0
+			cycle := func() {
+				for j := 0; j < 64; j++ {
+					s.Update(vals[i&(1<<16-1)])
+					i++
+				}
+				if s.readThrough(len(phis)) {
+					through++
+				}
+				if dst, err = s.QuantilesInto(dst, phis); err != nil {
+					panic(err)
+				}
+			}
+			// Warm until scratch and the view have reached their high-water
+			// marks.
+			for w := 0; w < 1000; w++ {
+				cycle()
+			}
+			through = 0
+			if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
+				t.Fatalf("64-update + QuantilesInto cycle allocates %v allocs/op", avg)
+			}
+			if through == 0 {
+				t.Fatal("no read took the read-through path")
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"req/internal/rng"
@@ -205,6 +206,46 @@ func BenchmarkCoreViewRepairTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Update(vals[i&(1<<16-1)])
 		_ = s.SortedView()
+	}
+}
+
+// BenchmarkCoreStreamRead is a polling reader on one large sketch: n = 2²⁰
+// values into a default-ε HRA sketch, then per op 64 Updates and one
+// QuantilesInto of p50/p90/p99. The readthrough arm answers as the sketch
+// does; the repair arm forces the view repair (or rebuild) before the read,
+// as every such read did before reads went through the stale view.
+func BenchmarkCoreStreamRead(b *testing.B) {
+	for _, arm := range []string{"readthrough", "repair"} {
+		b.Run(arm, func(b *testing.B) {
+			s, err := New(fless, Config{Seed: 1, HRA: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(2)
+			vals := make([]float64, 1<<16)
+			for i := range vals {
+				vals[i] = math.Exp(r.NormFloat64())
+			}
+			for i := 0; i < 1<<20; i++ {
+				s.Update(vals[i&(1<<16-1)])
+			}
+			phis := []float64{0.5, 0.9, 0.99}
+			dst := make([]float64, len(phis))
+			repair := arm == "repair"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 64; j++ {
+					s.Update(vals[(i*64+j)&(1<<16-1)])
+				}
+				if repair {
+					s.SortedView()
+				}
+				if dst, err = s.QuantilesInto(dst, phis); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -119,6 +119,28 @@ func (s *Sketch[T]) sortCaller(xs []T) {
 	sortSlice(xs, s.less)
 }
 
+// searchCallerLE returns the number of elements ≤ y in xs, sorted
+// ascending in the caller's order, through the kernel table when installed.
+//
+//req:noalloc
+func (s *Sketch[T]) searchCallerLE(xs []T, y T) int {
+	if k := s.kern; k != nil {
+		return k.searchLE(xs, y)
+	}
+	return searchLE(xs, y, s.less)
+}
+
+// searchCallerLT returns the number of elements < y in xs; see
+// searchCallerLE.
+//
+//req:noalloc
+func (s *Sketch[T]) searchCallerLT(xs []T, y T) int {
+	if k := s.kern; k != nil {
+		return k.searchLT(xs, y)
+	}
+	return searchLT(xs, y, s.less)
+}
+
 // mergeInternalInto merges the sorted block add into the sorted slice dst
 // under the internal order (mergeSortedInto's contract: capacity ensured by
 // the caller, add must not alias dst), through the kernel table when

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"req/internal/vec"
 )
@@ -123,12 +124,14 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 {
 // Quantile returns the estimated φ-quantile for φ ∈ [0, 1]: the smallest
 // retained item whose normalized inclusive rank reaches φ. φ = 0 yields the
 // exact minimum and φ = 1 the exact maximum (both tracked separately).
+// After appends to level 0 only, it reads through the stale view instead of
+// repairing it (see readThrough).
 func (s *Sketch[T]) Quantile(phi float64) (T, error) {
 	var zero T
 	if s.n == 0 {
 		return zero, ErrEmpty
 	}
-	if math.IsNaN(phi) || phi < 0 || phi > 1 {
+	if badPhi(phi) {
 		return zero, ErrBadRank
 	}
 	if phi == 0 {
@@ -136,6 +139,9 @@ func (s *Sketch[T]) Quantile(phi float64) (T, error) {
 	}
 	if phi == 1 {
 		return s.max, nil
+	}
+	if s.readThrough(1) {
+		return s.quantileThrough(s.sortedTail(), phi), nil
 	}
 	return s.SortedView().Quantile(phi)
 }
@@ -146,10 +152,14 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) {
 	return s.QuantilesInto(nil, phis)
 }
 
-// QuantilesInto answers every φ in phis against a single sorted view,
-// writing the estimates into dst (grown as needed; pass a slice retained
-// across calls for steady-state allocation-free querying) and returning it
-// with length len(phis). See View.QuantilesInto for the sweep strategy.
+// QuantilesInto answers every φ in phis, writing the estimates into dst
+// (grown as needed; pass a slice retained across calls for steady-state
+// allocation-free querying) and returning it with length len(phis). When
+// the only writes since the last view build were level-0 appends, it
+// answers from the stale view plus the sorted append tail and leaves the
+// view unrepaired (see readThrough): the sketch stays unfrozen. Otherwise
+// it answers against the (rebuilt) sorted view; see View.QuantilesInto for
+// the sweep strategy. Both answer bit-identically.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	if len(phis) == 0 {
 		return resizeSlice(dst, 0), nil
@@ -157,7 +167,144 @@ func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	if s.n == 0 {
 		return nil, ErrEmpty
 	}
-	return s.SortedView().QuantilesInto(dst, phis)
+	if !s.readThrough(len(phis)) {
+		return s.SortedView().QuantilesInto(dst, phis)
+	}
+	for _, phi := range phis {
+		if badPhi(phi) {
+			return nil, ErrBadRank
+		}
+	}
+	tail := s.sortedTail()
+	dst = resizeSlice(dst, len(phis))
+	for i, phi := range phis {
+		dst[i] = s.quantileThrough(tail, phi)
+	}
+	return dst, nil
+}
+
+// badPhi reports whether φ lies outside [0, 1] (or is NaN).
+//
+//req:noalloc
+func badPhi(phi float64) bool {
+	return math.IsNaN(phi) || phi < 0 || phi > 1
+}
+
+// quantileTarget is the cumulative weight ⌈φ·n⌉, clamped to [1, n], that
+// the φ-quantile is the first retained entry to reach.
+//
+//req:noalloc
+func quantileTarget(phi float64, n uint64) uint64 {
+	target := uint64(math.Ceil(phi * float64(n)))
+	if target == 0 {
+		target = 1
+	}
+	if target > n {
+		target = n
+	}
+	return target
+}
+
+// readThrough reports whether a read of q quantiles should be answered by
+// quantileThrough rather than by repairing the view: only in the state
+// SortedView would repair (appends to level 0 since the spare was built),
+// and only while sorting the m-item tail plus q two-array selections costs
+// less than the view's V entries the repair rewrites. The repair sorts the
+// same tail, so no read costs more than the repair it skips — including a
+// repeated read with no writes in between, which sorts the tail again.
+//
+//req:noalloc
+func (s *Sketch[T]) readThrough(q int) bool {
+	if s.view != nil || !s.tailRepairable() {
+		return false
+	}
+	m := len(s.levels[0].buf) - s.viewL0Len
+	v := len(s.spare.items)
+	lg := bits.Len(uint(m)) // ≥ ⌈log₂ m⌉
+	return m > 0 && lg*(m+2*q*bits.Len(uint(v))) < v
+}
+
+// sortedTail copies level 0's appends since the spare view was built into
+// s.scratch and sorts the copy ascending in the caller's order: the tail
+// repairTailView merges, in the same permutation (the level buffer itself
+// is ordered by the internal order and stays untouched).
+func (s *Sketch[T]) sortedTail() []T {
+	s.scratch = append(s.scratch[:0], s.levels[0].buf[s.viewL0Len:]...)
+	s.sortCaller(s.scratch)
+	return s.scratch
+}
+
+// quantileThrough answers one validated φ from the stale spare view and
+// the sorted tail (sortedTail) without merging them — Algorithm 2 reads
+// level 0's tail as the weight-1 compactor it is. The repair (MergeTailCum)
+// would put view entry i at position i + #tail≤items[i] with cumulative
+// weight cum[i] + #tail≤items[i], and tail entry j at j + #view<tail[j]
+// with cumulative weight cum[#view<tail[j] − 1] + j + 1. Both weights grow
+// with the index, so each array's first entry reaching ⌈φn⌉ is a binary
+// search, and the answer is whichever of the two comes first in merged
+// order: exactly the entry the repaired view returns, ties included.
+//
+//req:noalloc
+func (s *Sketch[T]) quantileThrough(tail []T, phi float64) T {
+	if phi == 0 {
+		return s.min
+	}
+	if phi == 1 {
+		return s.max
+	}
+	target := quantileTarget(phi, s.n)
+	items, cum := s.spare.items, s.spare.cum
+	// View candidate. The tail adds at most m below any entry, so it lies
+	// between the first entry whose cum reaches target−m and the first
+	// whose cum reaches target.
+	m := uint64(len(tail))
+	lo := 0
+	if target > m {
+		lo = gallopCumGE(cum, 0, target-m)
+	}
+	hi := gallopCumGE(cum, lo, target)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid]+uint64(s.searchCallerLE(tail, items[mid])) >= target {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	vi := lo
+	// Tail candidate.
+	lo, hi = 0, len(tail)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		w := uint64(mid + 1)
+		if c := s.searchCallerLT(items, tail[mid]); c > 0 {
+			w += cum[c-1]
+		}
+		if w >= target {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	tj := lo
+	// Merged order; the candidates' positions never coincide.
+	vpos, tpos := math.MaxInt, math.MaxInt
+	if vi < len(items) {
+		vpos = vi + s.searchCallerLE(tail, items[vi])
+	}
+	if tj < len(tail) {
+		tpos = tj + s.searchCallerLT(items, tail[tj])
+	}
+	switch {
+	case vpos < tpos:
+		return items[vi]
+	case tpos < vpos:
+		return tail[tj]
+	}
+	// Neither array reaches the target. Retained weight equals n in every
+	// sketch (FromSnapshot enforces it), so this mirrors the repaired
+	// view's clamp to the maximum rather than a reachable case.
+	return s.max
 }
 
 // RankBatch returns the estimated inclusive rank of every probe in ys,
@@ -235,7 +382,10 @@ type View[T any] struct {
 // Frozen reports whether the cached sorted view is materialized, i.e.
 // whether quantile/CDF queries are currently pure reads. Updates and merges
 // un-freeze the sketch; SortedView (or the root package's Freeze) freezes
-// it again.
+// it again. Quantile reads freeze it only when they rebuild or repair the
+// view: after level-0 appends alone they read through the stale view
+// (readThrough), so Frozen stays false and a following Rank searches the
+// levels.
 func (s *Sketch[T]) Frozen() bool { return s.view != nil }
 
 // FrozenIndexed reports whether both the cached sorted view and its
@@ -262,11 +412,20 @@ func (s *Sketch[T]) SortedView() *View[T] {
 	if s.view != nil {
 		return s.view
 	}
-	if s.spare != nil && !s.viewStructural && s.viewDirty == 1 &&
-		len(s.levels[0].buf) >= s.viewL0Len {
+	if s.tailRepairable() {
 		return s.repairTailView()
 	}
 	return s.rebuildView()
+}
+
+// tailRepairable reports whether the only writes since the spare view was
+// built are appends to level 0, so that buf[viewL0Len:] is exactly what
+// the view lacks.
+//
+//req:noalloc
+func (s *Sketch[T]) tailRepairable() bool {
+	return s.spare != nil && !s.viewStructural && s.viewDirty == 1 &&
+		len(s.levels[0].buf) >= s.viewL0Len
 }
 
 // Freeze materializes the cached sorted view and its Eytzinger rank index,
@@ -298,8 +457,12 @@ func (s *Sketch[T]) rebuildView() *View[T] {
 			v.items[i] = zero
 		}
 	}
-	v.items = resizeSlice(v.items, total)
-	v.cum = resizeSlice(v.cum, total)
+	if cap(v.items) == 0 {
+		// The first build sizes the view exactly: registries hold millions.
+		v.items, v.cum = resizeSlice(v.items, total), resizeSlice(v.cum, total)
+	} else {
+		v.items, v.cum = resizeAmortized(v.items, total), resizeAmortized(v.cum, total)
+	}
 	v.less, v.kern, v.n, v.min, v.max = s.less, s.kern, s.n, s.min, s.max
 	v.idx.built = false
 	s.kwayMergeInto(v)
@@ -314,24 +477,19 @@ func (s *Sketch[T]) rebuildView() *View[T] {
 // cursor machinery for a k-way rebuild.
 func (s *Sketch[T]) repairTailView() *View[T] {
 	v := s.spare
-	tail := s.levels[0].buf[s.viewL0Len:]
-	m := len(tail)
+	m := len(s.levels[0].buf) - s.viewL0Len
 	v.n, v.min, v.max = s.n, s.min, s.max
 	v.idx.built = false
 	if m == 0 {
 		s.viewRevalidated()
 		return v
 	}
-	// Sort a copy of the tail ascending in the caller's order (the level
-	// buffer itself is ordered by the internal order and stays untouched
-	// until settled below).
-	s.scratch = append(s.scratch[:0], tail...)
-	s.sortCaller(s.scratch)
+	tail := s.sortedTail()
 	old := len(v.items)
 	v.items = growSlice(v.items, old+m)
 	v.cum = growSlice(v.cum, old+m)
 	if kn := s.kern; kn != nil {
-		kn.mergeTailCum(v.items, v.cum, s.scratch, old)
+		kn.mergeTailCum(v.items, v.cum, tail, old)
 	} else {
 		var run uint64
 		if old > 0 {
@@ -340,8 +498,8 @@ func (s *Sketch[T]) repairTailView() *View[T] {
 		run += uint64(m)
 		i, j, k := old-1, m-1, old+m-1
 		for i >= 0 && j >= 0 {
-			if s.less(v.items[i], s.scratch[j]) {
-				v.items[k] = s.scratch[j]
+			if s.less(v.items[i], tail[j]) {
+				v.items[k] = tail[j]
 				v.cum[k] = run
 				run--
 				j--
@@ -358,7 +516,7 @@ func (s *Sketch[T]) repairTailView() *View[T] {
 			k--
 		}
 		for j >= 0 {
-			v.items[k] = s.scratch[j]
+			v.items[k] = tail[j]
 			v.cum[k] = run
 			run--
 			j--
@@ -369,7 +527,7 @@ func (s *Sketch[T]) repairTailView() *View[T] {
 	}
 	// Settle level 0 so the sketch state matches the full-rebuild path (which
 	// settles every level); this must follow the merge above because
-	// settleLevel claims s.scratch.
+	// settleLevel claims s.scratch, which holds tail.
 	s.settleLevel(0)
 	s.viewRevalidated()
 	return v
@@ -386,10 +544,8 @@ func (s *Sketch[T]) viewRevalidated() {
 }
 
 // resizeSlice returns xs with length n, reusing the backing array when
-// capacity suffices and allocating exactly otherwise (rebuilds overwrite
-// every element, so a fresh array needs no headroom — repairs grow through
-// growSlice, whose headroom then sticks to the recycled array). Existing
-// contents are NOT preserved across a reallocation.
+// capacity suffices and allocating exactly otherwise. Existing contents are
+// NOT preserved across a reallocation.
 func resizeSlice[T any](xs []T, n int) []T {
 	if cap(xs) >= n {
 		return xs[:n]
@@ -410,8 +566,10 @@ func growSlice[T any](xs []T, n int) []T {
 }
 
 // resizeAmortized is resizeSlice with growSlice's headroom: contents are
-// not preserved, but repeated small growth (the index arrays after tail
-// repairs) amortizes to O(1) reallocations.
+// not preserved, but repeated small growth amortizes to O(1)
+// reallocations. A rebuilt view needs it because the retained count creeps
+// past its high-water mark from one rebuild to the next while the reads in
+// between leave the view unrepaired; index arrays need it after repairs.
 func resizeAmortized[T any](xs []T, n int) []T {
 	if cap(xs) >= n {
 		return xs[:n]
@@ -739,7 +897,7 @@ func (v *View[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 		return nil, ErrEmpty
 	}
 	for _, phi := range phis {
-		if math.IsNaN(phi) || phi < 0 || phi > 1 {
+		if badPhi(phi) {
 			return nil, ErrBadRank
 		}
 	}
@@ -781,14 +939,7 @@ func (v *View[T]) quantileAt(phi float64, pos int) (T, int) {
 	if phi == 1 {
 		return v.max, pos
 	}
-	target := uint64(math.Ceil(phi * float64(v.n)))
-	if target == 0 {
-		target = 1
-	}
-	if target > v.n {
-		target = v.n
-	}
-	pos = gallopCumGE(v.cum, pos, target)
+	pos = gallopCumGE(v.cum, pos, quantileTarget(phi, v.n))
 	if pos == len(v.items) {
 		// Total retained weight can be less than n only if the sketch was
 		// restored from a foreign snapshot; clamp to the maximum.
@@ -870,7 +1021,7 @@ func (v *View[T]) Quantile(phi float64) (T, error) {
 	if v.n == 0 {
 		return zero, ErrEmpty
 	}
-	if math.IsNaN(phi) || phi < 0 || phi > 1 {
+	if badPhi(phi) {
 		return zero, ErrBadRank
 	}
 	if phi == 0 {
@@ -879,13 +1030,7 @@ func (v *View[T]) Quantile(phi float64) (T, error) {
 	if phi == 1 {
 		return v.max, nil
 	}
-	target := uint64(math.Ceil(phi * float64(v.n)))
-	if target == 0 {
-		target = 1
-	}
-	if target > v.n {
-		target = v.n
-	}
+	target := quantileTarget(phi, v.n)
 	if v.idx.built {
 		return v.idx.quantile(target, v.max), nil
 	}

@@ -103,6 +103,26 @@ func TestRegistryRoundTripBytes(t *testing.T) {
 	}
 }
 
+// TestRegistryRecordBound: the export sizes its buffer before the walk from
+// each key's retained count, so the bound must cover every record, length
+// prefix included, at every level count.
+func TestRegistryRecordBound(t *testing.T) {
+	reg := buildRegistry(t)
+	levels := map[int]bool{}
+	reg.Visit(func(key string, s *Sketch[float64]) bool {
+		bound := recordBound(s, float64Codec)
+		n := frozenRecordLen(s.core.FreezeShared(), float64Codec)
+		if got := uvarintLen(uint64(n)) + n; got > bound {
+			t.Fatalf("%q: record takes %d bytes, bound %d", key, got, bound)
+		}
+		levels[s.NumLevels()] = true
+		return true
+	})
+	if len(levels) < 3 {
+		t.Fatalf("keys span %d level counts; the bound needs several", len(levels))
+	}
+}
+
 // TestRegistryRoundTripStore: export → snapstore save → reopen (the full
 // property from the issue) plus generation rotation and torn-newest
 // recovery.

@@ -54,13 +54,15 @@ const registryHeaderSize = 4 + 4 + 8
 
 // keyCodec serializes one registry key type.
 type keyCodec[K comparable] struct {
-	tag byte
-	put func(out []byte, k K) []byte
-	get func(r *reader) (K, bool)
+	tag  byte
+	size func(k K) int // encoded length of k
+	put  func(out []byte, k K) []byte
+	get  func(r *reader) (K, bool)
 }
 
 var stringKeyCodec = keyCodec[string]{
-	tag: keyString,
+	tag:  keyString,
+	size: func(k string) int { return uvarintLen(uint64(len(k))) + len(k) },
 	put: func(out []byte, k string) []byte {
 		out = binary.AppendUvarint(out, uint64(len(k)))
 		return append(out, k...)
@@ -77,7 +79,8 @@ var stringKeyCodec = keyCodec[string]{
 }
 
 var uint64KeyCodec = keyCodec[uint64]{
-	tag: keyUint64,
+	tag:  keyUint64,
+	size: func(uint64) int { return 8 },
 	put: func(out []byte, k uint64) []byte {
 		return binary.LittleEndian.AppendUint64(out, k)
 	},
@@ -99,9 +102,16 @@ func appendRegistryHeader(out []byte, keyTag, itemTag byte, keyCount uint64) []b
 // snapshot record. The walk freezes each sketch in place and marshals it
 // while the shard lock is held, so the record is an exact capture; keys
 // updated on other shards during the walk land in whichever state the
-// walk finds them.
+// walk finds them. A first, cheaper walk sizes the blob from the retained
+// counts, so the encode appends into one allocation (keys written between
+// the two walks at worst cost an append's regrowth).
 func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic itemCodec[T]) []byte {
-	out := appendRegistryHeader(make([]byte, 0, 1<<12), kc.tag, ic.tag, 0)
+	size := registryHeaderSize
+	r.Visit(func(key K, s *Sketch[T]) bool {
+		size += kc.size(key) + recordBound(s, ic)
+		return true
+	})
+	out := appendRegistryHeader(make([]byte, 0, size), kc.tag, ic.tag, 0)
 	var count uint64
 	r.Visit(func(key K, s *Sketch[T]) bool {
 		out = kc.put(out, key)
@@ -115,16 +125,29 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 	return out
 }
 
+// recordPrefixLen returns the length of a snapshot record's fixed prefix:
+// 4 magic + 5 one-byte fields + 3 float64 params + fixedK u32 +
+// seed/n/n0 u64 + min/max + size u32.
+func recordPrefixLen[T any](ic itemCodec[T]) int { return 65 + ic.width*2 }
+
 // frozenRecordLen returns the exact encoded length of a frozen coreset's
-// snapshot record: the fixed prefix (4 magic + 5 one-byte fields + 3
-// float64 params + fixedK u32 + seed/n/n0 u64 + min/max + size u32) plus
-// fixed-width items plus the varint weights.
+// snapshot record: the fixed prefix plus fixed-width items plus the varint
+// weights.
 func frozenRecordLen[T any](f *core.Frozen[T], ic itemCodec[T]) int {
-	n := 65 + ic.width*2 + ic.width*f.Size()
+	n := recordPrefixLen(ic) + ic.width*f.Size()
 	for i := 0; i < f.Size(); i++ {
 		n += uvarintLen(f.Weight(i))
 	}
 	return n
+}
+
+// recordBound upper-bounds a key's length-prefixed snapshot record before
+// its sketch is frozen: the frozen view holds one entry per retained item,
+// and no entry weighs more than an item of the top level, 2^(levels−1).
+func recordBound[T any](s *Sketch[T], ic itemCodec[T]) int {
+	maxW := uint64(1) << uint(s.NumLevels()-1)
+	n := recordPrefixLen(ic) + s.ItemsRetained()*(ic.width+uvarintLen(maxW))
+	return uvarintLen(uint64(n)) + n
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.

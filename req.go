@@ -108,10 +108,13 @@ func (s *Sketch[T]) Quantile(phi float64) (T, error) { return s.core.Quantile(ph
 // repeatedly should prefer QuantilesInto with a reused destination.
 func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) { return s.core.Quantiles(phis) }
 
-// QuantilesInto answers every normalized rank in phis against one sorted
-// view, writing into dst (grown as needed — pass the previous result back
-// in for steady-state allocation-free querying) and returning it with
-// length len(phis). Sorted phis are answered by a single forward sweep.
+// QuantilesInto answers every normalized rank in phis, writing into dst
+// (grown as needed — pass the previous result back in for steady-state
+// allocation-free querying) and returning it with length len(phis). After
+// updates alone, it answers from the cached sorted view plus the items
+// appended since, without repairing the view: the sketch stays unfrozen.
+// Otherwise it answers against one sorted view, sorted phis by a single
+// forward sweep. Either way the answers are the same.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	return s.core.QuantilesInto(dst, phis)
 }
@@ -237,7 +240,10 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 func (s *Sketch[T]) Freeze() { s.core.Freeze() }
 
 // Frozen reports whether the cached sorted view is currently materialized
-// (no update or merge has happened since the last Freeze or sorted query).
+// (no update or merge has happened since the last Freeze or view build).
+// Quantile reads after updates alone do not build the view — they read
+// through the stale one — so Frozen stays false across them, and a
+// following Rank searches the levels.
 func (s *Sketch[T]) Frozen() bool { return s.core.Frozen() }
 
 // Reset empties the sketch in place, keeping its configuration (and

@@ -179,6 +179,71 @@ func TestSnapshotMatchesLiveAcrossLifecycles(t *testing.T) {
 }
 
 // TestSnapshotUint64 covers the uint64 instantiation end to end.
+// TestLiveQuantilesMatchSnapshot: a live QuantilesInto after appends reads
+// through the stale sorted view; a Snapshot taken right after it repairs
+// the view. Both must answer bit for bit alike, ±0 included, with tails
+// accumulated over several live reads and across compactions.
+func TestLiveQuantilesMatchSnapshot(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	phis := []float64{0.5, 0, 0.001, 0.1, 0.25, 0.9, 0.99, 0.999, 1}
+	for _, hra := range []bool{false, true} {
+		opts := []Option{WithEpsilon(0.05), WithSeed(7)}
+		if hra {
+			opts = append(opts, WithHighRankAccuracy())
+		}
+		s, err := NewFloat64(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := uint64(0x9e3779b97f4a7c15)
+		draw := func() float64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			switch x % 4 {
+			case 0:
+				return 0
+			case 1:
+				return negZero
+			}
+			return float64(x>>40%512) - 256
+		}
+		for i := 0; i < 20000; i++ {
+			s.Update(draw())
+		}
+		s.Freeze()
+		var live []float64
+		unfrozen := 0
+		for round := 0; round < 400; round++ {
+			for i := 0; i < []int{1, 64, 7, 300, 64, 2}[round%6]; i++ {
+				s.Update(draw())
+			}
+			if live, err = s.QuantilesInto(live, phis); err != nil {
+				t.Fatal(err)
+			}
+			if !s.Frozen() {
+				unfrozen++
+			}
+			if round%3 != 2 {
+				continue // let the tail accumulate over several reads
+			}
+			want, err := s.Snapshot().QuantilesInto(nil, phis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, phi := range phis {
+				if math.Float64bits(live[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("hra=%v round %d φ=%v: live %v (bits %x), snapshot %v (bits %x)",
+						hra, round, phi, live[i], math.Float64bits(live[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+		if unfrozen == 0 {
+			t.Fatalf("hra=%v: every live read froze the sketch; none read through", hra)
+		}
+	}
+}
+
 func TestSnapshotUint64(t *testing.T) {
 	s, err := NewUint64(WithEpsilon(0.05), WithSeed(3))
 	if err != nil {
