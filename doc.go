@@ -183,13 +183,17 @@
 //
 // WindowedRegistry answers over a trailing time window instead of the
 // whole stream: each key carries a ring of sketch slots rotated lazily on
-// epoch boundaries, and queries merge the live slots through the
-// mergeability guarantee (Theorem 3), so a windowed answer carries the
-// same ε budget as a single sketch over the window's items. Merges reuse
-// a per-shard stage sketch — steady-state windowed queries are also
-// allocation-free. This is the monitoring/SLO shape: per-endpoint p99
-// over the last N minutes with keys appearing and expiring as traffic
-// shifts (see examples/slo and experiment E17). Windowed UpdatePairs
+// epoch boundaries, and queries read the live slots as one weighted
+// coreset. A quantile read settles each live slot's levels in place and
+// selects the answer by binary searches over the sorted level buffers —
+// exactly the answer of a sorted view over the slots' union, with no
+// merge, compaction or coin — so a windowed answer carries the slots'
+// summed rank error: the same ε budget as a single sketch over the
+// window's items (Theorem 3). The union scratch is per shard and
+// grow-only — steady-state windowed queries are also allocation-free.
+// This is the monitoring/SLO shape: per-endpoint p99 over the last N
+// minutes with keys appearing and expiring as traffic shifts (see
+// examples/slo and experiment E17). Windowed UpdatePairs
 // resolves each key's live ring slot once per run inside the same
 // shard-grouped pipeline, so batched windowed ingest (including lazy
 // rotation on epoch boundaries) matches the per-op path bit-for-bit.

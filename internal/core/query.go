@@ -36,7 +36,8 @@ func (s *Sketch[T]) Rank(y T) uint64 {
 	}
 	var r uint64
 	for h := range s.levels {
-		r += uint64(s.levelCountLE(&s.levels[h], y)) << uint(h)
+		c := &s.levels[h]
+		r += uint64(s.levelCountLE(c.buf, c.sorted, y)) << uint(h)
 	}
 	return r
 }
@@ -52,33 +53,37 @@ func (s *Sketch[T]) RankExclusive(y T) uint64 {
 	}
 	var r uint64
 	for h := range s.levels {
-		r += uint64(s.levelCountLT(&s.levels[h], y)) << uint(h)
+		c := &s.levels[h]
+		r += uint64(s.levelCountLT(c.buf, c.sorted, y)) << uint(h)
 	}
 	return r
 }
 
-// levelCountLE counts items ≤ y in one compactor: a binary search over the
-// sorted prefix (stored descending in the caller's order for HRA sketches)
-// plus a linear scan of the unsorted tail.
+// levelCountLE counts items ≤ y in one level buffer: a binary search over
+// the sorted prefix buf[:sorted] (stored descending in the caller's order
+// for HRA sketches) plus a linear scan of the unsorted tail.
 //
 //req:noalloc
-func (s *Sketch[T]) levelCountLE(c *compactor[T], y T) int {
+func (s *Sketch[T]) levelCountLE(buf []T, sorted int, y T) int {
 	if k := s.kern; k != nil {
 		var cnt int
 		if s.cfg.HRA {
-			cnt = k.countLEDesc(c.buf[:c.sorted], y)
+			cnt = k.countLEDesc(buf[:sorted], y)
 		} else {
-			cnt = k.searchLE(c.buf[:c.sorted], y)
+			cnt = k.searchLE(buf[:sorted], y)
 		}
-		return cnt + k.countLE(c.buf[c.sorted:], y)
+		if sorted < len(buf) {
+			cnt += k.countLE(buf[sorted:], y)
+		}
+		return cnt
 	}
 	var cnt int
 	if s.cfg.HRA {
-		cnt = countLEDesc(c.buf[:c.sorted], y, s.less)
+		cnt = countLEDesc(buf[:sorted], y, s.less)
 	} else {
-		cnt = searchLE(c.buf[:c.sorted], y, s.less)
+		cnt = searchLE(buf[:sorted], y, s.less)
 	}
-	for _, x := range c.buf[c.sorted:] {
+	for _, x := range buf[sorted:] {
 		if !s.less(y, x) { // x ≤ y
 			cnt++
 		}
@@ -86,26 +91,29 @@ func (s *Sketch[T]) levelCountLE(c *compactor[T], y T) int {
 	return cnt
 }
 
-// levelCountLT counts items < y in one compactor; see levelCountLE.
+// levelCountLT counts items < y in one level buffer; see levelCountLE.
 //
 //req:noalloc
-func (s *Sketch[T]) levelCountLT(c *compactor[T], y T) int {
+func (s *Sketch[T]) levelCountLT(buf []T, sorted int, y T) int {
 	if k := s.kern; k != nil {
 		var cnt int
 		if s.cfg.HRA {
-			cnt = k.countLTDesc(c.buf[:c.sorted], y)
+			cnt = k.countLTDesc(buf[:sorted], y)
 		} else {
-			cnt = k.searchLT(c.buf[:c.sorted], y)
+			cnt = k.searchLT(buf[:sorted], y)
 		}
-		return cnt + k.countLT(c.buf[c.sorted:], y)
+		if sorted < len(buf) {
+			cnt += k.countLT(buf[sorted:], y)
+		}
+		return cnt
 	}
 	var cnt int
 	if s.cfg.HRA {
-		cnt = countLTDesc(c.buf[:c.sorted], y, s.less)
+		cnt = countLTDesc(buf[:sorted], y, s.less)
 	} else {
-		cnt = searchLT(c.buf[:c.sorted], y, s.less)
+		cnt = searchLT(buf[:sorted], y, s.less)
 	}
-	for _, x := range c.buf[c.sorted:] {
+	for _, x := range buf[sorted:] {
 		if s.less(x, y) {
 			cnt++
 		}

@@ -37,7 +37,7 @@
 // Lock returns the locked shard for a key (the +req:locksAcquired
 // contract); every entry operation requires it. The Aux field gives the
 // owner a per-shard scratch slot under the same lock — the windowed
-// registry keeps its reusable merge stage there.
+// registry keeps its reusable union query there.
 package tenant
 
 import (
@@ -101,8 +101,8 @@ type Shard[K comparable, E any] struct {
 	// +req:guardedBy(mu)
 	evictions uint64
 	// Aux is a scratch slot for the Map's owner, guarded by the shard
-	// lock like everything else here; the windowed registry stages its
-	// per-query merges in it.
+	// lock like everything else here; the windowed registry loads its
+	// per-query union of the live slots into it.
 	//
 	// +req:guardedBy(mu)
 	Aux any

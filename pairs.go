@@ -192,19 +192,14 @@ func regIngest[T any](e *regEntry[T], _ int64, run []T) {
 // will write — without rotating it (pure read; rotation stays in the
 // ingest phase).
 func winTouch[T any](e *winEntry[T], ep int64) T {
-	return e.ring[int(ep%int64(len(e.ring)))].PrefetchHint()
+	return e.ring[e.slot(ep)].PrefetchHint()
 }
 
 // winIngest is the windowed registry's run-ingest hook: the key's live
 // slot for the batch's epoch is resolved (rotating lazily) once per run,
 // then the run goes into that slot.
 func winIngest[T any](e *winEntry[T], ep int64, run []T) {
-	i := int(ep % int64(len(e.ring)))
-	if e.epochs[i] != ep {
-		e.ring[i].Reset()
-		e.epochs[i] = ep
-	}
-	e.ring[i].IngestRun(run)
+	e.rotate(ep).IngestRun(run)
 }
 
 // UpdatePairs inserts items[i] into keys[i]'s sketch for every i, creating

@@ -126,8 +126,8 @@ func TestAllocsWindowedUpdateAndQuery(t *testing.T) {
 		keys[i] = fmt.Sprintf("ep-%02d", i)
 	}
 	// Warm: fill every slot of every key across several full rotations,
-	// querying as we go so the per-shard merge stages reach their
-	// high-water marks.
+	// querying as we go so the per-shard union scratch reaches its
+	// high-water mark.
 	phis := []float64{0.5, 0.99}
 	dst := make([]float64, 0, len(phis))
 	for ep := 0; ep < 12; ep++ {
@@ -155,6 +155,20 @@ func TestAllocsWindowedUpdateAndQuery(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("windowed Update+QuantilesInto allocates %v allocs/op", avg)
+	}
+	// The single-φ read and Rank are pure reads of the same state.
+	if avg := testing.AllocsPerRun(2000, func() {
+		k := keys[i&15]
+		w.Update(k, float64(i&1023))
+		if _, err := w.Quantile(k, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Rank(k, float64(i&1023)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Fatalf("windowed Update+Quantile+Rank allocates %v allocs/op", avg)
 	}
 	// Rotation itself must also be allocation-free once warm: advance the
 	// epoch every iteration.

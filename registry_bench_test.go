@@ -135,7 +135,7 @@ func BenchmarkWindowedRegistryQuery(b *testing.B) {
 			reg.Update(k, vals[(ep+i)&(1<<16-1)])
 		}
 	}
-	for _, k := range keys { // grow every per-shard merge stage
+	for _, k := range keys { // grow every per-shard union scratch
 		if _, err := reg.QuantilesInto(k, dst, phis); err != nil {
 			b.Fatal(err)
 		}

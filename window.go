@@ -3,6 +3,7 @@ package req
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -13,33 +14,39 @@ import (
 // WindowedRegistry is a Registry whose per-key answers cover only a
 // trailing time window: each key owns a ring of WithWindow-configured
 // sketch slots, updates land in the slot owning the current epoch, and
-// queries merge the live slots — the current partial slot plus the sealed
-// ones still inside the window — through the sketch's mergeability
-// guarantee (Theorem 3), so a windowed answer carries the same relative-
-// error budget as a single sketch over the same items. This is the
-// monitoring shape: per-endpoint p99 over the last N minutes, keys
-// appearing and expiring as traffic shifts.
+// queries answer over the live slots — the current partial slot plus the
+// sealed ones still inside the window — taken together as one weighted
+// coreset, so a windowed answer carries the same relative-error budget as a
+// single sketch over the same items. This is the monitoring shape:
+// per-endpoint p99 over the last N minutes, keys appearing and expiring as
+// traffic shifts.
 //
 // # Rotation
 //
-// Time divides into fixed epochs of WithWindow's slot duration; slot
+// Time divides into fixed epochs of WithWindow's slot duration (floored, so
+// clock readings before zero fall in negative epochs); slot
 // i = epoch mod slots owns epoch's items. Rotation is lazy — the first
 // update of a new epoch resets the ring slot it lands in (recycling the
 // slot's storage) — so idle keys cost nothing to rotate and a clock that
 // jumps several epochs simply leaves stale slots behind, which queries
 // exclude by epoch tag. A query sees between (slots−1)·slot and
 // slots·slot of trailing stream time depending on the phase of the
-// current epoch.
+// current epoch; a clock that steps backward hides slots stamped at later
+// epochs until it catches up.
 //
 // # Query path
 //
-// Queries copy the oldest live slot into a per-shard stage sketch
-// (storage recycled across queries, per-shard so queries on different
-// shards don't contend) and merge the remaining live slots in, then
-// answer from the stage. Steady-state windowed queries therefore allocate
-// nothing. The merged answer is only valid under the shard lock, so each
-// query re-merges; batch the ranks you need into one QuantilesInto call
-// rather than querying phi by phi.
+// A quantile read settles each live slot's level buffers in place (the
+// sort-and-merge of the level-0 append tail that every compaction starts
+// with) and selects the answer over all of them at once: the smallest
+// retained item whose summed weight Σ 2^h·#{x ≤ y} reaches ⌈φn⌉, by binary
+// searches in the sorted levels (core.Union). Nothing is copied, merged or
+// compacted, and the answers equal, under the order, those of a sorted view
+// over the union of the live slots' coresets, whose rank error is the sum
+// of the slots' own. Rank sums the live slots' ranks. The per-shard union scratch
+// is grow-only, so steady-state windowed queries allocate nothing. Batch
+// the ranks you need into one QuantilesInto call: an ascending φ set
+// narrows the selection as it goes.
 //
 // Eviction, sharding, clocking and concurrency are the Registry's; see
 // WithTTL, WithMaxEntries, WithShards, WithClock.
@@ -57,10 +64,34 @@ type WindowedRegistry[K comparable, T any] struct {
 }
 
 // winEntry is the arena payload of one windowed key: the slot ring and
-// the epoch tag of each slot (−1 = never written).
+// the epoch tag of each slot (unwritten for a slot no update has reached).
 type winEntry[T any] struct {
 	ring   []core.Sketch[T]
 	epochs []int64
+}
+
+// unwritten tags a slot that holds no epoch. epoch never returns it.
+const unwritten = math.MinInt64
+
+// slot returns the ring index owning epoch ep: ep mod len(ring), in
+// [0, len(ring)) for negative epochs too.
+func (e *winEntry[T]) slot(ep int64) int {
+	i := int(ep % int64(len(e.ring)))
+	if i < 0 {
+		i += len(e.ring)
+	}
+	return i
+}
+
+// rotate returns the ring slot owning epoch ep, resetting it first if its
+// tag is stale (lazy rotation).
+func (e *winEntry[T]) rotate(ep int64) *core.Sketch[T] {
+	i := e.slot(ep)
+	if e.epochs[i] != ep {
+		e.ring[i].Reset()
+		e.epochs[i] = ep
+	}
+	return &e.ring[i]
 }
 
 // NewWindowedRegistry returns an empty windowed registry over the strict
@@ -97,21 +128,29 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 				// Init cannot fail: cfg was validated above, less is
 				// non-nil. Each (key, slot) pair gets its own seed stream.
 				_ = e.ring[i].Init(less, seedCfg(cfg, seq*uint64(slots)+uint64(i)))
-				e.epochs[i] = -1
+				e.epochs[i] = unwritten
 			}
 		},
 		func(e *winEntry[T]) {
 			for i := range e.ring {
 				e.ring[i].Reset()
-				e.epochs[i] = -1
+				e.epochs[i] = unwritten
 			}
 		},
 	)
 	return w, nil
 }
 
-// epoch returns the epoch number owning caller-clock time now.
-func (w *WindowedRegistry[K, T]) epoch(now int64) int64 { return now / w.slotNanos }
+// epoch returns the epoch owning caller-clock time now: now/slot rounded
+// down, so time before zero falls in negative epochs. Only a 1 ns slot at
+// the clock's minimum could floor to unwritten; it joins the next epoch.
+func (w *WindowedRegistry[K, T]) epoch(now int64) int64 {
+	ep := now / w.slotNanos
+	if now%w.slotNanos < 0 {
+		ep--
+	}
+	return max(ep, unwritten+1)
+}
 
 // Update inserts one item into key's current window slot, creating the
 // key's ring on first update and rotating (resetting) the slot if it
@@ -121,8 +160,7 @@ func (w *WindowedRegistry[K, T]) Update(key K, item T) {
 	ep := w.epoch(now)
 	sh := w.m.Lock(key)
 	e, _ := w.m.GetOrCreate(sh, key, now)
-	sk := w.rotate(e, ep)
-	sk.Update(item)
+	e.rotate(ep).Update(item)
 	sh.Unlock()
 }
 
@@ -136,132 +174,122 @@ func (w *WindowedRegistry[K, T]) UpdateBatch(key K, items []T) {
 	ep := w.epoch(now)
 	sh := w.m.Lock(key)
 	e, _ := w.m.GetOrCreate(sh, key, now)
-	sk := w.rotate(e, ep)
-	sk.UpdateBatch(items)
+	e.rotate(ep).UpdateBatch(items)
 	sh.Unlock()
 }
 
-// rotate returns the ring slot owning epoch ep, resetting it first if its
-// tag is stale (lazy rotation).
-func (w *WindowedRegistry[K, T]) rotate(e *winEntry[T], ep int64) *core.Sketch[T] {
-	i := int(ep % int64(w.slots))
-	if e.epochs[i] != ep {
-		e.ring[i].Reset()
-		e.epochs[i] = ep
-	}
-	return &e.ring[i]
+// live reports whether a slot tagged tag falls inside the window ending at
+// epoch ep: ep−slots < tag ≤ ep. The difference is taken unsigned, so it
+// cannot overflow and a tag after ep wraps far past slots. An unwritten
+// slot is empty, so no answer depends on whether it counts as live.
+func (w *WindowedRegistry[K, T]) live(tag, ep int64) bool {
+	return uint64(ep)-uint64(tag) < uint64(w.slots)
 }
 
-// live reports whether slot i's epoch tag falls inside the window ending
-// at epoch ep.
-func (w *WindowedRegistry[K, T]) live(e *winEntry[T], i int, ep int64) bool {
-	return e.epochs[i] >= 0 && ep-e.epochs[i] < int64(w.slots)
-}
-
-// stage returns the shard's reusable merge stage, creating it on the
-// shard's first windowed query.
-//
-// +req:locksRequired(sh.mu)
-func (w *WindowedRegistry[K, T]) stage(sh *tenant.Shard[K, winEntry[T]]) *core.Sketch[T] {
-	if sh.Aux == nil {
-		st := new(core.Sketch[T])
-		_ = st.Init(w.less, w.cfg)
-		sh.Aux = st
-	}
-	return sh.Aux.(*core.Sketch[T])
-}
-
-// merged locks key's shard and merges its live slots into the shard
-// stage, returning the stage. ok is false when the key is absent (the
-// shard is still locked). An empty window returns an empty stage.
+// lockRing locks key's shard and returns key's ring, or nil (shard still
+// locked) when the key is absent or expired, with the current epoch.
 //
 // +req:locksAcquired(return1.mu)
-func (w *WindowedRegistry[K, T]) merged(key K) (*tenant.Shard[K, winEntry[T]], *core.Sketch[T], bool) {
+func (w *WindowedRegistry[K, T]) lockRing(key K) (*tenant.Shard[K, winEntry[T]], *winEntry[T], int64) {
 	now := w.now()
-	ep := w.epoch(now)
+	sh := w.m.Lock(key)
+	return sh, w.m.Get(sh, key, now), w.epoch(now)
+}
+
+// lockUnion locks key's shard and loads key's live slots into the shard's
+// union query, or returns nil (shard still locked) when the key is absent
+// or expired. The caller resets the union when done, so it keeps no alias
+// of the ring's storage.
+//
+// +req:locksAcquired(return1.mu)
+func (w *WindowedRegistry[K, T]) lockUnion(key K) (*tenant.Shard[K, winEntry[T]], *core.Union[T]) {
+	now := w.now()
 	sh := w.m.Lock(key)
 	e := w.m.Get(sh, key, now)
 	if e == nil {
-		return sh, nil, false
+		return sh, nil
 	}
-	st := w.stage(sh)
-	// Seed the stage by deep-copying the tallest live slot into its
-	// recycled storage, then merge the remaining live slots in. Copying
-	// the tallest first keeps every Merge on its in-place path: merging a
-	// taller source into a shorter target deep-copies the source, and an
-	// empty target adopts a clone — both would allocate on every query.
-	tallest := -1
+	return sh, w.union(sh, e, w.epoch(now))
+}
+
+// union loads e's live slots into sh's reusable union query, creating it
+// on the shard's first windowed read.
+//
+// +req:locksRequired(sh.mu)
+func (w *WindowedRegistry[K, T]) union(sh *tenant.Shard[K, winEntry[T]], e *winEntry[T], ep int64) *core.Union[T] {
+	u, _ := sh.Aux.(*core.Union[T])
+	if u == nil {
+		u = new(core.Union[T])
+		sh.Aux = u
+	}
+	u.Reset()
 	for i := range e.ring {
-		if w.live(e, i, ep) && (tallest < 0 || e.ring[i].NumLevels() > e.ring[tallest].NumLevels()) {
-			tallest = i
+		if w.live(e.epochs[i], ep) {
+			u.Add(&e.ring[i])
 		}
 	}
-	if tallest < 0 {
-		st.Reset()
-		return sh, st, true
-	}
-	st.CopyFrom(&e.ring[tallest])
-	for i := range e.ring {
-		if i != tallest && w.live(e, i, ep) {
-			// Same-config merge into a distinct sketch cannot fail.
-			_ = st.Merge(&e.ring[i])
-		}
-	}
-	return sh, st, true
+	return u
 }
 
 // Quantile returns the item at normalized rank phi over key's trailing
 // window; see Sketch.Quantile. It returns ErrNoKey when the key is absent
 // and ErrEmpty when the key's window holds no items.
 func (w *WindowedRegistry[K, T]) Quantile(key K, phi float64) (T, error) {
-	sh, st, ok := w.merged(key)
+	sh, u := w.lockUnion(key)
 	defer sh.Unlock()
-	if !ok {
+	if u == nil {
 		var zero T
 		return zero, ErrNoKey
 	}
-	return st.Quantile(phi)
+	defer u.Reset()
+	return u.Quantile(phi)
 }
 
 // QuantilesInto answers every normalized rank in phis over key's trailing
-// window with a single merge, writing into dst (grown as needed); see
+// window in one read, writing into dst (grown as needed); see
 // Sketch.QuantilesInto. It returns ErrNoKey when the key is absent. This
-// is the preferred shape for multi-quantile dashboards: one merge, one
-// sorted pass, all ranks.
+// is the preferred shape for multi-quantile dashboards: the live slots are
+// settled once for all ranks, and an ascending φ set narrows the selection
+// as it goes.
 func (w *WindowedRegistry[K, T]) QuantilesInto(key K, dst []T, phis []float64) ([]T, error) {
-	sh, st, ok := w.merged(key)
+	sh, u := w.lockUnion(key)
 	defer sh.Unlock()
-	if !ok {
+	if u == nil {
 		return dst, ErrNoKey
 	}
-	return st.QuantilesInto(dst, phis)
+	defer u.Reset()
+	return u.QuantilesInto(dst, phis)
 }
 
 // Rank returns the estimated inclusive rank of y over key's trailing
-// window; see Sketch.Rank. It returns ErrNoKey when the key is absent.
+// window: the sum of the live slots' ranks (see Sketch.Rank). It returns
+// ErrNoKey when the key is absent.
 func (w *WindowedRegistry[K, T]) Rank(key K, y T) (uint64, error) {
-	sh, st, ok := w.merged(key)
+	sh, e, ep := w.lockRing(key)
 	defer sh.Unlock()
-	if !ok {
+	if e == nil {
 		return 0, ErrNoKey
 	}
-	return st.Rank(y), nil
+	var r uint64
+	for i := range e.ring {
+		if w.live(e.epochs[i], ep) {
+			r += e.ring[i].Rank(y)
+		}
+	}
+	return r, nil
 }
 
 // Count returns the number of items inside key's trailing window, 0 when
-// the key is absent. Unlike a full merge it only sums slot counts.
+// the key is absent. It only sums the live slots' counts.
 func (w *WindowedRegistry[K, T]) Count(key K) uint64 {
-	now := w.now()
-	ep := w.epoch(now)
-	sh := w.m.Lock(key)
+	sh, e, ep := w.lockRing(key)
 	defer sh.Unlock()
-	e := w.m.Get(sh, key, now)
 	if e == nil {
 		return 0
 	}
 	var n uint64
 	for i := range e.ring {
-		if w.live(e, i, ep) {
+		if w.live(e.epochs[i], ep) {
 			n += e.ring[i].Count()
 		}
 	}
@@ -295,8 +323,8 @@ func (w *WindowedRegistry[K, T]) Evictions() uint64 { return w.m.Evictions() }
 // Registry.ExpireNow.
 func (w *WindowedRegistry[K, T]) ExpireNow() int { return w.m.ExpireNow(w.now()) }
 
-// Reset drops every key (a teardown, not an eviction). Shard merge stages
-// are kept.
+// Reset drops every key (a teardown, not an eviction). The shards' union
+// scratch is kept.
 func (w *WindowedRegistry[K, T]) Reset() { w.m.Reset() }
 
 // NumShards returns the registry's shard count.

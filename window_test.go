@@ -55,8 +55,8 @@ func TestWindowedRotationAndExpiry(t *testing.T) {
 	}
 }
 
-// TestWindowedMatchesSingleSketch proves the ring-merge path answers like
-// one sketch over the same items: while every update fits inside the
+// TestWindowedMatchesSingleSketch proves the union read answers like one
+// sketch over the same items: while every update fits inside the
 // window, the windowed Count is exact and quantiles stay within the
 // configured accuracy of a plain sketch fed the same stream.
 func TestWindowedMatchesSingleSketch(t *testing.T) {
