@@ -67,7 +67,7 @@ func TestValidateAllQuantilesArgs(t *testing.T) {
 func TestRankBounds(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.1), WithSeed(7))
 	const n = 1 << 16
-	s.UpdateAll(permStream(n, 8))
+	s.UpdateBatch(permStream(n, 8))
 	for rank := 64; rank <= n; rank *= 4 {
 		lo, hi := s.Sketch.RankBounds(float64(rank - 1))
 		if lo > hi {

@@ -149,7 +149,6 @@ var apiSurfaceGolden = []string{
 	"ConcurrentFloat64.SaveSnapshot",
 	"ConcurrentFloat64.Snapshot",
 	"ConcurrentFloat64.Update",
-	"ConcurrentFloat64.UpdateAll",
 	"ConcurrentFloat64.UpdateBatch",
 	"DecodeFloat64",
 	"DecodeUint64",
@@ -166,7 +165,6 @@ var apiSurfaceGolden = []string{
 	"Float64.SaveSnapshot",
 	"Float64.UnmarshalBinary",
 	"Float64.Update",
-	"Float64.UpdateAll",
 	"Float64.UpdateBatch",
 	"KV",
 	"MappedFloat64",
@@ -262,14 +260,12 @@ var apiSurfaceGolden = []string{
 	"Sharded.SaveSnapshot",
 	"Sharded.Snapshot",
 	"Sharded.Update",
-	"Sharded.UpdateAll",
 	"Sharded.UpdateBatch",
 	"Sharded.UpdateWeighted",
 	"ShardedFloat64",
 	"ShardedFloat64.MarshalBinary",
 	"ShardedFloat64.Merge",
 	"ShardedFloat64.Update",
-	"ShardedFloat64.UpdateAll",
 	"ShardedFloat64.UpdateBatch",
 	"ShardedUint64",
 	"ShardedUint64.MarshalBinary",
@@ -304,11 +300,9 @@ var apiSurfaceGolden = []string{
 	"Sketch.RankBounds",
 	"Sketch.RankExclusive",
 	"Sketch.Reset",
-	"Sketch.Retained",
 	"Sketch.Snapshot",
 	"Sketch.String",
 	"Sketch.Update",
-	"Sketch.UpdateAll",
 	"Sketch.UpdateBatch",
 	"Sketch.UpdateWeighted",
 	"Snapshot",
@@ -352,7 +346,6 @@ var apiSurfaceGolden = []string{
 	"VerifyFull",
 	"VerifyMode",
 	"VerifyNone",
-	"WeightedItem",
 	"WindowedRegistry",
 	"WindowedRegistry.Contains",
 	"WindowedRegistry.Count",

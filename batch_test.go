@@ -28,30 +28,6 @@ func TestFloat64UpdateBatchFiltersNaN(t *testing.T) {
 	}
 }
 
-func TestUpdateBatchMatchesUpdateAll(t *testing.T) {
-	a, err := NewFloat64(WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewFloat64(WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := permStream(50000, 77)
-	a.UpdateAll(vals)
-	b.UpdateBatch(vals)
-	if a.Count() != b.Count() || a.ItemsRetained() != b.ItemsRetained() {
-		t.Fatal("UpdateAll and UpdateBatch must be the same path")
-	}
-	for _, phi := range []float64{0.01, 0.5, 0.99} {
-		qa, _ := a.Quantile(phi)
-		qb, _ := b.Quantile(phi)
-		if qa != qb {
-			t.Fatalf("Quantile(%v): %v vs %v", phi, qa, qb)
-		}
-	}
-}
-
 func TestUint64UpdateBatch(t *testing.T) {
 	s, err := NewUint64(WithSeed(3))
 	if err != nil {

@@ -257,7 +257,7 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 func BenchmarkSnapshotREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	vals := benchValues(1<<20, 2)
-	s.UpdateAll(vals)
+	s.UpdateBatch(vals)
 	b.Run("capture", func(b *testing.B) {
 		s.Freeze()
 		b.ReportAllocs()
@@ -319,23 +319,12 @@ func BenchmarkSnapshotShardedREQ(b *testing.B) {
 	})
 }
 
-// BenchmarkCoresetExportREQ compares the deprecated materializing Retained
-// against the allocation-free All iterator on the same coreset.
+// BenchmarkCoresetExportREQ walks the coreset through the allocation-free
+// All iterator.
 func BenchmarkCoresetExportREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	s.Freeze()
-	b.Run("Retained", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			for _, wi := range s.Retained() {
-				sink += wi.Weight
-			}
-		}
-		_ = sink
-	})
 	b.Run("All", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -353,7 +342,7 @@ func BenchmarkCoresetExportREQ(b *testing.B) {
 
 func BenchmarkRankREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	qs := benchValues(1024, 3)
 	b.ResetTimer()
 	var sink uint64
@@ -368,7 +357,7 @@ func BenchmarkRankREQ(b *testing.B) {
 // binary searches instead of any per-level work.
 func BenchmarkRankFrozenREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	s.Freeze()
 	qs := benchValues(1024, 3)
 	b.ReportAllocs()
@@ -393,7 +382,7 @@ func BenchmarkMixedREQ(b *testing.B) {
 				b.Fatal(err)
 			}
 			vals := benchValues(1<<20, 2)
-			s.UpdateAll(vals)
+			s.UpdateBatch(vals)
 			_, _ = s.Quantile(0.5) // warm the view
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -416,7 +405,7 @@ func BenchmarkMixedREQ(b *testing.B) {
 // cost of BenchmarkRankFrozenREQ.
 func BenchmarkRankBatchREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	s.Freeze()
 	for _, size := range []int{16, 64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
@@ -433,7 +422,7 @@ func BenchmarkRankBatchREQ(b *testing.B) {
 
 func BenchmarkQuantileREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	_, _ = s.Quantile(0.5) // build the sorted view once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -450,8 +439,8 @@ func BenchmarkMergeREQ(b *testing.B) {
 	// excluded via timer control) and merges the same source sketch.
 	x, _ := NewFloat64(WithEpsilon(0.02), WithSeed(1))
 	y, _ := NewFloat64(WithEpsilon(0.02), WithSeed(2))
-	x.UpdateAll(benchValues(1<<15, 3))
-	y.UpdateAll(benchValues(1<<15, 4))
+	x.UpdateBatch(benchValues(1<<15, 3))
+	y.UpdateBatch(benchValues(1<<15, 4))
 	blob, err := x.MarshalBinary()
 	if err != nil {
 		b.Fatal(err)
@@ -478,8 +467,8 @@ func BenchmarkMergeREQ(b *testing.B) {
 func BenchmarkMergeSteadyREQ(b *testing.B) {
 	x, _ := NewFloat64(WithEpsilon(0.02), WithSeed(1))
 	y, _ := NewFloat64(WithEpsilon(0.02), WithSeed(2))
-	x.UpdateAll(benchValues(1<<15, 3))
-	y.UpdateAll(benchValues(1<<15, 4))
+	x.UpdateBatch(benchValues(1<<15, 3))
+	y.UpdateBatch(benchValues(1<<15, 4))
 	if err := x.Merge(y); err != nil { // warm scratch, stage, capacities
 		b.Fatal(err)
 	}
@@ -498,7 +487,7 @@ func BenchmarkMergeSteadyREQ(b *testing.B) {
 // allocations and copies, a contiguous slab one of each.
 func BenchmarkCloneREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -508,7 +497,7 @@ func BenchmarkCloneREQ(b *testing.B) {
 
 func BenchmarkSerializeREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		b.Fatal(err)
@@ -524,7 +513,7 @@ func BenchmarkSerializeREQ(b *testing.B) {
 
 func BenchmarkDeserializeREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateAll(benchValues(1<<20, 2))
+	s.UpdateBatch(benchValues(1<<20, 2))
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		b.Fatal(err)

@@ -49,12 +49,6 @@ func (c *ConcurrentFloat64) UpdateBatch(vs []float64) {
 	c.mu.Unlock()
 }
 
-// UpdateAll inserts every value of the slice under one lock acquisition.
-// It is the batch ingest path; UpdateAll and UpdateBatch are synonyms.
-func (c *ConcurrentFloat64) UpdateAll(vs []float64) {
-	c.UpdateBatch(vs)
-}
-
 // Count returns the number of values summarised.
 func (c *ConcurrentFloat64) Count() uint64 {
 	c.mu.RLock()

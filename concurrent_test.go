@@ -14,7 +14,7 @@ func TestConcurrentBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Update(1)
-	c.UpdateAll([]float64{2, 3})
+	c.UpdateBatch([]float64{2, 3})
 	if c.Count() != 3 {
 		t.Fatalf("count = %d", c.Count())
 	}

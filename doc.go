@@ -301,23 +301,25 @@
 //
 // # Hardware kernels
 //
-// The generic engine compares items through a less closure, which the
-// compiler can neither inline nor vectorize. Sketches built over the
-// canonical comparators core.LessF64 / core.LessU64 — which NewFloat64,
-// NewUint64, the concurrent wrappers, deserialization, and snapshot open
-// all use — install monomorphic kernels (internal/vec) for the hot inner
-// loops: sorting, merging, level rank counts, view repair, the k-way
-// merge, and the Eytzinger descents. On amd64, the order-insensitive
+// The engine runs its hot inner loops — sorting, merging, level rank
+// counts, view repair, the k-way merge, and the Eytzinger descents —
+// through one kernel table per order, chosen once when the order is fixed.
+// Sketches built over the canonical comparators core.LessF64 /
+// core.LessU64 — which NewFloat64, NewUint64, the concurrent wrappers,
+// deserialization, and snapshot open all use — get the monomorphic
+// kernels of internal/vec, with the comparison inlined instead of a
+// closure call per comparison. Every other order, including a custom
+// closure that computes a < b, gets a table of the generic algorithms
+// bound to its less, at closure speed. On amd64, the order-insensitive
 // scans additionally dispatch to AVX2 assembly, chosen once at init by
 // CPUID probe; building with the purego tag opts out of all assembly.
 //
-// Kernels never change results. Order-sensitive kernels are
-// structure-identical transcriptions of the generic code, so equal and
-// NaN-incomparable elements land in the same permutation, and the
-// vectorized scans are permutation-invariant reductions; differential
-// tests pin bit-identical sketch state and answers against the closure
-// path, including NaN/±0/±Inf adversarial streams. A custom closure —
-// even one computing a < b — keeps the generic path, at closure speed.
+// The table never changes results. The vec kernels are structure-identical
+// transcriptions of the generic algorithms, so equal and NaN-incomparable
+// elements land in the same permutation, and the vectorized scans are
+// permutation-invariant reductions; differential tests pin bit-identical
+// sketch state and answers between the two tables, including
+// NaN/±0/±Inf adversarial streams.
 //
 // # Concurrency
 //
@@ -359,6 +361,7 @@
 //     noalloc analyzer rejects make/new, escaping composite literals,
 //     growing append (waivable per line with //req:allocok), interface
 //     conversions, escaping closures, and calls to unannotated functions.
+//     On an interface method it binds every implementation in the package.
 //   - // +req:guardedBy(mu) on a struct field makes the locked analyzer
 //     prove every access holds mu (exclusively for writes);
 //     // +req:locksRequired, +req:locksAcquired, +req:locksReleased and

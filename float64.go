@@ -40,12 +40,6 @@ func (s *Float64) UpdateBatch(vs []float64) {
 	s.Sketch.UpdateBatch(core.FilterNaN(vs))
 }
 
-// UpdateAll inserts every value of the slice, skipping NaNs. It is the
-// batch ingest path; UpdateAll and UpdateBatch are synonyms.
-func (s *Float64) UpdateAll(vs []float64) {
-	s.UpdateBatch(vs)
-}
-
 // The query surface — the full Reader interface, including the batch APIs
 // (RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto), the
 // All coreset iterator, and Snapshot (returning *SnapshotFloat64) — is

@@ -40,7 +40,7 @@ func TestIntegrationAllGeneratorsMeetGuarantee(t *testing.T) {
 		t.Run(g.Name(), func(t *testing.T) {
 			vals := g.Generate(n, rng.New(11))
 			s := mustFloat64(t, WithEpsilon(eps), WithDelta(0.01), WithSeed(12))
-			s.UpdateAll(vals)
+			s.UpdateBatch(vals)
 			checkGuarantee(t, g.Name(), s, vals, eps)
 		})
 	}
@@ -52,7 +52,7 @@ func TestIntegrationSerializeMidStream(t *testing.T) {
 	const n = 1 << 16
 	vals := streams.Latency{}.Generate(n, rng.New(13))
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(14))
-	s.UpdateAll(vals[:n/2])
+	s.UpdateBatch(vals[:n/2])
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestIntegrationSerializeMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.UpdateAll(vals[n/2:])
+	restored.UpdateBatch(vals[n/2:])
 	checkGuarantee(t, "checkpointed", restored, vals, 0.05)
 }
 
@@ -84,7 +84,7 @@ func TestIntegrationMergeHeterogeneousShards(t *testing.T) {
 		vals := spec.gen.Generate(spec.n, rng.New(spec.seed))
 		all = append(all, vals...)
 		shard := mustFloat64(t, append(cfg, WithSeed(uint64(31+i)))...)
-		shard.UpdateAll(vals)
+		shard.UpdateBatch(vals)
 		if err := global.Merge(shard); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestIntegrationHRAOnTails(t *testing.T) {
 	const n = 1 << 16
 	vals := streams.Latency{}.Generate(n, rng.New(40))
 	s := mustFloat64(t, WithEpsilon(0.01), WithHighRankAccuracy(), WithSeed(41))
-	s.UpdateAll(vals)
+	s.UpdateBatch(vals)
 	oracle := exact.FromValues(vals)
 	for _, phi := range []float64{0.99, 0.999, 0.9999} {
 		rank := uint64(phi * n)
@@ -117,7 +117,7 @@ func TestIntegrationQuantilesMatchOracleOnCDF(t *testing.T) {
 	const n = 1 << 15
 	vals := streams.Normal{Mu: 50, Sigma: 10}.Generate(n, rng.New(50))
 	s := mustFloat64(t, WithEpsilon(0.02), WithSeed(51))
-	s.UpdateAll(vals)
+	s.UpdateBatch(vals)
 	oracle := exact.FromValues(vals)
 	splits := []float64{30, 40, 50, 60, 70}
 	cdf, err := s.CDF(splits)
@@ -142,7 +142,7 @@ func TestIntegrationLowerBoundDecodeViaPublicAPI(t *testing.T) {
 	vals := lb.Values()
 	streams.Arrange(vals, streams.OrderShuffled, r)
 	s := mustFloat64(t, WithEpsilon(0.05/3), WithDelta(1e-9), WithSeed(61))
-	s.UpdateAll(vals)
+	s.UpdateBatch(vals)
 	decoded := lb.Decode(s.Rank)
 	for i := range decoded {
 		if decoded[i] != lb.S[i] {
@@ -186,14 +186,14 @@ func TestIntegrationLongRunningMixedWorkload(t *testing.T) {
 
 	phase := func(k int) {
 		vals := streams.Uniform{Lo: 0, Hi: 1000}.Generate(20000, r)
-		s.UpdateAll(vals)
+		s.UpdateBatch(vals)
 		mirror = append(mirror, vals...)
 	}
 	phase(0)
 	// Merge in a shard.
 	shard := mustFloat64(t, WithEpsilon(0.05), WithSeed(82))
 	shardVals := streams.Uniform{Lo: 500, Hi: 1500}.Generate(30000, r)
-	shard.UpdateAll(shardVals)
+	shard.UpdateBatch(shardVals)
 	if err := s.Merge(shard); err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,17 @@
 //     non-allocating stdlib allowlist (math, math/bits, sync/atomic), and
 //     not alloc-free builtins (len, cap, copy, clear, min, max, ...)
 //
-// Calls through function values and interface methods (the sketch's
-// caller-supplied less comparator, batch emit callbacks) are allowed by
-// design: the contract is that callers of the hot paths supply
-// allocation-free callbacks, and each named callback is itself checked at
-// its definition when annotated. Facts propagate the annotation across
-// packages, so a //req:noalloc function may call an annotated function from
-// a dependency.
+// Calls through function values (the sketch's caller-supplied less
+// comparator, batch emit callbacks) are allowed by design: the contract is
+// that callers of the hot paths supply allocation-free callbacks, and each
+// named callback is itself checked at its definition when annotated. An
+// interface method is a callee like any other: calling it requires the
+// directive on the method in the interface declaration, and that directive
+// annotates every method implementing it in the same package — a method of
+// the same name on a type declaring all of the interface's method names —
+// so each implementation's body is checked as if annotated itself. Facts
+// propagate the annotation across packages, so a //req:noalloc function may
+// call an annotated function from a dependency.
 //
 // An individual construct can be waived with a //req:allocok line comment
 // carrying a justification, e.g. an append into storage the function just
@@ -90,14 +94,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// body is checked, so intra-package calls between annotated functions
 	// resolve no matter the declaration order.
 	annotated := make(map[*types.Func]bool)
+	ifaces := annotatedIfaceMethods(pass, ins, annotated)
 	var decls []*ast.FuncDecl
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
-		if !reqdir.Has(fd.Doc, "noalloc") {
-			return
-		}
 		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok {
+		if !ok || !reqdir.Has(fd.Doc, "noalloc") && !implementsAnnotated(fn, ifaces) {
 			return
 		}
 		annotated[fn] = true
@@ -124,6 +126,74 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		c.checkFunc(fd)
 	}
 	return nil, nil
+}
+
+// ifaceNoAlloc is one interface of the package with annotated methods:
+// every method name it declares, and the names carrying the directive.
+type ifaceNoAlloc struct {
+	methods   []string
+	annotated map[string]bool
+}
+
+// annotatedIfaceMethods marks (and exports) every interface method whose
+// declaration carries the directive, returning the interfaces that have any.
+func annotatedIfaceMethods(pass *analysis.Pass, ins *inspector.Inspector, annotated map[*types.Func]bool) []ifaceNoAlloc {
+	var out []ifaceNoAlloc
+	ins.Preorder([]ast.Node{(*ast.InterfaceType)(nil)}, func(n ast.Node) {
+		it := n.(*ast.InterfaceType)
+		in := ifaceNoAlloc{annotated: make(map[string]bool)}
+		for _, f := range it.Methods.List {
+			for _, name := range f.Names {
+				in.methods = append(in.methods, name.Name)
+				fn, ok := pass.TypesInfo.Defs[name].(*types.Func)
+				if ok && reqdir.Has(f.Doc, "noalloc") {
+					in.annotated[name.Name] = true
+					annotated[fn] = true
+					pass.ExportObjectFact(fn, &isNoAlloc{})
+				}
+			}
+		}
+		if len(in.annotated) > 0 {
+			out = append(out, in)
+		}
+	})
+	return out
+}
+
+// implementsAnnotated reports whether method fn implements an annotated
+// interface method: its name is annotated in an interface all of whose
+// method names the receiver's type declares.
+func implementsAnnotated(fn *types.Func, ifaces []ifaceNoAlloc) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || len(ifaces) == 0 {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	named = named.Origin()
+	has := make(map[string]bool, named.NumMethods())
+	for i := 0; i < named.NumMethods(); i++ {
+		has[named.Method(i).Name()] = true
+	}
+	for _, in := range ifaces {
+		if !in.annotated[fn.Name()] {
+			continue
+		}
+		all := true
+		for _, m := range in.methods {
+			all = all && has[m]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 type checker struct {

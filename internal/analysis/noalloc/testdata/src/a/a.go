@@ -99,3 +99,34 @@ func badGoroutine() {
 func badDefer() {
 	defer helper(1) // want "defer may allocate"
 }
+
+// sink's annotated method binds every implementation in the package.
+type sink interface {
+	//req:noalloc
+	put(x float64) float64
+	grow(n int) []float64
+}
+
+type goodSink struct{}
+
+func (goodSink) put(x float64) float64 { return x }
+
+// grow is not annotated in sink, so implementations may allocate.
+func (goodSink) grow(n int) []float64 { return make([]float64, n) }
+
+type badSink struct{}
+
+func (badSink) put(x float64) float64 {
+	_ = make([]int, 1) // want "make allocates"
+	return x
+}
+
+func (badSink) grow(n int) []float64 { return nil }
+
+//req:noalloc
+func okCallsAnnotatedMethod(s sink) float64 { return s.put(1) }
+
+//req:noalloc
+func badCallsUnannotatedMethod(s sink) []float64 {
+	return s.grow(1) // want "not //req:noalloc"
+}

@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 // mutators are methods that can write to a sketch and thereby invalidate
 // any previously returned view.
 var mutators = map[string]bool{
-	"Update": true, "UpdateBatch": true, "UpdateAll": true,
+	"Update": true, "UpdateBatch": true,
 	"UpdateWeighted": true, "Merge": true, "Reset": true,
 	"CopyFrom": true, "Observe": true, "Add": true, "Ingest": true,
 }

@@ -126,16 +126,16 @@ func TestAllocsBatchQueriesSortedProbes(t *testing.T) {
 	}
 }
 
-// The kernel-dispatch pins: fless is the canonical LessF64, so warmSketch
-// builds kernel-active sketches and every pin above already proves the
-// kernel paths. The pins below cover the paths only the kernel layer adds
-// (whole-batch Eytzinger descent, cursor-slice k-way merge) and the closure
-// fallback, which must stay allocation-free for non-canonical orders.
+// The kernel-table pins: fless is the canonical LessF64, so warmSketch
+// builds vec-table sketches and every pin above already proves that table.
+// The pins below cover the whole-batch Eytzinger descent and the
+// cursor-slice k-way merge, and the generic table, which must stay
+// allocation-free for non-canonical orders.
 
 func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 7)
-	if s.kern == nil {
-		t.Fatal("warmSketch is expected to build a kernel-active sketch")
+	if _, ok := s.kern.(f64Kernels); !ok {
+		t.Fatal("warmSketch is expected to build a vec-table sketch")
 	}
 	// Unsorted probes at ≥ interleaveMinBatch: RankBatch routes through the
 	// kernel whole-batch descent writing straight into dst.
@@ -164,14 +164,15 @@ func TestAllocsKernelRebuildAfterWarm(t *testing.T) {
 }
 
 func TestAllocsClosureFallbackSteadyState(t *testing.T) {
-	// A non-canonical order must keep the generic paths allocation-free:
-	// kernels are an overlay, not a rewrite of the steady-state contract.
+	// A non-canonical order's generic table must stay allocation-free:
+	// the steady-state contract does not depend on which table a sketch
+	// gets.
 	s, err := New(func(a, b float64) bool { return a < b }, Config{Eps: 0.01, Delta: 0.01, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.kern != nil {
-		t.Fatal("non-canonical less unexpectedly activated kernels")
+	if _, ok := s.kern.(orderKernels[float64]); !ok {
+		t.Fatal("non-canonical less did not get the generic table")
 	}
 	r := rng.New(10)
 	vals := make([]float64, 1<<16)

@@ -11,20 +11,32 @@ import (
 // Micro-benchmarks of the engine's hot paths, complementing the end-to-end
 // throughput benches at the repository root.
 
+// benchOrders are the two kernel tables a float64 sketch can get: the vec
+// table of the canonical LessF64, and the generic table of any other less
+// (nonCanonLessF64 has the same body).
+var benchOrders = []struct {
+	name string
+	less func(a, b float64) bool
+}{{"vec", LessF64}, {"closure", nonCanonLessF64}}
+
 func BenchmarkCoreUpdate(b *testing.B) {
-	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	vals := make([]float64, 1<<16)
-	for i := range vals {
-		vals[i] = r.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Update(vals[i&(1<<16-1)])
+	for _, ord := range benchOrders {
+		b.Run(ord.name, func(b *testing.B) {
+			s, err := New(ord.less, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(2)
+			vals := make([]float64, 1<<16)
+			for i := range vals {
+				vals[i] = r.Float64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Update(vals[i&(1<<16-1)])
+			}
+		})
 	}
 }
 
@@ -213,39 +225,45 @@ func BenchmarkCoreViewRepairTail(b *testing.B) {
 // values into a default-ε HRA sketch, then per op 64 Updates and one
 // QuantilesInto of p50/p90/p99. The readthrough arm answers as the sketch
 // does; the repair arm forces the view repair (or rebuild) before the read,
-// as every such read did before reads went through the stale view.
+// as every such read did before reads went through the stale view. Each arm
+// runs under both kernel tables (see benchOrders).
 func BenchmarkCoreStreamRead(b *testing.B) {
 	for _, arm := range []string{"readthrough", "repair"} {
-		b.Run(arm, func(b *testing.B) {
-			s, err := New(fless, Config{Seed: 1, HRA: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(2)
-			vals := make([]float64, 1<<16)
-			for i := range vals {
-				vals[i] = math.Exp(r.NormFloat64())
-			}
-			for i := 0; i < 1<<20; i++ {
-				s.Update(vals[i&(1<<16-1)])
-			}
-			phis := []float64{0.5, 0.9, 0.99}
-			dst := make([]float64, len(phis))
-			repair := arm == "repair"
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 64; j++ {
-					s.Update(vals[(i*64+j)&(1<<16-1)])
-				}
-				if repair {
-					s.SortedView()
-				}
-				if dst, err = s.QuantilesInto(dst, phis); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		for _, ord := range benchOrders {
+			b.Run(arm+"/"+ord.name, func(b *testing.B) {
+				benchStreamRead(b, ord.less, arm == "repair")
+			})
+		}
+	}
+}
+
+func benchStreamRead(b *testing.B, less func(a, b float64) bool, repair bool) {
+	s, err := New(less, Config{Seed: 1, HRA: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(2)
+	vals := make([]float64, 1<<16)
+	for i := range vals {
+		vals[i] = math.Exp(r.NormFloat64())
+	}
+	for i := 0; i < 1<<20; i++ {
+		s.Update(vals[i&(1<<16-1)])
+	}
+	phis := []float64{0.5, 0.9, 0.99}
+	dst := make([]float64, len(phis))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			s.Update(vals[(i*64+j)&(1<<16-1)])
+		}
+		if repair {
+			s.SortedView()
+		}
+		if dst, err = s.QuantilesInto(dst, phis); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

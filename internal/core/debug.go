@@ -57,10 +57,10 @@ func (s *Sketch[T]) CheckInvariants() error {
 			return fmt.Errorf("core: level %d sorted prefix of %d is not sorted", h, sp)
 		}
 		for i, x := range s.levels[h].buf {
-			if s.less(x, s.min) {
+			if s.kern.less(x, s.min) {
 				return fmt.Errorf("core: level %d item %d below tracked min", h, i)
 			}
-			if s.less(s.max, x) {
+			if s.kern.less(s.max, x) {
 				return fmt.Errorf("core: level %d item %d above tracked max", h, i)
 			}
 		}

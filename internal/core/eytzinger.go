@@ -92,62 +92,66 @@ func eytFixup(k int) int {
 	return k >> (uint(bits.TrailingZeros(^uint(k))) + 1)
 }
 
-// rank returns the inclusive rank of y: descend to the first element > y;
-// everything before it is ≤ y. The loop condition k < len(items) doubles as
-// the bounds proof for items[k], so the descent runs check-free.
+// rankAt maps a descent's fixed-up slot to a rank: the weight before the
+// slot's position, or the total when the descent ran off the right edge.
 //
 //req:noalloc
-func (idx *eytIndex[T]) rank(y T, less func(a, b T) bool) uint64 {
-	items := idx.items
-	k := 1
-	for k < len(items) {
-		if less(y, items[k]) {
-			k = 2 * k
-		} else {
-			k = 2*k + 1
-		}
-	}
-	k = eytFixup(k)
+func (idx *eytIndex[T]) rankAt(k int) uint64 {
 	if k == 0 {
-		return idx.total // every element ≤ y
+		return idx.total
 	}
 	return idx.before[k]
 }
 
-// rankExclusive returns the exclusive rank of y: descend to the first
+// eytRankLE is the generic inclusive-rank descent: descend to the first
+// element > y; everything before it is ≤ y. The loop condition
+// k < len(items) doubles as the bounds proof for items[k], so the descent
+// runs check-free.
+//
+//req:noalloc
+func (k orderKernels[T]) eytRankLE(items []T, y T) int {
+	i := 1
+	for i < len(items) {
+		if k.lt(y, items[i]) {
+			i = 2 * i
+		} else {
+			i = 2*i + 1
+		}
+	}
+	return eytFixup(i)
+}
+
+// eytRankGE is the generic exclusive-rank descent: descend to the first
 // element ≥ y.
 //
 //req:noalloc
-func (idx *eytIndex[T]) rankExclusive(y T, less func(a, b T) bool) uint64 {
-	items := idx.items
-	k := 1
-	for k < len(items) {
-		if less(items[k], y) {
-			k = 2*k + 1
+func (k orderKernels[T]) eytRankGE(items []T, y T) int {
+	i := 1
+	for i < len(items) {
+		if k.lt(items[i], y) {
+			i = 2*i + 1
 		} else {
-			k = 2 * k
+			i = 2 * i
 		}
 	}
-	k = eytFixup(k)
-	if k == 0 {
-		return idx.total // every element < y
-	}
-	return idx.before[k]
+	return eytFixup(i)
 }
 
-// rankLanes is the number of Eytzinger descents rankBatch runs in lockstep.
-// Each lane's next probe is an independent cache miss, so the memory system
-// keeps several loads in flight instead of serializing one descent's misses
-// behind the previous descent's.
+// rankLanes is the number of Eytzinger descents eytRankBatch runs in
+// lockstep. Each lane's next probe is an independent cache miss, so the
+// memory system keeps several loads in flight instead of serializing one
+// descent's misses behind the previous descent's.
 const rankLanes = 8
 
-// rankBatch answers the inclusive rank of every probe, emitting results in
-// input order. Probes are processed rankLanes at a time: the lanes step
-// down the tree together, overlapping their memory latencies — the win that
-// makes unsorted large batches cheaper per probe than independent searches.
-func (idx *eytIndex[T]) rankBatch(ys []T, less func(a, b T) bool, emit func(qi int, rank uint64)) {
-	n := len(idx.items) - 1
-	items := idx.items[: n+1 : n+1]
+// eytRankBatch is the generic whole-batch descent: it writes the inclusive
+// rank of every probe into out in input order. Probes are processed
+// rankLanes at a time: the lanes step down the tree together, overlapping
+// their memory latencies — the win that makes unsorted large batches
+// cheaper per probe than independent searches.
+func (k orderKernels[T]) eytRankBatch(items []T, before []uint64, total uint64, ys []T, out []uint64) {
+	n := len(items) - 1
+	items = items[: n+1 : n+1]
+	idx := eytIndex[T]{before: before, total: total}
 	// Every root-to-leaf path has length depth or depth−1, and a node index
 	// can only exceed n on the very last step (after d steps k < 2^(d+1) ≤
 	// 2^(depth−1) ≤ n for d ≤ depth−2), so the descent runs unguarded for
@@ -164,31 +168,26 @@ func (idx *eytIndex[T]) rankBatch(ys []T, less func(a, b T) bool, emit func(qi i
 		}
 		for d := 0; d < depth-1; d++ {
 			for l := 0; l < m; l++ {
-				k := ks[l]
-				if less(ys[base+l], items[k]) {
-					ks[l] = 2 * k
+				i := ks[l]
+				if k.lt(ys[base+l], items[i]) {
+					ks[l] = 2 * i
 				} else {
-					ks[l] = 2*k + 1
+					ks[l] = 2*i + 1
 				}
 			}
 		}
 		for l := 0; l < m; l++ {
-			k := ks[l]
-			if k <= n {
-				if less(ys[base+l], items[k]) {
-					ks[l] = 2 * k
+			i := ks[l]
+			if i <= n {
+				if k.lt(ys[base+l], items[i]) {
+					ks[l] = 2 * i
 				} else {
-					ks[l] = 2*k + 1
+					ks[l] = 2*i + 1
 				}
 			}
 		}
 		for l := 0; l < m; l++ {
-			k := eytFixup(ks[l])
-			if k == 0 {
-				emit(base+l, idx.total)
-			} else {
-				emit(base+l, idx.before[k])
-			}
+			out[base+l] = idx.rankAt(eytFixup(ks[l]))
 		}
 	}
 }

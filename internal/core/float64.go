@@ -2,37 +2,40 @@ package core
 
 import "req/internal/vec"
 
-// kernelF64 is the float64 kernel table: internal/vec's generic kernels
+// f64Kernels is the float64 kernel table: internal/vec's generic kernels
 // stenciled at float64 (the compiler emits separate machine code with `<`
 // inlined for each Elem instantiation — effectively monomorphic), plus the
-// AVX2-dispatched count scans. Installed by New and the deserialization
-// constructors whenever the sketch's order is the canonical LessF64.
-var kernelF64 = kernelTable[float64]{
-	sortAsc:  vec.SortAsc[float64],
-	sortDesc: vec.SortDesc[float64],
+// AVX2-dispatched count scans. kernelFor selects it for the canonical
+// LessF64.
+type f64Kernels struct{}
 
-	mergeAsc:  vec.MergeIntoAsc[float64],
-	mergeDesc: vec.MergeIntoDesc[float64],
-
-	searchLE:    vec.SearchLE[float64],
-	searchLT:    vec.SearchLT[float64],
-	countLEDesc: vec.CountLEDesc[float64],
-	countLTDesc: vec.CountLTDesc[float64],
-
-	countLE: vec.CountLEF64,
-	countLT: vec.CountLTF64,
-
-	gallopLE:     vec.GallopLE[float64],
-	isSortedAsc:  vec.IsSortedAsc[float64],
-	isSortedDesc: vec.IsSortedDesc[float64],
-	minMax:       vec.MinMax[float64],
-	extendAsc:    vec.ExtendRunAsc[float64],
-	extendDesc:   vec.ExtendRunDesc[float64],
-
-	mergeTailCum: vec.MergeTailCum[float64],
-	kway:         vec.KWayMerge[float64],
-
-	eytRankLE:    vec.EytRankLE[float64],
-	eytRankGE:    vec.EytRankGE[float64],
-	eytRankBatch: vec.EytRankBatch[float64],
+func (f64Kernels) less(a, b float64) bool                         { return a < b }
+func (f64Kernels) sortAsc(xs []float64)                           { vec.SortAsc(xs) }
+func (f64Kernels) sortDesc(xs []float64)                          { vec.SortDesc(xs) }
+func (f64Kernels) mergeAsc(dst, add []float64) []float64          { return vec.MergeIntoAsc(dst, add) }
+func (f64Kernels) mergeDesc(dst, add []float64) []float64         { return vec.MergeIntoDesc(dst, add) }
+func (f64Kernels) searchLE(xs []float64, y float64) int           { return vec.SearchLE(xs, y) }
+func (f64Kernels) searchLT(xs []float64, y float64) int           { return vec.SearchLT(xs, y) }
+func (f64Kernels) countLEDesc(xs []float64, y float64) int        { return vec.CountLEDesc(xs, y) }
+func (f64Kernels) countLTDesc(xs []float64, y float64) int        { return vec.CountLTDesc(xs, y) }
+func (f64Kernels) countLE(xs []float64, y float64) int            { return vec.CountLEF64(xs, y) }
+func (f64Kernels) countLT(xs []float64, y float64) int            { return vec.CountLTF64(xs, y) }
+func (f64Kernels) gallopLE(xs []float64, from int, y float64) int { return vec.GallopLE(xs, from, y) }
+func (f64Kernels) isSortedAsc(xs []float64) bool                  { return vec.IsSortedAsc(xs) }
+func (f64Kernels) isSortedDesc(xs []float64) bool                 { return vec.IsSortedDesc(xs) }
+func (f64Kernels) minMax(xs []float64, mn, mx float64) (float64, float64) {
+	return vec.MinMax(xs, mn, mx)
+}
+func (f64Kernels) extendAsc(xs []float64, sorted int) int  { return vec.ExtendRunAsc(xs, sorted) }
+func (f64Kernels) extendDesc(xs []float64, sorted int) int { return vec.ExtendRunDesc(xs, sorted) }
+func (f64Kernels) mergeTailCum(items []float64, cum []uint64, tail []float64, old int) {
+	vec.MergeTailCum(items, cum, tail, old)
+}
+func (f64Kernels) kway(curs []vec.KWayCursor[float64], items []float64, cum []uint64) {
+	vec.KWayMerge(curs, items, cum)
+}
+func (f64Kernels) eytRankLE(items []float64, y float64) int { return vec.EytRankLE(items, y) }
+func (f64Kernels) eytRankGE(items []float64, y float64) int { return vec.EytRankGE(items, y) }
+func (f64Kernels) eytRankBatch(items []float64, before []uint64, total uint64, ys []float64, out []uint64) {
+	vec.EytRankBatch(items, before, total, ys, out)
 }

@@ -36,7 +36,7 @@ type Frozen[T any] struct {
 func (s *Sketch[T]) FreezeOwned() *Frozen[T] {
 	src := s.Freeze()
 	f := &Frozen[T]{cfg: s.cfg, hasMinMax: s.hasMinMax}
-	f.v.less, f.v.kern, f.v.n, f.v.min, f.v.max = src.less, src.kern, src.n, src.min, src.max
+	f.v.kern, f.v.n, f.v.min, f.v.max = src.kern, src.n, src.min, src.max
 	ni := len(src.items)
 	if !src.idx.built {
 		// Only an empty view skips the index (buildIndex no-ops on it);
@@ -125,7 +125,7 @@ func FrozenFromCoreset[T any](less func(a, b T) bool, cfg Config, n uint64, min,
 		return nil, fmt.Errorf("core: coreset weight %d != n %d", run, n)
 	}
 	f := &Frozen[T]{cfg: cfg, hasMinMax: hasMinMax}
-	f.v = View[T]{items: items, cum: weights, less: less, kern: kernelFor(less), n: n, min: min, max: max}
+	f.v = View[T]{items: items, cum: weights, kern: kernelFor(less), n: n, min: min, max: max}
 	f.v.buildIndex()
 	return f, nil
 }

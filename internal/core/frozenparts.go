@@ -81,7 +81,7 @@ func FrozenFromParts[T any](less func(a, b T) bool, cfg Config, n uint64, min, m
 		if hasMinMax {
 			return nil, errors.New("core: empty coreset carries min/max")
 		}
-		return &Frozen[T]{v: View[T]{less: less, kern: kernelFor(less)}, cfg: cfg}, nil
+		return &Frozen[T]{v: View[T]{kern: kernelFor(less)}, cfg: cfg}, nil
 	}
 	if ni == 0 {
 		return nil, errors.New("core: nonempty coreset has no items")
@@ -108,7 +108,6 @@ func FrozenFromParts[T any](less func(a, b T) bool, cfg Config, n uint64, min, m
 	f.v = View[T]{
 		items: p.Items[:ni:ni],
 		cum:   p.Cum[:ni:ni],
-		less:  less,
 		kern:  kernelFor(less),
 		n:     n,
 		min:   min,
@@ -145,7 +144,7 @@ func (f *Frozen[T]) VerifyStructure(validate func(T) error) error {
 				return fmt.Errorf("core: item %d: %w", i, err)
 			}
 		}
-		if i > 0 && v.less(v.items[i], v.items[i-1]) {
+		if i > 0 && v.kern.less(v.items[i], v.items[i-1]) {
 			return fmt.Errorf("core: items unsorted at %d", i)
 		}
 		if v.cum[i] <= prev {
@@ -187,7 +186,7 @@ func (f *Frozen[T]) verifyIndexSubtree(k, next int) (int, error) {
 	if err != nil {
 		return next, err
 	}
-	if a, b := v.idx.items[k], v.items[next]; v.less(a, b) || v.less(b, a) {
+	if a, b := v.idx.items[k], v.items[next]; v.kern.less(a, b) || v.kern.less(b, a) {
 		return next, fmt.Errorf("core: index slot %d does not mirror item %d", k, next)
 	}
 	if v.idx.cum[k] != v.cum[next] {

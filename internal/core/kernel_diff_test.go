@@ -6,37 +6,47 @@ import (
 	"testing"
 )
 
-// Differential suite for the kernel dispatch layer: a sketch built over the
-// canonical LessF64/LessU64 (kernel tables active) must stay bit-identical —
+// Differential suite for the kernel tables: a sketch built over the
+// canonical LessF64/LessU64 (the vec table) must stay bit-identical —
 // retained state and every query answer — to a sketch built over a
-// non-canonical closure with the same body (generic paths). The vec kernels
-// are transcriptions, not re-implementations, so any divergence here is a
-// transcription bug, including on adversarial inputs where several "correct"
-// answers exist (ties, ±0) and only structural identity pins one down.
+// non-canonical closure with the same body (the generic orderKernels
+// table). The vec kernels are transcriptions, not re-implementations, so
+// any divergence here is a transcription bug, including on adversarial
+// inputs where several "correct" answers exist (ties, ±0) and only
+// structural identity pins one down.
 
 // nonCanonLessF64 compares identically to LessF64 but is a distinct
-// function, so kernelFor refuses it and the sketch runs the closure paths.
+// function, so kernelFor gives it the generic table.
 func nonCanonLessF64(a, b float64) bool { return a < b }
 
 func nonCanonLessU64(a, b uint64) bool { return a < b }
 
 func TestKernelForDetection(t *testing.T) {
-	if kernelFor[float64](LessF64) == nil {
-		t.Fatal("canonical LessF64 did not activate the float64 kernel table")
+	if _, ok := kernelFor[float64](LessF64).(f64Kernels); !ok {
+		t.Fatal("canonical LessF64 did not select the float64 vec table")
 	}
-	if kernelFor[uint64](LessU64) == nil {
-		t.Fatal("canonical LessU64 did not activate the uint64 kernel table")
+	if _, ok := kernelFor[uint64](LessU64).(u64Kernels); !ok {
+		t.Fatal("canonical LessU64 did not select the uint64 vec table")
 	}
-	if kernelFor[float64](nonCanonLessF64) != nil {
-		t.Fatal("non-canonical float64 less must not activate kernels")
+	if _, ok := kernelFor[float64](nonCanonLessF64).(orderKernels[float64]); !ok {
+		t.Fatal("non-canonical float64 less must get the generic table")
 	}
-	if kernelFor[uint64](nonCanonLessU64) != nil {
-		t.Fatal("non-canonical uint64 less must not activate kernels")
+	if _, ok := kernelFor[uint64](nonCanonLessU64).(orderKernels[uint64]); !ok {
+		t.Fatal("non-canonical uint64 less must get the generic table")
 	}
-	if kernelFor[string](func(a, b string) bool { return a < b }) != nil {
-		t.Fatal("unsupported element type must not activate kernels")
+	if _, ok := kernelFor[string](func(a, b string) bool { return a < b }).(orderKernels[string]); !ok {
+		t.Fatal("an element type without vec kernels must get the generic table")
+	}
+	// Choosing either table allocates nothing, so a closure-ordered
+	// registry pays no allocation per key for its table.
+	for _, less := range []func(a, b float64) bool{LessF64, nonCanonLessF64} {
+		if avg := testing.AllocsPerRun(100, func() { kernSink = kernelFor(less) }); avg != 0 {
+			t.Fatalf("kernelFor allocates %v allocs/op", avg)
+		}
 	}
 }
+
+var kernSink kernels[float64]
 
 // diffStreamF64 draws a float64 stream with adversarial values mixed in.
 // NaN is excluded: raw core sketches assume a total order (the public
@@ -60,13 +70,56 @@ func diffStreamF64(r *rand.Rand, n int) []float64 {
 	return xs
 }
 
-func sketchStateEqualF64(t *testing.T, k, g *Sketch[float64]) {
+// diffStreamU64 draws a uint64 stream around the extremes and the sign
+// bit (where a signed compare would go wrong), with heavy ties.
+func diffStreamU64(r *rand.Rand, n int) []uint64 {
+	xs := make([]uint64, n)
+	for i := range xs {
+		switch r.Intn(5) {
+		case 0:
+			xs[i] = math.MaxUint64 - uint64(r.Intn(4))
+		case 1:
+			xs[i] = (uint64(1) << 63) + uint64(r.Intn(4)) - 2
+		case 2:
+			xs[i] = uint64(r.Intn(16)) // heavy ties
+		default:
+			xs[i] = r.Uint64()
+		}
+	}
+	return xs
+}
+
+// diffCase pairs the canonical order of one element type with a
+// non-canonical closure of the same body.
+type diffCase[T any] struct {
+	canon, closure func(a, b T) bool
+	draw           func(r *rand.Rand, n int) []T
+	// same is bit identity (it tells ±0 apart).
+	same func(a, b T) bool
+	// isVec reports whether a table is the element type's vec table.
+	isVec func(kernels[T]) bool
+}
+
+var (
+	diffF64 = diffCase[float64]{
+		canon: LessF64, closure: nonCanonLessF64, draw: diffStreamF64,
+		same:  func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) },
+		isVec: func(k kernels[float64]) bool { _, ok := k.(f64Kernels); return ok },
+	}
+	diffU64 = diffCase[uint64]{
+		canon: LessU64, closure: nonCanonLessU64, draw: diffStreamU64,
+		same:  func(a, b uint64) bool { return a == b },
+		isVec: func(k kernels[uint64]) bool { _, ok := k.(u64Kernels); return ok },
+	}
+)
+
+func (c diffCase[T]) stateEqual(t *testing.T, k, g *Sketch[T]) {
 	t.Helper()
 	if k.n != g.n || k.bound != g.bound || k.retained != g.retained || len(k.levels) != len(g.levels) {
 		t.Fatalf("shape diverged: n %d/%d bound %d/%d retained %d/%d levels %d/%d",
 			k.n, g.n, k.bound, g.bound, k.retained, g.retained, len(k.levels), len(g.levels))
 	}
-	if math.Float64bits(k.min) != math.Float64bits(g.min) || math.Float64bits(k.max) != math.Float64bits(g.max) {
+	if !c.same(k.min, g.min) || !c.same(k.max, g.max) {
 		t.Fatalf("min/max diverged: (%v, %v) vs (%v, %v)", k.min, k.max, g.min, g.max)
 	}
 	for h := range k.levels {
@@ -75,10 +128,12 @@ func sketchStateEqualF64(t *testing.T, k, g *Sketch[float64]) {
 			t.Fatalf("level %d length diverged: %d vs %d", h, len(kb), len(gb))
 		}
 		for i := range kb {
-			if math.Float64bits(kb[i]) != math.Float64bits(gb[i]) {
-				t.Fatalf("level %d item %d diverged: %v vs %v (bits %x vs %x)",
-					h, i, kb[i], gb[i], math.Float64bits(kb[i]), math.Float64bits(gb[i]))
+			if !c.same(kb[i], gb[i]) {
+				t.Fatalf("level %d item %d diverged: %v vs %v", h, i, kb[i], gb[i])
 			}
+		}
+		if k.levels[h].sorted != g.levels[h].sorted {
+			t.Fatalf("level %d sorted prefix diverged: %d vs %d", h, k.levels[h].sorted, g.levels[h].sorted)
 		}
 		if k.levels[h].state != g.levels[h].state {
 			t.Fatalf("level %d schedule state diverged", h)
@@ -86,7 +141,7 @@ func sketchStateEqualF64(t *testing.T, k, g *Sketch[float64]) {
 	}
 }
 
-func queriesEqualF64(t *testing.T, k, g *Sketch[float64], probes []float64) {
+func (c diffCase[T]) queriesEqual(t *testing.T, k, g *Sketch[T], probes []T) {
 	t.Helper()
 	for _, y := range probes {
 		if a, b := k.Rank(y), g.Rank(y); a != b {
@@ -114,12 +169,12 @@ func queriesEqualF64(t *testing.T, k, g *Sketch[float64], probes []float64) {
 			t.Fatal(err)
 		}
 		for i := range kq {
-			if math.Float64bits(kq[i]) != math.Float64bits(gq[i]) {
+			if !c.same(kq[i], gq[i]) {
 				t.Fatalf("Quantile(%v) diverged: %v vs %v", phis[i], kq[i], gq[i])
 			}
 		}
-		splits := append([]float64(nil), probes...)
-		sortSlice(splits, LessF64)
+		splits := append([]T(nil), probes...)
+		sortSlice(splits, c.canon)
 		kc, err := k.CDF(splits)
 		if err != nil {
 			t.Fatal(err)
@@ -136,75 +191,71 @@ func queriesEqualF64(t *testing.T, k, g *Sketch[float64], probes []float64) {
 	}
 }
 
-func TestKernelDifferentialFloat64(t *testing.T) {
+// run drives a vec-table sketch and a generic-table sketch through the
+// same interleaving of batch and single updates, mid-stream queries (view
+// read-through, repair and rebuild), freezes (Eytzinger paths) and merges,
+// comparing state after every step, then a snapshot round-trip and a
+// frozen capture.
+func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 	for _, hra := range []bool{false, true} {
 		name := "LRA"
 		if hra {
 			name = "HRA"
 		}
 		t.Run(name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(42))
+			r := rand.New(rand.NewSource(seed))
 			cfg := Config{Eps: 0.05, Delta: 0.05, Seed: 99, HRA: hra}
-			k, err := New(LessF64, cfg)
+			k, err := New(c.canon, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k.kern == nil {
-				t.Fatal("canonical sketch has no kernel table")
+			if !c.isVec(k.kern) {
+				t.Fatal("canonical sketch did not get the vec table")
 			}
-			g, err := New(nonCanonLessF64, cfg)
+			g, err := New(c.closure, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.kern != nil {
-				t.Fatal("closure sketch unexpectedly has a kernel table")
+			if c.isVec(g.kern) {
+				t.Fatal("closure sketch unexpectedly got the vec table")
 			}
 
-			stream := diffStreamF64(r, 60000)
-			// Interleave single updates, batches, queries (forcing view
-			// repair and rebuild), freezes, and merges.
+			stream := c.draw(r, n)
 			i := 0
 			step := 0
 			for i < len(stream) {
 				switch step % 6 {
 				case 0, 1: // batch ingest
-					take := 1 + r.Intn(2000)
-					if i+take > len(stream) {
-						take = len(stream) - i
-					}
+					take := min(1+r.Intn(2000), len(stream)-i)
 					k.UpdateBatch(stream[i : i+take])
 					g.UpdateBatch(stream[i : i+take])
 					i += take
 				case 2: // single updates (exercise the tail-repair path)
-					take := 1 + r.Intn(50)
-					if i+take > len(stream) {
-						take = len(stream) - i
-					}
+					take := min(1+r.Intn(50), len(stream)-i)
 					for _, x := range stream[i : i+take] {
 						k.Update(x)
 						g.Update(x)
 					}
 					i += take
-				case 3: // queries mid-stream (repair or rebuild the view)
-					probes := diffStreamF64(r, 64)
-					queriesEqualF64(t, k, g, probes)
+				case 3: // queries mid-stream (read through, repair or rebuild the view)
+					c.queriesEqual(t, k, g, c.draw(r, 64))
 				case 4: // freeze (Eytzinger index paths)
 					k.Freeze()
 					g.Freeze()
-					probes := diffStreamF64(r, 100) // ≥ interleaveMinBatch: batch descent
-					queriesEqualF64(t, k, g, probes)
+					// ≥ interleaveMinBatch: whole-batch descent
+					c.queriesEqual(t, k, g, c.draw(r, 100))
 				case 5: // merge a second pair in
 					ocfg := cfg
 					ocfg.Seed = 7
-					ok1, err := New(LessF64, ocfg)
+					ok1, err := New(c.canon, ocfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					og, err := New(nonCanonLessF64, ocfg)
+					og, err := New(c.closure, ocfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					side := diffStreamF64(r, 3000)
+					side := c.draw(r, 3000)
 					ok1.UpdateBatch(side)
 					og.UpdateBatch(side)
 					if err := k.Merge(ok1); err != nil {
@@ -215,115 +266,42 @@ func TestKernelDifferentialFloat64(t *testing.T) {
 					}
 				}
 				step++
-				sketchStateEqualF64(t, k, g)
+				c.stateEqual(t, k, g)
 			}
-			sketchStateEqualF64(t, k, g)
-			queriesEqualF64(t, k, g, diffStreamF64(r, 256))
+			c.stateEqual(t, k, g)
+			c.queriesEqual(t, k, g, c.draw(r, 256))
 
-			// Snapshot round-trip restores the kernel table and the state.
-			rk, err := FromSnapshot(LessF64, k.Snapshot())
+			// Snapshot round-trip restores the vec table and the state.
+			rk, err := FromSnapshot(c.canon, k.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rk.kern == nil {
-				t.Fatal("FromSnapshot dropped the kernel table")
+			if !c.isVec(rk.kern) {
+				t.Fatal("FromSnapshot did not restore the vec table")
 			}
-			sketchStateEqualF64(t, rk, g)
+			c.stateEqual(t, rk, g)
 
 			// Frozen snapshots answer identically too.
 			fk := k.FreezeOwned()
 			fg := g.FreezeOwned()
-			if fk.v.kern == nil {
-				t.Fatal("FreezeOwned dropped the kernel table")
+			if !c.isVec(fk.v.kern) {
+				t.Fatal("FreezeOwned dropped the vec table")
 			}
-			probes := diffStreamF64(r, 128)
-			for _, y := range probes {
+			for _, y := range c.draw(r, 128) {
 				if a, b := fk.Rank(y), fg.Rank(y); a != b {
 					t.Fatalf("frozen Rank(%v) diverged: %d vs %d", y, a, b)
+				}
+				if a, b := fk.RankExclusive(y), fg.RankExclusive(y); a != b {
+					t.Fatalf("frozen RankExclusive(%v) diverged: %d vs %d", y, a, b)
 				}
 			}
 		})
 	}
 }
 
-func TestKernelDifferentialUint64(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	cfg := Config{Eps: 0.05, Delta: 0.05, Seed: 5}
-	k, err := New(LessU64, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.kern == nil {
-		t.Fatal("canonical uint64 sketch has no kernel table")
-	}
-	g, err := New(nonCanonLessU64, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := make([]uint64, 40000)
-	for i := range stream {
-		switch r.Intn(5) {
-		case 0:
-			stream[i] = math.MaxUint64 - uint64(r.Intn(4))
-		case 1:
-			stream[i] = (uint64(1) << 63) + uint64(r.Intn(4)) - 2
-		case 2:
-			stream[i] = uint64(r.Intn(16)) // heavy ties
-		default:
-			stream[i] = r.Uint64()
-		}
-	}
-	for i := 0; i < len(stream); {
-		take := 1 + r.Intn(3000)
-		if i+take > len(stream) {
-			take = len(stream) - i
-		}
-		k.UpdateBatch(stream[i : i+take])
-		g.UpdateBatch(stream[i : i+take])
-		i += take
+func TestKernelDifferentialFloat64(t *testing.T) { diffF64.run(t, 42, 60000) }
 
-		if k.n != g.n || k.retained != g.retained || len(k.levels) != len(g.levels) {
-			t.Fatalf("shape diverged at %d items", i)
-		}
-		for h := range k.levels {
-			kb, gb := k.levels[h].buf, g.levels[h].buf
-			if len(kb) != len(gb) {
-				t.Fatalf("level %d length diverged", h)
-			}
-			for j := range kb {
-				if kb[j] != gb[j] {
-					t.Fatalf("level %d item %d diverged: %d vs %d", h, j, kb[j], gb[j])
-				}
-			}
-		}
-	}
-	k.Freeze()
-	g.Freeze()
-	probes := make([]uint64, 200)
-	for i := range probes {
-		probes[i] = r.Uint64()
-	}
-	kd := k.RankBatch(nil, probes)
-	gd := g.RankBatch(nil, probes)
-	for i := range kd {
-		if kd[i] != gd[i] {
-			t.Fatalf("uint64 RankBatch[%d] diverged: %d vs %d", i, kd[i], gd[i])
-		}
-	}
-	for _, phi := range []float64{0, 0.1, 0.5, 0.9, 1} {
-		a, err := k.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := g.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("uint64 Quantile(%v) diverged: %d vs %d", phi, a, b)
-		}
-	}
-}
+func TestKernelDifferentialUint64(t *testing.T) { diffU64.run(t, 43, 40000) }
 
 // TestKernelViewRepairEquivalence drives the few-writes-between-queries
 // pattern hard: the kernel tail-repair (sortCaller + MergeTailCum) must

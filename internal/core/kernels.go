@@ -6,28 +6,32 @@ import (
 	"req/internal/vec"
 )
 
-// Monomorphic kernel dispatch. The generic engine routes every comparison
-// through the caller's less closure; for the two element types the public
-// wrappers actually instantiate (float64, uint64) that indirect call per
-// comparison is the dominant cost of the hot loops. When a sketch is
-// constructed over the canonical natural-order function (LessF64/LessU64),
-// it carries a kernelTable whose fields are internal/vec's monomorphic
-// kernels — one indirect call per *operation* instead of per comparison,
-// with the comparisons inlined (and the linear count scans AVX2-dispatched
-// on capable amd64 hardware).
+// Kernel dispatch: one table per order. Every hot loop of the engine —
+// sorting, merging, searching, counting, the view's k-way merge and the
+// Eytzinger descents — runs through the kernels table a Sketch, View or
+// Frozen carries. kernelFor chooses it once, where the order is fixed (Init,
+// FromSnapshot, FrozenFromCoreset, FrozenFromParts); copies carry it along.
+//
+// For the canonical natural orders LessF64 and LessU64 the table is
+// internal/vec's monomorphic kernels: one indirect call per *operation*
+// instead of per comparison, with the comparisons inlined (and the linear
+// count scans AVX2-dispatched on capable amd64 hardware). Every other order
+// gets orderKernels: the generic algorithms of sort.go, runmerge.go and
+// eytzinger.go bound to the caller's less. The vec kernels are
+// structure-identical transcriptions of those algorithms (see vec's package
+// comment), so both kinds of table produce identical sketch states and
+// answers.
 //
 // Detection is deliberately conservative: only the canonical functions
-// activate kernels, recognized by function-pointer identity. A caller
-// passing its own `func(a, b float64) bool { return a < b }` gets correct
-// behaviour through the generic paths — never a silently wrong kernel for
-// an order that merely looks natural. The vec kernels are bit-identical
-// transcriptions of the generic algorithms (see vec's package comment), so
-// kernel and closure paths produce identical sketch states and answers.
+// select the vec tables, recognized by function-pointer identity. A caller
+// passing its own `func(a, b float64) bool { return a < b }` gets the
+// generic table — never a silently wrong kernel for an order that merely
+// looks natural.
 
 // LessF64 is the canonical ascending order for float64 sketches. Construct
-// float64 sketches with it (the root package's wrappers do) to activate the
-// monomorphic kernel layer; any other function, even one with an identical
-// body, keeps the generic closure paths.
+// float64 sketches with it (the root package's wrappers do) to select the
+// monomorphic kernel table; any other function, even one with an identical
+// body, gets the generic table.
 func LessF64(a, b float64) bool { return a < b }
 
 // LessU64 is the canonical ascending order for uint64 sketches; see LessF64.
@@ -36,121 +40,170 @@ func LessU64(a, b uint64) bool { return a < b }
 var (
 	lessF64Ptr = reflect.ValueOf(LessF64).Pointer()
 	lessU64Ptr = reflect.ValueOf(LessU64).Pointer()
+
+	kernelsF64 kernels[float64] = f64Kernels{}
+	kernelsU64 kernels[uint64]  = u64Kernels{}
 )
 
-// kernelTable is the per-type dispatch surface: every field is a
-// monomorphic kernel operating under the natural ascending order (Asc) or
-// its reversal (Desc, the internal order of HRA sketches). A nil table on a
-// sketch or view means "use the generic closures".
-type kernelTable[T any] struct {
-	sortAsc  func([]T)
-	sortDesc func([]T)
+// kernels is the per-order dispatch surface. less is the caller's order
+// itself (no sketch or view keeps it apart from its table); every Asc
+// method works under it and every Desc method under its reversal, the
+// internal order of HRA sketches. The methods the //req:noalloc query paths
+// call carry the directive, which binds every implementation.
+type kernels[T any] interface {
+	//req:noalloc
+	less(a, b T) bool
 
-	mergeAsc  func(dst, add []T) []T
-	mergeDesc func(dst, add []T) []T
+	sortAsc([]T)
+	sortDesc([]T)
 
-	searchLE    func([]T, T) int
-	searchLT    func([]T, T) int
-	countLEDesc func([]T, T) int
-	countLTDesc func([]T, T) int
+	mergeAsc(dst, add []T) []T
+	mergeDesc(dst, add []T) []T
+
+	//req:noalloc
+	searchLE([]T, T) int
+	//req:noalloc
+	searchLT([]T, T) int
+	//req:noalloc
+	countLEDesc([]T, T) int
+	//req:noalloc
+	countLTDesc([]T, T) int
 
 	// Linear scans over unsorted tails; AVX2-dispatched in vec on amd64.
-	countLE func([]T, T) int
-	countLT func([]T, T) int
+	//
+	//req:noalloc
+	countLE([]T, T) int
+	//req:noalloc
+	countLT([]T, T) int
 
-	gallopLE     func(xs []T, from int, y T) int
-	isSortedAsc  func([]T) bool
-	isSortedDesc func([]T) bool
-	minMax       func(xs []T, mn, mx T) (T, T)
-	extendAsc    func(xs []T, sorted int) int
-	extendDesc   func(xs []T, sorted int) int
+	gallopLE(xs []T, from int, y T) int
+	isSortedAsc([]T) bool
+	isSortedDesc([]T) bool
+	minMax(xs []T, mn, mx T) (T, T)
+	//req:noalloc
+	extendAsc(xs []T, sorted int) int
+	//req:noalloc
+	extendDesc(xs []T, sorted int) int
 
-	mergeTailCum func(items []T, cum []uint64, tail []T, old int)
-	kway         func(curs []vec.KWayCursor[T], items []T, cum []uint64)
+	mergeTailCum(items []T, cum []uint64, tail []T, old int)
+	kway(curs []vec.KWayCursor[T], items []T, cum []uint64)
 
-	eytRankLE    func([]T, T) int
-	eytRankGE    func([]T, T) int
-	eytRankBatch func(items []T, before []uint64, total uint64, ys []T, out []uint64)
+	// Eytzinger descents return the fixed-up slot of the answer, 0 when
+	// the search runs off the right edge; see eytIndex.rankAt.
+	//
+	//req:noalloc
+	eytRankLE([]T, T) int
+	//req:noalloc
+	eytRankGE([]T, T) int
+	eytRankBatch(items []T, before []uint64, total uint64, ys []T, out []uint64)
 }
 
-// kernelFor returns the kernel table for T when less is the canonical
-// natural-order function, nil otherwise. Detection is by function-pointer
-// identity (func values are not comparable in Go; reflect.Pointer is the
-// supported identity), so only LessF64/LessU64 themselves qualify.
-func kernelFor[T any](less func(a, b T) bool) *kernelTable[T] {
-	if less == nil {
-		return nil
-	}
+// kernelFor returns the kernel table for the order less: the vec table when
+// less is the canonical natural-order function for T, the generic table
+// bound to less otherwise. Detection is by function-pointer identity (func
+// values are not comparable in Go; reflect.Pointer is the supported
+// identity), so only LessF64/LessU64 themselves qualify.
+func kernelFor[T any](less func(a, b T) bool) kernels[T] {
 	var zero T
 	switch any(zero).(type) {
 	case float64:
 		if reflect.ValueOf(less).Pointer() == lessF64Ptr {
-			return any(&kernelF64).(*kernelTable[T])
+			return *any(&kernelsF64).(*kernels[T])
 		}
 	case uint64:
 		if reflect.ValueOf(less).Pointer() == lessU64Ptr {
-			return any(&kernelU64).(*kernelTable[T])
+			return *any(&kernelsU64).(*kernels[T])
 		}
 	}
-	return nil
+	return orderKernels[T]{less}
 }
 
-// sortInternal sorts xs under the internal (compaction) order, through the
-// kernel table when installed.
+// orderKernels is the kernel table of an arbitrary order: the generic
+// algorithms bound to the caller's less. A one-field struct holding a func
+// is pointer-shaped, so storing it in the kernels interface allocates
+// nothing.
+type orderKernels[T any] struct{ lt func(a, b T) bool }
+
+func (k orderKernels[T]) less(a, b T) bool { return k.lt(a, b) }
+
+// gt is the reversed order.
+func (k orderKernels[T]) gt(a, b T) bool { return k.lt(b, a) }
+
+func (k orderKernels[T]) sortAsc(xs []T)  { sortSlice(xs, k.lt) }
+func (k orderKernels[T]) sortDesc(xs []T) { sortSlice(xs, k.gt) }
+
+func (k orderKernels[T]) mergeAsc(dst, add []T) []T  { return mergeSortedInto(dst, add, k.lt) }
+func (k orderKernels[T]) mergeDesc(dst, add []T) []T { return mergeSortedInto(dst, add, k.gt) }
+
+func (k orderKernels[T]) searchLE(xs []T, y T) int    { return searchLE(xs, y, k.lt) }
+func (k orderKernels[T]) searchLT(xs []T, y T) int    { return searchLT(xs, y, k.lt) }
+func (k orderKernels[T]) countLEDesc(xs []T, y T) int { return countLEDesc(xs, y, k.lt) }
+func (k orderKernels[T]) countLTDesc(xs []T, y T) int { return countLTDesc(xs, y, k.lt) }
+
+func (k orderKernels[T]) countLE(xs []T, y T) int {
+	cnt := 0
+	for _, x := range xs {
+		if !k.lt(y, x) { // x ≤ y
+			cnt++
+		}
+	}
+	return cnt
+}
+
+func (k orderKernels[T]) countLT(xs []T, y T) int {
+	cnt := 0
+	for _, x := range xs {
+		if k.lt(x, y) {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+func (k orderKernels[T]) gallopLE(xs []T, from int, y T) int { return gallopLE(xs, from, y, k.lt) }
+func (k orderKernels[T]) isSortedAsc(xs []T) bool            { return isSorted(xs, k.lt) }
+func (k orderKernels[T]) isSortedDesc(xs []T) bool           { return isSorted(xs, k.gt) }
+
+func (k orderKernels[T]) minMax(xs []T, mn, mx T) (T, T) {
+	for _, x := range xs {
+		if k.lt(x, mn) {
+			mn = x
+		} else if k.lt(mx, x) {
+			mx = x
+		}
+	}
+	return mn, mx
+}
+
+func (k orderKernels[T]) extendAsc(xs []T, sorted int) int  { return extendRun(xs, sorted, k.lt) }
+func (k orderKernels[T]) extendDesc(xs []T, sorted int) int { return extendRun(xs, sorted, k.gt) }
+
+// sortInternal sorts xs under the internal (compaction) order.
 func (s *Sketch[T]) sortInternal(xs []T) {
-	if k := s.kern; k != nil {
-		if s.cfg.HRA {
-			k.sortDesc(xs)
-		} else {
-			k.sortAsc(xs)
-		}
-		return
+	if s.cfg.HRA {
+		s.kern.sortDesc(xs)
+	} else {
+		s.kern.sortAsc(xs)
 	}
-	sortSlice(xs, s.internalLess)
-}
-
-// sortCaller sorts xs under the caller's order (always ascending for
-// kernel-active sketches), through the kernel table when installed.
-func (s *Sketch[T]) sortCaller(xs []T) {
-	if k := s.kern; k != nil {
-		k.sortAsc(xs)
-		return
-	}
-	sortSlice(xs, s.less)
-}
-
-// searchCallerLE returns the number of elements ≤ y in xs, sorted
-// ascending in the caller's order, through the kernel table when installed.
-//
-//req:noalloc
-func (s *Sketch[T]) searchCallerLE(xs []T, y T) int {
-	if k := s.kern; k != nil {
-		return k.searchLE(xs, y)
-	}
-	return searchLE(xs, y, s.less)
-}
-
-// searchCallerLT returns the number of elements < y in xs; see
-// searchCallerLE.
-//
-//req:noalloc
-func (s *Sketch[T]) searchCallerLT(xs []T, y T) int {
-	if k := s.kern; k != nil {
-		return k.searchLT(xs, y)
-	}
-	return searchLT(xs, y, s.less)
 }
 
 // mergeInternalInto merges the sorted block add into the sorted slice dst
 // under the internal order (mergeSortedInto's contract: capacity ensured by
-// the caller, add must not alias dst), through the kernel table when
-// installed.
+// the caller, add must not alias dst).
 func (s *Sketch[T]) mergeInternalInto(dst, add []T) []T {
-	if k := s.kern; k != nil {
-		if s.cfg.HRA {
-			return k.mergeDesc(dst, add)
-		}
-		return k.mergeAsc(dst, add)
+	if s.cfg.HRA {
+		return s.kern.mergeDesc(dst, add)
 	}
-	return mergeSortedInto(dst, add, s.internalLess)
+	return s.kern.mergeAsc(dst, add)
+}
+
+// extendSorted returns the length of xs's sorted prefix under the internal
+// order, extended item by item from sorted (xs[:sorted] must be sorted).
+//
+//req:noalloc
+func (s *Sketch[T]) extendSorted(xs []T, sorted int) int {
+	if s.cfg.HRA {
+		return s.kern.extendDesc(xs, sorted)
+	}
+	return s.kern.extendAsc(xs, sorted)
 }

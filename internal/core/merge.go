@@ -172,10 +172,10 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 		if !m.hasMinMax {
 			m.min, m.max, m.hasMinMax = src.min, src.max, true
 		} else {
-			if m.less(src.min, m.min) {
+			if m.kern.less(src.min, m.min) {
 				m.min = src.min
 			}
-			if m.less(m.max, src.max) {
+			if m.kern.less(m.max, src.max) {
 				m.max = src.max
 			}
 		}

@@ -65,28 +65,15 @@ func (s *Sketch[T]) RankExclusive(y T) uint64 {
 //
 //req:noalloc
 func (s *Sketch[T]) levelCountLE(buf []T, sorted int, y T) int {
-	if k := s.kern; k != nil {
-		var cnt int
-		if s.cfg.HRA {
-			cnt = k.countLEDesc(buf[:sorted], y)
-		} else {
-			cnt = k.searchLE(buf[:sorted], y)
-		}
-		if sorted < len(buf) {
-			cnt += k.countLE(buf[sorted:], y)
-		}
-		return cnt
-	}
+	k := s.kern
 	var cnt int
 	if s.cfg.HRA {
-		cnt = countLEDesc(buf[:sorted], y, s.less)
+		cnt = k.countLEDesc(buf[:sorted], y)
 	} else {
-		cnt = searchLE(buf[:sorted], y, s.less)
+		cnt = k.searchLE(buf[:sorted], y)
 	}
-	for _, x := range buf[sorted:] {
-		if !s.less(y, x) { // x ≤ y
-			cnt++
-		}
+	if sorted < len(buf) {
+		cnt += k.countLE(buf[sorted:], y)
 	}
 	return cnt
 }
@@ -95,28 +82,15 @@ func (s *Sketch[T]) levelCountLE(buf []T, sorted int, y T) int {
 //
 //req:noalloc
 func (s *Sketch[T]) levelCountLT(buf []T, sorted int, y T) int {
-	if k := s.kern; k != nil {
-		var cnt int
-		if s.cfg.HRA {
-			cnt = k.countLTDesc(buf[:sorted], y)
-		} else {
-			cnt = k.searchLT(buf[:sorted], y)
-		}
-		if sorted < len(buf) {
-			cnt += k.countLT(buf[sorted:], y)
-		}
-		return cnt
-	}
+	k := s.kern
 	var cnt int
 	if s.cfg.HRA {
-		cnt = countLTDesc(buf[:sorted], y, s.less)
+		cnt = k.countLTDesc(buf[:sorted], y)
 	} else {
-		cnt = searchLT(buf[:sorted], y, s.less)
+		cnt = k.searchLT(buf[:sorted], y)
 	}
-	for _, x := range buf[sorted:] {
-		if s.less(x, y) {
-			cnt++
-		}
+	if sorted < len(buf) {
+		cnt += k.countLT(buf[sorted:], y)
 	}
 	return cnt
 }
@@ -238,7 +212,7 @@ func (s *Sketch[T]) readThrough(q int) bool {
 // is ordered by the internal order and stays untouched).
 func (s *Sketch[T]) sortedTail() []T {
 	s.scratch = append(s.scratch[:0], s.levels[0].buf[s.viewL0Len:]...)
-	s.sortCaller(s.scratch)
+	s.kern.sortAsc(s.scratch)
 	return s.scratch
 }
 
@@ -273,7 +247,7 @@ func (s *Sketch[T]) quantileThrough(tail []T, phi float64) T {
 	hi := gallopCumGE(cum, lo, target)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cum[mid]+uint64(s.searchCallerLE(tail, items[mid])) >= target {
+		if cum[mid]+uint64(s.kern.searchLE(tail, items[mid])) >= target {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -285,7 +259,7 @@ func (s *Sketch[T]) quantileThrough(tail []T, phi float64) T {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		w := uint64(mid + 1)
-		if c := s.searchCallerLT(items, tail[mid]); c > 0 {
+		if c := s.kern.searchLT(items, tail[mid]); c > 0 {
 			w += cum[c-1]
 		}
 		if w >= target {
@@ -298,10 +272,10 @@ func (s *Sketch[T]) quantileThrough(tail []T, phi float64) T {
 	// Merged order; the candidates' positions never coincide.
 	vpos, tpos := math.MaxInt, math.MaxInt
 	if vi < len(items) {
-		vpos = vi + s.searchCallerLE(tail, items[vi])
+		vpos = vi + s.kern.searchLE(tail, items[vi])
 	}
 	if tj < len(tail) {
-		tpos = tj + s.searchCallerLT(items, tail[tj])
+		tpos = tj + s.kern.searchLT(items, tail[tj])
 	}
 	switch {
 	case vpos < tpos:
@@ -377,10 +351,8 @@ func (s *Sketch[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
 type View[T any] struct {
 	items []T
 	cum   []uint64 // cum[i] = total weight of items[0..i]
-	less  func(a, b T) bool
-	// kern mirrors the owning sketch's kernel table (kernels.go); nil
-	// routes queries through the generic closures.
-	kern *kernelTable[T]
+	// kern is the owning sketch's kernel table (kernels.go), order included.
+	kern kernels[T]
 	n    uint64
 	min  T
 	max  T
@@ -471,7 +443,7 @@ func (s *Sketch[T]) rebuildView() *View[T] {
 	} else {
 		v.items, v.cum = resizeAmortized(v.items, total), resizeAmortized(v.cum, total)
 	}
-	v.less, v.kern, v.n, v.min, v.max = s.less, s.kern, s.n, s.min, s.max
+	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
 	v.idx.built = false
 	s.kwayMergeInto(v)
 	s.viewRevalidated()
@@ -496,49 +468,53 @@ func (s *Sketch[T]) repairTailView() *View[T] {
 	old := len(v.items)
 	v.items = growSlice(v.items, old+m)
 	v.cum = growSlice(v.cum, old+m)
-	if kn := s.kern; kn != nil {
-		kn.mergeTailCum(v.items, v.cum, tail, old)
-	} else {
-		var run uint64
-		if old > 0 {
-			run = v.cum[old-1]
-		}
-		run += uint64(m)
-		i, j, k := old-1, m-1, old+m-1
-		for i >= 0 && j >= 0 {
-			if s.less(v.items[i], tail[j]) {
-				v.items[k] = tail[j]
-				v.cum[k] = run
-				run--
-				j--
-			} else {
-				w := v.cum[i]
-				if i > 0 {
-					w -= v.cum[i-1]
-				}
-				v.items[k] = v.items[i]
-				v.cum[k] = run
-				run -= w
-				i--
-			}
-			k--
-		}
-		for j >= 0 {
-			v.items[k] = tail[j]
-			v.cum[k] = run
-			run--
-			j--
-			k--
-		}
-		// items[0..i] and their cumulative weights are untouched: every new
-		// item merged in above them, so their prefix sums are unchanged.
-	}
+	s.kern.mergeTailCum(v.items, v.cum, tail, old)
 	// Settle level 0 so the sketch state matches the full-rebuild path (which
 	// settles every level); this must follow the merge above because
 	// settleLevel claims s.scratch, which holds tail.
 	s.settleLevel(0)
 	s.viewRevalidated()
 	return v
+}
+
+// mergeTailCum is the generic view-repair rewrite (vec.MergeTailCum's
+// contract): the sorted tail of weight-1 items is merged into the view
+// arrays backward in place, rewriting cumulative weights as it goes.
+func (k orderKernels[T]) mergeTailCum(items []T, cum []uint64, tail []T, old int) {
+	m := len(tail)
+	var run uint64
+	if old > 0 {
+		run = cum[old-1]
+	}
+	run += uint64(m)
+	i, j, o := old-1, m-1, old+m-1
+	for i >= 0 && j >= 0 {
+		if k.lt(items[i], tail[j]) {
+			items[o] = tail[j]
+			cum[o] = run
+			run--
+			j--
+		} else {
+			w := cum[i]
+			if i > 0 {
+				w -= cum[i-1]
+			}
+			items[o] = items[i]
+			cum[o] = run
+			run -= w
+			i--
+		}
+		o--
+	}
+	for j >= 0 {
+		items[o] = tail[j]
+		cum[o] = run
+		run--
+		j--
+		o--
+	}
+	// items[0..i] and their cumulative weights are untouched: every new
+	// item merged in above them, so their prefix sums are unchanged.
 }
 
 // viewRevalidated marks the spare view current after a rebuild or repair.
@@ -585,84 +561,55 @@ func resizeAmortized[T any](xs []T, n int) []T {
 	return make([]T, n, n+n/8+16)
 }
 
-// viewCursor walks one sorted level buffer in ascending caller order during
-// the k-way merge of SortedView.
-type viewCursor[T any] struct {
-	buf  []T
-	pos  int // current index
-	end  int // one past the last index, in walk direction
-	step int // +1 (LRA) or -1 (HRA: buffers are stored reversed)
-	w    uint64
-}
-
-// maxSketchLevels bounds the level count (items carry weight 2^h and n is
-// capped at 2^62, so 64 is unreachable organically; FromSnapshot enforces
-// the same limit on foreign state). It sizes the merge's cursor array so the
-// k-way merge allocates nothing beyond the view itself.
-const maxSketchLevels = 64
-
 // kwayMergeInto merges the (settled) level buffers into v.items ascending in
 // the caller's order, accumulating cumulative weights as it writes. The
 // cursors walk windows of the sketch's contiguous slab (levels[h].buf are
 // slab aliases), so the whole merge streams one allocation front to back.
 func (s *Sketch[T]) kwayMergeInto(v *View[T]) {
-	if kn := s.kern; kn != nil {
-		// The kernel path stages cursors on a reusable heap slice: a slice
-		// handed through the indirect kernel call escapes, so a stack array
-		// here would allocate per rebuild — s.kwayCurs amortizes that to one
-		// grow-only allocation.
-		s.kwayCurs = s.kwayCurs[:0]
-		for h := range s.levels {
-			b := s.levels[h].buf
-			if len(b) == 0 {
-				continue
-			}
-			cur := vec.KWayCursor[T]{Buf: b, W: uint64(1) << uint(h)}
-			if s.cfg.HRA {
-				cur.Pos, cur.End, cur.Step = len(b)-1, -1, -1
-			} else {
-				cur.Pos, cur.End, cur.Step = 0, len(b), 1
-			}
-			s.kwayCurs = append(s.kwayCurs, cur)
-		}
-		kn.kway(s.kwayCurs, v.items, v.cum)
-		// Scrub the slab aliases so the scratch never keeps level buffers
-		// reachable past the merge.
-		clear(s.kwayCurs)
-		return
-	}
-	var cursArr [maxSketchLevels]viewCursor[T]
-	curs := cursArr[:0]
+	// The cursors are staged on a reusable heap slice: a slice handed
+	// through the kernel table's indirect call escapes, so a stack array
+	// here would allocate per rebuild — s.kwayCurs amortizes that to one
+	// grow-only allocation.
+	s.kwayCurs = s.kwayCurs[:0]
 	for h := range s.levels {
 		b := s.levels[h].buf
 		if len(b) == 0 {
 			continue
 		}
-		cur := viewCursor[T]{buf: b, w: uint64(1) << uint(h)}
+		cur := vec.KWayCursor[T]{Buf: b, W: uint64(1) << uint(h)}
 		if s.cfg.HRA {
-			cur.pos, cur.end, cur.step = len(b)-1, -1, -1
+			cur.Pos, cur.End, cur.Step = len(b)-1, -1, -1
 		} else {
-			cur.pos, cur.end, cur.step = 0, len(b), 1
+			cur.Pos, cur.End, cur.Step = 0, len(b), 1
 		}
-		curs = append(curs, cur)
+		s.kwayCurs = append(s.kwayCurs, cur)
 	}
+	s.kern.kway(s.kwayCurs, v.items, v.cum)
+	// Scrub the slab aliases so the scratch never keeps level buffers
+	// reachable past the merge.
+	clear(s.kwayCurs)
+}
+
+// kway is the generic k-way merge: a min-heap over the cursors keyed by
+// each cursor's current head item, accumulating cumulative weights as it
+// writes (vec.KWayMerge's contract).
+func (k orderKernels[T]) kway(curs []vec.KWayCursor[T], items []T, cum []uint64) {
 	if len(curs) == 0 {
 		return
 	}
 	var run uint64
 	if len(curs) == 1 {
 		c := &curs[0]
-		for i := range v.items {
-			run += c.w
-			v.items[i] = c.buf[c.pos]
-			v.cum[i] = run
-			c.pos += c.step
+		for i := range items {
+			run += c.W
+			items[i] = c.Buf[c.Pos]
+			cum[i] = run
+			c.Pos += c.Step
 		}
 		return
 	}
-	// Min-heap over the cursors, keyed by each cursor's current head item.
-	headLess := func(a, b *viewCursor[T]) bool {
-		return s.less(a.buf[a.pos], b.buf[b.pos])
+	headLess := func(a, b *vec.KWayCursor[T]) bool {
+		return k.lt(a.Buf[a.Pos], b.Buf[b.Pos])
 	}
 	n := len(curs)
 	sift := func(root int) {
@@ -686,11 +633,11 @@ func (s *Sketch[T]) kwayMergeInto(v *View[T]) {
 	}
 	for out := 0; n > 0; out++ {
 		c := &curs[0]
-		run += c.w
-		v.items[out] = c.buf[c.pos]
-		v.cum[out] = run
-		c.pos += c.step
-		if c.pos == c.end {
+		run += c.W
+		items[out] = c.Buf[c.Pos]
+		cum[out] = run
+		c.Pos += c.Step
+		if c.Pos == c.End {
 			n--
 			curs[0] = curs[n]
 		}
@@ -715,56 +662,30 @@ func (v *View[T]) CumulativeWeights() []uint64 { return v.cum }
 //
 //req:noalloc
 func (v *View[T]) Rank(y T) uint64 {
-	if kn := v.kern; kn != nil {
-		if v.idx.built {
-			k := kn.eytRankLE(v.idx.items, y)
-			if k == 0 {
-				return v.idx.total // every element ≤ y
-			}
-			return v.idx.before[k]
-		}
-		i := kn.searchLE(v.items, y)
-		if i == 0 {
-			return 0
-		}
-		return v.cum[i-1]
-	}
 	if v.idx.built {
-		return v.idx.rank(y, v.less)
+		return v.idx.rankAt(v.kern.eytRankLE(v.idx.items, y))
 	}
-	i := searchLE(v.items, y, v.less)
-	if i == 0 {
-		return 0
-	}
-	return v.cum[i-1]
+	return v.rankAt(v.kern.searchLE(v.items, y))
 }
 
 // RankExclusive returns the estimated exclusive rank of y.
 //
 //req:noalloc
 func (v *View[T]) RankExclusive(y T) uint64 {
-	if kn := v.kern; kn != nil {
-		if v.idx.built {
-			k := kn.eytRankGE(v.idx.items, y)
-			if k == 0 {
-				return v.idx.total // every element < y
-			}
-			return v.idx.before[k]
-		}
-		i := kn.searchLT(v.items, y)
-		if i == 0 {
-			return 0
-		}
-		return v.cum[i-1]
-	}
 	if v.idx.built {
-		return v.idx.rankExclusive(y, v.less)
+		return v.idx.rankAt(v.kern.eytRankGE(v.idx.items, y))
 	}
-	i := searchLT(v.items, y, v.less)
-	if i == 0 {
+	return v.rankAt(v.kern.searchLT(v.items, y))
+}
+
+// rankAt returns the total weight of the first pos entries.
+//
+//req:noalloc
+func (v *View[T]) rankAt(pos int) uint64 {
+	if pos == 0 {
 		return 0
 	}
-	return v.cum[i-1]
+	return v.cum[pos-1]
 }
 
 // RankBatch answers Rank for every probe in ys, writing into dst (grown as
@@ -776,13 +697,13 @@ func (v *View[T]) RankExclusive(y T) uint64 {
 // beyond dst.
 func (v *View[T]) RankBatch(dst []uint64, ys []T) []uint64 {
 	dst = resizeSlice(dst, len(ys))
-	if kn := v.kern; kn != nil && v.idx.built && len(ys) >= interleaveMinBatch &&
-		!kn.isSortedAsc(ys) && !kn.isSortedDesc(ys) {
-		// The kernel whole-batch descent replicates rankSweep's routing for
-		// the large-unsorted-batch case (sorted batches still sweep — the
-		// gallop beats lockstep descents there) and writes straight into dst,
-		// so no per-probe emit closure survives.
-		kn.eytRankBatch(v.idx.items, v.idx.before, v.idx.total, ys, dst)
+	if v.idx.built && len(ys) >= interleaveMinBatch &&
+		!v.kern.isSortedAsc(ys) && !v.kern.isSortedDesc(ys) {
+		// The whole-batch descent replicates rankSweep's routing for the
+		// large-unsorted-batch case (sorted batches still sweep — the gallop
+		// beats lockstep descents there) and writes straight into dst, so no
+		// per-probe emit closure survives.
+		v.kern.eytRankBatch(v.idx.items, v.idx.before, v.idx.total, ys, dst)
 		return dst
 	}
 	v.rankSweep(ys, func(qi int, rank uint64) {
@@ -826,67 +747,43 @@ const interleaveMinBatch = 32
 // in input order via emit. Sorted probe sets are answered with one forward
 // galloping sweep; unsorted sets either sort a (key, index) pair array and
 // sweep, or — for larger batches on an indexed view — descend the Eytzinger
-// index several probes at a time in lockstep.
+// index once per probe.
 func (v *View[T]) rankSweep(ys []T, emit func(qi int, rank uint64)) {
 	if len(ys) == 0 {
 		return
 	}
-	rankAt := func(pos int) uint64 {
-		if pos == 0 {
-			return 0
-		}
-		return v.cum[pos-1]
-	}
-	// advance is the forward gallop, monomorphic when the kernel table is
-	// installed; the routing below is identical either way.
 	kn := v.kern
-	advance := func(pos int, y T) int {
-		if kn != nil {
-			return kn.gallopLE(v.items, pos, y)
-		}
-		return gallopLE(v.items, pos, y, v.less)
-	}
-	sortedAsc := false
-	if kn != nil {
-		sortedAsc = kn.isSortedAsc(ys)
-	} else {
-		sortedAsc = isSorted(ys, v.less)
-	}
-	if sortedAsc {
+	if kn.isSortedAsc(ys) {
 		pos := 0
 		for qi, y := range ys {
-			pos = advance(pos, y)
-			emit(qi, rankAt(pos))
+			pos = kn.gallopLE(v.items, pos, y)
+			emit(qi, v.rankAt(pos))
 		}
 		return
 	}
-	sortedDesc := false
-	if kn != nil {
-		sortedDesc = kn.isSortedDesc(ys)
-	} else {
-		sortedDesc = isSortedDesc(ys, v.less)
-	}
-	if sortedDesc {
+	if kn.isSortedDesc(ys) {
 		pos := 0
 		for qi := len(ys) - 1; qi >= 0; qi-- {
-			pos = advance(pos, ys[qi])
-			emit(qi, rankAt(pos))
+			pos = kn.gallopLE(v.items, pos, ys[qi])
+			emit(qi, v.rankAt(pos))
 		}
 		return
 	}
 	if v.idx.built && len(ys) >= interleaveMinBatch {
-		v.idx.rankBatch(ys, v.less, emit)
+		for qi, y := range ys {
+			emit(qi, v.Rank(y))
+		}
 		return
 	}
 	pairs := make([]probePair[T], len(ys))
 	for i, y := range ys {
 		pairs[i] = probePair[T]{y: y, qi: i}
 	}
-	sortSlice(pairs, func(a, b probePair[T]) bool { return v.less(a.y, b.y) })
+	sortSlice(pairs, func(a, b probePair[T]) bool { return kn.less(a.y, b.y) })
 	pos := 0
 	for i := range pairs {
-		pos = advance(pos, pairs[i].y)
-		emit(pairs[i].qi, rankAt(pos))
+		pos = kn.gallopLE(v.items, pos, pairs[i].y)
+		emit(pairs[i].qi, v.rankAt(pos))
 	}
 }
 
@@ -964,32 +861,15 @@ func (v *View[T]) CDFInto(dst []float64, splits []T) ([]float64, error) {
 	if v.n == 0 {
 		return nil, ErrEmpty
 	}
-	for i := 1; i < len(splits); i++ {
-		if v.less(splits[i], splits[i-1]) {
-			return nil, errUnsortedSplits
-		}
+	if !v.kern.isSortedAsc(splits) {
+		return nil, errUnsortedSplits
 	}
 	dst = resizeSlice(dst, len(splits)+1)
 	nf := float64(v.n)
 	pos := 0
-	if kn := v.kern; kn != nil {
-		for i, sp := range splits {
-			pos = kn.gallopLE(v.items, pos, sp)
-			if pos == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = float64(v.cum[pos-1]) / nf
-			}
-		}
-	} else {
-		for i, sp := range splits {
-			pos = gallopLE(v.items, pos, sp, v.less)
-			if pos == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = float64(v.cum[pos-1]) / nf
-			}
-		}
+	for i, sp := range splits {
+		pos = v.kern.gallopLE(v.items, pos, sp)
+		dst[i] = float64(v.rankAt(pos)) / nf
 	}
 	dst[len(splits)] = 1
 	return dst, nil

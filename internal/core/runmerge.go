@@ -179,13 +179,14 @@ func gallopCumGE(cum []uint64, from int, target uint64) int {
 	return hi
 }
 
-// sortedPrefixLen returns the length of the longest sorted (non-decreasing
-// under less) prefix of xs.
-func sortedPrefixLen[T any](xs []T, less func(a, b T) bool) int {
-	for i := 1; i < len(xs); i++ {
-		if less(xs[i], xs[i-1]) {
-			return i
-		}
+// extendRun returns the length of xs's sorted (non-decreasing under less)
+// prefix, extended item by item from sorted: xs[:sorted] must already be
+// sorted, and extendRun(xs, 0, less) is the longest sorted prefix.
+//
+//req:noalloc
+func extendRun[T any](xs []T, sorted int, less func(a, b T) bool) int {
+	for sorted < len(xs) && (sorted == 0 || !less(xs[sorted], xs[sorted-1])) {
+		sorted++
 	}
-	return len(xs)
+	return sorted
 }

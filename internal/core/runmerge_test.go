@@ -108,8 +108,8 @@ func TestSortedPrefixLen(t *testing.T) {
 		{[]float64{1, 2, 1, 4}, 2},
 	}
 	for _, tc := range cases {
-		if got := sortedPrefixLen(tc.xs, fless); got != tc.want {
-			t.Errorf("sortedPrefixLen(%v) = %d, want %d", tc.xs, got, tc.want)
+		if got := extendRun(tc.xs, 0, fless); got != tc.want {
+			t.Errorf("extendRun(%v, 0) = %d, want %d", tc.xs, got, tc.want)
 		}
 	}
 }

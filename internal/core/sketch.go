@@ -40,11 +40,10 @@ type compactor[T any] struct {
 // Appendix D), generic over the item type. It is not safe for concurrent
 // use. Construct it with New.
 type Sketch[T any] struct {
-	less func(a, b T) bool // the caller's order; queries use this
-	// kern is the monomorphic kernel table when less is the canonical
-	// natural order for a supported element type (see kernels.go); nil
-	// routes every hot loop through the generic closures.
-	kern *kernelTable[T]
+	// kern is the kernel table of the caller's order (see kernels.go): it
+	// serves the order itself (kern.less, which queries use) and every hot
+	// loop.
+	kern kernels[T]
 	cfg  Config
 	rnd  *rng.Source
 
@@ -83,10 +82,9 @@ type Sketch[T any] struct {
 	// mergeBuf stages settled copies of merge-source levels (Merge step 4),
 	// reused across merges so settling allocates only on growth.
 	mergeBuf []T
-	// kwayCurs is the kernel k-way merge's reusable cursor array (the
-	// generic path keeps a stack array; a slice handed to an indirect
-	// kernel call would escape, so the kernel path amortizes one
-	// allocation across rebuilds instead).
+	// kwayCurs is the k-way merge's reusable cursor array: a slice handed
+	// to the kernel table's indirect call escapes, so one grow-only
+	// allocation is amortized across rebuilds.
 	kwayCurs []vec.KWayCursor[T]
 	// stage is a reusable deep-copy target for merge sources that need a
 	// special compaction (Merge step 3), replacing a per-merge Clone.
@@ -129,7 +127,6 @@ func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	if err := cfg.Normalize(); err != nil {
 		return err
 	}
-	s.less = less
 	s.kern = kernelFor(less)
 	s.cfg = cfg
 	s.rnd = rng.New(cfg.Seed)
@@ -146,9 +143,9 @@ func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 // compaction changes.
 func (s *Sketch[T]) internalLess(a, b T) bool {
 	if s.cfg.HRA {
-		return s.less(b, a)
+		return s.kern.less(b, a)
 	}
-	return s.less(a, b)
+	return s.kern.less(a, b)
 }
 
 // markAppended invalidates the cached view after an append-only mutation of
@@ -182,10 +179,10 @@ func (s *Sketch[T]) Update(x T) {
 		s.min, s.max = x, x
 		s.hasMinMax = true
 	} else {
-		if s.less(x, s.min) {
+		if s.kern.less(x, s.min) {
 			s.min = x
 		}
-		if s.less(s.max, x) {
+		if s.kern.less(s.max, x) {
 			s.max = x
 		}
 	}
@@ -232,19 +229,7 @@ func (s *Sketch[T]) UpdateBatch(xs []T) {
 		s.min, s.max = xs[0], xs[0]
 		s.hasMinMax = true
 	}
-	mn, mx := s.min, s.max
-	if k := s.kern; k != nil {
-		mn, mx = k.minMax(xs, mn, mx)
-	} else {
-		for _, x := range xs {
-			if s.less(x, mn) {
-				mn = x
-			} else if s.less(mx, x) {
-				mx = x
-			}
-		}
-	}
-	s.min, s.max = mn, mx
+	s.min, s.max = s.kern.minMax(xs, s.min, s.max)
 	for i := 0; i < len(xs); {
 		lv := &s.levels[0]
 		room := s.geom.b - len(lv.buf)
@@ -270,18 +255,7 @@ func (s *Sketch[T]) UpdateBatch(xs []T) {
 		if wasSorted {
 			// Extend the sorted prefix while the chunk continues it, so
 			// ascending batches stay settle-free.
-			if k := s.kern; k != nil {
-				if s.cfg.HRA {
-					lv.sorted = k.extendDesc(lv.buf, lv.sorted)
-				} else {
-					lv.sorted = k.extendAsc(lv.buf, lv.sorted)
-				}
-			} else {
-				for lv.sorted < len(lv.buf) &&
-					(lv.sorted == 0 || !s.internalLess(lv.buf[lv.sorted], lv.buf[lv.sorted-1])) {
-					lv.sorted++
-				}
-			}
+			lv.sorted = s.extendSorted(lv.buf, lv.sorted)
 		}
 		s.n += uint64(take)
 		i += take
@@ -570,7 +544,6 @@ func (s *Sketch[T]) CopyFrom(src *Sketch[T]) {
 	if s == src {
 		return
 	}
-	s.less = src.less
 	s.kern = src.kern
 	s.cfg = src.cfg
 	if s.rnd == nil {

@@ -94,7 +94,6 @@ func FromSnapshot[T any](less func(a, b T) bool, snap Snapshot[T]) (*Sketch[T], 
 		return nil, fmt.Errorf("core: snapshot has %d levels", len(snap.Levels))
 	}
 	s := &Sketch[T]{
-		less:      less,
 		kern:      kernelFor(less),
 		cfg:       cfg,
 		rnd:       rng.New(cfg.Seed),
@@ -137,7 +136,7 @@ func FromSnapshot[T any](less func(a, b T) bool, snap Snapshot[T]) (*Sketch[T], 
 		// buffers, so recover the sorted prefix (the whole buffer for any
 		// state written by this implementation; a shorter prefix plus tail
 		// for foreign or pre-invariant snapshots is equally valid).
-		c.sorted = sortedPrefixLen(c.buf, s.internalLess)
+		c.sorted = s.extendSorted(c.buf, 0)
 		s.retained += len(lv.Items)
 	}
 	if weight != snap.N {

@@ -131,18 +131,6 @@ func isSorted[T any](xs []T, less func(a, b T) bool) bool {
 	return true
 }
 
-// isSortedDesc reports whether xs is non-increasing under less.
-//
-//req:noalloc
-func isSortedDesc[T any](xs []T, less func(a, b T) bool) bool {
-	for i := 1; i < len(xs); i++ {
-		if less(xs[i-1], xs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // searchLE returns the number of elements in sorted xs that are ≤ y, i.e.,
 // the index of the first element strictly greater than y.
 //

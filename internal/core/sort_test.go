@@ -9,8 +9,8 @@ import (
 )
 
 // fless is the canonical order, so every core test exercises the sketch
-// with the monomorphic kernel layer active (the generic closure paths are
-// covered separately by the kernel differential suite).
+// on the vec kernel table (the generic table of other orders is covered
+// separately by the kernel differential suite).
 var fless = LessF64
 
 func TestSortSliceMatchesStdlib(t *testing.T) {

@@ -283,10 +283,10 @@ func TestRankBinarySearchHRA(t *testing.T) {
 		for h := range s.levels {
 			var cle, clt int
 			for _, x := range s.levels[h].buf {
-				if !s.less(y, x) {
+				if !s.kern.less(y, x) {
 					cle++
 				}
-				if s.less(x, y) {
+				if s.kern.less(x, y) {
 					clt++
 				}
 			}

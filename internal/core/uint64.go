@@ -2,33 +2,37 @@ package core
 
 import "req/internal/vec"
 
-// kernelU64 is the uint64 kernel table; see kernelF64.
-var kernelU64 = kernelTable[uint64]{
-	sortAsc:  vec.SortAsc[uint64],
-	sortDesc: vec.SortDesc[uint64],
+// u64Kernels is the uint64 kernel table; see f64Kernels. kernelFor selects
+// it for the canonical LessU64.
+type u64Kernels struct{}
 
-	mergeAsc:  vec.MergeIntoAsc[uint64],
-	mergeDesc: vec.MergeIntoDesc[uint64],
-
-	searchLE:    vec.SearchLE[uint64],
-	searchLT:    vec.SearchLT[uint64],
-	countLEDesc: vec.CountLEDesc[uint64],
-	countLTDesc: vec.CountLTDesc[uint64],
-
-	countLE: vec.CountLEU64,
-	countLT: vec.CountLTU64,
-
-	gallopLE:     vec.GallopLE[uint64],
-	isSortedAsc:  vec.IsSortedAsc[uint64],
-	isSortedDesc: vec.IsSortedDesc[uint64],
-	minMax:       vec.MinMax[uint64],
-	extendAsc:    vec.ExtendRunAsc[uint64],
-	extendDesc:   vec.ExtendRunDesc[uint64],
-
-	mergeTailCum: vec.MergeTailCum[uint64],
-	kway:         vec.KWayMerge[uint64],
-
-	eytRankLE:    vec.EytRankLE[uint64],
-	eytRankGE:    vec.EytRankGE[uint64],
-	eytRankBatch: vec.EytRankBatch[uint64],
+func (u64Kernels) less(a, b uint64) bool                        { return a < b }
+func (u64Kernels) sortAsc(xs []uint64)                          { vec.SortAsc(xs) }
+func (u64Kernels) sortDesc(xs []uint64)                         { vec.SortDesc(xs) }
+func (u64Kernels) mergeAsc(dst, add []uint64) []uint64          { return vec.MergeIntoAsc(dst, add) }
+func (u64Kernels) mergeDesc(dst, add []uint64) []uint64         { return vec.MergeIntoDesc(dst, add) }
+func (u64Kernels) searchLE(xs []uint64, y uint64) int           { return vec.SearchLE(xs, y) }
+func (u64Kernels) searchLT(xs []uint64, y uint64) int           { return vec.SearchLT(xs, y) }
+func (u64Kernels) countLEDesc(xs []uint64, y uint64) int        { return vec.CountLEDesc(xs, y) }
+func (u64Kernels) countLTDesc(xs []uint64, y uint64) int        { return vec.CountLTDesc(xs, y) }
+func (u64Kernels) countLE(xs []uint64, y uint64) int            { return vec.CountLEU64(xs, y) }
+func (u64Kernels) countLT(xs []uint64, y uint64) int            { return vec.CountLTU64(xs, y) }
+func (u64Kernels) gallopLE(xs []uint64, from int, y uint64) int { return vec.GallopLE(xs, from, y) }
+func (u64Kernels) isSortedAsc(xs []uint64) bool                 { return vec.IsSortedAsc(xs) }
+func (u64Kernels) isSortedDesc(xs []uint64) bool                { return vec.IsSortedDesc(xs) }
+func (u64Kernels) minMax(xs []uint64, mn, mx uint64) (uint64, uint64) {
+	return vec.MinMax(xs, mn, mx)
+}
+func (u64Kernels) extendAsc(xs []uint64, sorted int) int  { return vec.ExtendRunAsc(xs, sorted) }
+func (u64Kernels) extendDesc(xs []uint64, sorted int) int { return vec.ExtendRunDesc(xs, sorted) }
+func (u64Kernels) mergeTailCum(items []uint64, cum []uint64, tail []uint64, old int) {
+	vec.MergeTailCum(items, cum, tail, old)
+}
+func (u64Kernels) kway(curs []vec.KWayCursor[uint64], items []uint64, cum []uint64) {
+	vec.KWayMerge(curs, items, cum)
+}
+func (u64Kernels) eytRankLE(items []uint64, y uint64) int { return vec.EytRankLE(items, y) }
+func (u64Kernels) eytRankGE(items []uint64, y uint64) int { return vec.EytRankGE(items, y) }
+func (u64Kernels) eytRankBatch(items []uint64, before []uint64, total uint64, ys []uint64, out []uint64) {
+	vec.EytRankBatch(items, before, total, ys, out)
 }

@@ -64,10 +64,10 @@ func (u *Union[T]) Add(s *Sketch[T]) {
 	case s.cfg.HRA != u.hra:
 		panic("core: union of sketches in different accuracy modes")
 	default:
-		if s.less(s.min, u.min) {
+		if s.kern.less(s.min, u.min) {
 			u.min = s.min
 		}
-		if s.less(u.max, s.max) {
+		if s.kern.less(u.max, s.max) {
 			u.max = s.max
 		}
 	}
@@ -230,7 +230,7 @@ func (u *Union[T]) quantile(phi float64) T {
 				r := &u.runs[i]
 				r.hi = r.lo + r.le
 				// Only a window whose last item ≤ p equals p holds more to drop.
-				if r.le > 0 && !u.s.less(u.at(r, r.hi-1), p) {
+				if r.le > 0 && !u.s.kern.less(u.at(r, r.hi-1), p) {
 					xs := u.active(r)
 					r.hi = r.lo + u.s.levelCountLT(xs, len(xs), p)
 				}

@@ -60,7 +60,7 @@ var unionPhis = [][]float64{
 // TestUnionMatchesCoresetView checks Union reads bit for bit against the
 // sorted view of the same coresets, over sketches of very different sizes
 // (so of different heights and level weights), in both accuracy modes, on
-// the kernel and the closure paths.
+// the vec and the generic kernel tables.
 func TestUnionMatchesCoresetView(t *testing.T) {
 	sizes := []int{0, 1, 37, 900, 5000, 60000}
 	for _, hra := range []bool{false, true} {

@@ -42,10 +42,10 @@ func (s *Sketch[T]) UpdateWeighted(x T, weight uint64) error {
 		s.min, s.max = x, x
 		s.hasMinMax = true
 	} else {
-		if s.less(x, s.min) {
+		if s.kern.less(x, s.min) {
 			s.min = x
 		}
-		if s.less(s.max, x) {
+		if s.kern.less(s.max, x) {
 			s.max = x
 		}
 	}

@@ -1,7 +1,5 @@
 package tenant
 
-import "hash/maphash"
-
 // Shard-grouped batch planning: the registry's UpdatePairs front hands a
 // whole (key, item) batch to PlanBatch, which hashes every key in one pass,
 // links same-key items into runs (preserving each key's input order), and
@@ -55,13 +53,13 @@ func (m *Map[K, E]) PlanBatch(b *Batch[K], keys []K) {
 	// rehashing (an equality check is several times cheaper than a
 	// maphash over string bytes, and equal keys hash equal by
 	// definition).
-	b.hashes[0] = maphash.Comparable(m.hseed, keys[0])
+	b.hashes[0] = m.hash(m.hseed, keys[0])
 	for i := 1; i < n; i++ {
 		if keys[i] == keys[i-1] {
 			b.hashes[i] = b.hashes[i-1]
 			continue
 		}
-		b.hashes[i] = maphash.Comparable(m.hseed, keys[i])
+		b.hashes[i] = m.hash(m.hseed, keys[i])
 	}
 	b.group(keys, m.mask)
 	b.sortRunsByShard(len(m.shards))

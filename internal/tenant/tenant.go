@@ -122,6 +122,7 @@ type Map[K comparable, E any] struct {
 	shards []*Shard[K, E]
 	mask   uint64
 	hseed  maphash.Seed
+	hash   func(maphash.Seed, K) uint64 // keyHasher[K]
 
 	maxPerShard int // 0 = unbounded
 	ttl         int64
@@ -147,6 +148,7 @@ func NewMap[K comparable, E any](cfg Config, initCell func(e *E, seq uint64), re
 		shards:    make([]*Shard[K, E], n),
 		mask:      uint64(n - 1),
 		hseed:     maphash.MakeSeed(),
+		hash:      keyHasher[K](),
 		ttl:       cfg.TTL,
 		initCell:  initCell,
 		reuseCell: reuseCell,
@@ -193,9 +195,47 @@ func (m *Map[K, E]) TTL() int64 { return m.ttl }
 //
 // +req:locksAcquired(return.mu)
 func (m *Map[K, E]) Lock(key K) *Shard[K, E] {
-	sh := m.shards[maphash.Comparable(m.hseed, key)&m.mask]
+	sh := m.shards[m.hash(m.hseed, key)&m.mask]
 	sh.mu.Lock()
 	return sh
+}
+
+// keyHasher picks, once per Map, the key hash behind both shard routing
+// (Lock) and batch grouping (PlanBatch), so the two always agree on a key's
+// shard. Strings and fixed-width integers hash without reflection. Any
+// other key type goes through maphash.Comparable, which under the purego
+// build tag hashes through reflect and allocates per key.
+func keyHasher[K comparable]() func(maphash.Seed, K) uint64 {
+	var h any
+	switch any(*new(K)).(type) {
+	case string:
+		h = maphash.String
+	case uint64:
+		h = mixKey
+	case int64:
+		h = func(s maphash.Seed, k int64) uint64 { return mixKey(s, uint64(k)) }
+	case int:
+		h = func(s maphash.Seed, k int) uint64 { return mixKey(s, uint64(k)) }
+	case uint:
+		h = func(s maphash.Seed, k uint) uint64 { return mixKey(s, uint64(k)) }
+	case int32:
+		h = func(s maphash.Seed, k int32) uint64 { return mixKey(s, uint64(k)) }
+	case uint32:
+		h = func(s maphash.Seed, k uint32) uint64 { return mixKey(s, uint64(k)) }
+	default:
+		return maphash.Comparable[K]
+	}
+	return h.(func(maphash.Seed, K) uint64)
+}
+
+// mixKey hashes a fixed-width integer key: the key xored with a value of
+// the seed (maphash.String hashes no bytes of an empty string), then
+// splitmix64's finalizer, a bijective avalanche mix.
+func mixKey(seed maphash.Seed, k uint64) uint64 {
+	x := k ^ maphash.String(seed, "")
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // LockShard locks and returns shard i (for whole-map sweeps and exports).

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"hash/maphash"
 	"sync"
 	"testing"
 )
@@ -268,4 +269,32 @@ func TestConcurrent(t *testing.T) {
 	if m.Len() > 256+4 { // per-shard cap is ceil(256/4); slight slack is a bug
 		t.Fatalf("Len = %d exceeds cap", m.Len())
 	}
+}
+
+// TestKeyHasher checks the per-Map key hash: deterministic per seed, no
+// allocation for string and integer keys (under every build, purego
+// included), and sequential keys spread evenly over the shard bits.
+func TestKeyHasher(t *testing.T) {
+	seed := maphash.MakeSeed()
+	hs, hu, hi := keyHasher[string](), keyHasher[uint64](), keyHasher[int32]()
+	if hs(seed, "tenant-1") != hs(seed, "tenant-1") || hu(seed, 7) != hu(seed, 7) || hi(seed, -7) != hi(seed, -7) {
+		t.Fatal("key hash is not deterministic for a fixed seed")
+	}
+	var sink uint64
+	if avg := testing.AllocsPerRun(100, func() {
+		sink += hs(seed, "tenant-0000042") + hu(seed, 42) + hi(seed, 42)
+	}); avg != 0 {
+		t.Fatalf("key hash allocates %v allocs/op", avg)
+	}
+	const n, shards = 1 << 14, 8
+	var perShard [shards]int
+	for k := uint64(0); k < n; k++ {
+		perShard[hu(seed, k)%shards]++
+	}
+	for s, c := range perShard {
+		if c < n/shards*3/4 || c > n/shards*5/4 {
+			t.Fatalf("shard %d holds %d of %d sequential keys", s, c, n)
+		}
+	}
+	_ = sink
 }

@@ -49,14 +49,14 @@ func EytRankGE[E Elem](items []E, y E) int {
 }
 
 // rankLanes is the number of descents EytRankBatch runs in lockstep,
-// matching the generic rankBatch: each lane's next probe is an independent
-// cache miss, so the memory system keeps several loads in flight.
+// matching core's generic eytRankBatch: each lane's next probe is an
+// independent cache miss, so the memory system keeps several loads in
+// flight.
 const rankLanes = 8
 
 // EytRankBatch answers the inclusive rank of every probe in ys, writing
-// into out (same length as ys) in input order: the monomorphic form of the
-// generic rankBatch lockstep descent, with the before[]/total mapping folded
-// in so no per-probe emit callback survives.
+// into out (same length as ys) in input order: the monomorphic form of
+// core's generic eytRankBatch lockstep descent.
 //
 //req:noalloc
 func EytRankBatch[E Elem](items []E, before []uint64, total uint64, ys []E, out []uint64) {
@@ -65,7 +65,7 @@ func EytRankBatch[E Elem](items []E, before []uint64, total uint64, ys []E, out 
 	// Every root-to-leaf path has length depth or depth−1, and a node index
 	// can only exceed n on the very last step, so the descent runs unguarded
 	// for depth−1 levels and guards only the final one (see the generic
-	// rankBatch for the bound proof).
+	// eytRankBatch for the bound proof).
 	depth := bits.Len(uint(n))
 	var ks [rankLanes]int
 	for base := 0; base < len(ys); base += rankLanes {

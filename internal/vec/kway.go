@@ -1,13 +1,13 @@
 package vec
 
 // Monomorphic k-way merge of sorted level buffers into a view's item and
-// cumulative-weight arrays: the kernel form of core's kwayMergeInto, with
-// the heap comparisons inlined (`<` instead of a headLess closure) and
-// software prefetch hints on the cursor streams.
+// cumulative-weight arrays: the kernel form of core's generic
+// orderKernels.kway, with the heap comparisons inlined (`<` instead of a
+// headLess closure) and software prefetch hints on the cursor streams.
 
 // KWayCursor walks one sorted level buffer in ascending caller order during
-// the k-way merge. Unconstrained in the element type so internal/core can
-// hold a reusable cursor slice for any T; only KWayMerge requires Elem.
+// the k-way merge. Unconstrained in the element type so internal/core's
+// generic merge shares it for any T; only KWayMerge requires Elem.
 type KWayCursor[T any] struct {
 	Buf  []T
 	Pos  int // current index

@@ -2,7 +2,7 @@ package vec
 
 // Backward galloping merges and the view-repair cumulative-weight rewrite,
 // structure-identical to internal/core's generic versions (see runmerge.go
-// and repairTailView there) specialised to `<` / its reversal.
+// and orderKernels.mergeTailCum there) specialised to `<` / its reversal.
 
 // MergeIntoAsc merges the ascending-sorted block add into the
 // ascending-sorted slice dst and returns the extended slice. The merge runs

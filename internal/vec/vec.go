@@ -9,9 +9,10 @@
 // only over the Elem constraint (~float64 | ~uint64): the compiler stencils
 // a separate instantiation per element type with the `<` comparison inlined,
 // so every kernel is effectively monomorphic machine code. internal/core
-// installs a per-type dispatch table (see core's kernels.go) that routes the
-// hot paths here when the sketch's less function is the canonical natural
-// order; arbitrary orders keep the generic closure paths.
+// runs its hot paths through one kernel table per order (see core's
+// kernels.go): the table of the canonical natural order routes them here,
+// and every other order's table holds the generic algorithms bound to its
+// less.
 //
 // # Bit-identity contract
 //

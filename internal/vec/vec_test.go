@@ -228,7 +228,7 @@ func bitsOf(xs []float64) []uint64 {
 // TestSortMatchesGenericStructure proves SortAsc/SortDesc produce the exact
 // permutation of core's generic introsort — including on NaN-polluted input,
 // where "a correct sort" is not unique and only structural identity keeps
-// kernel and closure paths bit-identical. The reference here is a local
+// the vec and generic kernel tables bit-identical. The reference here is a local
 // transcription of the same algorithm with explicit closures.
 func TestSortMatchesGenericStructure(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
@@ -815,7 +815,7 @@ func TestMergeTailCum(t *testing.T) {
 }
 
 // refMergeTailCum is a verbatim copy of internal/core's generic
-// repairTailView merge loop (the closure path the kernel must match).
+// orderKernels.mergeTailCum loop (the generic table the kernel must match).
 func refMergeTailCum[T any](items []T, cum []uint64, tail []T, less func(a, b T) bool) ([]T, []uint64) {
 	old, m := len(items), len(tail)
 	items = append(items, tail...)

@@ -23,7 +23,7 @@ func benchSnapshotDir(b *testing.B, n int) string {
 	}
 	// Same value distribution as the in-heap benches (benchValues), so the
 	// mapped-vs-heap comparison sees identical coreset shapes.
-	s.UpdateAll(benchValues(n, 2))
+	s.UpdateBatch(benchValues(n, 2))
 	dir := b.TempDir()
 	if _, err := s.SaveSnapshot(dir); err != nil {
 		b.Fatal(err)

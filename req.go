@@ -44,12 +44,6 @@ func (s *Sketch[T]) UpdateBatch(items []T) {
 	s.core.UpdateBatch(items)
 }
 
-// UpdateAll inserts every item of the slice. It is the batch ingest path;
-// UpdateAll and UpdateBatch are synonyms.
-func (s *Sketch[T]) UpdateAll(items []T) {
-	s.core.UpdateBatch(items)
-}
-
 // UpdateWeighted inserts item with the given integer weight, equivalent to
 // weight repeated Updates but in O(log weight + sketch buffer) work: the
 // weight decomposes in binary across the sketch's levels. Weight 0 is a
@@ -165,13 +159,6 @@ func (s *Sketch[T]) NumLevels() int { return s.core.NumLevels() }
 // K returns the current section size k of the compaction schedule.
 func (s *Sketch[T]) K() int { return s.core.K() }
 
-// WeightedItem pairs a retained item with the weight it carries in the
-// sketch's coreset.
-type WeightedItem[T any] struct {
-	Item   T
-	Weight uint64
-}
-
 // All iterates the sketch's weighted coreset: every retained item in
 // ascending order with the weight it carries. Weights sum to Count()
 // exactly. This is the raw material for custom serialization of generic
@@ -192,20 +179,6 @@ func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
 			}
 		}
 	}
-}
-
-// Retained returns the sketch's weighted coreset as a freshly allocated
-// slice.
-//
-// Deprecated: range over All instead, which yields the same (item, weight)
-// pairs in the same order without allocating the slice. Retained is kept as
-// a thin wrapper for callers that want materialized storage.
-func (s *Sketch[T]) Retained() []WeightedItem[T] {
-	out := make([]WeightedItem[T], 0, s.ItemsRetained())
-	for item, weight := range s.All() {
-		out = append(out, WeightedItem[T]{Item: item, Weight: weight})
-	}
-	return out
 }
 
 // Snapshot captures the sketch's current state as an immutable,

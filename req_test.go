@@ -87,7 +87,7 @@ func TestEndToEndAccuracy(t *testing.T) {
 	const n = 1 << 18
 	const eps = 0.05
 	s := mustFloat64(t, WithEpsilon(eps), WithDelta(0.01), WithSeed(1))
-	s.UpdateAll(permStream(n, 2))
+	s.UpdateBatch(permStream(n, 2))
 	if s.Count() != n {
 		t.Fatalf("count = %d", s.Count())
 	}
@@ -103,7 +103,7 @@ func TestEndToEndAccuracy(t *testing.T) {
 func TestHighRankAccuracyTail(t *testing.T) {
 	const n = 1 << 18
 	s := mustFloat64(t, WithEpsilon(0.01), WithHighRankAccuracy(), WithSeed(3))
-	s.UpdateAll(permStream(n, 4))
+	s.UpdateBatch(permStream(n, 4))
 	// Tail ranks (the paper's p99.99 use case) must be near exact.
 	for _, back := range []int{1, 3, 10, 30, 100} {
 		y := float64(n - back)
@@ -118,7 +118,7 @@ func TestHighRankAccuracyTail(t *testing.T) {
 func TestNaNIgnored(t *testing.T) {
 	s := mustFloat64(t)
 	s.Update(math.NaN())
-	s.UpdateAll([]float64{1, math.NaN(), 2})
+	s.UpdateBatch([]float64{1, math.NaN(), 2})
 	if s.Count() != 2 {
 		t.Fatalf("count = %d, want 2 (NaNs skipped)", s.Count())
 	}
@@ -126,7 +126,7 @@ func TestNaNIgnored(t *testing.T) {
 
 func TestInfinitiesAccepted(t *testing.T) {
 	s := mustFloat64(t)
-	s.UpdateAll([]float64{math.Inf(1), 0, math.Inf(-1)})
+	s.UpdateBatch([]float64{math.Inf(1), 0, math.Inf(-1)})
 	mn, _ := s.Min()
 	mx, _ := s.Max()
 	if !math.IsInf(mn, -1) || !math.IsInf(mx, 1) {
@@ -155,7 +155,7 @@ func TestQuantileAndErrors(t *testing.T) {
 func TestQuantilesBatchAndCDFPMF(t *testing.T) {
 	const n = 1 << 16
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(5))
-	s.UpdateAll(permStream(n, 6))
+	s.UpdateBatch(permStream(n, 6))
 	qs, err := s.Quantiles([]float64{0.25, 0.5, 0.75})
 	if err != nil || len(qs) != 3 {
 		t.Fatalf("quantiles: %v, %v", qs, err)
@@ -222,7 +222,7 @@ func TestGenericStringSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := []string{"pear", "apple", "plum", "fig", "apple"}
-	s.UpdateAll(words)
+	s.UpdateBatch(words)
 	if got := s.Rank("apple"); got != 2 {
 		t.Fatalf(`Rank("apple") = %d`, got)
 	}
@@ -274,7 +274,7 @@ func TestStringer(t *testing.T) {
 func TestWithKnownNAvoidsGrowth(t *testing.T) {
 	const n = 1 << 16
 	known := mustFloat64(t, WithEpsilon(0.05), WithKnownN(n), WithSeed(11))
-	known.UpdateAll(permStream(n, 12))
+	known.UpdateBatch(permStream(n, 12))
 	// With a correct bound there must be no N-squaring growth. (Internal
 	// stat not exposed publicly; infer from the debug string level shape.)
 	if known.Count() != n {
@@ -285,7 +285,7 @@ func TestWithKnownNAvoidsGrowth(t *testing.T) {
 func TestReproducibleUnderSeed(t *testing.T) {
 	run := func() []float64 {
 		s := mustFloat64(t, WithEpsilon(0.05), WithSeed(42))
-		s.UpdateAll(permStream(1<<16, 13))
+		s.UpdateBatch(permStream(1<<16, 13))
 		qs, err := s.Quantiles([]float64{0.1, 0.5, 0.9, 0.99})
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +303,7 @@ func TestReproducibleUnderSeed(t *testing.T) {
 func TestTheorem2ModeEndToEnd(t *testing.T) {
 	const n = 1 << 16
 	s := mustFloat64(t, WithTheorem2Mode(), WithEpsilon(0.05), WithDelta(1e-12), WithSeed(14))
-	s.UpdateAll(permStream(n, 15))
+	s.UpdateBatch(permStream(n, 15))
 	for rank := 1; rank <= n; rank *= 4 {
 		got := float64(s.Rank(float64(rank - 1)))
 		if math.Abs(got-float64(rank))/float64(rank) > 0.05 {
@@ -315,7 +315,7 @@ func TestTheorem2ModeEndToEnd(t *testing.T) {
 func TestFixedKModeEndToEnd(t *testing.T) {
 	const n = 1 << 16
 	s := mustFloat64(t, WithK(50*2), WithSeed(16))
-	s.UpdateAll(permStream(n, 17))
+	s.UpdateBatch(permStream(n, 17))
 	if s.K() != 100 {
 		t.Fatalf("K = %d", s.K())
 	}
@@ -327,11 +327,26 @@ func TestFixedKModeEndToEnd(t *testing.T) {
 	}
 }
 
+// weightedItem is one coreset entry, materialized from Sketch.All.
+type weightedItem struct {
+	Item   float64
+	Weight uint64
+}
+
+// coresetOf collects the sketch's weighted coreset from its All iterator.
+func coresetOf(s *Float64) []weightedItem {
+	var out []weightedItem
+	for item, w := range s.All() {
+		out = append(out, weightedItem{item, w})
+	}
+	return out
+}
+
 func TestRetainedCoreset(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(200))
 	const n = 1 << 16
-	s.UpdateAll(permStream(n, 201))
-	coreset := s.Retained()
+	s.UpdateBatch(permStream(n, 201))
+	coreset := coresetOf(s)
 	if len(coreset) != s.ItemsRetained() {
 		t.Fatalf("coreset size %d != retained %d", len(coreset), s.ItemsRetained())
 	}
@@ -371,7 +386,7 @@ func TestRetainedCoreset(t *testing.T) {
 
 func TestResetReusable(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(210))
-	s.UpdateAll(permStream(1<<16, 211))
+	s.UpdateBatch(permStream(1<<16, 211))
 	if s.Empty() {
 		t.Fatal("setup")
 	}
@@ -383,7 +398,7 @@ func TestResetReusable(t *testing.T) {
 		t.Fatal("min survives reset")
 	}
 	// Reuse after reset must meet the guarantee again.
-	s.UpdateAll(permStream(1<<16, 212))
+	s.UpdateBatch(permStream(1<<16, 212))
 	for rank := 1; rank <= 1<<16; rank *= 8 {
 		got := float64(s.Rank(float64(rank - 1)))
 		if math.Abs(got-float64(rank))/float64(rank) > 0.05 {

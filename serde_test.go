@@ -8,7 +8,7 @@ import (
 
 func TestSerdeRoundTrip(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithDelta(0.05), WithSeed(100))
-	s.UpdateAll(permStream(1<<16, 101))
+	s.UpdateBatch(permStream(1<<16, 101))
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestSerdeRoundTrip(t *testing.T) {
 
 func TestSerdeResumesIdentically(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(102))
-	s.UpdateAll(permStream(100000, 103))
+	s.UpdateBatch(permStream(100000, 103))
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +45,8 @@ func TestSerdeResumesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := permStream(50000, 104)
-	s.UpdateAll(extra)
-	r.UpdateAll(extra)
+	s.UpdateBatch(extra)
+	r.UpdateBatch(extra)
 	if s.ItemsRetained() != r.ItemsRetained() {
 		t.Fatal("resume diverged in structure (RNG state not restored?)")
 	}
@@ -81,7 +81,7 @@ func TestSerdeAllModes(t *testing.T) {
 		"paper":     {WithEpsilon(0.1), WithDelta(0.1), WithPaperConstants()},
 	} {
 		s := mustFloat64(t, append(opts, WithSeed(1))...)
-		s.UpdateAll(permStream(50000, 2))
+		s.UpdateBatch(permStream(50000, 2))
 		blob, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -101,8 +101,8 @@ func TestSerdeAllModes(t *testing.T) {
 func TestSerdeMergedSketch(t *testing.T) {
 	a := mustFloat64(t, WithEpsilon(0.05), WithSeed(105))
 	b := mustFloat64(t, WithEpsilon(0.05), WithSeed(106))
-	a.UpdateAll(permStream(60000, 107))
-	b.UpdateAll(permStream(60000, 108))
+	a.UpdateBatch(permStream(60000, 107))
+	b.UpdateBatch(permStream(60000, 108))
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSerdeRejectsGarbage(t *testing.T) {
 
 func TestSerdeRejectsTruncations(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(109))
-	s.UpdateAll(permStream(30000, 110))
+	s.UpdateBatch(permStream(30000, 110))
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestSerdeRejectsTrailingBytes(t *testing.T) {
 
 func TestSerdeRejectsBitFlips(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.1), WithSeed(111))
-	s.UpdateAll(permStream(20000, 112))
+	s.UpdateBatch(permStream(20000, 112))
 	blob, _ := s.MarshalBinary()
 	rejected := 0
 	for i := 0; i < len(blob); i += 37 {
@@ -199,7 +199,7 @@ func TestSerdeRejectsNaNPayload(t *testing.T) {
 
 func TestSerdeSizeReasonable(t *testing.T) {
 	s := mustFloat64(t, WithEpsilon(0.05), WithSeed(113))
-	s.UpdateAll(permStream(1<<18, 114))
+	s.UpdateBatch(permStream(1<<18, 114))
 	blob, _ := s.MarshalBinary()
 	// ~8 bytes per retained item plus bounded header/level overhead.
 	upper := 8*s.ItemsRetained() + 200 + 16*s.NumLevels()

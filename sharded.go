@@ -215,13 +215,6 @@ func (s *Sharded[T]) UpdateBatch(items []T) {
 	}
 }
 
-// UpdateAll inserts every item of the slice into a single shard under one
-// lock acquisition. It is the batch ingest path; UpdateAll and UpdateBatch
-// are synonyms.
-func (s *Sharded[T]) UpdateAll(items []T) {
-	s.UpdateBatch(items)
-}
-
 // UpdateWeighted inserts item with the given integer weight; see
 // Sketch.UpdateWeighted.
 func (s *Sharded[T]) UpdateWeighted(item T, weight uint64) error {
@@ -458,12 +451,6 @@ func (s *ShardedFloat64) Update(v float64) {
 // present).
 func (s *ShardedFloat64) UpdateBatch(vs []float64) {
 	s.Sharded.UpdateBatch(core.FilterNaN(vs))
-}
-
-// UpdateAll inserts every value of the slice into a single shard, skipping
-// NaNs. It is the batch ingest path; UpdateAll and UpdateBatch are synonyms.
-func (s *ShardedFloat64) UpdateAll(vs []float64) {
-	s.UpdateBatch(vs)
 }
 
 // Merge absorbs a plain float64 sketch into one shard.

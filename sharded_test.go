@@ -19,7 +19,7 @@ func TestShardedBasic(t *testing.T) {
 		t.Fatal("new sketch not empty")
 	}
 	s.Update(1)
-	s.UpdateAll([]float64{2, 3})
+	s.UpdateBatch([]float64{2, 3})
 	if s.Count() != 3 {
 		t.Fatalf("count = %d", s.Count())
 	}
@@ -220,7 +220,7 @@ func TestShardedFloat64IgnoresNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Update(math.NaN())
-	s.UpdateAll([]float64{1, math.NaN(), 2, math.NaN(), 3})
+	s.UpdateBatch([]float64{1, math.NaN(), 2, math.NaN(), 3})
 	if s.Count() != 3 {
 		t.Fatalf("count = %d, want 3 (NaNs must be dropped)", s.Count())
 	}

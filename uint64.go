@@ -4,8 +4,8 @@ import "req/internal/core"
 
 // Uint64 is a sketch specialised to uint64 values — timestamps, byte
 // counts, identifiers with a meaningful order. Like Float64 it supports
-// binary serialization, and inherits the batch ingest path (UpdateBatch /
-// UpdateAll) and the full Reader query surface — batch APIs (RankBatch,
+// binary serialization, and inherits the batch ingest path (UpdateBatch)
+// and the full Reader query surface — batch APIs (RankBatch,
 // NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto), the All coreset
 // iterator, and Snapshot (returning *SnapshotUint64) — from the embedded
 // Sketch unchanged: uint64 has no NaN to filter on either side. Not safe
