@@ -125,31 +125,6 @@ func receiverTypeName(expr ast.Expr) string {
 // apiSurfaceGolden is the blessed exported surface of package req.
 var apiSurfaceGolden = []string{
 	"AllQuantiles",
-	"ConcurrentFloat64",
-	"ConcurrentFloat64.All",
-	"ConcurrentFloat64.CDF",
-	"ConcurrentFloat64.CDFInto",
-	"ConcurrentFloat64.Count",
-	"ConcurrentFloat64.Empty",
-	"ConcurrentFloat64.ItemsRetained",
-	"ConcurrentFloat64.MarshalBinary",
-	"ConcurrentFloat64.Max",
-	"ConcurrentFloat64.Merge",
-	"ConcurrentFloat64.Min",
-	"ConcurrentFloat64.NormalizedRank",
-	"ConcurrentFloat64.NormalizedRankBatch",
-	"ConcurrentFloat64.PMF",
-	"ConcurrentFloat64.PMFInto",
-	"ConcurrentFloat64.Quantile",
-	"ConcurrentFloat64.Quantiles",
-	"ConcurrentFloat64.QuantilesInto",
-	"ConcurrentFloat64.Rank",
-	"ConcurrentFloat64.RankBatch",
-	"ConcurrentFloat64.RankExclusive",
-	"ConcurrentFloat64.SaveSnapshot",
-	"ConcurrentFloat64.Snapshot",
-	"ConcurrentFloat64.Update",
-	"ConcurrentFloat64.UpdateBatch",
 	"DecodeFloat64",
 	"DecodeUint64",
 	"ErrBadRank",
@@ -166,6 +141,7 @@ var apiSurfaceGolden = []string{
 	"Float64.UnmarshalBinary",
 	"Float64.Update",
 	"Float64.UpdateBatch",
+	"Float64.UpdateWeighted",
 	"KV",
 	"MappedFloat64",
 	"MappedSnapshot",
@@ -174,7 +150,6 @@ var apiSurfaceGolden = []string{
 	"MappedSnapshot.Mapped",
 	"MappedUint64",
 	"New",
-	"NewConcurrentFloat64",
 	"NewFloat64",
 	"NewRegistry",
 	"NewRegistryFloat64",
@@ -267,6 +242,7 @@ var apiSurfaceGolden = []string{
 	"ShardedFloat64.Merge",
 	"ShardedFloat64.Update",
 	"ShardedFloat64.UpdateBatch",
+	"ShardedFloat64.UpdateWeighted",
 	"ShardedUint64",
 	"ShardedUint64.MarshalBinary",
 	"ShardedUint64.Merge",

@@ -85,8 +85,11 @@ func TestShardedUpdateBatchConcurrent(t *testing.T) {
 	}
 }
 
-func TestConcurrentFloat64UpdateBatch(t *testing.T) {
-	c, err := NewConcurrentFloat64(WithSeed(2))
+// TestShardedUpdateBatchNaNConcurrent feeds NaN-bearing batches from
+// several writers into one shard while they read between batches: every
+// NaN is dropped and every other value counted.
+func TestShardedUpdateBatchNaNConcurrent(t *testing.T) {
+	s, err := NewShardedFloat64(WithSeed(2), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +102,62 @@ func TestConcurrentFloat64UpdateBatch(t *testing.T) {
 			for b := 0; b < 10; b++ {
 				for i := range batch {
 					batch[i] = float64(i)
+					if i%50 == 7 {
+						batch[i] = math.NaN()
+					}
 				}
-				c.UpdateBatch(batch)
-				_, _ = c.Quantile(0.9) // interleave reads
+				s.UpdateBatch(batch)
+				_, _ = s.Quantile(0.9) // interleave reads
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Count() != 4*10*500 {
-		t.Fatalf("count = %d", c.Count())
+	if s.Count() != 4*10*490 {
+		t.Fatalf("count = %d, want %d (NaNs must be dropped)", s.Count(), 4*10*490)
+	}
+	if mx, _ := s.Max(); mx != 499 {
+		t.Fatalf("max = %v", mx)
+	}
+}
+
+// TestFloat64ShardedUpdateWeightedIgnoresNaN pins that the float64 fronts
+// drop a NaN given to UpdateWeighted as Update does: it must not count,
+// must not become the min or max, and must not reach an encoding the
+// decoder refuses.
+func TestFloat64ShardedUpdateWeightedIgnoresNaN(t *testing.T) {
+	type weighted interface {
+		Reader[float64]
+		UpdateWeighted(v float64, weight uint64) error
+		Update(v float64)
+		MarshalBinary() ([]byte, error)
+	}
+	f := mustFloat64(t, WithSeed(4))
+	sh, err := NewShardedFloat64(WithSeed(4), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]weighted{"Float64": f, "ShardedFloat64": sh} {
+		if err := s.UpdateWeighted(math.NaN(), 5); err != nil {
+			t.Fatalf("%s: UpdateWeighted(NaN): %v", name, err)
+		}
+		if s.Count() != 0 {
+			t.Fatalf("%s: count = %d after UpdateWeighted(NaN, 5)", name, s.Count())
+		}
+		if err := s.UpdateWeighted(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		s.Update(3)
+		mn, _ := s.Min()
+		mx, _ := s.Max()
+		if s.Count() != 3 || mn != 1 || mx != 3 {
+			t.Fatalf("%s: count/min/max = %d/%v/%v, want 3/1/3", name, s.Count(), mn, mx)
+		}
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeFloat64(blob); err != nil {
+			t.Fatalf("%s: encoding does not decode: %v", name, err)
+		}
 	}
 }

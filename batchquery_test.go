@@ -183,8 +183,11 @@ func TestShardedBatchQueriesUnderConcurrentWrites(t *testing.T) {
 	wg.Wait()
 }
 
-func TestConcurrentFloat64BatchQueries(t *testing.T) {
-	c, err := NewConcurrentFloat64(WithEpsilon(0.05), WithSeed(61))
+// TestShardedBatchQueriesConcurrentReaders runs batch readers, each with
+// its own destination slices, against one shard while one of them writes;
+// afterwards batch and single answers agree.
+func TestShardedBatchQueriesConcurrentReaders(t *testing.T) {
+	c, err := NewShardedFloat64(WithEpsilon(0.05), WithSeed(61), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,17 +149,9 @@ func BenchmarkUpdateExpSampler(b *testing.B) {
 
 // --- T1: concurrent ingestion throughput ---------------------------------------
 
-// concurrentIngester is the surface shared by the two thread-safe wrappers,
-// so one benchmark body covers both.
-type concurrentIngester interface {
-	Update(float64)
-	Quantile(float64) (float64, error)
-	Count() uint64
-}
-
 // benchParallelIngest hammers Update from every benchmark goroutine
 // (GOMAXPROCS of them by default; scale with -cpu 1,4,8).
-func benchParallelIngest(b *testing.B, s concurrentIngester) {
+func benchParallelIngest(b *testing.B, s *ShardedFloat64) {
 	vals := benchValues(1<<16, 1)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -171,8 +163,10 @@ func benchParallelIngest(b *testing.B, s concurrentIngester) {
 	})
 }
 
-func BenchmarkParallelIngestMutex(b *testing.B) {
-	s, err := NewConcurrentFloat64(WithEpsilon(0.01), WithSeed(1))
+// BenchmarkParallelIngestSharded1 is the single-lock baseline: every
+// writer contends on the one shard.
+func BenchmarkParallelIngestSharded1(b *testing.B) {
+	s, err := NewShardedFloat64(WithEpsilon(0.01), WithSeed(1), WithShards(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +184,7 @@ func BenchmarkParallelIngestSharded(b *testing.B) {
 // benchMixedReadWrite interleaves a quantile query and a count read into
 // the write stream every 256 operations per goroutine — the monitoring
 // pattern (heavy ingest, periodic scrape).
-func benchMixedReadWrite(b *testing.B, s concurrentIngester) {
+func benchMixedReadWrite(b *testing.B, s *ShardedFloat64) {
 	vals := benchValues(1<<16, 1)
 	for i := 0; i < 1024; i++ {
 		s.Update(vals[i])
@@ -212,8 +206,10 @@ func benchMixedReadWrite(b *testing.B, s concurrentIngester) {
 	})
 }
 
-func BenchmarkMixedReadWriteMutex(b *testing.B) {
-	s, err := NewConcurrentFloat64(WithEpsilon(0.01), WithSeed(1))
+// BenchmarkMixedReadWriteSharded1 is the single-lock baseline of the mixed
+// body: one shard, so every read after a write restages that one shard.
+func BenchmarkMixedReadWriteSharded1(b *testing.B) {
+	s, err := NewShardedFloat64(WithEpsilon(0.01), WithSeed(1), WithShards(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,8 +48,8 @@
 // # Readers and snapshots
 //
 // The API splits into writers and readers. Every container — Sketch[T],
-// Float64, Uint64, Sharded[T], ConcurrentFloat64 — satisfies the Reader[T]
-// interface, the complete query surface (ranks, quantiles, CDF/PMF, the
+// Float64, Uint64, Sharded[T], ShardedFloat64, ShardedUint64 — satisfies
+// the Reader[T] interface, the complete query surface (ranks, quantiles, CDF/PMF, the
 // batch variants, and the All coreset iterator), so query-side code can be
 // written once against Reader and handed any of them.
 //
@@ -219,8 +219,8 @@
 //
 // When values arrive in slices, prefer UpdateBatch over per-item Update: it
 // amortizes min/max tracking, view invalidation, stream-length bound checks
-// and compaction cascades across the batch (and, on the concurrent
-// wrappers, the lock traffic too). Batch and per-item ingest produce
+// and compaction cascades across the batch (and, on Sharded, the lock
+// traffic too). Batch and per-item ingest produce
 // bit-identical sketches unless a stream-length growth lands mid-batch;
 // then the bound is raised once for the whole chunk, which preserves the
 // accuracy guarantee but may retain a slightly different coreset.
@@ -258,10 +258,9 @@
 // branch-free descent) rank index over the view, making every subsequent
 // Rank/Quantile/CDF call a pure indexed read until the next write. Call it
 // when entering a query-heavy phase; single queries after writes do not pay
-// for it. The concurrent wrappers freeze for you: ConcurrentFloat64 before
-// answering under the shared lock, Sharded before publishing an epoch
-// snapshot. A Snapshot carries its own copy of the frozen view and index,
-// which is why its queries never touch the source again.
+// for it. Sharded freezes for you before publishing an epoch snapshot. A
+// Snapshot carries its own copy of the frozen view and index, which is why
+// its queries never touch the source again.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
@@ -305,7 +304,7 @@
 // counts, view repair, the k-way merge, and the Eytzinger descents —
 // through one kernel table per order, chosen once when the order is fixed.
 // Sketches built over the canonical comparators core.LessF64 /
-// core.LessU64 — which NewFloat64, NewUint64, the concurrent wrappers,
+// core.LessU64 — which NewFloat64, NewUint64, the Sharded fronts,
 // deserialization, and snapshot open all use — get the monomorphic
 // kernels of internal/vec, with the comparison inlined instead of a
 // closure call per comparison. Every other order, including a custom
@@ -323,39 +322,33 @@
 //
 // # Concurrency
 //
-// Plain sketches are not safe for concurrent use. Two thread-safe wrappers
-// are provided:
+// Plain sketches are not safe for concurrent use. Sharded (and the
+// ShardedFloat64 / ShardedUint64 convenience types) is the thread-safe
+// container: it stripes writers across GOMAXPROCS-scaled per-shard
+// sketches, each behind its own lock, and answers queries from a lazily
+// rebuilt merged snapshot. By Theorem 3 the merge costs no accuracy.
 //
-//   - ConcurrentFloat64 guards one sketch with a read-write mutex. Queries
-//     take only the read lock (the sorted view is re-frozen under a brief
-//     exclusive lock when a write invalidated it), so read-mostly workloads
-//     do not serialize. Every writer still takes the exclusive lock.
+//	s, _ := req.NewShardedFloat64(req.WithEpsilon(0.01))
+//	// any number of goroutines:
+//	s.Update(v)
+//	// any goroutine, any time:
+//	p99, _ := s.Quantile(0.99)
 //
-//   - Sharded (and the ShardedFloat64 / ShardedUint64 convenience types)
-//     stripes writers across GOMAXPROCS-scaled per-shard sketches, each
-//     behind its own lock, and answers queries from a lazily rebuilt merged
-//     snapshot. By Theorem 3 the merge costs no accuracy, so this is the
-//     wrapper for write-heavy multi-writer ingestion.
-//
-//     s, _ := req.NewShardedFloat64(req.WithEpsilon(0.01))
-//     // any number of goroutines:
-//     s.Update(v)
-//     // any goroutine, any time:
-//     p99, _ := s.Quantile(0.99)
-//
-// Choose ConcurrentFloat64 when updates are rare or single-sketch
-// determinism matters; choose Sharded when many goroutines ingest hot
-// streams. Sharding per goroutine with plain sketches and merging manually
-// remains the fastest option when the application controls the goroutines.
+// WithShards(1) keeps one sketch behind one lock; it answers exactly as a
+// Float64 fed the same stream with the same options and seed. A query
+// after writes restages and clones the shard set before it answers, so
+// read-mostly traffic that interleaves writes pays that copy on the first
+// read after each write; reads between writes are lock-free. Sharding per
+// goroutine with plain sketches and merging manually remains the fastest
+// option when the application controls the goroutines.
 //
 // # Static guarantees
 //
 // The package's in-memory contracts — the view-recycling rule above, the
-// single-slab level store, the lock discipline of the concurrent
-// wrappers, and the zero-allocation hot query paths — are enforced at
-// compile time by the project linter, cmd/reqlint, a go/analysis
-// multichecker run in CI over the whole repository. Code carries the
-// contracts as annotations:
+// single-slab level store, the lock discipline of Sharded, and the
+// zero-allocation hot query paths — are enforced at compile time by the
+// project linter, cmd/reqlint, a go/analysis multichecker run in CI over
+// the whole repository. Code carries the contracts as annotations:
 //
 //   - //req:noalloc on a function asserts it allocates nothing; the
 //     noalloc analyzer rejects make/new, escaping composite literals,

@@ -40,6 +40,15 @@ func (s *Float64) UpdateBatch(vs []float64) {
 	s.Sketch.UpdateBatch(core.FilterNaN(vs))
 }
 
+// UpdateWeighted inserts v with the given integer weight; see
+// Sketch.UpdateWeighted. NaN values are ignored, as in Update.
+func (s *Float64) UpdateWeighted(v float64, weight uint64) error {
+	if math.IsNaN(v) {
+		return nil
+	}
+	return s.Sketch.UpdateWeighted(v, weight)
+}
+
 // The query surface — the full Reader interface, including the batch APIs
 // (RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto), the
 // All coreset iterator, and Snapshot (returning *SnapshotFloat64) — is

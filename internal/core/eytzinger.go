@@ -20,9 +20,9 @@ import "math/bits"
 // is recycled across rebuilds like the view's own arrays, so re-freezing
 // after writes allocates nothing in steady state.
 //
-// Once built, an index must be treated as immutable: concurrent wrappers
-// build it before publishing a view (Sharded) or under the exclusive lock
-// (ConcurrentFloat64), and readers only ever observe it complete.
+// Once built, an index must be treated as immutable: Sharded builds it
+// before publishing an epoch's view, and readers only ever observe it
+// complete.
 
 // eytIndex holds the search tree in BFS order, 1-based: node k has children
 // 2k and 2k+1, and slot 0 is unused. The three arrays are parallel, but a

@@ -368,15 +368,6 @@ type View[T any] struct {
 // levels.
 func (s *Sketch[T]) Frozen() bool { return s.view != nil }
 
-// FrozenIndexed reports whether both the cached sorted view and its
-// Eytzinger rank index are current, i.e. whether Freeze (and FreezeOwned)
-// would mutate nothing. Concurrent wrappers use it to take owned snapshots
-// under a shared lock. An empty materialized view counts: buildIndex is a
-// no-op on it, so freezing again still mutates nothing.
-func (s *Sketch[T]) FrozenIndexed() bool {
-	return s.view != nil && (s.view.idx.built || len(s.view.items) == 0)
-}
-
 // SortedView materializes (and caches) the sorted weighted view.
 //
 // Steady state performs no allocation: the view is rebuilt into the storage

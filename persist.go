@@ -132,14 +132,6 @@ func (m *MappedSnapshot[T]) Mapped() bool { return m.file.Mapped() }
 // from it — must not be used afterwards.
 func (m *MappedSnapshot[T]) Close() error { return m.file.Close() }
 
-// The natural orders the typed open paths rebuild snapshots with — the
-// canonical functions Float64/Uint64 sketches are built with, so reopened
-// snapshots answer queries through the same kernel layer.
-var (
-	lessFloat64 = core.LessF64
-	lessUint64  = core.LessU64
-)
-
 // appendUint64sLE appends vs as little-endian bytes.
 func appendUint64sLE(out []byte, vs []uint64) []byte {
 	off := len(out)
@@ -178,6 +170,9 @@ func payloadFor[T any](sn *Snapshot[T]) (*snapstore.Payload, error) {
 	if !ok {
 		return nil, fmt.Errorf("req: snapshot persistence supports float64 and uint64 items only")
 	}
+	if err := checkEncodable(sn.f, codec); err != nil {
+		return nil, err
+	}
 	return snapshotPayload(sn.f, codec), nil
 }
 
@@ -214,13 +209,6 @@ func (s *Float64) SaveSnapshot(dir string) (uint64, error) { return s.Snapshot()
 // SaveSnapshot captures the sketch's current state and durably writes it
 // to the snapshot directory dir; see Snapshot.SaveSnapshot.
 func (s *Uint64) SaveSnapshot(dir string) (uint64, error) { return s.Snapshot().SaveSnapshot(dir) }
-
-// SaveSnapshot captures the sketch's current state under its lock and
-// durably writes it to the snapshot directory dir; see
-// Snapshot.SaveSnapshot.
-func (c *ConcurrentFloat64) SaveSnapshot(dir string) (uint64, error) {
-	return c.Snapshot().SaveSnapshot(dir)
-}
 
 // SaveSnapshot captures the sharded sketch's current epoch snapshot and
 // durably writes it to the snapshot directory dir. Only float64 and
@@ -275,7 +263,6 @@ func sectionFloats(sec []byte) []float64 {
 // audit runs on top. On success the returned snapshot owns the file.
 func openMapped[T any](
 	file *snapstore.File,
-	less func(a, b T) bool,
 	codec itemCodec[T],
 	itemsOf func([]byte) []T,
 	verify VerifyMode,
@@ -298,7 +285,7 @@ func openMapped[T any](
 		IdxBefore: sectionWords(file.Section(snapstore.SecIdxBefore)),
 		IdxTotal:  file.Header.IdxTotal,
 	}
-	f, err := core.FrozenFromParts(less, cfg, n, mn, mx, hasMinMax, parts)
+	f, err := core.FrozenFromParts(codec.less, cfg, n, mn, mx, hasMinMax, parts)
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("%w: %w: %v", ErrCorrupt, snapstore.ErrCorrupt, err)
@@ -327,7 +314,7 @@ func OpenSnapshotFloat64(dir string, opts ...OpenOption) (*MappedFloat64, error)
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openMapped(file, lessFloat64, float64Codec, sectionFloats, c.verify)
+	return openMapped(file, float64Codec, sectionFloats, c.verify)
 }
 
 // OpenSnapshotUint64 is OpenSnapshotFloat64 for uint64 snapshots.
@@ -337,7 +324,7 @@ func OpenSnapshotUint64(dir string, opts ...OpenOption) (*MappedUint64, error) {
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openMapped(file, lessUint64, uint64Codec, sectionWords, c.verify)
+	return openMapped(file, uint64Codec, sectionWords, c.verify)
 }
 
 // OpenSnapshotFileFloat64 opens one snapshot file (a generation file or a
@@ -350,7 +337,7 @@ func OpenSnapshotFileFloat64(path string, opts ...OpenOption) (*MappedFloat64, e
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openMapped(file, lessFloat64, float64Codec, sectionFloats, c.verify)
+	return openMapped(file, float64Codec, sectionFloats, c.verify)
 }
 
 // OpenSnapshotFileUint64 is OpenSnapshotFileFloat64 for uint64 snapshots.
@@ -360,5 +347,5 @@ func OpenSnapshotFileUint64(path string, opts ...OpenOption) (*MappedUint64, err
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openMapped(file, lessUint64, uint64Codec, sectionWords, c.verify)
+	return openMapped(file, uint64Codec, sectionWords, c.verify)
 }

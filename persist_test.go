@@ -629,3 +629,88 @@ func FuzzOpenSnapshotFile(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodersRejectUndecodableCoresets pins that the snapshot encoders
+// refuse a coreset the package's decoders would reject — items in a
+// descending order, or a NaN from a generic sketch — instead of reporting
+// success, and that a refused save leaves no generation or file behind.
+// An ascending custom order keeps encoding and decoding.
+func TestEncodersRejectUndecodableCoresets(t *testing.T) {
+	desc := func(a, b float64) bool { return a > b }
+	asc := func(a, b float64) bool { return a < b }
+	descSketch, err := New(desc, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanSketch, err := New(asc, WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	descSharded, err := NewSharded(desc, WithSeed(3), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanSketch.Update(math.NaN())
+	for i := 0; i < 1000; i++ {
+		descSketch.Update(float64(i))
+		nanSketch.Update(float64(i))
+		descSharded.Update(float64(i))
+	}
+	for name, sn := range map[string]*Snapshot[float64]{
+		"descending":         descSketch.Snapshot(),
+		"NaN":                nanSketch.Snapshot(),
+		"descending sharded": descSharded.Snapshot(),
+	} {
+		if _, err := sn.MarshalBinary(); err == nil {
+			t.Errorf("%s: MarshalBinary accepted an undecodable coreset", name)
+		}
+		dir := t.TempDir()
+		if _, err := sn.SaveSnapshot(dir); err == nil {
+			t.Errorf("%s: SaveSnapshot accepted an undecodable coreset", name)
+		}
+		if _, err := OpenSnapshotFloat64(dir); !errors.Is(err, ErrNoSnapshot) {
+			t.Errorf("%s: refused save left a generation behind (open: %v)", name, err)
+		}
+		path := filepath.Join(dir, "one.reqsnap")
+		if err := sn.WriteSnapshotFile(path); err == nil {
+			t.Errorf("%s: WriteSnapshotFile accepted an undecodable coreset", name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: refused write left a file behind (stat: %v)", name, err)
+		}
+	}
+	dir := t.TempDir()
+	if _, err := descSharded.SaveSnapshot(dir); err == nil {
+		t.Error("Sharded.SaveSnapshot accepted a descending coreset")
+	}
+	if _, err := OpenSnapshotFloat64(dir); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("refused sharded save left a generation behind (open: %v)", err)
+	}
+
+	ascSketch, err := New(asc, WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		ascSketch.Update(float64(i))
+	}
+	sn := ascSketch.Snapshot()
+	blob, err := sn.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSnapshotFloat64(blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sn.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenSnapshotFloat64(dir, WithVerify(VerifyFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.Count() != 1000 {
+		t.Fatalf("reopened count = %d", m.Count())
+	}
+}

@@ -4,7 +4,7 @@ import "iter"
 
 // Reader is the complete query surface of the package: every container —
 // the single-goroutine Sketch[T] (and its Float64/Uint64 specialisations),
-// the concurrent wrappers Sharded[T] and ConcurrentFloat64, and the
+// the concurrent Sharded[T] (and ShardedFloat64/ShardedUint64), and the
 // immutable Snapshot[T] — satisfies it, so query-side code can be written
 // once against Reader and handed any of them.
 //
@@ -16,10 +16,10 @@ import "iter"
 // Implementations differ only in synchronization and staleness, not in
 // semantics: a Snapshot answers from one immutable coreset; Sharded
 // answers every query from one consistent published epoch snapshot (Count
-// runs slightly ahead of it, served by live per-shard counters);
-// ConcurrentFloat64 answers under its read lock. The ...Into and ...Batch
-// variants write into caller-supplied storage — their dst slices must not
-// be shared between concurrent callers even on concurrency-safe readers.
+// runs slightly ahead of it, served by live per-shard counters). The
+// ...Into and ...Batch variants write into caller-supplied storage — their
+// dst slices must not be shared between concurrent callers even on
+// concurrency-safe readers.
 type Reader[T any] interface {
 	// Count returns the total number of items summarised.
 	Count() uint64
@@ -75,7 +75,6 @@ var (
 	_ Reader[float64] = (*Sharded[float64])(nil)
 	_ Reader[float64] = (*ShardedFloat64)(nil)
 	_ Reader[uint64]  = (*ShardedUint64)(nil)
-	_ Reader[float64] = (*ConcurrentFloat64)(nil)
 	_ Reader[float64] = (*Snapshot[float64])(nil)
 	_ Reader[float64] = (*SnapshotFloat64)(nil)
 	_ Reader[uint64]  = (*SnapshotUint64)(nil)

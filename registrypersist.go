@@ -3,7 +3,6 @@ package req
 import (
 	"fmt"
 
-	"req/internal/core"
 	"req/internal/snapstore"
 )
 
@@ -91,7 +90,6 @@ func saveRegistryBlob(blob []byte, dir string) (uint64, error) {
 // returning.
 func openRegistryFile[K comparable, T any](
 	file *snapstore.File,
-	less func(a, b T) bool,
 	kc keyCodec[K], ic itemCodec[T],
 ) (*RegistrySnapshot[K, T], error) {
 	defer file.Close()
@@ -109,7 +107,7 @@ func openRegistryFile[K comparable, T any](
 		return nil, err
 	}
 	r := reader{buf: records}
-	m, err := decodeRegistryRecords(&r, keyCount, less, kc, ic)
+	m, err := decodeRegistryRecords(&r, keyCount, kc, ic)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +159,7 @@ func OpenRegistryFloat64(dir string, opts ...OpenOption) (*RegistrySnapshotFloat
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openRegistryFile(file, core.LessF64, stringKeyCodec, float64Codec)
+	return openRegistryFile(file, stringKeyCodec, float64Codec)
 }
 
 // OpenRegistryUint64 is OpenRegistryFloat64 for uint64-keyed registries.
@@ -171,7 +169,7 @@ func OpenRegistryUint64(dir string, opts ...OpenOption) (*RegistrySnapshotUint64
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openRegistryFile(file, core.LessU64, uint64KeyCodec, uint64Codec)
+	return openRegistryFile(file, uint64KeyCodec, uint64Codec)
 }
 
 // OpenRegistryFileFloat64 opens one registry file (a generation file or a
@@ -184,7 +182,7 @@ func OpenRegistryFileFloat64(path string, opts ...OpenOption) (*RegistrySnapshot
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openRegistryFile(file, core.LessF64, stringKeyCodec, float64Codec)
+	return openRegistryFile(file, stringKeyCodec, float64Codec)
 }
 
 // OpenRegistryFileUint64 is OpenRegistryFileFloat64 for uint64-keyed
@@ -195,5 +193,5 @@ func OpenRegistryFileUint64(path string, opts ...OpenOption) (*RegistrySnapshotU
 	if err != nil {
 		return nil, wrapOpenErr(err)
 	}
-	return openRegistryFile(file, core.LessU64, uint64KeyCodec, uint64Codec)
+	return openRegistryFile(file, uint64KeyCodec, uint64Codec)
 }

@@ -195,7 +195,6 @@ func decodeRegistryHeader(r *reader, keyTag, itemTag byte) (keyCount uint64, err
 // decodeRegistryRecords decodes keyCount keyed snapshot records from r.
 func decodeRegistryRecords[K comparable, T any](
 	r *reader, keyCount uint64,
-	less func(a, b T) bool,
 	kc keyCodec[K], ic itemCodec[T],
 ) (map[K]*Snapshot[T], error) {
 	// Each key costs at least two bytes (key byte + record length), so a
@@ -217,7 +216,7 @@ func decodeRegistryRecords[K comparable, T any](
 		if !ok || recLen > uint64(r.remaining()) {
 			return nil, fmt.Errorf("%w: record %d length", ErrCorrupt, i)
 		}
-		f, err := unmarshalFrozen(r.buf[r.off:r.off+int(recLen)], less, ic)
+		f, err := unmarshalFrozen(r.buf[r.off:r.off+int(recLen)], ic)
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
@@ -233,7 +232,6 @@ func decodeRegistryRecords[K comparable, T any](
 // decodeRegistry decodes a full registry blob (header + records).
 func decodeRegistry[K comparable, T any](
 	data []byte,
-	less func(a, b T) bool,
 	kc keyCodec[K], ic itemCodec[T],
 ) (*RegistrySnapshot[K, T], error) {
 	r := reader{buf: data}
@@ -241,7 +239,7 @@ func decodeRegistry[K comparable, T any](
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodeRegistryRecords(&r, keyCount, less, kc, ic)
+	m, err := decodeRegistryRecords(&r, keyCount, kc, ic)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +307,7 @@ func (r *RegistryFloat64) MarshalBinary() ([]byte, error) {
 // collection. Corrupt input returns ErrCorrupt (wrapped with detail); it
 // never panics.
 func UnmarshalRegistryFloat64(data []byte) (*RegistrySnapshotFloat64, error) {
-	return decodeRegistry(data, core.LessF64, stringKeyCodec, float64Codec)
+	return decodeRegistry(data, stringKeyCodec, float64Codec)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler; see
@@ -321,5 +319,5 @@ func (r *RegistryUint64) MarshalBinary() ([]byte, error) {
 // UnmarshalRegistryUint64 decodes bytes produced by
 // RegistryUint64.MarshalBinary; see UnmarshalRegistryFloat64.
 func UnmarshalRegistryUint64(data []byte) (*RegistrySnapshotUint64, error) {
-	return decodeRegistry(data, core.LessU64, uint64KeyCodec, uint64Codec)
+	return decodeRegistry(data, uint64KeyCodec, uint64Codec)
 }

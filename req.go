@@ -205,9 +205,9 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 // Freeze materializes the cached sorted view plus its Eytzinger-layout rank
 // index, so that subsequent Rank, Quantile, Quantiles, CDF and PMF calls
 // are branchless cache-friendly pure reads until the next update or merge.
-// Concurrent wrappers use it to answer quantile queries under a shared
-// (read) lock. Freezing after a small number of updates repairs the cached
-// view incrementally instead of rebuilding it, and both the view and index
+// Sharded freezes each epoch's merged sketch before publishing it.
+// Freezing after a small number of updates repairs the cached view
+// incrementally instead of rebuilding it, and both the view and index
 // storage are recycled across freezes, so periodic freeze-query cycles are
 // allocation-free in steady state.
 func (s *Sketch[T]) Freeze() { s.core.Freeze() }

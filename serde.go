@@ -99,6 +99,11 @@ type itemCodec[T any] struct {
 	// getAll decodes len(dst) items in one sweep; false on truncation.
 	getAll   func(r *reader, dst []T) bool
 	validate func(v T) error
+	// less is the canonical order decoded coresets are rebuilt under (and
+	// encoded coresets must ascend in): the function Float64/Uint64
+	// sketches are built with, so decoded snapshots answer through the
+	// same kernel table.
+	less func(a, b T) bool
 }
 
 var float64Codec = itemCodec[float64]{
@@ -137,6 +142,7 @@ var float64Codec = itemCodec[float64]{
 		}
 		return nil
 	},
+	less: core.LessF64,
 }
 
 var uint64Codec = itemCodec[uint64]{
@@ -169,6 +175,7 @@ var uint64Codec = itemCodec[uint64]{
 		return true
 	},
 	validate: func(uint64) error { return nil },
+	less:     core.LessU64,
 }
 
 // appendZeros extends out by n zero bytes. Callers presize their buffers,
@@ -407,7 +414,7 @@ func (s *Float64) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	c, err := core.FromSnapshot(core.LessF64, snap)
+	c, err := core.FromSnapshot(float64Codec.less, snap)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -436,7 +443,7 @@ func (s *Uint64) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	c, err := core.FromSnapshot(core.LessU64, snap)
+	c, err := core.FromSnapshot(uint64Codec.less, snap)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -582,12 +589,43 @@ func frozenRecordCap(retained int) int {
 
 // marshalFrozen encodes a frozen coreset as a snapshot record.
 func marshalFrozen[T any](f *core.Frozen[T], codec itemCodec[T]) ([]byte, error) {
+	if err := checkEncodable(f, codec); err != nil {
+		return nil, err
+	}
 	return appendFrozenRecord(make([]byte, 0, frozenRecordCap(f.Size())), f, codec), nil
+}
+
+// checkEncodable applies the decoders' item rules before a coreset is
+// written: min, max and every item pass codec.validate, and the items
+// ascend between min and max under the codec's order. A snapshot of a
+// sketch built under another order, or holding NaN, is refused here
+// instead of being written as a record that no decoder accepts.
+func checkEncodable[T any](f *core.Frozen[T], codec itemCodec[T]) error {
+	items := f.Items()
+	mn, hasMinMax := f.Min()
+	mx, _ := f.Max()
+	if hasMinMax {
+		if err := errors.Join(codec.validate(mn), codec.validate(mx)); err != nil {
+			return fmt.Errorf("req: cannot encode snapshot: min/max: %w", err)
+		}
+		if codec.less(mx, mn) || len(items) > 0 && (codec.less(items[0], mn) || codec.less(mx, items[len(items)-1])) {
+			return errors.New("req: cannot encode snapshot: min/max out of the canonical order")
+		}
+	}
+	for i, v := range items {
+		if err := codec.validate(v); err != nil {
+			return fmt.Errorf("req: cannot encode snapshot: %w", err)
+		}
+		if i > 0 && codec.less(v, items[i-1]) {
+			return fmt.Errorf("req: cannot encode snapshot: items not ascending in the canonical order at %d", i)
+		}
+	}
+	return nil
 }
 
 // unmarshalFrozen decodes a snapshot record into a frozen coreset. It
 // never panics on corrupt input; every rejection is wrapped in ErrCorrupt.
-func unmarshalFrozen[T any](data []byte, less func(a, b T) bool, codec itemCodec[T]) (*core.Frozen[T], error) {
+func unmarshalFrozen[T any](data []byte, codec itemCodec[T]) (*core.Frozen[T], error) {
 	r := reader{buf: data}
 	cfg, hasMinMax, n, mn, mx, err := decodeSnapshotPrefix(&r, codec)
 	if err != nil {
@@ -625,7 +663,7 @@ func unmarshalFrozen[T any](data []byte, less func(a, b T) bool, codec itemCodec
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
 	}
-	f, err := core.FrozenFromCoreset(less, cfg, n, mn, mx, hasMinMax, items, weights)
+	f, err := core.FrozenFromCoreset(codec.less, cfg, n, mn, mx, hasMinMax, items, weights)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -636,7 +674,7 @@ func unmarshalFrozen[T any](data []byte, less func(a, b T) bool, codec itemCodec
 // SnapshotFloat64.MarshalBinary into an immutable queryable snapshot.
 // Corrupt input returns ErrCorrupt (wrapped with detail); it never panics.
 func UnmarshalSnapshotFloat64(data []byte) (*SnapshotFloat64, error) {
-	f, err := unmarshalFrozen(data, core.LessF64, float64Codec)
+	f, err := unmarshalFrozen(data, float64Codec)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +684,7 @@ func UnmarshalSnapshotFloat64(data []byte) (*SnapshotFloat64, error) {
 // UnmarshalSnapshotUint64 decodes a snapshot record produced by
 // SnapshotUint64.MarshalBinary; see UnmarshalSnapshotFloat64.
 func UnmarshalSnapshotUint64(data []byte) (*SnapshotUint64, error) {
-	f, err := unmarshalFrozen(data, core.LessU64, uint64Codec)
+	f, err := unmarshalFrozen(data, uint64Codec)
 	if err != nil {
 		return nil, err
 	}

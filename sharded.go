@@ -10,12 +10,13 @@ import (
 	"req/internal/core"
 )
 
-// Sharded is a concurrent sketch built for write-heavy, multi-writer
-// workloads. Instead of funneling every writer through one mutex (the
-// ConcurrentFloat64 design), it stripes updates across a GOMAXPROCS-scaled
+// Sharded is the package's concurrent sketch. Instead of funneling every
+// writer through one mutex, it stripes updates across a GOMAXPROCS-scaled
 // set of independent core sketches, each behind its own lock, and answers
 // queries from a merged snapshot that is rebuilt lazily when a query
-// observes that a shard has changed.
+// observes that a shard has changed. WithShards(1) keeps one sketch behind
+// one lock: it answers as a plain sketch fed the same stream with the same
+// options and seed would.
 //
 // Correctness rests on the paper's full mergeability (Theorem 3, Appendix
 // D): a stream split arbitrarily across shards and merged at read time
@@ -38,7 +39,6 @@ import (
 // alone is served from live per-shard counters and may run slightly ahead
 // of the snapshot.
 type Sharded[T any] struct {
-	less   func(a, b T) bool
 	shards []*shardOf[T]
 	mask   uint64 // len(shards) is a power of two
 
@@ -124,7 +124,6 @@ func (s *Sharded[T]) init(less func(a, b T) bool, opts []Option) error {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = int(core.CeilPow2(uint64(n)))
-	s.less = less
 	s.mask = uint64(n - 1)
 	s.shards = make([]*shardOf[T], n)
 	for i := range s.shards {
@@ -421,9 +420,9 @@ func (s *Sharded[T]) All() iter.Seq2[T, uint64] { return s.reader().All() }
 // concrete types' MarshalBinary (full sketch state).
 func (s *Sharded[T]) Snapshot() *Snapshot[T] { return s.reader() }
 
-// ShardedFloat64 is a Sharded sketch specialised to float64 values: the
-// drop-in high-throughput replacement for ConcurrentFloat64. It adds NaN
-// filtering and binary serialization.
+// ShardedFloat64 is a Sharded sketch specialised to float64 values, the
+// thread-safe counterpart of Float64. It adds NaN filtering and binary
+// serialization.
 type ShardedFloat64 struct {
 	Sharded[float64]
 }
@@ -451,6 +450,15 @@ func (s *ShardedFloat64) Update(v float64) {
 // present).
 func (s *ShardedFloat64) UpdateBatch(vs []float64) {
 	s.Sharded.UpdateBatch(core.FilterNaN(vs))
+}
+
+// UpdateWeighted inserts v with the given integer weight; see
+// Sketch.UpdateWeighted. NaN values are ignored, as in Update.
+func (s *ShardedFloat64) UpdateWeighted(v float64, weight uint64) error {
+	if math.IsNaN(v) {
+		return nil
+	}
+	return s.Sharded.UpdateWeighted(v, weight)
 }
 
 // Merge absorbs a plain float64 sketch into one shard.

@@ -17,7 +17,6 @@ import (
 // Every container's Snapshot() method returns this type:
 //
 //   - Sketch[T] (and Float64/Uint64) deep-copy their frozen coreset;
-//   - ConcurrentFloat64 does the same under its lock;
 //   - Sharded[T] publishes its current epoch snapshot directly (no copy) —
 //     taking snapshots of a sharded sketch between writes is free.
 //
@@ -37,7 +36,7 @@ type Snapshot[T any] struct {
 }
 
 // SnapshotFloat64 is the float64 instantiation of Snapshot, as returned by
-// Float64.Snapshot, ConcurrentFloat64.Snapshot and ShardedFloat64.Snapshot.
+// Float64.Snapshot and ShardedFloat64.Snapshot.
 type SnapshotFloat64 = Snapshot[float64]
 
 // SnapshotUint64 is the uint64 instantiation of Snapshot, as returned by

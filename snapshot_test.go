@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -41,12 +42,9 @@ func assertReaderEquiv(t *testing.T, name string, a, b Reader[float64], probes [
 				b.Rank(p), b.RankExclusive(p), b.NormalizedRank(p))
 		}
 	}
-	ra := a.RankBatch(nil, probes)
-	rb := b.RankBatch(nil, probes)
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("%s: RankBatch mismatch at %d", name, i)
-		}
+	if !slices.Equal(a.RankBatch(nil, probes), b.RankBatch(nil, probes)) ||
+		!slices.Equal(a.NormalizedRankBatch(nil, probes), b.NormalizedRankBatch(nil, probes)) {
+		t.Fatalf("%s: RankBatch/NormalizedRankBatch mismatch", name)
 	}
 	if a.Empty() {
 		return
@@ -80,6 +78,33 @@ func assertReaderEquiv(t *testing.T, name string, a, b Reader[float64], probes [
 			t.Fatalf("%s: pmf[%d] %v vs %v", name, i, pa[i], pb[i])
 		}
 	}
+	qia, _ := a.QuantilesInto(nil, phis)
+	qib, _ := b.QuantilesInto(nil, phis)
+	cia, _ := a.CDFInto(nil, splits)
+	cib, _ := b.CDFInto(nil, splits)
+	pia, _ := a.PMFInto(nil, splits)
+	pib, _ := b.PMFInto(nil, splits)
+	if !slices.Equal(qia, qib) || !slices.Equal(cia, cib) || !slices.Equal(pia, pib) {
+		t.Fatalf("%s: QuantilesInto/CDFInto/PMFInto mismatch", name)
+	}
+	if !slices.Equal(coresetRuns(a), coresetRuns(b)) {
+		t.Fatalf("%s: coreset mismatch", name)
+	}
+}
+
+// coresetRuns collects r's coreset with each run of equal items folded
+// into one entry carrying the run's total weight: a repaired view and a
+// rebuilt one may order equal items differently, so only the runs compare.
+func coresetRuns(r Reader[float64]) []weightedItem {
+	var out []weightedItem
+	for x, w := range r.All() {
+		if n := len(out); n > 0 && out[n-1].Item == x {
+			out[n-1].Weight += w
+			continue
+		}
+		out = append(out, weightedItem{x, w})
+	}
+	return out
 }
 
 // TestSnapshotMatchesLiveAcrossLifecycles is the equivalence backbone for
@@ -370,8 +395,8 @@ func TestSnapshotSafeUnderConcurrentWrites(t *testing.T) {
 			}
 		})
 	})
-	t.Run("concurrent", func(t *testing.T) {
-		c, err := NewConcurrentFloat64(WithEpsilon(0.05), WithSeed(22))
+	t.Run("oneShard", func(t *testing.T) {
+		c, err := NewShardedFloat64(WithEpsilon(0.05), WithSeed(22), WithShards(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +497,7 @@ func TestAllIteratorCoreset(t *testing.T) {
 
 // TestAllOnWrappers exercises the iterator on the concurrent containers.
 func TestAllOnWrappers(t *testing.T) {
-	c, err := NewConcurrentFloat64(WithEpsilon(0.1), WithSeed(32))
+	c, err := NewShardedFloat64(WithEpsilon(0.1), WithSeed(32), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +509,7 @@ func TestAllOnWrappers(t *testing.T) {
 		c.Update(float64(i))
 		sh.Update(float64(i))
 	}
-	for name, r := range map[string]Reader[float64]{"concurrent": c, "sharded": sh} {
+	for name, r := range map[string]Reader[float64]{"oneShard": c, "sharded": sh} {
 		var total uint64
 		prev := math.Inf(-1)
 		for item, w := range r.All() {
@@ -520,21 +545,23 @@ func TestShardedSnapshotSharesEpoch(t *testing.T) {
 	}
 }
 
-// TestConcurrentFloat64ReaderGaps covers the methods PR 4 added to the
-// mutex wrapper so it satisfies Reader.
-func TestConcurrentFloat64ReaderGaps(t *testing.T) {
-	c, err := NewConcurrentFloat64(WithEpsilon(0.05), WithSeed(51))
+// TestShardedReaderGaps pins the edge answers of Reader methods the other
+// Sharded tests only touch in passing: Empty before and after ingest,
+// RankExclusive of the minimum, NormalizedRank of the maximum, and the
+// CDF/PMF totals.
+func TestShardedReaderGaps(t *testing.T) {
+	c, err := NewShardedFloat64(WithEpsilon(0.05), WithSeed(51), WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Empty() {
-		t.Fatal("new wrapper not empty")
+		t.Fatal("new sketch not empty")
 	}
 	for i := 1; i <= 1000; i++ {
 		c.Update(float64(i))
 	}
 	if c.Empty() {
-		t.Fatal("wrapper empty after updates")
+		t.Fatal("sketch empty after updates")
 	}
 	if got := c.RankExclusive(1); got != 0 {
 		t.Fatalf("RankExclusive(min) = %d", got)
