@@ -1,8 +1,9 @@
 package req
 
-// Benchmark suite: one testing.B target per table/figure of DESIGN.md's
-// experiment index (T1 throughput tables plus the E* reproduction metrics;
-// the full-scale versions with commentary live in cmd/reqbench).
+// Benchmark suite: one testing.B target per table/figure of the
+// experiment index in internal/harness (T1 throughput tables plus the E*
+// reproduction metrics; the full-scale versions with commentary live in
+// cmd/reqbench).
 //
 // Accuracy/space benches report their quantity of interest through
 // b.ReportMetric (items/sketch, relerr, violations) so `go test -bench`
@@ -247,8 +248,8 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 
 // BenchmarkSnapshotREQ measures the immutable-snapshot path: capturing a
 // Snapshot from a plain sketch (one deep copy of the frozen coreset),
-// re-capturing after a single write (pays an incremental view repair plus
-// the copy), and querying a captured snapshot (a pure indexed read, no
+// re-capturing after a single write (pays a full view rebuild plus the
+// copy), and querying a captured snapshot (a pure indexed read, no
 // locks).
 func BenchmarkSnapshotREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
@@ -367,9 +368,9 @@ func BenchmarkRankFrozenREQ(b *testing.B) {
 
 // BenchmarkMixedREQ interleaves writes and quantile queries at several
 // write:read ratios on a single sketch — the monitoring pattern. Every
-// query is a first-query-after-writes: it pays the view revalidation, which
-// the incremental tail repair turns from a full k-way rebuild into a short
-// merge pass whenever the writes since the last query stayed on level 0.
+// query is a first-query-after-writes: it settles the levels (sorting the
+// level-0 tail appended since the last query) and selects over them,
+// building no view.
 func BenchmarkMixedREQ(b *testing.B) {
 	for _, writes := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("w:r=%d:1", writes), func(b *testing.B) {

@@ -1,15 +1,16 @@
-// Command reqbench runs the reproduction experiments of DESIGN.md and
-// prints their tables and ASCII figures. Each experiment reproduces one
-// quantitative claim of "Relative Error Streaming Quantiles" (PODS 2021);
-// EXPERIMENTS.md records the outputs.
+// Command reqbench runs the reproduction experiments (E1–E17, listed by
+// -list; internal/harness defines one per file) and prints their tables
+// and ASCII figures. Each experiment reproduces one quantitative claim of
+// "Relative Error Streaming Quantiles" (PODS 2021) or documents an engine
+// extension; -out writes each report to its own .txt file.
 //
 // Usage:
 //
 //	reqbench                      # run every experiment to stdout
 //	reqbench -experiment E4       # run one experiment
-//	reqbench -experiment E16      # query-engine modes: mixed read/write
-//	                              # (view repair vs rebuild) and batch-query
-//	                              # amortization tables
+//	reqbench -experiment E16      # query-engine modes: first read after a
+//	                              # write burst (live read vs Freeze) and
+//	                              # batch-query amortization tables
 //	reqbench -experiment E17      # windowed registry vs an exact oracle
 //	                              # through ring rotations and partial slots
 //	reqbench -quick               # reduced scale (seconds instead of minutes)

@@ -228,31 +228,25 @@
 // # Query path and batch queries
 //
 // Rank queries on a live (recently written) sketch binary-search each
-// sorted level; quantile/CDF queries go through a cached sorted view built
-// by a k-way merge of the levels. The view is invalidated by writes and
-// revalidated lazily on the next view query, and the engine is careful to
-// make that revalidation cheap and garbage-free in steady state:
+// sorted level. Quantile reads are answered the same way, from the levels:
+// the paper's Estimate-Rank sums each compactor's weighted count, so the
+// φ-quantile is the smallest retained item whose summed weight reaches
+// ⌈φn⌉, and Quantile and QuantilesInto find it by selection over the
+// sorted level buffers — the engine windowed registry reads use too. A
+// read first settles each level in place (it sorts level 0's append tail
+// and merges it behind the sorted prefix, the step every compaction starts
+// with); the multiset is unchanged, so no answer moves and no coin is
+// drawn. No view is built: the sketch stays unfrozen (Frozen reports
+// false). The answers equal, under the order, those of a freshly rebuilt
+// view; among items equal under the order, such as +0 and −0, a live read
+// and a view may name different ones.
 //
-//   - The view always rebuilds into the storage of the previous view
-//     (grow-only backing arrays), so a long-lived sketch stops allocating
-//     on the query path entirely.
-//   - When the only writes since the last build were plain updates that
-//     stayed in level 0 — the common few-writes-between-queries case —
-//     Quantile and QuantilesInto do not revalidate the view at all. Level
-//     0's append tail is the weight-1 compactor of the paper's
-//     Estimate-Rank, so they sort a copy of the tail and answer each φ by
-//     a two-array selection against the cached view, leaving the view
-//     stale: the sketch stays unfrozen (Frozen reports false) and a
-//     following Rank searches the levels. The answers are bit-identical to
-//     those of the repaired view. A tail too long to sort for less than
-//     the view's size falls back to the repair below.
-//   - Every other view query in that state (SortedView, Freeze, Snapshot,
-//     RankBatch, CDF/PMF, registry export) repairs the cached view by
-//     merging the sorted append tail into it in one linear pass, several
-//     times cheaper than the k-way merge. Compactions, merges,
-//     stream-length growths, and weighted updates force a full,
-//     storage-reusing rebuild instead. Both paths answer identically to a
-//     from-scratch build.
+// Everything else goes through a cached sorted view built by a k-way merge
+// of the levels: SortedView, Freeze, Snapshot, RankBatch, CDF/PMF, All and
+// registry export. Writes invalidate the view; the next of those calls
+// rebuilds it into the storage of the previous view (grow-only backing
+// arrays), so a long-lived sketch stops allocating on the query path
+// entirely. While the view is current, quantile reads answer from it too.
 //
 // Freeze additionally builds an Eytzinger-layout (cache-friendly,
 // branch-free descent) rank index over the view, making every subsequent
@@ -264,7 +258,7 @@
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
-// loop of single queries. A batch revalidates the view once and visits the
+// loop of single queries. A batch settles or rebuilds once and visits the
 // probes in ascending order with one galloping sweep, so per-probe cost
 // amortizes to O(1) comparisons for dense sorted probe sets (unsorted sets
 // are routed through a sorted index permutation, or through lockstep index
@@ -301,7 +295,7 @@
 // # Hardware kernels
 //
 // The engine runs its hot inner loops — sorting, merging, level rank
-// counts, view repair, the k-way merge, and the Eytzinger descents —
+// counts, the k-way merge, and the Eytzinger descents —
 // through one kernel table per order, chosen once when the order is fixed.
 // Sketches built over the canonical comparators core.LessF64 /
 // core.LessU64 — which NewFloat64, NewUint64, the Sharded fronts,

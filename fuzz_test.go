@@ -2,6 +2,7 @@ package req
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -151,16 +152,30 @@ func FuzzDecodeSnapshotFloat64(f *testing.F) {
 	})
 }
 
+// fuzzReadPhis is the φ set FuzzUpdateRank reads after every chunk.
+var fuzzReadPhis = []float64{0.5, 0, 0.01, 0.25, 0.9, 0.99, 1}
+
 // FuzzUpdateRank asserts basic sanity for arbitrary input values: counts
 // track updates, ranks are monotone and bounded, quantiles invert ranks.
+// chunk (1 + chunk%97 items) splits the stream: after every chunk a live
+// QuantilesInto must answer like a frozen clone (== under <) and leave the
+// sketch unfrozen.
 func FuzzUpdateRank(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
-	f.Add([]byte{255, 0, 255, 0}, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0))
+	f.Add([]byte{255, 0, 255, 0}, uint8(1), uint8(3))
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 200), uint8(2), uint8(6))
+	var perm []byte // 3,000 distinct values, shuffled
+	for i := 0; i < 3000; i++ {
+		perm = binary.BigEndian.AppendUint64(perm, math.Float64bits(float64(i*7919%3000)))
+	}
+	f.Add(perm, uint8(3), uint8(10))
+	f.Fuzz(func(t *testing.T, raw []byte, seed, chunk uint8) {
 		s, err := NewFloat64(WithEpsilon(0.1), WithSeed(uint64(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		per := 1 + int(chunk)%97
+		var live, frozen []float64
 		n := uint64(0)
 		for i := 0; i+8 <= len(raw); i += 8 {
 			bits := uint64(0)
@@ -168,12 +183,29 @@ func FuzzUpdateRank(f *testing.F) {
 				bits = bits<<8 | uint64(raw[i+j])
 			}
 			v := math.Float64frombits(bits)
-			if math.IsNaN(v) {
-				s.Update(v) // must be ignored
+			s.Update(v) // NaN must be ignored
+			if !math.IsNaN(v) {
+				n++
+			}
+			if i/8%per != per-1 || n == 0 {
 				continue
 			}
-			s.Update(v)
-			n++
+			if live, err = s.QuantilesInto(live, fuzzReadPhis); err != nil {
+				t.Fatal(err)
+			}
+			if s.Frozen() {
+				t.Fatal("a live read froze the sketch")
+			}
+			c := s.Clone()
+			c.Freeze()
+			if frozen, err = c.QuantilesInto(frozen, fuzzReadPhis); err != nil {
+				t.Fatal(err)
+			}
+			for k, phi := range fuzzReadPhis {
+				if live[k] != frozen[k] {
+					t.Fatalf("after %d items: live φ=%v = %v, frozen clone %v", n, phi, live[k], frozen[k])
+				}
+			}
 		}
 		if s.Count() != n {
 			t.Fatalf("count %d after %d non-NaN updates", s.Count(), n)

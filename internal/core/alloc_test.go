@@ -12,8 +12,8 @@ import (
 // and then pins allocs/op at zero with testing.AllocsPerRun.
 
 // warmSketch builds a sketch with n random values and a materialized,
-// indexed view, cycling the view cache once so the recycled storage has
-// seen both rebuild paths.
+// indexed view, cycling the view cache once so the rebuild has run into
+// recycled storage.
 func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64) {
 	tb.Helper()
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: seed})
@@ -30,7 +30,7 @@ func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64)
 	}
 	s.Freeze()
 	s.Update(vals[0])
-	s.Freeze() // repair + re-index into recycled storage
+	s.Freeze() // rebuild + re-index into recycled storage
 	return s, vals
 }
 
@@ -61,10 +61,9 @@ func TestAllocsFrozenRank(t *testing.T) {
 func TestAllocsTailRepair(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 3)
 	i := 0
-	// One small write followed by a view build per run: the common
-	// few-writes-between-queries cycle. Most runs take the tail-repair
-	// path; the runs where the write lands a compaction take the full
-	// rebuild — both must be allocation-free against recycled storage.
+	// One small write followed by a view build per run: every run rebuilds
+	// the whole view (k-way merge) into the recycled storage, whether or
+	// not the write landed a compaction, and must not allocate.
 	if avg := testing.AllocsPerRun(2000, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
@@ -81,7 +80,7 @@ func TestAllocsReusedStorageRebuild(t *testing.T) {
 		// Force the full-rebuild path every run: a structural invalidation
 		// with no actual state change keeps the retained set stable while
 		// the whole k-way merge re-runs into the recycled arrays.
-		s.markStructural()
+		s.invalidate()
 		_ = s.SortedView()
 		_ = vals
 	}); avg != 0 {
@@ -93,8 +92,8 @@ func TestAllocsReusedStorageRebuild(t *testing.T) {
 func TestAllocsFreezeCycle(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 5)
 	i := 0
-	// Write, re-freeze (view repair + index rebuild), query: the steady
-	// loop of a monitoring scrape. Index storage must recycle too.
+	// Write, re-freeze (view + index rebuild), query: the steady loop of a
+	// monitoring scrape. Index storage must recycle too.
 	if avg := testing.AllocsPerRun(500, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
@@ -155,7 +154,7 @@ func TestAllocsKernelRebuildAfterWarm(t *testing.T) {
 	// has grown it, further full rebuilds must not allocate.
 	s, vals := warmSketch(t, 1<<18, 8)
 	if avg := testing.AllocsPerRun(200, func() {
-		s.markStructural()
+		s.invalidate()
 		_ = s.SortedView()
 		_ = vals
 	}); avg != 0 {
@@ -206,9 +205,10 @@ func TestAllocsKernelUpdateBatch(t *testing.T) {
 }
 
 // TestAllocsReadThroughCycle pins a polling reader's cycle — 64 Updates,
-// then QuantilesInto — for kernel and closure orders. Most reads answer
-// through the stale view, sorting the tail into scratch; a read after a
-// compaction rebuilds the view. Both must reuse their storage.
+// then QuantilesInto — for kernel and closure orders. Every read selects
+// over the settled levels through the sketch's own union scratch and
+// builds no view; the settle sorts the tail in place and the union's runs
+// are grow-only, so the cycle must not allocate.
 func TestAllocsReadThroughCycle(t *testing.T) {
 	for _, ord := range []struct {
 		name string
@@ -229,30 +229,26 @@ func TestAllocsReadThroughCycle(t *testing.T) {
 			}
 			phis := []float64{0.5, 0.9, 0.99}
 			var dst []float64
-			i, through := 0, 0
+			i := 0
 			cycle := func() {
 				for j := 0; j < 64; j++ {
 					s.Update(vals[i&(1<<16-1)])
 					i++
 				}
-				if s.readThrough(len(phis)) {
-					through++
-				}
 				if dst, err = s.QuantilesInto(dst, phis); err != nil {
 					panic(err)
 				}
 			}
-			// Warm until scratch and the view have reached their high-water
+			// Warm until the scratch buffers have reached their high-water
 			// marks.
 			for w := 0; w < 1000; w++ {
 				cycle()
 			}
-			through = 0
 			if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
 				t.Fatalf("64-update + QuantilesInto cycle allocates %v allocs/op", avg)
 			}
-			if through == 0 {
-				t.Fatal("no read took the read-through path")
+			if s.Frozen() || s.spare != nil {
+				t.Fatal("live reads built a view")
 			}
 		})
 	}

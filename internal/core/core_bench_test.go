@@ -177,7 +177,8 @@ func BenchmarkCoreSortedViewBuild(b *testing.B) {
 }
 
 // BenchmarkCoreViewRebuildReuse measures the full k-way merge rebuilding
-// into recycled storage (structural invalidation, steady state: 0 allocs).
+// into recycled storage (invalidation with no write, steady state: 0
+// allocs): what a view read pays after any write.
 func BenchmarkCoreViewRebuildReuse(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
@@ -191,53 +192,29 @@ func BenchmarkCoreViewRebuildReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.markStructural() // force the full merge, storage recycled
-		_ = s.SortedView()
-	}
-}
-
-// BenchmarkCoreViewRepairTail measures the first query after a small write:
-// one update lands on level 0's tail, and SortedView repairs the cached
-// view with one linear merge pass instead of the full k-way rebuild.
-func BenchmarkCoreViewRepairTail(b *testing.B) {
-	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	for i := 0; i < 1<<20; i++ {
-		s.Update(r.Float64())
-	}
-	s.SortedView()
-	vals := make([]float64, 1<<16)
-	for i := range vals {
-		vals[i] = r.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Update(vals[i&(1<<16-1)])
+		s.invalidate() // force the full merge, storage recycled
 		_ = s.SortedView()
 	}
 }
 
 // BenchmarkCoreStreamRead is a polling reader on one large sketch: n = 2²⁰
 // values into a default-ε HRA sketch, then per op 64 Updates and one
-// QuantilesInto of p50/p90/p99. The readthrough arm answers as the sketch
-// does; the repair arm forces the view repair (or rebuild) before the read,
-// as every such read did before reads went through the stale view. Each arm
-// runs under both kernel tables (see benchOrders).
+// QuantilesInto of p50/p90/p99. The union arm answers as the sketch does,
+// by selection over the settled levels; the view arm rebuilds the view
+// before the read and answers from it, as a read after SortedView, Freeze
+// or a batch query would. Each arm runs under both kernel tables (see
+// benchOrders).
 func BenchmarkCoreStreamRead(b *testing.B) {
-	for _, arm := range []string{"readthrough", "repair"} {
+	for _, arm := range []string{"union", "view"} {
 		for _, ord := range benchOrders {
 			b.Run(arm+"/"+ord.name, func(b *testing.B) {
-				benchStreamRead(b, ord.less, arm == "repair")
+				benchStreamRead(b, ord.less, arm == "view")
 			})
 		}
 	}
 }
 
-func benchStreamRead(b *testing.B, less func(a, b float64) bool, repair bool) {
+func benchStreamRead(b *testing.B, less func(a, b float64) bool, view bool) {
 	s, err := New(less, Config{Seed: 1, HRA: true})
 	if err != nil {
 		b.Fatal(err)
@@ -258,7 +235,7 @@ func benchStreamRead(b *testing.B, less func(a, b float64) bool, repair bool) {
 		for j := 0; j < 64; j++ {
 			s.Update(vals[(i*64+j)&(1<<16-1)])
 		}
-		if repair {
+		if view {
 			s.SortedView()
 		}
 		if dst, err = s.QuantilesInto(dst, phis); err != nil {

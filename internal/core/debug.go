@@ -25,9 +25,9 @@ import (
 //     covering geometry changes across growths);
 //  8. the sorted-compactor invariant: 0 ≤ sorted ≤ len(buf) and
 //     buf[:sorted] is sorted under the internal order at every level;
-//  9. view-cache consistency: a current view is the spare (recycled
-//     storage), carries no pending dirty bits, matches the sketch's count,
-//     and its recorded level-0 length is the buffer's actual length;
+//  9. read-cache consistency: a current view is the spare (recycled
+//     storage) and matches the sketch's count, and the union scratch holds
+//     no alias of the levels between reads;
 //  10. slab consistency: one window per level, laid out in level order,
 //     contiguous and non-overlapping, capacity accounting matching the slab
 //     length, every level buffer aliasing exactly its window, the O(1)
@@ -78,17 +78,12 @@ func (s *Sketch[T]) CheckInvariants() error {
 		if s.view != s.spare {
 			return fmt.Errorf("core: current view is not the recycled spare")
 		}
-		if s.viewDirty != 0 || s.viewStructural {
-			return fmt.Errorf("core: current view carries pending invalidation (dirty=%b structural=%v)",
-				s.viewDirty, s.viewStructural)
-		}
 		if s.view.n != s.n {
 			return fmt.Errorf("core: current view count %d != n %d", s.view.n, s.n)
 		}
-		if s.viewL0Len != len(s.levels[0].buf) {
-			return fmt.Errorf("core: view level-0 length %d != buffer length %d",
-				s.viewL0Len, len(s.levels[0].buf))
-		}
+	}
+	if s.union != nil && (s.union.s != nil || len(s.union.runs) != 0) {
+		return fmt.Errorf("core: union scratch still aliases the levels after a read")
 	}
 	if err := s.checkSlabInvariants(); err != nil {
 		return err
@@ -166,12 +161,6 @@ func slicesShareMemory[A any](a, b []A) bool {
 	bHi := bLo + uintptr(cap(b))*size
 	return aLo < bHi && bLo < aHi
 }
-
-// ForceViewRebuild structurally invalidates the cached view so the next
-// SortedView re-runs the full k-way merge (into recycled storage) instead
-// of a tail repair. It exists for benchmarks and experiments that compare
-// the two paths; production code never needs it.
-func (s *Sketch[T]) ForceViewRebuild() { s.markStructural() }
 
 // LevelDebug describes one level for instrumentation dumps.
 type LevelDebug struct {

@@ -28,9 +28,6 @@ func (f64Kernels) minMax(xs []float64, mn, mx float64) (float64, float64) {
 }
 func (f64Kernels) extendAsc(xs []float64, sorted int) int  { return vec.ExtendRunAsc(xs, sorted) }
 func (f64Kernels) extendDesc(xs []float64, sorted int) int { return vec.ExtendRunDesc(xs, sorted) }
-func (f64Kernels) mergeTailCum(items []float64, cum []uint64, tail []float64, old int) {
-	vec.MergeTailCum(items, cum, tail, old)
-}
 func (f64Kernels) kway(curs []vec.KWayCursor[float64], items []float64, cum []uint64) {
 	vec.KWayMerge(curs, items, cum)
 }

@@ -192,10 +192,10 @@ func (c diffCase[T]) queriesEqual(t *testing.T, k, g *Sketch[T], probes []T) {
 }
 
 // run drives a vec-table sketch and a generic-table sketch through the
-// same interleaving of batch and single updates, mid-stream queries (view
-// read-through, repair and rebuild), freezes (Eytzinger paths) and merges,
-// comparing state after every step, then a snapshot round-trip and a
-// frozen capture.
+// same interleaving of batch and single updates, mid-stream queries (live
+// reads over the levels and view rebuilds), freezes (Eytzinger paths) and
+// merges, comparing state after every step, then a snapshot round-trip
+// and a frozen capture.
 func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 	for _, hra := range []bool{false, true} {
 		name := "LRA"
@@ -230,14 +230,14 @@ func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 					k.UpdateBatch(stream[i : i+take])
 					g.UpdateBatch(stream[i : i+take])
 					i += take
-				case 2: // single updates (exercise the tail-repair path)
+				case 2: // single updates (a level-0 tail for the next read to settle)
 					take := min(1+r.Intn(50), len(stream)-i)
 					for _, x := range stream[i : i+take] {
 						k.Update(x)
 						g.Update(x)
 					}
 					i += take
-				case 3: // queries mid-stream (read through, repair or rebuild the view)
+				case 3: // queries mid-stream (live reads and view rebuilds)
 					c.queriesEqual(t, k, g, c.draw(r, 64))
 				case 4: // freeze (Eytzinger index paths)
 					k.Freeze()
@@ -304,19 +304,35 @@ func TestKernelDifferentialFloat64(t *testing.T) { diffF64.run(t, 42, 60000) }
 func TestKernelDifferentialUint64(t *testing.T) { diffU64.run(t, 43, 40000) }
 
 // TestKernelViewRepairEquivalence drives the few-writes-between-queries
-// pattern hard: the kernel tail-repair (sortCaller + MergeTailCum) must
-// leave the view arrays bit-identical to the closure repair.
+// pattern hard on duplicate-heavy input: after every burst, the kernel
+// table's live read (tail settle + union selection) must answer
+// bit-identically to the closure table's, and so must the view each then
+// rebuilds into recycled storage (KWayMerge against the generic heap).
 func TestKernelViewRepairEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	cfg := Config{Eps: 0.1, Delta: 0.1, Seed: 3}
 	k, _ := New(LessF64, cfg)
 	g, _ := New(nonCanonLessF64, cfg)
+	phis := []float64{0.001, 0.1, 0.5, 0.9, 0.99}
 	for round := 0; round < 400; round++ {
 		m := 1 + r.Intn(5)
 		for j := 0; j < m; j++ {
 			x := math.Round(r.NormFloat64() * 10)
 			k.Update(x)
 			g.Update(x)
+		}
+		kq, err := k.QuantilesInto(nil, phis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gq, _ := g.QuantilesInto(nil, phis)
+		for i := range phis {
+			if math.Float64bits(kq[i]) != math.Float64bits(gq[i]) {
+				t.Fatalf("round %d: live φ=%v diverged: %v vs %v", round, phis[i], kq[i], gq[i])
+			}
+		}
+		if round%4 != 3 {
+			continue // let several live reads settle before the next rebuild
 		}
 		kv := k.SortedView()
 		gv := g.SortedView()

@@ -85,7 +85,6 @@ type kernels[T any] interface {
 	//req:noalloc
 	extendDesc(xs []T, sorted int) int
 
-	mergeTailCum(items []T, cum []uint64, tail []T, old int)
 	kway(curs []vec.KWayCursor[T], items []T, cum []uint64)
 
 	// Eytzinger descents return the fixed-up slot of the answer, 0 when

@@ -56,7 +56,7 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	if err := s.cfg.Compatible(&other.cfg); err != nil {
 		return err
 	}
-	s.markStructural()
+	s.invalidate()
 	if s.n == 0 {
 		// Adopt a deep copy of other wholesale, keeping s's seed identity.
 		c := other.Clone()

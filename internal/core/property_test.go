@@ -241,9 +241,9 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 
 func TestPropertyViewRepairEquivalence(t *testing.T) {
 	// Under arbitrary interleavings of Update, UpdateBatch, UpdateWeighted,
-	// and view-building queries, the cached view (tail-repaired or rebuilt
-	// into recycled storage, indexed or not) answers identically to a view
-	// built from scratch on a clone.
+	// live quantile reads and view-building queries, the cached view
+	// (rebuilt into recycled storage, indexed or not) answers identically
+	// to a view built from scratch on a clone.
 	f := func(ops []uint16, seedByte uint8) bool {
 		s, err := New(fless, Config{Eps: 0.15, Delta: 0.15, Seed: uint64(seedByte)})
 		if err != nil {
@@ -269,10 +269,15 @@ func TestPropertyViewRepairEquivalence(t *testing.T) {
 					return false
 				}
 			case 4:
-				if op%2 == 0 {
+				switch op % 3 {
+				case 0:
 					s.Freeze()
-				} else {
+				case 1:
 					s.SortedView()
+				default:
+					if _, err := s.Quantile(0.5); err != nil && s.Count() > 0 {
+						return false
+					}
 				}
 			}
 			if s.CheckInvariants() != nil {

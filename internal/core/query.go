@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"math/bits"
 
 	"req/internal/vec"
 )
@@ -105,27 +104,33 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 {
 
 // Quantile returns the estimated φ-quantile for φ ∈ [0, 1]: the smallest
 // retained item whose normalized inclusive rank reaches φ. φ = 0 yields the
-// exact minimum and φ = 1 the exact maximum (both tracked separately).
-// After appends to level 0 only, it reads through the stale view instead of
-// repairing it (see readThrough).
+// exact minimum and φ = 1 the exact maximum (both tracked separately). It
+// reads as QuantileWith does, through the sketch's own union scratch; a
+// frozen sketch answers from its view without touching that scratch, so
+// its reads stay pure reads.
 func (s *Sketch[T]) Quantile(phi float64) (T, error) {
-	var zero T
-	if s.n == 0 {
-		return zero, ErrEmpty
+	if s.view != nil {
+		return s.view.Quantile(phi)
 	}
-	if badPhi(phi) {
-		return zero, ErrBadRank
+	return s.QuantileWith(s.liveUnion(), phi)
+}
+
+// QuantileWith is Quantile selecting through the caller's union scratch u,
+// which must be empty and is left empty; the registry keeps one per shard,
+// so a keyed read adds no union to the key. While the view is current
+// (after Freeze, SortedView or a batch query) it answers from the view and
+// u goes unused. Otherwise u takes s alone: every level is settled in place
+// (the sort-and-merge of the level-0 tail that each compaction starts
+// with) and φ is selected over the sorted levels. The answer equals, under
+// the order, that of a view rebuilt now; no view is built, so the sketch
+// stays unfrozen.
+func (s *Sketch[T]) QuantileWith(u *Union[T], phi float64) (T, error) {
+	if s.view != nil {
+		return s.view.Quantile(phi)
 	}
-	if phi == 0 {
-		return s.min, nil
-	}
-	if phi == 1 {
-		return s.max, nil
-	}
-	if s.readThrough(1) {
-		return s.quantileThrough(s.sortedTail(), phi), nil
-	}
-	return s.SortedView().Quantile(phi)
+	defer u.Reset()
+	u.Add(s)
+	return u.Quantile(phi)
 }
 
 // Quantiles returns the estimates for each φ in phis. It is a thin
@@ -136,33 +141,35 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) {
 
 // QuantilesInto answers every φ in phis, writing the estimates into dst
 // (grown as needed; pass a slice retained across calls for steady-state
-// allocation-free querying) and returning it with length len(phis). When
-// the only writes since the last view build were level-0 appends, it
-// answers from the stale view plus the sorted append tail and leaves the
-// view unrepaired (see readThrough): the sketch stays unfrozen. Otherwise
-// it answers against the (rebuilt) sorted view; see View.QuantilesInto for
-// the sweep strategy. Both answer bit-identically.
+// allocation-free querying) and returning it with length len(phis). It
+// reads as Quantile does; see QuantilesIntoWith.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
-	if len(phis) == 0 {
-		return resizeSlice(dst, 0), nil
+	if s.view != nil {
+		return s.view.QuantilesInto(dst, phis)
 	}
-	if s.n == 0 {
-		return nil, ErrEmpty
+	return s.QuantilesIntoWith(s.liveUnion(), dst, phis)
+}
+
+// QuantilesIntoWith is QuantilesInto selecting through the caller's union
+// scratch u, on QuantileWith's terms: from the view while it is current
+// (see View.QuantilesInto), otherwise by selection over the settled levels
+// (see Union.QuantilesInto).
+func (s *Sketch[T]) QuantilesIntoWith(u *Union[T], dst []T, phis []float64) ([]T, error) {
+	if s.view != nil {
+		return s.view.QuantilesInto(dst, phis)
 	}
-	if !s.readThrough(len(phis)) {
-		return s.SortedView().QuantilesInto(dst, phis)
+	defer u.Reset()
+	u.Add(s)
+	return u.QuantilesInto(dst, phis)
+}
+
+// liveUnion returns the sketch's own union scratch, allocating it on the
+// first read that finds the view stale.
+func (s *Sketch[T]) liveUnion() *Union[T] {
+	if s.union == nil {
+		s.union = new(Union[T])
 	}
-	for _, phi := range phis {
-		if badPhi(phi) {
-			return nil, ErrBadRank
-		}
-	}
-	tail := s.sortedTail()
-	dst = resizeSlice(dst, len(phis))
-	for i, phi := range phis {
-		dst[i] = s.quantileThrough(tail, phi)
-	}
-	return dst, nil
+	return s.union
 }
 
 // badPhi reports whether φ lies outside [0, 1] (or is NaN).
@@ -187,115 +194,13 @@ func quantileTarget(phi float64, n uint64) uint64 {
 	return target
 }
 
-// readThrough reports whether a read of q quantiles should be answered by
-// quantileThrough rather than by repairing the view: only in the state
-// SortedView would repair (appends to level 0 since the spare was built),
-// and only while sorting the m-item tail plus q two-array selections costs
-// less than the view's V entries the repair rewrites. The repair sorts the
-// same tail, so no read costs more than the repair it skips — including a
-// repeated read with no writes in between, which sorts the tail again.
-//
-//req:noalloc
-func (s *Sketch[T]) readThrough(q int) bool {
-	if s.view != nil || !s.tailRepairable() {
-		return false
-	}
-	m := len(s.levels[0].buf) - s.viewL0Len
-	v := len(s.spare.items)
-	lg := bits.Len(uint(m)) // ≥ ⌈log₂ m⌉
-	return m > 0 && lg*(m+2*q*bits.Len(uint(v))) < v
-}
-
-// sortedTail copies level 0's appends since the spare view was built into
-// s.scratch and sorts the copy ascending in the caller's order: the tail
-// repairTailView merges, in the same permutation (the level buffer itself
-// is ordered by the internal order and stays untouched).
-func (s *Sketch[T]) sortedTail() []T {
-	s.scratch = append(s.scratch[:0], s.levels[0].buf[s.viewL0Len:]...)
-	s.kern.sortAsc(s.scratch)
-	return s.scratch
-}
-
-// quantileThrough answers one validated φ from the stale spare view and
-// the sorted tail (sortedTail) without merging them — Algorithm 2 reads
-// level 0's tail as the weight-1 compactor it is. The repair (MergeTailCum)
-// would put view entry i at position i + #tail≤items[i] with cumulative
-// weight cum[i] + #tail≤items[i], and tail entry j at j + #view<tail[j]
-// with cumulative weight cum[#view<tail[j] − 1] + j + 1. Both weights grow
-// with the index, so each array's first entry reaching ⌈φn⌉ is a binary
-// search, and the answer is whichever of the two comes first in merged
-// order: exactly the entry the repaired view returns, ties included.
-//
-//req:noalloc
-func (s *Sketch[T]) quantileThrough(tail []T, phi float64) T {
-	if phi == 0 {
-		return s.min
-	}
-	if phi == 1 {
-		return s.max
-	}
-	target := quantileTarget(phi, s.n)
-	items, cum := s.spare.items, s.spare.cum
-	// View candidate. The tail adds at most m below any entry, so it lies
-	// between the first entry whose cum reaches target−m and the first
-	// whose cum reaches target.
-	m := uint64(len(tail))
-	lo := 0
-	if target > m {
-		lo = gallopCumGE(cum, 0, target-m)
-	}
-	hi := gallopCumGE(cum, lo, target)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid]+uint64(s.kern.searchLE(tail, items[mid])) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	vi := lo
-	// Tail candidate.
-	lo, hi = 0, len(tail)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		w := uint64(mid + 1)
-		if c := s.kern.searchLT(items, tail[mid]); c > 0 {
-			w += cum[c-1]
-		}
-		if w >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	tj := lo
-	// Merged order; the candidates' positions never coincide.
-	vpos, tpos := math.MaxInt, math.MaxInt
-	if vi < len(items) {
-		vpos = vi + s.kern.searchLE(tail, items[vi])
-	}
-	if tj < len(tail) {
-		tpos = tj + s.kern.searchLT(items, tail[tj])
-	}
-	switch {
-	case vpos < tpos:
-		return items[vi]
-	case tpos < vpos:
-		return tail[tj]
-	}
-	// Neither array reaches the target. Retained weight equals n in every
-	// sketch (FromSnapshot enforces it), so this mirrors the repaired
-	// view's clamp to the maximum rather than a reachable case.
-	return s.max
-}
-
 // RankBatch returns the estimated inclusive rank of every probe in ys,
 // written into dst (grown as needed) in the order of ys. The probe set is
 // answered with one sweep over the sorted view: probes are processed in
 // ascending order and the view cursor only moves forward (by galloping), so
 // the per-probe cost amortizes to O(1) comparisons for dense batches.
-// Building (or incrementally repairing) the view is amortized across the
-// batch; on an empty sketch every rank is 0.
+// Building the view is amortized across the batch; on an empty sketch
+// every rank is 0.
 func (s *Sketch[T]) RankBatch(dst []uint64, ys []T) []uint64 {
 	return s.SortedView().RankBatch(dst, ys)
 }
@@ -362,58 +267,20 @@ type View[T any] struct {
 // Frozen reports whether the cached sorted view is materialized, i.e.
 // whether quantile/CDF queries are currently pure reads. Updates and merges
 // un-freeze the sketch; SortedView (or the root package's Freeze) freezes
-// it again. Quantile reads freeze it only when they rebuild or repair the
-// view: after level-0 appends alone they read through the stale view
-// (readThrough), so Frozen stays false and a following Rank searches the
-// levels.
+// it again. Quantile reads never freeze it: on a stale view they select
+// over the levels (QuantileWith), so Frozen stays false and a following
+// Rank searches the levels too.
 func (s *Sketch[T]) Frozen() bool { return s.view != nil }
 
-// SortedView materializes (and caches) the sorted weighted view.
-//
-// Steady state performs no allocation: the view is rebuilt into the storage
-// of the previously built view (grow-only backing arrays). When the only
-// mutations since the last build were appends to level 0 — the common
-// few-writes-between-queries case — the cached view is repaired by merging
-// the small sorted append tail into it in one linear pass instead of
-// re-running the full k-way merge; compactions, growths, merges, and
-// weighted updates into higher levels force a full (but storage-reusing)
-// rebuild. Both paths produce views answering identically to a from-scratch
-// build.
+// SortedView materializes (and caches) the sorted weighted view: a stale
+// view is rebuilt by one k-way merge of the settled levels. Steady state
+// performs no allocation: the rebuild writes into the storage of the
+// previously built view (grow-only backing arrays).
 func (s *Sketch[T]) SortedView() *View[T] {
 	if s.view != nil {
 		return s.view
 	}
-	if s.tailRepairable() {
-		return s.repairTailView()
-	}
-	return s.rebuildView()
-}
-
-// tailRepairable reports whether the only writes since the spare view was
-// built are appends to level 0, so that buf[viewL0Len:] is exactly what
-// the view lacks.
-//
-//req:noalloc
-func (s *Sketch[T]) tailRepairable() bool {
-	return s.spare != nil && !s.viewStructural && s.viewDirty == 1 &&
-		len(s.levels[0].buf) >= s.viewL0Len
-}
-
-// Freeze materializes the cached sorted view and its Eytzinger rank index,
-// making every subsequent Rank/Quantile/CDF call a branchless pure read
-// until the next mutation. It returns the frozen view.
-func (s *Sketch[T]) Freeze() *View[T] {
-	v := s.SortedView()
-	v.buildIndex()
-	return v
-}
-
-// rebuildView performs the full k-way merge of the (settled) levels into the
-// spare view's recycled storage.
-func (s *Sketch[T]) rebuildView() *View[T] {
-	for h := range s.levels {
-		s.settleLevel(h)
-	}
+	s.settleLevels()
 	total := s.ItemsRetained()
 	v := s.spare
 	if v == nil {
@@ -437,85 +304,17 @@ func (s *Sketch[T]) rebuildView() *View[T] {
 	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
 	v.idx.built = false
 	s.kwayMergeInto(v)
-	s.viewRevalidated()
+	s.view = v
 	return v
 }
 
-// repairTailView revalidates the spare view after appends to level 0 only:
-// the sorted append tail (weight-1 items) is merged into the cached sorted
-// array backward in place, rewriting cumulative weights as it goes — O(view
-// + tail) with zero allocations, against O(total·log levels) and the full
-// cursor machinery for a k-way rebuild.
-func (s *Sketch[T]) repairTailView() *View[T] {
-	v := s.spare
-	m := len(s.levels[0].buf) - s.viewL0Len
-	v.n, v.min, v.max = s.n, s.min, s.max
-	v.idx.built = false
-	if m == 0 {
-		s.viewRevalidated()
-		return v
-	}
-	tail := s.sortedTail()
-	old := len(v.items)
-	v.items = growSlice(v.items, old+m)
-	v.cum = growSlice(v.cum, old+m)
-	s.kern.mergeTailCum(v.items, v.cum, tail, old)
-	// Settle level 0 so the sketch state matches the full-rebuild path (which
-	// settles every level); this must follow the merge above because
-	// settleLevel claims s.scratch, which holds tail.
-	s.settleLevel(0)
-	s.viewRevalidated()
+// Freeze materializes the cached sorted view and its Eytzinger rank index,
+// making every subsequent Rank/Quantile/CDF call a branchless pure read
+// until the next mutation. It returns the frozen view.
+func (s *Sketch[T]) Freeze() *View[T] {
+	v := s.SortedView()
+	v.buildIndex()
 	return v
-}
-
-// mergeTailCum is the generic view-repair rewrite (vec.MergeTailCum's
-// contract): the sorted tail of weight-1 items is merged into the view
-// arrays backward in place, rewriting cumulative weights as it goes.
-func (k orderKernels[T]) mergeTailCum(items []T, cum []uint64, tail []T, old int) {
-	m := len(tail)
-	var run uint64
-	if old > 0 {
-		run = cum[old-1]
-	}
-	run += uint64(m)
-	i, j, o := old-1, m-1, old+m-1
-	for i >= 0 && j >= 0 {
-		if k.lt(items[i], tail[j]) {
-			items[o] = tail[j]
-			cum[o] = run
-			run--
-			j--
-		} else {
-			w := cum[i]
-			if i > 0 {
-				w -= cum[i-1]
-			}
-			items[o] = items[i]
-			cum[o] = run
-			run -= w
-			i--
-		}
-		o--
-	}
-	for j >= 0 {
-		items[o] = tail[j]
-		cum[o] = run
-		run--
-		j--
-		o--
-	}
-	// items[0..i] and their cumulative weights are untouched: every new
-	// item merged in above them, so their prefix sums are unchanged.
-}
-
-// viewRevalidated marks the spare view current after a rebuild or repair.
-//
-//req:noalloc
-func (s *Sketch[T]) viewRevalidated() {
-	s.view = s.spare
-	s.viewDirty = 0
-	s.viewStructural = false
-	s.viewL0Len = len(s.levels[0].buf)
 }
 
 // resizeSlice returns xs with length n, reusing the backing array when
@@ -528,23 +327,10 @@ func resizeSlice[T any](xs []T, n int) []T {
 	return make([]T, n)
 }
 
-// growSlice returns xs with length n, preserving contents across a
-// reallocation. It over-allocates by ~1/8 so that a run of tail repairs
-// (each growing the view by a few items) amortizes to O(1) reallocations.
-func growSlice[T any](xs []T, n int) []T {
-	if cap(xs) >= n {
-		return xs[:n]
-	}
-	out := make([]T, n, n+n/8+16)
-	copy(out, xs)
-	return out
-}
-
-// resizeAmortized is resizeSlice with growSlice's headroom: contents are
-// not preserved, but repeated small growth amortizes to O(1)
-// reallocations. A rebuilt view needs it because the retained count creeps
-// past its high-water mark from one rebuild to the next while the reads in
-// between leave the view unrepaired; index arrays need it after repairs.
+// resizeAmortized is resizeSlice with ~1/8 headroom: contents are not
+// preserved, but repeated small growth amortizes to O(1) reallocations.
+// Rebuilt views and their index arrays need it, because the retained count
+// creeps past its high-water mark from one rebuild to the next.
 func resizeAmortized[T any](xs []T, n int) []T {
 	if cap(xs) >= n {
 		return xs[:n]

@@ -79,7 +79,7 @@ func TestViewCachedAndInvalidated(t *testing.T) {
 		t.Fatalf("stale weight in refreshed view: %d vs %d", v3.TotalWeight(), weight1)
 	}
 	if got := s.Rank(0.25); got != rankBefore {
-		t.Fatalf("repaired view rank %d != pre-update rank %d", got, rankBefore)
+		t.Fatalf("rebuilt view rank %d != pre-update rank %d", got, rankBefore)
 	}
 }
 

@@ -65,16 +65,10 @@ type Sketch[T any] struct {
 	// storage: view == spare whenever view is non-nil.
 	view  *View[T]
 	spare *View[T]
-	// viewDirty is a bitmap of levels whose buffers received appends since
-	// spare was built; viewStructural records mutations that reordered or
-	// truncated buffers (compaction, growth, merge, reset), which force a
-	// full (storage-reusing) rebuild. When only bit 0 is set, the view is
-	// repaired by merging level 0's append tail into spare in one pass.
-	viewDirty      uint64
-	viewStructural bool
-	// viewL0Len is len(levels[0].buf) when spare was built; the repair path
-	// treats buf[viewL0Len:] as the new tail.
-	viewL0Len int
+	// union is the selection scratch of live quantile reads, allocated by
+	// the first read that finds the view stale. A read leaves it empty, so
+	// it never aliases the levels between reads.
+	union *Union[T]
 
 	// scratch is reused by settleLevel and emitHalf (tail copies and
 	// emission staging), so steady-state ingest performs no allocation.
@@ -148,33 +142,15 @@ func (s *Sketch[T]) internalLess(a, b T) bool {
 	return s.kern.less(a, b)
 }
 
-// markAppended invalidates the cached view after an append-only mutation of
-// level h: the spare view stays repairable (for h = 0) because the existing
-// buffer prefix is untouched.
+// invalidate marks the cached view stale after a write; the next view read
+// rebuilds it into the spare's storage.
 //
 //req:noalloc
-func (s *Sketch[T]) markAppended(h int) {
-	s.view = nil
-	if h < 64 {
-		s.viewDirty |= uint64(1) << uint(h)
-	} else {
-		s.viewStructural = true
-	}
-}
-
-// markStructural invalidates the cached view after a mutation that reordered,
-// truncated, or rebuilt buffers (compaction, growth, merge, reset); the next
-// query rebuilds the view from scratch into the spare's storage.
-//
-//req:noalloc
-func (s *Sketch[T]) markStructural() {
-	s.view = nil
-	s.viewStructural = true
-}
+func (s *Sketch[T]) invalidate() { s.view = nil }
 
 // Update inserts one item into the sketch.
 func (s *Sketch[T]) Update(x T) {
-	s.markAppended(0)
+	s.invalidate()
 	if !s.hasMinMax {
 		s.min, s.max = x, x
 		s.hasMinMax = true
@@ -224,7 +200,7 @@ func (s *Sketch[T]) UpdateBatch(xs []T) {
 	if len(xs) == 0 {
 		return
 	}
-	s.markAppended(0)
+	s.invalidate()
 	if !s.hasMinMax {
 		s.min, s.max = xs[0], xs[0]
 		s.hasMinMax = true
@@ -362,7 +338,6 @@ func (s *Sketch[T]) compactLevel(h int) {
 	if len(c.buf) > s.stats.MaxBufferLen {
 		s.stats.MaxBufferLen = len(c.buf)
 	}
-	s.markStructural()
 	s.settleLevel(h)
 
 	secs := schedule.SectionsFor(s.cfg.Schedule, c.state, s.geom.nsec)
@@ -392,7 +367,6 @@ func (s *Sketch[T]) specialCompactLevel(h int) bool {
 	if len(c.buf) <= keep {
 		return false
 	}
-	s.markStructural()
 	s.settleLevel(h)
 	s.emitHalf(h, keep)
 	c = &s.levels[h] // emitHalf may have grown s.levels and moved it
@@ -412,7 +386,9 @@ func (s *Sketch[T]) specialCompactLevel(h int) bool {
 // The region is forced to even length by retaining one extra item, so each
 // compaction consumes 2m items and emits m of double weight: total weight
 // Σ_h 2^h·|buf_h| is conserved exactly (a checked invariant). The paper
-// permits odd regions; see DESIGN.md for why we tighten this.
+// permits odd regions, whose compaction gains or loses one unit of
+// weight; keeping the region even costs at most one retained slot and lets
+// every query and decoder rely on the retained weight equalling n.
 func (s *Sketch[T]) emitHalf(h, keep int) {
 	c := &s.levels[h]
 	if (len(c.buf)-keep)%2 != 0 {
@@ -466,7 +442,6 @@ func (s *Sketch[T]) emitHalf(h, keep int) {
 // the top), square N, recompute the geometry, then re-compact any level left
 // at or above the new capacity.
 func (s *Sketch[T]) growTo(need uint64) {
-	s.markStructural()
 	for s.bound < need {
 		for h := 0; h < len(s.levels)-1; h++ {
 			s.specialCompactLevel(h)
@@ -486,7 +461,7 @@ func (s *Sketch[T]) growTo(need uint64) {
 // (it is not re-seeded), so a reset sketch is statistically fresh but not
 // bit-identical to a newly constructed one.
 func (s *Sketch[T]) Reset() {
-	s.markStructural()
+	s.invalidate()
 	// Drop the recycled view outright: its arrays hold items from the old
 	// stream, which pointer-bearing item types should not keep reachable.
 	s.spare = nil
@@ -523,9 +498,9 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 	c.store.realias(c.levels)
 	c.view = nil
 	// Never share transient state with the original: the clone grows its
-	// own view storage and merge scratch on first use.
+	// own view storage, union and merge scratch on first use.
 	c.spare = nil
-	c.viewDirty, c.viewStructural, c.viewL0Len = 0, false, 0
+	c.union = nil
 	c.scratch = nil
 	c.mergeBuf = nil
 	c.kwayCurs = nil
@@ -564,5 +539,5 @@ func (s *Sketch[T]) CopyFrom(src *Sketch[T]) {
 	}
 	copy(s.levels, src.levels)
 	s.store.realias(s.levels)
-	s.markStructural()
+	s.invalidate()
 }

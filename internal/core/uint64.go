@@ -25,9 +25,6 @@ func (u64Kernels) minMax(xs []uint64, mn, mx uint64) (uint64, uint64) {
 }
 func (u64Kernels) extendAsc(xs []uint64, sorted int) int  { return vec.ExtendRunAsc(xs, sorted) }
 func (u64Kernels) extendDesc(xs []uint64, sorted int) int { return vec.ExtendRunDesc(xs, sorted) }
-func (u64Kernels) mergeTailCum(items []uint64, cum []uint64, tail []uint64, old int) {
-	vec.MergeTailCum(items, cum, tail, old)
-}
 func (u64Kernels) kway(curs []vec.KWayCursor[uint64], items []uint64, cum []uint64) {
 	vec.KWayMerge(curs, items, cum)
 }

@@ -1,16 +1,19 @@
 package core
 
-// Union answers quantile queries over the weighted union of several
+// Union answers quantile queries over the weighted union of one or more
 // sketches' coresets — every retained item of every added sketch at its
-// level weight 2^h — without merging the sketches. Its answers are those of
-// a sorted view over that union (among items equal under the order, it may
-// return a different one): φ resolves to the smallest retained item y whose
-// summed weight Σ 2^h·#{x ≤ y} reaches ⌈φn⌉, found by selection over the
-// sorted level buffers instead of a k-way merge, and no compaction runs.
-// The union's rank error is the sum of the sketches' own independent
-// compaction errors — a merge of the same sketches carries that error plus
-// its own compactions' — so it keeps the single-sketch guarantee (Theorem 3
-// without the merge), and a read consumes no coins.
+// level weight 2^h — without merging the sketches or building a view. It is
+// the engine of every live quantile read: a single sketch's stale-view read
+// (Sketch.QuantileWith), a registry key's, and a windowed key's over its
+// live ring slots. Its answers are those of a sorted view over that union
+// (among items equal under the order, it may return a different one): φ
+// resolves to the smallest retained item y whose summed weight
+// Σ 2^h·#{x ≤ y} reaches ⌈φn⌉ (Algorithm 2's Estimate-Rank), found by
+// selection over the sorted level buffers instead of a k-way merge, and no
+// compaction runs. The union's rank error is the sum of the sketches' own
+// independent compaction errors — a merge of the same sketches carries that
+// error plus its own compactions' — so it keeps the single-sketch guarantee
+// (Theorem 3 without the merge), and a read consumes no coins.
 //
 // Every added sketch must share one order and one accuracy mode; the ring
 // slots of a windowed registry do. The union aliases their level buffers, so
@@ -80,13 +83,8 @@ func (u *Union[T]) Add(s *Sketch[T]) {
 }
 
 // settleLevels settles every level in place, leaving each buffer one
-// sorted run. The multiset is unchanged, so a current view stays current;
-// but settling a level-0 tail reorders the items the tail repair would read
-// from buf[viewL0Len:], so the next view build rebuilds instead.
+// sorted run. The multiset is unchanged, so a current view stays current.
 func (s *Sketch[T]) settleLevels() {
-	if c := &s.levels[0]; c.sorted < len(c.buf) {
-		s.viewStructural = true
-	}
 	for h := range s.levels {
 		s.settleLevel(h)
 	}

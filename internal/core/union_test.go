@@ -111,9 +111,9 @@ func TestUnionMatchesCoresetView(t *testing.T) {
 	}
 }
 
-// TestUnionSettleKeepsSketchAnswers: Add settles a level-0 tail the
-// sketch's view repair would have read from its append order. The sketch
-// must notice and still answer exactly as an untouched copy does.
+// TestUnionSettleKeepsSketchAnswers: Add settles a level-0 tail in place.
+// The multiset is unchanged, so the sketch's own live reads and a view it
+// rebuilds afterwards must answer exactly as an untouched copy does.
 func TestUnionSettleKeepsSketchAnswers(t *testing.T) {
 	s, err := New(LessF64, Config{K: 16, Seed: 5})
 	if err != nil {
@@ -127,23 +127,28 @@ func TestUnionSettleKeepsSketchAnswers(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Update(r.Float64())
 	}
-	twin := repairedTwin(s)
+	twin := rebuiltView(s)
 	var u Union[float64]
 	u.Add(s)
 	if c := &s.levels[0]; c.sorted != len(c.buf) {
 		t.Fatalf("level 0 left unsettled: %d of %d sorted", c.sorted, len(c.buf))
 	}
 	for _, phis := range unionPhis {
-		got, err := s.QuantilesInto(nil, phis)
+		live, err := s.QuantilesInto(nil, phis)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := twin.QuantilesInto(nil, phis)
+		got, _ := s.SortedView().QuantilesInto(nil, phis)
 		for i := range phis {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("φ=%v after union settle: %v, untouched twin %v", phis[i], got[i], want[i])
+			if math.Float64bits(live[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("φ=%v after union settle: live %v, rebuilt %v, untouched twin %v",
+					phis[i], live[i], got[i], want[i])
 			}
 		}
+		s.Update(r.Float64()) // stale again for the next set's live read
+		twin = rebuiltView(s)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

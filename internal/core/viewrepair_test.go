@@ -7,10 +7,10 @@ import (
 	"req/internal/rng"
 )
 
-// Tests for the incremental view-repair path: after appends to level 0
-// only, SortedView merges the small sorted tail into the recycled cached
-// view instead of re-running the k-way merge. Every repaired view must be
-// indistinguishable (same items, same answers) from a from-scratch build.
+// Tests for view rebuilds into recycled storage: after any write, the next
+// SortedView re-runs the k-way merge into the arrays of the previous view.
+// Every such view must be indistinguishable (same items, same answers) from
+// a from-scratch build into fresh storage.
 
 // checkViewAgainstScratch compares the sketch's cached view to a view built
 // from scratch on a clone: identical items and identical answers at every
@@ -20,29 +20,29 @@ func checkViewAgainstScratch(t *testing.T, s *Sketch[float64]) {
 	v := s.SortedView()
 	fresh := s.Clone().SortedView()
 	if v.TotalWeight() != fresh.TotalWeight() {
-		t.Fatalf("repaired view weight %d != from-scratch %d", v.TotalWeight(), fresh.TotalWeight())
+		t.Fatalf("recycled view weight %d != from-scratch %d", v.TotalWeight(), fresh.TotalWeight())
 	}
 	if len(v.Items()) != len(fresh.Items()) {
-		t.Fatalf("repaired view has %d items, from-scratch %d", len(v.Items()), len(fresh.Items()))
+		t.Fatalf("recycled view has %d items, from-scratch %d", len(v.Items()), len(fresh.Items()))
 	}
 	for i := range v.Items() {
 		if v.Items()[i] != fresh.Items()[i] {
-			t.Fatalf("item %d: repaired %v, from-scratch %v", i, v.Items()[i], fresh.Items()[i])
+			t.Fatalf("item %d: recycled %v, from-scratch %v", i, v.Items()[i], fresh.Items()[i])
 		}
 	}
 	for _, y := range v.Items() {
 		if v.Rank(y) != fresh.Rank(y) {
-			t.Fatalf("repaired Rank(%v) = %d, from-scratch %d", y, v.Rank(y), fresh.Rank(y))
+			t.Fatalf("recycled Rank(%v) = %d, from-scratch %d", y, v.Rank(y), fresh.Rank(y))
 		}
 		if v.Rank(y-0.5) != fresh.Rank(y-0.5) {
-			t.Fatalf("repaired Rank(%v) = %d, from-scratch %d", y-0.5, v.Rank(y-0.5), fresh.Rank(y-0.5))
+			t.Fatalf("recycled Rank(%v) = %d, from-scratch %d", y-0.5, v.Rank(y-0.5), fresh.Rank(y-0.5))
 		}
 	}
 	for _, phi := range []float64{1e-9, 0.01, 0.33, 0.5, 0.77, 0.99, 1} {
 		a, errA := v.Quantile(phi)
 		b, errB := fresh.Quantile(phi)
 		if (errA == nil) != (errB == nil) || a != b {
-			t.Fatalf("repaired Quantile(%v) = %v/%v, from-scratch %v/%v", phi, a, errA, b, errB)
+			t.Fatalf("recycled Quantile(%v) = %v/%v, from-scratch %v/%v", phi, a, errA, b, errB)
 		}
 	}
 }
@@ -56,9 +56,9 @@ func TestViewTailRepairMatchesRebuild(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := newFloat64(t, Config{Eps: 0.1, Delta: 0.1, Seed: 900, HRA: hra})
 			r := rng.New(901)
-			// Warm the view, then interleave small write bursts with queries
-			// so most rebuilds take the tail-repair path (a burst that lands
-			// a compaction exercises the structural fallback instead).
+			// Warm the view, then interleave small write bursts with view
+			// builds: bursts that only append and bursts that compact both
+			// rebuild into the recycled storage.
 			for i := 0; i < 4000; i++ {
 				s.Update(math.Floor(r.Float64() * 1000)) // duplicates likely
 			}
@@ -84,22 +84,22 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	}
 	s.SortedView()
 
-	// A weighted update dirties levels above 0: repair must not fire.
+	// A weighted update writes into levels above 0.
 	if err := s.UpdateWeighted(0.5, 12); err != nil {
 		t.Fatal(err)
 	}
-	if s.viewStructural == false && s.viewDirty == 1 {
-		t.Fatal("weighted update left the view looking tail-repairable")
+	if s.Frozen() {
+		t.Fatal("weighted update left the view current")
 	}
 	checkViewAgainstScratch(t, s)
 
-	// A full buffer's worth of updates forces a compaction: structural.
+	// A full buffer's worth of updates forces a compaction.
 	s.SortedView()
 	for i := 0; i < s.BufferCapacity()+4; i++ {
 		s.Update(r.Float64())
 	}
-	if !s.viewStructural {
-		t.Fatal("compaction did not mark the view structural")
+	if s.Frozen() {
+		t.Fatal("compaction left the view current")
 	}
 	checkViewAgainstScratch(t, s)
 
@@ -126,7 +126,7 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 		s.UpdateBatch(buf)
 		checkViewAgainstScratch(t, s)
 	}
-	// Merge invalidates structurally; the next build must still be right.
+	// Merge reorders every level; the next build must still be right.
 	other := newFloat64(t, Config{Eps: 0.1, Delta: 0.1, Seed: 906})
 	for i := 0; i < 2000; i++ {
 		other.Update(r.Float64())
@@ -134,8 +134,8 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	if err := s.Merge(other); err != nil {
 		t.Fatal(err)
 	}
-	if !s.viewStructural {
-		t.Fatal("merge did not mark the view structural")
+	if s.Frozen() {
+		t.Fatal("merge left the view current")
 	}
 	checkViewAgainstScratch(t, s)
 	if err := s.CheckInvariants(); err != nil {

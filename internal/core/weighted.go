@@ -35,9 +35,7 @@ func (s *Sketch[T]) UpdateWeighted(x T, weight uint64) error {
 		s.Update(x)
 		return nil
 	}
-	// Per-level view invalidation happens in insertAtLevel (each touched
-	// level marks its dirty bit); a weighted insert into levels ≥ 1 therefore
-	// forces a full view rebuild while plain updates stay tail-repairable.
+	s.invalidate()
 	if !s.hasMinMax {
 		s.min, s.max = x, x
 		s.hasMinMax = true
@@ -80,10 +78,9 @@ func (s *Sketch[T]) UpdateWeighted(x T, weight uint64) error {
 // insertAtLevel appends x to the level-h buffer, creating intermediate
 // levels as needed. Compaction is deferred to the caller's cascade. The
 // append lands on the unsorted tail unless it extends the sorted prefix;
-// any tail left on levels ≥ 1 is settled by the next compaction or view
-// build.
+// any tail left on levels ≥ 1 is settled by the next compaction, view
+// build or live read.
 func (s *Sketch[T]) insertAtLevel(h int, x T) {
-	s.markAppended(h)
 	for h >= len(s.levels) {
 		s.levels = s.store.addLevel(s.levels, s.geom.b)
 	}

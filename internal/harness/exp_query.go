@@ -12,17 +12,19 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "E16",
-		Title:    "Query engine: incremental view repair and batch queries",
+		Title:    "Query engine: live quantile reads vs view builds, and batch queries",
 		PaperRef: "engineering of Algorithm 2's Estimate-Rank at query time (extension; sorted-buffer maintenance after Ivkin et al. 2019)",
 		Run:      runE16,
 	})
 }
 
 // runE16 measures the read path of the engine on one machine: what the
-// first query after a write burst costs with the incremental view repair
-// versus a full rebuild, and how batch rank queries amortize against
-// independent probes. Numbers are wall-clock medians on the current host —
-// this experiment documents the engine, not the paper.
+// first read after a write burst costs as a live QuantilesInto (selection
+// over the settled levels, no view) versus a Freeze (full view rebuild plus
+// rank index, what RankBatch, CDF/PMF, Snapshot and All pay after writes),
+// and how batch rank queries amortize against independent probes. Numbers
+// are wall-clock medians on the current host — this experiment documents
+// the engine, not the paper.
 func runE16(w io.Writer, cfg Config) error {
 	n := 1 << 20
 	reps := 9
@@ -41,27 +43,30 @@ func runE16(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "stream n=%d, eps=0.01: %d retained items in the sorted view\n\n", n, s.SortedView().Size())
 
-	// --- first query after a small write burst: repair vs full rebuild ----
-	tab := NewTable("writes_between_queries", "repair_us", "full_rebuild_us", "speedup")
+	// --- first read after a small write burst: live read vs Freeze --------
+	phis := []float64{0.5, 0.9, 0.99}
+	var qs []float64
+	tab := NewTable("writes_between_reads", "live_quantiles_us", "freeze_us", "freeze/live")
 	for _, burst := range []int{1, 8, 64} {
-		repair := medianRun(reps, func() {
+		live := medianRun(reps, func() {
 			for i := 0; i < burst; i++ {
 				s.Update(r.Float64())
 			}
-			s.SortedView()
+			if qs, err = s.QuantilesInto(qs, phis); err != nil {
+				panic(err)
+			}
 		})
-		rebuild := medianRun(reps, func() {
+		freeze := medianRun(reps, func() {
 			for i := 0; i < burst; i++ {
 				s.Update(r.Float64())
 			}
-			s.ForceViewRebuild()
-			s.SortedView()
+			s.Freeze()
 		})
-		tab.AddRow(burst, float64(repair.Microseconds()), float64(rebuild.Microseconds()),
-			fmt.Sprintf("%.1fx", float64(rebuild)/float64(repair)))
+		tab.AddRow(burst, float64(live.Microseconds()), float64(freeze.Microseconds()),
+			fmt.Sprintf("%.1fx", float64(freeze)/float64(live)))
 	}
 	tab.Fprint(w)
-	fmt.Fprintf(w, "\n(repair merges level 0's sorted append tail into the cached view in one\npass; the rebuild re-runs the full k-way merge, though into reused storage)\n\n")
+	fmt.Fprintf(w, "\n(the live read settles level 0's append tail in place and selects p50/p90/p99\nover the sorted levels; Freeze re-runs the full k-way merge into reused storage\nand builds the rank index)\n\n")
 
 	// --- batch rank queries vs independent probes -------------------------
 	s.Freeze()

@@ -16,7 +16,7 @@ func init() {
 	register(Experiment{
 		ID:       "E15",
 		Title:    "Weighted updates (library extension): histogram ingest ≡ raw replay",
-		PaperRef: "extension beyond the paper (binary weight decomposition; see DESIGN.md)",
+		PaperRef: "extension beyond the paper (binary weight decomposition: a weight-w item enters level h once per set bit h of w)",
 		Run:      runE15,
 	})
 }

@@ -1,8 +1,9 @@
 // Package harness implements the reproduction experiments: one per
 // quantitative claim of the paper (Theorems 1–3, the Appendix C variant,
 // the Appendix A lower-bound construction, the schedule/coin design choices)
-// plus the baseline comparisons motivated in Section 1. See DESIGN.md for
-// the experiment index and EXPERIMENTS.md for recorded results.
+// plus the baseline comparisons motivated in Section 1. Each experiment
+// registers itself under an ID (E1, E2, …) from its own file; `reqbench
+// -list` prints the index, and `reqbench -out dir` records the results.
 //
 // Every experiment writes a self-contained plain-text report (tables and
 // ASCII figures) to an io.Writer; cmd/reqbench runs them from the command
@@ -21,7 +22,7 @@ import (
 type Config struct {
 	// Quick shrinks stream lengths and trial counts so the whole suite
 	// runs in seconds (used by tests); full scale is the default for the
-	// CLI and is what EXPERIMENTS.md records.
+	// CLI.
 	Quick bool
 	// Seed is the master seed; every experiment derives per-trial seeds
 	// from it deterministically.

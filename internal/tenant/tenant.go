@@ -36,8 +36,8 @@
 // One mutex per shard guards that shard's map, arena, freelist, and hand.
 // Lock returns the locked shard for a key (the +req:locksAcquired
 // contract); every entry operation requires it. The Aux field gives the
-// owner a per-shard scratch slot under the same lock — the windowed
-// registry keeps its reusable union query there.
+// owner a per-shard scratch slot under the same lock — the registries
+// keep their reusable union query there.
 package tenant
 
 import (
@@ -101,8 +101,8 @@ type Shard[K comparable, E any] struct {
 	// +req:guardedBy(mu)
 	evictions uint64
 	// Aux is a scratch slot for the Map's owner, guarded by the shard
-	// lock like everything else here; the windowed registry loads its
-	// per-query union of the live slots into it.
+	// lock like everything else here; the registries keep the union
+	// scratch of their live quantile reads in it.
 	//
 	// +req:guardedBy(mu)
 	Aux any

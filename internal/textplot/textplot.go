@@ -1,7 +1,7 @@
 // Package textplot renders simple ASCII scatter/line plots. The experiment
 // harness uses it to reproduce the paper's "figures" in an offline,
-// dependency-free environment: every figure in EXPERIMENTS.md is a textplot
-// plus the underlying CSV rows.
+// dependency-free environment: every figure an experiment reports is a
+// textplot plus the underlying CSV rows.
 package textplot
 
 import (

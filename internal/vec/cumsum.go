@@ -1,10 +1,9 @@
 package vec
 
-// Cumulative-weight rewrite: the prefix-sum pass shared by the view-repair
-// merge (MergeTailCum) and the k-way view rebuild (KWayMerge). Both now
-// stage raw per-item weights into the cum array and finish with one
-// CumSumU64 sweep, so the pass is a single dispatchable kernel instead of a
-// serial accumulator threaded through two different merge loops.
+// Cumulative-weight rewrite: the prefix-sum pass of the k-way view rebuild
+// (KWayMerge), which stages raw per-item weights into the cum array and
+// finishes with one CumSumU64 sweep, so the pass is a single dispatchable
+// kernel instead of a serial accumulator threaded through the merge loop.
 //
 // uint64 addition is associative and commutative mod 2^64, so any blocking
 // or vectorization of the sweep is bit-identical to the left-to-right scalar

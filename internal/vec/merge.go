@@ -1,8 +1,8 @@
 package vec
 
-// Backward galloping merges and the view-repair cumulative-weight rewrite,
-// structure-identical to internal/core's generic versions (see runmerge.go
-// and orderKernels.mergeTailCum there) specialised to `<` / its reversal.
+// Backward galloping merges, structure-identical to internal/core's
+// generic versions (see runmerge.go there) specialised to `<` / its
+// reversal.
 
 // MergeIntoAsc merges the ascending-sorted block add into the
 // ascending-sorted slice dst and returns the extended slice. The merge runs
@@ -104,52 +104,4 @@ func MergeIntoDesc[E Elem](dst []E, add []E) []E {
 		copy(dst[:j+1], add[:j+1])
 	}
 	return dst
-}
-
-// MergeTailCum merges the ascending-sorted tail (weight-1 items) into the
-// ascending view arrays backward in place — the view-repair rewrite. items
-// and cum must already have length old+len(tail); entries [0, old) hold the
-// previous view, and the caller guarantees tail does not alias items.
-//
-// The backward merge stages raw per-item weights into the moved suffix of
-// cum (k stays strictly above i, so reading cum[i]/cum[i-1] before writing
-// cum[k] is safe), then one CumSumU64 sweep rewrites that suffix to
-// cumulative form. uint64 addition is exact mod 2^64, so the result is
-// bit-identical to the old fused accumulator on every input.
-//
-//req:noalloc
-func MergeTailCum[E Elem](items []E, cum []uint64, tail []E, old int) {
-	m := len(tail)
-	end := old + m
-	i, j, k := old-1, m-1, end-1
-	for i >= 0 && j >= 0 {
-		if items[i] < tail[j] {
-			items[k] = tail[j]
-			cum[k] = 1
-			j--
-		} else {
-			w := cum[i]
-			if i > 0 {
-				w -= cum[i-1]
-			}
-			items[k] = items[i]
-			cum[k] = w
-			i--
-		}
-		k--
-	}
-	for j >= 0 {
-		items[k] = tail[j]
-		cum[k] = 1
-		j--
-		k--
-	}
-	// items[0..k] and their cumulative weights are untouched: every new item
-	// merged in above them, so their prefix sums are unchanged. [k+1, end)
-	// holds raw weights; one vectorized pass makes them cumulative.
-	var base uint64
-	if k >= 0 {
-		base = cum[k]
-	}
-	cumSumU64(cum[k+1:end], base)
 }

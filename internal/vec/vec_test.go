@@ -775,85 +775,6 @@ func refKWay(curs []KWayCursor[float64], items []float64, cum []uint64) {
 	}
 }
 
-func TestMergeTailCum(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	for iter := 0; iter < 200; iter++ {
-		old := r.Intn(30)
-		m := 1 + r.Intn(10)
-		items := make([]float64, old, old+m)
-		cum := make([]uint64, old, old+m)
-		run := uint64(0)
-		for i := 0; i < old; i++ {
-			items[i] = math.Round(r.NormFloat64() * 5)
-			run += uint64(1 + r.Intn(4))
-			cum[i] = run
-		}
-		SortAsc(items)
-		tail := make([]float64, m)
-		for i := range tail {
-			tail[i] = math.Round(r.NormFloat64() * 5)
-		}
-		SortAsc(tail)
-
-		refItems := append(make([]float64, 0, old+m), items...)
-		refCum := append(make([]uint64, 0, old+m), cum...)
-		items = items[:old+m]
-		cum = cum[:old+m]
-		MergeTailCum(items, cum, tail, old)
-
-		refItems, refCum = refMergeTailCum(refItems, refCum, tail,
-			func(a, b float64) bool { return a < b })
-		if !sameBits(bitsOf(items), bitsOf(refItems)) {
-			t.Fatalf("MergeTailCum items diverged:\n got %v\nwant %v", items, refItems)
-		}
-		for i := range cum {
-			if cum[i] != refCum[i] {
-				t.Fatalf("MergeTailCum cum diverged at %d: %d vs %d\nitems=%v", i, cum[i], refCum[i], items)
-			}
-		}
-	}
-}
-
-// refMergeTailCum is a verbatim copy of internal/core's generic
-// orderKernels.mergeTailCum loop (the generic table the kernel must match).
-func refMergeTailCum[T any](items []T, cum []uint64, tail []T, less func(a, b T) bool) ([]T, []uint64) {
-	old, m := len(items), len(tail)
-	items = append(items, tail...)
-	cum = append(cum, make([]uint64, m)...)
-	var run uint64
-	if old > 0 {
-		run = cum[old-1]
-	}
-	run += uint64(m)
-	i, j, k := old-1, m-1, old+m-1
-	for i >= 0 && j >= 0 {
-		if less(items[i], tail[j]) {
-			items[k] = tail[j]
-			cum[k] = run
-			run--
-			j--
-		} else {
-			w := cum[i]
-			if i > 0 {
-				w -= cum[i-1]
-			}
-			items[k] = items[i]
-			cum[k] = run
-			run -= w
-			i--
-		}
-		k--
-	}
-	for j >= 0 {
-		items[k] = tail[j]
-		cum[k] = run
-		run--
-		j--
-		k--
-	}
-	return items, cum
-}
-
 func TestCumSumU64Dispatch(t *testing.T) {
 	// The dispatched kernel (AVX2 on capable amd64, the portable loop under
 	// -tags purego) must be bit-identical to the scalar left-to-right

@@ -172,29 +172,46 @@ func (r *Registry[K, T]) Contains(key K) bool {
 
 // Quantile returns the item at normalized rank phi of key's sketch; see
 // Sketch.Quantile. It returns ErrNoKey when the key is absent. Querying
-// refreshes the key's TTL. Repeated quantile queries against a key whose
-// sketch sees interleaved updates stay allocation-free in steady state:
-// the sorted view is repaired or rebuilt into recycled storage.
+// refreshes the key's TTL. Unless the key's sketch is frozen, a read
+// selects over its settled levels through the shard's union scratch
+// (core.Union), which it leaves empty: the read adds no union and no view
+// to the key, and steady-state reads allocate nothing.
 func (r *Registry[K, T]) Quantile(key K, phi float64) (T, error) {
-	sh, e := r.lockGet(key)
+	sh := r.m.Lock(key)
 	defer sh.Unlock()
+	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		var zero T
 		return zero, ErrNoKey
 	}
-	return e.sk.Quantile(phi)
+	return e.sk.QuantileWith(shardUnion[T](sh), phi)
 }
 
 // QuantilesInto answers every normalized rank in phis against key's
 // sketch, writing into dst (grown as needed) and returning it; see
-// Sketch.QuantilesInto. It returns ErrNoKey when the key is absent.
+// Sketch.QuantilesInto and Quantile. It returns ErrNoKey when the key is
+// absent.
 func (r *Registry[K, T]) QuantilesInto(key K, dst []T, phis []float64) ([]T, error) {
-	sh, e := r.lockGet(key)
+	sh := r.m.Lock(key)
 	defer sh.Unlock()
+	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		return dst, ErrNoKey
 	}
-	return e.sk.QuantilesInto(dst, phis)
+	return e.sk.QuantilesIntoWith(shardUnion[T](sh), dst, phis)
+}
+
+// shardUnion returns sh's reusable union scratch, kept in sh.Aux and
+// created on the shard's first live read.
+//
+// +req:locksRequired(sh.mu)
+func shardUnion[T any, K comparable, E any](sh *tenant.Shard[K, E]) *core.Union[T] {
+	u, _ := sh.Aux.(*core.Union[T])
+	if u == nil {
+		u = new(core.Union[T])
+		sh.Aux = u
+	}
+	return u
 }
 
 // Rank returns the estimated inclusive rank of y in key's sketch; see

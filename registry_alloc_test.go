@@ -10,10 +10,10 @@ import (
 // Allocation pins for the keyed hot paths: once every resident sketch has
 // grown past its high-water mark, keyed updates and keyed queries must not
 // allocate — the tenant arena recycles cells, the sketch recycles its
-// slab, and the query path repairs views into recycled storage.
+// slab, and keyed reads select through the shard's grow-only union scratch.
 
 // warmRegistry builds a string-keyed registry with nkeys resident keys,
-// each warmed past its growth phase and through two freeze/repair cycles.
+// each warmed past its growth phase and read twice around a write.
 func warmRegistry(tb testing.TB, nkeys, perKey int) (*RegistryFloat64, []string) {
 	tb.Helper()
 	reg, err := NewRegistryFloat64(WithK(8), WithSeed(7), WithShards(4))
@@ -28,7 +28,7 @@ func warmRegistry(tb testing.TB, nkeys, perKey int) (*RegistryFloat64, []string)
 		for j := 0; j < perKey; j++ {
 			reg.Update(k, float64((j*7919+i)%perKey))
 		}
-		// Cycle the view cache so queries repair into recycled storage.
+		// Grow the shard's union scratch and settle the key's levels.
 		if _, err := reg.Quantile(k, 0.5); err != nil {
 			tb.Fatal(err)
 		}
@@ -83,6 +83,42 @@ func TestAllocsRegistryQuantilesInto(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("keyed QuantilesInto allocates %v allocs/op", avg)
 	}
+}
+
+// TestAllocsRegistryFirstReadPerKey pins that a keyed read leaves no
+// read state on the key: every fresh key's first QuantilesInto selects
+// through the shard's union scratch, so it allocates no per-key union and
+// no view. Each key's values arrive ascending, so its levels are already
+// settled and the read sorts nothing.
+func TestAllocsRegistryFirstReadPerKey(t *testing.T) {
+	reg, err := NewRegistryFloat64(WithK(8), WithSeed(7), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 301)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fresh-%04d", i)
+		for j := 0; j < 20; j++ {
+			reg.Update(keys[i], float64(j))
+		}
+	}
+	phis := []float64{0.5, 0.9, 0.99}
+	dst := make([]float64, 0, len(phis))
+	i := 0
+	if avg := testing.AllocsPerRun(300, func() {
+		if dst, err = reg.QuantilesInto(keys[i], dst[:0], phis); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Fatalf("a fresh key's first read allocates %v allocs/op", avg)
+	}
+	reg.Visit(func(key string, s *Sketch[float64]) bool {
+		if s.Frozen() {
+			t.Fatalf("reading %s built a view", key)
+		}
+		return true
+	})
 }
 
 // TestAllocsRegistryChurn pins the eviction-recycle loop: with the

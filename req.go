@@ -94,21 +94,25 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 { return s.core.NormalizedRank(y
 // Quantile returns the item at normalized rank phi ∈ [0, 1]: the smallest
 // retained item whose estimated rank reaches ⌈phi·n⌉. Quantile(0) is the
 // exact minimum and Quantile(1) the exact maximum. It returns ErrEmpty on
-// an empty sketch and ErrBadRank for phi outside [0, 1].
+// an empty sketch and ErrBadRank for phi outside [0, 1]. A frozen sketch
+// answers from its sorted view; otherwise the read selects over the
+// sketch's sorted levels and builds no view, so the sketch stays unfrozen.
+// Both give the same answer under the order (see QuantilesInto).
 func (s *Sketch[T]) Quantile(phi float64) (T, error) { return s.core.Quantile(phi) }
 
-// Quantiles returns the items at each normalized rank, sharing one sorted
-// pass over the sketch. It allocates its result; hot paths that query
+// Quantiles returns the items at each normalized rank, sharing one read
+// of the sketch (see QuantilesInto). It allocates its result; hot paths that query
 // repeatedly should prefer QuantilesInto with a reused destination.
 func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) { return s.core.Quantiles(phis) }
 
 // QuantilesInto answers every normalized rank in phis, writing into dst
 // (grown as needed — pass the previous result back in for steady-state
-// allocation-free querying) and returning it with length len(phis). After
-// updates alone, it answers from the cached sorted view plus the items
-// appended since, without repairing the view: the sketch stays unfrozen.
-// Otherwise it answers against one sorted view, sorted phis by a single
-// forward sweep. Either way the answers are the same.
+// allocation-free querying) and returning it with length len(phis). Like
+// Quantile, it answers from the sorted view while the sketch is frozen and
+// otherwise selects over the sorted levels without building a view, the
+// sketch staying unfrozen; an ascending phis narrows the selection as it
+// goes. The two paths agree under the order: among items equal under it,
+// such as +0 and −0, they may return different ones.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	return s.core.QuantilesInto(dst, phis)
 }
@@ -184,8 +188,11 @@ func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
 // Snapshot captures the sketch's current state as an immutable,
 // concurrency-safe Snapshot: a deep copy of the frozen coreset plus its
 // rank index, answering every query exactly as the live sketch would at
-// capture time, forever. It freezes the sketch as a side effect and costs
-// one O(retained) copy. Contrast with Freeze, which makes the live sketch
+// capture time, forever — except that where the live sketch had not been
+// frozen, a quantile answer may be the other of two items equal under the
+// order, such as −0 for +0 (see QuantilesInto). It freezes the sketch as a
+// side effect and costs one O(retained) copy, plus a view rebuild when
+// the sketch was written since its last freeze. Contrast with Freeze, which makes the live sketch
 // itself cheap to query but whose effect the next write undoes, and with
 // Clone, which copies the full mutable state (levels, RNG) so the copy can
 // keep ingesting.
@@ -206,16 +213,18 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 // index, so that subsequent Rank, Quantile, Quantiles, CDF and PMF calls
 // are branchless cache-friendly pure reads until the next update or merge.
 // Sharded freezes each epoch's merged sketch before publishing it.
-// Freezing after a small number of updates repairs the cached view
-// incrementally instead of rebuilding it, and both the view and index
-// storage are recycled across freezes, so periodic freeze-query cycles are
-// allocation-free in steady state.
+// Freezing after any write rebuilds the view with one k-way merge of the
+// sorted levels and re-indexes it (about 1 ms at n = 2²⁰, ε = 0.01), so
+// freeze where a query-heavy phase follows: a live Quantile after a few
+// updates costs microseconds and needs no view. The view and index
+// storage are recycled across freezes, so periodic freeze-query cycles
+// are allocation-free in steady state.
 func (s *Sketch[T]) Freeze() { s.core.Freeze() }
 
 // Frozen reports whether the cached sorted view is currently materialized
 // (no update or merge has happened since the last Freeze or view build).
-// Quantile reads after updates alone do not build the view — they read
-// through the stale one — so Frozen stays false across them, and a
+// Quantile reads never build the view — on an unfrozen sketch they select
+// over the sorted levels — so Frozen stays false across them, and a
 // following Rank searches the levels.
 func (s *Sketch[T]) Frozen() bool { return s.core.Frozen() }
 

@@ -212,16 +212,12 @@ func (w *WindowedRegistry[K, T]) lockUnion(key K) (*tenant.Shard[K, winEntry[T]]
 	return sh, w.union(sh, e, w.epoch(now))
 }
 
-// union loads e's live slots into sh's reusable union query, creating it
-// on the shard's first windowed read.
+// union loads e's live slots into sh's reusable union query (see
+// shardUnion).
 //
 // +req:locksRequired(sh.mu)
 func (w *WindowedRegistry[K, T]) union(sh *tenant.Shard[K, winEntry[T]], e *winEntry[T], ep int64) *core.Union[T] {
-	u, _ := sh.Aux.(*core.Union[T])
-	if u == nil {
-		u = new(core.Union[T])
-		sh.Aux = u
-	}
+	u := shardUnion[T](sh)
 	u.Reset()
 	for i := range e.ring {
 		if w.live(e.epochs[i], ep) {
