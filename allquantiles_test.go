@@ -69,7 +69,7 @@ func TestRankBounds(t *testing.T) {
 	const n = 1 << 16
 	s.UpdateBatch(permStream(n, 8))
 	for rank := 64; rank <= n; rank *= 4 {
-		lo, hi := s.Sketch.RankBounds(float64(rank - 1))
+		lo, hi := s.RankBounds(float64(rank - 1))
 		if lo > hi {
 			t.Fatalf("bounds inverted at rank %d: [%d, %d]", rank, lo, hi)
 		}
@@ -84,7 +84,7 @@ func TestRankBounds(t *testing.T) {
 
 func TestRankBoundsEmpty(t *testing.T) {
 	s := mustFloat64(t)
-	lo, hi := s.Sketch.RankBounds(5)
+	lo, hi := s.RankBounds(5)
 	if lo != 0 || hi != 0 {
 		t.Fatalf("empty bounds = [%d, %d]", lo, hi)
 	}

@@ -134,14 +134,6 @@ var apiSurfaceGolden = []string{
 	"ErrNoSnapshot",
 	"ErrTornWrite",
 	"Float64",
-	"Float64.Clone",
-	"Float64.MarshalBinary",
-	"Float64.Merge",
-	"Float64.SaveSnapshot",
-	"Float64.UnmarshalBinary",
-	"Float64.Update",
-	"Float64.UpdateBatch",
-	"Float64.UpdateWeighted",
 	"KV",
 	"MappedFloat64",
 	"MappedSnapshot",
@@ -178,11 +170,13 @@ var apiSurfaceGolden = []string{
 	"Registry.Evictions",
 	"Registry.ExpireNow",
 	"Registry.Len",
+	"Registry.MarshalBinary",
 	"Registry.NumShards",
 	"Registry.Quantile",
 	"Registry.QuantilesInto",
 	"Registry.Rank",
 	"Registry.Reset",
+	"Registry.SaveRegistry",
 	"Registry.Snapshot",
 	"Registry.String",
 	"Registry.Update",
@@ -190,14 +184,8 @@ var apiSurfaceGolden = []string{
 	"Registry.UpdateKVs",
 	"Registry.UpdatePairs",
 	"Registry.Visit",
+	"Registry.WriteRegistryFile",
 	"RegistryFloat64",
-	"RegistryFloat64.MarshalBinary",
-	"RegistryFloat64.SaveRegistry",
-	"RegistryFloat64.Update",
-	"RegistryFloat64.UpdateBatch",
-	"RegistryFloat64.UpdateKVs",
-	"RegistryFloat64.UpdatePairs",
-	"RegistryFloat64.WriteRegistryFile",
 	"RegistrySnapshot",
 	"RegistrySnapshot.All",
 	"RegistrySnapshot.Generation",
@@ -207,9 +195,6 @@ var apiSurfaceGolden = []string{
 	"RegistrySnapshotFloat64",
 	"RegistrySnapshotUint64",
 	"RegistryUint64",
-	"RegistryUint64.MarshalBinary",
-	"RegistryUint64.SaveRegistry",
-	"RegistryUint64.WriteRegistryFile",
 	"Sharded",
 	"Sharded.All",
 	"Sharded.CDF",
@@ -217,6 +202,7 @@ var apiSurfaceGolden = []string{
 	"Sharded.Count",
 	"Sharded.Empty",
 	"Sharded.ItemsRetained",
+	"Sharded.MarshalBinary",
 	"Sharded.Max",
 	"Sharded.Merge",
 	"Sharded.Min",
@@ -238,14 +224,7 @@ var apiSurfaceGolden = []string{
 	"Sharded.UpdateBatch",
 	"Sharded.UpdateWeighted",
 	"ShardedFloat64",
-	"ShardedFloat64.MarshalBinary",
-	"ShardedFloat64.Merge",
-	"ShardedFloat64.Update",
-	"ShardedFloat64.UpdateBatch",
-	"ShardedFloat64.UpdateWeighted",
 	"ShardedUint64",
-	"ShardedUint64.MarshalBinary",
-	"ShardedUint64.Merge",
 	"Sketch",
 	"Sketch.All",
 	"Sketch.CDF",
@@ -260,6 +239,7 @@ var apiSurfaceGolden = []string{
 	"Sketch.Frozen",
 	"Sketch.ItemsRetained",
 	"Sketch.K",
+	"Sketch.MarshalBinary",
 	"Sketch.Max",
 	"Sketch.Merge",
 	"Sketch.Min",
@@ -276,8 +256,10 @@ var apiSurfaceGolden = []string{
 	"Sketch.RankBounds",
 	"Sketch.RankExclusive",
 	"Sketch.Reset",
+	"Sketch.SaveSnapshot",
 	"Sketch.Snapshot",
 	"Sketch.String",
+	"Sketch.UnmarshalBinary",
 	"Sketch.Update",
 	"Sketch.UpdateBatch",
 	"Sketch.UpdateWeighted",
@@ -309,11 +291,6 @@ var apiSurfaceGolden = []string{
 	"SnapshotFloat64",
 	"SnapshotUint64",
 	"Uint64",
-	"Uint64.Clone",
-	"Uint64.MarshalBinary",
-	"Uint64.Merge",
-	"Uint64.SaveSnapshot",
-	"Uint64.UnmarshalBinary",
 	"UnmarshalRegistryFloat64",
 	"UnmarshalRegistryUint64",
 	"UnmarshalSnapshotFloat64",
@@ -343,10 +320,6 @@ var apiSurfaceGolden = []string{
 	"WindowedRegistry.UpdatePairs",
 	"WindowedRegistry.WindowDuration",
 	"WindowedRegistryFloat64",
-	"WindowedRegistryFloat64.Update",
-	"WindowedRegistryFloat64.UpdateBatch",
-	"WindowedRegistryFloat64.UpdateKVs",
-	"WindowedRegistryFloat64.UpdatePairs",
 	"WithClock",
 	"WithDelta",
 	"WithEpsilon",

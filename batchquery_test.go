@@ -6,7 +6,7 @@ import (
 )
 
 // Tests for the batch query surface (RankBatch / NormalizedRankBatch /
-// QuantilesInto / CDFInto / PMFInto) across the public wrapper types.
+// QuantilesInto / CDFInto / PMFInto) across the public container types.
 
 func TestFloat64BatchQueriesMatchSingle(t *testing.T) {
 	s, err := NewFloat64(WithEpsilon(0.05), WithSeed(21))

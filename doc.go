@@ -47,11 +47,14 @@
 //
 // # Readers and snapshots
 //
-// The API splits into writers and readers. Every container — Sketch[T],
-// Float64, Uint64, Sharded[T], ShardedFloat64, ShardedUint64 — satisfies
-// the Reader[T] interface, the complete query surface (ranks, quantiles, CDF/PMF, the
-// batch variants, and the All coreset iterator), so query-side code can be
-// written once against Reader and handed any of them.
+// The API splits into writers and readers. There is one generic type per
+// container; Float64, Uint64, ShardedFloat64 and ShardedUint64 are type
+// aliases of Sketch[T] and Sharded[T] at float64 and uint64, whose New*
+// constructors pick the natural order. Both containers satisfy the
+// Reader[T] interface, the complete query surface (ranks, quantiles,
+// CDF/PMF, the batch variants, and the All coreset iterator), so
+// query-side code can be written once against Reader and handed any of
+// them.
 //
 // Snapshot[T] is the immutable reader: every container's Snapshot() method
 // captures the current coreset (plus its rank index) as a Snapshot that
@@ -77,14 +80,16 @@
 //	for item, weight := range s.All() { ... }
 //
 // On a live sketch the iteration walks sketch-owned storage (do not write
-// mid-loop); on a Snapshot it is lock-free and immutable. Retained, which
-// materializes the same pairs into a slice, is deprecated in favour of All.
+// mid-loop); on a Snapshot it is lock-free and immutable.
 //
 // # Serialization
 //
 // Float64 and Uint64 sketches round-trip through encoding.BinaryMarshaler
 // / BinaryUnmarshaler, including the internal random-generator state, so a
-// restored sketch continues bit-for-bit identically.
+// restored sketch continues bit-for-bit identically. The decoders rebuild
+// under the natural order, so MarshalBinary (and SaveSnapshot, and the
+// registries' encoders) return an error for a sketch of another item type
+// or under a custom order instead of writing what no decoder reads.
 //
 // Snapshots serialize too, as a query-only record of the same versioned
 // format: Snapshot.MarshalBinary encodes just the coreset (items, varint
@@ -178,8 +183,9 @@
 // (the grouping scratch is pooled and grow-only); batching wins over a
 // per-op Update loop by amortizing lock round-trips, hash/map probes,
 // and kernel entry across the batch — see BENCH_pr10.json for the
-// measured A/B. For NaN hygiene the Float64 fronts drop NaN items
-// pairwise before grouping, matching Update's per-op behavior.
+// measured A/B. Under the float64 order a pair whose item is NaN is
+// dropped with its key before grouping, as Update drops it, so a NaN never
+// creates or touches a key.
 //
 // WindowedRegistry answers over a trailing time window instead of the
 // whole stream: each key carries a ring of sketch slots rotated lazily on
@@ -298,26 +304,34 @@
 // counts, the k-way merge, and the Eytzinger descents —
 // through one kernel table per order, chosen once when the order is fixed.
 // Sketches built over the canonical comparators core.LessF64 /
-// core.LessU64 — which NewFloat64, NewUint64, the Sharded fronts,
-// deserialization, and snapshot open all use — get the monomorphic
-// kernels of internal/vec, with the comparison inlined instead of a
-// closure call per comparison. Every other order, including a custom
-// closure that computes a < b, gets a table of the generic algorithms
-// bound to its less, at closure speed. On amd64, the order-insensitive
-// scans additionally dispatch to AVX2 assembly, chosen once at init by
-// CPUID probe; building with the purego tag opts out of all assembly.
+// core.LessU64 — which the typed constructors (NewFloat64,
+// NewShardedUint64, NewRegistryFloat64, …), deserialization, and snapshot
+// open all use — get the monomorphic kernels of internal/vec, with the
+// comparison inlined instead of a closure call per comparison. Every other
+// order, including a custom closure that computes a < b, gets a table of
+// the generic algorithms bound to its less, at closure speed. On amd64,
+// the order-insensitive scans additionally dispatch to AVX2 assembly,
+// chosen once at init by CPUID probe; building with the purego tag opts
+// out of all assembly.
+//
+// The table also carries the order's item rule. NaN has no place in a
+// total order, so the LessF64 table drops it; every other table admits
+// every item. Update, UpdateBatch and UpdateWeighted apply the rule, and
+// Sharded and the registries apply it before they take a shard or resolve
+// a key. A batch is scanned once (AVX2 on amd64) and copied only when it
+// holds a NaN.
 //
 // The table never changes results. The vec kernels are structure-identical
 // transcriptions of the generic algorithms, so equal and NaN-incomparable
 // elements land in the same permutation, and the vectorized scans are
 // permutation-invariant reductions; differential tests pin bit-identical
-// sketch state and answers between the two tables, including
-// NaN/±0/±Inf adversarial streams.
+// sketch state and answers between the two tables, including ±0/±Inf
+// adversarial streams.
 //
 // # Concurrency
 //
-// Plain sketches are not safe for concurrent use. Sharded (and the
-// ShardedFloat64 / ShardedUint64 convenience types) is the thread-safe
+// Plain sketches are not safe for concurrent use. Sharded (ShardedFloat64
+// and ShardedUint64 are its float64 and uint64 aliases) is the thread-safe
 // container: it stripes writers across GOMAXPROCS-scaled per-shard
 // sketches, each behind its own lock, and answers queries from a lazily
 // rebuilt merged snapshot. By Theorem 3 the merge costs no accuracy.
@@ -361,18 +375,4 @@
 // across slab growth, and that scratch buffers never alias the slab.
 // Run `go run ./cmd/reqlint ./...` locally; see the README's "Static
 // guarantees" section for details.
-//
-// # API change in PR 4: Snapshot unification
-//
-// Snapshot() used to return three different types — Sharded[T].Snapshot a
-// *mutable* *Sketch[T] deep clone, ConcurrentFloat64.Snapshot a
-// (*Float64, error) clone, and Float64/Uint64 none at all. All containers
-// now return the immutable *Snapshot[T] (*SnapshotFloat64 /
-// *SnapshotUint64 for the concrete types). Migration: code that only
-// queried the old snapshot works unchanged apart from the dropped error
-// return; code that mutated it (Update/Merge on the clone) should either
-// serialize full sketch state (MarshalBinary + DecodeFloat64/DecodeUint64)
-// or keep its own plain sketch and Merge into it. Sharded snapshots are
-// now free between writes — the published epoch snapshot is shared, not
-// cloned per call.
 package req

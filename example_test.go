@@ -74,8 +74,8 @@ func ExampleFloat64_MarshalBinary() {
 // Weighted updates fold repeated values into one call.
 func ExampleSketch_UpdateWeighted() {
 	s, _ := req.NewFloat64(req.WithEpsilon(0.05), req.WithSeed(1))
-	_ = s.Sketch.UpdateWeighted(1.0, 900) // 900 fast requests
-	_ = s.Sketch.UpdateWeighted(9.0, 100) // 100 slow requests
+	_ = s.UpdateWeighted(1.0, 900) // 900 fast requests
+	_ = s.UpdateWeighted(9.0, 100) // 100 slow requests
 	p95, _ := s.Quantile(0.95)
 	fmt.Printf("n=%d p95=%.0f\n", s.Count(), p95)
 	// Output: n=1000 p95=9

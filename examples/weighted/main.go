@@ -43,7 +43,7 @@ func main() {
 	}
 	start := time.Now()
 	for i := range values {
-		if err := weighted.Sketch.UpdateWeighted(values[i], weights[i]); err != nil {
+		if err := weighted.UpdateWeighted(values[i], weights[i]); err != nil {
 			panic(err)
 		}
 	}

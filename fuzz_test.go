@@ -225,14 +225,14 @@ func FuzzUpdateRank(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.less(q, mn) || s.less(mx, q) {
+		if fuzzLess(q, mn) || fuzzLess(mx, q) {
 			t.Fatalf("median %v outside [min, max]", q)
 		}
 	})
 }
 
-// less re-exposed for the fuzz assertions (float64 order).
-func (s *Float64) less(a, b float64) bool { return a < b }
+// fuzzLess is the float64 order of the fuzz assertions.
+func fuzzLess(a, b float64) bool { return a < b }
 
 func mustFuzzSketch() *Float64 {
 	s, err := NewFloat64(WithEpsilon(0.1), WithSeed(9))

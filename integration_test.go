@@ -167,7 +167,7 @@ func TestIntegrationWeightedEquivalentDistribution(t *testing.T) {
 	}
 	weighted := mustFloat64(t, WithEpsilon(0.05), WithSeed(71))
 	for v, w := range hist {
-		if err := weighted.Sketch.UpdateWeighted(v, w); err != nil {
+		if err := weighted.UpdateWeighted(v, w); err != nil {
 			t.Fatal(err)
 		}
 	}

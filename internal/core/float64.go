@@ -6,10 +6,13 @@ import "req/internal/vec"
 // stenciled at float64 (the compiler emits separate machine code with `<`
 // inlined for each Elem instantiation — effectively monomorphic), plus the
 // AVX2-dispatched count scans. kernelFor selects it for the canonical
-// LessF64.
+// LessF64. It is the one table that drops an item: NaN, which has no place
+// in the total order <.
 type f64Kernels struct{}
 
 func (f64Kernels) less(a, b float64) bool                         { return a < b }
+func (f64Kernels) admits(x float64) bool                          { return x == x } // not NaN
+func (f64Kernels) admitsAll(xs []float64) bool                    { return !vec.HasNaN(xs) }
 func (f64Kernels) sortAsc(xs []float64)                           { vec.SortAsc(xs) }
 func (f64Kernels) sortDesc(xs []float64)                          { vec.SortDesc(xs) }
 func (f64Kernels) mergeAsc(dst, add []float64) []float64          { return vec.MergeIntoAsc(dst, add) }

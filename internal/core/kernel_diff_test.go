@@ -49,10 +49,10 @@ func TestKernelForDetection(t *testing.T) {
 var kernSink kernels[float64]
 
 // diffStreamF64 draws a float64 stream with adversarial values mixed in.
-// NaN is excluded: raw core sketches assume a total order (the public
-// wrappers filter NaN), and NaN in a *sorted structure* has no defined
+// NaN is excluded: the LessF64 table drops it on every write while the
+// closure order admits it, and NaN in a *sorted structure* has no defined
 // behaviour to be identical to. NaN handling of the scan kernels themselves
-// is covered by internal/vec's differential tests and the FilterNaN test.
+// is covered by internal/vec's differential tests and TestKernelTableNaNRule.
 func diffStreamF64(r *rand.Rand, n int) []float64 {
 	special := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, 1e300, -1e300}
@@ -348,25 +348,79 @@ func TestKernelViewRepairEquivalence(t *testing.T) {
 	}
 }
 
-// TestFilterNaNKernel checks the HasNaN fast path preserves FilterNaN's
-// exact copy-only-when-dirty contract.
-func TestFilterNaNKernel(t *testing.T) {
-	clean := []float64{1, math.Inf(-1), 0, math.Copysign(0, -1), 5}
-	if got := FilterNaN(clean); &got[0] != &clean[0] {
-		t.Fatal("FilterNaN copied a clean slice")
+// TestKernelTableNaNRule pins the item rule the kernel tables carry. On the
+// LessF64 table UpdateBatch copies no clean slice (0 allocs) and drops every
+// NaN while keeping the order of the rest, and Update and UpdateWeighted
+// drop NaN too. The LessU64 table and a closure-ordered sketch admit every
+// item.
+func TestKernelTableNaNRule(t *testing.T) {
+	cfg := Config{Eps: 0.1, Delta: 0.1, Seed: 1}
+	negZero := math.Copysign(0, -1)
+	clean := []float64{1, math.Inf(-1), 0, negZero, 5}
+	if got := TableFor(LessF64).Admitted(clean); &got[0] != &clean[0] {
+		t.Fatal("Admitted copied a clean slice")
 	}
-	dirty := []float64{1, math.NaN(), 2, math.NaN(), 3}
-	got := FilterNaN(dirty)
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("FilterNaN(%v) = %v", dirty, got)
+	s, err := New(LessF64, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		s.UpdateBatch(clean)
+	}); avg != 0 {
+		t.Fatalf("UpdateBatch of a clean slice allocates %v allocs/op", avg)
+	}
+
+	nan := math.NaN()
+	dirty := []float64{3, nan, 1, 2, nan, negZero, 5, nan}
+	want := []float64{3, 1, 2, negZero, 5}
+	s.Reset()
+	s.UpdateBatch(dirty)
+	s.Update(nan)
+	if err := s.UpdateWeighted(nan, 3); err != nil {
+		t.Fatal(err)
+	}
+	got := s.levels[0].buf
+	if s.Count() != uint64(len(want)) || len(got) != len(want) {
+		t.Fatalf("count %d, level 0 %v; want %v", s.Count(), got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FilterNaN(%v) = %v", dirty, got)
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("level 0 = %v, want %v in input order", got, want)
 		}
 	}
-	if FilterNaN(nil) != nil {
-		t.Fatal("FilterNaN(nil) != nil")
+	if mn, _ := s.Min(); mn != 0 {
+		t.Fatalf("min = %v", mn)
+	}
+
+	g, err := New(nonCanonLessF64, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.UpdateBatch(dirty)
+	g.Update(nan)
+	if err := g.UpdateWeighted(nan, 3); err != nil {
+		t.Fatal(err)
+	}
+	if g.Count() != uint64(len(dirty)+1+3) {
+		t.Fatalf("closure order: count = %d, want %d (every item admitted)", g.Count(), len(dirty)+4)
+	}
+	u := TableFor(LessU64)
+	all := []uint64{0, math.MaxUint64, 7}
+	if !u.Admits(math.MaxUint64) || !u.AdmitsAll(all) || &u.Admitted(all)[0] != &all[0] {
+		t.Fatal("LessU64 table dropped an item")
+	}
+	for _, c := range []struct {
+		name string
+		tab  interface{ Canonical() bool }
+		want bool
+	}{
+		{"LessF64", TableFor(LessF64), true},
+		{"LessU64", u, true},
+		{"closure", TableFor(nonCanonLessF64), false},
+	} {
+		if c.tab.Canonical() != c.want {
+			t.Errorf("%s: Canonical() = %v", c.name, !c.want)
+		}
 	}
 }

@@ -20,18 +20,23 @@ import (
 // eytzinger.go bound to the caller's less. The vec kernels are
 // structure-identical transcriptions of those algorithms (see vec's package
 // comment), so both kinds of table produce identical sketch states and
-// answers.
+// answers on the items both admit.
 //
 // Detection is deliberately conservative: only the canonical functions
 // select the vec tables, recognized by function-pointer identity. A caller
 // passing its own `func(a, b float64) bool { return a < b }` gets the
 // generic table — never a silently wrong kernel for an order that merely
 // looks natural.
+//
+// The table also carries the order's item rule (admits): NaN has no place
+// in LessF64's total order, so that table drops it, and every write entry
+// point (Update, UpdateBatch, UpdateWeighted) applies the rule. Every other
+// table admits every item.
 
 // LessF64 is the canonical ascending order for float64 sketches. Construct
-// float64 sketches with it (the root package's wrappers do) to select the
-// monomorphic kernel table; any other function, even one with an identical
-// body, gets the generic table.
+// float64 sketches with it (the root package's typed constructors do) to
+// select the monomorphic kernel table; any other function, even one with
+// an identical body, gets the generic table.
 func LessF64(a, b float64) bool { return a < b }
 
 // LessU64 is the canonical ascending order for uint64 sketches; see LessF64.
@@ -53,6 +58,11 @@ var (
 type kernels[T any] interface {
 	//req:noalloc
 	less(a, b T) bool
+
+	// admits reports whether x may enter a sketch under this order;
+	// admitsAll reports it for every item of xs in one scan.
+	admits(x T) bool
+	admitsAll(xs []T) bool
 
 	sortAsc([]T)
 	sortDesc([]T)
@@ -117,6 +127,46 @@ func kernelFor[T any](less func(a, b T) bool) kernels[T] {
 	return orderKernels[T]{less}
 }
 
+// Table is an order's kernel table as a container holds it: the item rule,
+// for containers that screen items before they lock a shard or resolve a
+// key, and whether the order is the canonical one the codecs decode under.
+type Table[T any] struct{ k kernels[T] }
+
+// TableFor returns the kernel table of the order less (see kernelFor).
+func TableFor[T any](less func(a, b T) bool) Table[T] { return Table[T]{kernelFor(less)} }
+
+// Table returns the sketch's kernel table.
+func (s *Sketch[T]) Table() Table[T] { return Table[T]{s.kern} }
+
+// Admits reports whether x may enter a sketch under the table's order.
+func (t Table[T]) Admits(x T) bool { return t.k.admits(x) }
+
+// AdmitsAll reports whether every item of xs may enter a sketch under the
+// table's order.
+func (t Table[T]) AdmitsAll(xs []T) bool { return t.k.admitsAll(xs) }
+
+// Admitted returns xs without the items the table drops, in their order.
+// It copies only when it drops one, so a clean batch costs one scan.
+func (t Table[T]) Admitted(xs []T) []T {
+	if t.k.admitsAll(xs) {
+		return xs
+	}
+	clean := make([]T, 0, len(xs)-1)
+	for _, x := range xs {
+		if t.k.admits(x) {
+			clean = append(clean, x)
+		}
+	}
+	return clean
+}
+
+// Canonical reports whether the table is a vec table, that is whether the
+// order is LessF64 or LessU64.
+func (t Table[T]) Canonical() bool {
+	_, generic := t.k.(orderKernels[T])
+	return !generic
+}
+
 // orderKernels is the kernel table of an arbitrary order: the generic
 // algorithms bound to the caller's less. A one-field struct holding a func
 // is pointer-shaped, so storing it in the kernels interface allocates
@@ -124,6 +174,9 @@ func kernelFor[T any](less func(a, b T) bool) kernels[T] {
 type orderKernels[T any] struct{ lt func(a, b T) bool }
 
 func (k orderKernels[T]) less(a, b T) bool { return k.lt(a, b) }
+
+func (orderKernels[T]) admits(T) bool      { return true }
+func (orderKernels[T]) admitsAll([]T) bool { return true }
 
 // gt is the reversed order.
 func (k orderKernels[T]) gt(a, b T) bool { return k.lt(b, a) }

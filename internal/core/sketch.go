@@ -148,8 +148,16 @@ func (s *Sketch[T]) internalLess(a, b T) bool {
 //req:noalloc
 func (s *Sketch[T]) invalidate() { s.view = nil }
 
-// Update inserts one item into the sketch.
+// Update inserts one item into the sketch, unless the order's table drops
+// it (a NaN under LessF64; see kernels).
 func (s *Sketch[T]) Update(x T) {
+	if s.kern.admits(x) {
+		s.update(x)
+	}
+}
+
+// update inserts one item the table admits.
+func (s *Sketch[T]) update(x T) {
 	s.invalidate()
 	if !s.hasMinMax {
 		s.min, s.max = x, x
@@ -189,14 +197,21 @@ func (s *Sketch[T]) Update(x T) {
 	}
 }
 
-// UpdateBatch inserts every item of xs, amortizing view invalidation,
-// min/max tracking, bound checks, and compaction cascades across the batch.
-// It is equivalent to calling Update once per item — bit-identical whenever
-// no stream-length growth lands mid-batch; across a growth boundary the
-// bound is raised once for the whole chunk rather than at the exact item,
-// which preserves every guarantee but may retain a slightly different
-// coreset than item-at-a-time insertion. The slice is only read.
+// UpdateBatch inserts every item of xs the order's table admits,
+// amortizing view invalidation, min/max tracking, bound checks, and
+// compaction cascades across the batch. It is equivalent to calling Update
+// once per item — bit-identical whenever no stream-length growth lands
+// mid-batch; across a growth boundary the bound is raised once for the
+// whole chunk rather than at the exact item, which preserves every
+// guarantee but may retain a slightly different coreset than item-at-a-time
+// insertion. The slice is only read; it is copied only when the table
+// drops an item.
 func (s *Sketch[T]) UpdateBatch(xs []T) {
+	s.updateBatch(s.Table().Admitted(xs))
+}
+
+// updateBatch is UpdateBatch over items the table admits.
+func (s *Sketch[T]) updateBatch(xs []T) {
 	if len(xs) == 0 {
 		return
 	}
@@ -244,18 +259,19 @@ func (s *Sketch[T]) UpdateBatch(xs []T) {
 	}
 }
 
-// IngestRun feeds one same-key run of a batched keyed ingest into the
-// sketch — the run-ingest hook the registry's UpdatePairs pipeline resolves
-// each distinct key to. A single-item run takes the scalar Update path
-// (batch setup would dominate); longer runs take UpdateBatch so the
+// IngestRun feeds a run of items the caller has already screened with the
+// order's table (Table.Admitted) into the sketch, without testing them
+// again — the run-ingest hook of the registries' batched ingest and of
+// Sharded's batch runs. A single-item run takes the scalar Update path
+// (batch setup would dominate); longer runs take UpdateBatch's path so the
 // monomorphic kernels apply. The two are bit-identical for one item, so the
 // choice never changes sketch state.
 func (s *Sketch[T]) IngestRun(run []T) {
 	if len(run) == 1 {
-		s.Update(run[0])
+		s.update(run[0])
 		return
 	}
-	s.UpdateBatch(run)
+	s.updateBatch(run)
 }
 
 // PrefetchHint reads the level-0 append position — the line an Update will

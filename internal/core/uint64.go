@@ -7,6 +7,8 @@ import "req/internal/vec"
 type u64Kernels struct{}
 
 func (u64Kernels) less(a, b uint64) bool                        { return a < b }
+func (u64Kernels) admits(uint64) bool                           { return true }
+func (u64Kernels) admitsAll([]uint64) bool                      { return true }
 func (u64Kernels) sortAsc(xs []uint64)                          { vec.SortAsc(xs) }
 func (u64Kernels) sortDesc(xs []uint64)                         { vec.SortDesc(xs) }
 func (u64Kernels) mergeAsc(dst, add []uint64) []uint64          { return vec.MergeIntoAsc(dst, add) }

@@ -11,7 +11,7 @@ var ErrWeightOverflow = errors.New("core: weighted update overflows stream lengt
 
 // UpdateWeighted inserts x with integer weight, equivalent to weight
 // repeated Updates but in O(popcount + B) buffer insertions instead of
-// O(weight).
+// O(weight). An item the order's table drops is ignored, as in Update.
 //
 // This is an extension beyond the paper (which treats unit updates; the
 // trick mirrors weighted updates in KLL implementations): since items at
@@ -25,14 +25,14 @@ var ErrWeightOverflow = errors.New("core: weighted update overflows stream lengt
 // h_max ≈ log₂(n′/(B/2)) (n′ the new total weight) are folded into up to
 // ~B/2 copies at h_max rather than opening deeper levels.
 func (s *Sketch[T]) UpdateWeighted(x T, weight uint64) error {
-	if weight == 0 {
+	if weight == 0 || !s.kern.admits(x) {
 		return nil
 	}
 	if weight > maxBound || s.n > maxBound-weight {
 		return ErrWeightOverflow
 	}
 	if weight == 1 {
-		s.Update(x)
+		s.update(x)
 		return nil
 	}
 	s.invalidate()

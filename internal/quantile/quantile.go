@@ -87,20 +87,11 @@ func NewREQ(cfg core.Config, label string) (*REQ, error) {
 // Name implements Sketch.
 func (r *REQ) Name() string { return r.label }
 
-// Update implements Sketch.
-func (r *REQ) Update(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	r.s.Update(v)
-}
+// Update implements Sketch. NaN is dropped by the LessF64 kernel table.
+func (r *REQ) Update(v float64) { r.s.Update(v) }
 
-// UpdateBatch implements BatchUpdater via the core batch ingest path. The
-// harness generates NaN-free streams, but stray NaNs are still dropped to
-// keep the contract of Update.
-func (r *REQ) UpdateBatch(vs []float64) {
-	r.s.UpdateBatch(core.FilterNaN(vs))
-}
+// UpdateBatch implements BatchUpdater via the core batch ingest path.
+func (r *REQ) UpdateBatch(vs []float64) { r.s.UpdateBatch(vs) }
 
 // Rank implements Sketch.
 func (r *REQ) Rank(v float64) uint64 { return r.s.Rank(v) }

@@ -51,8 +51,8 @@
 package vec
 
 // Elem is the set of element types with monomorphic kernels: the two types
-// the public wrappers (req.Float64, req.Uint64, the sharded and persisted
-// variants) actually instantiate.
+// the root package's typed constructors (req.NewFloat64, req.NewUint64, the
+// sharded, registry and persisted variants) actually instantiate.
 type Elem interface {
 	~float64 | ~uint64
 }

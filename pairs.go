@@ -51,10 +51,11 @@ const resolveBlock = 64
 // pairScratch is the pooled per-call scratch of the batched ingest
 // pipeline: the tenant-side plan, the resolved-cell buffer for the
 // two-phase shard walk, the gather buffer for non-contiguous runs, and
-// the parallel-slice staging used by UpdateKVs and the NaN filtering
-// fronts. Grow-only; reused verbatim across batches. The cell pointers
-// left behind after a batch point into the owning registry's arenas,
-// which live exactly as long as the registry that owns the pool.
+// the parallel-slice staging used by UpdateKVs and by the screening of
+// pairs whose item the order's table drops. Grow-only; reused verbatim
+// across batches. The cell pointers left behind after a batch point into
+// the owning registry's arenas, which live exactly as long as the registry
+// that owns the pool.
 type pairScratch[K comparable, E, T any] struct {
 	batch tenant.Batch[K]
 	cells []*E
@@ -80,13 +81,26 @@ func getPairScratch[K comparable, E, T any](pool *sync.Pool) *pairScratch[K, E, 
 // Registry and WindowedRegistry differ only in their entry payload and in
 // what "ingest one run" means, passed as ingest (a top-level function, so
 // no closure is allocated). ep is the windowed epoch (unused by the plain
-// registry).
+// registry). The pairs are screened first with the order's table: a pair
+// whose item the table drops is skipped with its key, so it never creates
+// or touches a key. The screen is one scan of a clean batch; otherwise the
+// kept pairs are compacted into pooled scratch. Runs are not tested again.
 func updatePairs[K comparable, E, T any](
-	m *tenant.Map[K, E], pool *sync.Pool, now, ep int64,
+	m *tenant.Map[K, E], pool *sync.Pool, tab core.Table[T], now, ep int64,
 	keys []K, items []T,
 	touch func(e *E, ep int64) T, ingest func(e *E, ep int64, run []T),
 ) {
 	sc := getPairScratch[K, E, T](pool)
+	if !tab.AdmitsAll(items) {
+		sc.keys, sc.vals = sc.keys[:0], sc.vals[:0]
+		for i, x := range items {
+			if tab.Admits(x) {
+				sc.keys = append(sc.keys, keys[i])
+				sc.vals = append(sc.vals, x)
+			}
+		}
+		keys, items = sc.keys, sc.vals
+	}
 	m.PlanBatch(&sc.batch, keys)
 	n := sc.batch.Runs()
 	for i := 0; i < n; {
@@ -204,9 +218,11 @@ func winIngest[T any](e *winEntry[T], ep int64, run []T) {
 
 // UpdatePairs inserts items[i] into keys[i]'s sketch for every i, creating
 // absent keys lazily, through the shard-grouped batch pipeline (see the
-// package section above for the ordering contract). The slices must have
-// equal length; both are only read, never retained. Steady-state calls
-// allocate nothing.
+// package section above for the ordering contract). A pair whose item
+// Update would ignore (a NaN under NewRegistryFloat64) is skipped with its
+// key, so it never creates or touches a key. The slices must have equal
+// length; both are only read, never retained. Steady-state calls allocate
+// nothing.
 func (r *Registry[K, T]) UpdatePairs(keys []K, items []T) {
 	if len(keys) != len(items) {
 		panic("req: UpdatePairs slices of unequal length")
@@ -214,7 +230,7 @@ func (r *Registry[K, T]) UpdatePairs(keys []K, items []T) {
 	if len(keys) == 0 {
 		return
 	}
-	updatePairs(r.m, r.pairs, r.now(), 0, keys, items, regTouch[T], regIngest[T])
+	updatePairs(r.m, &r.pairs, r.tab, r.now(), 0, keys, items, regTouch[T], regIngest[T])
 }
 
 // UpdateKVs is UpdatePairs over one slice of KV pairs — the wire-format
@@ -224,7 +240,7 @@ func (r *Registry[K, T]) UpdateKVs(kvs []KV[K, T]) {
 	if len(kvs) == 0 {
 		return
 	}
-	sc := getPairScratch[K, regEntry[T], T](r.pairs)
+	sc := getPairScratch[K, regEntry[T], T](&r.pairs)
 	sc.keys, sc.vals = splitKVs(sc.keys[:0], sc.vals[:0], kvs)
 	r.UpdatePairs(sc.keys, sc.vals)
 	r.pairs.Put(sc)
@@ -253,7 +269,7 @@ func (w *WindowedRegistry[K, T]) UpdatePairs(keys []K, items []T) {
 		return
 	}
 	now := w.now()
-	updatePairs(w.m, w.pairs, now, w.epoch(now), keys, items, winTouch[T], winIngest[T])
+	updatePairs(w.m, &w.pairs, w.tab, now, w.epoch(now), keys, items, winTouch[T], winIngest[T])
 }
 
 // UpdateKVs is UpdatePairs over one slice of KV pairs; see
@@ -262,73 +278,8 @@ func (w *WindowedRegistry[K, T]) UpdateKVs(kvs []KV[K, T]) {
 	if len(kvs) == 0 {
 		return
 	}
-	sc := getPairScratch[K, winEntry[T], T](w.pairs)
+	sc := getPairScratch[K, winEntry[T], T](&w.pairs)
 	sc.keys, sc.vals = splitKVs(sc.keys[:0], sc.vals[:0], kvs)
 	w.UpdatePairs(sc.keys, sc.vals)
-	w.pairs.Put(sc)
-}
-
-// UpdatePairs inserts vs[i] into keys[i]'s sketch for every i, skipping
-// NaN values (their keys are skipped in tandem, so a NaN never creates or
-// touches a key). The pair slices are compacted into pooled scratch only
-// when a NaN is present; the all-clean fast path is one dispatched scan.
-func (r *RegistryFloat64) UpdatePairs(keys []string, vs []float64) {
-	if len(keys) != len(vs) {
-		panic("req: UpdatePairs slices of unequal length")
-	}
-	if !core.HasNaN(vs) {
-		r.Registry.UpdatePairs(keys, vs)
-		return
-	}
-	sc := getPairScratch[string, regEntry[float64], float64](r.pairs)
-	sc.keys, sc.vals = core.FilterNaNPairsInto(sc.keys[:0], sc.vals[:0], keys, vs)
-	r.Registry.UpdatePairs(sc.keys, sc.vals)
-	r.pairs.Put(sc)
-}
-
-// UpdateKVs is UpdatePairs over one slice of KV pairs, skipping pairs
-// whose value is NaN.
-func (r *RegistryFloat64) UpdateKVs(kvs []KV[string, float64]) {
-	sc := getPairScratch[string, regEntry[float64], float64](r.pairs)
-	sc.keys, sc.vals = sc.keys[:0], sc.vals[:0]
-	for i := range kvs {
-		if v := kvs[i].Value; v == v { // not NaN
-			sc.keys = append(sc.keys, kvs[i].Key)
-			sc.vals = append(sc.vals, v)
-		}
-	}
-	r.Registry.UpdatePairs(sc.keys, sc.vals)
-	r.pairs.Put(sc)
-}
-
-// UpdatePairs inserts vs[i] into keys[i]'s current window slot for every
-// i, skipping NaN values and their keys in tandem; see
-// RegistryFloat64.UpdatePairs.
-func (w *WindowedRegistryFloat64) UpdatePairs(keys []string, vs []float64) {
-	if len(keys) != len(vs) {
-		panic("req: UpdatePairs slices of unequal length")
-	}
-	if !core.HasNaN(vs) {
-		w.WindowedRegistry.UpdatePairs(keys, vs)
-		return
-	}
-	sc := getPairScratch[string, winEntry[float64], float64](w.pairs)
-	sc.keys, sc.vals = core.FilterNaNPairsInto(sc.keys[:0], sc.vals[:0], keys, vs)
-	w.WindowedRegistry.UpdatePairs(sc.keys, sc.vals)
-	w.pairs.Put(sc)
-}
-
-// UpdateKVs is UpdatePairs over one slice of KV pairs, skipping pairs
-// whose value is NaN.
-func (w *WindowedRegistryFloat64) UpdateKVs(kvs []KV[string, float64]) {
-	sc := getPairScratch[string, winEntry[float64], float64](w.pairs)
-	sc.keys, sc.vals = sc.keys[:0], sc.vals[:0]
-	for i := range kvs {
-		if v := kvs[i].Value; v == v { // not NaN
-			sc.keys = append(sc.keys, kvs[i].Key)
-			sc.vals = append(sc.vals, v)
-		}
-	}
-	w.WindowedRegistry.UpdatePairs(sc.keys, sc.vals)
 	w.pairs.Put(sc)
 }

@@ -203,12 +203,15 @@ func (sn *Snapshot[T]) WriteSnapshotFile(path string) error {
 }
 
 // SaveSnapshot captures the sketch's current state and durably writes it
-// to the snapshot directory dir; see Snapshot.SaveSnapshot.
-func (s *Float64) SaveSnapshot(dir string) (uint64, error) { return s.Snapshot().SaveSnapshot(dir) }
-
-// SaveSnapshot captures the sketch's current state and durably writes it
-// to the snapshot directory dir; see Snapshot.SaveSnapshot.
-func (s *Uint64) SaveSnapshot(dir string) (uint64, error) { return s.Snapshot().SaveSnapshot(dir) }
+// to the snapshot directory dir; see Snapshot.SaveSnapshot. Like
+// MarshalBinary it returns an error, and writes nothing, unless the items
+// are float64 or uint64 under their natural order.
+func (s *Sketch[T]) SaveSnapshot(dir string) (uint64, error) {
+	if _, err := codecOf(s.core.Table()); err != nil {
+		return 0, err
+	}
+	return s.Snapshot().SaveSnapshot(dir)
+}
 
 // SaveSnapshot captures the sharded sketch's current epoch snapshot and
 // durably writes it to the snapshot directory dir. Only float64 and

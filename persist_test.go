@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"req/internal/core"
 	"req/internal/snapstore"
 )
 
@@ -634,7 +635,10 @@ func FuzzOpenSnapshotFile(f *testing.F) {
 // refuse a coreset the package's decoders would reject — items in a
 // descending order, or a NaN from a generic sketch — instead of reporting
 // success, and that a refused save leaves no generation or file behind.
-// An ascending custom order keeps encoding and decoding.
+// An ascending custom order keeps encoding and decoding as a snapshot. The
+// full-state and registry encoders refuse what no decoder reads: a custom
+// order (the decoders rebuild under the natural one), an item type
+// without a codec, and a registry shape without a decoder.
 func TestEncodersRejectUndecodableCoresets(t *testing.T) {
 	desc := func(a, b float64) bool { return a > b }
 	asc := func(a, b float64) bool { return a < b }
@@ -679,6 +683,92 @@ func TestEncodersRejectUndecodableCoresets(t *testing.T) {
 			t.Errorf("%s: refused write left a file behind (stat: %v)", name, err)
 		}
 	}
+	ascFull, err := New(asc, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ascSharded, err := NewSharded(asc, WithSeed(6), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ascReg, err := NewRegistry[string](asc, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strSketch, err := New(func(a, b string) bool { return a < b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	strReg, err := NewRegistry[string](core.LessU64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		ascFull.Update(float64(i))
+		ascSharded.Update(float64(i))
+		ascReg.Update("k", float64(i))
+		strSketch.Update(string(rune('a' + i%26)))
+		strReg.Update("k", uint64(i))
+	}
+	f64Blob, err := mustFloat64(t, WithSeed(8)).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func(dir, path string) error{
+		"custom-order Sketch.MarshalBinary": func(string, string) error {
+			_, err := ascFull.MarshalBinary()
+			return err
+		},
+		"custom-order Sketch.SaveSnapshot": func(dir, _ string) error {
+			_, err := ascFull.SaveSnapshot(dir)
+			return err
+		},
+		"custom-order Sharded.MarshalBinary": func(string, string) error {
+			_, err := ascSharded.MarshalBinary()
+			return err
+		},
+		"custom-order Registry.MarshalBinary": func(string, string) error {
+			_, err := ascReg.MarshalBinary()
+			return err
+		},
+		"custom-order Registry.SaveRegistry": func(dir, _ string) error {
+			_, err := ascReg.SaveRegistry(dir)
+			return err
+		},
+		"custom-order Registry.WriteRegistryFile": func(_, path string) error {
+			return ascReg.WriteRegistryFile(path)
+		},
+		"Sketch[string].MarshalBinary": func(string, string) error {
+			_, err := strSketch.MarshalBinary()
+			return err
+		},
+		"Sketch[string].UnmarshalBinary": func(string, string) error {
+			return strSketch.UnmarshalBinary(f64Blob)
+		},
+		"Registry[string, uint64].MarshalBinary": func(string, string) error {
+			_, err := strReg.MarshalBinary()
+			return err
+		},
+		"Registry[string, uint64].SaveRegistry": func(dir, _ string) error {
+			_, err := strReg.SaveRegistry(dir)
+			return err
+		},
+		"Registry[string, uint64].WriteRegistryFile": func(_, path string) error {
+			return strReg.WriteRegistryFile(path)
+		},
+	} {
+		root := t.TempDir()
+		if err := call(filepath.Join(root, "gens"), filepath.Join(root, "one.reqsnap")); err == nil {
+			t.Errorf("%s: accepted what no decoder reads", name)
+		}
+		if left, err := os.ReadDir(root); err != nil || len(left) != 0 {
+			t.Errorf("%s: refused call left %d entries behind (%v)", name, len(left), err)
+		}
+	}
+	if strSketch.Count() != 1000 {
+		t.Errorf("refused UnmarshalBinary changed the sketch: count %d", strSketch.Count())
+	}
+
 	dir := t.TempDir()
 	if _, err := descSharded.SaveSnapshot(dir); err == nil {
 		t.Error("Sharded.SaveSnapshot accepted a descending coreset")

@@ -3,7 +3,7 @@ package req
 import "iter"
 
 // Reader is the complete query surface of the package: every container —
-// the single-goroutine Sketch[T] (and its Float64/Uint64 specialisations),
+// the single-goroutine Sketch[T] (and its Float64/Uint64 aliases),
 // the concurrent Sharded[T] (and ShardedFloat64/ShardedUint64), and the
 // immutable Snapshot[T] — satisfies it, so query-side code can be written
 // once against Reader and handed any of them.
@@ -67,15 +67,10 @@ type Reader[T any] interface {
 
 // Compile-time proof that every container exposes the full query surface.
 // Adding a method to Reader forces every container to grow it; removing one
-// from a container breaks the build here, not in a user's code.
+// from a container breaks the build here, not in a user's code. The typed
+// names (Float64, ShardedUint64, SnapshotFloat64, …) are aliases of these.
 var (
 	_ Reader[float64] = (*Sketch[float64])(nil)
-	_ Reader[float64] = (*Float64)(nil)
-	_ Reader[uint64]  = (*Uint64)(nil)
 	_ Reader[float64] = (*Sharded[float64])(nil)
-	_ Reader[float64] = (*ShardedFloat64)(nil)
-	_ Reader[uint64]  = (*ShardedUint64)(nil)
 	_ Reader[float64] = (*Snapshot[float64])(nil)
-	_ Reader[float64] = (*SnapshotFloat64)(nil)
-	_ Reader[uint64]  = (*SnapshotUint64)(nil)
 )

@@ -45,13 +45,12 @@ var ErrNoKey = errors.New("req: no sketch for key")
 // All methods are safe for concurrent use; per-key operations take only
 // the owning shard's lock.
 type Registry[K comparable, T any] struct {
-	m    *tenant.Map[K, regEntry[T]]
-	less func(a, b T) bool
-	cfg  core.Config
-	now  func() int64
-	// pairs pools the batched-ingest scratch (*pairScratch[K, T]); a
-	// pointer so the typed wrappers can embed Registry by value.
-	pairs *sync.Pool
+	m   *tenant.Map[K, regEntry[T]]
+	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
+	cfg core.Config
+	now func() int64
+	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
+	pairs sync.Pool
 }
 
 // regEntry is the arena payload: the per-key sketch, embedded by value so
@@ -82,7 +81,7 @@ func NewRegistry[K comparable, T any](less func(a, b T) bool, opts ...Option) (*
 	if cfg.WindowSlots > 0 {
 		return nil, errors.New("req: WithWindow configures a WindowedRegistry, not a Registry")
 	}
-	r := &Registry[K, T]{less: less, cfg: cfg, now: registryClock(cfg), pairs: new(sync.Pool)}
+	r := &Registry[K, T]{tab: core.TableFor(less), cfg: cfg, now: registryClock(cfg)}
 	r.m = tenant.NewMap[K, regEntry[T]](tenantConfig(cfg),
 		func(e *regEntry[T], seq uint64) {
 			// Init cannot fail: cfg was validated above and less is non-nil.
@@ -117,9 +116,14 @@ func seedCfg(cfg core.Config, seq uint64) core.Config {
 }
 
 // Update inserts one item into key's sketch, creating the sketch on the
-// key's first update (or recycling an evicted entry's storage). This is
-// the only call that materializes a key.
+// key's first update (or recycling an evicted entry's storage). Updates
+// are the only calls that materialize a key. An item the order's table
+// drops (NaN under NewRegistryFloat64) is ignored and never creates or
+// touches a key.
 func (r *Registry[K, T]) Update(key K, item T) {
+	if !r.tab.Admits(item) {
+		return
+	}
 	now := r.now()
 	sh := r.m.Lock(key)
 	e, _ := r.m.GetOrCreate(sh, key, now)
@@ -129,15 +133,16 @@ func (r *Registry[K, T]) Update(key K, item T) {
 
 // UpdateBatch inserts every item of the slice into key's sketch through
 // the batch ingest path (see Sketch.UpdateBatch), creating the sketch if
-// absent. The slice is only read, never retained.
+// absent. Items Update would ignore are skipped, and a batch of nothing
+// else creates no key. The slice is only read, never retained.
 func (r *Registry[K, T]) UpdateBatch(key K, items []T) {
-	if len(items) == 0 {
+	if items = r.tab.Admitted(items); len(items) == 0 {
 		return
 	}
 	now := r.now()
 	sh := r.m.Lock(key)
 	e, _ := r.m.GetOrCreate(sh, key, now)
-	e.sk.UpdateBatch(items)
+	e.sk.IngestRun(items)
 	sh.Unlock()
 }
 
@@ -290,54 +295,25 @@ func (r *Registry[K, T]) String() string {
 }
 
 // RegistryFloat64 is a registry of float64 sketches keyed by string — the
-// per-endpoint / per-tenant latency shape. It adds NaN filtering on the
-// ingest path (NaN has no place in a total order) and is the registry
-// variant with binary persistence: see SaveRegistry and
-// OpenRegistryFloat64.
-type RegistryFloat64 struct {
-	Registry[string, float64]
-}
+// per-endpoint / per-tenant latency shape. NaNs are ignored on every write
+// path, and it persists: see SaveRegistry and OpenRegistryFloat64.
+type RegistryFloat64 = Registry[string, float64]
 
 // NewRegistryFloat64 returns an empty string-keyed float64 registry
 // configured by opts. Values compare by the usual < order (the canonical
-// core.LessF64, activating the monomorphic kernel layer).
+// core.LessF64, selecting the monomorphic kernel table).
 func NewRegistryFloat64(opts ...Option) (*RegistryFloat64, error) {
-	r, err := NewRegistry[string, float64](core.LessF64, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &RegistryFloat64{Registry: *r}, nil
-}
-
-// Update inserts one value into key's sketch. NaN values are ignored.
-func (r *RegistryFloat64) Update(key string, v float64) {
-	if v != v { // NaN
-		return
-	}
-	r.Registry.Update(key, v)
-}
-
-// UpdateBatch inserts every value of the slice into key's sketch,
-// skipping NaNs; the slice is copied only if it contains a NaN.
-func (r *RegistryFloat64) UpdateBatch(key string, vs []float64) {
-	r.Registry.UpdateBatch(key, core.FilterNaN(vs))
+	return NewRegistry[string](core.LessF64, opts...)
 }
 
 // RegistryUint64 is a registry of uint64 sketches keyed by uint64 — the
-// per-user-ID counter-distribution shape. It is the second registry
-// variant with binary persistence: see SaveRegistry and
-// OpenRegistryUint64.
-type RegistryUint64 struct {
-	Registry[uint64, uint64]
-}
+// per-user-ID counter-distribution shape. It persists too: see
+// SaveRegistry and OpenRegistryUint64.
+type RegistryUint64 = Registry[uint64, uint64]
 
 // NewRegistryUint64 returns an empty uint64-keyed uint64 registry
 // configured by opts. Values compare by the usual < order (the canonical
 // core.LessU64).
 func NewRegistryUint64(opts ...Option) (*RegistryUint64, error) {
-	r, err := NewRegistry[uint64, uint64](core.LessU64, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &RegistryUint64{Registry: *r}, nil
+	return NewRegistry[uint64](core.LessU64, opts...)
 }

@@ -250,6 +250,26 @@ func TestRegistryNaNFilter(t *testing.T) {
 	if n := r.Count("k"); n != 2 {
 		t.Fatalf("Count = %d after NaN-filtered batch, want 2", n)
 	}
+	// Visit's facade writes through the key's own sketch, which drops NaN
+	// on every write path, so the key keeps its count and still encodes.
+	r.Visit(func(_ string, s *Sketch[float64]) bool {
+		s.Update(math.NaN())
+		s.UpdateBatch([]float64{math.NaN()})
+		if err := s.UpdateWeighted(math.NaN(), 2); err != nil {
+			t.Error(err)
+		}
+		return true
+	})
+	if n := r.Count("k"); n != 2 {
+		t.Fatalf("Count = %d after NaN writes through Visit, want 2", n)
+	}
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalRegistryFloat64(blob); err != nil {
+		t.Fatalf("registry blob does not decode: %v", err)
+	}
 	w, _ := NewWindowedRegistryFloat64(WithK(4), WithWindow(2, time.Second))
 	w.Update("k", math.NaN())
 	if w.Contains("k") {

@@ -120,31 +120,25 @@ func openRegistryFile[K comparable, T any](
 // atomic under crashes exactly like Snapshot.SaveSnapshot: a reader sees
 // either the previous generations or the new one, never a torn file. The
 // capture is shard-by-shard consistent (each shard's keys freeze under
-// that shard's lock); pause writers for a globally atomic cut.
-func (r *RegistryFloat64) SaveRegistry(dir string) (uint64, error) {
-	blob, _ := r.MarshalBinary()
+// that shard's lock); pause writers for a globally atomic cut. A registry
+// MarshalBinary refuses is refused here too, and nothing is written.
+func (r *Registry[K, T]) SaveRegistry(dir string) (uint64, error) {
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
 	return saveRegistryBlob(blob, dir)
 }
 
 // WriteRegistryFile durably writes the registry capture as a single
 // standalone file at path, outside any generation rotation. Open it with
-// OpenRegistryFileFloat64.
-func (r *RegistryFloat64) WriteRegistryFile(path string) error {
-	blob, _ := r.MarshalBinary()
-	return snapstore.WriteSnapshotFile(snapstore.OS, path, 1, registryPayload(blob))
-}
-
-// SaveRegistry durably writes the registry as the next generation in dir;
-// see RegistryFloat64.SaveRegistry.
-func (r *RegistryUint64) SaveRegistry(dir string) (uint64, error) {
-	blob, _ := r.MarshalBinary()
-	return saveRegistryBlob(blob, dir)
-}
-
-// WriteRegistryFile durably writes the registry capture as a single
-// standalone file at path; see RegistryFloat64.WriteRegistryFile.
-func (r *RegistryUint64) WriteRegistryFile(path string) error {
-	blob, _ := r.MarshalBinary()
+// OpenRegistryFileFloat64 or OpenRegistryFileUint64. A registry
+// MarshalBinary refuses is refused here too, and nothing is written.
+func (r *Registry[K, T]) WriteRegistryFile(path string) error {
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		return err
+	}
 	return snapstore.WriteSnapshotFile(snapstore.OS, path, 1, registryPayload(blob))
 }
 

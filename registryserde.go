@@ -2,6 +2,7 @@ package req
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"iter"
 
@@ -295,11 +296,41 @@ func (rs *RegistrySnapshot[K, T]) String() string {
 	return fmt.Sprintf("req.RegistrySnapshot{keys=%d, gen=%d}", rs.Len(), rs.gen)
 }
 
+// registryCodecs returns the key and item codecs of a registry shape a
+// decoder reads — string→float64 (UnmarshalRegistryFloat64) and
+// uint64→uint64 (UnmarshalRegistryUint64) — under the natural order, or
+// an error for any other registry.
+func registryCodecs[K comparable, T any](tab core.Table[T]) (keyCodec[K], itemCodec[T], error) {
+	var kc any
+	switch any(*new(K)).(type) {
+	case string:
+		if _, ok := any(*new(T)).(float64); ok {
+			kc = stringKeyCodec
+		}
+	case uint64:
+		if _, ok := any(*new(T)).(uint64); ok {
+			kc = uint64KeyCodec
+		}
+	}
+	if kc == nil {
+		return keyCodec[K]{}, itemCodec[T]{}, errors.New("req: registry encoding supports string→float64 and uint64→uint64 registries only")
+	}
+	ic, err := codecOf(tab)
+	return kc.(keyCodec[K]), ic, err
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler: every resident key's
 // coreset as a keyed snapshot record (see the package format comment
 // above). The walk captures shard by shard under each shard's lock.
-func (r *RegistryFloat64) MarshalBinary() ([]byte, error) {
-	return encodeRegistry(&r.Registry, stringKeyCodec, float64Codec), nil
+// UnmarshalRegistryFloat64 and UnmarshalRegistryUint64 decode it. Other
+// registry shapes, and registries under a custom order, return an error
+// and encode nothing.
+func (r *Registry[K, T]) MarshalBinary() ([]byte, error) {
+	kc, ic, err := registryCodecs[K](r.tab)
+	if err != nil {
+		return nil, err
+	}
+	return encodeRegistry(r, kc, ic), nil
 }
 
 // UnmarshalRegistryFloat64 decodes bytes produced by
@@ -308,12 +339,6 @@ func (r *RegistryFloat64) MarshalBinary() ([]byte, error) {
 // never panics.
 func UnmarshalRegistryFloat64(data []byte) (*RegistrySnapshotFloat64, error) {
 	return decodeRegistry(data, stringKeyCodec, float64Codec)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler; see
-// RegistryFloat64.MarshalBinary.
-func (r *RegistryUint64) MarshalBinary() ([]byte, error) {
-	return encodeRegistry(&r.Registry, uint64KeyCodec, uint64Codec), nil
 }
 
 // UnmarshalRegistryUint64 decodes bytes produced by

@@ -29,7 +29,32 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sketch[T], error) {
 	return &Sketch[T]{core: c}, nil
 }
 
-// Update inserts one item into the sketch.
+// Float64 is a sketch of float64 values under their natural order, the
+// common case for measurements such as latencies. A NaN is ignored on
+// every write path; ±Inf are accepted and behave as extreme values. Queries
+// do not screen NaN probes: a NaN has no rank under <. MarshalBinary
+// encodes the sketch and DecodeFloat64 restores it. Not safe for
+// concurrent use.
+type Float64 = Sketch[float64]
+
+// NewFloat64 returns an empty float64 sketch configured by opts. Values
+// compare by the usual < order (the canonical core.LessF64, which selects
+// the monomorphic kernel table — see "Hardware kernels" in doc.go).
+func NewFloat64(opts ...Option) (*Float64, error) { return New(core.LessF64, opts...) }
+
+// Uint64 is a sketch of uint64 values under their natural order —
+// timestamps, byte counts, identifiers with a meaningful order.
+// MarshalBinary encodes it and DecodeUint64 restores it. Not safe for
+// concurrent use.
+type Uint64 = Sketch[uint64]
+
+// NewUint64 returns an empty uint64 sketch configured by opts. Values
+// compare by the usual < order (the canonical core.LessU64, which selects
+// the monomorphic kernel table).
+func NewUint64(opts ...Option) (*Uint64, error) { return New(core.LessU64, opts...) }
+
+// Update inserts one item into the sketch. Under the float64 order of
+// NewFloat64 a NaN is ignored: it has no place in a total order.
 func (s *Sketch[T]) Update(item T) {
 	s.core.Update(item)
 }
@@ -39,16 +64,17 @@ func (s *Sketch[T]) Update(item T) {
 // cascades are amortized across the whole batch instead of paid per item.
 // Prefer it over per-item Update whenever the values are already in a slice
 // (log shipping, columnar scans, windowed aggregation). The slice is only
-// read, never retained.
+// read, never retained. NaNs are skipped as in Update; the slice is copied
+// only if it holds one.
 func (s *Sketch[T]) UpdateBatch(items []T) {
 	s.core.UpdateBatch(items)
 }
 
 // UpdateWeighted inserts item with the given integer weight, equivalent to
 // weight repeated Updates but in O(log weight + sketch buffer) work: the
-// weight decomposes in binary across the sketch's levels. Weight 0 is a
-// no-op. It returns an error only if the total weight would overflow the
-// representable stream length (2⁶²).
+// weight decomposes in binary across the sketch's levels. Weight 0, and an
+// item Update would ignore, are no-ops. It returns an error only if the
+// total weight would overflow the representable stream length (2⁶²).
 func (s *Sketch[T]) UpdateWeighted(item T, weight uint64) error {
 	return s.core.UpdateWeighted(item, weight)
 }

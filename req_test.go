@@ -263,7 +263,7 @@ func TestGenericStructSketch(t *testing.T) {
 func TestStringer(t *testing.T) {
 	s := mustFloat64(t)
 	s.Update(1)
-	if got := s.Sketch.String(); !strings.Contains(got, "req.Sketch") {
+	if got := s.String(); !strings.Contains(got, "req.Sketch") {
 		t.Fatalf("String() = %q", got)
 	}
 	if !strings.Contains(s.DebugString(), "REQ sketch") {

@@ -10,7 +10,7 @@ import (
 	"req/internal/schedule"
 )
 
-// Binary serialization for Float64 and Uint64 sketches and snapshots. The
+// Binary serialization for float64 and uint64 sketches and snapshots. The
 // format is self-describing and versioned, with two record kinds sharing
 // one header (flag bit4 distinguishes them):
 //
@@ -100,9 +100,9 @@ type itemCodec[T any] struct {
 	getAll   func(r *reader, dst []T) bool
 	validate func(v T) error
 	// less is the canonical order decoded coresets are rebuilt under (and
-	// encoded coresets must ascend in): the function Float64/Uint64
-	// sketches are built with, so decoded snapshots answer through the
-	// same kernel table.
+	// encoded coresets must ascend in): the function NewFloat64/NewUint64
+	// build with, so decoded snapshots answer through the same kernel
+	// table.
 	less func(a, b T) bool
 }
 
@@ -401,24 +401,38 @@ func unmarshalSnapshot[T any](data []byte, codec itemCodec[T]) (core.Snapshot[T]
 	return snap, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Float64) MarshalBinary() ([]byte, error) {
-	return marshalSnapshot(s.core.Snapshot(), float64Codec)
+// MarshalBinary implements encoding.BinaryMarshaler: a full sketch record,
+// random stream included, so DecodeFloat64 / DecodeUint64 restore a sketch
+// that continues exactly where s stopped. Only float64 and uint64 sketches
+// under their natural order (NewFloat64, NewUint64) encode, because the
+// decoders rebuild under that order; any other sketch returns an error.
+func (s *Sketch[T]) MarshalBinary() ([]byte, error) {
+	codec, err := codecOf(s.core.Table())
+	if err != nil {
+		return nil, err
+	}
+	return marshalSnapshot(s.core.Snapshot(), codec)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
-// receiver's state. Corrupt input returns ErrCorrupt (wrapped with detail);
-// it never panics.
-func (s *Float64) UnmarshalBinary(data []byte) error {
-	snap, err := unmarshalSnapshot(data, float64Codec)
+// receiver's state, order included: the decoded sketch runs under T's
+// natural order, as NewFloat64 / NewUint64 build it. Corrupt input returns
+// ErrCorrupt (wrapped with detail); it never panics. Item types other than
+// float64 and uint64 return an error.
+func (s *Sketch[T]) UnmarshalBinary(data []byte) error {
+	codec, ok := codecFor[T]()
+	if !ok {
+		return errNoCodec
+	}
+	snap, err := unmarshalSnapshot(data, codec)
 	if err != nil {
 		return err
 	}
-	c, err := core.FromSnapshot(float64Codec.less, snap)
+	c, err := core.FromSnapshot(codec.less, snap)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s.Sketch = Sketch[float64]{core: c}
+	s.core = c
 	return nil
 }
 
@@ -429,26 +443,6 @@ func DecodeFloat64(data []byte) (*Float64, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Uint64) MarshalBinary() ([]byte, error) {
-	return marshalSnapshot(s.core.Snapshot(), uint64Codec)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler; see
-// Float64.UnmarshalBinary.
-func (s *Uint64) UnmarshalBinary(data []byte) error {
-	snap, err := unmarshalSnapshot(data, uint64Codec)
-	if err != nil {
-		return err
-	}
-	c, err := core.FromSnapshot(uint64Codec.less, snap)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	s.Sketch = Sketch[uint64]{core: c}
-	return nil
 }
 
 // DecodeUint64 allocates and decodes a sketch from its binary encoding.
@@ -463,6 +457,23 @@ func DecodeUint64(data []byte) (*Uint64, error) {
 // maxDecodedCoresetItems caps the coreset allocation while decoding
 // untrusted snapshot bytes; no valid snapshot approaches it.
 const maxDecodedCoresetItems = 1 << 28
+
+// errNoCodec refuses to encode or decode an item type without a codec.
+var errNoCodec = errors.New("req: binary encoding supports float64 and uint64 items only")
+
+// codecOf returns T's codec for a container under the order tab, or an
+// error when T has no codec or tab is not T's natural order, which the
+// decoders rebuild under.
+func codecOf[T any](tab core.Table[T]) (itemCodec[T], error) {
+	codec, ok := codecFor[T]()
+	if !ok {
+		return codec, errNoCodec
+	}
+	if !tab.Canonical() {
+		return codec, errors.New("req: cannot encode a sketch under a custom order: the decoders rebuild under the natural order")
+	}
+	return codec, nil
+}
 
 // codecFor returns the item codec for T when T is one of the serializable
 // item types (float64, uint64).

@@ -2,7 +2,6 @@ package req
 
 import (
 	"iter"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,6 +40,9 @@ import (
 type Sharded[T any] struct {
 	shards []*shardOf[T]
 	mask   uint64 // len(shards) is a power of two
+	// tab is the order's kernel table; writes are screened with its item
+	// rule before they take a shard.
+	tab core.Table[T]
 
 	// affinity hands each writer back the shard it used last (sync.Pool is
 	// per-P, so a goroutine keeps hitting one cache-hot shard); the ticket
@@ -102,40 +104,51 @@ const shardedSeedStride = 0x9E3779B97F4A7C15
 // shards share the configuration; their random streams are decorrelated by
 // deriving each shard's seed from the configured one.
 func NewSharded[T any](less func(a, b T) bool, opts ...Option) (*Sharded[T], error) {
-	s := &Sharded[T]{}
-	if err := s.init(less, opts); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// init builds the shard set in place (the containing struct must not be
-// copied afterwards; constructors return pointers).
-func (s *Sharded[T]) init(less func(a, b T) bool, opts []Option) error {
 	cfg, err := buildConfig(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := cfg.Normalize(); err != nil {
-		return err
+		return nil, err
 	}
 	n := cfg.Shards
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = int(core.CeilPow2(uint64(n)))
-	s.mask = uint64(n - 1)
-	s.shards = make([]*shardOf[T], n)
+	s := &Sharded[T]{mask: uint64(n - 1), shards: make([]*shardOf[T], n), tab: core.TableFor(less)}
 	for i := range s.shards {
 		scfg := cfg
 		scfg.Seed = cfg.Seed + uint64(i)*shardedSeedStride
 		sk, err := core.New(less, scfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.shards[i] = &shardOf[T]{sk: sk}
 	}
-	return nil
+	return s, nil
+}
+
+// ShardedFloat64 is a Sharded sketch of float64 values under their
+// natural order, the thread-safe counterpart of Float64: NaNs are ignored
+// on every write path, and MarshalBinary encodes the merged state in
+// Float64's format.
+type ShardedFloat64 = Sharded[float64]
+
+// NewShardedFloat64 returns an empty sharded float64 sketch configured by
+// opts, ordered by the canonical core.LessF64.
+func NewShardedFloat64(opts ...Option) (*ShardedFloat64, error) {
+	return NewSharded(core.LessF64, opts...)
+}
+
+// ShardedUint64 is a Sharded sketch of uint64 values under their natural
+// order, the thread-safe counterpart of Uint64.
+type ShardedUint64 = Sharded[uint64]
+
+// NewShardedUint64 returns an empty sharded uint64 sketch configured by
+// opts, ordered by the canonical core.LessU64.
+func NewShardedUint64(opts ...Option) (*ShardedUint64, error) {
+	return NewSharded(core.LessU64, opts...)
 }
 
 // NumShards returns the number of stripes.
@@ -179,8 +192,13 @@ func (s *Sharded[T]) commitLocked(sh *shardOf[T]) {
 	s.affinity.Put(sh)
 }
 
-// Update inserts one item. Safe for any number of concurrent callers.
+// Update inserts one item. Safe for any number of concurrent callers. An
+// item the order's table drops (NaN under NewShardedFloat64) is ignored
+// and takes no shard.
 func (s *Sharded[T]) Update(x T) {
+	if !s.tab.Admits(x) {
+		return
+	}
 	sh := s.writeShard()
 	sh.sk.Update(x)
 	s.commitLocked(sh)
@@ -200,23 +218,28 @@ const shardedBatchRun = 4096
 // a single shard under one lock acquisition; larger batches are split into
 // contiguous runs, each ingested under its own acquisition — mergeability
 // (Theorem 3) makes the split free, and item order is preserved within
-// every run.
+// every run. Items Update would ignore are skipped; the slice is copied
+// only if it holds one.
 func (s *Sharded[T]) UpdateBatch(items []T) {
+	items = s.tab.Admitted(items)
 	for len(items) > 0 {
 		run := items
 		if len(run) > shardedBatchRun && len(s.shards) > 1 {
 			run = run[:shardedBatchRun]
 		}
 		sh := s.writeShard()
-		sh.sk.UpdateBatch(run)
+		sh.sk.IngestRun(run)
 		s.commitLocked(sh)
 		items = items[len(run):]
 	}
 }
 
 // UpdateWeighted inserts item with the given integer weight; see
-// Sketch.UpdateWeighted.
+// Sketch.UpdateWeighted. An item Update would ignore is ignored here too.
 func (s *Sharded[T]) UpdateWeighted(item T, weight uint64) error {
+	if !s.tab.Admits(item) {
+		return nil
+	}
 	sh := s.writeShard()
 	err := sh.sk.UpdateWeighted(item, weight)
 	s.commitLocked(sh)
@@ -412,100 +435,23 @@ func (s *Sharded[T]) All() iter.Seq2[T, uint64] { return s.reader().All() }
 // Snapshot summarising everything ingested so far — for lock-free querying,
 // coreset serialization, or handing to other goroutines. Between writes
 // this is free: every caller receives the same published epoch snapshot,
-// no clone is taken.
-//
-// Before PR 4 this returned a mutable *Sketch[T] deep clone. Callers that
-// need mutable state (to keep ingesting or to merge elsewhere) should ship
-// the coreset with Snapshot().MarshalBinary (query-only) or use the
-// concrete types' MarshalBinary (full sketch state).
+// no clone is taken. Callers that need mutable state (to keep ingesting
+// or to merge elsewhere) should ship the coreset with
+// Snapshot().MarshalBinary (query-only) or use MarshalBinary (full sketch
+// state).
 func (s *Sharded[T]) Snapshot() *Snapshot[T] { return s.reader() }
 
-// ShardedFloat64 is a Sharded sketch specialised to float64 values, the
-// thread-safe counterpart of Float64. It adds NaN filtering and binary
-// serialization.
-type ShardedFloat64 struct {
-	Sharded[float64]
-}
-
-// NewShardedFloat64 returns an empty sharded float64 sketch configured by
-// opts.
-func NewShardedFloat64(opts ...Option) (*ShardedFloat64, error) {
-	s := &ShardedFloat64{}
-	if err := s.init(core.LessF64, opts); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Update inserts one value, ignoring NaNs; ±Inf behave as extreme values.
-func (s *ShardedFloat64) Update(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	s.Sharded.Update(v)
-}
-
-// UpdateBatch inserts every value of the slice into a single shard through
-// the batch ingest path, skipping NaNs (the slice is copied only if one is
-// present).
-func (s *ShardedFloat64) UpdateBatch(vs []float64) {
-	s.Sharded.UpdateBatch(core.FilterNaN(vs))
-}
-
-// UpdateWeighted inserts v with the given integer weight; see
-// Sketch.UpdateWeighted. NaN values are ignored, as in Update.
-func (s *ShardedFloat64) UpdateWeighted(v float64, weight uint64) error {
-	if math.IsNaN(v) {
-		return nil
-	}
-	return s.Sharded.UpdateWeighted(v, weight)
-}
-
-// Merge absorbs a plain float64 sketch into one shard.
-func (s *ShardedFloat64) Merge(other *Float64) error {
-	if other == nil {
-		return nil
-	}
-	return s.Sharded.Merge(&other.Sketch)
-}
-
-// MarshalBinary serializes the merged current state in the same format as
-// Float64.MarshalBinary; decode with DecodeFloat64. It encodes the
+// MarshalBinary serializes the merged current state in Sketch's full-state
+// format; decode with DecodeFloat64 or DecodeUint64. It encodes the
 // published epoch's merged sketch directly (core.Sketch.Snapshot is a pure
-// read of that immutable state), so no deep copy is taken. For a
+// read of that immutable state), so no deep copy is taken. Like
+// Sketch.MarshalBinary it returns an error, and encodes nothing, unless
+// the items are float64 or uint64 under their natural order. For a
 // query-only encoding, use Snapshot().MarshalBinary.
-func (s *ShardedFloat64) MarshalBinary() ([]byte, error) {
-	return marshalSnapshot(s.Sharded.snapshot().sk.Snapshot(), float64Codec)
-}
-
-// ShardedUint64 is a Sharded sketch specialised to uint64 values, with
-// binary serialization.
-type ShardedUint64 struct {
-	Sharded[uint64]
-}
-
-// NewShardedUint64 returns an empty sharded uint64 sketch configured by
-// opts.
-func NewShardedUint64(opts ...Option) (*ShardedUint64, error) {
-	s := &ShardedUint64{}
-	if err := s.init(core.LessU64, opts); err != nil {
+func (s *Sharded[T]) MarshalBinary() ([]byte, error) {
+	codec, err := codecOf(s.tab)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// Merge absorbs a plain uint64 sketch into one shard.
-func (s *ShardedUint64) Merge(other *Uint64) error {
-	if other == nil {
-		return nil
-	}
-	return s.Sharded.Merge(&other.Sketch)
-}
-
-// MarshalBinary serializes the merged current state in the same format as
-// Uint64.MarshalBinary; decode with DecodeUint64. Like the float64
-// variant, it encodes the published epoch's merged state without a deep
-// copy; Snapshot().MarshalBinary gives the query-only encoding.
-func (s *ShardedUint64) MarshalBinary() ([]byte, error) {
-	return marshalSnapshot(s.Sharded.snapshot().sk.Snapshot(), uint64Codec)
+	return marshalSnapshot(s.snapshot().sk.Snapshot(), codec)
 }

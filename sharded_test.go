@@ -342,6 +342,16 @@ func TestShardedFloat64IgnoresNaN(t *testing.T) {
 	if mn != 1 || mx != 3 {
 		t.Fatalf("min/max = %v/%v", mn, mx)
 	}
+	// A NaN takes no shard, so it leaves the published epoch in place.
+	sn := s.Snapshot()
+	s.Update(math.NaN())
+	s.UpdateBatch([]float64{math.NaN()})
+	if err := s.UpdateWeighted(math.NaN(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if s.Snapshot() != sn {
+		t.Fatal("a NaN write took a shard and staled the published snapshot")
+	}
 }
 
 func TestShardedMergeIncompatible(t *testing.T) {

@@ -122,7 +122,7 @@ func TestPublicWeightedUpdates(t *testing.T) {
 	var total uint64
 	for i := 0; i < 2000; i++ {
 		w := uint64(i%7 + 1)
-		if err := s.Sketch.UpdateWeighted(float64(i), w); err != nil {
+		if err := s.UpdateWeighted(float64(i), w); err != nil {
 			t.Fatal(err)
 		}
 		total += w
@@ -130,7 +130,7 @@ func TestPublicWeightedUpdates(t *testing.T) {
 	if s.Count() != total {
 		t.Fatalf("count = %d, want %d", s.Count(), total)
 	}
-	if err := s.Sketch.UpdateWeighted(5, 0); err != nil {
+	if err := s.UpdateWeighted(5, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Count() != total {

@@ -51,13 +51,12 @@ import (
 // Eviction, sharding, clocking and concurrency are the Registry's; see
 // WithTTL, WithMaxEntries, WithShards, WithClock.
 type WindowedRegistry[K comparable, T any] struct {
-	m    *tenant.Map[K, winEntry[T]]
-	less func(a, b T) bool
-	cfg  core.Config
-	now  func() int64
-	// pairs pools the batched-ingest scratch (*pairScratch[K, T]); a
-	// pointer so the typed wrappers can embed WindowedRegistry by value.
-	pairs *sync.Pool
+	m   *tenant.Map[K, winEntry[T]]
+	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
+	cfg core.Config
+	now func() int64
+	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
+	pairs sync.Pool
 
 	slots     int
 	slotNanos int64
@@ -112,10 +111,9 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 		return nil, errors.New("req: a WindowedRegistry requires WithWindow")
 	}
 	w := &WindowedRegistry[K, T]{
-		less:      less,
+		tab:       core.TableFor(less),
 		cfg:       cfg,
 		now:       registryClock(cfg),
-		pairs:     new(sync.Pool),
 		slots:     cfg.WindowSlots,
 		slotNanos: cfg.SlotNanos,
 	}
@@ -154,8 +152,13 @@ func (w *WindowedRegistry[K, T]) epoch(now int64) int64 {
 
 // Update inserts one item into key's current window slot, creating the
 // key's ring on first update and rotating (resetting) the slot if it
-// still holds an expired epoch.
+// still holds an expired epoch. An item the order's table drops (NaN
+// under NewWindowedRegistryFloat64) is ignored and never creates or
+// touches a key.
 func (w *WindowedRegistry[K, T]) Update(key K, item T) {
+	if !w.tab.Admits(item) {
+		return
+	}
 	now := w.now()
 	ep := w.epoch(now)
 	sh := w.m.Lock(key)
@@ -165,16 +168,18 @@ func (w *WindowedRegistry[K, T]) Update(key K, item T) {
 }
 
 // UpdateBatch inserts every item of the slice into key's current window
-// slot through the batch ingest path. The slice is only read.
+// slot through the batch ingest path. Items Update would ignore are
+// skipped, and a batch of nothing else creates no key. The slice is only
+// read.
 func (w *WindowedRegistry[K, T]) UpdateBatch(key K, items []T) {
-	if len(items) == 0 {
+	if items = w.tab.Admitted(items); len(items) == 0 {
 		return
 	}
 	now := w.now()
 	ep := w.epoch(now)
 	sh := w.m.Lock(key)
 	e, _ := w.m.GetOrCreate(sh, key, now)
-	e.rotate(ep).UpdateBatch(items)
+	e.rotate(ep).IngestRun(items)
 	sh.Unlock()
 }
 
@@ -348,34 +353,13 @@ func (w *WindowedRegistry[K, T]) String() string {
 }
 
 // WindowedRegistryFloat64 is a windowed registry of float64 sketches
-// keyed by string — per-endpoint latency over a trailing window. It adds
-// NaN filtering on the ingest path.
-type WindowedRegistryFloat64 struct {
-	WindowedRegistry[string, float64]
-}
+// keyed by string — per-endpoint latency over a trailing window. NaNs are
+// ignored on every write path.
+type WindowedRegistryFloat64 = WindowedRegistry[string, float64]
 
 // NewWindowedRegistryFloat64 returns an empty string-keyed windowed
 // float64 registry configured by opts (WithWindow required). Values
 // compare by the usual < order (the canonical core.LessF64).
 func NewWindowedRegistryFloat64(opts ...Option) (*WindowedRegistryFloat64, error) {
-	w, err := NewWindowedRegistry[string, float64](core.LessF64, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &WindowedRegistryFloat64{WindowedRegistry: *w}, nil
-}
-
-// Update inserts one value into key's current window slot. NaN values
-// are ignored.
-func (w *WindowedRegistryFloat64) Update(key string, v float64) {
-	if v != v { // NaN
-		return
-	}
-	w.WindowedRegistry.Update(key, v)
-}
-
-// UpdateBatch inserts every value of the slice into key's current window
-// slot, skipping NaNs; the slice is copied only if it contains a NaN.
-func (w *WindowedRegistryFloat64) UpdateBatch(key string, vs []float64) {
-	w.WindowedRegistry.UpdateBatch(key, core.FilterNaN(vs))
+	return NewWindowedRegistry[string](core.LessF64, opts...)
 }

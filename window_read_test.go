@@ -16,8 +16,9 @@ import (
 // by core.FrozenFromCoreset over the live slots' Snapshot levels, each
 // level's items at weight 2^h, with the slots' exact extremes. Liveness is
 // recomputed here from the slot tags (floored epoch, ep−slots < tag ≤ ep)
-// rather than borrowed from the registry. ok is false when key is absent.
-func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], key K) (f *core.Frozen[T], ok bool) {
+// rather than borrowed from the registry. less is the order w was built
+// with. ok is false when key is absent.
+func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], less func(a, b T) bool, key K) (f *core.Frozen[T], ok bool) {
 	t.Helper()
 	now := w.now()
 	ep := now / w.slotNanos
@@ -51,22 +52,22 @@ func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], 
 		}
 		n += snap.N
 		if snap.HasMinMax {
-			if !has || w.less(snap.Min, mn) {
+			if !has || less(snap.Min, mn) {
 				mn = snap.Min
 			}
-			if !has || w.less(mx, snap.Max) {
+			if !has || less(mx, snap.Max) {
 				mx = snap.Max
 			}
 			has = true
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return w.less(all[i].x, all[j].x) })
+	sort.SliceStable(all, func(i, j int) bool { return less(all[i].x, all[j].x) })
 	items := make([]T, len(all))
 	weights := make([]uint64, len(all))
 	for i, e := range all {
 		items[i], weights[i] = e.x, e.w
 	}
-	f, err := core.FrozenFromCoreset(w.less, w.cfg, n, mn, mx, has, items, weights)
+	f, err := core.FrozenFromCoreset(less, w.cfg, n, mn, mx, has, items, weights)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -92,10 +93,10 @@ var readPhis = [][]float64{
 // QuantilesInto over readPhis, Quantile per φ, Rank at retained items and
 // at the probes, and the error paths (absent key, empty window, bad φ).
 // same decides answer equality: bit identity, or equality under the order
-// for streams with distinct-but-equal items.
-func checkWindowReads[K comparable, T any](t *testing.T, w *WindowedRegistry[K, T], key K, probes []T, same func(a, b T) bool) {
+// less that w was built with, for streams with distinct-but-equal items.
+func checkWindowReads[K comparable, T any](t *testing.T, w *WindowedRegistry[K, T], less func(a, b T) bool, key K, probes []T, same func(a, b T) bool) {
 	t.Helper()
-	f, ok := windowOracle(t, w, key)
+	f, ok := windowOracle(t, w, less, key)
 	if !ok {
 		if _, err := w.QuantilesInto(key, nil, readPhis[0]); !errors.Is(err, ErrNoKey) {
 			t.Fatalf("absent key: QuantilesInto error %v, want ErrNoKey", err)
@@ -195,7 +196,7 @@ func runWindowScenario[T any](t *testing.T, c windowCase[T], hra bool) {
 	check := func(step string) {
 		t.Helper()
 		for _, key := range []string{"a", "b", "absent"} {
-			t.Run(step+"/"+key, func(t *testing.T) { checkWindowReads(t, w, key, probes, c.same) })
+			t.Run(step+"/"+key, func(t *testing.T) { checkWindowReads(t, w, c.less, key, probes, c.same) })
 		}
 	}
 	feed("a", 3000)
@@ -322,7 +323,7 @@ func TestWindowedNegativeClock(t *testing.T) {
 	if r, err := w.Rank("k", 4.5); err != nil || r != 1 {
 		t.Fatalf("Rank(4.5) at 1m = %d, %v; want 1", r, err)
 	}
-	checkWindowReads(t, &w.WindowedRegistry, "k", []float64{0, 4, 9}, bitsEqual)
+	checkWindowReads(t, w, core.LessF64, "k", []float64{0, 4, 9}, bitsEqual)
 }
 
 // TestWindowedClockStepsBack: slots stamped at a later epoch than the
@@ -351,7 +352,7 @@ func TestWindowedClockStepsBack(t *testing.T) {
 	if r, err := w.Rank("k", 15); err != nil || r != 1 || w.Count("k") != 2 {
 		t.Fatalf("Rank(15) caught up = %d, %v (Count %d); want 1 of 2", r, err, w.Count("k"))
 	}
-	checkWindowReads(t, &w.WindowedRegistry, "k", []float64{0, 15, 30}, bitsEqual)
+	checkWindowReads(t, w, core.LessF64, "k", []float64{0, 15, 30}, bitsEqual)
 }
 
 // FuzzWindowedReads drives a windowed registry with fuzzer-chosen clock
@@ -456,14 +457,14 @@ func FuzzWindowedReads(f *testing.F) {
 				if got, want := w.Count(key), count(key); got != want {
 					t.Fatalf("Count(%s) = %d, model %d", key, got, want)
 				}
-				checkWindowReads(t, &w.WindowedRegistry, key, []float64{float64(arg), -1}, bitsEqual)
+				checkWindowReads(t, w, core.LessF64, key, []float64{float64(arg), -1}, bitsEqual)
 			}
 		}
 		for _, key := range keys {
 			if got, want := w.Count(key), count(key); got != want {
 				t.Fatalf("final Count(%s) = %d, model %d", key, got, want)
 			}
-			checkWindowReads(t, &w.WindowedRegistry, key, []float64{0}, bitsEqual)
+			checkWindowReads(t, w, core.LessF64, key, []float64{0}, bitsEqual)
 		}
 	})
 }
