@@ -2,7 +2,9 @@
 // -list; internal/harness defines one per file) and prints their tables
 // and ASCII figures. Each experiment reproduces one quantitative claim of
 // "Relative Error Streaming Quantiles" (PODS 2021) or documents an engine
-// extension; -out writes each report to its own .txt file.
+// extension; -out writes each report to its own .txt file. Speed is
+// measured by perfbench/ (see perfbench/README.md), the repository's one
+// benchmark rig.
 //
 // Usage:
 //
@@ -14,10 +16,6 @@
 //	reqbench -experiment E17      # windowed registry vs an exact oracle
 //	                              # through ring rotations and partial slots
 //	reqbench -quick               # reduced scale (seconds instead of minutes)
-//	reqbench -registry            # multi-tenant registry workloads: build
-//	                              # bytes/key A/B (slab arena vs naive map),
-//	                              # hot-key skew, TTL churn, bulk export;
-//	                              # JSON report (BENCH_pr9.json records one)
 //	reqbench -out results/        # additionally write one .txt per experiment
 //	reqbench -list                # list experiment IDs and titles
 //	reqbench -cpuprofile cpu.pb   # CPU profile of the run
@@ -48,8 +46,6 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		multicore  = flag.Bool("multicore", false, "run the contention rig instead of the experiments; writes a JSON scaling report to stdout (or <out>/multicore.json with -out)")
-		registry   = flag.Bool("registry", false, "run the multi-tenant registry workloads instead of the experiments; writes a JSON report to stdout (or <out>/registry.json with -out)")
 	)
 	flag.Parse()
 	memProfilePath = *memProfile
@@ -74,22 +70,6 @@ func main() {
 	}
 
 	cfg := harness.Config{Quick: *quick, Seed: *seed}
-
-	if *multicore {
-		if err := runJSONRig(*outDir, "multicore.json", cfg, harness.RunMulticore); err != nil {
-			fatal(fmt.Errorf("multicore: %w", err))
-		}
-		writeMemProfile()
-		return
-	}
-
-	if *registry {
-		if err := runJSONRig(*outDir, "registry.json", cfg, harness.RunRegistry); err != nil {
-			fatal(fmt.Errorf("registry: %w", err))
-		}
-		writeMemProfile()
-		return
-	}
 
 	var experiments []harness.Experiment
 	if strings.EqualFold(*experiment, "all") {
@@ -127,29 +107,6 @@ func main() {
 		}
 	}
 	writeMemProfile()
-}
-
-// runJSONRig runs one of the JSON-report rigs to stdout, or to
-// <outDir>/<name> when -out is set.
-func runJSONRig(outDir, name string, cfg harness.Config, run func(io.Writer, harness.Config) error) error {
-	var w io.Writer = os.Stdout
-	var f *os.File
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-		var err error
-		f, err = os.Create(filepath.Join(outDir, name))
-		if err != nil {
-			return err
-		}
-		w = f
-	}
-	err := run(w, cfg)
-	if f != nil {
-		f.Close()
-	}
-	return err
 }
 
 // profileOut is the open -cpuprofile file, if any; fatal must flush it

@@ -182,10 +182,11 @@
 // rather than one per item. Steady-state batched ingest is 0 allocs/op
 // (the grouping scratch is pooled and grow-only); batching wins over a
 // per-op Update loop by amortizing lock round-trips, hash/map probes,
-// and kernel entry across the batch — see BENCH_pr10.json for the
-// measured A/B. Under the float64 order a pair whose item is NaN is
-// dropped with its key before grouping, as Update drops it, so a NaN never
-// creates or touches a key.
+// and kernel entry across the batch: on flush-shaped traffic (about 8
+// items per key) over 1M keys, batches of 256 measured ~4x the per-op
+// loop, and BenchmarkRegistryUpdatePairs runs both arms. Under the
+// float64 order a pair whose item is NaN is dropped with its key before
+// grouping, as Update drops it, so a NaN never creates or touches a key.
 //
 // WindowedRegistry answers over a trailing time window instead of the
 // whole stream: each key carries a ring of sketch slots rotated lazily on

@@ -127,6 +127,21 @@ func kernelFor[T any](less func(a, b T) bool) kernels[T] {
 	return orderKernels[T]{less}
 }
 
+// sameOrder reports whether two kernel tables sort under the same order:
+// both the vec table of T, or both generic tables whose less functions
+// share a code pointer, the identity kernelFor uses. A vec table never
+// matches a generic one, even over a function with an identical body.
+// Closures of one function literal share a code pointer whatever they
+// capture, so they match.
+func sameOrder[T any](a, b kernels[T]) bool {
+	ga, genA := a.(orderKernels[T])
+	gb, genB := b.(orderKernels[T])
+	if !genA || !genB {
+		return a == b // vec tables are comparable; mixed kinds differ in type
+	}
+	return reflect.ValueOf(ga.lt).Pointer() == reflect.ValueOf(gb.lt).Pointer()
+}
+
 // Table is an order's kernel table as a container holds it: the item rule,
 // for containers that screen items before they lock a shard or resolve a
 // key, and whether the order is the canonical one the codecs decode under.

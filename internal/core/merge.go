@@ -45,7 +45,8 @@ func (st *Stats) sub(o Stats) {
 //  5. a bottom-up sweep compacts every level holding ≥ B items.
 //
 // Merging sketches with incompatible configurations (different accuracy
-// driver, schedule, constant regime, or rank-accuracy side) is an error.
+// mode, schedule, constant regime, or rank-accuracy side) or different
+// orders (see sameOrder) is an error, and leaves s unchanged.
 func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	if other == nil || other.n == 0 {
 		return nil
@@ -55,6 +56,9 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	}
 	if err := s.cfg.Compatible(&other.cfg); err != nil {
 		return err
+	}
+	if !sameOrder(s.kern, other.kern) {
+		return errors.New("core: merge of sketches under different orders")
 	}
 	s.invalidate()
 	if s.n == 0 {

@@ -8,12 +8,12 @@ import (
 	"req/internal/snapstore"
 )
 
-// Persistence benchmarks (BENCH_pr7.json): save throughput and, the number
-// the zero-copy design exists for, open-to-first-quantile latency at each
-// verification level. The open benches re-open the same generation every
-// iteration, so after the first iteration the file is page-cache hot —
-// which is the restart scenario the format targets (warm standby, rolling
-// restart), and the honest way to isolate format cost from disk speed.
+// Persistence benchmarks: save throughput and, the number the zero-copy
+// design exists for, open-to-first-quantile latency at each verification
+// level. The open benches re-open the same generation every iteration, so
+// after the first iteration the file is page-cache hot — which is the
+// restart scenario the format targets (warm standby, rolling restart), and
+// the honest way to isolate format cost from disk speed.
 
 func benchSnapshotDir(b *testing.B, n int) string {
 	b.Helper()

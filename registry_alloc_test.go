@@ -121,32 +121,78 @@ func TestAllocsRegistryFirstReadPerKey(t *testing.T) {
 	})
 }
 
-// TestAllocsRegistryChurn pins the eviction-recycle loop: with the
-// registry at capacity, creating fresh keys forever must reuse freelist
-// cells and reset slabs, not allocate. Key strings are preallocated (the
-// caller owns key construction; the registry must add nothing).
+// TestAllocsRegistryChurn pins the three ways a registry hands a key's
+// storage to new data: at capacity the clock hand evicts a cell for each
+// fresh key; past the TTL a key's next update restarts its cell in place;
+// and an ExpireNow sweep returns expired cells to the freelist for fresh
+// keys. Each must reuse cells and reset slabs, not allocate. Key strings
+// are preallocated (the caller owns key construction; the registry must
+// add nothing).
 func TestAllocsRegistryChurn(t *testing.T) {
-	reg, err := NewRegistryFloat64(WithK(4), WithSeed(3), WithShards(2), WithMaxEntries(64))
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := make([]string, 4096)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("churn-%05d", i)
 	}
-	// Fill to capacity and run a full churn cycle so every shard has
-	// evicted and recycled at least once at the final slab sizes.
-	for _, k := range keys {
-		for j := 0; j < 64; j++ {
-			reg.Update(k, float64(j))
-		}
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(5000, func() {
-		reg.Update(keys[i&4095], float64(i&63))
-		i++
-	}); avg != 0 {
-		t.Fatalf("steady-state key churn allocates %v allocs/op", avg)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		// step churns once at step i; every step must count perStep
+		// evictions.
+		step    func(t *testing.T, reg *RegistryFloat64, clk *fakeClock, i int)
+		perStep uint64
+	}{
+		{"capacity", WithMaxEntries(64), func(_ *testing.T, reg *RegistryFloat64, _ *fakeClock, i int) {
+			// Every key is absent from the full registry when it comes up.
+			reg.Update(keys[i&4095], float64(i&63))
+		}, 1},
+		{"ttl-restart", WithTTL(time.Second), func(t *testing.T, reg *RegistryFloat64, clk *fakeClock, i int) {
+			// 64 keys in rotation: each has been idle 64 TTLs when it comes
+			// up, so its first update restarts the expired cell.
+			clk.advance(time.Second)
+			k := keys[i&63]
+			for j := 0; j < 64; j++ {
+				reg.Update(k, float64(j))
+			}
+			if n := reg.Count(k); n != 64 {
+				t.Fatalf("%s holds %d items after its restart, want 64", k, n)
+			}
+		}, 0},
+		{"ttl-expirenow", WithTTL(time.Second), func(_ *testing.T, reg *RegistryFloat64, clk *fakeClock, i int) {
+			// 16 keys the registry does not hold, swept once they expire.
+			base := (i & 15) * 16
+			for _, k := range keys[base : base+16] {
+				for j := 0; j < 32; j++ {
+					reg.Update(k, float64(j))
+				}
+			}
+			clk.advance(time.Second)
+			reg.ExpireNow()
+		}, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &fakeClock{}
+			reg, err := NewRegistryFloat64(WithK(4), WithSeed(3), WithShards(2), tc.opt, clk.opt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm: run full churn cycles so every shard has reclaimed and
+			// reused cells at their final slab sizes.
+			i := 0
+			for ; i < 1024; i++ {
+				tc.step(t, reg, clk, i)
+			}
+			evicted, steps := reg.Evictions(), 0
+			if avg := testing.AllocsPerRun(1000, func() {
+				tc.step(t, reg, clk, i)
+				i++
+				steps++
+			}); avg != 0 {
+				t.Fatalf("steady-state %s churn allocates %v allocs/op", tc.name, avg)
+			}
+			if got, want := reg.Evictions()-evicted, tc.perStep*uint64(steps); got != want {
+				t.Fatalf("%d steps evicted %d cells, want %d", steps, got, want)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 package req
 
 // Registry benchmark suite: the keyed hot paths (Update, Quantile, churn
-// under a capacity cap, windowed update+query, bulk export). The full-scale
-// versions with 1M/4M-key populations and an A/B against a naive
-// map[string]*Float64 live in `reqbench -registry` (BENCH_pr9.json); these
-// targets keep the steady-state cost profile under CI's bench smoke.
+// under a capacity cap, windowed update+query, bulk export). CI's bench
+// smoke runs every target; all but the export read 0 allocs/op once warm.
+// perfbench's keyed_ingest and checkpoint workloads measure batched ingest
+// and export end to end.
 
 import (
 	"fmt"
@@ -176,8 +176,7 @@ func BenchmarkRegistryExport(b *testing.B) {
 // BenchmarkRegistryUpdatePairs measures the shard-grouped batched ingest
 // against the per-op loop at the same key mix, across batch sizes. One
 // op = one whole batch; divide ns/op by the batch size to compare with
-// BenchmarkRegistryUpdate. The 1M-key full-scale A/B lives in
-// `reqbench -registry` (BENCH_pr10.json).
+// BenchmarkRegistryUpdate.
 func BenchmarkRegistryUpdatePairs(b *testing.B) {
 	keys := benchRegistryKeys(1 << 10)
 	vals := benchValues(1<<16, 7)

@@ -82,8 +82,10 @@ func (s *Sketch[T]) UpdateWeighted(item T, weight uint64) error {
 // Merge absorbs other into s, summarising the concatenation of both inputs
 // with the paper's full-mergeability guarantee (Theorem 3). The other
 // sketch is not modified. Sketches must be built with compatible options
-// (same accuracy parameters and rank-accuracy side); merging s with itself
-// is an error.
+// (same accuracy parameters and rank-accuracy side) and the same less
+// function, compared by its code: a sketch under another function, even one
+// with an identical body, is refused, as is merging s with itself. A
+// refused merge leaves s unchanged.
 func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	if other == nil {
 		return nil

@@ -216,6 +216,77 @@ func TestMergeIncompatiblePublic(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesOtherOrder pins that a sketch built under one order
+// cannot be merged into a sketch built under another: the merged levels
+// would be sorted two ways. Each case asserts the error before it queries
+// the target, then checks that the target still answers as before.
+func TestMergeRefusesOtherOrder(t *testing.T) {
+	desc := func(a, b float64) bool { return a > b }
+	other, err := New(desc, WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		other.Update(float64(i))
+	}
+
+	empty := mustFloat64(t, WithSeed(1))
+	if err := empty.Merge(other); err == nil {
+		t.Fatal("empty target merged a sketch of another order")
+	}
+	empty.Update(1e9)
+	if q, err := empty.Quantile(1); err != nil || q != 1e9 || empty.Count() != 1 {
+		t.Fatalf("empty target after refused merge: Quantile(1) = %v, %v; Count = %d", q, err, empty.Count())
+	}
+
+	full := mustFloat64(t, WithSeed(1))
+	sharded, err := NewShardedFloat64(WithSeed(1), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A generic table over another function: only the code pointer
+	// tells the two orders apart.
+	custom, err := New(func(a, b float64) bool { return a < b }, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		full.Update(float64(i))
+		sharded.Update(float64(i))
+		custom.Update(float64(i))
+	}
+	for _, tc := range []struct {
+		name  string
+		merge func(*Float64) error
+		r     Reader[float64]
+	}{
+		{"Sketch", full.Merge, full},
+		{"Sharded", sharded.Merge, sharded},
+		{"custom order", custom.Merge, custom},
+	} {
+		rank := tc.r.Rank(2500)
+		q, _ := tc.r.Quantile(0.1)
+		if err := tc.merge(other); err == nil {
+			t.Fatalf("%s merged a sketch of another order", tc.name)
+		}
+		rank2 := tc.r.Rank(2500)
+		q2, err := tc.r.Quantile(0.1)
+		if err != nil || rank2 != rank || q2 != q {
+			t.Errorf("%s after refused merge: Rank(2500) %d -> %d, Quantile(0.1) %v -> %v (%v)", tc.name, rank, rank2, q, q2, err)
+		}
+	}
+
+	// The same order merges: the identity is the less function's code.
+	same, err := New(desc, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same.Update(-1)
+	if err := same.Merge(other); err != nil || same.Count() != 5001 {
+		t.Fatalf("merge under the same order: %v, Count = %d", err, same.Count())
+	}
+}
+
 func TestGenericStringSketch(t *testing.T) {
 	s, err := New(func(a, b string) bool { return a < b }, WithEpsilon(0.1))
 	if err != nil {

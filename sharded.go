@@ -247,7 +247,8 @@ func (s *Sharded[T]) UpdateWeighted(item T, weight uint64) error {
 }
 
 // Merge absorbs a plain sketch into one shard. The other sketch is not
-// modified; it must have been built with compatible options.
+// modified; it must have been built with compatible options and the same
+// less function, as for Sketch.Merge. A refused merge leaves s unchanged.
 func (s *Sharded[T]) Merge(other *Sketch[T]) error {
 	if other == nil {
 		return nil
