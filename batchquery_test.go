@@ -1,6 +1,7 @@
 package req
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -15,14 +16,20 @@ func TestFloat64BatchQueriesMatchSingle(t *testing.T) {
 	}
 	s.UpdateBatch(permStream(40000, 22))
 	probes := permStream(300, 23)
-	ranks := s.RankBatch(nil, probes)
-	nranks := s.NormalizedRankBatch(nil, probes)
-	for i, y := range probes {
-		if want := s.Rank(y); ranks[i] != want {
-			t.Fatalf("RankBatch[%d] = %d, single %d", i, ranks[i], want)
-		}
-		if want := s.NormalizedRank(y); nranks[i] != want {
-			t.Fatalf("NormalizedRankBatch[%d] = %v, single %v", i, nranks[i], want)
+	// A NaN probe must leave every other probe's rank as Rank answers it,
+	// inside an unsorted set and inside a set that NaN makes look sorted.
+	withNaN := append(append(append([]float64(nil), probes[:150]...), math.NaN()), probes[150:]...)
+	sortedNaN := []float64{1000, math.NaN(), 20000, 39000}
+	for _, ys := range [][]float64{probes, withNaN, sortedNaN} {
+		ranks := s.RankBatch(nil, ys)
+		nranks := s.NormalizedRankBatch(nil, ys)
+		for i, y := range ys {
+			if want := s.Rank(y); ranks[i] != want {
+				t.Fatalf("RankBatch[%d] (y=%v) = %d, single %d", i, y, ranks[i], want)
+			}
+			if want := s.NormalizedRank(y); nranks[i] != want {
+				t.Fatalf("NormalizedRankBatch[%d] (y=%v) = %v, single %v", i, y, nranks[i], want)
+			}
 		}
 	}
 	phis := []float64{0.99, 0.5, 0.01, 1, 0}

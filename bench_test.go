@@ -249,8 +249,7 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 // BenchmarkSnapshotREQ measures the immutable-snapshot path: capturing a
 // Snapshot from a plain sketch (one deep copy of the frozen coreset),
 // re-capturing after a single write (pays a full view rebuild plus the
-// copy), and querying a captured snapshot (a pure indexed read, no
-// locks).
+// copy), and querying a captured snapshot (one binary search, no locks).
 func BenchmarkSnapshotREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	vals := benchValues(1<<20, 2)
@@ -350,8 +349,8 @@ func BenchmarkRankREQ(b *testing.B) {
 }
 
 // BenchmarkRankFrozenREQ measures rank queries on a quiesced (frozen)
-// sketch: Rank routes through the cached sorted view, so each query is two
-// binary searches instead of any per-level work.
+// sketch: Rank routes through the cached sorted view, so each query is one
+// binary search instead of any per-level work.
 func BenchmarkRankFrozenREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
@@ -397,9 +396,8 @@ func BenchmarkMixedREQ(b *testing.B) {
 }
 
 // BenchmarkRankBatchREQ measures the batch rank API per probe on a frozen
-// sketch (unsorted probe sets; the batch sorts an index permutation once
-// and answers with one galloping sweep). Compare against the single-probe
-// cost of BenchmarkRankFrozenREQ.
+// sketch (unsorted probe sets, answered probe by probe). Compare against
+// the single-probe cost of BenchmarkRankFrozenREQ.
 func BenchmarkRankBatchREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))

@@ -57,15 +57,15 @@
 // them.
 //
 // Snapshot[T] is the immutable reader: every container's Snapshot() method
-// captures the current coreset (plus its rank index) as a Snapshot that
-// owns its storage, answers exactly what the source would have answered at
-// capture time, and is safe for any number of goroutines with no locks —
-// while the source keeps writing. Three tools cover the freeze/copy
-// spectrum:
+// captures the current coreset (its sorted items and cumulative weights)
+// as a Snapshot that owns its storage, answers exactly what the source
+// would have answered at capture time, and is safe for any number of
+// goroutines with no locks — while the source keeps writing. Three tools
+// cover the freeze/copy spectrum:
 //
-//   - Freeze makes the live sketch itself cheap to query (view + rank
-//     index materialized in place); the next write undoes it. No copy,
-//     no concurrency safety — use it for query-heavy phases on one
+//   - Freeze makes the live sketch itself cheap to query (the sorted view
+//     materialized in place); the next write undoes it. No copy, no
+//     concurrency safety — use it for query-heavy phases on one
 //     goroutine.
 //   - Snapshot copies the frozen coreset out (on Sharded it is free
 //     between writes: the published epoch snapshot is handed out
@@ -97,7 +97,7 @@
 // UnmarshalSnapshotUint64 restore an immutable queryable Snapshot. Ship
 // full sketch state to peers that must keep ingesting or merging; ship
 // snapshot records to read replicas that only answer queries — they decode
-// straight into the indexed reader, carry no mutable state, and cannot be
+// straight into the frozen reader, carry no mutable state, and cannot be
 // mistaken for a resumable sketch (each decoder rejects the other record
 // kind with ErrCorrupt).
 //
@@ -123,17 +123,18 @@
 // matrix in internal/snapstore, which sweeps a fault budget across every
 // byte and metadata operation of a save.
 //
-// The five frozen-view arrays are stored 64-byte-aligned exactly as they
-// live in memory, so on little-endian platforms the returned
-// MappedSnapshot aliases the read-only mapping in place: open cost is
-// O(1) in the coreset size and queries read straight from the page cache
-// with zero per-query allocations. Close unmaps; the mapping stays valid
-// even if the file is pruned meanwhile. WithVerify selects the open-time
-// verification level (VerifyChecksum by default; VerifyFull adds
-// structural validation of the decoded arrays, catching a writer that
-// lied under honest checksums; VerifyNone trusts the file for O(1)
-// opens), and WithoutMmap forces the portable copying read path used
-// automatically wherever mapping or aliasing is unavailable.
+// The slab file (format 2) stores the two frozen-view arrays, the sorted
+// items and their cumulative weights, 64-byte-aligned exactly as they live
+// in memory, so on little-endian platforms the returned MappedSnapshot
+// aliases the read-only mapping in place: open cost is O(1) in the coreset
+// size and queries read straight from the page cache with zero per-query
+// allocations. Close unmaps; the mapping stays valid even if the file is
+// pruned meanwhile. WithVerify selects the open-time verification level
+// (VerifyChecksum by default; VerifyFull adds structural validation of the
+// decoded arrays, catching a writer that lied under honest checksums;
+// VerifyNone trusts the file for O(1) opens), and WithoutMmap forces the
+// portable copying read path used automatically wherever mapping or aliasing
+// is unavailable.
 //
 // Snapshot.WriteSnapshotFile writes one standalone slab file with no
 // generation bookkeeping, and OpenSnapshotFileFloat64 / ...Uint64 open
@@ -255,21 +256,20 @@
 // arrays), so a long-lived sketch stops allocating on the query path
 // entirely. While the view is current, quantile reads answer from it too.
 //
-// Freeze additionally builds an Eytzinger-layout (cache-friendly,
-// branch-free descent) rank index over the view, making every subsequent
-// Rank/Quantile/CDF call a pure indexed read until the next write. Call it
+// Freeze builds that view in place, making every subsequent
+// Rank/Quantile/CDF call one search over it until the next write. Call it
 // when entering a query-heavy phase; single queries after writes do not pay
 // for it. Sharded freezes for you before publishing an epoch snapshot. A
-// Snapshot carries its own copy of the frozen view and index, which is why
-// its queries never touch the source again.
+// Snapshot carries its own copy of the frozen view, which is why its
+// queries never touch the source again.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
-// loop of single queries. A batch settles or rebuilds once and visits the
-// probes in ascending order with one galloping sweep, so per-probe cost
-// amortizes to O(1) comparisons for dense sorted probe sets (unsorted sets
-// are routed through a sorted index permutation, or through lockstep index
-// descents when large). The ...Into variants write into a caller-supplied
+// loop of single queries. A batch settles or rebuilds once; a sorted probe
+// set is then answered with one galloping sweep, so per-probe cost
+// amortizes to O(1) comparisons for dense sets, and an unsorted one probe
+// by probe, without sorting a copy (QuantilesInto restarts its sweep
+// wherever φ drops). The ...Into variants write into a caller-supplied
 // destination, so a monitoring loop that reuses its slices queries with
 // zero allocations end to end.
 //
@@ -292,18 +292,18 @@
 // memory.
 //
 // Frozen snapshots follow the same philosophy with an explicit ownership
-// rule: Snapshot() copies the frozen view and its rank index into two
-// slabs the snapshot owns (two allocations, five memcpys), because the
-// source sketch keeps writing; the sharded wrapper's published epoch
-// snapshots instead alias their epoch sketch's storage outright, because
-// that sketch is immutable from publication on. Own when the source keeps
-// writing; alias only when the source is provably frozen.
+// rule: Snapshot() copies the frozen view's two arrays into storage the
+// snapshot owns (two allocations, two memcpys), because the source sketch
+// keeps writing; the sharded wrapper's published epoch snapshots instead
+// alias their epoch sketch's storage outright, because that sketch is
+// immutable from publication on. Own when the source keeps writing; alias
+// only when the source is provably frozen.
 //
 // # Hardware kernels
 //
 // The engine runs its hot inner loops — sorting, merging, level rank
-// counts, the k-way merge, and the Eytzinger descents —
-// through one kernel table per order, chosen once when the order is fixed.
+// counts, searches and the k-way merge — through one kernel table per
+// order, chosen once when the order is fixed.
 // Sketches built over the canonical comparators core.LessF64 /
 // core.LessU64 — which the typed constructors (NewFloat64,
 // NewShardedUint64, NewRegistryFloat64, …), deserialization, and snapshot

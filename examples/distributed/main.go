@@ -166,7 +166,7 @@ func inProcess(data []float64) *req.ShardedFloat64 {
 	// the immutable query snapshot is the record a read replica needs to
 	// answer queries (and nothing else) — slightly larger on the wire
 	// (per-item weights ride along), but it decodes straight into an
-	// indexed reader with no mutable state attached.
+	// immutable reader with no mutable state attached.
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		panic(err)

@@ -1,8 +1,8 @@
 // Package viewlifetime defines an analyzer enforcing the *View recycling
 // contract from internal/core/query.go: the value returned by SortedView()
-// (or Freeze()) is owned by the sketch and is valid only until the next
-// write to that sketch. Outside the owning package, a *View must therefore
-// be consumed immediately:
+// is owned by the sketch and is valid only until the next write to that
+// sketch. Outside the owning package, a *View must therefore be consumed
+// immediately:
 //
 //   - it must not be stored in a struct field, global, map/slice element,
 //     composite literal, or channel (those outlive the statement);
@@ -56,7 +56,6 @@ var mutators = map[string]bool{
 // producers are methods whose result is a borrowed *View.
 var producers = map[string]bool{
 	"SortedView": true,
-	"Freeze":     false, // Freeze returns an owned *Frozen, not a borrowed view
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

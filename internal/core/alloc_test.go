@@ -7,13 +7,13 @@ import (
 )
 
 // Allocation regression tests: the steady-state hot paths must not allocate.
-// Each test warms the sketch past its growth phase (so buffers, scratch,
-// view storage, and index storage have all reached their high-water marks)
-// and then pins allocs/op at zero with testing.AllocsPerRun.
+// Each test warms the sketch past its growth phase (so buffers, scratch
+// and view storage have all reached their high-water marks) and then pins
+// allocs/op at zero with testing.AllocsPerRun.
 
-// warmSketch builds a sketch with n random values and a materialized,
-// indexed view, cycling the view cache once so the rebuild has run into
-// recycled storage.
+// warmSketch builds a sketch with n random values and a materialized view,
+// cycling the view cache once so the rebuild has run into recycled
+// storage.
 func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64) {
 	tb.Helper()
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: seed})
@@ -28,9 +28,9 @@ func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64)
 	for i := 0; i < n; i++ {
 		s.Update(vals[i&(1<<16-1)])
 	}
-	s.Freeze()
+	s.SortedView()
 	s.Update(vals[0])
-	s.Freeze() // rebuild + re-index into recycled storage
+	s.SortedView() // rebuild into recycled storage
 	return s, vals
 }
 
@@ -47,7 +47,7 @@ func TestAllocsSteadyStateUpdate(t *testing.T) {
 
 func TestAllocsFrozenRank(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 2)
-	s.Freeze()
+	s.SortedView()
 	i := 0
 	if avg := testing.AllocsPerRun(5000, func() {
 		_ = s.Rank(vals[i&1023])
@@ -92,12 +92,12 @@ func TestAllocsReusedStorageRebuild(t *testing.T) {
 func TestAllocsFreezeCycle(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 5)
 	i := 0
-	// Write, re-freeze (view + index rebuild), query: the steady loop of a
-	// monitoring scrape. Index storage must recycle too.
+	// Write, re-freeze (view rebuild), query: the steady loop of a
+	// monitoring scrape.
 	if avg := testing.AllocsPerRun(500, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
-		s.Freeze()
+		s.SortedView()
 		_ = s.Rank(vals[i&1023])
 	}); avg != 0 {
 		t.Fatalf("write+freeze+rank cycle allocates %v allocs/op", avg)
@@ -111,7 +111,7 @@ func TestAllocsBatchQueriesSortedProbes(t *testing.T) {
 	dstR := make([]uint64, 0, len(probes))
 	dstN := make([]float64, 0, len(probes))
 	dstC := make([]float64, 0, len(probes)+1)
-	s.Freeze()
+	s.SortedView()
 	if avg := testing.AllocsPerRun(500, func() {
 		dstR = s.RankBatch(dstR, probes)
 		dstN = s.NormalizedRankBatch(dstN, probes)
@@ -127,25 +127,68 @@ func TestAllocsBatchQueriesSortedProbes(t *testing.T) {
 
 // The kernel-table pins: fless is the canonical LessF64, so warmSketch
 // builds vec-table sketches and every pin above already proves that table.
-// The pins below cover the whole-batch Eytzinger descent and the
-// cursor-slice k-way merge, and the generic table, which must stay
-// allocation-free for non-canonical orders.
+// The pins below cover unsorted probe sets and the cursor-slice k-way
+// merge, and the generic table, which must stay allocation-free for
+// non-canonical orders.
 
+// TestAllocsKernelUnsortedBatchDescent pins unsorted probe and φ sets at
+// zero allocations on a view built by SortedView, for the vec table and a
+// closure table: an unsorted RankBatch or NormalizedRankBatch answers each
+// probe with Rank, and QuantilesInto restarts its gallop wherever φ drops,
+// so neither sorts a copy of its input.
 func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
-	s, vals := warmSketch(t, 1<<18, 7)
-	if _, ok := s.kern.(f64Kernels); !ok {
-		t.Fatal("warmSketch is expected to build a vec-table sketch")
-	}
-	// Unsorted probes at ≥ interleaveMinBatch: RankBatch routes through the
-	// kernel whole-batch descent writing straight into dst.
-	probes := append([]float64(nil), vals[:64]...)
-	probes[0], probes[63] = probes[63], probes[0] // defeat both sorted checks
-	dst := make([]uint64, 0, len(probes))
-	s.Freeze()
-	if avg := testing.AllocsPerRun(500, func() {
-		dst = s.RankBatch(dst, probes)
-	}); avg != 0 {
-		t.Fatalf("kernel unsorted-batch descent allocates %v allocs/op", avg)
+	for _, ord := range []struct {
+		name string
+		less func(a, b float64) bool
+	}{{"kernel", LessF64}, {"closure", nonCanonLessF64}} {
+		t.Run(ord.name, func(t *testing.T) {
+			s, err := New(ord.less, Config{Eps: 0.01, Delta: 0.01, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, isVec := s.kern.(f64Kernels); isVec != (ord.name == "kernel") {
+				t.Fatalf("%s order got the wrong kernel table", ord.name)
+			}
+			r := rng.New(8)
+			for i := 0; i < 1<<18; i++ {
+				s.Update(r.Float64())
+			}
+			s.SortedView()
+			unsorted := func(n int) []float64 {
+				ys := make([]float64, n)
+				for i := range ys {
+					ys[i] = r.Float64()
+				}
+				ys[0], ys[1], ys[2] = 0.5, 1, 0 // a rise and a fall: sorted neither way
+				return ys
+			}
+			p16, p64 := unsorted(16), unsorted(64)
+			phis := []float64{0.99, 0.5, 0.9, 0.01, 1, 0, 0.75}
+			var dstR []uint64
+			var dstN []float64
+			var dstQ []float64
+			for _, tc := range []struct {
+				name string
+				run  func()
+			}{
+				{"RankBatch/16", func() { dstR = s.RankBatch(dstR, p16) }},
+				{"RankBatch/64", func() { dstR = s.RankBatch(dstR, p64) }},
+				{"NormalizedRankBatch/64", func() { dstN = s.NormalizedRankBatch(dstN, p64) }},
+				{"QuantilesInto/unsorted", func() {
+					if dstQ, err = s.QuantilesInto(dstQ, phis); err != nil {
+						panic(err)
+					}
+				}},
+			} {
+				tc.run() // grow dst
+				if avg := testing.AllocsPerRun(500, tc.run); avg != 0 {
+					t.Errorf("%s allocates %v allocs/op", tc.name, avg)
+				}
+			}
+			if !s.Frozen() {
+				t.Fatal("batch reads dropped the view")
+			}
+		})
 	}
 }
 
@@ -181,12 +224,12 @@ func TestAllocsClosureFallbackSteadyState(t *testing.T) {
 	for i := 0; i < 1<<18; i++ {
 		s.Update(vals[i&(1<<16-1)])
 	}
-	s.Freeze()
+	s.SortedView()
 	i := 0
 	if avg := testing.AllocsPerRun(2000, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
-		s.Freeze()
+		s.SortedView()
 		_ = s.Rank(vals[i&1023])
 	}); avg != 0 {
 		t.Fatalf("closure-fallback write+freeze+rank cycle allocates %v allocs/op", avg)

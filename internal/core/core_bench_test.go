@@ -114,31 +114,9 @@ func BenchmarkCoreRankScan(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkCoreRankFrozen ranks on a frozen, indexed sketch: the cached-view
-// fast path through the branchless Eytzinger index.
+// BenchmarkCoreRankFrozen ranks on a frozen sketch: one binary search on
+// the cached view.
 func BenchmarkCoreRankFrozen(b *testing.B) {
-	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	for i := 0; i < 1<<20; i++ {
-		s.Update(r.Float64())
-	}
-	s.Freeze()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += s.Rank(float64(i&1023) / 1024)
-	}
-	_ = sink
-}
-
-// BenchmarkCoreRankFrozenBinary is the same workload without the Eytzinger
-// index (SortedView but no Freeze): a plain binary search on the view, for
-// comparison with the indexed path above.
-func BenchmarkCoreRankFrozenBinary(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -245,7 +223,7 @@ func benchStreamRead(b *testing.B, less func(a, b float64) bool, view bool) {
 }
 
 // BenchmarkCoreRankBatch measures batch rank queries per probe on a frozen
-// sketch, for random (perm-sorted internally) and pre-sorted probe sets.
+// sketch, for random (answered probe by probe) and pre-sorted probe sets.
 func BenchmarkCoreRankBatch(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
@@ -255,7 +233,7 @@ func BenchmarkCoreRankBatch(b *testing.B) {
 	for i := 0; i < 1<<20; i++ {
 		s.Update(r.Float64())
 	}
-	s.Freeze()
+	s.SortedView()
 	for _, size := range []int{16, 64, 1024} {
 		probes := make([]float64, size)
 		for i := range probes {

@@ -379,7 +379,7 @@ func compareSketches(t *testing.T, s *Sketch[float64], r *refSketch, probes []fl
 	}
 	// Ranks must still agree when routed through the frozen view (the
 	// quantile loop above read the levels and built none).
-	s.Freeze()
+	s.SortedView()
 	for _, y := range probes {
 		if got, want := s.Rank(y), r.rank(y); got != want {
 			t.Fatalf("frozen Rank(%v): new %d, ref %d", y, got, want)
@@ -389,11 +389,11 @@ func compareSketches(t *testing.T, s *Sketch[float64], r *refSketch, probes []fl
 }
 
 // verifyViewEngine cross-checks the whole read path against itself: the
-// cached (storage-recycled) view against a from-scratch rebuild on a
-// clone, the Eytzinger index against the plain
-// binary searches, and every batch API against its single-probe
-// counterpart. Called from compareSketches, it runs at intervals across
-// streams, merges, growths, clones, and serde round-trips.
+// cached (storage-recycled) view against a from-scratch rebuild on a clone,
+// the view's binary searches against a linear scan, and every batch API
+// against its single-probe counterpart. Called from compareSketches, it runs
+// at intervals across streams, merges, growths, clones, and serde
+// round-trips.
 func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 	t.Helper()
 	v := s.SortedView()
@@ -422,7 +422,7 @@ func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 		}
 	}
 
-	// Eytzinger index vs plain binary search, on the same view.
+	// Binary searches vs a linear scan, on the same view.
 	binRank := make(map[float64]uint64, len(probes))
 	binRankX := make(map[float64]uint64, len(probes))
 	for _, y := range probes {
@@ -438,25 +438,18 @@ func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 		}
 		binQ[i] = q
 	}
-	s.Freeze()
-	if !v.idx.built {
-		t.Fatal("Freeze did not build the Eytzinger index")
-	}
 	for _, y := range probes {
-		if got := v.Rank(y); got != binRank[y] {
-			t.Fatalf("Eytzinger Rank(%v) = %d, binary %d", y, got, binRank[y])
+		le, lt := scanRanks(v, y)
+		if binRank[y] != le {
+			t.Fatalf("Rank(%v) = %d, linear scan %d", y, binRank[y], le)
 		}
-		if got := v.RankExclusive(y); got != binRankX[y] {
-			t.Fatalf("Eytzinger RankExclusive(%v) = %d, binary %d", y, got, binRankX[y])
+		if binRankX[y] != lt {
+			t.Fatalf("RankExclusive(%v) = %d, linear scan %d", y, binRankX[y], lt)
 		}
 	}
 	for i, phi := range phis {
-		q, err := v.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q != binQ[i] {
-			t.Fatalf("Eytzinger Quantile(%v) = %v, binary %v", phi, q, binQ[i])
+		if want := scanQuantile(v, phi); binQ[i] != want {
+			t.Fatalf("Quantile(%v) = %v, linear scan %v", phi, binQ[i], want)
 		}
 	}
 

@@ -34,8 +34,3 @@ func (f64Kernels) extendDesc(xs []float64, sorted int) int { return vec.ExtendRu
 func (f64Kernels) kway(curs []vec.KWayCursor[float64], items []float64, cum []uint64) {
 	vec.KWayMerge(curs, items, cum)
 }
-func (f64Kernels) eytRankLE(items []float64, y float64) int { return vec.EytRankLE(items, y) }
-func (f64Kernels) eytRankGE(items []float64, y float64) int { return vec.EytRankGE(items, y) }
-func (f64Kernels) eytRankBatch(items []float64, before []uint64, total uint64, ys []float64, out []uint64) {
-	vec.EytRankBatch(items, before, total, ys, out)
-}

@@ -3,10 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Frozen is an immutable, concurrency-safe snapshot of a sketch's weighted
-// coreset: the sorted view plus its Eytzinger rank index, owning (or, for
+// coreset: the sorted view's items and cumulative weights, owning (or, for
 // FreezeShared, exclusively aliasing) its storage. Unlike the *View returned
 // by SortedView — which the sketch recycles on the next write — a Frozen
 // stays valid forever, so it is the type the root package hands to external
@@ -22,54 +23,26 @@ type Frozen[T any] struct {
 }
 
 // FreezeOwned captures the sketch's current coreset as a Frozen that owns
-// every byte of its storage: the sorted view and its rank index are deep
-// copied, so the result shares no mutable state with the sketch and remains
-// valid (and concurrency-safe) across any subsequent writes. It freezes the
-// sketch as a side effect (view + index materialized), costing O(retained)
-// time and space.
-//
-// Ownership layout: the five logical arrays (view items/cum, index
-// items/cum/before) are windows of two slabs — one []T, one []uint64 —
-// owned exclusively by the Frozen, so the capture is two allocations and
-// five memcpys no matter how large the coreset. The windows are capped
-// three-index slices: nothing can append one array into its neighbour.
+// every byte of its storage: the sorted view's two arrays are deep copied,
+// so the result shares no mutable state with the sketch and remains valid
+// (and concurrency-safe) across any subsequent writes. It freezes the
+// sketch as a side effect (view materialized), costing O(retained) time
+// and space: two allocations and two memcpys no matter how large the
+// coreset.
 func (s *Sketch[T]) FreezeOwned() *Frozen[T] {
-	src := s.Freeze()
-	f := &Frozen[T]{cfg: s.cfg, hasMinMax: s.hasMinMax}
-	f.v.kern, f.v.n, f.v.min, f.v.max = src.kern, src.n, src.min, src.max
-	ni := len(src.items)
-	if !src.idx.built {
-		// Only an empty view skips the index (buildIndex no-ops on it);
-		// there is nothing to copy.
-		return f
-	}
-	xi := len(src.idx.items) // ni+1: slot 0 of the 1-based layout is unused
-	xc := len(src.idx.cum)
-	itemSlab := append(make([]T, 0, ni+xi), src.items...)
-	itemSlab = append(itemSlab, src.idx.items...)
-	wordSlab := append(make([]uint64, 0, ni+xc+len(src.idx.before)), src.cum...)
-	wordSlab = append(wordSlab, src.idx.cum...)
-	wordSlab = append(wordSlab, src.idx.before...)
-	f.v.items = itemSlab[:ni:ni]
-	f.v.cum = wordSlab[:ni:ni]
-	f.v.idx = eytIndex[T]{
-		items:  itemSlab[ni : ni+xi : ni+xi],
-		cum:    wordSlab[ni : ni+xc : ni+xc],
-		before: wordSlab[ni+xc:],
-		total:  src.idx.total,
-		built:  true,
-	}
-	return f
+	v := *s.SortedView()
+	v.items, v.cum = slices.Clone(v.items), slices.Clone(v.cum)
+	return &Frozen[T]{v: v, cfg: s.cfg, hasMinMax: s.hasMinMax}
 }
 
 // FreezeShared wraps the sketch's frozen view as a Frozen WITHOUT copying:
-// the result aliases the sketch's view and index storage. It is sound only
-// when the sketch is never mutated again — the sharded wrapper uses it to
-// publish each epoch's freshly merged (and from then on immutable) sketch
-// without paying a second copy of the coreset. For a live sketch use
-// FreezeOwned instead.
+// the result aliases the sketch's view storage. It is sound only when the
+// sketch is never mutated again — the sharded wrapper uses it to publish
+// each epoch's freshly merged (and from then on immutable) sketch without
+// paying a second copy of the coreset. For a live sketch use FreezeOwned
+// instead.
 func (s *Sketch[T]) FreezeShared() *Frozen[T] {
-	src := s.Freeze()
+	src := s.SortedView()
 	return &Frozen[T]{v: *src, cfg: s.cfg, hasMinMax: s.hasMinMax}
 }
 
@@ -126,7 +99,6 @@ func FrozenFromCoreset[T any](less func(a, b T) bool, cfg Config, n uint64, min,
 	}
 	f := &Frozen[T]{cfg: cfg, hasMinMax: hasMinMax}
 	f.v = View[T]{items: items, cum: weights, kern: kernelFor(less), n: n, min: min, max: max}
-	f.v.buildIndex()
 	return f, nil
 }
 

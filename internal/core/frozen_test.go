@@ -217,7 +217,7 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 func TestFreezeSharedAliases(t *testing.T) {
 	s, probes := buildFrozenSource(t, 20000)
 	f := s.FreezeShared()
-	v := s.Freeze()
+	v := s.SortedView()
 	if len(f.Items()) != v.Size() {
 		t.Fatal("shared frozen size mismatch")
 	}

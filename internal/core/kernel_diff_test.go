@@ -193,7 +193,7 @@ func (c diffCase[T]) queriesEqual(t *testing.T, k, g *Sketch[T], probes []T) {
 
 // run drives a vec-table sketch and a generic-table sketch through the
 // same interleaving of batch and single updates, mid-stream queries (live
-// reads over the levels and view rebuilds), freezes (Eytzinger paths) and
+// reads over the levels and view rebuilds), view builds (frozen paths) and
 // merges, comparing state after every step, then a snapshot round-trip
 // and a frozen capture.
 func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
@@ -239,10 +239,10 @@ func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 					i += take
 				case 3: // queries mid-stream (live reads and view rebuilds)
 					c.queriesEqual(t, k, g, c.draw(r, 64))
-				case 4: // freeze (Eytzinger index paths)
-					k.Freeze()
-					g.Freeze()
-					// ≥ interleaveMinBatch: whole-batch descent
+				case 4: // freeze (frozen view paths)
+					k.SortedView()
+					g.SortedView()
+					// unsorted probes: answered probe by probe
 					c.queriesEqual(t, k, g, c.draw(r, 100))
 				case 5: // merge a second pair in
 					ocfg := cfg

@@ -7,20 +7,20 @@ import (
 )
 
 // Kernel dispatch: one table per order. Every hot loop of the engine —
-// sorting, merging, searching, counting, the view's k-way merge and the
-// Eytzinger descents — runs through the kernels table a Sketch, View or
-// Frozen carries. kernelFor chooses it once, where the order is fixed (Init,
-// FromSnapshot, FrozenFromCoreset, FrozenFromParts); copies carry it along.
+// sorting, merging, searching, counting and the view's k-way merge — runs
+// through the kernels table a Sketch, View or Frozen carries. kernelFor
+// chooses it once, where the order is fixed (Init, FromSnapshot,
+// FrozenFromCoreset, FrozenFromParts); copies carry it along.
 //
 // For the canonical natural orders LessF64 and LessU64 the table is
 // internal/vec's monomorphic kernels: one indirect call per *operation*
 // instead of per comparison, with the comparisons inlined (and the linear
 // count scans AVX2-dispatched on capable amd64 hardware). Every other order
-// gets orderKernels: the generic algorithms of sort.go, runmerge.go and
-// eytzinger.go bound to the caller's less. The vec kernels are
-// structure-identical transcriptions of those algorithms (see vec's package
-// comment), so both kinds of table produce identical sketch states and
-// answers on the items both admit.
+// gets orderKernels: the generic algorithms of sort.go and runmerge.go
+// bound to the caller's less. The vec kernels are structure-identical
+// transcriptions of those algorithms (see vec's package comment), so both
+// kinds of table produce identical sketch states and answers on the items
+// both admit.
 //
 // Detection is deliberately conservative: only the canonical functions
 // select the vec tables, recognized by function-pointer identity. A caller
@@ -96,15 +96,6 @@ type kernels[T any] interface {
 	extendDesc(xs []T, sorted int) int
 
 	kway(curs []vec.KWayCursor[T], items []T, cum []uint64)
-
-	// Eytzinger descents return the fixed-up slot of the answer, 0 when
-	// the search runs off the right edge; see eytIndex.rankAt.
-	//
-	//req:noalloc
-	eytRankLE([]T, T) int
-	//req:noalloc
-	eytRankGE([]T, T) int
-	eytRankBatch(items []T, before []uint64, total uint64, ys []T, out []uint64)
 }
 
 // kernelFor returns the kernel table for the order less: the vec table when

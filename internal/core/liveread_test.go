@@ -93,7 +93,7 @@ func (c *liveReadCase[T]) run(t *testing.T, warm int) {
 	for i := 0; i < warm; i++ {
 		c.s.Update(c.draw())
 	}
-	c.s.Freeze()
+	c.s.SortedView()
 	for i := range c.probes {
 		c.probes[i] = c.draw()
 	}

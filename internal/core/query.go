@@ -25,8 +25,7 @@ var (
 // at level 0), so the count per level is one binary search plus a scan of
 // the tail: O(levels·log b) instead of a linear pass over every retained
 // item. On a frozen sketch (cached view materialized) the rank is answered
-// by a single search on the view — branchless Eytzinger when the index has
-// been built by Freeze, binary otherwise.
+// by a single binary search on the view.
 //
 //req:noalloc
 func (s *Sketch[T]) Rank(y T) uint64 {
@@ -195,12 +194,9 @@ func quantileTarget(phi float64, n uint64) uint64 {
 }
 
 // RankBatch returns the estimated inclusive rank of every probe in ys,
-// written into dst (grown as needed) in the order of ys. The probe set is
-// answered with one sweep over the sorted view: probes are processed in
-// ascending order and the view cursor only moves forward (by galloping), so
-// the per-probe cost amortizes to O(1) comparisons for dense batches.
-// Building the view is amortized across the batch; on an empty sketch
-// every rank is 0.
+// written into dst (grown as needed) in the order of ys, from the sorted
+// view; see View.RankBatch. Building the view is amortized across the
+// batch; on an empty sketch every rank is 0.
 func (s *Sketch[T]) RankBatch(dst []uint64, ys []T) []uint64 {
 	return s.SortedView().RankBatch(dst, ys)
 }
@@ -244,9 +240,8 @@ func (s *Sketch[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
 
 // View is a sorted snapshot of the sketch's weighted coreset: items
 // ascending in the caller's order with cumulative weights. It answers rank
-// and quantile queries in O(log size) (O(1)-ish cache behaviour once the
-// Eytzinger index is built by Freeze) and is what the experiment harness
-// uses for bulk evaluation.
+// and quantile queries with one O(log size) search and is what the
+// experiment harness uses for bulk evaluation.
 //
 // Ownership: the view returned by SortedView is owned by the sketch, which
 // recycles its storage on the next rebuild — it is valid only until the
@@ -261,7 +256,6 @@ type View[T any] struct {
 	n    uint64
 	min  T
 	max  T
-	idx  eytIndex[T] // optional branchless rank index; built by Freeze
 }
 
 // Frozen reports whether the cached sorted view is materialized, i.e.
@@ -302,18 +296,8 @@ func (s *Sketch[T]) SortedView() *View[T] {
 		v.items, v.cum = resizeAmortized(v.items, total), resizeAmortized(v.cum, total)
 	}
 	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
-	v.idx.built = false
 	s.kwayMergeInto(v)
 	s.view = v
-	return v
-}
-
-// Freeze materializes the cached sorted view and its Eytzinger rank index,
-// making every subsequent Rank/Quantile/CDF call a branchless pure read
-// until the next mutation. It returns the frozen view.
-func (s *Sketch[T]) Freeze() *View[T] {
-	v := s.SortedView()
-	v.buildIndex()
 	return v
 }
 
@@ -329,8 +313,8 @@ func resizeSlice[T any](xs []T, n int) []T {
 
 // resizeAmortized is resizeSlice with ~1/8 headroom: contents are not
 // preserved, but repeated small growth amortizes to O(1) reallocations.
-// Rebuilt views and their index arrays need it, because the retained count
-// creeps past its high-water mark from one rebuild to the next.
+// Rebuilt views need it, because the retained count creeps past its
+// high-water mark from one rebuild to the next.
 func resizeAmortized[T any](xs []T, n int) []T {
 	if cap(xs) >= n {
 		return xs[:n]
@@ -439,9 +423,6 @@ func (v *View[T]) CumulativeWeights() []uint64 { return v.cum }
 //
 //req:noalloc
 func (v *View[T]) Rank(y T) uint64 {
-	if v.idx.built {
-		return v.idx.rankAt(v.kern.eytRankLE(v.idx.items, y))
-	}
 	return v.rankAt(v.kern.searchLE(v.items, y))
 }
 
@@ -449,9 +430,6 @@ func (v *View[T]) Rank(y T) uint64 {
 //
 //req:noalloc
 func (v *View[T]) RankExclusive(y T) uint64 {
-	if v.idx.built {
-		return v.idx.rankAt(v.kern.eytRankGE(v.idx.items, y))
-	}
 	return v.rankAt(v.kern.searchLT(v.items, y))
 }
 
@@ -466,23 +444,13 @@ func (v *View[T]) rankAt(pos int) uint64 {
 }
 
 // RankBatch answers Rank for every probe in ys, writing into dst (grown as
-// needed) in probe order and returning it. Probes are visited in ascending
-// order — directly when ys is already sorted, through a sorted index
-// permutation otherwise — so the view cursor only gallops forward and the
-// whole batch costs O(view + m·log m) instead of m independent binary
-// searches. Already-sorted probe sets are answered with zero allocations
-// beyond dst.
+// needed) in probe order and returning it. A sorted probe set (ascending
+// or descending) is answered with one forward galloping sweep over the
+// view, so a dense batch costs O(1) comparisons per probe; any other set
+// is answered probe by probe with Rank. Either way the batch allocates
+// nothing beyond dst.
 func (v *View[T]) RankBatch(dst []uint64, ys []T) []uint64 {
 	dst = resizeSlice(dst, len(ys))
-	if v.idx.built && len(ys) >= interleaveMinBatch &&
-		!v.kern.isSortedAsc(ys) && !v.kern.isSortedDesc(ys) {
-		// The whole-batch descent replicates rankSweep's routing for the
-		// large-unsorted-batch case (sorted batches still sweep — the gallop
-		// beats lockstep descents there) and writes straight into dst, so no
-		// per-probe emit closure survives.
-		v.kern.eytRankBatch(v.idx.items, v.idx.before, v.idx.total, ys, dst)
-		return dst
-	}
 	v.rankSweep(ys, func(qi int, rank uint64) {
 		dst[qi] = rank
 	})
@@ -504,72 +472,42 @@ func (v *View[T]) NormalizedRankBatch(dst []float64, ys []T) []float64 {
 	return dst
 }
 
-// probePair carries one probe with its input position through the sort that
-// orders an unsorted batch. Sorting (key, index) pairs keeps every
-// comparison on contiguous memory; sorting a bare index permutation would
-// chase two random pointers per comparison instead.
-type probePair[T any] struct {
-	y  T
-	qi int
-}
-
-// interleaveMinBatch is the unsorted batch size from which an indexed view
-// answers probes by interleaved Eytzinger descents instead of sorting the
-// probes: by then the m·log m sort costs more than it saves, while the
-// lockstep descents overlap their cache misses. Small batches still sort —
-// the sweep's galloping beats independent searches when probes are few.
-const interleaveMinBatch = 32
-
 // rankSweep computes the inclusive rank of every probe, reporting results
-// in input order via emit. Sorted probe sets are answered with one forward
-// galloping sweep; unsorted sets either sort a (key, index) pair array and
-// sweep, or — for larger batches on an indexed view — descend the Eytzinger
-// index once per probe.
+// in input order via emit: one forward galloping sweep for a sorted probe
+// set, one Rank per probe otherwise. A probe the order drops (NaN under
+// LessF64) compares false both ways, so it can pass the sortedness checks
+// while the sweep's cursor runs past every later probe; a set holding one
+// is answered probe by probe.
 func (v *View[T]) rankSweep(ys []T, emit func(qi int, rank uint64)) {
-	if len(ys) == 0 {
-		return
-	}
 	kn := v.kern
-	if kn.isSortedAsc(ys) {
+	sweep := kn.admitsAll(ys)
+	switch {
+	case sweep && kn.isSortedAsc(ys):
 		pos := 0
 		for qi, y := range ys {
 			pos = kn.gallopLE(v.items, pos, y)
 			emit(qi, v.rankAt(pos))
 		}
-		return
-	}
-	if kn.isSortedDesc(ys) {
+	case sweep && kn.isSortedDesc(ys):
 		pos := 0
 		for qi := len(ys) - 1; qi >= 0; qi-- {
 			pos = kn.gallopLE(v.items, pos, ys[qi])
 			emit(qi, v.rankAt(pos))
 		}
-		return
-	}
-	if v.idx.built && len(ys) >= interleaveMinBatch {
+	default:
 		for qi, y := range ys {
 			emit(qi, v.Rank(y))
 		}
-		return
-	}
-	pairs := make([]probePair[T], len(ys))
-	for i, y := range ys {
-		pairs[i] = probePair[T]{y: y, qi: i}
-	}
-	sortSlice(pairs, func(a, b probePair[T]) bool { return kn.less(a.y, b.y) })
-	pos := 0
-	for i := range pairs {
-		pos = kn.gallopLE(v.items, pos, pairs[i].y)
-		emit(pairs[i].qi, v.rankAt(pos))
 	}
 }
 
 // QuantilesInto answers every φ in phis, writing the estimates into dst
 // (grown as needed) in input order and returning it with length len(phis).
-// Sorted φ sets are answered with a single forward sweep over the
-// cumulative weights (zero allocations beyond dst); unsorted sets are
-// routed through a sorted index permutation. Any φ outside [0, 1] (or NaN)
-// fails the whole batch with ErrBadRank; an empty view yields ErrEmpty.
+// The answers come from one galloping sweep over the cumulative weights
+// that restarts wherever φ drops, so a sorted φ set is a single forward
+// pass and any order is answered without sorting or allocating beyond dst.
+// Any φ outside [0, 1] (or NaN) fails the whole batch with ErrBadRank; an
+// empty view yields ErrEmpty.
 func (v *View[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	dst = resizeSlice(dst, len(phis))
 	if len(phis) == 0 {
@@ -583,35 +521,19 @@ func (v *View[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 			return nil, ErrBadRank
 		}
 	}
-	sorted := true
-	for i := 1; i < len(phis); i++ {
-		if phis[i] < phis[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		pos := 0
-		for i, phi := range phis {
-			dst[i], pos = v.quantileAt(phi, pos)
-		}
-		return dst, nil
-	}
-	pairs := make([]probePair[float64], len(phis))
-	for i, phi := range phis {
-		pairs[i] = probePair[float64]{y: phi, qi: i}
-	}
-	sortSlice(pairs, func(a, b probePair[float64]) bool { return a.y < b.y })
 	pos := 0
-	for i := range pairs {
-		dst[pairs[i].qi], pos = v.quantileAt(pairs[i].y, pos)
+	for i, phi := range phis {
+		if i > 0 && phi < phis[i-1] {
+			pos = 0
+		}
+		dst[i], pos = v.quantileAt(phi, pos)
 	}
 	return dst, nil
 }
 
-// quantileAt resolves one (validated) φ during a sorted sweep: pos is the
-// cursor into cum below which every cumulative weight is known to be short
-// of earlier targets. It returns the estimate and the advanced cursor.
+// quantileAt resolves one (validated) φ during a sweep: pos is the cursor
+// into cum below which every cumulative weight is known to be short of the
+// target. It returns the estimate and the advanced cursor.
 //
 //req:noalloc
 func (v *View[T]) quantileAt(phi float64, pos int) (T, int) {
@@ -696,9 +618,6 @@ func (v *View[T]) Quantile(phi float64) (T, error) {
 		return v.max, nil
 	}
 	target := quantileTarget(phi, v.n)
-	if v.idx.built {
-		return v.idx.quantile(target, v.max), nil
-	}
 	// First index with cum ≥ target.
 	lo, hi := 0, len(v.cum)
 	for lo < hi {

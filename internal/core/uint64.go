@@ -30,8 +30,3 @@ func (u64Kernels) extendDesc(xs []uint64, sorted int) int { return vec.ExtendRun
 func (u64Kernels) kway(curs []vec.KWayCursor[uint64], items []uint64, cum []uint64) {
 	vec.KWayMerge(curs, items, cum)
 }
-func (u64Kernels) eytRankLE(items []uint64, y uint64) int { return vec.EytRankLE(items, y) }
-func (u64Kernels) eytRankGE(items []uint64, y uint64) int { return vec.EytRankGE(items, y) }
-func (u64Kernels) eytRankBatch(items []uint64, before []uint64, total uint64, ys []uint64, out []uint64) {
-	vec.EytRankBatch(items, before, total, ys, out)
-}

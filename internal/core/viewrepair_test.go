@@ -143,23 +143,49 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	}
 }
 
-func TestEytzingerIndexEdgeCases(t *testing.T) {
-	// Empty sketch: Freeze is a no-op index-wise; queries behave as before.
-	s := newFloat64(t, Config{})
-	v := s.Freeze()
-	if v.idx.built {
-		t.Fatal("index built for an empty view")
+// scanRanks returns the inclusive and exclusive ranks of y by a linear scan
+// of the view's items and weights: the reference its searches must match.
+func scanRanks(v *View[float64], y float64) (le, lt uint64) {
+	for i, x := range v.Items() {
+		if !(y < x) {
+			le += v.Weight(i)
+		}
+		if x < y {
+			lt += v.Weight(i)
+		}
 	}
+	return le, lt
+}
+
+// scanQuantile returns the φ-quantile by a linear scan of the view's
+// cumulative weights.
+func scanQuantile(v *View[float64], phi float64) float64 {
+	switch phi {
+	case 0:
+		return v.min
+	case 1:
+		return v.max
+	}
+	target := quantileTarget(phi, v.n)
+	for i, c := range v.CumulativeWeights() {
+		if c >= target {
+			return v.Items()[i]
+		}
+	}
+	return v.max
+}
+
+func TestViewSearchEdgeCases(t *testing.T) {
+	// Empty sketch: every rank is 0.
+	s := newFloat64(t, Config{})
+	v := s.SortedView()
 	if v.Rank(1) != 0 || v.RankExclusive(1) != 0 {
 		t.Fatal("empty view rank != 0")
 	}
 
 	// Single item.
 	s.Update(5)
-	v = s.Freeze()
-	if !v.idx.built {
-		t.Fatal("index not built")
-	}
+	v = s.SortedView()
 	for _, tc := range []struct {
 		y            float64
 		rank, rankEx uint64
@@ -172,8 +198,8 @@ func TestEytzingerIndexEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Heavy duplicates at several sizes (including powers of two around the
-	// fixup edge) — index answers must match the binary-search path exactly.
+	// Heavy duplicates at several sizes (including powers of two and their
+	// neighbours) — the searches must match a linear scan of the view.
 	for _, n := range []int{2, 3, 7, 8, 9, 15, 16, 17, 100, 1023, 1024, 1025} {
 		s := newFloat64(t, Config{Eps: 0.1, Delta: 0.1, Seed: uint64(n)})
 		r := rng.New(uint64(n) * 7)
@@ -181,29 +207,22 @@ func TestEytzingerIndexEdgeCases(t *testing.T) {
 			s.Update(math.Floor(r.Float64() * 10))
 		}
 		v := s.SortedView()
-		type ans struct{ le, lt uint64 }
-		want := make(map[float64]ans)
 		for y := -1.0; y <= 11; y += 0.5 {
-			want[y] = ans{v.Rank(y), v.RankExclusive(y)}
-		}
-		s.Freeze()
-		for y := -1.0; y <= 11; y += 0.5 {
-			if got := (ans{v.Rank(y), v.RankExclusive(y)}); got != want[y] {
-				t.Fatalf("n=%d: indexed ranks at %v = %+v, binary %+v", n, y, got, want[y])
+			le, lt := scanRanks(v, y)
+			if got, want := v.Rank(y), le; got != want {
+				t.Fatalf("n=%d: Rank(%v) = %d, linear scan %d", n, y, got, want)
+			}
+			if got, want := v.RankExclusive(y), lt; got != want {
+				t.Fatalf("n=%d: RankExclusive(%v) = %d, linear scan %d", n, y, got, want)
 			}
 		}
 		for phi := 0.0; phi <= 1.0; phi += 1.0 / 64 {
-			qIdx, err := v.Quantile(phi)
+			q, err := v.Quantile(phi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vFresh := s.Clone().SortedView() // no index on the clone's view
-			qBin, err := vFresh.Quantile(phi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qIdx != qBin {
-				t.Fatalf("n=%d: indexed Quantile(%v) = %v, binary %v", n, phi, qIdx, qBin)
+			if want := scanQuantile(v, phi); q != want {
+				t.Fatalf("n=%d: Quantile(%v) = %v, linear scan %v", n, phi, q, want)
 			}
 		}
 	}

@@ -20,9 +20,9 @@ func init() {
 
 // runE16 measures the read path of the engine on one machine: what the
 // first read after a write burst costs as a live QuantilesInto (selection
-// over the settled levels, no view) versus a Freeze (full view rebuild plus
-// rank index, what RankBatch, CDF/PMF, Snapshot and All pay after writes),
-// and how batch rank queries amortize against independent probes. Numbers
+// over the settled levels, no view) versus a freeze (a full view rebuild,
+// what Freeze, RankBatch, CDF/PMF, Snapshot and All pay after writes), and
+// how batch rank queries amortize against independent probes. Numbers
 // are wall-clock medians on the current host — this experiment documents
 // the engine, not the paper.
 func runE16(w io.Writer, cfg Config) error {
@@ -60,16 +60,16 @@ func runE16(w io.Writer, cfg Config) error {
 			for i := 0; i < burst; i++ {
 				s.Update(r.Float64())
 			}
-			s.Freeze()
+			s.SortedView()
 		})
 		tab.AddRow(burst, float64(live.Microseconds()), float64(freeze.Microseconds()),
 			fmt.Sprintf("%.1fx", float64(freeze)/float64(live)))
 	}
 	tab.Fprint(w)
-	fmt.Fprintf(w, "\n(the live read settles level 0's append tail in place and selects p50/p90/p99\nover the sorted levels; Freeze re-runs the full k-way merge into reused storage\nand builds the rank index)\n\n")
+	fmt.Fprintf(w, "\n(the live read settles level 0's append tail in place and selects p50/p90/p99\nover the sorted levels; a freeze re-runs the full k-way merge into reused\nstorage)\n\n")
 
 	// --- batch rank queries vs independent probes -------------------------
-	s.Freeze()
+	s.SortedView()
 	probes := make([]float64, 1024)
 	for i := range probes {
 		probes[i] = r.Float64()
@@ -101,7 +101,7 @@ func runE16(w io.Writer, cfg Config) error {
 		}
 	}
 	tab.Fprint(w)
-	fmt.Fprintf(w, "\n(batch sorts the probe set once and answers with one galloping sweep;\nsingle probes each pay a full descent of the frozen view's rank index)\n")
+	fmt.Fprintf(w, "\n(a sorted batch is answered with one galloping sweep, a random one probe by\nprobe; single probes each pay a full binary search of the frozen view)\n")
 	return nil
 }
 

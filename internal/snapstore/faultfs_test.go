@@ -8,7 +8,7 @@ import (
 
 // matchesPayload reports whether f serves exactly payload p at gen.
 func matchesPayload(f *File, p *Payload, gen uint64) bool {
-	if f.Header.Gen != gen || f.Header.Count != p.Count || f.Header.IdxTotal != p.IdxTotal {
+	if f.Header.Gen != gen || f.Header.Count != p.Count || f.Header.Total != p.Total {
 		return false
 	}
 	if !bytes.Equal(f.Header.App, p.App) {

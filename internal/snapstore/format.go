@@ -18,20 +18,19 @@ const (
 	// min/max and N0 is ~90 bytes; the slack is format headroom).
 	appHdrCap = 512
 
-	formatVersion = 1
+	// formatVersion is the only version OpenFile reads; any other is
+	// refused as unsupported.
+	formatVersion = 2
 
-	// NumSections is the number of data sections: the five parallel arrays
+	// NumSections is the number of data sections: the two parallel arrays
 	// of a frozen coreset.
-	NumSections = 5
+	NumSections = 2
 )
 
 // Section indices, in file order.
 const (
 	SecViewItems = iota
 	SecViewCum
-	SecIdxItems
-	SecIdxCum
-	SecIdxBefore
 )
 
 var (
@@ -47,7 +46,7 @@ const (
 	offSecCount = 12 // uint32
 	offGen      = 16 // uint64
 	offCount    = 24 // uint64 coreset entries ni
-	offIdxTotal = 32 // uint64 retained weight at index build
+	offTotal    = 32 // uint64 application total (see Header.Total)
 	offAppLen   = 40 // uint32
 	offApp      = 48 // appHdrCap bytes
 	offTable    = offApp + appHdrCap
@@ -81,22 +80,25 @@ type SectionInfo struct {
 
 // Header is the parsed header page of a snapshot file.
 type Header struct {
-	Version  uint32
-	Gen      uint64
-	Count    uint64 // coreset entries ni
-	IdxTotal uint64 // retained weight (== last cumulative weight) at save
+	Version uint32
+	Gen     uint64
+	Count   uint64 // coreset entries ni
+	// Total is the application's 64-bit total: a snapshot's retained
+	// weight (== its last cumulative weight, the stream length), or a
+	// registry file's record-stream length.
+	Total    uint64
 	App      []byte // application header bytes (aliases the mapping)
 	Sections [NumSections]SectionInfo
 }
 
-// Payload is what the caller persists: the application header and the five
-// section byte images (little-endian array contents). Section lengths must
-// satisfy the format's shape: sections 0 and 1 of length 8·Count, sections
-// 2–4 of length 8·(Count+1) — or all five empty when Count is 0.
+// Payload is what the caller persists: the application header, the total
+// (see Header.Total) and the two section byte images (little-endian array
+// contents). Both sections must be 8·Count bytes long (empty when Count is
+// 0).
 type Payload struct {
 	App      []byte
 	Count    uint64
-	IdxTotal uint64
+	Total    uint64
 	Sections [NumSections][]byte
 }
 
@@ -105,17 +107,9 @@ func alignUp(n uint64, align uint64) uint64 { return (n + align - 1) &^ (align -
 
 // sectionLengthsOK checks the shape constraint shared by writer and opener.
 func sectionLengthsOK(count uint64, lens [NumSections]uint64) error {
-	var want [NumSections]uint64
-	if count > 0 {
-		want[SecViewItems] = 8 * count
-		want[SecViewCum] = 8 * count
-		want[SecIdxItems] = 8 * (count + 1)
-		want[SecIdxCum] = 8 * (count + 1)
-		want[SecIdxBefore] = 8 * (count + 1)
-	}
 	for i, l := range lens {
-		if l != want[i] {
-			return fmt.Errorf("section %d length %d, want %d for %d entries", i, l, want[i], count)
+		if l != 8*count {
+			return fmt.Errorf("section %d length %d, want %d for %d entries", i, l, 8*count, count)
 		}
 	}
 	return nil
@@ -151,7 +145,7 @@ func encodeHeader(p *Payload, gen uint64, offs [NumSections]uint64) ([]byte, err
 	le.PutUint32(h[offSecCount:], NumSections)
 	le.PutUint64(h[offGen:], gen)
 	le.PutUint64(h[offCount:], p.Count)
-	le.PutUint64(h[offIdxTotal:], p.IdxTotal)
+	le.PutUint64(h[offTotal:], p.Total)
 	le.PutUint32(h[offAppLen:], uint32(len(p.App)))
 	copy(h[offApp:], p.App)
 	for i := range p.Sections {
@@ -207,17 +201,20 @@ func decodeHeader(h []byte, size uint64) (*Header, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	le := binary.LittleEndian
+	// The version is checked before the header CRC: the CRC's offset
+	// depends on the section count, which another version may lay out
+	// differently, so an older file is refused for what it is.
+	if v := le.Uint32(h[offVersion:]); v != formatVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	}
 	if le.Uint32(h[offHeaderCRC:]) != crc(h[:offHeaderCRC]) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
 	hdr := &Header{
-		Version:  le.Uint32(h[offVersion:]),
-		Gen:      le.Uint64(h[offGen:]),
-		Count:    le.Uint64(h[offCount:]),
-		IdxTotal: le.Uint64(h[offIdxTotal:]),
-	}
-	if hdr.Version != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr.Version)
+		Version: formatVersion,
+		Gen:     le.Uint64(h[offGen:]),
+		Count:   le.Uint64(h[offCount:]),
+		Total:   le.Uint64(h[offTotal:]),
 	}
 	if got := le.Uint32(h[offSecCount:]); got != NumSections {
 		return nil, fmt.Errorf("%w: %d sections, want %d", ErrCorrupt, got, NumSections)

@@ -2,33 +2,30 @@ package snapstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // testPayload builds a deterministic payload with count coreset entries.
 func testPayload(count uint64, seed byte) *Payload {
 	p := &Payload{
-		App:      []byte{seed, 0xAA, 0xBB, 0xCC},
-		Count:    count,
-		IdxTotal: count * 7,
+		App:   []byte{seed, 0xAA, 0xBB, 0xCC},
+		Count: count,
+		Total: count * 7,
 	}
 	if count == 0 {
 		return p
 	}
-	mk := func(n uint64) []byte {
-		b := make([]byte, 8*n)
-		for i := range b {
-			b[i] = seed + byte(i)
+	for i := range p.Sections {
+		b := make([]byte, 8*count)
+		for j := range b {
+			b[j] = seed + byte(i) + byte(j)
 		}
-		return b
+		p.Sections[i] = b
 	}
-	p.Sections[SecViewItems] = mk(count)
-	p.Sections[SecViewCum] = mk(count)
-	p.Sections[SecIdxItems] = mk(count + 1)
-	p.Sections[SecIdxCum] = mk(count + 1)
-	p.Sections[SecIdxBefore] = mk(count + 1)
 	return p
 }
 
@@ -62,9 +59,9 @@ func assertFileMatches(t *testing.T, f *File, p *Payload, wantGen uint64) {
 	if f.Header.Gen != wantGen {
 		t.Fatalf("gen = %d, want %d", f.Header.Gen, wantGen)
 	}
-	if f.Header.Count != p.Count || f.Header.IdxTotal != p.IdxTotal {
-		t.Fatalf("count/idxTotal = %d/%d, want %d/%d",
-			f.Header.Count, f.Header.IdxTotal, p.Count, p.IdxTotal)
+	if f.Header.Count != p.Count || f.Header.Total != p.Total {
+		t.Fatalf("count/total = %d/%d, want %d/%d",
+			f.Header.Count, f.Header.Total, p.Count, p.Total)
 	}
 	if !bytes.Equal(f.Header.App, p.App) {
 		t.Fatalf("app header mismatch")
@@ -290,7 +287,7 @@ func TestInspect(t *testing.T) {
 	// Damage one section: Inspect still parses the header and pinpoints it.
 	bad := append([]byte(nil), img...)
 	hdr, _ := decodeHeader(img[:headerSize], uint64(len(img)))
-	bad[hdr.Sections[SecIdxCum].Off] ^= 0xFF
+	bad[hdr.Sections[SecViewCum].Off] ^= 0xFF
 	w, _ := m.Create("snaps/bad")
 	w.Write(bad)
 	w.Close()
@@ -301,11 +298,11 @@ func TestInspect(t *testing.T) {
 	if rep.Err == nil || !errors.Is(rep.Err, ErrCorrupt) {
 		t.Fatalf("damaged file verdict: %v", rep.Err)
 	}
-	if rep.Sections[SecIdxCum].OK {
+	if rep.Sections[SecViewCum].OK {
 		t.Fatal("damaged section reported ok")
 	}
 	for i, s := range rep.Sections {
-		if i != SecIdxCum && !s.OK && hdr.Sections[i].Len > 0 {
+		if i != SecViewCum && !s.OK && hdr.Sections[i].Len > 0 {
 			t.Fatalf("undamaged section %d reported corrupt", i)
 		}
 	}
@@ -322,4 +319,84 @@ func TestInspect(t *testing.T) {
 		t.Fatalf("truncated file verdict: %v", rep.Err)
 	}
 	_ = fmt.Sprintf("%s", rep)
+}
+
+// version1Image builds a complete, self-consistent file in the version-1
+// layout: five sections (the sorted view plus a three-array rank index of
+// count+1 entries each), the header CRC at that layout's offset, and a
+// valid footer. It is what a version-1 writer produced.
+func version1Image(count, gen uint64) []byte {
+	const v1Sections = 5
+	lens := [v1Sections]uint64{8 * count, 8 * count, 8 * (count + 1), 8 * (count + 1), 8 * (count + 1)}
+	le := binary.LittleEndian
+	h := make([]byte, headerSize)
+	copy(h[offMagic:], headerMagic[:])
+	le.PutUint32(h[offVersion:], 1)
+	le.PutUint32(h[offSecCount:], v1Sections)
+	le.PutUint64(h[offGen:], gen)
+	le.PutUint64(h[offCount:], count)
+	le.PutUint64(h[offTotal:], count)
+	var body []byte
+	pos := uint64(headerSize)
+	for i, l := range lens {
+		sec := bytes.Repeat([]byte{byte(i + 1)}, int(l))
+		e := h[offTable+i*tableEntrySize:]
+		le.PutUint64(e, pos)
+		le.PutUint64(e[8:], l)
+		le.PutUint32(e[16:], crc(sec))
+		body = append(body, sec...)
+		pos = alignUp(pos+l, secAlign)
+		body = append(body, make([]byte, pos-headerSize-uint64(len(body)))...)
+	}
+	v1CRC := offTable + v1Sections*tableEntrySize
+	le.PutUint32(h[v1CRC:], crc(h[:v1CRC]))
+	img := append(h, body...)
+	return append(img, encodeFooter(gen, uint64(len(img))+footerSize)...)
+}
+
+// TestVersion1Refused pins that a version-1 file is refused as an
+// unsupported version, wrapped in ErrCorrupt, instead of being misread as
+// a two-section file, and that OpenLatest skips it for an older valid
+// generation.
+func TestVersion1Refused(t *testing.T) {
+	img := version1Image(6, 2)
+	m := NewMemFS()
+	if err := m.MkdirAll("snaps"); err != nil {
+		t.Fatal(err)
+	}
+	p := testPayload(4, 3)
+	if err := WriteSnapshotFile(m, "snaps/"+GenName(1), 1, p); err != nil {
+		t.Fatal(err)
+	}
+	w, err := m.Create("snaps/" + GenName(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(img)
+	w.Close()
+
+	for _, opt := range []OpenOptions{{}, {SkipChecksum: true}} {
+		f, err := OpenFile(m, "snaps/"+GenName(2), opt)
+		if err == nil {
+			f.Close()
+			t.Fatalf("%+v: version-1 file accepted", opt)
+		}
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTornWrite) ||
+			!strings.Contains(err.Error(), "unsupported version 1") {
+			t.Fatalf("%+v: version-1 file rejected as %v, want an unsupported-version ErrCorrupt", opt, err)
+		}
+	}
+	rep, err := Inspect(m, "snaps/"+GenName(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HeaderOK || !strings.Contains(fmt.Sprint(rep.Err), "unsupported version 1") {
+		t.Fatalf("Inspect of a version-1 file: header ok %v, verdict %v", rep.HeaderOK, rep.Err)
+	}
+	f, err := NewStore(m, "snaps").OpenLatest(OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	assertFileMatches(t, f, p, 1)
 }

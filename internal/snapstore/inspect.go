@@ -34,7 +34,7 @@ type Report struct {
 // Inspect opens path without rejecting it and reports everything it can
 // determine: structural validity, then per-section checksum status even
 // when some sections are damaged (OpenFile stops at the first mismatch;
-// Inspect checks all five).
+// Inspect checks both).
 func Inspect(fsys FS, path string) (*Report, error) {
 	rf, err := fsys.Open(path)
 	if err != nil {
@@ -84,9 +84,7 @@ func Inspect(fsys FS, path string) (*Report, error) {
 }
 
 // sectionNames label the fixed section layout for human-facing output.
-var sectionNames = [NumSections]string{
-	"view.items", "view.cum", "idx.items", "idx.cum", "idx.before",
-}
+var sectionNames = [NumSections]string{"view.items", "view.cum"}
 
 // String renders the report as a multi-line human-readable summary.
 func (r *Report) String() string {
@@ -96,8 +94,8 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "header: UNREADABLE (%v)\n", r.Err)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "format: v%d  generation: %d  items: %d  index total: %d  app header: %d bytes\n",
-		r.Header.Version, r.Header.Gen, r.Header.Count, r.Header.IdxTotal, len(r.Header.App))
+	fmt.Fprintf(&b, "format: v%d  generation: %d  items: %d  total: %d  app header: %d bytes\n",
+		r.Header.Version, r.Header.Gen, r.Header.Count, r.Header.Total, len(r.Header.App))
 	for i, s := range r.Sections {
 		status := "ok"
 		if !s.OK {

@@ -6,30 +6,31 @@
 //
 // # File format
 //
-// One snapshot file is a 4 KiB header page, five 64-byte-aligned data
+// One snapshot file is a 4 KiB header page, two 64-byte-aligned data
 // sections, and a fixed-size footer at end of file (all integers
 // little-endian):
 //
 //	┌────────────────────────────────────────────────────────────┐
 //	│ header page (4096 B)                                       │
-//	│   magic "REQSLAB1", version, section count                 │
-//	│   generation, coreset count ni, index total weight         │
+//	│   magic "REQSLAB1", version (2), section count (2)         │
+//	│   generation, coreset count ni, total                      │
 //	│   app header (opaque to this package: the root package     │
 //	│   stores its serde common header + min/max here)           │
-//	│   section table: {offset, length, CRC32C} × 5              │
+//	│   section table: {offset, length, CRC32C} × 2              │
 //	│   header CRC32C (over every header byte above)             │
 //	├────────────────────────────────────────────────────────────┤
-//	│ section 0  view items      ni × 8 B   ─ 64-B aligned       │
-//	│ section 1  view cum        ni × 8 B   ─ 64-B aligned       │
-//	│ section 2  index items  (ni+1) × 8 B  ─ 64-B aligned       │
-//	│ section 3  index cum    (ni+1) × 8 B  ─ 64-B aligned       │
-//	│ section 4  index before (ni+1) × 8 B  ─ 64-B aligned       │
+//	│ section 0  view items   ni × 8 B  ─ 64-B aligned           │
+//	│ section 1  view cum     ni × 8 B  ─ 64-B aligned           │
 //	├────────────────────────────────────────────────────────────┤
 //	│ footer (64 B): magic "REQSLABF", file length, generation,  │
 //	│ footer CRC32C                                              │
 //	└────────────────────────────────────────────────────────────┘
 //
-// The sections are the frozen coreset's five storage arrays byte-for-byte
+// The total is the application's: the root package records a snapshot's
+// retained weight there, or a registry file's record-stream length. A
+// file of any other version is refused as an unsupported version.
+//
+// The sections are the frozen coreset's two storage arrays byte-for-byte
 // (on little-endian hosts): opening a file needs no per-item decode — the
 // arrays are aliased straight out of the mapping. The 64-byte alignment
 // guarantees the 8-byte alignment the aliasing requires and keeps each

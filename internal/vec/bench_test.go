@@ -137,49 +137,6 @@ func BenchmarkMergeIntoAscF64(b *testing.B) {
 	}
 }
 
-func BenchmarkEytRankBatchF64(b *testing.B) {
-	n := 1 << 16
-	sorted := benchF64(n, 7)
-	SortAsc(sorted)
-	// In-order fill of the 1-based BFS layout, mirroring core's buildIndex.
-	eyt := make([]float64, n+1)
-	before := make([]uint64, n+1)
-	var fill func(k, next int) int
-	fill = func(k, next int) int {
-		if k > n {
-			return next
-		}
-		next = fill(2*k, next)
-		eyt[k] = sorted[next]
-		before[k] = uint64(next)
-		next++
-		return fill(2*k+1, next)
-	}
-	fill(1, 0)
-	cum := uint64(n)
-	probes := benchF64(256, 8)
-	out := make([]uint64, 256)
-	b.Run("n=64k/batch=256", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			EytRankBatch(eyt, before, cum, probes, out)
-		}
-	})
-	b.Run("n=64k/single", func(b *testing.B) {
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			for _, p := range probes {
-				k := EytRankLE(eyt, p)
-				if k == 0 {
-					sink += cum
-				} else {
-					sink += before[k]
-				}
-			}
-		}
-		_ = sink
-	})
-}
-
 func BenchmarkKWayMergeF64(b *testing.B) {
 	const ways, per = 8, 1 << 13
 	var curs []KWayCursor[float64]

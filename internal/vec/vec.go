@@ -1,7 +1,6 @@
 // Package vec is the monomorphic data-parallel kernel layer for the hot
-// inner loops of internal/core: searching, merging, sorting, counting, and
-// Eytzinger descents specialised to float64 and uint64 under their natural
-// ascending order.
+// inner loops of internal/core: searching, merging, sorting and counting,
+// specialised to float64 and uint64 under their natural ascending order.
 //
 // The generic engine in internal/core is parameterized by a
 // less(a, b T) bool closure, which costs an indirect call per comparison and
@@ -23,14 +22,14 @@
 //   - Predicates keep their exact form. !(y < x) is NOT x <= y when NaN is
 //     involved (both comparisons are false), so kernels spell out the same
 //     negations the generic code uses.
-//   - Stateful kernels (sort, merge, binary search, Eytzinger descent) are
-//     structure-identical transcriptions of the generic algorithms: the same
-//     probe sequence, the same swaps, the same tie behaviour. On inputs that
+//   - Stateful kernels (sort, merge, binary search) are structure-identical
+//     transcriptions of the generic algorithms: the same probe sequence,
+//     the same swaps, the same tie behaviour. On inputs that
 //     violate the sortedness precondition (possible only when a raw core
 //     sketch is fed NaN), a structurally different "equivalent" algorithm
 //     would return a different wrong answer; an identical structure returns
 //     the identical one. The differential suite (kernel_diff_test.go in
-//     core, diff_test.go here) enforces this on adversarial inputs.
+//     core, vec_test.go here) enforces this on adversarial inputs.
 //
 // Order-insensitive kernels (the linear count scans, HasNaN) are free to be
 // 4x-unrolled and branch-free, because a count of independent per-element

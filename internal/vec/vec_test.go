@@ -583,91 +583,6 @@ func TestGallopCumGE(t *testing.T) {
 	}
 }
 
-func TestEytDescents(t *testing.T) {
-	// Build a small Eytzinger layout by in-order fill, mirroring core's
-	// buildIndex, and check both descents plus the batch form against the
-	// sorted-array answers.
-	r := rand.New(rand.NewSource(14))
-	for iter := 0; iter < 100; iter++ {
-		n := 1 + r.Intn(40)
-		sorted := make([]float64, n)
-		for i := range sorted {
-			sorted[i] = math.Round(r.NormFloat64() * 10)
-		}
-		SortAsc(sorted)
-		items := make([]float64, n+1)
-		before := make([]uint64, n+1)
-		cumw := make([]uint64, n)
-		run := uint64(0)
-		for i := range sorted {
-			run += uint64(1 + i%3)
-			cumw[i] = run
-		}
-		var fill func(k, next int) int
-		fill = func(k, next int) int {
-			if k > n {
-				return next
-			}
-			next = fill(2*k, next)
-			items[k] = sorted[next]
-			if next == 0 {
-				before[k] = 0
-			} else {
-				before[k] = cumw[next-1]
-			}
-			next++
-			return fill(2*k+1, next)
-		}
-		fill(1, 0)
-		total := cumw[n-1]
-
-		rankOf := func(y float64, inclusive bool) uint64 {
-			pos := 0
-			for _, x := range sorted {
-				if inclusive && !(y < x) {
-					pos++
-				} else if !inclusive && x < y {
-					pos++
-				}
-			}
-			if pos == 0 {
-				return 0
-			}
-			return cumw[pos-1]
-		}
-		probes := floatProbes(sorted)
-		outs := make([]uint64, len(probes))
-		EytRankBatch(items, before, total, probes, outs)
-		for pi, y := range probes {
-			if y != y {
-				continue // NaN probes have no defined rank contract
-			}
-			k := EytRankLE(items, y)
-			var got uint64
-			if k == 0 {
-				got = total
-			} else {
-				got = before[k]
-			}
-			if want := rankOf(y, true); got != want {
-				t.Fatalf("EytRankLE(%v over %v) = %d, want %d", y, sorted, got, want)
-			}
-			if outs[pi] != got {
-				t.Fatalf("EytRankBatch[%d] = %d, want %d (single descent)", pi, outs[pi], got)
-			}
-			k = EytRankGE(items, y)
-			if k == 0 {
-				got = total
-			} else {
-				got = before[k]
-			}
-			if want := rankOf(y, false); got != want {
-				t.Fatalf("EytRankGE(%v over %v) = %d, want %d", y, sorted, got, want)
-			}
-		}
-	}
-}
-
 func TestKWayMergeMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for iter := 0; iter < 100; iter++ {

@@ -12,15 +12,14 @@ import (
 
 // Crash-safe zero-copy snapshot persistence.
 //
-// A Snapshot's storage is five parallel arrays (sorted items, cumulative
-// weights, and the three arrays of its Eytzinger rank index). SaveSnapshot
-// writes them raw — little-endian, 64-byte-aligned, each protected by a
-// CRC32C — into a versioned slab file, and OpenSnapshot* serves queries
-// directly FROM that file: on unix the file is mmap'd read-only and the
-// arrays are aliased in place, so opening performs no per-item decoding
-// and no per-item allocation regardless of snapshot size. Elsewhere (or
-// with WithoutMmap) the file is read into one aligned buffer and aliased
-// the same way.
+// A Snapshot's storage is two parallel arrays: the sorted items and their
+// cumulative weights. SaveSnapshot writes them raw — little-endian,
+// 64-byte-aligned, each protected by a CRC32C — into a versioned slab file
+// (format 2), and OpenSnapshot* serves queries directly FROM that file: on
+// unix the file is mmap'd read-only and the arrays are aliased in place,
+// so opening performs no per-item decoding and no per-item allocation
+// regardless of snapshot size. Elsewhere (or with WithoutMmap) the file is
+// read into one aligned buffer and aliased the same way.
 //
 // Durability model (see internal/snapstore for the format and the
 // fault-injection proof):
@@ -60,10 +59,10 @@ const (
 	// bandwidth, still with no per-item decoding or allocation.
 	VerifyChecksum VerifyMode = iota
 	// VerifyFull adds an O(n) structural audit on top of the checksums:
-	// items sorted, weights strictly increasing and conserved, rank index
-	// an exact mirror of the sorted view, no NaN floats. Use it when the
-	// file's producer is untrusted (checksums only prove the file is what
-	// its writer wrote, not that its writer was honest).
+	// items sorted, weights strictly increasing and conserved, no NaN
+	// floats. Use it when the file's producer is untrusted (checksums only
+	// prove the file is what its writer wrote, not that its writer was
+	// honest).
 	VerifyFull
 	// VerifyNone skips section checksums: O(1) structural checks only
 	// (magic, footer/torn-write detection, header CRC, section geometry).
@@ -144,23 +143,20 @@ func appendUint64sLE(out []byte, vs []uint64) []byte {
 }
 
 // snapshotPayload lowers a frozen coreset to the slab format's payload:
-// the serde snapshot header as the application header, and the five
-// storage arrays as raw little-endian sections.
+// the serde snapshot header as the application header, the stream length
+// as the total, and the two storage arrays as raw little-endian sections.
 func snapshotPayload[T any](f *core.Frozen[T], codec itemCodec[T]) *snapstore.Payload {
 	parts := f.Parts()
 	p := &snapstore.Payload{
-		App:      appendSnapshotHeader(make([]byte, 0, 128), f, codec),
-		Count:    uint64(len(parts.Items)),
-		IdxTotal: parts.IdxTotal,
+		App:   appendSnapshotHeader(make([]byte, 0, 128), f, codec),
+		Count: uint64(len(parts.Items)),
+		Total: f.Count(),
 	}
 	if len(parts.Items) == 0 {
 		return p
 	}
 	p.Sections[snapstore.SecViewItems] = codec.putAll(make([]byte, 0, 8*len(parts.Items)), parts.Items)
 	p.Sections[snapstore.SecViewCum] = appendUint64sLE(make([]byte, 0, 8*len(parts.Cum)), parts.Cum)
-	p.Sections[snapstore.SecIdxItems] = codec.putAll(make([]byte, 0, 8*len(parts.IdxItems)), parts.IdxItems)
-	p.Sections[snapstore.SecIdxCum] = appendUint64sLE(make([]byte, 0, 8*len(parts.IdxCum)), parts.IdxCum)
-	p.Sections[snapstore.SecIdxBefore] = appendUint64sLE(make([]byte, 0, 8*len(parts.IdxBefore)), parts.IdxBefore)
 	return p
 }
 
@@ -260,10 +256,11 @@ func sectionFloats(sec []byte) []float64 {
 }
 
 // openMapped bridges an opened slab file to a queryable snapshot: parse
-// the application header (the serde snapshot prefix — O(1)), alias the
-// five sections as the frozen coreset's arrays, and rebuild the Frozen
-// around them with O(1) validation. With VerifyFull, an O(n) structural
-// audit runs on top. On success the returned snapshot owns the file.
+// the application header (the serde snapshot prefix — O(1)), check the
+// header's total against the stream length, alias the two sections as the
+// frozen coreset's arrays, and rebuild the Frozen around them with O(1)
+// validation. With VerifyFull, an O(n) structural audit runs on top. On
+// success the returned snapshot owns the file.
 func openMapped[T any](
 	file *snapstore.File,
 	codec itemCodec[T],
@@ -280,13 +277,13 @@ func openMapped[T any](
 		file.Close()
 		return nil, fmt.Errorf("%w: %w: %d trailing application header bytes", ErrCorrupt, snapstore.ErrCorrupt, r.remaining())
 	}
+	if file.Header.Total != n {
+		file.Close()
+		return nil, fmt.Errorf("%w: %w: header total %d != n %d", ErrCorrupt, snapstore.ErrCorrupt, file.Header.Total, n)
+	}
 	parts := core.FrozenParts[T]{
-		Items:     itemsOf(file.Section(snapstore.SecViewItems)),
-		Cum:       sectionWords(file.Section(snapstore.SecViewCum)),
-		IdxItems:  itemsOf(file.Section(snapstore.SecIdxItems)),
-		IdxCum:    sectionWords(file.Section(snapstore.SecIdxCum)),
-		IdxBefore: sectionWords(file.Section(snapstore.SecIdxBefore)),
-		IdxTotal:  file.Header.IdxTotal,
+		Items: itemsOf(file.Section(snapstore.SecViewItems)),
+		Cum:   sectionWords(file.Section(snapstore.SecViewCum)),
 	}
 	f, err := core.FrozenFromParts(codec.less, cfg, n, mn, mx, hasMinMax, parts)
 	if err != nil {

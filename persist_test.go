@@ -540,11 +540,13 @@ func TestHostileGeometryRejected(t *testing.T) {
 }
 
 // FuzzOpenSnapshotFile: arbitrary bytes written to a file and opened as a
-// snapshot must either open as a queryable snapshot or be rejected with
-// the ErrCorrupt family (ErrTornWrite for truncations) — never panic.
+// snapshot, and as a registry, must either open as a queryable snapshot or
+// registry or be rejected with the ErrCorrupt family (ErrTornWrite for
+// truncations) — never panic.
 func FuzzOpenSnapshotFile(f *testing.F) {
 	// Seeds: valid files of both kinds and several shapes, torn prefixes,
-	// bit flips in header/sections/footer, cross-kind, junk.
+	// bit flips in header/sections/footer, cross-kind, junk, and a registry
+	// file.
 	dir := f.TempDir()
 	mkFloat := func(n int, eps float64) []byte {
 		s, err := NewFloat64(WithEpsilon(eps), WithSeed(uint64(n)))
@@ -594,6 +596,16 @@ func FuzzOpenSnapshotFile(f *testing.F) {
 	}
 	f.Add([]byte("REQSLAB1 but not really"))
 	f.Add(bytes.Repeat([]byte{0}, 5000))
+	reg := buildRegistry(f)
+	rpath := filepath.Join(dir, "reg.reqsnap")
+	if err := reg.WriteRegistryFile(rpath); err != nil {
+		f.Fatal(err)
+	}
+	rimg, err := os.ReadFile(rpath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rimg)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.reqsnap")
@@ -627,6 +639,21 @@ func FuzzOpenSnapshotFile(f *testing.F) {
 			}
 			_ = m.Rank(1)
 			m.Close()
+		}
+		for _, opts := range [][]OpenOption{nil, {WithoutMmap()}} {
+			rs, err := OpenRegistryFileFloat64(path, opts...)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("registry rejection outside the ErrCorrupt family: %v", err)
+				}
+				continue
+			}
+			// Accepted registries must answer a quantile for every key.
+			for key, sn := range rs.All() {
+				if _, err := sn.Quantile(0.5); err != nil && !(sn.Empty() && errors.Is(err, ErrEmpty)) {
+					t.Fatalf("accepted registry key %q cannot answer quantile: %v", key, err)
+				}
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"req/internal/snapstore"
@@ -403,6 +404,83 @@ func TestRegistryExportConsistentPerShard(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestRegistryDecodeKeyCountAmplification pins that a header claiming more
+// keys than its payload can hold is refused before anything is sized by
+// the claim: an all-zero payload under such a header decodes to ErrCorrupt
+// and allocates less than its own length.
+func TestRegistryDecodeKeyCountAmplification(t *testing.T) {
+	const payload = 64 << 10
+	for _, tc := range []struct {
+		name    string
+		keyTag  byte
+		itemTag byte
+		decode  func([]byte) error
+	}{
+		{"string-float64", keyString, float64Codec.tag, func(b []byte) error {
+			_, err := UnmarshalRegistryFloat64(b)
+			return err
+		}},
+		{"uint64-uint64", keyUint64, uint64Codec.tag, func(b []byte) error {
+			_, err := UnmarshalRegistryUint64(b)
+			return err
+		}},
+	} {
+		blob := appendRegistryHeader(make([]byte, 0, registryHeaderSize+payload), tc.keyTag, tc.itemTag, payload)
+		blob = append(blob, make([]byte, payload)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(blob)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %d claimed keys over %d zero bytes: %v, want ErrCorrupt", tc.name, payload, payload, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(blob)) {
+			t.Fatalf("%s: refusing a %d-byte blob allocated %d bytes", tc.name, len(blob), alloc)
+		}
+	}
+}
+
+// TestRegistryFilePacking round-trips record streams of every length
+// around the packing boundaries (16 bytes per packing count, split across
+// the two sections) through a registry file, byte for byte, and pins that
+// a total field beyond the sections' bytes is refused.
+func TestRegistryFilePacking(t *testing.T) {
+	dir := t.TempDir()
+	hdr := appendRegistryHeader(nil, keyString, float64Codec.tag, 0)
+	roundTrip := func(p *snapstore.Payload, name string) ([]byte, error) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := snapstore.WriteSnapshotFile(snapstore.OS, path, 1, p); err != nil {
+			t.Fatal(err)
+		}
+		file, err := snapstore.OpenFile(snapstore.OS, path, snapstore.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		return registryRecords(file)
+	}
+	for _, l := range []int{0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097} {
+		records := make([]byte, l)
+		for i := range records {
+			records[i] = byte(i*7+l) | 1 // no zero byte: padding cannot pass for data
+		}
+		blob := append(append([]byte(nil), hdr...), records...)
+		got, err := roundTrip(registryPayload(blob), fmt.Sprintf("pack-%d.reqsnap", l))
+		if err != nil {
+			t.Fatalf("%d-byte stream: %v", l, err)
+		}
+		if !bytes.Equal(got, records) {
+			t.Fatalf("%d-byte stream came back as %d bytes, or with different bytes", l, len(got))
+		}
+	}
+	p := registryPayload(append(append([]byte(nil), hdr...), make([]byte, 17)...))
+	p.Total = 8*p.Count*snapstore.NumSections + 1
+	if _, err := roundTrip(p, "overlong.reqsnap"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("total %d beyond %d section bytes: %v, want ErrCorrupt", p.Total, p.Total-1, err)
+	}
 }
 
 // FuzzDecodeRegistryFloat64 hammers the registry decoder with hostile

@@ -9,13 +9,13 @@ import (
 // Registry persistence: a whole registry saved as one snapstore
 // generation, restored as a RegistrySnapshot.
 //
-// The slab format's five sections are shaped for a single frozen coreset,
+// The slab format's two sections are shaped for a single frozen coreset,
 // not a keyed sequence, so a registry file packs its blob differently:
 // the 16-byte registry header (see registryserde.go) rides as the
-// application header, the keyed records stream across the five sections
+// application header, the keyed records stream across the two sections
 // in file order (each filled to the exact length the format demands for
 // the chosen packing count, zero-padded at the tail), and the header's
-// IdxTotal field records the true record-stream length. Everything else —
+// Total field records the true record-stream length. Everything else —
 // generation rotation, write-temp → fsync → rename crash safety, CRC32C
 // per section, torn-write detection, OpenLatest recovery — is inherited
 // from snapstore unchanged. A registry file and a single-snapshot file
@@ -30,30 +30,29 @@ import (
 // of VerifyMode; the mode only tunes snapstore's section checksumming.
 
 // packBytesPerCount is how many payload bytes one unit of packing count
-// buys: sections 0–1 carry 8 bytes each, sections 2–4 carry 8(C+1).
-const packBytesPerCount = 40
+// buys: each of the two sections carries 8 bytes per count.
+const packBytesPerCount = 8 * snapstore.NumSections
 
 // registryPayload packs a registry blob (header + records) into a slab
 // payload: the packing count is the smallest C whose section capacity
-// 40C+24 holds the record stream.
+// 16C holds the record stream.
 func registryPayload(blob []byte) *snapstore.Payload {
 	app := blob[:registryHeaderSize]
 	records := blob[registryHeaderSize:]
 	l := uint64(len(records))
-	p := &snapstore.Payload{App: app, IdxTotal: l}
+	p := &snapstore.Payload{App: app, Total: l}
 	if l == 0 {
 		return p
 	}
 	c := (l + packBytesPerCount - 1) / packBytesPerCount
 	p.Count = c
-	lens := [snapstore.NumSections]uint64{8 * c, 8 * c, 8 * (c + 1), 8 * (c + 1), 8 * (c + 1)}
 	off := uint64(0)
-	for i, n := range lens {
-		sec := make([]byte, n)
+	for i := range p.Sections {
+		sec := make([]byte, 8*c)
 		if off < l {
 			copy(sec, records[off:])
 		}
-		off += n
+		off += 8 * c
 		p.Sections[i] = sec
 	}
 	return p
@@ -63,7 +62,7 @@ func registryPayload(blob []byte) *snapstore.Payload {
 // file's sections, rejecting a length field that exceeds the sections'
 // actual capacity.
 func registryRecords(file *snapstore.File) ([]byte, error) {
-	l := file.Header.IdxTotal
+	l := file.Header.Total
 	var total uint64
 	for i := 0; i < snapstore.NumSections; i++ {
 		total += uint64(len(file.Section(i)))

@@ -198,10 +198,11 @@ func decodeRegistryRecords[K comparable, T any](
 	r *reader, keyCount uint64,
 	kc keyCodec[K], ic itemCodec[T],
 ) (map[K]*Snapshot[T], error) {
-	// Each key costs at least two bytes (key byte + record length), so a
-	// keyCount beyond the remaining payload is structurally impossible —
-	// reject before sizing anything by it.
-	if keyCount > uint64(r.remaining()) {
+	// Each key costs at least a one-byte key, a one-byte record length and
+	// an empty record's fixed prefix, so a keyCount beyond what the
+	// remaining payload can hold is structurally impossible — reject it
+	// before sizing anything by it.
+	if keyCount > uint64(r.remaining()/(2+recordPrefixLen(ic))) {
 		return nil, fmt.Errorf("%w: key count %d exceeds payload", ErrCorrupt, keyCount)
 	}
 	m := make(map[K]*Snapshot[T], keyCount)

@@ -214,16 +214,16 @@ func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
 }
 
 // Snapshot captures the sketch's current state as an immutable,
-// concurrency-safe Snapshot: a deep copy of the frozen coreset plus its
-// rank index, answering every query exactly as the live sketch would at
-// capture time, forever — except that where the live sketch had not been
-// frozen, a quantile answer may be the other of two items equal under the
-// order, such as −0 for +0 (see QuantilesInto). It freezes the sketch as a
-// side effect and costs one O(retained) copy, plus a view rebuild when
-// the sketch was written since its last freeze. Contrast with Freeze, which makes the live sketch
-// itself cheap to query but whose effect the next write undoes, and with
-// Clone, which copies the full mutable state (levels, RNG) so the copy can
-// keep ingesting.
+// concurrency-safe Snapshot: a deep copy of the frozen coreset (its sorted
+// items and cumulative weights), answering every query exactly as the live
+// sketch would at capture time, forever — except that where the live
+// sketch had not been frozen, a quantile answer may be the other of two
+// items equal under the order, such as −0 for +0 (see QuantilesInto). It
+// freezes the sketch as a side effect and costs one O(retained) copy, plus
+// a view rebuild when the sketch was written since its last freeze.
+// Contrast with Freeze, which makes the live sketch itself cheap to query
+// but whose effect the next write undoes, and with Clone, which copies the
+// full mutable state (levels, RNG) so the copy can keep ingesting.
 func (s *Sketch[T]) Snapshot() *Snapshot[T] {
 	return &Snapshot[T]{f: s.core.FreezeOwned()}
 }
@@ -237,17 +237,16 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 	return &Sketch[T]{core: s.core.Clone()}
 }
 
-// Freeze materializes the cached sorted view plus its Eytzinger-layout rank
-// index, so that subsequent Rank, Quantile, Quantiles, CDF and PMF calls
-// are branchless cache-friendly pure reads until the next update or merge.
-// Sharded freezes each epoch's merged sketch before publishing it.
-// Freezing after any write rebuilds the view with one k-way merge of the
-// sorted levels and re-indexes it (about 1 ms at n = 2²⁰, ε = 0.01), so
-// freeze where a query-heavy phase follows: a live Quantile after a few
-// updates costs microseconds and needs no view. The view and index
-// storage are recycled across freezes, so periodic freeze-query cycles
-// are allocation-free in steady state.
-func (s *Sketch[T]) Freeze() { s.core.Freeze() }
+// Freeze materializes the cached sorted view — the coreset's items in
+// order with their cumulative weights — so that subsequent Rank, Quantile,
+// Quantiles, CDF and PMF calls are single searches over it and pure reads
+// until the next update or merge. Sharded freezes each epoch's merged
+// sketch before publishing it. Freezing after any write rebuilds the view
+// with one k-way merge of the sorted levels, so freeze where a query-heavy
+// phase follows: a live Quantile after a few updates costs microseconds
+// and needs no view. The view storage is recycled across freezes, so
+// periodic freeze-query cycles are allocation-free in steady state.
+func (s *Sketch[T]) Freeze() { s.core.SortedView() }
 
 // Frozen reports whether the cached sorted view is currently materialized
 // (no update or merge has happened since the last Freeze or view build).

@@ -19,7 +19,7 @@ import (
 //     original stopped (MarshalBinary / DecodeFloat64 / DecodeUint64);
 //   - a SNAPSHOT record captures only the queryable coreset — items,
 //     weights, min/max and the config header — the query-only state a read
-//     replica needs, decoding straight into an immutable indexed reader
+//     replica needs, decoding straight into an immutable reader
 //     (Snapshot.MarshalBinary / UnmarshalSnapshotFloat64 /
 //     UnmarshalSnapshotUint64).
 //
@@ -495,7 +495,7 @@ func codecFor[T any]() (itemCodec[T], bool) {
 // snapshot's coreset (items, varint weights, min/max, config header) as a
 // snapshot record of the package's versioned binary format — a query-only
 // encoding decoded by UnmarshalSnapshotFloat64 / UnmarshalSnapshotUint64
-// into an immutable indexed reader, carrying none of the sketch's mutable
+// into an immutable reader, carrying none of the sketch's mutable
 // state. Only float64 and uint64 snapshots serialize; for other item
 // types, export the coreset through All.
 func (sn *Snapshot[T]) MarshalBinary() ([]byte, error) {

@@ -341,9 +341,9 @@ func (s *Sharded[T]) snapshot() *shardedSnapshot[T] {
 		// staged copies are distinct instances.
 		_ = merged.Merge(st)
 	}
-	// Freeze view + Eytzinger rank index: every query on the published
-	// snapshot — single or batch — is a branchless pure read. The public
-	// Snapshot aliases the merged sketch's frozen view directly
+	// Freeze the view: every query on the published snapshot — single or
+	// batch — is a pure read of its sorted items and cumulative weights.
+	// The public Snapshot aliases the merged sketch's frozen view directly
 	// (FreezeShared): the merged sketch is fresh every epoch and never
 	// mutated after publication, so no copy is needed.
 	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: &Snapshot[T]{f: merged.FreezeShared()}}

@@ -8,11 +8,11 @@ import (
 )
 
 // Snapshot is an immutable, concurrency-safe point-in-time reader over a
-// sketch's weighted coreset: the sorted items, their weights, the exact
-// min/max, and a prebuilt Eytzinger rank index. It owns its storage, so it
-// stays valid — and answers identically — forever, regardless of what the
-// source sketch does next. Any number of goroutines may query one Snapshot
-// concurrently with no synchronization.
+// sketch's weighted coreset: the sorted items, their cumulative weights
+// and the exact min/max. It owns its storage, so it stays valid — and
+// answers identically — forever, regardless of what the source sketch does
+// next. Any number of goroutines may query one Snapshot concurrently with
+// no synchronization.
 //
 // Every container's Snapshot() method returns this type:
 //
@@ -65,8 +65,9 @@ func (sn *Snapshot[T]) Min() (item T, ok bool) { return sn.f.Min() }
 //req:noalloc
 func (sn *Snapshot[T]) Max() (item T, ok bool) { return sn.f.Max() }
 
-// Rank returns the estimated inclusive rank of y, answered from the
-// snapshot's rank index; see Sketch.Rank for the guarantee.
+// Rank returns the estimated inclusive rank of y, answered by one binary
+// search of the snapshot's sorted items; see Sketch.Rank for the
+// guarantee.
 //
 //req:noalloc
 func (sn *Snapshot[T]) Rank(y T) uint64 { return sn.f.Rank(y) }
@@ -81,9 +82,10 @@ func (sn *Snapshot[T]) RankExclusive(y T) uint64 { return sn.f.RankExclusive(y) 
 //req:noalloc
 func (sn *Snapshot[T]) NormalizedRank(y T) float64 { return sn.f.NormalizedRank(y) }
 
-// RankBatch answers every probe in ys with one galloping sweep, writing
-// into dst (grown as needed) in probe order; see Sketch.RankBatch. dst must
-// not be shared between concurrent callers.
+// RankBatch answers every probe in ys, writing into dst (grown as needed)
+// in probe order: a sorted probe set with one galloping sweep, any other
+// probe by probe; see Sketch.RankBatch. dst must not be shared between
+// concurrent callers.
 func (sn *Snapshot[T]) RankBatch(dst []uint64, ys []T) []uint64 { return sn.f.RankBatch(dst, ys) }
 
 // NormalizedRankBatch is RankBatch normalized by Count().
