@@ -299,7 +299,7 @@
 // immutable from publication on. Own when the source keeps writing; alias
 // only when the source is provably frozen.
 //
-// # Hardware kernels
+// # Kernel tables
 //
 // The engine runs its hot inner loops — sorting, merging, level rank
 // counts, searches and the k-way merge — through one kernel table per
@@ -310,21 +310,18 @@
 // open all use — get the monomorphic kernels of internal/vec, with the
 // comparison inlined instead of a closure call per comparison. Every other
 // order, including a custom closure that computes a < b, gets a table of
-// the generic algorithms bound to its less, at closure speed. On amd64,
-// the order-insensitive scans additionally dispatch to AVX2 assembly,
-// chosen once at init by CPUID probe; building with the purego tag opts
-// out of all assembly.
+// the generic algorithms bound to its less, at closure speed. Every kernel
+// is portable Go, the same on every platform and build.
 //
 // The table also carries the order's item rule. NaN has no place in a
 // total order, so the LessF64 table drops it; every other table admits
 // every item. Update, UpdateBatch and UpdateWeighted apply the rule, and
 // Sharded and the registries apply it before they take a shard or resolve
-// a key. A batch is scanned once (AVX2 on amd64) and copied only when it
-// holds a NaN.
+// a key. A batch is scanned once and copied only when it holds a NaN.
 //
 // The table never changes results. The vec kernels are structure-identical
 // transcriptions of the generic algorithms, so equal and NaN-incomparable
-// elements land in the same permutation, and the vectorized scans are
+// elements land in the same permutation, and the unrolled scans are
 // permutation-invariant reductions; differential tests pin bit-identical
 // sketch state and answers between the two tables, including ±0/±Inf
 // adversarial streams.

@@ -4,10 +4,9 @@ import "req/internal/vec"
 
 // f64Kernels is the float64 kernel table: internal/vec's generic kernels
 // stenciled at float64 (the compiler emits separate machine code with `<`
-// inlined for each Elem instantiation — effectively monomorphic), plus the
-// AVX2-dispatched count scans. kernelFor selects it for the canonical
-// LessF64. It is the one table that drops an item: NaN, which has no place
-// in the total order <.
+// inlined for each Elem instantiation — effectively monomorphic). kernelFor
+// selects it for the canonical LessF64. It is the one table that drops an
+// item: NaN, which has no place in the total order <.
 type f64Kernels struct{}
 
 func (f64Kernels) less(a, b float64) bool                         { return a < b }
@@ -21,8 +20,8 @@ func (f64Kernels) searchLE(xs []float64, y float64) int           { return vec.S
 func (f64Kernels) searchLT(xs []float64, y float64) int           { return vec.SearchLT(xs, y) }
 func (f64Kernels) countLEDesc(xs []float64, y float64) int        { return vec.CountLEDesc(xs, y) }
 func (f64Kernels) countLTDesc(xs []float64, y float64) int        { return vec.CountLTDesc(xs, y) }
-func (f64Kernels) countLE(xs []float64, y float64) int            { return vec.CountLEF64(xs, y) }
-func (f64Kernels) countLT(xs []float64, y float64) int            { return vec.CountLTF64(xs, y) }
+func (f64Kernels) countLE(xs []float64, y float64) int            { return vec.CountLE(xs, y) }
+func (f64Kernels) countLT(xs []float64, y float64) int            { return vec.CountLT(xs, y) }
 func (f64Kernels) gallopLE(xs []float64, from int, y float64) int { return vec.GallopLE(xs, from, y) }
 func (f64Kernels) isSortedAsc(xs []float64) bool                  { return vec.IsSortedAsc(xs) }
 func (f64Kernels) isSortedDesc(xs []float64) bool                 { return vec.IsSortedDesc(xs) }

@@ -14,8 +14,7 @@ import (
 //
 // For the canonical natural orders LessF64 and LessU64 the table is
 // internal/vec's monomorphic kernels: one indirect call per *operation*
-// instead of per comparison, with the comparisons inlined (and the linear
-// count scans AVX2-dispatched on capable amd64 hardware). Every other order
+// instead of per comparison, with the comparisons inlined. Every other order
 // gets orderKernels: the generic algorithms of sort.go and runmerge.go
 // bound to the caller's less. The vec kernels are structure-identical
 // transcriptions of those algorithms (see vec's package comment), so both
@@ -79,7 +78,7 @@ type kernels[T any] interface {
 	//req:noalloc
 	countLTDesc([]T, T) int
 
-	// Linear scans over unsorted tails; AVX2-dispatched in vec on amd64.
+	// Linear scans over unsorted tails.
 	//
 	//req:noalloc
 	countLE([]T, T) int

@@ -13,8 +13,9 @@ var (
 	ErrEmpty = errors.New("core: sketch is empty")
 	// ErrBadRank is returned for normalized ranks outside [0, 1].
 	ErrBadRank = errors.New("core: normalized rank outside [0, 1]")
-	// errUnsortedSplits is returned by CDF/PMF for out-of-order split points.
-	errUnsortedSplits = errors.New("core: CDF split points not sorted")
+	// errUnsortedSplits is returned by CDF/PMF for out-of-order split
+	// points, or for a split the order drops (NaN under LessF64).
+	errUnsortedSplits = errors.New("core: CDF split points not sorted, or one is NaN")
 )
 
 // Rank returns the estimated inclusive rank of y: the number of stream items
@@ -554,13 +555,16 @@ func (v *View[T]) quantileAt(phi float64, pos int) (T, int) {
 
 // CDFInto writes the estimated normalized inclusive rank at each split
 // point into dst (grown as needed; len(splits)+1 entries, the last being 1)
-// and returns it. Splits must be sorted ascending; the whole batch is one
-// forward galloping sweep with zero allocations beyond dst.
+// and returns it. Splits must be sorted ascending and hold no item the
+// order drops: a NaN split compares false both ways, so it passes the
+// sortedness check while the sweep's cursor runs past every later split.
+// The whole batch is one forward galloping sweep with zero allocations
+// beyond dst.
 func (v *View[T]) CDFInto(dst []float64, splits []T) ([]float64, error) {
 	if v.n == 0 {
 		return nil, ErrEmpty
 	}
-	if !v.kern.isSortedAsc(splits) {
+	if !v.kern.admitsAll(splits) || !v.kern.isSortedAsc(splits) {
 		return nil, errUnsortedSplits
 	}
 	dst = resizeSlice(dst, len(splits)+1)

@@ -240,8 +240,11 @@ func TestCDF(t *testing.T) {
 func TestCDFRejectsUnsortedSplits(t *testing.T) {
 	s := newFloat64(t, Config{})
 	s.Update(1)
-	if _, err := s.CDF([]float64{2, 1}); err == nil {
-		t.Fatal("unsorted splits accepted")
+	nan := math.NaN()
+	for _, splits := range [][]float64{{2, 1}, {100, nan, 500}, {nan}} {
+		if _, err := s.CDF(splits); err == nil {
+			t.Fatalf("splits %v accepted", splits)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ func (u64Kernels) searchLE(xs []uint64, y uint64) int           { return vec.Sea
 func (u64Kernels) searchLT(xs []uint64, y uint64) int           { return vec.SearchLT(xs, y) }
 func (u64Kernels) countLEDesc(xs []uint64, y uint64) int        { return vec.CountLEDesc(xs, y) }
 func (u64Kernels) countLTDesc(xs []uint64, y uint64) int        { return vec.CountLTDesc(xs, y) }
-func (u64Kernels) countLE(xs []uint64, y uint64) int            { return vec.CountLEU64(xs, y) }
-func (u64Kernels) countLT(xs []uint64, y uint64) int            { return vec.CountLTU64(xs, y) }
+func (u64Kernels) countLE(xs []uint64, y uint64) int            { return vec.CountLE(xs, y) }
+func (u64Kernels) countLT(xs []uint64, y uint64) int            { return vec.CountLT(xs, y) }
 func (u64Kernels) gallopLE(xs []uint64, from int, y uint64) int { return vec.GallopLE(xs, from, y) }
 func (u64Kernels) isSortedAsc(xs []uint64) bool                 { return vec.IsSortedAsc(xs) }
 func (u64Kernels) isSortedDesc(xs []uint64) bool                { return vec.IsSortedDesc(xs) }

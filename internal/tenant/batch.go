@@ -5,8 +5,11 @@ package tenant
 // links same-key items into runs (preserving each key's input order), and
 // counting-sorts the runs by owning shard. The caller then walks the runs
 // shard by shard, taking each shard lock once per batch and resolving each
-// distinct key's cell once per run (GetOrCreateRun) instead of once per
-// item.
+// distinct key's cell once per run (GetOrCreate) instead of once per item,
+// so lazy creation, the TTL touch, the reference bit and any clock-hand
+// eviction are charged per run. Entry state after a batch is therefore
+// identical to the per-item path whenever each key occurs in at most one
+// run per batch, which PlanBatch guarantees.
 //
 // All planning state lives in a caller-owned Batch, grown on demand and
 // reused verbatim across batches — the steady state allocates nothing.
@@ -222,18 +225,6 @@ func (b *Batch[K]) Contiguous(i int) bool {
 //
 //req:noalloc
 func (b *Batch[K]) Next(idx int) int { return int(b.next[idx]) }
-
-// GetOrCreateRun is the batched-path entry resolution: identical semantics
-// to GetOrCreate, but called once per distinct-key run instead of once per
-// item, so lazy creation, the TTL touch, the reference bit, and any
-// clock-hand eviction are charged per run. Entry state after a batch is
-// therefore identical to the per-item path whenever each key occurs in at
-// most one run per batch — which PlanBatch guarantees.
-//
-// +req:locksRequired(sh.mu)
-func (m *Map[K, E]) GetOrCreateRun(sh *Shard[K, E], key K, now int64) (e *E, created bool) {
-	return m.GetOrCreate(sh, key, now)
-}
 
 // RoomFor reports whether n lazy creations in this shard are guaranteed
 // not to run the eviction hand: either the map is uncapped, or the shard

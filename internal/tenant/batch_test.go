@@ -132,22 +132,23 @@ func TestPlanBatchReuseNoGrowth(t *testing.T) {
 }
 
 func TestGetOrCreateRunMatchesGetOrCreate(t *testing.T) {
-	// GetOrCreateRun must be GetOrCreate exactly: lazy creation, identity on
-	// re-resolution, and in-place restart of a TTL-expired entry.
+	// The batched path resolves each run's key with GetOrCreate: lazy
+	// creation, identity on re-resolution, and in-place restart of a
+	// TTL-expired entry.
 	m := newTestMap(Config{Shards: 4, TTL: 100})
 	sh := m.Lock(7)
-	e1, created := m.GetOrCreateRun(sh, 7, 0)
+	e1, created := m.GetOrCreate(sh, 7, 0)
 	if !created {
 		t.Fatal("first resolution did not create")
 	}
-	e2, created := m.GetOrCreateRun(sh, 7, 10)
+	e2, created := m.GetOrCreate(sh, 7, 10)
 	if created || e2 != e1 {
 		t.Fatalf("re-resolution: created=%v same=%v", created, e2 == e1)
 	}
 	if got := m.Get(sh, 7, 20); got != e1 {
 		t.Fatal("Get does not see the run-created entry")
 	}
-	e3, created := m.GetOrCreateRun(sh, 7, 500) // past TTL: restart in place
+	e3, created := m.GetOrCreate(sh, 7, 500) // past TTL: restart in place
 	if !created || e3 != e1 || e3.reuses != 1 {
 		t.Fatalf("expired restart: created=%v same=%v reuses=%d", created, e3 == e1, e3.reuses)
 	}

@@ -5,12 +5,9 @@ import (
 	"testing"
 )
 
-// Kernel microbenches: each dispatched entry point against its portable
-// scalar form, so `go test -bench . ./internal/vec` on an AVX2 host prints
-// the honest vector-vs-scalar margin (and on a purego build the pairs
-// collapse to the same number, proving dispatch is the only difference).
-// The sizes bracket the coreset buffers the kernels actually see: a
-// compactor section (~1k) and a merged view (~64k).
+// Kernel microbenches, one per kernel. The sizes bracket the coreset
+// buffers the kernels actually see: a compactor section (~1k) and a merged
+// view (~64k).
 
 func benchF64(n int, seed int64) []float64 {
 	r := rand.New(rand.NewSource(seed))
@@ -43,19 +40,11 @@ func sizes() []struct {
 func BenchmarkCountLEF64(b *testing.B) {
 	for _, sz := range sizes() {
 		xs := benchF64(sz.n, 1)
-		b.Run(sz.name+"/dispatch", func(b *testing.B) {
+		b.Run(sz.name, func(b *testing.B) {
 			b.SetBytes(int64(sz.n * 8))
 			var sink int
 			for i := 0; i < b.N; i++ {
-				sink += CountLEF64(xs, 0.5)
-			}
-			_ = sink
-		})
-		b.Run(sz.name+"/portable", func(b *testing.B) {
-			b.SetBytes(int64(sz.n * 8))
-			var sink int
-			for i := 0; i < b.N; i++ {
-				sink += scanCountLE(xs, 0.5)
+				sink += CountLE(xs, 0.5)
 			}
 			_ = sink
 		})
@@ -65,19 +54,11 @@ func BenchmarkCountLEF64(b *testing.B) {
 func BenchmarkCountLTU64(b *testing.B) {
 	for _, sz := range sizes() {
 		xs := benchU64(sz.n, 2)
-		b.Run(sz.name+"/dispatch", func(b *testing.B) {
+		b.Run(sz.name, func(b *testing.B) {
 			b.SetBytes(int64(sz.n * 8))
 			var sink int
 			for i := 0; i < b.N; i++ {
-				sink += CountLTU64(xs, 1<<63)
-			}
-			_ = sink
-		})
-		b.Run(sz.name+"/portable", func(b *testing.B) {
-			b.SetBytes(int64(sz.n * 8))
-			var sink int
-			for i := 0; i < b.N; i++ {
-				sink += scanCountLT(xs, 1<<63)
+				sink += CountLT(xs, 1<<63)
 			}
 			_ = sink
 		})
@@ -87,19 +68,11 @@ func BenchmarkCountLTU64(b *testing.B) {
 func BenchmarkHasNaN(b *testing.B) {
 	for _, sz := range sizes() {
 		xs := benchF64(sz.n, 3) // no NaN: full-scan worst case
-		b.Run(sz.name+"/dispatch", func(b *testing.B) {
+		b.Run(sz.name, func(b *testing.B) {
 			b.SetBytes(int64(sz.n * 8))
 			var sink bool
 			for i := 0; i < b.N; i++ {
 				sink = sink != HasNaN(xs)
-			}
-			_ = sink
-		})
-		b.Run(sz.name+"/portable", func(b *testing.B) {
-			b.SetBytes(int64(sz.n * 8))
-			var sink bool
-			for i := 0; i < b.N; i++ {
-				sink = sink != hasNaNPortable(xs)
 			}
 			_ = sink
 		})
@@ -155,28 +128,4 @@ func BenchmarkKWayMergeF64(b *testing.B) {
 			KWayMerge(scratch, items, cum)
 		}
 	})
-}
-
-func BenchmarkCumSumU64(b *testing.B) {
-	for _, sz := range sizes() {
-		src := make([]uint64, sz.n)
-		for i := range src {
-			src[i] = uint64(i%7) + 1
-		}
-		dst := make([]uint64, sz.n)
-		b.Run("kernel/"+sz.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * sz.n))
-			for i := 0; i < b.N; i++ {
-				copy(dst, src)
-				CumSumU64(dst, 0)
-			}
-		})
-		b.Run("scalar/"+sz.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * sz.n))
-			for i := 0; i < b.N; i++ {
-				copy(dst, src)
-				cumSumPortable(dst, 0)
-			}
-		})
-	}
 }

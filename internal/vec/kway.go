@@ -3,7 +3,7 @@ package vec
 // Monomorphic k-way merge of sorted level buffers into a view's item and
 // cumulative-weight arrays: the kernel form of core's generic
 // orderKernels.kway, with the heap comparisons inlined (`<` instead of a
-// headLess closure) and software prefetch hints on the cursor streams.
+// headLess closure).
 
 // KWayCursor walks one sorted level buffer in ascending caller order during
 // the k-way merge. Unconstrained in the element type so internal/core's
@@ -16,36 +16,25 @@ type KWayCursor[T any] struct {
 	W    uint64
 }
 
-// prefetchStride is how many elements ahead of a cursor's read position the
-// merge prefetches, and (as a mask) how often: a prefetch per element would
-// cost more in call overhead than the hint saves, so cursors issue one hint
-// every 8 advances, 16 elements (two cache lines) ahead.
-const prefetchStride = 16
-
 // KWayMerge merges the cursors' buffers ascending into items, filling cum
-// with cumulative weights. items and cum must have length equal to the
-// total number of buffered elements. curs is reordered freely (it is heap
-// scratch); the buffers themselves are only read.
-//
-// The merge stages each item's raw weight into cum and finishes with one
-// CumSumU64 sweep — keeping the serial accumulator out of the
-// comparison-bound heap loop and letting the AVX2 prefix-sum kernel handle
-// the arithmetic. Exact uint64 addition makes the two-pass form
-// bit-identical to the fused one.
+// with cumulative weights as it writes. items and cum must have length
+// equal to the total number of buffered elements. curs is reordered freely
+// (it is heap scratch); the buffers themselves are only read.
 //
 //req:noalloc
 func KWayMerge[E Elem](curs []KWayCursor[E], items []E, cum []uint64) {
 	if len(curs) == 0 {
 		return
 	}
+	var run uint64
 	if len(curs) == 1 {
 		c := &curs[0]
 		for i := range items {
+			run += c.W
 			items[i] = c.Buf[c.Pos]
-			cum[i] = c.W
+			cum[i] = run
 			c.Pos += c.Step
 		}
-		cumSumU64(cum, 0)
 		return
 	}
 	// Min-heap over the cursors, keyed by each cursor's current head item —
@@ -56,20 +45,16 @@ func KWayMerge[E Elem](curs []KWayCursor[E], items []E, cum []uint64) {
 	}
 	for out := 0; n > 0; out++ {
 		c := &curs[0]
+		run += c.W
 		items[out] = c.Buf[c.Pos]
-		cum[out] = c.W
+		cum[out] = run
 		c.Pos += c.Step
 		if c.Pos == c.End {
 			n--
 			curs[0] = curs[n]
-		} else if c.Pos&7 == 0 {
-			if p := c.Pos + c.Step*prefetchStride; uint(p) < uint(len(c.Buf)) {
-				prefetchIndex(c.Buf, p)
-			}
 		}
 		siftKWay(curs, 0, n)
 	}
-	cumSumU64(cum, 0)
 }
 
 //req:noalloc

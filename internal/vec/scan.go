@@ -2,16 +2,15 @@ package vec
 
 // Linear scans over unsorted data. Counting independent per-element
 // predicates is permutation-invariant, so these are 4x-unrolled with
-// independent accumulators and branch-free bodies (b2i compiles to SETcc) —
-// and are the kernels with AVX2 assembly variants behind the dispatch vars.
+// independent accumulators and branch-free bodies (b2i compiles to SETcc).
 
-// scanCountLE counts elements x with !(y < x), the inclusive-rank predicate
+// CountLE counts elements x with !(y < x), the inclusive-rank predicate
 // of the generic tail scan in levelCountLE. Note !(y < x) is not x ≤ y under
 // NaN: a NaN element compares false on both sides and therefore counts,
 // exactly as the generic closure form does.
 //
 //req:noalloc
-func scanCountLE[E Elem](xs []E, y E) int {
+func CountLE[E Elem](xs []E, y E) int {
 	var c0, c1, c2, c3 int
 	i := 0
 	for ; i+4 <= len(xs); i += 4 {
@@ -27,11 +26,11 @@ func scanCountLE[E Elem](xs []E, y E) int {
 	return c
 }
 
-// scanCountLT counts elements x with x < y (the exclusive-rank predicate; a
+// CountLT counts elements x with x < y (the exclusive-rank predicate; a
 // NaN element never counts, matching the generic closure form).
 //
 //req:noalloc
-func scanCountLT[E Elem](xs []E, y E) int {
+func CountLT[E Elem](xs []E, y E) int {
 	var c0, c1, c2, c3 int
 	i := 0
 	for ; i+4 <= len(xs); i += 4 {
@@ -47,13 +46,13 @@ func scanCountLT[E Elem](xs []E, y E) int {
 	return c
 }
 
-// hasNaNPortable reports whether xs contains a NaN, via the self-comparison
-// identity (x != x only for NaN). Unrolled with OR-accumulators; the early
-// exit per block keeps the common all-clean case at full scan speed without
-// a branch per element.
+// HasNaN reports whether xs contains a NaN, via the self-comparison
+// identity (x != x only for NaN). Unrolled four to a block with one early
+// exit per block, so the common all-clean case scans without a branch per
+// element.
 //
 //req:noalloc
-func hasNaNPortable(xs []float64) bool {
+func HasNaN(xs []float64) bool {
 	i := 0
 	for ; i+4 <= len(xs); i += 4 {
 		if xs[i] != xs[i] || xs[i+1] != xs[i+1] ||

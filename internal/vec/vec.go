@@ -37,16 +37,8 @@
 // float64 ±0 ties resolve to the first-seen operand, and reordering lanes
 // would change which zero survives.
 //
-// # Hardware dispatch
-//
-// The linear scans additionally have AVX2 assembly variants (amd64 only),
-// selected once at init by CPUID feature detection (AVX2 + OSXSAVE-enabled
-// YMM state + POPCNT). The `purego` build tag, a non-amd64 GOARCH, or
-// missing CPU features all fall back to the portable kernels; Accel()
-// reports which implementation is live. Assembly is restricted to kernels
-// whose vector semantics provably match Go's scalar comparisons (VCMPPD's
-// unordered-quiet predicates match `<` on NaN exactly; uint64 compares go
-// through a sign-bias XOR + signed VPCMPGTQ).
+// Every kernel is portable Go: one implementation per loop, the same on
+// every GOARCH and build tag.
 package vec
 
 // Elem is the set of element types with monomorphic kernels: the two types

@@ -6,13 +6,11 @@ import (
 	"testing"
 )
 
-// Differential suite: every dispatched kernel (whatever implementation the
-// init-time CPU detection selected — AVX2 on capable amd64, the portable
-// scans elsewhere and under -tags purego) must agree bit-for-bit with a
-// plain scalar reference on randomized and adversarial inputs. When the
-// dispatch resolved to the portable scans this degenerates to checking the
-// unrolled scans against the simple loop — still a real check, since the
-// 4-accumulator unroll must be permutation-exact, not merely close.
+// Differential suite: every kernel must agree bit-for-bit with a plain
+// scalar reference on randomized and adversarial inputs. For the count
+// scans that checks the unrolled loops against the simple one — a real
+// check, since the 4-accumulator unroll must be permutation-exact, not
+// merely close.
 
 // adversarialFloats are the float64 inputs that distinguish a correct
 // transcription from a merely plausible one: NaN (every comparison false),
@@ -112,14 +110,13 @@ func refHasNaN(xs []float64) bool {
 }
 
 func TestCountDispatchAdversarialFloat64(t *testing.T) {
-	t.Logf("accel tier under test: %s", Accel())
 	for ci, xs := range adversarialFloats() {
 		for _, y := range floatProbes(xs) {
-			if got, want := CountLEF64(xs, y), refCountLEF64(xs, y); got != want {
-				t.Fatalf("case %d: CountLEF64(%v, %v) = %d, want %d", ci, xs, y, got, want)
+			if got, want := CountLE(xs, y), refCountLEF64(xs, y); got != want {
+				t.Fatalf("case %d: CountLE(%v, %v) = %d, want %d", ci, xs, y, got, want)
 			}
-			if got, want := CountLTF64(xs, y), refCountLTF64(xs, y); got != want {
-				t.Fatalf("case %d: CountLTF64(%v, %v) = %d, want %d", ci, xs, y, got, want)
+			if got, want := CountLT(xs, y), refCountLTF64(xs, y); got != want {
+				t.Fatalf("case %d: CountLT(%v, %v) = %d, want %d", ci, xs, y, got, want)
 			}
 		}
 		if got, want := HasNaN(xs), refHasNaN(xs); got != want {
@@ -131,19 +128,19 @@ func TestCountDispatchAdversarialFloat64(t *testing.T) {
 func TestCountDispatchAdversarialUint64(t *testing.T) {
 	for ci, xs := range adversarialUints() {
 		for _, y := range uintProbes(xs) {
-			if got, want := CountLEU64(xs, y), refCountLEU64(xs, y); got != want {
-				t.Fatalf("case %d: CountLEU64(%v, %v) = %d, want %d", ci, xs, y, got, want)
+			if got, want := CountLE(xs, y), refCountLEU64(xs, y); got != want {
+				t.Fatalf("case %d: CountLE(%v, %v) = %d, want %d", ci, xs, y, got, want)
 			}
-			if got, want := CountLTU64(xs, y), refCountLTU64(xs, y); got != want {
-				t.Fatalf("case %d: CountLTU64(%v, %v) = %d, want %d", ci, xs, y, got, want)
+			if got, want := CountLT(xs, y), refCountLTU64(xs, y); got != want {
+				t.Fatalf("case %d: CountLT(%v, %v) = %d, want %d", ci, xs, y, got, want)
 			}
 		}
 	}
 }
 
 // randFloats draws values from a pool that includes the adversarial values
-// with high probability, at every length class the dispatch splits on
-// (0..3 scalar tail, 4-lane blocks, the 8/iter unrolled body).
+// with high probability, at every length class the unrolled scans split on
+// (0..3 scalar tail, 4-element blocks).
 func randFloats(r *rand.Rand, n int) []float64 {
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		math.SmallestNonzeroFloat64, 1, -1}
@@ -163,11 +160,11 @@ func TestCountDispatchRandomizedFloat64(t *testing.T) {
 	for iter := 0; iter < 500; iter++ {
 		xs := randFloats(r, r.Intn(67))
 		y := xs0(xs, r)
-		if got, want := CountLEF64(xs, y), refCountLEF64(xs, y); got != want {
-			t.Fatalf("CountLEF64(len %d, %v) = %d, want %d", len(xs), y, got, want)
+		if got, want := CountLE(xs, y), refCountLEF64(xs, y); got != want {
+			t.Fatalf("CountLE(len %d, %v) = %d, want %d", len(xs), y, got, want)
 		}
-		if got, want := CountLTF64(xs, y), refCountLTF64(xs, y); got != want {
-			t.Fatalf("CountLTF64(len %d, %v) = %d, want %d", len(xs), y, got, want)
+		if got, want := CountLT(xs, y), refCountLTF64(xs, y); got != want {
+			t.Fatalf("CountLT(len %d, %v) = %d, want %d", len(xs), y, got, want)
 		}
 		if got, want := HasNaN(xs), refHasNaN(xs); got != want {
 			t.Fatalf("HasNaN(len %d) = %v, want %v", len(xs), got, want)
@@ -206,11 +203,11 @@ func TestCountDispatchRandomizedUint64(t *testing.T) {
 		} else {
 			y = r.Uint64()
 		}
-		if got, want := CountLEU64(xs, y), refCountLEU64(xs, y); got != want {
-			t.Fatalf("CountLEU64(len %d, %d) = %d, want %d", n, y, got, want)
+		if got, want := CountLE(xs, y), refCountLEU64(xs, y); got != want {
+			t.Fatalf("CountLE(len %d, %d) = %d, want %d", n, y, got, want)
 		}
-		if got, want := CountLTU64(xs, y), refCountLTU64(xs, y); got != want {
-			t.Fatalf("CountLTU64(len %d, %d) = %d, want %d", n, y, got, want)
+		if got, want := CountLT(xs, y), refCountLTU64(xs, y); got != want {
+			t.Fatalf("CountLT(len %d, %d) = %d, want %d", n, y, got, want)
 		}
 	}
 }
@@ -687,43 +684,5 @@ func refKWay(curs []KWayCursor[float64], items []float64, cum []uint64) {
 			curs[0] = curs[n]
 		}
 		sift(0)
-	}
-}
-
-func TestCumSumU64Dispatch(t *testing.T) {
-	// The dispatched kernel (AVX2 on capable amd64, the portable loop under
-	// -tags purego) must be bit-identical to the scalar left-to-right
-	// reference on every length around the 4- and 8-lane block boundaries,
-	// with wraparound-inducing magnitudes included.
-	r := rand.New(rand.NewSource(21))
-	bases := []uint64{0, 1, 1 << 63, math.MaxUint64, math.MaxUint64 - 5}
-	for n := 0; n <= 67; n++ {
-		for _, base := range bases {
-			xs := make([]uint64, n)
-			for i := range xs {
-				switch r.Intn(3) {
-				case 0:
-					xs[i] = uint64(r.Intn(8)) // realistic small weights
-				case 1:
-					xs[i] = r.Uint64()
-				default:
-					xs[i] = math.MaxUint64 - uint64(r.Intn(4)) // force carries
-				}
-			}
-			want := make([]uint64, n)
-			run := base
-			for i, x := range xs {
-				run += x
-				want[i] = run
-			}
-			got := append([]uint64(nil), xs...)
-			CumSumU64(got, base)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("CumSumU64(n=%d, base=%d) diverged at %d: got %d want %d",
-						n, base, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }

@@ -154,7 +154,7 @@ func ingestShardRuns[K comparable, E, T any](
 			cells := sc.cells[:0]
 			for j := i; j < blk; j++ {
 				head, _, _ := b.Run(j)
-				e, _ := m.GetOrCreateRun(sh, keys[head], now)
+				e, _ := m.GetOrCreate(sh, keys[head], now)
 				sc.hint = touch(e, ep)
 				cells = append(cells, e)
 			}
@@ -168,7 +168,7 @@ func ingestShardRuns[K comparable, E, T any](
 	}
 	for ; i < end; i++ {
 		head, _, _ := b.Run(i)
-		e, _ := m.GetOrCreateRun(sh, keys[head], now)
+		e, _ := m.GetOrCreate(sh, keys[head], now)
 		ingest(e, ep, runItems(sc, items, i))
 	}
 	return i

@@ -243,6 +243,122 @@ func TestUpdatePairsTTLExpiryAcrossBatches(t *testing.T) {
 	sameBlob(t, "TTL restart", perOp, batched)
 }
 
+// FuzzUpdatePairs feeds the same fuzzer-chosen batches to two aligned
+// registries, one through the per-op Update loop and one through
+// UpdatePairs, and requires byte-identical exports and equal eviction
+// counts after every batch.
+//
+// prog is a sequence of batch records: four header bytes, then one byte per
+// item. The header holds the batch size, the key count (1 + keys%64), the
+// run length (1 + run%16: a run's first byte picks its key and the rest of
+// the run repeats it), and a control byte: its low nibble is the NaN share
+// (an item is NaN when its byte%16 falls below it), its high nibble the
+// clock step taken before the batch, in seconds, where 15 jumps past the
+// TTL. When capped is set the registries hold at most 16 keys and each key
+// occurs at most once per batch, the one shape under which pairs.go's
+// ordering contract promises the per-op loop's evictions.
+func FuzzUpdatePairs(f *testing.F) {
+	batch := func(n, keys, run, ctl byte, body ...byte) []byte {
+		return append([]byte{n, keys, run, ctl}, body...)
+	}
+	seq := func(n int, from byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = from + byte(i*37)
+		}
+		return b
+	}
+	// Mixed batches with contiguous runs, scattered repeats and an empty
+	// batch, enough of them that keys compact mid-run
+	// (TestUpdatePairsMatchesPerOpLoop).
+	var mixed []byte
+	for round := 0; round < 24; round++ {
+		n := 255 - byte(round*5)
+		if round == 3 {
+			n = 0
+		}
+		mixed = append(mixed, batch(n, byte(round*2), byte(round%3), 0x10, seq(int(n), byte(round))...)...)
+	}
+	f.Add(false, mixed)
+	// One key, then all-distinct singletons
+	// (TestUpdatePairsSingleKeyAndSingletons).
+	single := batch(200, 0, 15, 0x00, seq(200, 3)...)
+	singletons := make([]byte, 64)
+	for i := range singletons {
+		singletons[i] = byte(i)
+	}
+	f.Add(false, append(single, batch(64, 63, 0, 0x00, singletons...)...))
+	// NaN values, some keys all NaN (TestUpdatePairsNaNFiltering).
+	f.Add(false, append(batch(150, 39, 1, 0x14, seq(150, 5)...), batch(30, 2, 4, 0x1F, seq(30, 0)...)...))
+	// Eviction churn under a cap, one occurrence per key
+	// (TestUpdatePairsEvictionMidBatch).
+	var churn []byte
+	for i := 0; i < 6; i++ {
+		churn = append(churn, batch(64+byte(i*9), 63, 0, 0x10, seq(64+i*9, byte(i))...)...)
+	}
+	f.Add(true, churn)
+	// Keys that expire between batches and restart in place
+	// (TestUpdatePairsTTLExpiryAcrossBatches).
+	f.Add(false, append(batch(2, 3, 0, 0x00, 0, 1), batch(2, 3, 0, 0xF0, 0, 2)...))
+	f.Add(true, append(batch(20, 20, 0, 0x00, seq(20, 0)...), batch(20, 40, 0, 0xF2, seq(20, 9)...)...))
+
+	f.Fuzz(func(t *testing.T, capped bool, prog []byte) {
+		clk := &fakeClock{}
+		opts := pairOpts(WithTTL(time.Minute), clk.opt())
+		if capped {
+			opts = append(opts, WithMaxEntries(16))
+		}
+		perOp, batched := alignedRegistries(t, opts...)
+		// At most 64 batches of 255 items keep every key inside WithKnownN.
+		for round := 0; len(prog) >= 4 && round < 64; round++ {
+			nkeys, run, ctl := 1+int(prog[1]%64), 1+int(prog[2]%16), prog[3]
+			body := prog[4:min(len(prog), 4+int(prog[0]))]
+			prog = prog[4+len(body):]
+			if step := ctl >> 4; step == 15 {
+				clk.advance(time.Hour)
+			} else {
+				clk.advance(time.Duration(step) * time.Second)
+			}
+			keys, vals := fuzzPairs(body, nkeys, run, int(ctl&15), capped)
+			for i := range keys {
+				perOp.Update(keys[i], vals[i])
+			}
+			batched.UpdatePairs(keys, vals)
+			sameBlob(t, fmt.Sprintf("batch %d", round), perOp, batched)
+			if pe, be := perOp.Evictions(), batched.Evictions(); pe != be {
+				t.Fatalf("batch %d: eviction counts diverged: per-op %d, batched %d", round, pe, be)
+			}
+		}
+	})
+}
+
+// fuzzPairs decodes one FuzzUpdatePairs batch body into pairs. Capped
+// batches draw each key once from a pool of max(nkeys, len(body)) keys,
+// probing past keys the batch already used.
+func fuzzPairs(body []byte, nkeys, run, nanBelow int, capped bool) ([]string, []float64) {
+	keys := make([]string, len(body))
+	vals := make([]float64, len(body))
+	pool := max(nkeys, len(body))
+	used := make(map[int]bool, len(body))
+	k := 0
+	for i, b := range body {
+		switch {
+		case capped:
+			for k = int(b) % pool; used[k]; k = (k + 1) % pool {
+			}
+			used[k] = true
+		case i%run == 0:
+			k = int(b) % nkeys
+		}
+		keys[i] = fmt.Sprintf("k%03d", k)
+		vals[i] = float64(int(b)-128) / 4
+		if int(b)%16 < nanBelow {
+			vals[i] = math.NaN()
+		}
+	}
+	return keys, vals
+}
+
 // windowedStates dumps every key's ring state (epochs + per-slot debug
 // dumps) in arena order — the windowed analogue of MarshalBinary for
 // differential comparison.

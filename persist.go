@@ -131,17 +131,6 @@ func (m *MappedSnapshot[T]) Mapped() bool { return m.file.Mapped() }
 // from it — must not be used afterwards.
 func (m *MappedSnapshot[T]) Close() error { return m.file.Close() }
 
-// appendUint64sLE appends vs as little-endian bytes.
-func appendUint64sLE(out []byte, vs []uint64) []byte {
-	off := len(out)
-	out = appendZeros(out, 8*len(vs))
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	return out
-}
-
 // snapshotPayload lowers a frozen coreset to the slab format's payload:
 // the serde snapshot header as the application header, the stream length
 // as the total, and the two storage arrays as raw little-endian sections.
@@ -156,7 +145,7 @@ func snapshotPayload[T any](f *core.Frozen[T], codec itemCodec[T]) *snapstore.Pa
 		return p
 	}
 	p.Sections[snapstore.SecViewItems] = codec.putAll(make([]byte, 0, 8*len(parts.Items)), parts.Items)
-	p.Sections[snapstore.SecViewCum] = appendUint64sLE(make([]byte, 0, 8*len(parts.Cum)), parts.Cum)
+	p.Sections[snapstore.SecViewCum] = uint64Codec.putAll(make([]byte, 0, 8*len(parts.Cum)), parts.Cum)
 	return p
 }
 

@@ -50,6 +50,7 @@ type Reader[T any] interface {
 	QuantilesInto(dst []T, phis []float64) ([]T, error)
 	// CDF returns the estimated normalized ranks at each ascending split
 	// point; the result has one more entry than splits, the last being 1.
+	// Splits out of order, or a NaN split, fail with an error.
 	CDF(splits []T) ([]float64, error)
 	// CDFInto is CDF writing into dst (grown as needed).
 	CDFInto(dst []float64, splits []T) ([]float64, error)

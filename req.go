@@ -31,15 +31,15 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sketch[T], error) {
 
 // Float64 is a sketch of float64 values under their natural order, the
 // common case for measurements such as latencies. A NaN is ignored on
-// every write path; ±Inf are accepted and behave as extreme values. Queries
-// do not screen NaN probes: a NaN has no rank under <. MarshalBinary
-// encodes the sketch and DecodeFloat64 restores it. Not safe for
-// concurrent use.
+// every write path; ±Inf are accepted and behave as extreme values. Rank
+// queries do not screen NaN probes: a NaN has no rank under <. CDF and PMF
+// refuse a NaN split point with an error. MarshalBinary encodes the sketch
+// and DecodeFloat64 restores it. Not safe for concurrent use.
 type Float64 = Sketch[float64]
 
 // NewFloat64 returns an empty float64 sketch configured by opts. Values
 // compare by the usual < order (the canonical core.LessF64, which selects
-// the monomorphic kernel table — see "Hardware kernels" in doc.go).
+// the monomorphic kernel table — see "Kernel tables" in doc.go).
 func NewFloat64(opts ...Option) (*Float64, error) { return New(core.LessF64, opts...) }
 
 // Uint64 is a sketch of uint64 values under their natural order —
@@ -162,8 +162,8 @@ func (s *Sketch[T]) NormalizedRankBatch(dst []float64, ys []T) []float64 {
 }
 
 // CDF returns the estimated normalized ranks at each split point (which
-// must be ascending); the result has one more entry than splits, the last
-// being 1.
+// must be ascending and, for float64, hold no NaN); the result has one more
+// entry than splits, the last being 1.
 func (s *Sketch[T]) CDF(splits []T) ([]float64, error) { return s.core.CDF(splits) }
 
 // CDFInto is CDF writing into dst (grown as needed) and returning it; the

@@ -176,6 +176,32 @@ func TestQuantilesBatchAndCDFPMF(t *testing.T) {
 	}
 }
 
+// TestCDFPMFRejectNaNSplits pins that a NaN split point is refused on every
+// container: NaN compares false both ways, so such a set looks sorted, and
+// every split after the NaN used to read 1.
+func TestCDFPMFRejectNaNSplits(t *testing.T) {
+	f := mustFloat64(t, WithSeed(1))
+	sh, err := NewShardedFloat64(WithSeed(1), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		f.Update(float64(i))
+		sh.Update(float64(i))
+	}
+	nan := math.NaN()
+	for name, r := range map[string]Reader[float64]{"Sketch": f, "Snapshot": f.Snapshot(), "Sharded": sh} {
+		for _, splits := range [][]float64{{100, nan, 500}, {nan}} {
+			if cdf, err := r.CDF(splits); err == nil {
+				t.Errorf("%s: CDF(%v) = %v, want an error", name, splits, cdf)
+			}
+			if pmf, err := r.PMF(splits); err == nil {
+				t.Errorf("%s: PMF(%v) = %v, want an error", name, splits, pmf)
+			}
+		}
+	}
+}
+
 func TestMergePublicAPI(t *testing.T) {
 	const n = 1 << 17
 	a := mustFloat64(t, WithEpsilon(0.05), WithSeed(7))
