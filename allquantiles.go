@@ -36,29 +36,34 @@ func AllQuantiles(eps, delta float64, nHint uint64) []Option {
 	return []Option{WithEpsilon(epsPrime), WithDelta(deltaPrime)}
 }
 
-// RankBounds returns a confidence interval for the true rank of y derived
-// from the sketch's ε: [R̂/(1+ε), R̂/(1−ε)], each end clamped to [0, n].
-// The interval covers the true rank with probability 1 − δ (per queried
-// item; combine with AllQuantiles for simultaneous coverage).
+// RankBounds returns a confidence interval for the true rank R of y
+// derived from the sketch's ε and the estimate R̂ = Rank(y). Under the
+// default low-rank accuracy the guarantee is |R̂ − R| ≤ ε·R, so the interval
+// is [R̂/(1+ε), R̂/(1−ε)]; under WithHighRankAccuracy it is
+// |R̂ − R| ≤ ε·(n − R), so the interval is [(R̂ − ε·n)/(1−ε),
+// (R̂ + ε·n)/(1+ε)]. Each end is clamped to [0, n]. The interval covers
+// the true rank with probability 1 − δ (per queried item; combine with
+// AllQuantiles for simultaneous coverage). A WithK sketch is sized by k,
+// not ε, yet reports the default ε (0.01) here, as Epsilon does.
 func (s *Sketch[T]) RankBounds(y T) (lo, hi uint64) {
-	est := float64(s.Rank(y))
-	eps := s.core.Config().Eps
-	lo = uint64(math.Floor(est / (1 + eps)))
-	if eps < 1 {
-		hi = uint64(math.Ceil(est / (1 - eps)))
-	} else {
-		hi = s.Count()
+	est, n := float64(s.Rank(y)), float64(s.Count())
+	cfg := s.core.Config()
+	eps := cfg.Eps
+	l, h := est/(1+eps), est/(1-eps)
+	if cfg.HRA {
+		l, h = (est-eps*n)/(1-eps), (est+eps*n)/(1+eps)
 	}
-	if hi > s.Count() {
-		hi = s.Count()
-	}
+	lo = uint64(math.Max(0, math.Floor(l)))
+	hi = uint64(math.Min(n, math.Ceil(h)))
 	if lo > hi {
 		lo = hi
 	}
 	return lo, hi
 }
 
-// Epsilon returns the sketch's configured relative-error target.
+// Epsilon returns the sketch's configured relative-error target. A WithK
+// sketch is sized by k, not ε, and reports the default ε (0.01), which did
+// not size it.
 func (s *Sketch[T]) Epsilon() float64 { return s.core.Config().Eps }
 
 // Delta returns the sketch's configured failure probability.

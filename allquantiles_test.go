@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"req/internal/exact"
 	"req/internal/rng"
 )
 
@@ -64,20 +65,49 @@ func TestValidateAllQuantilesArgs(t *testing.T) {
 	}
 }
 
+// TestRankBounds checks RankBounds against the exact oracle at every
+// power-of-two rank r and its mirror n − r, under both rank-accuracy
+// modes, with the per-item sizing of WithEpsilon and with AllQuantiles'
+// simultaneous sizing: every interval must hold the true rank and lie
+// within [0, n]. High-rank accuracy bounds the error by ε·(n − R), not
+// ε·R, so its interval differs at every rank below n.
 func TestRankBounds(t *testing.T) {
-	s := mustFloat64(t, WithEpsilon(0.1), WithSeed(7))
 	const n = 1 << 16
-	s.UpdateBatch(permStream(n, 8))
-	for rank := 64; rank <= n; rank *= 4 {
-		lo, hi := s.RankBounds(float64(rank - 1))
-		if lo > hi {
-			t.Fatalf("bounds inverted at rank %d: [%d, %d]", rank, lo, hi)
-		}
-		if uint64(rank) < lo || uint64(rank) > hi {
-			t.Errorf("true rank %d outside bounds [%d, %d]", rank, lo, hi)
-		}
-		if hi > s.Count() {
-			t.Fatalf("upper bound %d exceeds n", hi)
+	const eps = 0.05
+	vals := permStream(n, 8)
+	oracle := exact.FromValues(vals)
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"LRA", nil},
+		{"HRA", []Option{WithHighRankAccuracy()}},
+	} {
+		for _, sizing := range []struct {
+			name string
+			opts []Option
+		}{
+			{"per-item", []Option{WithEpsilon(eps)}},
+			{"all-quantiles", AllQuantiles(eps, 0.05, n)},
+		} {
+			t.Run(mode.name+"/"+sizing.name, func(t *testing.T) {
+				opts := append(append([]Option{WithSeed(7)}, mode.opts...), sizing.opts...)
+				s := mustFloat64(t, opts...)
+				s.UpdateBatch(vals)
+				for r := uint64(1); r < n; r *= 2 {
+					for _, rank := range []uint64{r, n - r} {
+						y := oracle.ItemOfRank(rank)
+						truth := oracle.Rank(y)
+						lo, hi := s.RankBounds(y)
+						if lo > hi || hi > s.Count() {
+							t.Fatalf("rank %d: bounds [%d, %d] inverted or past n = %d", rank, lo, hi, s.Count())
+						}
+						if truth < lo || truth > hi {
+							t.Errorf("true rank %d outside bounds [%d, %d] (estimate %d)", truth, lo, hi, s.Rank(y))
+						}
+					}
+				}
+			})
 		}
 	}
 }

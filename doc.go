@@ -156,8 +156,15 @@
 //
 // Entries live in per-shard block arenas with freelists (internal/tenant):
 // a million-key registry is thousands of allocations, not millions, and
-// eviction recycles cells and their grown sketch slabs, so steady-state
-// keyed updates, keyed queries, and whole-key churn are all 0 allocs/op.
+// eviction recycles cells and their grown sketch slabs. A key costs what
+// it holds: its sketch starts with an 8-item level-0 window that widens
+// as it fills, so with WithK(16) and WithHighRankAccuracy a key holding
+// a few items costs about 630 heap bytes, one holding 64 about 1,080 and
+// one holding 1,024 about 11.5 KB; a 5-slot windowed key holding one item
+// costs about 3,000. A key allocates only while its level-0 window grows
+// toward the buffer capacity B (its slab doubles about log₂(B/8) times);
+// past that, steady-state keyed updates, keyed queries, and whole-key
+// churn are all 0 allocs/op.
 // WithTTL gives idle keys a lazy time-to-live, WithMaxEntries caps the
 // resident population behind a clock-hand second-chance sweep, and
 // WithClock injects synthetic time for tests. Visit iterates the

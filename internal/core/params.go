@@ -117,41 +117,6 @@ type Config struct {
 	// N0 overrides the initial stream-length bound. Zero means automatic:
 	// the smallest power of two admitting the initial geometry.
 	N0 uint64
-
-	// Shards fixes the shard count of the sharded concurrent wrapper built
-	// in the root package. Zero means automatic (GOMAXPROCS-scaled). The
-	// core engine itself ignores it — one core.Sketch is always a single
-	// unsharded instance — and it does not affect merge compatibility.
-	Shards int
-
-	// Registry-layer knobs. Like Shards, these configure the root
-	// package's container wrappers (the multi-tenant Registry and
-	// WindowedRegistry); the core engine ignores them and they do not
-	// affect merge compatibility or serialization.
-
-	// TTLNanos is the keyed-registry idle time-to-live in nanoseconds:
-	// entries untouched for at least this long are evictable. Zero means
-	// no TTL.
-	TTLNanos int64
-
-	// MaxEntries caps the keyed registry's live key count (approximately:
-	// the cap is split evenly across shards). Zero means unbounded.
-	MaxEntries int
-
-	// WindowSlots is the ring length of the windowed registry: how many
-	// slot sub-sketches each key rotates through. Zero selects the
-	// windowed registry's default; plain containers ignore it.
-	WindowSlots int
-
-	// SlotNanos is the duration of one windowed-registry ring slot in
-	// nanoseconds; the covered window is WindowSlots·SlotNanos. Zero
-	// selects the default alongside WindowSlots.
-	SlotNanos int64
-
-	// Now supplies the registry clock as nanoseconds (TTL bookkeeping and
-	// window epoch assignment). Nil means the wall clock; tests inject a
-	// synthetic clock to drive eviction and rotation deterministically.
-	Now func() int64
 }
 
 // Accuracy-parameter sanity caps. These bound the buffer geometry a config
@@ -216,18 +181,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.N0 != 0 && c.N0&(c.N0-1) != 0 {
 		return errors.New("core: N0 must be a power of two")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: shard count %d must be non-negative", c.Shards)
-	}
-	if c.TTLNanos < 0 {
-		return fmt.Errorf("core: TTL %d must be non-negative", c.TTLNanos)
-	}
-	if c.MaxEntries < 0 {
-		return fmt.Errorf("core: max entries %d must be non-negative", c.MaxEntries)
-	}
-	if c.WindowSlots < 0 || c.SlotNanos < 0 {
-		return fmt.Errorf("core: window geometry (%d slots × %d ns) must be non-negative", c.WindowSlots, c.SlotNanos)
 	}
 	return nil
 }

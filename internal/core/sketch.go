@@ -108,12 +108,20 @@ func New[T any](less func(a, b T) bool, cfg Config) (*Sketch[T], error) {
 	return s, nil
 }
 
+// initialWindow is the level-0 window Init reserves, in items (B is at
+// least 16). The appends that fill it widen it by half through
+// levelStore.ensure as the level fills toward B, so a sketch holding a few
+// items costs a few slots, not B of them.
+const initialWindow = 8
+
 // Init initializes s in place as an empty sketch over the strict order
 // less, exactly as New would construct it. It exists for callers that
 // embed Sketch by value inside pooled or arena-allocated cells (the
 // multi-tenant registry packs millions of sketches into block arenas, one
 // compact struct per key, with no per-sketch pointer allocation); s must
-// be the zero value.
+// be the zero value. It reserves one level and an initialWindow-item
+// window: a registry key pays for the items it holds, and the level table
+// and window grow on demand.
 func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	if less == nil {
 		return fmt.Errorf("core: nil less function")
@@ -126,8 +134,8 @@ func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	s.rnd = rng.New(cfg.Seed)
 	s.bound = cfg.initialBound()
 	s.geom = cfg.geometryFor(s.bound)
-	s.levels = make([]compactor[T], 0, 8)
-	s.levels = s.store.addLevel(s.levels, s.geom.b)
+	s.levels = make([]compactor[T], 0, 1)
+	s.levels = s.store.addLevel(s.levels, initialWindow)
 	return nil
 }
 
@@ -175,9 +183,9 @@ func (s *Sketch[T]) update(x T) {
 	}
 	lv := &s.levels[0]
 	if len(lv.buf) == cap(lv.buf) {
-		// The window is full (possible right after a geometry growth raised
-		// b past the reserved capacity); widen it before appending so the
-		// append can never reallocate out of the slab.
+		// The window is full (it starts at initialWindow items, and a
+		// geometry growth can raise b past it); widen it before appending
+		// so the append can never reallocate out of the slab.
 		s.store.ensure(s.levels, 0, len(lv.buf)+1)
 		lv = &s.levels[0]
 	}

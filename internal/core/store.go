@@ -19,6 +19,14 @@ package core
 // the slab is one amortized copy of everything. Clone and CopyFrom become
 // one slab allocation (at most) plus a memcpy per level.
 //
+// The level-0 window is sized by what the level holds, not by B: Init
+// reserves one level with an initialWindow-item window, and every append
+// path widens a full window through ensure (by half, or to the need)
+// before it writes, so a sketch holding a few items — a cold registry key
+// — costs a few slots. A level above 0 is added with a B-item window when
+// the first compaction below it emits; restore (initWindows) lays out B
+// per level.
+//
 // Discipline (checked by CheckInvariants, invariant 10):
 //
 //   - windows are laid out in level order, contiguous and non-overlapping:

@@ -6,6 +6,7 @@ package core
 // property suites; these tests pin the storage discipline itself.
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -269,5 +270,108 @@ func TestSnapshotLevelsShareOneSlab(t *testing.T) {
 	}
 	if snap.Levels[0].Items[0] != probe {
 		t.Fatal("snapshot aliases live sketch storage")
+	}
+}
+
+// TestStoreSmallWindowWritePaths starts every sketch from Init's
+// reservation (one level header and an initialWindow-item level-0 window)
+// and drives each path that writes into a window, checking every
+// invariant (invariant 10, the window layout, included) and the slab's
+// contents and scrubbed slack after each. A twin whose level-0 window is
+// widened to B before its first write, the reservation Init used to make,
+// gets the same calls and must end in the same state: a window's size
+// never changes what the sketch holds.
+func TestStoreSmallWindowWritePaths(t *testing.T) {
+	cfg := Config{Mode: ModeFixedK, K: 16, HRA: true, Seed: 1}
+	fresh := func(t *testing.T) *Sketch[float64] {
+		t.Helper()
+		s, err := New(fless, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.store.win) != 1 || s.store.win[0].cap != initialWindow || cap(s.levels) != 1 {
+			t.Fatalf("Init reserved %d windows, a %d-item level-0 window and %d level headers",
+				len(s.store.win), s.store.win[0].cap, cap(s.levels))
+		}
+		return s
+	}
+	r := rng.New(21)
+	vals := make([]float64, 3000)
+	for i := range vals {
+		vals[i] = r.Float64()
+	}
+	// oneLevel fits level 0 (B = 128), so merging it into a fresh sketch
+	// widens the target's small window; tall has several levels.
+	oneLevel, tall := fresh(t), fresh(t)
+	oneLevel.UpdateBatch(vals[:100])
+	tall.UpdateBatch(vals[100:])
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *Sketch[float64])
+	}{
+		{"Update", func(_ *testing.T, s *Sketch[float64]) {
+			for _, v := range vals {
+				s.Update(v)
+			}
+		}},
+		{"UpdateBatch", func(_ *testing.T, s *Sketch[float64]) {
+			// 5 items fit the window, the next 15 cross its edge, the
+			// rest cross B and compact.
+			s.UpdateBatch(vals[:5])
+			s.UpdateBatch(vals[5:20])
+			s.UpdateBatch(vals[20:])
+		}},
+		{"IngestRun", func(_ *testing.T, s *Sketch[float64]) {
+			s.IngestRun(vals[:1])
+			for i := 1; i < len(vals); i += 7 {
+				s.IngestRun(vals[i:min(i+7, len(vals))])
+			}
+		}},
+		{"UpdateWeighted", func(t *testing.T, s *Sketch[float64]) {
+			for i, v := range vals[:300] {
+				if err := s.UpdateWeighted(v, uint64(i%37+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"Merge into empty", func(t *testing.T, s *Sketch[float64]) {
+			if err := s.Merge(tall); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Merge into fresh", func(t *testing.T, s *Sketch[float64]) {
+			s.UpdateBatch(vals[:3])
+			for _, src := range []*Sketch[float64]{oneLevel, tall} {
+				if err := s.Merge(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"Reset and refill", func(_ *testing.T, s *Sketch[float64]) {
+			s.UpdateBatch(vals)
+			s.Reset()
+			for _, v := range vals[:50] {
+				s.Update(v)
+			}
+		}},
+		{"CopyFrom into fresh", func(_ *testing.T, s *Sketch[float64]) {
+			s.CopyFrom(tall)
+			s.UpdateBatch(vals[:200])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			small, wide := fresh(t), fresh(t)
+			wide.store.ensure(wide.levels, 0, wide.geom.b)
+			for _, s := range []*Sketch[float64]{small, wide} {
+				tc.run(t, s)
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				slabLayout(t, s)
+			}
+			if !reflect.DeepEqual(small.Snapshot(), wide.Snapshot()) {
+				t.Fatal("the sketch grown from Init's small window differs from its twin reserved at B")
+			}
+		})
 	}
 }

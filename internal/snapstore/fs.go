@@ -8,8 +8,9 @@ import (
 )
 
 // FS is the filesystem surface the store needs. Production code uses OS;
-// the crash matrix substitutes MemFS/FaultFS so every byte of the write
-// sequence can be interrupted and every sync made to lie.
+// the crash matrix in this package's tests substitutes the test-only MemFS
+// and FaultFS (memfs_test.go), so every byte of the write sequence can be
+// interrupted and every sync made to lie.
 type FS interface {
 	// Create opens name for writing, truncating any existing file.
 	Create(name string) (WFile, error)

@@ -60,9 +60,9 @@
 // after any crash yields the previous or the new snapshot, never an error
 // on a directory that holds at least one valid generation.
 //
-// All file access goes through the FS interface; MemFS and FaultFS
-// implement it for the fault-injection crash matrix in this package's
-// tests.
+// All file access goes through the FS interface, so this package's
+// fault-injection crash matrix can run the store over the test-only MemFS
+// and FaultFS (memfs_test.go).
 package snapstore
 
 import (

@@ -8,12 +8,35 @@ import (
 )
 
 // An Option configures a sketch at construction time.
-type Option func(*core.Config) error
+type Option func(*settings) error
+
+// settings is what a constructor's options build: the core configuration
+// every sketch of the container shares, beside the container knobs the
+// core engine never reads and that do not affect merge compatibility or
+// serialization. The With* options validate each knob as they set it.
+type settings struct {
+	core.Config
+	// shards fixes the shard count of a Sharded sketch or a registry. Zero
+	// means automatic (GOMAXPROCS-scaled).
+	shards int
+	// ttlNanos is a registry's idle time-to-live in nanoseconds. Zero
+	// means no TTL.
+	ttlNanos int64
+	// maxEntries caps a registry's resident key count, split evenly
+	// across shards. Zero means unbounded.
+	maxEntries int
+	// windowSlots and slotNanos shape a WindowedRegistry's ring: the slot
+	// count and one slot's duration. Zero means no window.
+	windowSlots int
+	slotNanos   int64
+	// now is a registry's nanosecond clock. Nil means the wall clock.
+	now func() int64
+}
 
 // WithEpsilon sets the multiplicative error target ε ∈ (0, 1). The default
 // is 0.01. Smaller ε means a larger sketch: space grows linearly in 1/ε.
 func WithEpsilon(eps float64) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if eps <= 0 || eps >= 1 {
 			return fmt.Errorf("req: epsilon %v out of range (0, 1)", eps)
 		}
@@ -25,7 +48,7 @@ func WithEpsilon(eps float64) Option {
 // WithDelta sets the per-item failure probability δ ∈ (0, 0.5]. The default
 // is 0.01. Space grows with √log(1/δ) (or log log(1/δ) in Theorem-2 mode).
 func WithDelta(delta float64) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if delta <= 0 || delta > 0.5 {
 			return fmt.Errorf("req: delta %v out of range (0, 0.5]", delta)
 		}
@@ -39,7 +62,7 @@ func WithDelta(delta float64) Option {
 // decreases as k grows; space is ≈ 2k·log₂(n/k) items per level. WithK is
 // mutually exclusive with WithEpsilon/WithDelta-derived sizing.
 func WithK(k int) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if k < 4 || k%2 != 0 {
 			return fmt.Errorf("req: k = %d must be an even integer ≥ 4", k)
 		}
@@ -55,7 +78,7 @@ func WithK(k int) Option {
 // enough the guarantee holds for every coin outcome, recovering the
 // deterministic O(ε⁻¹·log³(εn)) bound.
 func WithTheorem2Mode() Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		c.Mode = core.ModeTheorem2
 		return nil
 	}
@@ -68,7 +91,7 @@ func WithTheorem2Mode() Option {
 // up front no growth can land mid-batch, so batch and per-item ingest are
 // bit-for-bit identical.
 func WithKnownN(n uint64) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if n == 0 {
 			return fmt.Errorf("req: known n must be positive")
 		}
@@ -83,7 +106,7 @@ func WithKnownN(n uint64) Option {
 // the mode for latency-tail monitoring (p99, p99.9, …), per the reversed-
 // comparator observation in Section 1 of the paper.
 func WithHighRankAccuracy() Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		c.HRA = true
 		return nil
 	}
@@ -95,11 +118,11 @@ func WithHighRankAccuracy() Option {
 // at the cost of a slightly larger merged read snapshot. Plain (unsharded)
 // sketches ignore this option.
 func WithShards(n int) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if n < 0 {
 			return fmt.Errorf("req: shard count %d must be non-negative", n)
 		}
-		c.Shards = n
+		c.shards = n
 		return nil
 	}
 }
@@ -109,11 +132,11 @@ func WithShards(n int) Option {
 // lazily on access, under capacity pressure, or by an explicit ExpireNow
 // sweep. d must be positive. Plain (unkeyed) sketches ignore this option.
 func WithTTL(d time.Duration) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if d <= 0 {
 			return fmt.Errorf("req: TTL %v must be positive", d)
 		}
-		c.TTLNanos = int64(d)
+		c.ttlNanos = int64(d)
 		return nil
 	}
 }
@@ -124,11 +147,11 @@ func WithTTL(d time.Duration) Option {
 // sweep — TTL-expired keys first, least-recently-touched next. Plain
 // (unkeyed) sketches ignore this option.
 func WithMaxEntries(n int) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if n <= 0 {
 			return fmt.Errorf("req: max entries %d must be positive", n)
 		}
-		c.MaxEntries = n
+		c.maxEntries = n
 		return nil
 	}
 }
@@ -141,15 +164,15 @@ func WithMaxEntries(n int) Option {
 // positive. Registry and plain sketches reject/ignore this option
 // respectively; NewWindowedRegistry requires it.
 func WithWindow(slots int, slot time.Duration) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if slots < 2 {
 			return fmt.Errorf("req: window slot count %d must be ≥ 2", slots)
 		}
 		if slot <= 0 {
 			return fmt.Errorf("req: window slot duration %v must be positive", slot)
 		}
-		c.WindowSlots = slots
-		c.SlotNanos = int64(slot)
+		c.windowSlots = slots
+		c.slotNanos = int64(slot)
 		return nil
 	}
 }
@@ -161,11 +184,11 @@ func WithWindow(slots int, slot time.Duration) Option {
 // non-decreasing for eviction semantics to be meaningful. Plain (unkeyed)
 // sketches ignore this option.
 func WithClock(now func() int64) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		if now == nil {
 			return fmt.Errorf("req: nil clock")
 		}
-		c.Now = now
+		c.now = now
 		return nil
 	}
 }
@@ -174,7 +197,7 @@ func WithClock(now func() int64) Option {
 // runs bit-for-bit reproducible. Two sketches with the same seed, options,
 // and input are identical.
 func WithSeed(seed uint64) Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		c.Seed = seed
 		return nil
 	}
@@ -186,7 +209,7 @@ func WithSeed(seed uint64) Option {
 // exist for proof convenience and make the sketch several times larger.
 // Used by the reproduction experiments.
 func WithPaperConstants() Option {
-	return func(c *core.Config) error {
+	return func(c *settings) error {
 		c.PaperConstants = true
 		return nil
 	}

@@ -25,11 +25,13 @@ var ErrNoKey = errors.New("req: no sketch for key")
 //
 // Entries live in per-shard block arenas (256 entries per block), so a
 // million-key registry is a few thousand allocations, not a few million,
-// and the per-key sketch storage is PR 5's single contiguous level slab.
-// Eviction never frees an entry: the cell goes on the shard's freelist and
-// the next created key recycles it — Sketch.Reset keeps the grown slab —
-// so steady-state key churn allocates nothing. Shards are split by
-// maphash; WithShards fixes the shard count.
+// and the per-key sketch storage is one contiguous level slab whose
+// level-0 window starts at 8 items and grows with the key's items, so a
+// key holding a few items costs a few hundred bytes. Eviction never frees
+// an entry: the cell goes on the shard's freelist and the next created key
+// recycles it — Sketch.Reset keeps the grown slab — so steady-state key
+// churn allocates nothing. Shards are split by maphash; WithShards fixes
+// the shard count.
 //
 // # Eviction
 //
@@ -47,7 +49,6 @@ var ErrNoKey = errors.New("req: no sketch for key")
 type Registry[K comparable, T any] struct {
 	m   *tenant.Map[K, regEntry[T]]
 	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
-	cfg core.Config
 	now func() int64
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
@@ -71,18 +72,19 @@ func NewRegistry[K comparable, T any](less func(a, b T) bool, opts ...Option) (*
 	if less == nil {
 		return nil, errors.New("req: nil less function")
 	}
-	cfg, err := buildConfig(opts)
+	st, err := buildSettings(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Normalize(); err != nil {
+	if err := st.Normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.WindowSlots > 0 {
+	if st.windowSlots > 0 {
 		return nil, errors.New("req: WithWindow configures a WindowedRegistry, not a Registry")
 	}
-	r := &Registry[K, T]{tab: core.TableFor(less), cfg: cfg, now: registryClock(cfg)}
-	r.m = tenant.NewMap[K, regEntry[T]](tenantConfig(cfg),
+	cfg := st.Config
+	r := &Registry[K, T]{tab: core.TableFor(less), now: st.clock()}
+	r.m = tenant.NewMap[K, regEntry[T]](st.tenantConfig(),
 		func(e *regEntry[T], seq uint64) {
 			// Init cannot fail: cfg was validated above and less is non-nil.
 			_ = e.sk.Init(less, seedCfg(cfg, seq))
@@ -92,17 +94,16 @@ func NewRegistry[K comparable, T any](less func(a, b T) bool, opts ...Option) (*
 	return r, nil
 }
 
-// tenantConfig maps the registry knobs of a core config onto the tenant
-// map's sizing.
-func tenantConfig(cfg core.Config) tenant.Config {
-	return tenant.Config{Shards: cfg.Shards, MaxEntries: cfg.MaxEntries, TTL: cfg.TTLNanos}
+// tenantConfig maps the registry knobs onto the tenant map's sizing.
+func (st *settings) tenantConfig() tenant.Config {
+	return tenant.Config{Shards: st.shards, MaxEntries: st.maxEntries, TTL: st.ttlNanos}
 }
 
-// registryClock resolves the registry's nanosecond clock: WithClock's
-// func, else the wall clock.
-func registryClock(cfg core.Config) func() int64 {
-	if cfg.Now != nil {
-		return cfg.Now
+// clock resolves the registry's nanosecond clock: WithClock's func, else
+// the wall clock.
+func (st *settings) clock() func() int64 {
+	if st.now != nil {
+		return st.now
 	}
 	return func() int64 { return time.Now().UnixNano() }
 }

@@ -3,6 +3,7 @@ package req
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -405,4 +406,66 @@ func TestAllocsWindowedUpdatePairs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("windowed UpdatePairs across rotations allocates %v allocs/op", avg)
 	}
+}
+
+// TestRegistryBytesPerKey pins the heap a resident key costs with
+// keyed_ingest's options (WithK(16), high-rank accuracy): a sketch's
+// level-0 window is sized by the items it holds, so a cold key costs a few
+// hundred bytes, not a reservation of B = 128 items and eight level
+// headers. Each case measures the HeapAlloc growth, after a GC, of
+// populating 16K keys through UpdateBatch; the key strings are built
+// before the first reading.
+func TestRegistryBytesPerKey(t *testing.T) {
+	const nkeys = 1 << 14
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i * 37 % 64)
+	}
+	for _, tc := range []struct {
+		name     string
+		items    int
+		windowed bool
+		limit    float64 // bytes per key
+	}{
+		{"1-item", 1, false, 800},
+		{"64-items", 64, false, 1300},
+		{"windowed-1-item", 1, true, 3300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{WithK(16), WithHighRankAccuracy(), WithSeed(1)}
+			before := heapAlloc()
+			var reg interface{ UpdateBatch(string, []float64) }
+			var err error
+			if tc.windowed {
+				opts = append(opts, WithWindow(5, time.Minute), WithClock(func() int64 { return 0 }))
+				reg, err = NewWindowedRegistryFloat64(opts...)
+			} else {
+				reg, err = NewRegistryFloat64(opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				reg.UpdateBatch(k, vals[:tc.items])
+			}
+			perKey := float64(heapAlloc()-before) / nkeys
+			runtime.KeepAlive(reg)
+			t.Logf("%.0f heap bytes per key", perKey)
+			if perKey > tc.limit {
+				t.Fatalf("%s: a key costs %.0f heap bytes, want ≤ %.0f", tc.name, perKey, tc.limit)
+			}
+		})
+	}
+}
+
+// heapAlloc returns the live heap bytes after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -18,11 +18,11 @@ type Sketch[T any] struct {
 // New returns an empty sketch over the strict order less (less(a, b) must
 // report whether a orders before b) configured by opts.
 func New[T any](less func(a, b T) bool, opts ...Option) (*Sketch[T], error) {
-	cfg, err := buildConfig(opts)
+	st, err := buildSettings(opts)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.New(less, cfg)
+	c, err := core.New(less, st.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -278,16 +278,16 @@ var (
 	ErrBadRank = core.ErrBadRank
 )
 
-// buildConfig folds opts over a default configuration.
-func buildConfig(opts []Option) (core.Config, error) {
-	var cfg core.Config
+// buildSettings folds opts over the default settings.
+func buildSettings(opts []Option) (settings, error) {
+	var st settings
 	for _, opt := range opts {
 		if opt == nil {
-			return cfg, errors.New("req: nil option")
+			return st, errors.New("req: nil option")
 		}
-		if err := opt(&cfg); err != nil {
-			return cfg, err
+		if err := opt(&st); err != nil {
+			return st, err
 		}
 	}
-	return cfg, nil
+	return st, nil
 }

@@ -104,22 +104,22 @@ const shardedSeedStride = 0x9E3779B97F4A7C15
 // shards share the configuration; their random streams are decorrelated by
 // deriving each shard's seed from the configured one.
 func NewSharded[T any](less func(a, b T) bool, opts ...Option) (*Sharded[T], error) {
-	cfg, err := buildConfig(opts)
+	st, err := buildSettings(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Normalize(); err != nil {
+	if err := st.Normalize(); err != nil {
 		return nil, err
 	}
-	n := cfg.Shards
+	n := st.shards
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = int(core.CeilPow2(uint64(n)))
 	s := &Sharded[T]{mask: uint64(n - 1), shards: make([]*shardOf[T], n), tab: core.TableFor(less)}
 	for i := range s.shards {
-		scfg := cfg
-		scfg.Seed = cfg.Seed + uint64(i)*shardedSeedStride
+		scfg := st.Config
+		scfg.Seed = st.Seed + uint64(i)*shardedSeedStride
 		sk, err := core.New(less, scfg)
 		if err != nil {
 			return nil, err

@@ -100,25 +100,26 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 	if less == nil {
 		return nil, errors.New("req: nil less function")
 	}
-	cfg, err := buildConfig(opts)
+	st, err := buildSettings(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Normalize(); err != nil {
+	if err := st.Normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.WindowSlots == 0 {
+	if st.windowSlots == 0 {
 		return nil, errors.New("req: a WindowedRegistry requires WithWindow")
 	}
+	cfg := st.Config
 	w := &WindowedRegistry[K, T]{
 		tab:       core.TableFor(less),
 		cfg:       cfg,
-		now:       registryClock(cfg),
-		slots:     cfg.WindowSlots,
-		slotNanos: cfg.SlotNanos,
+		now:       st.clock(),
+		slots:     st.windowSlots,
+		slotNanos: st.slotNanos,
 	}
 	slots := w.slots
-	w.m = tenant.NewMap[K, winEntry[T]](tenantConfig(cfg),
+	w.m = tenant.NewMap[K, winEntry[T]](st.tenantConfig(),
 		func(e *winEntry[T], seq uint64) {
 			e.ring = make([]core.Sketch[T], slots)
 			e.epochs = make([]int64, slots)
