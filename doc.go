@@ -172,7 +172,9 @@
 // key's coreset as one blob or one crash-safe snapstore generation
 // ("RREG" format), restored by UnmarshalRegistry* / OpenRegistry* as an
 // immutable RegistrySnapshot whose per-key answers are bit-identical to
-// the live registry's frozen answers at capture time.
+// the live registry's frozen answers at capture time. A restore's
+// snapshots share its storage, so one kept snapshot keeps every key's
+// items alive.
 //
 // # Batched multi-tenant ingest
 //

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Frozen is an immutable, concurrency-safe snapshot of a sketch's weighted
 // coreset: the sorted view's items and cumulative weights, owning (or, for
@@ -46,60 +42,24 @@ func (s *Sketch[T]) FreezeShared() *Frozen[T] {
 	return &Frozen[T]{v: *src, cfg: s.cfg, hasMinMax: s.hasMinMax}
 }
 
-// FrozenFromCoreset reconstructs a Frozen from a serialized coreset: items
-// ascending in less order with per-item weights summing to n. It validates
-// structural consistency (ordering, positive weights, weight conservation,
-// min/max bracketing) so that untrusted input cannot produce a snapshot
-// whose queries misbehave; the items and weights slices are taken over by
-// the Frozen (weights is rewritten in place into cumulative form).
-func FrozenFromCoreset[T any](less func(a, b T) bool, cfg Config, n uint64, min, max T, hasMinMax bool, items []T, weights []uint64) (*Frozen[T], error) {
-	if less == nil {
-		return nil, errors.New("core: nil less function")
+// FrozenFromCoreset fills f with the Frozen of a decoded coreset: p.Items
+// ascending under tab's order and p.Cum their cumulative weights, rising
+// strictly to n. It runs FrozenFromParts' O(1) checks and then
+// VerifyStructure's bulk scans, so untrusted input cannot produce a
+// snapshot whose queries misbehave: a zero weight or an overflowing sum
+// shows as a cumulative weight that does not rise. f takes over the two
+// arrays, capped to their length, without copying; after an error it
+// holds no coreset. Filling in place lets a decoder keep many Frozen
+// values in one slice.
+func FrozenFromCoreset[T any](f *Frozen[T], tab Table[T], cfg Config, n uint64, min, max T, hasMinMax bool, p FrozenParts[T]) error {
+	if err := f.fromParts(tab, cfg, n, min, max, hasMinMax, p); err != nil {
+		return err
 	}
-	if err := cfg.Normalize(); err != nil {
-		return nil, fmt.Errorf("core: coreset config: %w", err)
+	if err := f.VerifyStructure(); err != nil {
+		*f = Frozen[T]{}
+		return err
 	}
-	if len(items) != len(weights) {
-		return nil, fmt.Errorf("core: %d items but %d weights", len(items), len(weights))
-	}
-	if n == 0 {
-		if len(items) != 0 {
-			return nil, errors.New("core: empty coreset carries items")
-		}
-		if hasMinMax {
-			return nil, errors.New("core: empty coreset carries min/max")
-		}
-	} else {
-		if len(items) == 0 {
-			return nil, errors.New("core: nonempty coreset has no items")
-		}
-		if !hasMinMax {
-			return nil, errors.New("core: nonempty coreset lacks min/max")
-		}
-		if less(items[0], min) || less(max, items[len(items)-1]) {
-			return nil, errors.New("core: coreset items outside [min, max]")
-		}
-	}
-	var run uint64
-	for i, w := range weights {
-		if w == 0 {
-			return nil, fmt.Errorf("core: coreset weight %d is zero", i)
-		}
-		if run+w < run {
-			return nil, errors.New("core: coreset weight overflow")
-		}
-		run += w
-		weights[i] = run
-		if i > 0 && less(items[i], items[i-1]) {
-			return nil, fmt.Errorf("core: coreset items unsorted at %d", i)
-		}
-	}
-	if run != n {
-		return nil, fmt.Errorf("core: coreset weight %d != n %d", run, n)
-	}
-	f := &Frozen[T]{cfg: cfg, hasMinMax: hasMinMax}
-	f.v = View[T]{items: items, cum: weights, kern: kernelFor(less), n: n, min: min, max: max}
-	return f, nil
+	return nil
 }
 
 // Count returns the total weight summarised (the stream length).

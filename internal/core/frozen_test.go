@@ -167,9 +167,9 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 	}
 	mn, _ := f.Min()
 	mx, _ := f.Max()
-	g, err := FrozenFromCoreset(fless, f.Config(), f.Count(), mn, mx, true,
-		append([]float64(nil), items...), append([]uint64(nil), weights...))
-	if err != nil {
+	g := new(Frozen[float64])
+	if err := FrozenFromCoreset(g, TableFor(fless), f.Config(), f.Count(), mn, mx, true,
+		coresetParts(items, weights)); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range probes {
@@ -189,7 +189,7 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 		is := append([]float64(nil), items...)
 		ws := append([]uint64(nil), weights...)
 		n, lo, hi, hasMM := mutate(is, ws)
-		if _, err := FrozenFromCoreset(fless, f.Config(), n, lo, hi, hasMM, is, ws); err == nil {
+		if err := FrozenFromCoreset(new(Frozen[float64]), TableFor(fless), f.Config(), n, lo, hi, hasMM, coresetParts(is, ws)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -210,6 +210,18 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 	bad("missing min/max", func(is []float64, ws []uint64) (uint64, float64, float64, bool) {
 		return f.Count(), mn, mx, false
 	})
+}
+
+// coresetParts copies a coreset given as per-item weights into the
+// cumulative layout FrozenFromCoreset takes.
+func coresetParts[T any](items []T, weights []uint64) FrozenParts[T] {
+	p := FrozenParts[T]{Items: append([]T(nil), items...), Cum: make([]uint64, len(weights))}
+	var run uint64
+	for i, w := range weights {
+		run += w
+		p.Cum[i] = run
+	}
+	return p
 }
 
 // TestFreezeSharedAliases pins FreezeShared's contract: same answers, no

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 
 	"req/internal/vec"
@@ -9,8 +10,9 @@ import (
 // Kernel dispatch: one table per order. Every hot loop of the engine —
 // sorting, merging, searching, counting and the view's k-way merge — runs
 // through the kernels table a Sketch, View or Frozen carries. kernelFor
-// chooses it once, where the order is fixed (Init, FromSnapshot,
-// FrozenFromCoreset, FrozenFromParts); copies carry it along.
+// chooses it once, where the order is fixed (Init, FromSnapshot, TableFor);
+// copies carry it along, and FrozenFromCoreset and FrozenFromParts take
+// the Table a decoder resolved once.
 //
 // For the canonical natural orders LessF64 and LessU64 the table is
 // internal/vec's monomorphic kernels: one indirect call per *operation*
@@ -163,6 +165,44 @@ func (t Table[T]) Admitted(xs []T) []T {
 		}
 	}
 	return clean
+}
+
+// CheckCoreset reports why items cannot stand as a coreset between min and
+// max under the table's order, or nil: min, max and every item admitted
+// by its item rule, min ≤ items[0], items[len−1] ≤ max and min ≤ max, and
+// the items ascending. Beyond the O(1) bounds it is two bulk scans, the
+// same ones VerifyStructure runs on a decoded coreset.
+func (t Table[T]) CheckCoreset(items []T, min, max T) error {
+	if err := t.checkBounds(items, min, max); err != nil {
+		return err
+	}
+	return t.checkItems(items)
+}
+
+// checkBounds is CheckCoreset's O(1) part: min and max admitted, not
+// inverted, and bracketing the first and last item.
+func (t Table[T]) checkBounds(items []T, min, max T) error {
+	if !t.k.admits(min) || !t.k.admits(max) {
+		return errors.New("core: min/max not admitted by the order (NaN)")
+	}
+	if t.k.less(max, min) {
+		return errors.New("core: min/max inverted")
+	}
+	if len(items) > 0 && (t.k.less(items[0], min) || t.k.less(max, items[len(items)-1])) {
+		return errors.New("core: coreset items outside [min, max]")
+	}
+	return nil
+}
+
+// checkItems is CheckCoreset's scans: every item admitted, then ascending.
+func (t Table[T]) checkItems(items []T) error {
+	if !t.k.admitsAll(items) {
+		return errors.New("core: coreset holds an item its order does not admit (NaN)")
+	}
+	if !t.k.isSortedAsc(items) {
+		return errors.New("core: coreset items not ascending")
+	}
+	return nil
 }
 
 // Canonical reports whether the table is a vec table, that is whether the

@@ -44,8 +44,8 @@ func unionView[T any](t *testing.T, less func(a, b T) bool, sks []*Sketch[T]) *F
 	for i, e := range all {
 		items[i], weights[i] = e.x, e.w
 	}
-	f, err := FrozenFromCoreset(less, sks[0].cfg, n, mn, mx, has, items, weights)
-	if err != nil {
+	f := new(Frozen[T])
+	if err := FrozenFromCoreset(f, TableFor(less), sks[0].cfg, n, mn, mx, has, coresetParts(items, weights)); err != nil {
 		t.Fatal(err)
 	}
 	return f

@@ -274,13 +274,13 @@ func openMapped[T any](
 		Items: itemsOf(file.Section(snapstore.SecViewItems)),
 		Cum:   sectionWords(file.Section(snapstore.SecViewCum)),
 	}
-	f, err := core.FrozenFromParts(codec.less, cfg, n, mn, mx, hasMinMax, parts)
+	f, err := core.FrozenFromParts(codec.tab, cfg, n, mn, mx, hasMinMax, parts)
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("%w: %w: %v", ErrCorrupt, snapstore.ErrCorrupt, err)
 	}
 	if verify == VerifyFull {
-		if err := f.VerifyStructure(codec.validate); err != nil {
+		if err := f.VerifyStructure(); err != nil {
 			file.Close()
 			return nil, fmt.Errorf("%w: %w: %v", ErrCorrupt, snapstore.ErrCorrupt, err)
 		}

@@ -3,6 +3,7 @@ package req
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -427,6 +428,85 @@ func TestOpenAllocsIndependentOfSize(t *testing.T) {
 	large := openAllocs(200000)
 	if large > small+2 {
 		t.Fatalf("open allocations grow with size: %v (100 items) vs %v (200k items)", small, large)
+	}
+}
+
+// registryMapSink keeps TestRegistryDecodeAllocsIndependentOfKeys' bare
+// map allocations on the heap.
+var registryMapSink map[string]*Snapshot[float64]
+
+// TestRegistryDecodeAllocsIndependentOfKeys asserts that a registry
+// restore allocates a constant handful of blocks — the shared arenas, the
+// key string, the file's bookkeeping — not a few per key:
+// UnmarshalRegistryFloat64, UnmarshalRegistryUint64 and
+// OpenRegistryFloat64 at 256 and at 4,096 keys. The key map is the one
+// part that grows (a table per 1,024 slots), so the allowance is what a
+// bare map of each size allocates plus slack for the sync.Pool refills a
+// collection during the run may cause.
+func TestRegistryDecodeAllocsIndependentOfKeys(t *testing.T) {
+	const slack = 16
+	mapAllocs := func(keys int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			registryMapSink = make(map[string]*Snapshot[float64], keys)
+		})
+	}
+	allowed := mapAllocs(4096) - mapAllocs(256) + slack
+	blobs := func(keys int) (f64, u64 []byte) {
+		rf, err := NewRegistryFloat64(WithK(8), WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ru, err := NewRegistryUint64(WithK(8), WithSeed(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			for j := 0; j <= i%40; j++ {
+				rf.Update(fmt.Sprintf("key-%d", i), float64(i*j))
+				ru.Update(uint64(i), uint64(i*j))
+			}
+		}
+		if f64, err = rf.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		if u64, err = ru.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		return f64, u64
+	}
+	allocs := func(keys int) (f64, u64, open float64) {
+		bf, bu := blobs(keys)
+		dir := t.TempDir()
+		if _, err := saveRegistryBlob(append([]byte(nil), bf...), dir); err != nil {
+			t.Fatal(err)
+		}
+		f64 = testing.AllocsPerRun(5, func() {
+			if rs, err := UnmarshalRegistryFloat64(bf); err != nil || rs.Len() != keys {
+				t.Fatalf("float64 decode: %v", err)
+			}
+		})
+		u64 = testing.AllocsPerRun(5, func() {
+			if rs, err := UnmarshalRegistryUint64(bu); err != nil || rs.Len() != keys {
+				t.Fatalf("uint64 decode: %v", err)
+			}
+		})
+		open = testing.AllocsPerRun(5, func() {
+			if rs, err := OpenRegistryFloat64(dir); err != nil || rs.Len() != keys {
+				t.Fatalf("open: %v", err)
+			}
+		})
+		return f64, u64, open
+	}
+	sf, su, so := allocs(256)
+	lf, lu, lo := allocs(4096)
+	t.Logf("allocs at 256 / 4096 keys: float64 %v / %v, uint64 %v / %v, open %v / %v; growth allowed %v", sf, lf, su, lu, so, lo, allowed)
+	for _, c := range []struct {
+		name         string
+		small, large float64
+	}{{"UnmarshalRegistryFloat64", sf, lf}, {"UnmarshalRegistryUint64", su, lu}, {"OpenRegistryFloat64", so, lo}} {
+		if c.large > c.small+allowed {
+			t.Errorf("%s allocations grow with the key count: %v at 256 keys, %v at 4,096", c.name, c.small, c.large)
+		}
 	}
 }
 

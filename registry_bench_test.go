@@ -1,8 +1,9 @@
 package req
 
 // Registry benchmark suite: the keyed hot paths (Update, Quantile, churn
-// under a capacity cap, windowed update+query, bulk export). CI's bench
-// smoke runs every target; all but the export read 0 allocs/op once warm.
+// under a capacity cap, windowed update+query, bulk export and restore).
+// CI's bench smoke runs every target; all but the export and the restore
+// read 0 allocs/op once warm.
 // perfbench's keyed_ingest and checkpoint workloads measure batched ingest
 // and export end to end.
 
@@ -168,6 +169,35 @@ func BenchmarkRegistryExport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := reg.MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegistryDecode restores a registry blob at perfbench's
+// checkpoint shape: 2,048 keys of 64 values each under WithK(16) and
+// WithHighRankAccuracy(). Every record decodes into the restore's shared
+// arenas, so allocs/op grows with the key count only by the key map's
+// tables.
+func BenchmarkRegistryDecode(b *testing.B) {
+	keys := benchRegistryKeys(1 << 11)
+	vals := benchValues(1<<17, 9)
+	reg, err := NewRegistryFloat64(WithK(16), WithHighRankAccuracy(), WithSeed(9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, k := range keys {
+		reg.UpdateBatch(k, vals[64*i:64*(i+1)])
+	}
+	blob, err := reg.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalRegistryFloat64(blob); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,15 @@ package req
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"req/internal/snapstore"
@@ -371,6 +375,57 @@ func TestRegistryCrossFormatRejection(t *testing.T) {
 	}
 }
 
+// TestRegistrySnapshotConcurrentReaders: the snapshots of one restore
+// share its arenas, and any number of goroutines may query them at once.
+// Each reader walks every key with the whole query surface and must see
+// the answers a single reader saw; run under -race, it shows that no
+// query writes to the shared storage.
+func TestRegistrySnapshotConcurrentReaders(t *testing.T) {
+	blob, err := buildRegistry(t).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := UnmarshalRegistryFloat64(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phis := []float64{0.5, 0.9, 0.99}
+	read := func(sn *Snapshot[float64]) string {
+		qs, err := sn.QuantilesInto(nil, phis)
+		if err != nil {
+			return err.Error()
+		}
+		rec, err := sn.MarshalBinary()
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(qs, sn.Rank(500), sn.RankBatch(nil, []float64{7, 70000, 3}), len(rec))
+	}
+	want := map[string]string{}
+	for k, sn := range rs.All() {
+		want[k] = read(sn)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, w := range want {
+				sn, ok := rs.Get(k)
+				if !ok {
+					t.Errorf("key %q missing", k)
+					return
+				}
+				if got := read(sn); got != w {
+					t.Errorf("key %q: concurrent reader got %s, want %s", k, got, w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRegistryExportConsistentPerShard: records marshalled under the shard
 // lock decode back to exactly the per-key state some interleaving of the
 // writer could have produced (counts are whole update-batches, never torn).
@@ -484,7 +539,12 @@ func TestRegistryFilePacking(t *testing.T) {
 }
 
 // FuzzDecodeRegistryFloat64 hammers the registry decoder with hostile
-// bytes: it must never panic, and anything it accepts must be queryable.
+// bytes: it must never panic, anything it accepts must be queryable, and
+// every accepted key's coreset must stand on its own in the restore's
+// shared arenas — VerifyStructure passes under the codec's table, its item
+// and cumulative slices are capped to their length, no two keys' slices
+// share a byte, and the arena holds no more items than the input can
+// encode at 9 bytes per item.
 func FuzzDecodeRegistryFloat64(f *testing.F) {
 	reg, err := NewRegistryFloat64(WithK(4), WithSeed(3))
 	if err != nil {
@@ -502,6 +562,18 @@ func FuzzDecodeRegistryFloat64(f *testing.F) {
 	f.Add(blob[:registryHeaderSize])
 	f.Add([]byte("RREG"))
 	f.Add([]byte{})
+	// Each record's coreset-size field one above and one below its count,
+	// which the first walk sizes the arenas by.
+	for _, off := range registrySizeFields(f, blob) {
+		for _, d := range []int32{1, -1} {
+			mut := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(mut[off:], uint32(int32(binary.LittleEndian.Uint32(mut[off:]))+d))
+			f.Add(mut)
+		}
+	}
+	// The first key's length pointing past the end of the payload.
+	past := binary.AppendUvarint(append([]byte(nil), blob[:registryHeaderSize]...), uint64(len(blob)))
+	f.Add(append(past, blob[registryHeaderSize+1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := UnmarshalRegistryFloat64(data)
 		if err != nil {
@@ -510,7 +582,10 @@ func FuzzDecodeRegistryFloat64(f *testing.F) {
 			}
 			return
 		}
-		for _, sn := range rs.All() {
+		type span struct{ lo, hi uintptr }
+		var spans []span
+		items := 0
+		for k, sn := range rs.All() {
 			_ = sn.Count()
 			_ = sn.Rank(1)
 			if !sn.Empty() {
@@ -518,6 +593,50 @@ func FuzzDecodeRegistryFloat64(f *testing.F) {
 					t.Fatalf("accepted snapshot rejects Quantile: %v", err)
 				}
 			}
+			if err := sn.f.VerifyStructure(); err != nil {
+				t.Fatalf("key %q: accepted coreset fails VerifyStructure: %v", k, err)
+			}
+			p := sn.f.Parts()
+			if cap(p.Items) != len(p.Items) || cap(p.Cum) != len(p.Cum) {
+				t.Fatalf("key %q: slices reach past their coreset: len %d cap %d / %d", k, len(p.Items), cap(p.Items), cap(p.Cum))
+			}
+			if len(p.Items) > 0 {
+				for _, v := range []reflect.Value{reflect.ValueOf(p.Items), reflect.ValueOf(p.Cum)} {
+					spans = append(spans, span{v.Pointer(), v.Pointer() + uintptr(8*v.Len())})
+				}
+			}
+			items += len(p.Items)
+		}
+		if items > len(data)/9 {
+			t.Fatalf("%d items decoded from %d bytes", items, len(data))
+		}
+		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Fatal("two keys' coreset slices share bytes")
+			}
 		}
 	})
+}
+
+// registrySizeFields returns the offset in blob, a string→float64
+// registry encoding, of every record's coreset-size field.
+func registrySizeFields(tb testing.TB, blob []byte) []int {
+	tb.Helper()
+	r := reader{buf: blob, off: registryHeaderSize}
+	var offs []int
+	for r.remaining() > 0 {
+		n, _, ok := stringKeyCodec.span(r.buf[r.off:])
+		if !ok {
+			tb.Fatal("malformed key")
+		}
+		r.off += n
+		l, ok := r.uvarint()
+		if !ok {
+			tb.Fatal("malformed record length")
+		}
+		offs = append(offs, r.off+recordPrefixLen(float64Codec)-4)
+		r.off += int(l)
+	}
+	return offs
 }

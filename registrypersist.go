@@ -2,6 +2,7 @@ package req
 
 import (
 	"fmt"
+	"slices"
 
 	"req/internal/snapstore"
 )
@@ -22,12 +23,20 @@ import (
 // are mutually rejecting: each decoder validates its own application-
 // header magic ("RREG" vs "REQ1") before touching a section byte.
 //
-// Restoring decodes every per-key record into heap-backed snapshots (a
-// keyed sequence of varint-weighted records cannot alias the mapping the
-// way a single coreset's parallel arrays can), so OpenRegistry* is O(total
-// retained items) — the zero-copy property belongs to the single-snapshot
-// path. Every record is structurally validated during decode regardless
-// of VerifyMode; the mode only tunes snapstore's section checksumming.
+// Saving copies nothing: the blob's record bytes, zero-padded in the
+// capacity encodeRegistry reserves, are the two sections.
+//
+// Restoring decodes the record stream (a keyed sequence of varint-weighted
+// records cannot alias the mapping the way a single coreset's parallel
+// arrays can), so OpenRegistry* is O(total retained items) — the
+// zero-copy property belongs to the single-snapshot path. The decode
+// (decodeRegistryRecords) lays every key out in shared arenas: one item
+// array, one cumulative-weight array, one slice of core.Frozen, one of
+// Snapshot and one string of every key, so a restore makes a constant
+// handful of allocations beyond its key map's tables, about 35 for a
+// whole OpenRegistryFloat64 at 256 keys. Every record is structurally
+// validated during decode regardless of VerifyMode; the mode only tunes
+// snapstore's section checksumming.
 
 // packBytesPerCount is how many payload bytes one unit of packing count
 // buys: each of the two sections carries 8 bytes per count.
@@ -35,25 +44,23 @@ const packBytesPerCount = 8 * snapstore.NumSections
 
 // registryPayload packs a registry blob (header + records) into a slab
 // payload: the packing count is the smallest C whose section capacity
-// 16C holds the record stream.
+// 16C holds the record stream. The sections alias the blob: the stream is
+// zero-padded to 16C bytes in place, in the spare capacity encodeRegistry
+// reserves for it (a blob without that room is regrown once), and cut in
+// two. The blob belongs to the caller, who writes it and drops it.
 func registryPayload(blob []byte) *snapstore.Payload {
-	app := blob[:registryHeaderSize]
-	records := blob[registryHeaderSize:]
-	l := uint64(len(records))
-	p := &snapstore.Payload{App: app, Total: l}
+	l := uint64(len(blob) - registryHeaderSize)
+	p := &snapstore.Payload{App: blob[:registryHeaderSize], Total: l}
 	if l == 0 {
 		return p
 	}
 	c := (l + packBytesPerCount - 1) / packBytesPerCount
 	p.Count = c
-	off := uint64(0)
+	padded := slices.Grow(blob, int(packBytesPerCount*c-l))[:registryHeaderSize+packBytesPerCount*c]
+	clear(padded[len(blob):])
+	records := padded[registryHeaderSize:]
 	for i := range p.Sections {
-		sec := make([]byte, 8*c)
-		if off < l {
-			copy(sec, records[off:])
-		}
-		off += 8 * c
-		p.Sections[i] = sec
+		p.Sections[i] = records[8*c*uint64(i) : 8*c*uint64(i+1) : 8*c*uint64(i+1)]
 	}
 	return p
 }

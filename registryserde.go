@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"strings"
 
 	"req/internal/core"
 )
@@ -58,7 +59,15 @@ type keyCodec[K comparable] struct {
 	tag  byte
 	size func(k K) int // encoded length of k
 	put  func(out []byte, k K) []byte
-	get  func(r *reader) (K, bool)
+	// span measures the key at the front of b: n bytes on the wire, text
+	// of them the key's own characters (0 for fixed-width keys). ok is
+	// false when b does not hold a whole, sane key.
+	span func(b []byte) (n, text int, ok bool)
+	// get decodes the key span accepted at the front of b. A string key's
+	// characters are appended to keys, grown beforehand by the summed
+	// text of every key, and the key is a substring of it: all keys of
+	// one decode share one allocation.
+	get func(b []byte, keys *strings.Builder) (k K, n int)
 }
 
 var stringKeyCodec = keyCodec[string]{
@@ -68,14 +77,18 @@ var stringKeyCodec = keyCodec[string]{
 		out = binary.AppendUvarint(out, uint64(len(k)))
 		return append(out, k...)
 	},
-	get: func(r *reader) (string, bool) {
-		n, ok := r.uvarint()
-		if !ok || n > maxDecodedKeyLen || uint64(r.remaining()) < n {
-			return "", false
+	span: func(b []byte) (int, int, bool) {
+		l, n := binary.Uvarint(b)
+		if n <= 0 || l > maxDecodedKeyLen || l > uint64(len(b)-n) {
+			return 0, 0, false
 		}
-		k := string(r.buf[r.off : r.off+int(n)])
-		r.off += int(n)
-		return k, true
+		return n + int(l), int(l), true
+	},
+	get: func(b []byte, keys *strings.Builder) (string, int) {
+		l, n := binary.Uvarint(b)
+		keys.Write(b[n : n+int(l)])
+		all := keys.String()
+		return all[len(all)-int(l):], n + int(l)
 	},
 }
 
@@ -85,8 +98,9 @@ var uint64KeyCodec = keyCodec[uint64]{
 	put: func(out []byte, k uint64) []byte {
 		return binary.LittleEndian.AppendUint64(out, k)
 	},
-	get: func(r *reader) (uint64, bool) {
-		return r.u64()
+	span: func(b []byte) (int, int, bool) { return 8, 0, len(b) >= 8 },
+	get: func(b []byte, _ *strings.Builder) (uint64, int) {
+		return binary.LittleEndian.Uint64(b), 8
 	},
 }
 
@@ -105,9 +119,11 @@ func appendRegistryHeader(out []byte, keyTag, itemTag byte, keyCount uint64) []b
 // updated on other shards during the walk land in whichever state the
 // walk finds them. A first, cheaper walk sizes the blob from the retained
 // counts, so the encode appends into one allocation (keys written between
-// the two walks at worst cost an append's regrowth).
+// the two walks at worst cost an append's regrowth). The allocation also
+// reserves the zero padding a registry file adds to the record stream,
+// so saving it (registryPayload) copies nothing.
 func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic itemCodec[T]) []byte {
-	size := registryHeaderSize
+	size := registryHeaderSize + packBytesPerCount - 1
 	r.Visit(func(key K, s *Sketch[T]) bool {
 		size += kc.size(key) + recordBound(s, ic)
 		return true
@@ -132,12 +148,18 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 func recordPrefixLen[T any](ic itemCodec[T]) int { return 65 + ic.width*2 }
 
 // frozenRecordLen returns the exact encoded length of a frozen coreset's
-// snapshot record: the fixed prefix plus fixed-width items plus the varint
-// weights.
+// snapshot record: the fixed prefix, then per entry a fixed-width item and
+// a varint weight of one byte, plus the extra bytes of the few weights of
+// 128 or more, found in one pass over the cumulative array.
 func frozenRecordLen[T any](f *core.Frozen[T], ic itemCodec[T]) int {
-	n := recordPrefixLen(ic) + ic.width*f.Size()
-	for i := 0; i < f.Size(); i++ {
-		n += uvarintLen(f.Weight(i))
+	cum := f.Parts().Cum
+	n := recordPrefixLen(ic) + (ic.width+1)*len(cum)
+	var prev uint64
+	for _, c := range cum {
+		if w := c - prev; w >= 0x80 {
+			n += uvarintLen(w) - 1
+		}
+		prev = c
 	}
 	return n
 }
@@ -193,7 +215,14 @@ func decodeRegistryHeader(r *reader, keyTag, itemTag byte) (keyCount uint64, err
 	return keyCount, nil
 }
 
-// decodeRegistryRecords decodes keyCount keyed snapshot records from r.
+// decodeRegistryRecords decodes keyCount keyed snapshot records from r in
+// two walks. The first reads only key lengths, record lengths and each
+// record's coreset-size field, refusing what its bytes cannot hold, and
+// sums them. The second decodes every record into storage shared by the
+// whole decode — one item arena, one cumulative-weight arena, one slice
+// of core.Frozen, one of Snapshot and, for string keys, one string of
+// every key — so a restore allocates the same handful of blocks (plus the
+// map's) whatever its key count.
 func decodeRegistryRecords[K comparable, T any](
 	r *reader, keyCount uint64,
 	kc keyCodec[K], ic itemCodec[T],
@@ -205,28 +234,48 @@ func decodeRegistryRecords[K comparable, T any](
 	if keyCount > uint64(r.remaining()/(2+recordPrefixLen(ic))) {
 		return nil, fmt.Errorf("%w: key count %d exceeds payload", ErrCorrupt, keyCount)
 	}
-	m := make(map[K]*Snapshot[T], keyCount)
+	start := r.off
+	var items, text int
 	for i := uint64(0); i < keyCount; i++ {
-		key, ok := kc.get(r)
+		n, t, ok := kc.span(r.buf[r.off:])
 		if !ok {
 			return nil, fmt.Errorf("%w: key %d truncated", ErrCorrupt, i)
 		}
-		if _, dup := m[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate key at record %d", ErrCorrupt, i)
-		}
-		recLen, ok := r.uvarint()
-		if !ok || recLen > uint64(r.remaining()) {
+		r.off += n
+		text += t
+		rec, ok := r.record()
+		if !ok {
 			return nil, fmt.Errorf("%w: record %d length", ErrCorrupt, i)
 		}
-		f, err := unmarshalFrozen(r.buf[r.off:r.off+int(recLen)], ic)
+		size, err := recordSize(rec, ic)
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		r.off += int(recLen)
-		m[key] = &Snapshot[T]{f: f}
+		items += size
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
+	}
+
+	a := arena[T]{items: make([]T, items), cum: make([]uint64, items)}
+	frozen := make([]core.Frozen[T], keyCount)
+	snaps := make([]Snapshot[T], keyCount)
+	var keys strings.Builder
+	keys.Grow(text)
+	m := make(map[K]*Snapshot[T], keyCount)
+	r.off = start
+	for i := range snaps {
+		key, n := kc.get(r.buf[r.off:], &keys)
+		r.off += n
+		if _, dup := m[key]; dup {
+			return nil, fmt.Errorf("%w: duplicate key at record %d", ErrCorrupt, i)
+		}
+		rec, _ := r.record() // the first walk accepted it
+		if err := decodeRecord(&frozen[i], rec, ic, &a); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		snaps[i].f = &frozen[i]
+		m[key] = &snaps[i]
 	}
 	return m, nil
 }
@@ -252,6 +301,12 @@ func decodeRegistry[K comparable, T any](
 // decoded form of a serialized registry. Each key's snapshot answers
 // exactly what the live registry's sketch answered at capture time; the
 // collection as a whole is safe for any number of concurrent readers.
+//
+// The snapshots of one restore share its storage: every key's items and
+// weights sit in two arrays allocated once for the whole collection. So a
+// single *Snapshot kept from Get or All keeps every key's items alive;
+// round-trip it through MarshalBinary and UnmarshalSnapshotFloat64 (or
+// UnmarshalSnapshotUint64) to hold a copy of its own.
 type RegistrySnapshot[K comparable, T any] struct {
 	m   map[K]*Snapshot[T]
 	gen uint64
@@ -268,7 +323,8 @@ type RegistrySnapshotFloat64 = RegistrySnapshot[string, float64]
 type RegistrySnapshotUint64 = RegistrySnapshot[uint64, uint64]
 
 // Get returns key's snapshot, or ok=false when the capture held no such
-// key.
+// key. The snapshot shares the collection's storage, which stays alive as
+// long as the snapshot does; see RegistrySnapshot.
 func (rs *RegistrySnapshot[K, T]) Get(key K) (*Snapshot[T], bool) {
 	sn, ok := rs.m[key]
 	return sn, ok

@@ -92,18 +92,22 @@ type itemCodec[T any] struct {
 	tag   byte
 	width int
 	put   func(out []byte, v T) []byte
-	get   func(r *reader) (T, bool)
+	// get decodes the item at the front of b, which holds width bytes.
+	get func(b []byte) T
 	// putAll appends every item of vs — one sweep over contiguous memory
 	// with the output grown once, no per-item append bookkeeping.
 	putAll func(out []byte, vs []T) []byte
-	// getAll decodes len(dst) items in one sweep; false on truncation.
-	getAll   func(r *reader, dst []T) bool
-	validate func(v T) error
-	// less is the canonical order decoded coresets are rebuilt under (and
-	// encoded coresets must ascend in): the function NewFloat64/NewUint64
-	// build with, so decoded snapshots answer through the same kernel
-	// table.
+	// getAll decodes len(dst) items from the front of b, which holds
+	// width·len(dst) bytes, in one sweep.
+	getAll func(b []byte, dst []T)
+	// less is the canonical order decoded sketches and coresets are
+	// rebuilt under (and encoded coresets must ascend in): the function
+	// NewFloat64/NewUint64 build with, so decoded snapshots answer through
+	// the same kernel table. tab is its kernel table, resolved once here
+	// rather than per record: its item rule (no NaN floats) and its
+	// ascending-order scan check whole coresets in bulk.
 	less func(a, b T) bool
+	tab  core.Table[T]
 }
 
 var float64Codec = itemCodec[float64]{
@@ -112,9 +116,8 @@ var float64Codec = itemCodec[float64]{
 	put: func(out []byte, v float64) []byte {
 		return binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	},
-	get: func(r *reader) (float64, bool) {
-		v, ok := r.u64()
-		return math.Float64frombits(v), ok
+	get: func(b []byte) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	},
 	putAll: func(out []byte, vs []float64) []byte {
 		off := len(out)
@@ -125,24 +128,14 @@ var float64Codec = itemCodec[float64]{
 		}
 		return out
 	},
-	getAll: func(r *reader, dst []float64) bool {
-		if r.remaining() < 8*len(dst) {
-			return false
-		}
-		b := r.buf[r.off:]
+	getAll: func(b []byte, dst []float64) {
+		b = b[:8*len(dst)]
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		r.off += 8 * len(dst)
-		return true
-	},
-	validate: func(v float64) error {
-		if math.IsNaN(v) {
-			return errors.New("NaN item")
-		}
-		return nil
 	},
 	less: core.LessF64,
+	tab:  core.TableFor(core.LessF64),
 }
 
 var uint64Codec = itemCodec[uint64]{
@@ -151,8 +144,8 @@ var uint64Codec = itemCodec[uint64]{
 	put: func(out []byte, v uint64) []byte {
 		return binary.LittleEndian.AppendUint64(out, v)
 	},
-	get: func(r *reader) (uint64, bool) {
-		return r.u64()
+	get: func(b []byte) uint64 {
+		return binary.LittleEndian.Uint64(b)
 	},
 	putAll: func(out []byte, vs []uint64) []byte {
 		off := len(out)
@@ -163,19 +156,14 @@ var uint64Codec = itemCodec[uint64]{
 		}
 		return out
 	},
-	getAll: func(r *reader, dst []uint64) bool {
-		if r.remaining() < 8*len(dst) {
-			return false
-		}
-		b := r.buf[r.off:]
+	getAll: func(b []byte, dst []uint64) {
+		b = b[:8*len(dst)]
 		for i := range dst {
 			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
-		r.off += 8 * len(dst)
-		return true
 	},
-	validate: func(uint64) error { return nil },
-	less:     core.LessU64,
+	less: core.LessU64,
+	tab:  core.TableFor(core.LessU64),
 }
 
 // appendZeros extends out by n zero bytes. Callers presize their buffers,
@@ -319,9 +307,11 @@ func unmarshalSnapshot[T any](data []byte, codec itemCodec[T]) (core.Snapshot[T]
 		okAll = okAll && ok
 		return v
 	}
-	getItem := func() T {
-		v, ok := codec.get(&r)
-		okAll = okAll && ok
+	getItem := func() (v T) {
+		b, ok := r.next(codec.width)
+		if okAll = okAll && ok; ok {
+			v = codec.get(b)
+		}
 		return v
 	}
 
@@ -386,14 +376,9 @@ func unmarshalSnapshot[T any](data []byte, codec itemCodec[T]) (core.Snapshot[T]
 	off := 0
 	for h, hd := range headers {
 		window := slab[off : off+hd.count : off+hd.count]
-		r.off = itemsStart[h]
-		if !codec.getAll(&r, window) {
-			return snap, fmt.Errorf("%w: level %d items truncated", ErrCorrupt, h)
-		}
-		for i := range window {
-			if err := codec.validate(window[i]); err != nil {
-				return snap, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
+		codec.getAll(data[itemsStart[h]:], window)
+		if !codec.tab.AdmitsAll(window) {
+			return snap, fmt.Errorf("%w: level %d holds a NaN item", ErrCorrupt, h)
 		}
 		snap.Levels[h] = core.LevelSnapshot[T]{State: hd.state, Items: window}
 		off += hd.count
@@ -454,10 +439,6 @@ func DecodeUint64(data []byte) (*Uint64, error) {
 	return &s, nil
 }
 
-// maxDecodedCoresetItems caps the coreset allocation while decoding
-// untrusted snapshot bytes; no valid snapshot approaches it.
-const maxDecodedCoresetItems = 1 << 28
-
 // errNoCodec refuses to encode or decode an item type without a codec.
 var errNoCodec = errors.New("req: binary encoding supports float64 and uint64 items only")
 
@@ -478,17 +459,14 @@ func codecOf[T any](tab core.Table[T]) (itemCodec[T], error) {
 // codecFor returns the item codec for T when T is one of the serializable
 // item types (float64, uint64).
 func codecFor[T any]() (itemCodec[T], bool) {
-	var boxed any
 	var zero T
 	switch any(zero).(type) {
 	case float64:
-		boxed = float64Codec
+		return *any(&float64Codec).(*itemCodec[T]), true
 	case uint64:
-		boxed = uint64Codec
-	default:
-		return itemCodec[T]{}, false
+		return *any(&uint64Codec).(*itemCodec[T]), true
 	}
-	return boxed.(itemCodec[T]), true
+	return itemCodec[T]{}, false
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: it encodes the
@@ -544,162 +522,181 @@ func appendSnapshotHeader[T any](out []byte, f *core.Frozen[T], codec itemCodec[
 }
 
 // decodeSnapshotPrefix decodes what appendSnapshotHeader wrote: the common
-// header plus n0/min/max, with min/max validated when present. The cursor
-// is left at the first byte after the prefix.
+// header plus n0/min/max. The cursor is left at the first byte after the
+// prefix. min and max are checked where the coreset is rebuilt
+// (core.FrozenFromCoreset, core.FrozenFromParts), against the order's
+// item rule.
 func decodeSnapshotPrefix[T any](r *reader, codec itemCodec[T]) (cfg core.Config, hasMinMax bool, n uint64, mn, mx T, err error) {
 	cfg, flags, n, err := decodeHeader(r, codec.tag, true)
 	if err != nil {
 		return cfg, false, 0, mn, mx, err
 	}
-	hasMinMax = flags&8 != 0
-	okAll := true
-	n0, okN0 := r.u64()
-	okAll = okAll && okN0
-	cfg.N0 = n0
-	getItem := func() T {
-		v, ok := codec.get(r)
-		okAll = okAll && ok
-		return v
-	}
-	mn = getItem()
-	mx = getItem()
-	if !okAll {
+	b, ok := r.next(8 + 2*codec.width)
+	if !ok {
 		return cfg, false, 0, mn, mx, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
 	}
-	if hasMinMax {
-		if err := codec.validate(mn); err != nil {
-			return cfg, false, 0, mn, mx, fmt.Errorf("%w: min: %v", ErrCorrupt, err)
-		}
-		if err := codec.validate(mx); err != nil {
-			return cfg, false, 0, mn, mx, fmt.Errorf("%w: max: %v", ErrCorrupt, err)
-		}
-	}
-	return cfg, hasMinMax, n, mn, mx, nil
+	cfg.N0 = binary.LittleEndian.Uint64(b)
+	mn = codec.get(b[8:])
+	mx = codec.get(b[8+codec.width:])
+	return cfg, flags&8 != 0, n, mn, mx, nil
 }
 
 // appendFrozenRecord appends a frozen coreset's snapshot record — header,
 // item count, items, varint weights — to out. It is the append-style core
 // of marshalFrozen, shared with the registry encoding, which streams many
-// per-key records into one growing buffer.
+// per-key records into one growing buffer. The weights are the differences
+// of the frozen cumulative array, written in the same sweep that takes
+// them.
 func appendFrozenRecord[T any](out []byte, f *core.Frozen[T], codec itemCodec[T]) []byte {
-	items := f.Items()
+	p := f.Parts()
 	out = appendSnapshotHeader(out, f, codec)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(items)))
-	out = codec.putAll(out, items)
-	for i := range items {
-		out = binary.AppendUvarint(out, f.Weight(i))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Items)))
+	out = codec.putAll(out, p.Items)
+	var prev uint64
+	for _, c := range p.Cum {
+		if w := c - prev; w < 0x80 {
+			out = append(out, byte(w))
+		} else {
+			out = binary.AppendUvarint(out, w)
+		}
+		prev = c
 	}
 	return out
 }
 
-// frozenRecordCap upper-bounds the encoded size of a frozen coreset's
-// snapshot record (weights are varints, at most 10 bytes each).
-func frozenRecordCap(retained int) int {
-	return 4 + 2 + 4 + 8*3 + 4 + 8*3 + 8*2 + 4 + 18*retained
-}
-
-// marshalFrozen encodes a frozen coreset as a snapshot record.
+// marshalFrozen encodes a frozen coreset as a snapshot record, into a
+// buffer of exactly the record's length.
 func marshalFrozen[T any](f *core.Frozen[T], codec itemCodec[T]) ([]byte, error) {
 	if err := checkEncodable(f, codec); err != nil {
 		return nil, err
 	}
-	return appendFrozenRecord(make([]byte, 0, frozenRecordCap(f.Size())), f, codec), nil
+	return appendFrozenRecord(make([]byte, 0, frozenRecordLen(f, codec)), f, codec), nil
 }
 
 // checkEncodable applies the decoders' item rules before a coreset is
-// written: min, max and every item pass codec.validate, and the items
-// ascend between min and max under the codec's order. A snapshot of a
+// written: min, max and every item admitted by the codec's order (no NaN),
+// and the items ascending between min and max under it — the scans of
+// core.Table.CheckCoreset, which the decoders run too. A snapshot of a
 // sketch built under another order, or holding NaN, is refused here
 // instead of being written as a record that no decoder accepts.
 func checkEncodable[T any](f *core.Frozen[T], codec itemCodec[T]) error {
-	items := f.Items()
 	mn, hasMinMax := f.Min()
-	mx, _ := f.Max()
-	if hasMinMax {
-		if err := errors.Join(codec.validate(mn), codec.validate(mx)); err != nil {
-			return fmt.Errorf("req: cannot encode snapshot: min/max: %w", err)
-		}
-		if codec.less(mx, mn) || len(items) > 0 && (codec.less(items[0], mn) || codec.less(mx, items[len(items)-1])) {
-			return errors.New("req: cannot encode snapshot: min/max out of the canonical order")
-		}
+	if !hasMinMax {
+		return nil // empty: no items, no extremes
 	}
-	for i, v := range items {
-		if err := codec.validate(v); err != nil {
-			return fmt.Errorf("req: cannot encode snapshot: %w", err)
-		}
-		if i > 0 && codec.less(v, items[i-1]) {
-			return fmt.Errorf("req: cannot encode snapshot: items not ascending in the canonical order at %d", i)
-		}
+	mx, _ := f.Max()
+	if err := codec.tab.CheckCoreset(f.Items(), mn, mx); err != nil {
+		return fmt.Errorf("req: cannot encode snapshot: %w", err)
 	}
 	return nil
 }
 
-// unmarshalFrozen decodes a snapshot record into a frozen coreset. It
-// never panics on corrupt input; every rejection is wrapped in ErrCorrupt.
-func unmarshalFrozen[T any](data []byte, codec itemCodec[T]) (*core.Frozen[T], error) {
-	r := reader{buf: data}
+// arena is the storage snapshot records decode into: each record takes its
+// items and cumulative weights from the front, capped so that no record's
+// slices reach into the next one's. A registry decode sizes it for every
+// record in its first walk. An arena too short for a record — a single
+// snapshot's, which starts empty — is replaced by one of exactly the
+// record's size.
+type arena[T any] struct {
+	items []T
+	cum   []uint64
+}
+
+// take returns the next n entries of both arrays.
+func (a *arena[T]) take(n int) core.FrozenParts[T] {
+	if len(a.items) < n {
+		a.items, a.cum = make([]T, n), make([]uint64, n)
+	}
+	p := core.FrozenParts[T]{Items: a.items[:n:n], Cum: a.cum[:n:n]}
+	a.items, a.cum = a.items[n:], a.cum[n:]
+	return p
+}
+
+// recordSize reads a snapshot record's coreset-size field and refuses a
+// size the record cannot hold: every entry takes width item bytes and at
+// least one weight byte. A size that passes is at most len(rec)/9, so an
+// arena sized by it never holds more items than its input can encode. The
+// bound is computed in int64, where a hostile size cannot overflow it on
+// a 32-bit platform and pass.
+func recordSize[T any](rec []byte, codec itemCodec[T]) (int, error) {
+	prefix := recordPrefixLen(codec)
+	body := len(rec) - prefix
+	if body < 0 {
+		return 0, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
+	}
+	size := binary.LittleEndian.Uint32(rec[prefix-4:])
+	if int64(size)*int64(codec.width+1) > int64(body) {
+		return 0, fmt.Errorf("%w: coreset size %d does not match payload", ErrCorrupt, size)
+	}
+	return int(size), nil
+}
+
+// decodeRecord decodes one snapshot record into f, its coreset's storage
+// taken from a. The items land in one bulk decode, the weights in one loop
+// that sums them into the cumulative array as it reads them (weights are
+// small powers of two, so nearly every varint is one byte, read without a
+// call), and core.FrozenFromCoreset validates the whole coreset in bulk
+// scans under the codec's table. It never panics on corrupt input; every
+// rejection is wrapped in ErrCorrupt.
+func decodeRecord[T any](f *core.Frozen[T], rec []byte, codec itemCodec[T], a *arena[T]) error {
+	r := reader{buf: rec}
 	cfg, hasMinMax, n, mn, mx, err := decodeSnapshotPrefix(&r, codec)
 	if err != nil {
+		return err
+	}
+	size, err := recordSize(rec, codec)
+	if err != nil {
+		return err
+	}
+	p := a.take(size)
+	b := rec[recordPrefixLen(codec):]
+	codec.getAll(b, p.Items)
+	b = b[size*codec.width:]
+	var run uint64
+	off := 0
+	for i := range p.Cum {
+		if off < len(b) && b[off] < 0x80 {
+			run += uint64(b[off])
+			off++
+		} else {
+			w, k := binary.Uvarint(b[off:])
+			if k <= 0 {
+				return fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
+			}
+			run += w
+			off += k
+		}
+		p.Cum[i] = run
+	}
+	if off != len(b) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
+	}
+	if err := core.FrozenFromCoreset(f, codec.tab, cfg, n, mn, mx, hasMinMax, p); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
+}
+
+// decodeSnapshot decodes a single snapshot record.
+func decodeSnapshot[T any](data []byte, codec itemCodec[T]) (*Snapshot[T], error) {
+	f := new(core.Frozen[T])
+	if err := decodeRecord(f, data, codec, &arena[T]{}); err != nil {
 		return nil, err
 	}
-	size, okSize := r.u32()
-	if !okSize {
-		return nil, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
-	}
-	// Items are fixed-width; weights are varints, so only a lower bound on
-	// the remaining payload can be checked up front (one byte per weight).
-	// The bound is computed in int64: int(size)*9 would overflow a 32-bit
-	// int for attacker-chosen sizes and let a tiny record through to a
-	// gigabyte allocation.
-	if int(size) > maxDecodedCoresetItems || int64(r.remaining()) < int64(size)*9 {
-		return nil, fmt.Errorf("%w: coreset size %d does not match payload", ErrCorrupt, size)
-	}
-	items := make([]T, size)
-	if !codec.getAll(&r, items) {
-		return nil, fmt.Errorf("%w: coreset items truncated", ErrCorrupt)
-	}
-	for i := range items {
-		if err := codec.validate(items[i]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	weights := make([]uint64, size)
-	for i := range weights {
-		w, ok := r.uvarint()
-		if !ok {
-			return nil, fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
-		}
-		weights[i] = w
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
-	}
-	f, err := core.FrozenFromCoreset(codec.less, cfg, n, mn, mx, hasMinMax, items, weights)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return f, nil
+	return &Snapshot[T]{f: f}, nil
 }
 
 // UnmarshalSnapshotFloat64 decodes a snapshot record produced by
 // SnapshotFloat64.MarshalBinary into an immutable queryable snapshot.
 // Corrupt input returns ErrCorrupt (wrapped with detail); it never panics.
 func UnmarshalSnapshotFloat64(data []byte) (*SnapshotFloat64, error) {
-	f, err := unmarshalFrozen(data, float64Codec)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot[float64]{f: f}, nil
+	return decodeSnapshot(data, float64Codec)
 }
 
 // UnmarshalSnapshotUint64 decodes a snapshot record produced by
 // SnapshotUint64.MarshalBinary; see UnmarshalSnapshotFloat64.
 func UnmarshalSnapshotUint64(data []byte) (*SnapshotUint64, error) {
-	f, err := unmarshalFrozen(data, uint64Codec)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot[uint64]{f: f}, nil
+	return decodeSnapshot(data, uint64Codec)
 }
 
 // reader is a bounds-checked cursor over the encoded bytes.
@@ -712,6 +709,16 @@ func (r *reader) remaining() int { return len(r.buf) - r.off }
 
 // skip advances the cursor n bytes; the caller has already checked bounds.
 func (r *reader) skip(n int) { r.off += n }
+
+// next returns the next n bytes and advances past them.
+func (r *reader) next(n int) ([]byte, bool) {
+	if r.remaining() < n {
+		return nil, false
+	}
+	b := r.buf[r.off : r.off+n]
+	r.off += n
+	return b, true
+}
 
 func (r *reader) bytes(dst []byte) bool {
 	if r.remaining() < len(dst) {
@@ -747,6 +754,16 @@ func (r *reader) u64() (uint64, bool) {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return v, true
+}
+
+// record splits one length-prefixed record off the cursor: a uvarint
+// length, then that many bytes.
+func (r *reader) record() ([]byte, bool) {
+	l, ok := r.uvarint()
+	if !ok || l > uint64(r.remaining()) {
+		return nil, false
+	}
+	return r.next(int(l))
 }
 
 func (r *reader) uvarint() (uint64, bool) {

@@ -30,7 +30,8 @@ import (
 // coreset in the package's versioned binary format (a query-only record
 // carrying no mutable sketch state) and UnmarshalSnapshotFloat64 /
 // UnmarshalSnapshotUint64 restore a queryable Snapshot — the shape shipped
-// to read replicas.
+// to read replicas. The snapshots a RegistrySnapshot restores are windows
+// of storage shared by the whole restore; see RegistrySnapshot.
 type Snapshot[T any] struct {
 	f *core.Frozen[T]
 }

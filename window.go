@@ -53,7 +53,6 @@ import (
 type WindowedRegistry[K comparable, T any] struct {
 	m   *tenant.Map[K, winEntry[T]]
 	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
-	cfg core.Config
 	now func() int64
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
@@ -113,7 +112,6 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 	cfg := st.Config
 	w := &WindowedRegistry[K, T]{
 		tab:       core.TableFor(less),
-		cfg:       cfg,
 		now:       st.clock(),
 		slots:     st.windowSlots,
 		slotNanos: st.slotNanos,

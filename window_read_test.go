@@ -12,7 +12,7 @@ import (
 	"req/internal/core"
 )
 
-// windowOracle is the exact reference for windowed reads: a Frozen built
+// windowOracle is the exact reference for windowed reads: a Frozen filled
 // by core.FrozenFromCoreset over the live slots' Snapshot levels, each
 // level's items at weight 2^h, with the slots' exact extremes. Liveness is
 // recomputed here from the slot tags (floored epoch, ep−slots < tag ≤ ep)
@@ -62,13 +62,15 @@ func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], 
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return less(all[i].x, all[j].x) })
-	items := make([]T, len(all))
-	weights := make([]uint64, len(all))
-	for i, e := range all {
-		items[i], weights[i] = e.x, e.w
+	p := core.FrozenParts[T]{Items: make([]T, len(all)), Cum: make([]uint64, len(all))}
+	var run uint64
+	for i, a := range all {
+		run += a.w
+		p.Items[i], p.Cum[i] = a.x, run
 	}
-	f, err := core.FrozenFromCoreset(less, w.cfg, n, mn, mx, has, items, weights)
-	if err != nil {
+	// Any slot's config will do: the slots differ only in their seeds.
+	f = new(core.Frozen[T])
+	if err := core.FrozenFromCoreset(f, core.TableFor(less), e.ring[0].Config(), n, mn, mx, has, p); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	return f, true
