@@ -1,29 +1,17 @@
 package req
 
-// Benchmark suite: one testing.B target per table/figure of the
-// experiment index in internal/harness (T1 throughput tables plus the E*
-// reproduction metrics; the full-scale versions with commentary live in
-// cmd/reqbench).
-//
-// Accuracy/space benches report their quantity of interest through
-// b.ReportMetric (items/sketch, relerr, violations) so `go test -bench`
-// regenerates every table's numbers in one run.
+// Benchmark suite: update throughput (T1) and the cost of each
+// container operation. The accuracy and space experiments (E1–E17) run in
+// internal/harness, driven by cmd/reqbench and TestAllExperimentsQuick.
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"req/internal/core"
-	"req/internal/exact"
 	"req/internal/expsampler"
 	"req/internal/gk"
 	"req/internal/kll"
-	"req/internal/quantile"
 	"req/internal/rng"
-	"req/internal/schedule"
-	"req/internal/stats"
-	"req/internal/streams"
 	"req/internal/tdigest"
 )
 
@@ -477,9 +465,8 @@ func BenchmarkMergeSteadyREQ(b *testing.B) {
 }
 
 // BenchmarkCloneREQ deep-copies a grown sketch — the per-call cost a
-// snapshot-per-request or fork-the-state workload pays. Sensitive to how
-// level storage is laid out: fragmented per-level buffers cost O(levels)
-// allocations and copies, a contiguous slab one of each.
+// snapshot-per-request or fork-the-state workload pays: one allocation and
+// one copy per level buffer.
 func BenchmarkCloneREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
@@ -520,300 +507,4 @@ func BenchmarkDeserializeREQ(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- E-series: reproduction metrics (scaled down; full runs in reqbench) -------
-
-// reportRelErr runs one accuracy trial and reports the worst relative error
-// over log-spaced ranks as the bench metric.
-func relErrOnce(cfg core.Config, n int, order streams.Order, seed uint64) float64 {
-	r := rng.New(seed)
-	vals := streams.Permutation{}.Generate(n, r)
-	streams.Arrange(vals, order, r)
-	cfg.Seed = seed
-	sk, err := quantile.NewREQ(cfg, "req")
-	if err != nil {
-		panic(err)
-	}
-	for _, v := range vals {
-		sk.Update(v)
-	}
-	worst := 0.0
-	for rank := uint64(1); rank <= uint64(n); rank *= 2 {
-		est := float64(sk.Rank(float64(rank - 1)))
-		rel := stats.RelErr(est, float64(rank))
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}
-
-func BenchmarkE1ErrorVsRank(b *testing.B) {
-	const n = 1 << 15
-	worst := 0.0
-	for i := 0; i < b.N; i++ {
-		w := relErrOnce(core.Config{Eps: 0.05, Delta: 0.05}, n, streams.OrderAsGenerated, uint64(i))
-		if w > worst {
-			worst = w
-		}
-	}
-	b.ReportMetric(worst, "max-relerr")
-}
-
-func BenchmarkE2SpaceVsN(b *testing.B) {
-	for _, pow := range []int{14, 16, 18} {
-		pow := pow
-		b.Run(fmt.Sprintf("n=2^%d", pow), func(b *testing.B) {
-			items := 0
-			for i := 0; i < b.N; i++ {
-				sk, _ := quantile.NewREQ(core.Config{Eps: 0.02, Delta: 0.05, Seed: uint64(i)}, "req")
-				r := rng.New(uint64(i))
-				for _, v := range r.Perm(1 << pow) {
-					sk.Update(float64(v))
-				}
-				items = sk.ItemsRetained()
-			}
-			b.ReportMetric(float64(items), "items/sketch")
-		})
-	}
-}
-
-func BenchmarkE3SpaceVsEps(b *testing.B) {
-	for _, eps := range []float64{0.1, 0.05, 0.02} {
-		eps := eps
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			var reqItems, samplerItems int
-			for i := 0; i < b.N; i++ {
-				vals := benchValues(1<<15, uint64(i))
-				sk, _ := quantile.NewREQ(core.Config{Eps: eps, Delta: 0.05, Seed: uint64(i)}, "req")
-				sm, _ := expsampler.New(eps, uint64(i))
-				for _, v := range vals {
-					sk.Update(v)
-					sm.Update(v)
-				}
-				reqItems, samplerItems = sk.ItemsRetained(), sm.ItemsRetained()
-			}
-			b.ReportMetric(float64(reqItems), "req-items")
-			b.ReportMetric(float64(samplerItems), "sampler-items")
-		})
-	}
-}
-
-func BenchmarkE4TailAccuracy(b *testing.B) {
-	const n = 1 << 16
-	var reqErr, kllErr float64
-	for i := 0; i < b.N; i++ {
-		vals := streams.Latency{}.Generate(n, rng.New(uint64(i)))
-		oracle := exact.FromValues(vals)
-		hra, _ := NewFloat64(WithEpsilon(0.01), WithHighRankAccuracy(), WithSeed(uint64(i)))
-		kl := kll.New(kll.KForEpsilon(0.01), uint64(i))
-		for _, v := range vals {
-			hra.Update(v)
-			kl.Update(v)
-		}
-		nf := float64(n)
-		rank := uint64(0.999 * nf)
-		y := oracle.ItemOfRank(rank)
-		truth := float64(oracle.Rank(y))
-		tail := float64(n) - truth + 1
-		reqErr = math.Abs(float64(hra.Rank(y))-truth) / tail
-		kllErr = math.Abs(float64(kl.Rank(y))-truth) / tail
-	}
-	b.ReportMetric(reqErr, "req-p999-tailerr")
-	b.ReportMetric(kllErr, "kll-p999-tailerr")
-}
-
-func BenchmarkE5FailureProb(b *testing.B) {
-	const n = 1 << 13
-	const eps = 0.1
-	violations, checks := 0, 0
-	for i := 0; i < b.N; i++ {
-		sk, _ := quantile.NewREQ(core.Config{Eps: eps, Delta: 0.1, Seed: uint64(i)}, "req")
-		r := rng.New(uint64(i) + 999)
-		for _, v := range r.Perm(n) {
-			sk.Update(float64(v))
-		}
-		for rank := uint64(1); rank <= n; rank *= 4 {
-			est := float64(sk.Rank(float64(rank - 1)))
-			if stats.RelErr(est, float64(rank)) > eps {
-				violations++
-			}
-			checks++
-		}
-	}
-	b.ReportMetric(float64(violations)/float64(checks), "violation-rate")
-}
-
-func BenchmarkE6Mergeability(b *testing.B) {
-	const n = 1 << 15
-	const shards = 8
-	worst := 0.0
-	for i := 0; i < b.N; i++ {
-		r := rng.New(uint64(i))
-		perm := r.Perm(n)
-		var acc *core.Sketch[float64]
-		for s := 0; s < shards; s++ {
-			sk, _ := core.New(core.LessF64,
-				core.Config{Eps: 0.05, Delta: 0.05, Seed: uint64(i*100 + s)})
-			for j := s; j < n; j += shards {
-				sk.Update(float64(perm[j]))
-			}
-			if acc == nil {
-				acc = sk
-			} else if err := acc.Merge(sk); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for rank := uint64(1); rank <= n; rank *= 4 {
-			rel := stats.RelErr(float64(acc.Rank(float64(rank-1))), float64(rank))
-			if rel > worst {
-				worst = rel
-			}
-		}
-	}
-	b.ReportMetric(worst, "max-relerr")
-}
-
-func BenchmarkE7OrderRobustness(b *testing.B) {
-	for _, order := range []streams.Order{streams.OrderSorted, streams.OrderReversed, streams.OrderZipper} {
-		order := order
-		b.Run(order.String(), func(b *testing.B) {
-			worst := 0.0
-			for i := 0; i < b.N; i++ {
-				w := relErrOnce(core.Config{Eps: 0.05, Delta: 0.05}, 1<<14, order, uint64(i))
-				if w > worst {
-					worst = w
-				}
-			}
-			b.ReportMetric(worst, "max-relerr")
-		})
-	}
-}
-
-func BenchmarkE8UnknownN(b *testing.B) {
-	const n = 1 << 16
-	var growths uint64
-	var items int
-	for i := 0; i < b.N; i++ {
-		sk, _ := quantile.NewREQ(core.Config{Eps: 0.05, Delta: 0.05, N0: 1 << 12, Seed: uint64(i)}, "req")
-		r := rng.New(uint64(i))
-		for _, v := range r.Perm(n) {
-			sk.Update(float64(v))
-		}
-		growths = sk.Core().Stats().Growths
-		items = sk.ItemsRetained()
-	}
-	b.ReportMetric(float64(growths), "growths")
-	b.ReportMetric(float64(items), "items/sketch")
-}
-
-func BenchmarkE9DeltaScaling(b *testing.B) {
-	for _, delta := range []float64{1e-2, 1e-6, 1e-12} {
-		delta := delta
-		b.Run(fmt.Sprintf("delta=%g", delta), func(b *testing.B) {
-			var thm1, thm2 int
-			for i := 0; i < b.N; i++ {
-				vals := benchValues(1<<15, uint64(i))
-				a, _ := quantile.NewREQ(core.Config{Eps: 0.05, Delta: delta, Seed: uint64(i)}, "a")
-				c, _ := quantile.NewREQ(core.Config{Mode: core.ModeTheorem2, Eps: 0.05, Delta: delta, Seed: uint64(i)}, "c")
-				for _, v := range vals {
-					a.Update(v)
-					c.Update(v)
-				}
-				thm1, thm2 = a.ItemsRetained(), c.ItemsRetained()
-			}
-			b.ReportMetric(float64(thm1), "thm1-items")
-			b.ReportMetric(float64(thm2), "thm2-items")
-		})
-	}
-}
-
-func BenchmarkE10Deterministic(b *testing.B) {
-	worst := 0.0
-	for i := 0; i < b.N; i++ {
-		w := relErrOnce(core.Config{Mode: core.ModeTheorem2, Eps: 0.1, Delta: 1e-18},
-			1<<14, streams.OrderZipper, uint64(i))
-		if w > worst {
-			worst = w
-		}
-	}
-	b.ReportMetric(worst, "max-relerr")
-}
-
-func BenchmarkE11ScheduleAblation(b *testing.B) {
-	for _, kind := range []schedule.Kind{schedule.Exponential, schedule.Naive} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			worst := 0.0
-			for i := 0; i < b.N; i++ {
-				w := relErrOnce(core.Config{Eps: 0.05, Delta: 0.05, Schedule: kind},
-					1<<14, streams.OrderZipper, uint64(i))
-				if w > worst {
-					worst = w
-				}
-			}
-			b.ReportMetric(worst, "max-relerr")
-		})
-	}
-}
-
-func BenchmarkE12CoinAblation(b *testing.B) {
-	const n = 1 << 14
-	bias := 0.0
-	for i := 0; i < b.N; i++ {
-		cfg := core.Config{Eps: 0.05, Delta: 0.05, DetCoin: true, Seed: uint64(i)}
-		sk, _ := quantile.NewREQ(cfg, "req-det")
-		for j := 0; j < n; j++ {
-			sk.Update(float64(j))
-		}
-		var sum float64
-		var cnt int
-		for rank := uint64(64); rank <= n; rank *= 2 {
-			est := float64(sk.Rank(float64(rank - 1)))
-			sum += stats.SignedRelErr(est, float64(rank))
-			cnt++
-		}
-		bias = sum / float64(cnt)
-	}
-	b.ReportMetric(bias, "mean-signed-err")
-}
-
-func BenchmarkE13LowerBound(b *testing.B) {
-	correct, total := 0, 0
-	for i := 0; i < b.N; i++ {
-		r := rng.New(uint64(i))
-		lb, err := streams.NewLowerBound(0.05, 7, 1<<16, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vals := lb.Values()
-		streams.Arrange(vals, streams.OrderShuffled, r)
-		sk, _ := quantile.NewREQ(core.Config{Eps: 0.05 / 3, Delta: 1e-9, Seed: uint64(i)}, "req")
-		for _, v := range vals {
-			sk.Update(v)
-		}
-		decoded := lb.Decode(sk.Rank)
-		for j := range decoded {
-			if decoded[j] == lb.S[j] {
-				correct++
-			}
-			total++
-		}
-	}
-	b.ReportMetric(float64(correct)/float64(total), "decode-rate")
-}
-
-func BenchmarkE14Levels(b *testing.B) {
-	const n = 1 << 18
-	var levels int
-	for i := 0; i < b.N; i++ {
-		sk, _ := quantile.NewREQ(core.Config{Eps: 0.05, Delta: 0.05, Seed: uint64(i)}, "req")
-		r := rng.New(uint64(i))
-		for _, v := range r.Perm(n) {
-			sk.Update(float64(v))
-		}
-		levels = sk.Core().NumLevels()
-	}
-	b.ReportMetric(float64(levels), "levels")
 }

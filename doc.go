@@ -156,13 +156,13 @@
 //
 // Entries live in per-shard block arenas with freelists (internal/tenant):
 // a million-key registry is thousands of allocations, not millions, and
-// eviction recycles cells and their grown sketch slabs. A key costs what
-// it holds: its sketch starts with an 8-item level-0 window that widens
+// eviction recycles cells and their grown level buffers. A key costs what
+// it holds: its sketch starts with an 8-item level-0 buffer that doubles
 // as it fills, so with WithK(16) and WithHighRankAccuracy a key holding
-// a few items costs about 630 heap bytes, one holding 64 about 1,080 and
-// one holding 1,024 about 11.5 KB; a 5-slot windowed key holding one item
-// costs about 3,000. A key allocates only while its level-0 window grows
-// toward the buffer capacity B (its slab doubles about log₂(B/8) times);
+// a few items costs about 580 heap bytes, one holding 64 about 1,030 and
+// one holding 1,024 about 9.4 KB; a 5-slot windowed key holding one item
+// costs about 2,660. A key allocates only while its buffers grow toward
+// the buffer capacity B (level 0 reallocates about log₂(B/8) times);
 // past that, steady-state keyed updates, keyed queries, and whole-key
 // churn are all 0 allocs/op.
 // WithTTL gives idle keys a lazy time-to-live, WithMaxEntries caps the
@@ -282,31 +282,24 @@
 // destination, so a monitoring loop that reuses its slices queries with
 // zero allocations end to end.
 //
-// # Memory layout: the contiguous level store
+// # Memory layout: one buffer per level
 //
-// Every level buffer lives in one grow-only slab owned by the sketch, as a
-// window with per-level slack (gap-buffer style):
+// Each relative-compactor owns its buffer, a slice that grows by append:
+// level 0 starts at 8 items and doubles as it fills, and a compaction
+// grows the level above, when it must, before merging its emission there
+// in place.
+// Spare capacity is kept zeroed so pointer-bearing item types never
+// linger after truncation. Clone copies each level at its length;
+// CopyFrom and Reset keep the target's buffers, so a warm refresh or a
+// recycled registry key allocates nothing.
 //
-//	slab:   [ level 0 | slack ][ level 1 | slack ] … [ level H | slack ]
-//	window: {off₀, cap₀}        {off₁, cap₁}          {off_H, cap_H}
-//
-// Appends and compaction emissions write in place inside their window;
-// when a window fills, its capacity grows ×1.5 and the levels above shift
-// right by one overlapping copy each, while the slab itself doubles on
-// reallocation — a single amortized copy of everything. Slack is kept
-// zeroed so pointer-bearing item types never linger after truncation.
-// The payoff is that the whole hierarchy is one object: Clone and CopyFrom
-// are a single slab allocation plus one memcpy per level, and
-// serialization reads/writes the level section as one pass over contiguous
-// memory.
-//
-// Frozen snapshots follow the same philosophy with an explicit ownership
-// rule: Snapshot() copies the frozen view's two arrays into storage the
-// snapshot owns (two allocations, two memcpys), because the source sketch
-// keeps writing; the sharded wrapper's published epoch snapshots instead
-// alias their epoch sketch's storage outright, because that sketch is
-// immutable from publication on. Own when the source keeps writing; alias
-// only when the source is provably frozen.
+// Frozen snapshots follow an explicit ownership rule: Snapshot() copies
+// the frozen view's two arrays into storage the snapshot owns (two
+// allocations, two memcpys), because the source sketch keeps writing; the
+// sharded wrapper's published epoch snapshots instead alias their epoch
+// sketch's storage outright, because that sketch is immutable from
+// publication on. Own when the source keeps writing; alias only when the
+// source is provably frozen.
 //
 // # Kernel tables
 //
@@ -360,7 +353,7 @@
 // # Static guarantees
 //
 // The package's in-memory contracts — the view-recycling rule above, the
-// single-slab level store, the lock discipline of Sharded, and the
+// per-level buffer ownership, the lock discipline of Sharded, and the
 // zero-allocation hot query paths — are enforced at compile time by the
 // project linter, cmd/reqlint, a go/analysis multichecker run in CI over
 // the whole repository. Code carries the contracts as annotations:
@@ -377,9 +370,9 @@
 //   - //req:viewpass marks the rare helper allowed to return a *View.
 //
 // The slabalias analyzer needs no annotations: inside internal/core it
-// proves that level-buffer windows are only appended to under an
-// established capacity bound, that slab-derived slices are not retained
-// across slab growth, and that scratch buffers never alias the slab.
+// proves that no level-buffer alias or compactor pointer is used after a
+// call that can grow the levels or that buffer, and that scratch buffers
+// never alias a level.
 // Run `go run ./cmd/reqlint ./...` locally; see the README's "Static
 // guarantees" section for details.
 package req

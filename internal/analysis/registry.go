@@ -4,7 +4,7 @@
 // See the individual analyzer packages for what each one proves:
 //
 //	viewlifetime — *View recycling contract (internal/core/query.go)
-//	slabalias    — single-slab levelStore aliasing contract (store.go)
+//	slabalias    — per-level buffer aliasing contract (internal/core)
 //	locked       — +req:guardedBy / +req:locksRequired mutex contracts
 //	noalloc      — //req:noalloc whole-path allocation-freedom
 package analysis

@@ -1,27 +1,19 @@
-// Package slabalias defines an analyzer guarding the single-slab storage
-// engine contract from internal/core/store.go: every compactor's buf is an
-// (off, cap) window of one backing slab owned by levelStore, so
+// Package slabalias defines an analyzer guarding the level-buffer contract
+// of internal/core: every compactor owns its buf, a slice that grows by
+// append, so
 //
-//   - appending into a window is only sound when capacity was just
-//     established (a textually preceding ensure/initWindows call in the
-//     same function) — a growing append would silently re-home one level
-//     off the slab;
-//   - window re-assignment (c.buf = ...) must derive from the same window
-//     (self-append, re-slice, or an in-place helper like mergeSortedInto
-//     that returns its first argument's storage);
-//   - the slab pointer itself (s.slab) may only be re-assigned inside
-//     levelStore's own methods;
-//   - scratch and mergeBuf must never be assigned a slab-derived slice
+//   - scratch and mergeBuf must never be assigned level-buffer storage
 //     (runtime debug.go checks this with unsafe.SliceData overlap; this
 //     analyzer rejects the assignment shapes that could create overlap);
-//   - a local aliasing a window (tail := s.levels[0].buf[...]) must not be
-//     used after a call that can restructure the store (grow, addLevel,
-//     compactions) — the slab may have been reallocated under it;
+//   - a local aliasing a level buffer (tail := s.levels[0].buf[...]) must
+//     not be used after a call that can grow the levels slice or that
+//     buffer (resizeLevels, compactions, slices.Grow or append on the
+//     buffer) — the buffer may have been reallocated under it;
 //   - a *compactor pointer (c := &s.levels[h]) must be re-taken after any
 //     call that can grow the levels slice, matching the re-take idiom the
 //     code already uses.
 //
-// The analyzer activates only in packages that declare a levelStore type
+// The analyzer activates only in packages that declare a compactor type
 // (internal/core and test fixtures), and uses textual-position tracking:
 // exact for straight-line code, conservative for loops.
 package slabalias
@@ -36,43 +28,34 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// Analyzer guards the levelStore slab-aliasing contract.
+// Analyzer guards the level-buffer aliasing contract.
 var Analyzer = &analysis.Analyzer{
 	Name:     "slabalias",
-	Doc:      "report operations that could silently re-home a level window off the storage slab or alias scratch buffers to it",
+	Doc:      "report level-buffer aliases used after the buffer may have grown, and scratch buffers aliased to a level",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-// capacityEstablishers are calls that (re)establish window capacity, after
-// which an append into a window is sound.
-var capacityEstablishers = map[string]bool{
-	"ensure":      true,
-	"initWindows": true,
-}
-
-// storeMutators are calls that can reallocate the slab or restructure the
-// level windows, invalidating window-aliasing locals.
-var storeMutators = map[string]bool{
-	"grow": true, "growTo": true, "ensure": true, "addLevel": true,
-	"reset": true, "initWindows": true, "cloneFrom": true, "copyFrom": true,
-	"compactCascade": true, "compactLevel": true, "specialCompactLevel": true,
-	"emitHalf": true, "settleLevel": true,
-	"Update": true, "UpdateBatch": true, "UpdateWeighted": true,
-	"Merge": true, "Reset": true, "CopyFrom": true,
 }
 
 // levelGrowers can grow/reorder the levels slice, invalidating *compactor
 // pointers taken from it.
 var levelGrowers = map[string]bool{
-	"addLevel": true, "emitHalf": true, "compactCascade": true,
-	"compactLevel": true, "specialCompactLevel": true, "growTo": true,
-	"cloneFrom": true, "copyFrom": true,
+	"resizeLevels": true, "emitHalf": true,
+	"compactCascade": true, "compactLevel": true, "specialCompactLevel": true,
+	"growTo": true, "insertAtLevel": true, "Reset": true, "CopyFrom": true,
+}
+
+// bufGrowers can also grow (reallocate) a level buffer, invalidating
+// locals that alias one. append and slices.Grow count only when their
+// first argument is a level buffer.
+var bufGrowers = map[string]bool{
+	"append": true, "Grow": true,
+	"update": true, "updateBatch": true, "Update": true, "UpdateBatch": true,
+	"UpdateWeighted": true, "IngestRun": true, "Merge": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// Activate only where the contract lives: packages declaring levelStore.
-	if pass.Pkg.Scope().Lookup("levelStore") == nil {
+	// Activate only where the contract lives: packages declaring compactor.
+	if pass.Pkg.Scope().Lookup("compactor") == nil {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -91,34 +74,19 @@ type checker struct {
 	pass *analysis.Pass
 }
 
-// isCompactorBufSel reports whether e is <x>.buf where x's type is a
-// (pointer to) struct named compactor.
-func (c *checker) isCompactorBufSel(e ast.Expr) bool {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+// isLevelBuf reports whether e denotes level-buffer storage: <x>.buf where
+// x's type is a (pointer to) struct named compactor, or a slice expression
+// over one.
+func (c *checker) isLevelBuf(e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		return c.isLevelBuf(sl.X)
+	}
+	sel, ok := e.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "buf" {
 		return false
 	}
 	return typeNamed(c.pass.TypesInfo.TypeOf(sel.X), "compactor")
-}
-
-// isSlabSel reports whether e is <x>.slab where x is a (pointer to)
-// levelStore.
-func (c *checker) isSlabSel(e ast.Expr) bool {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "slab" {
-		return false
-	}
-	return typeNamed(c.pass.TypesInfo.TypeOf(sel.X), "levelStore")
-}
-
-// isWindowExpr reports whether e denotes slab-aliased window storage: a
-// compactor buf, the slab itself, or a slice expression over either.
-func (c *checker) isWindowExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		return c.isWindowExpr(sl.X)
-	}
-	return c.isCompactorBufSel(e) || c.isSlabSel(e)
 }
 
 func typeNamed(t types.Type, name string) bool {
@@ -132,92 +100,75 @@ func typeNamed(t types.Type, name string) bool {
 	return ok && named.Obj().Name() == name
 }
 
-// hasLevelStoreRecv reports whether fd is a method on levelStore (the
-// approved helpers that may touch the slab directly).
-func (c *checker) hasLevelStoreRecv(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	return typeNamed(c.pass.TypesInfo.TypeOf(fd.Recv.List[0].Type), "levelStore")
-}
-
-// poison is one restructuring call that invalidates a local: it taints uses
-// in (pos, end]. end is the function end by default, or the enclosing
-// block's end when the block cannot fall through (it ends in
-// continue/break/return), since code after such a block is unreachable from
-// the call.
+// poison is one growing call that invalidates a local: it taints uses in
+// (pos, end]. end is the function end by default, or the enclosing block's
+// end when the block cannot fall through (it ends in continue/break/
+// return), since code after such a block is unreachable from the call.
 type poison struct {
 	pos token.Pos
 	end token.Pos
 	by  string
 }
 
-// windowLocal tracks a local variable aliasing window storage, or a
+// bufLocal tracks a local variable aliasing a level buffer, or a
 // *compactor pointer into the levels slice. root is the variable the
-// owning store/sketch expression is rooted at (src in src.levels[h].buf):
-// only mutations through the same root invalidate the local.
-type windowLocal struct {
+// owning sketch expression is rooted at (src in src.levels[h].buf): only
+// growth through the same root invalidates the local.
+type bufLocal struct {
 	obj     types.Object
 	root    types.Object
-	kind    string // "window" or "compactor"
+	kind    string // "buffer" or "compactor"
 	takenAt token.Pos
 	poisons []poison
 }
 
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
-	inStore := c.hasLevelStoreRecv(fd)
-
 	// Poison scope per call: the function end, narrowed to the enclosing
 	// block's end when the block ends in a terminator (continue/break/
 	// return), since the code after it never sees the call's effects.
 	callEnds := make(map[*ast.CallExpr]token.Pos)
 	markCallEnds(fd.Body, fd.Body.End(), callEnds)
 
-	// Phase 1: find capacity-establishing call positions and locals that
-	// alias windows or point into levels.
-	var establishers []token.Pos
-	var locals []*windowLocal
+	// Phase 1: find locals that alias level buffers or point into levels.
+	var locals []*bufLocal
 	lhsPos := make(map[token.Pos]bool)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if name, ok := calleeMethodName(x); ok && capacityEstablishers[name] {
-				establishers = append(establishers, x.Pos())
+		x, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, l := range x.Lhs {
+			if id, isIdent := ast.Unparen(l).(*ast.Ident); isIdent {
+				lhsPos[id.Pos()] = true
 			}
-		case *ast.AssignStmt:
-			for _, l := range x.Lhs {
-				if id, isIdent := ast.Unparen(l).(*ast.Ident); isIdent {
-					lhsPos[id.Pos()] = true
-				}
-			}
-			if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
-				return true
-			}
-			id, ok := ast.Unparen(x.Lhs[0]).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := c.pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = c.pass.TypesInfo.Uses[id]
-			}
-			if obj == nil {
-				return true
-			}
-			rhs := ast.Unparen(x.Rhs[0])
-			if c.isWindowExpr(rhs) {
-				locals = append(locals, &windowLocal{
-					obj: obj, root: rootObject(c.pass.TypesInfo, rhs),
-					kind: "window", takenAt: x.Pos(),
+		}
+		if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
+			return true
+		}
+		id, ok := ast.Unparen(x.Lhs[0]).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := c.pass.TypesInfo.Defs[id]
+		if obj == nil {
+			obj = c.pass.TypesInfo.Uses[id]
+		}
+		if obj == nil {
+			return true
+		}
+		rhs := ast.Unparen(x.Rhs[0])
+		if c.isLevelBuf(rhs) {
+			locals = append(locals, &bufLocal{
+				obj: obj, root: rootObject(c.pass.TypesInfo, rhs),
+				kind: "buffer", takenAt: x.Pos(),
+			})
+		} else if u, isUnary := rhs.(*ast.UnaryExpr); isUnary && u.Op == token.AND {
+			if typeNamed(c.pass.TypesInfo.TypeOf(rhs), "compactor") {
+				locals = append(locals, &bufLocal{
+					obj: obj, root: rootObject(c.pass.TypesInfo, u.X),
+					kind: "compactor", takenAt: x.Pos(),
 				})
-			} else if u, isUnary := rhs.(*ast.UnaryExpr); isUnary && u.Op == token.AND {
-				if typeNamed(c.pass.TypesInfo.TypeOf(rhs), "compactor") {
-					locals = append(locals, &windowLocal{
-						obj: obj, root: rootObject(c.pass.TypesInfo, u.X),
-						kind: "compactor", takenAt: x.Pos(),
-					})
-				}
 			}
 		}
 		return true
@@ -227,10 +178,9 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			c.checkAppend(x, establishers)
 			c.poisonLocals(x, locals, callEnds)
 		case *ast.AssignStmt:
-			c.checkAssign(x, fd, inStore, locals)
+			c.checkScratchAssign(x, locals)
 		case *ast.Ident:
 			if !lhsPos[x.Pos()] {
 				c.checkUseAfterPoison(x, locals)
@@ -240,8 +190,8 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	})
 }
 
-// calleeMethodName extracts the bare method/function name of a call.
-func calleeMethodName(call *ast.CallExpr) (string, bool) {
+// calleeName extracts the bare method/function name of a call.
+func calleeName(call *ast.CallExpr) (string, bool) {
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		return f.Sel.Name, true
@@ -249,28 +199,6 @@ func calleeMethodName(call *ast.CallExpr) (string, bool) {
 		return f.Name, true
 	}
 	return "", false
-}
-
-// checkAppend flags append(window, ...) with no textually preceding
-// capacity-establishing call in the same function.
-func (c *checker) checkAppend(call *ast.CallExpr, establishers []token.Pos) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return
-	}
-	if b, isB := c.pass.TypesInfo.Uses[id].(*types.Builtin); !isB || b.Name() != "append" {
-		return
-	}
-	if len(call.Args) == 0 || !c.isWindowExpr(call.Args[0]) {
-		return
-	}
-	for _, pos := range establishers {
-		if pos < call.Pos() {
-			return
-		}
-	}
-	c.pass.Reportf(call.Pos(),
-		"req:slabalias: append into a slab window without a preceding ensure/initWindows call; a growing append would re-home the level off the slab")
 }
 
 // markCallEnds records, for every call in the statement tree, the position
@@ -314,25 +242,38 @@ func markCallEnds(n ast.Node, end token.Pos, out map[*ast.CallExpr]token.Pos) {
 	})
 }
 
-// mutatorRoot resolves the variable at the root of a restructuring call's
-// receiver chain (s for s.compactCascade, m for m.store.ensure). nil for
-// bare function calls.
-func mutatorRoot(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
+// growerRoot resolves the variable whose levels a growing call can touch:
+// the root of the receiver chain for a method (s for s.compactCascade),
+// the root of the first argument for a function (append, slices.Grow).
+// ok is false when the call cannot grow a level: append or a package
+// function whose first argument is not a level buffer.
+func (c *checker) growerRoot(call *ast.CallExpr) (root types.Object, ok bool) {
+	fun := ast.Unparen(call.Fun)
+	if sel, isSel := fun.(*ast.SelectorExpr); isSel {
+		id, isIdent := ast.Unparen(sel.X).(*ast.Ident)
+		if _, isPkg := c.pass.TypesInfo.Uses[id].(*types.PkgName); !isIdent || !isPkg {
+			return rootObject(c.pass.TypesInfo, sel.X), true
+		}
+	} else if _, isIdent := fun.(*ast.Ident); !isIdent {
+		return nil, true
 	}
-	return rootObject(info, sel.X)
+	if len(call.Args) == 0 || !c.isLevelBuf(call.Args[0]) {
+		return nil, false
+	}
+	return rootObject(c.pass.TypesInfo, call.Args[0]), true
 }
 
-// poisonLocals marks window/compactor locals stale after restructuring
-// calls on the same store/sketch root.
-func (c *checker) poisonLocals(call *ast.CallExpr, locals []*windowLocal, callEnds map[*ast.CallExpr]token.Pos) {
-	name, ok := calleeMethodName(call)
-	if !ok {
+// poisonLocals marks buffer/compactor locals stale after growing calls on
+// the same sketch root.
+func (c *checker) poisonLocals(call *ast.CallExpr, locals []*bufLocal, callEnds map[*ast.CallExpr]token.Pos) {
+	name, ok := calleeName(call)
+	if !ok || !levelGrowers[name] && !bufGrowers[name] {
 		return
 	}
-	root := mutatorRoot(c.pass.TypesInfo, call)
+	root, grows := c.growerRoot(call)
+	if !grows {
+		return
+	}
 	end := callEnds[call]
 	if end == token.NoPos {
 		end = token.Pos(1 << 30)
@@ -341,26 +282,21 @@ func (c *checker) poisonLocals(call *ast.CallExpr, locals []*windowLocal, callEn
 		if call.Pos() <= l.takenAt {
 			continue
 		}
-		// A mutation through a different sketch/store root leaves this
-		// local's slab untouched. Unresolvable roots poison conservatively.
+		// Growth through a different sketch root leaves this local's
+		// buffer untouched. Unresolvable roots poison conservatively.
 		if root != nil && l.root != nil && root != l.root {
 			continue
 		}
-		switch l.kind {
-		case "window":
-			if storeMutators[name] {
-				l.poisons = append(l.poisons, poison{pos: call.Pos(), end: end, by: name})
-			}
-		case "compactor":
-			if levelGrowers[name] {
-				l.poisons = append(l.poisons, poison{pos: call.Pos(), end: end, by: name})
-			}
+		if levelGrowers[name] || l.kind == "buffer" {
+			l.poisons = append(l.poisons, poison{pos: call.Pos(), end: end, by: name})
 		}
 	}
 }
 
-// checkAssign enforces the window re-assignment rules.
-func (c *checker) checkAssign(as *ast.AssignStmt, fd *ast.FuncDecl, inStore bool, locals []*windowLocal) {
+// checkScratchAssign rejects assigning level-buffer storage to scratch or
+// mergeBuf directly (append-copies like append(s.scratch[:0], w...) copy
+// out of the level and are fine).
+func (c *checker) checkScratchAssign(as *ast.AssignStmt, locals []*bufLocal) {
 	for i, lhs := range as.Lhs {
 		var rhs ast.Expr
 		if len(as.Rhs) == len(as.Lhs) {
@@ -368,44 +304,24 @@ func (c *checker) checkAssign(as *ast.AssignStmt, fd *ast.FuncDecl, inStore bool
 		} else if len(as.Rhs) == 1 {
 			rhs = as.Rhs[0]
 		}
-		lhsU := ast.Unparen(lhs)
-
-		// Rule: s.slab may only be re-assigned inside levelStore methods.
-		if c.isSlabSel(lhsU) && !inStore {
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "scratch" && sel.Sel.Name != "mergeBuf") || rhs == nil {
+			continue
+		}
+		if c.isLevelBuf(rhs) || c.isBufLocalExpr(rhs, locals) {
 			c.pass.Reportf(lhs.Pos(),
-				"req:slabalias: the slab may only be re-assigned inside levelStore methods (use grow/ensure)")
-			continue
-		}
-
-		// Rule: c.buf = RHS must keep the window on its own storage.
-		if c.isCompactorBufSel(lhsU) && rhs != nil {
-			if !inStore && !c.isSelfDerived(lhsU, rhs) {
-				c.pass.Reportf(lhs.Pos(),
-					"req:slabalias: window re-assignment must derive from the same window (self-append, re-slice, or an in-place helper); anything else re-homes the level off the slab")
-			}
-			continue
-		}
-
-		// Rule: scratch/mergeBuf must never be assigned slab-derived
-		// storage directly (append-copies like append(s.scratch[:0], w...)
-		// copy out of the slab and are fine).
-		if sel, ok := lhsU.(*ast.SelectorExpr); ok &&
-			(sel.Sel.Name == "scratch" || sel.Sel.Name == "mergeBuf") && rhs != nil {
-			if c.isWindowExpr(rhs) || c.isWindowLocalExpr(rhs, locals) {
-				c.pass.Reportf(lhs.Pos(),
-					"req:slabalias: assigning slab-aliased storage to %s; scratch buffers must never alias the slab (copy with append(%s[:0], ...) instead)",
-					sel.Sel.Name, sel.Sel.Name)
-			}
+				"req:slabalias: assigning level-buffer storage to %s; scratch buffers must never alias a level (copy with append(%s[:0], ...) instead)",
+				sel.Sel.Name, sel.Sel.Name)
 		}
 	}
 }
 
-// isWindowLocalExpr reports whether e is (a slice of) a local known to
-// alias a window.
-func (c *checker) isWindowLocalExpr(e ast.Expr, locals []*windowLocal) bool {
+// isBufLocalExpr reports whether e is (a slice of) a local known to alias
+// a level buffer.
+func (c *checker) isBufLocalExpr(e ast.Expr, locals []*bufLocal) bool {
 	e = ast.Unparen(e)
 	if sl, ok := e.(*ast.SliceExpr); ok {
-		return c.isWindowLocalExpr(sl.X, locals)
+		return c.isBufLocalExpr(sl.X, locals)
 	}
 	id, ok := e.(*ast.Ident)
 	if !ok {
@@ -413,71 +329,11 @@ func (c *checker) isWindowLocalExpr(e ast.Expr, locals []*windowLocal) bool {
 	}
 	obj := c.pass.TypesInfo.Uses[id]
 	for _, l := range locals {
-		if l.obj == obj && l.kind == "window" {
+		if l.obj == obj && l.kind == "buffer" {
 			return true
 		}
 	}
 	return false
-}
-
-// isSelfDerived reports whether rhs keeps lhs's window on its own storage:
-// append(lhs...), a slice of lhs, or a call whose first argument is
-// (a slice of) lhs — the in-place helper pattern, e.g.
-// mergeSortedInto(c.buf[:c.sorted], ...).
-func (c *checker) isSelfDerived(lhs ast.Expr, rhs ast.Expr) bool {
-	rhs = ast.Unparen(rhs)
-	switch r := rhs.(type) {
-	case *ast.SliceExpr:
-		return sameSelector(r.X, lhs)
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && id.Name == "append" {
-			if len(r.Args) > 0 {
-				arg := ast.Unparen(r.Args[0])
-				if sl, isSlice := arg.(*ast.SliceExpr); isSlice {
-					arg = ast.Unparen(sl.X)
-				}
-				return sameSelector(arg, lhs)
-			}
-			return false
-		}
-		if len(r.Args) > 0 {
-			arg := ast.Unparen(r.Args[0])
-			if sl, isSlice := arg.(*ast.SliceExpr); isSlice {
-				arg = ast.Unparen(sl.X)
-			}
-			return sameSelector(arg, lhs)
-		}
-	}
-	return false
-}
-
-// sameSelector reports whether two expressions spell the same selector
-// chain (textually, by identifier names).
-func sameSelector(a, b ast.Expr) bool {
-	return selectorSpelling(a) != "" && selectorSpelling(a) == selectorSpelling(b)
-}
-
-func selectorSpelling(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		base := selectorSpelling(x.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		base := selectorSpelling(x.X)
-		if base == "" {
-			return ""
-		}
-		return base + "[" + selectorSpelling(x.Index) + "]"
-	case *ast.BasicLit:
-		return x.Value
-	default:
-		return ""
-	}
 }
 
 // rootObject returns the variable at the root of a selector/index chain,
@@ -506,9 +362,9 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// checkUseAfterPoison reports window/compactor locals used after the store
-// was restructured.
-func (c *checker) checkUseAfterPoison(id *ast.Ident, locals []*windowLocal) {
+// checkUseAfterPoison reports buffer/compactor locals used after the
+// levels or the buffer may have grown.
+func (c *checker) checkUseAfterPoison(id *ast.Ident, locals []*bufLocal) {
 	obj := c.pass.TypesInfo.Uses[id]
 	if obj == nil {
 		return
@@ -516,7 +372,7 @@ func (c *checker) checkUseAfterPoison(id *ast.Ident, locals []*windowLocal) {
 	// The governing binding is the latest take before the use; a re-take
 	// (tail = s.levels[0].buf[...] again, lv = &s.levels[0]) supersedes
 	// earlier poisons.
-	var govern *windowLocal
+	var govern *bufLocal
 	for _, l := range locals {
 		if l.obj == obj && l.takenAt < id.Pos() && (govern == nil || l.takenAt > govern.takenAt) {
 			govern = l
@@ -530,9 +386,9 @@ func (c *checker) checkUseAfterPoison(id *ast.Ident, locals []*windowLocal) {
 			continue
 		}
 		switch govern.kind {
-		case "window":
+		case "buffer":
 			c.pass.Reportf(id.Pos(),
-				"req:slabalias: %s aliases slab storage but is used after %s may have reallocated the slab; re-slice after the call",
+				"req:slabalias: %s aliases a level buffer but is used after %s may have reallocated it; re-slice after the call",
 				id.Name, p.by)
 		case "compactor":
 			c.pass.Reportf(id.Pos(),

@@ -1,7 +1,9 @@
-// Package a mirrors the shapes of internal/core's slab storage engine to
-// seed positive and negative cases for the slabalias analyzer. The analyzer
-// activates because this package declares a levelStore type.
+// Package a mirrors the shapes of internal/core's level buffers to seed
+// positive and negative cases for the slabalias analyzer. The analyzer
+// activates because this package declares a compactor type.
 package a
+
+import "slices"
 
 type item struct{ v float64 }
 
@@ -10,81 +12,73 @@ type compactor struct {
 	sorted int
 }
 
-type levelStore struct {
-	slab []item
-}
-
-func (s *levelStore) ensure(levels []compactor, h, n int) {}
-func (s *levelStore) grow(n int)                          {}
-func (s *levelStore) addLevel(levels []compactor, b int) []compactor {
-	return levels
-}
-
-// resize is an approved helper: levelStore methods own the slab.
-func (s *levelStore) resize(n int) {
-	s.slab = make([]item, n) // ok: inside a levelStore method
-}
-
 type sketch struct {
-	store    levelStore
 	levels   []compactor
 	scratch  []item
 	mergeBuf []item
 }
 
+func (s *sketch) resizeLevels(n int)   { s.levels = append(s.levels[:0], make([]compactor, n)...) }
 func (s *sketch) compactCascade(h int) {}
 
-func (s *sketch) okEnsuredAppend(x item) {
-	s.store.ensure(s.levels, 0, len(s.levels[0].buf)+1)
-	lv := &s.levels[0]
-	lv.buf = append(lv.buf, x) // ok: capacity just established
-}
-
-func (s *sketch) badBareAppend(x item) {
-	lv := &s.levels[0]
-	lv.buf = append(lv.buf, x) // want "append into a slab window without a preceding ensure"
-}
-
 func (s *sketch) badScratchAlias() {
-	s.scratch = s.levels[0].buf // want "scratch buffers must never alias the slab"
+	s.scratch = s.levels[0].buf // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) badScratchAliasViaLocal() {
 	w := s.levels[0].buf
-	s.scratch = w[:0] // want "scratch buffers must never alias the slab"
+	s.scratch = w[:0] // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) badMergeBufAlias() {
-	s.mergeBuf = s.levels[1].buf[:0] // want "scratch buffers must never alias the slab"
+	s.mergeBuf = s.levels[1].buf[:0] // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) okScratchCopy() {
-	// Append-copy moves the items out of the slab; no aliasing.
+	// Append-copy moves the items out of the level; no aliasing.
 	s.scratch = append(s.scratch[:0], s.levels[0].buf...)
 }
 
-func (s *sketch) badStaleWindow() float64 {
+func (s *sketch) badStaleAfterGrow() float64 {
 	tail := s.levels[0].buf[1:]
-	s.store.grow(64)
-	return tail[0].v // want "used after grow may have reallocated the slab"
+	s.levels[0].buf = slices.Grow(s.levels[0].buf, 64)
+	return tail[0].v // want "used after Grow may have reallocated it"
 }
 
-func (s *sketch) okReslicedWindow() float64 {
+func (s *sketch) badStaleAfterAppend(x item) float64 {
+	head := s.levels[0].buf
+	s.levels[0].buf = append(s.levels[0].buf, x)
+	return head[0].v // want "used after append may have reallocated it"
+}
+
+func (s *sketch) badStaleAfterCompaction() float64 {
 	tail := s.levels[0].buf[1:]
-	s.store.grow(64)
+	s.compactCascade(0)
+	return tail[0].v // want "used after compactCascade may have reallocated it"
+}
+
+func (s *sketch) okReslicedBuffer() float64 {
+	tail := s.levels[0].buf[1:]
+	s.levels[0].buf = slices.Grow(s.levels[0].buf, 64)
 	tail = s.levels[0].buf[1:]
 	return tail[0].v // ok: re-sliced after the growth
 }
 
+func (s *sketch) okScratchAppend(x item) float64 {
+	tail := s.levels[0].buf[1:]
+	s.scratch = append(s.scratch, x)
+	return tail[0].v // ok: the append grew the scratch, not a level
+}
+
 func (s *sketch) badStaleCompactor() {
 	c := &s.levels[0]
-	s.levels = s.store.addLevel(s.levels, 8)
+	s.resizeLevels(2)
 	c.sorted = 0 // want "re-take the pointer"
 }
 
 func (s *sketch) okRetakenCompactor() {
 	c := &s.levels[0]
-	s.levels = s.store.addLevel(s.levels, 8)
+	s.resizeLevels(2)
 	c = &s.levels[0]
 	c.sorted = 0 // ok: pointer re-taken after growth
 }
@@ -100,21 +94,8 @@ func (s *sketch) okShieldedByContinue() {
 	}
 }
 
-func (s *sketch) okOtherSketchMutation(src *sketch, x item) {
+func (s *sketch) okOtherSketchGrowth(src *sketch) {
 	add := src.levels[0].buf
-	s.store.ensure(s.levels, 0, len(s.levels[0].buf)+len(add))
-	lv := &s.levels[0]
-	lv.buf = append(lv.buf, add...) // ok: ensure was on s, add aliases src's slab
-}
-
-func badSlabSteal(s *sketch) {
-	s.store.slab = nil // want "slab may only be re-assigned inside levelStore methods"
-}
-
-func (s *sketch) badForeignWindowAssign(other []item) {
-	s.levels[0].buf = other // want "window re-assignment must derive from the same window"
-}
-
-func (s *sketch) okSelfSlice() {
-	s.levels[0].buf = s.levels[0].buf[:0] // ok: re-slice of the same window
+	s.levels[0].buf = slices.Grow(s.levels[0].buf, len(add))
+	s.levels[0].buf = append(s.levels[0].buf, add...) // ok: s grew, add aliases src's level
 }

@@ -1,7 +1,7 @@
 package core
 
-// White-box tests of the contiguous level store: window layout, in-slab
-// growth, shifting, scrubbing, and the single-memcpy clone/copy paths.
+// White-box tests of the level buffers: each level owns its buffer, and
+// cloning, copying, shrinking and resetting keep every spare slot zeroed.
 // End-to-end correctness of the engine is covered by the equivalence and
 // property suites; these tests pin the storage discipline itself.
 
@@ -13,73 +13,60 @@ import (
 	"req/internal/rng"
 )
 
-// slabLayout asserts the full invariant-10 battery plus content equality
-// between each level buffer and its slab window.
-func slabLayout(t *testing.T, s *Sketch[float64]) {
+// checkBuffers asserts invariant 10 (the retained counter, and no buffer
+// shared between two owners) and that every slot past a level buffer's
+// length is zero, kept buffers of cut-off levels included: pointer-bearing
+// item types must not linger there.
+func checkBuffers(t *testing.T, s *Sketch[float64]) {
 	t.Helper()
-	if err := s.checkSlabInvariants(); err != nil {
+	if err := s.checkStorage(); err != nil {
 		t.Fatal(err)
 	}
-	for h := range s.levels {
-		w := s.store.win[h]
-		for i, v := range s.levels[h].buf {
-			if s.store.slab[w.off+i] != v {
-				t.Fatalf("level %d item %d: buf %v != slab %v", h, i, v, s.store.slab[w.off+i])
-			}
+	for h, lv := range s.levels[:cap(s.levels)] {
+		if h >= len(s.levels) && (len(lv.buf) != 0 || lv.sorted != 0 || lv.state != 0) {
+			t.Fatalf("kept level %d is not empty", h)
 		}
-		// Slack must be scrubbed.
-		for i := len(s.levels[h].buf); i < w.cap; i++ {
-			if s.store.slab[w.off+i] != 0 {
-				t.Fatalf("level %d slack slot %d holds %v, want 0", h, i, s.store.slab[w.off+i])
+		for i, v := range lv.buf[len(lv.buf):cap(lv.buf)] {
+			if v != 0 {
+				t.Fatalf("level %d spare slot %d holds %v, want 0", h, len(lv.buf)+i, v)
 			}
 		}
 	}
 }
 
-func TestStoreLayoutAfterIngest(t *testing.T) {
-	s := mkSketch(t, 8, false)
-	r := rng.New(3)
-	for i := 0; i < 100000; i++ {
-		s.Update(r.Float64())
-	}
-	if len(s.levels) < 3 {
-		t.Fatalf("want a multi-level sketch, got %d levels", len(s.levels))
-	}
-	slabLayout(t, s)
-}
-
-func TestStoreEnsureShiftsHigherLevels(t *testing.T) {
-	s := mkSketch(t, 8, false)
-	for i := 0; i < 50000; i++ {
-		s.Update(float64(i))
-	}
-	before := make([][]float64, len(s.levels))
-	for h := range s.levels {
-		before[h] = append([]float64(nil), s.levels[h].buf...)
-	}
-	// Force a mid-hierarchy window growth: every level above must shift
-	// right and keep its contents bit-identically.
-	s.store.ensure(s.levels, 1, s.store.win[1].cap*3)
-	slabLayout(t, s)
-	for h := range s.levels {
-		if len(before[h]) != len(s.levels[h].buf) {
-			t.Fatalf("level %d length changed across ensure", h)
+// TestStoreCapacityWithinTwiceB pins what growing by append reserves: fed
+// 2²⁰ items one at a time, a sketch's level buffers hold at most 2·B slots
+// per level in all, checked every 1,024th update.
+func TestStoreCapacityWithinTwiceB(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1},
+		{HRA: true, Seed: 1},
+		{Mode: ModeFixedK, K: 16, Seed: 1},
+		{Mode: ModeFixedK, K: 16, HRA: true, Seed: 1},
+	} {
+		s, err := New(fless, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, v := range before[h] {
-			if s.levels[h].buf[i] != v {
-				t.Fatalf("level %d item %d changed across ensure: %v != %v", h, i, s.levels[h].buf[i], v)
+		r := rng.New(31)
+		peak := 0.0
+		for i := 1; i <= 1<<20; i++ {
+			s.Update(r.Float64())
+			if i%1024 != 0 {
+				continue
 			}
+			slots := 0
+			for h := range s.levels {
+				slots += cap(s.levels[h].buf)
+			}
+			per := float64(slots) / float64(s.geom.b*len(s.levels))
+			if per > 2 {
+				t.Fatalf("%+v after %d updates: %d slots in %d levels of B = %d (%.2f·B per level), want ≤ 2·B",
+					cfg, i, slots, len(s.levels), s.geom.b, per)
+			}
+			peak = max(peak, per)
 		}
-	}
-}
-
-func TestStoreEnsureIsNoOpWhenCapacitySuffices(t *testing.T) {
-	s := mkSketch(t, 8, true)
-	s.Update(1)
-	slabBefore := &s.store.slab[0]
-	s.store.ensure(s.levels, 0, 1)
-	if &s.store.slab[0] != slabBefore {
-		t.Fatal("no-op ensure moved the slab")
+		t.Logf("mode %d, HRA %v: peak %.2f·B slots per level", cfg.Mode, cfg.HRA, peak)
 	}
 }
 
@@ -90,9 +77,11 @@ func TestStoreCloneSharesNothing(t *testing.T) {
 		s.Update(r.Float64())
 	}
 	c := s.Clone()
-	slabLayout(t, c)
-	if &c.store.slab[0] == &s.store.slab[0] {
-		t.Fatal("clone aliases the original slab")
+	checkBuffers(t, c)
+	for h := range s.levels {
+		if slicesShareMemory(c.levels[h].buf, s.levels[h].buf) {
+			t.Fatalf("clone shares level %d's buffer with the original", h)
+		}
 	}
 	// Divergent writes must not cross over.
 	snap := append([]float64(nil), s.levels[0].buf...)
@@ -104,7 +93,7 @@ func TestStoreCloneSharesNothing(t *testing.T) {
 			t.Fatalf("writing the clone changed the original at %d", i)
 		}
 	}
-	slabLayout(t, s)
+	checkBuffers(t, s)
 }
 
 func TestStoreCopyFromReusesSlab(t *testing.T) {
@@ -115,21 +104,27 @@ func TestStoreCopyFromReusesSlab(t *testing.T) {
 	}
 	dst := &Sketch[float64]{}
 	dst.CopyFrom(src)
-	slabLayout(t, dst)
-	slabBefore := &dst.store.slab[0]
-	// Refresh from a slightly advanced source: same capacity class, so the
-	// slab must be reused in place.
+	checkBuffers(t, dst)
+	// Refresh from a slightly advanced source: the buffers grow to the
+	// source's lengths once, then every refresh reuses them in place.
 	for i := 0; i < 100; i++ {
 		src.Update(r.Float64())
 	}
 	dst.CopyFrom(src)
-	slabLayout(t, dst)
-	if &dst.store.slab[0] != slabBefore {
-		t.Fatal("steady-state CopyFrom reallocated the slab")
+	checkBuffers(t, dst)
+	before := make([]*float64, len(dst.levels))
+	for h := range dst.levels {
+		before[h] = unsafe.SliceData(dst.levels[h].buf)
 	}
 	if got := testingAllocsCopyFrom(src, dst); got != 0 {
 		t.Fatalf("steady-state CopyFrom allocates %v allocs/op", got)
 	}
+	for h := range dst.levels {
+		if unsafe.SliceData(dst.levels[h].buf) != before[h] {
+			t.Fatalf("steady-state CopyFrom reallocated level %d", h)
+		}
+	}
+	checkBuffers(t, dst)
 	// And the copy answers identically.
 	for _, phi := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
 		a, err1 := src.Quantile(phi)
@@ -154,16 +149,14 @@ func TestStoreCopyFromShrinkScrubs(t *testing.T) {
 	small.Update(1)
 	dst := &Sketch[float64]{}
 	dst.CopyFrom(big)
+	levels := len(dst.levels)
 	dst.CopyFrom(small)
-	slabLayout(t, dst)
-	// The recycled backing array beyond the new logical slab must be zero:
+	// The levels small lacks are cut off but kept, scrubbed, for reuse:
 	// pointer-bearing item types would otherwise keep the big stream alive.
-	full := dst.store.slab[:cap(dst.store.slab)]
-	for i := len(dst.store.slab); i < len(full); i++ {
-		if full[i] != 0 {
-			t.Fatalf("shrinking CopyFrom left %v at recycled slot %d", full[i], i)
-		}
+	if cap(dst.levels) < levels {
+		t.Fatalf("shrinking CopyFrom kept %d of %d levels", cap(dst.levels), levels)
 	}
+	checkBuffers(t, dst)
 }
 
 func TestStoreResetScrubsSlab(t *testing.T) {
@@ -172,22 +165,22 @@ func TestStoreResetScrubsSlab(t *testing.T) {
 	for i := 0; i < 40000; i++ {
 		s.Update(r.Float64())
 	}
+	levels := len(s.levels)
 	s.Reset()
-	slabLayout(t, s)
-	if len(s.store.win) != 1 {
-		t.Fatalf("reset kept %d windows", len(s.store.win))
+	if len(s.levels) != 1 || cap(s.levels) < levels {
+		t.Fatalf("reset left %d levels and kept %d of %d", len(s.levels), cap(s.levels), levels)
 	}
-	full := s.store.slab[:cap(s.store.slab)]
-	for i, v := range full {
-		if v != 0 {
-			t.Fatalf("reset left %v at slab slot %d", v, i)
+	for h, lv := range s.levels[:levels] {
+		if cap(lv.buf) == 0 {
+			t.Fatalf("reset dropped level %d's buffer", h)
 		}
 	}
-	// The sketch must remain fully usable with the recycled slab.
+	checkBuffers(t, s)
+	// The sketch must remain fully usable with the kept buffers.
 	for i := 0; i < 40000; i++ {
 		s.Update(r.Float64())
 	}
-	slabLayout(t, s)
+	checkBuffers(t, s)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +267,12 @@ func TestSnapshotLevelsShareOneSlab(t *testing.T) {
 }
 
 // TestStoreSmallWindowWritePaths starts every sketch from Init's
-// reservation (one level header and an initialWindow-item level-0 window)
-// and drives each path that writes into a window, checking every
-// invariant (invariant 10, the window layout, included) and the slab's
-// contents and scrubbed slack after each. A twin whose level-0 window is
-// widened to B before its first write, the reservation Init used to make,
-// gets the same calls and must end in the same state: a window's size
-// never changes what the sketch holds.
+// reservation (one level header and an initialWindow-item level-0 buffer)
+// and drives each path that writes into a level, checking every invariant
+// and the zeroed spare slots after each. A twin whose level-0 buffer is
+// reserved at B before its first write gets the same calls and must end
+// in the same state: a buffer's capacity never changes what the sketch
+// holds.
 func TestStoreSmallWindowWritePaths(t *testing.T) {
 	cfg := Config{Mode: ModeFixedK, K: 16, HRA: true, Seed: 1}
 	fresh := func(t *testing.T) *Sketch[float64] {
@@ -289,9 +281,9 @@ func TestStoreSmallWindowWritePaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.store.win) != 1 || s.store.win[0].cap != initialWindow || cap(s.levels) != 1 {
-			t.Fatalf("Init reserved %d windows, a %d-item level-0 window and %d level headers",
-				len(s.store.win), s.store.win[0].cap, cap(s.levels))
+		if len(s.levels) != 1 || cap(s.levels[0].buf) != initialWindow || cap(s.levels) != 1 {
+			t.Fatalf("Init reserved %d levels, a %d-item level-0 buffer and %d level headers",
+				len(s.levels), cap(s.levels[0].buf), cap(s.levels))
 		}
 		return s
 	}
@@ -301,7 +293,7 @@ func TestStoreSmallWindowWritePaths(t *testing.T) {
 		vals[i] = r.Float64()
 	}
 	// oneLevel fits level 0 (B = 128), so merging it into a fresh sketch
-	// widens the target's small window; tall has several levels.
+	// grows the target's small buffer; tall has several levels.
 	oneLevel, tall := fresh(t), fresh(t)
 	oneLevel.UpdateBatch(vals[:100])
 	tall.UpdateBatch(vals[100:])
@@ -315,8 +307,8 @@ func TestStoreSmallWindowWritePaths(t *testing.T) {
 			}
 		}},
 		{"UpdateBatch", func(_ *testing.T, s *Sketch[float64]) {
-			// 5 items fit the window, the next 15 cross its edge, the
-			// rest cross B and compact.
+			// 5 items fit the buffer, the next 15 outgrow it, the rest
+			// cross B and compact.
 			s.UpdateBatch(vals[:5])
 			s.UpdateBatch(vals[5:20])
 			s.UpdateBatch(vals[20:])
@@ -361,16 +353,16 @@ func TestStoreSmallWindowWritePaths(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			small, wide := fresh(t), fresh(t)
-			wide.store.ensure(wide.levels, 0, wide.geom.b)
+			wide.levels[0].buf = make([]float64, 0, wide.geom.b)
 			for _, s := range []*Sketch[float64]{small, wide} {
 				tc.run(t, s)
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				slabLayout(t, s)
+				checkBuffers(t, s)
 			}
 			if !reflect.DeepEqual(small.Snapshot(), wide.Snapshot()) {
-				t.Fatal("the sketch grown from Init's small window differs from its twin reserved at B")
+				t.Fatal("the sketch grown from Init's small buffer differs from its twin reserved at B")
 			}
 		})
 	}

@@ -20,13 +20,10 @@ func mkSketch(t *testing.T, k int, detCoin bool) *Sketch[float64] {
 	return s
 }
 
-// loadLevel0 hand-loads level 0 through the level store (tests used to
-// assign a heap slice to levels[0].buf directly, which the slab engine no
-// longer permits). Like the old wholesale replacement it leaves the sorted
+// loadLevel0 hand-loads level 0 with a copy of vals, leaving the sorted
 // prefix at 0; n is not touched, so weight-conservation checks do not apply
 // to hand-loaded sketches.
 func loadLevel0(s *Sketch[float64], vals ...float64) {
-	s.store.ensure(s.levels, 0, len(vals))
 	lv := &s.levels[0]
 	s.retained += len(vals) - len(lv.buf)
 	clear(lv.buf)

@@ -290,9 +290,8 @@ func BenchmarkCoreSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreClone deep-copies a grown sketch. With per-level heap
-// buffers this is O(levels) allocations; with the contiguous level store it
-// is one slab copy plus the window table.
+// BenchmarkCoreClone deep-copies a grown sketch: one allocation and one
+// copy per level buffer, plus the level table.
 func BenchmarkCoreClone(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {

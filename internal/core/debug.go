@@ -28,11 +28,9 @@ import (
 //  9. read-cache consistency: a current view is the spare (recycled
 //     storage) and matches the sketch's count, and the union scratch holds
 //     no alias of the levels between reads;
-//  10. slab consistency: one window per level, laid out in level order,
-//     contiguous and non-overlapping, capacity accounting matching the slab
-//     length, every level buffer aliasing exactly its window, the O(1)
-//     ItemsRetained counter equal to the per-level sum, and no aliasing
-//     between the slab and the scratch/merge buffers.
+//  10. storage: the O(1) ItemsRetained counter equals the per-level sum,
+//     and no two level buffers, nor a level buffer and the scratch or merge
+//     staging buffer, share memory.
 func (s *Sketch[T]) CheckInvariants() error {
 	g := s.geom
 	if g.b != 2*g.k*g.nsec {
@@ -85,7 +83,7 @@ func (s *Sketch[T]) CheckInvariants() error {
 	if s.union != nil && (s.union.s != nil || len(s.union.runs) != 0) {
 		return fmt.Errorf("core: union scratch still aliases the levels after a read")
 	}
-	if err := s.checkSlabInvariants(); err != nil {
+	if err := s.checkStorage(); err != nil {
 		return err
 	}
 	if s.n > 0 {
@@ -100,46 +98,27 @@ func (s *Sketch[T]) CheckInvariants() error {
 	return nil
 }
 
-// checkSlabInvariants verifies invariant 10: the level-store layout.
-func (s *Sketch[T]) checkSlabInvariants() error {
-	st := &s.store
-	if len(st.win) != len(s.levels) {
-		return fmt.Errorf("core: %d windows for %d levels", len(st.win), len(s.levels))
-	}
-	off := 0
+// checkStorage verifies invariant 10: the retained counter and that every
+// level owns its buffer.
+func (s *Sketch[T]) checkStorage() error {
 	sum := 0
 	for h := range s.levels {
-		w := st.win[h]
-		if w.off != off {
-			return fmt.Errorf("core: level %d window starts at %d, want %d (windows must be contiguous in level order)", h, w.off, off)
-		}
-		if w.cap < 1 {
-			return fmt.Errorf("core: level %d window capacity %d < 1", h, w.cap)
-		}
 		buf := s.levels[h].buf
-		if len(buf) > w.cap {
-			return fmt.Errorf("core: level %d holds %d items in a window of %d", h, len(buf), w.cap)
-		}
-		if cap(buf) != w.cap {
-			return fmt.Errorf("core: level %d buffer capacity %d != window capacity %d", h, cap(buf), w.cap)
-		}
-		if unsafe.SliceData(buf) != &st.slab[w.off] {
-			return fmt.Errorf("core: level %d buffer does not alias the slab at offset %d", h, w.off)
-		}
-		off += w.cap
 		sum += len(buf)
-	}
-	if off != len(st.slab) {
-		return fmt.Errorf("core: window capacities sum to %d but slab holds %d", off, len(st.slab))
+		for j := h + 1; j < len(s.levels); j++ {
+			if slicesShareMemory(buf, s.levels[j].buf) {
+				return fmt.Errorf("core: levels %d and %d share a buffer", h, j)
+			}
+		}
+		if slicesShareMemory(s.scratch, buf) {
+			return fmt.Errorf("core: scratch buffer aliases level %d", h)
+		}
+		if slicesShareMemory(s.mergeBuf, buf) {
+			return fmt.Errorf("core: merge staging buffer aliases level %d", h)
+		}
 	}
 	if sum != s.retained {
 		return fmt.Errorf("core: ItemsRetained counter %d != per-level sum %d", s.retained, sum)
-	}
-	if slicesShareMemory(s.scratch, st.slab) {
-		return fmt.Errorf("core: scratch buffer aliases the slab")
-	}
-	if slicesShareMemory(s.mergeBuf, st.slab) {
-		return fmt.Errorf("core: merge staging buffer aliases the slab")
 	}
 	return nil
 }
@@ -148,7 +127,7 @@ func (s *Sketch[T]) checkSlabInvariants() error {
 // Comparing addresses across allocations is unspecified in the abstract
 // machine, so this is strictly a diagnostic (its false negatives/positives
 // would require a moving collector); it is exactly what invariant 10 needs
-// to catch a scratch buffer leaked into the slab.
+// to catch a buffer leaked from one owner to another.
 func slicesShareMemory[A any](a, b []A) bool {
 	if cap(a) == 0 || cap(b) == 0 {
 		return false

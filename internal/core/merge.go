@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"req/internal/schedule"
 )
@@ -140,7 +141,7 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	// step 5 never has to re-sort.
 	for h := range src.levels {
 		if h >= len(m.levels) {
-			m.levels = m.store.addLevel(m.levels, m.geom.b)
+			m.resizeLevels(h + 1)
 		}
 		m.settleLevel(h)
 		add := src.levels[h].buf
@@ -153,15 +154,15 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 			m.scratch = append(m.scratch[:0], add[sp:]...)
 			m.sortInternal(m.scratch)
 			m.mergeBuf = append(m.mergeBuf[:0], add[:sp]...)
+			m.mergeBuf = slices.Grow(m.mergeBuf, len(m.scratch))
 			m.mergeBuf = m.mergeInternalInto(m.mergeBuf, m.scratch)
 			add = m.mergeBuf
 		}
-		// Widen the target window for the concatenation before merging; the
-		// merge then appends strictly within m's slab (add lives in src's
-		// slab or m's scratch, never m's slab, so the operands cannot
-		// overlap).
-		m.store.ensure(m.levels, h, len(m.levels[h].buf)+len(add))
+		// Grow the target level for the concatenation before merging, as
+		// the merge kernel needs (add lives in src's levels or m's
+		// mergeBuf, never in m's level, so the operands cannot overlap).
 		dst := &m.levels[h]
+		dst.buf = slices.Grow(dst.buf, len(add))
 		dst.state = schedule.Combine(dst.state, src.levels[h].state)
 		dst.buf = m.mergeInternalInto(dst.buf, add)
 		dst.sorted = len(dst.buf)

@@ -121,7 +121,7 @@ type Config struct {
 
 // Accuracy-parameter sanity caps. These bound the buffer geometry a config
 // can demand: decoders hand Normalize attacker-controlled headers, and an
-// unchecked k̂ or K flows straight into the capacity of the level slab — a
+// unchecked k̂ or K flows straight into the capacity of the level buffers — a
 // 100-byte record must not be able to request a multi-gigabyte (or, via
 // float→int overflow, negative-length) allocation. The caps are far beyond
 // any honest configuration: MaxKHat corresponds to ε ≈ 3·10⁻¹² and MaxK is

@@ -324,9 +324,8 @@ func resizeAmortized[T any](xs []T, n int) []T {
 }
 
 // kwayMergeInto merges the (settled) level buffers into v.items ascending in
-// the caller's order, accumulating cumulative weights as it writes. The
-// cursors walk windows of the sketch's contiguous slab (levels[h].buf are
-// slab aliases), so the whole merge streams one allocation front to back.
+// the caller's order, accumulating cumulative weights as it writes, one
+// cursor per non-empty level buffer.
 func (s *Sketch[T]) kwayMergeInto(v *View[T]) {
 	// The cursors are staged on a reusable heap slice: a slice handed
 	// through the kernel table's indirect call escapes, so a stack array
@@ -347,7 +346,7 @@ func (s *Sketch[T]) kwayMergeInto(v *View[T]) {
 		s.kwayCurs = append(s.kwayCurs, cur)
 	}
 	s.kern.kway(s.kwayCurs, v.items, v.cum)
-	// Scrub the slab aliases so the scratch never keeps level buffers
+	// Scrub the buffer aliases so the scratch never keeps level buffers
 	// reachable past the merge.
 	clear(s.kwayCurs)
 }
@@ -544,7 +543,7 @@ func (v *View[T]) quantileAt(phi float64, pos int) (T, int) {
 	if phi == 1 {
 		return v.max, pos
 	}
-	pos = gallopCumGE(v.cum, pos, quantileTarget(phi, v.n))
+	pos = vec.GallopCumGE(v.cum, pos, quantileTarget(phi, v.n))
 	if pos == len(v.items) {
 		// Total retained weight can be less than n only if the sketch was
 		// restored from a foreign snapshot; clamp to the maximum.
@@ -615,27 +614,6 @@ func (v *View[T]) Quantile(phi float64) (T, error) {
 	if badPhi(phi) {
 		return zero, ErrBadRank
 	}
-	if phi == 0 {
-		return v.min, nil
-	}
-	if phi == 1 {
-		return v.max, nil
-	}
-	target := quantileTarget(phi, v.n)
-	// First index with cum ≥ target.
-	lo, hi := 0, len(v.cum)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v.cum[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(v.items) {
-		// Total retained weight can be less than n only if the sketch was
-		// restored from a foreign snapshot; clamp to the maximum.
-		return v.max, nil
-	}
-	return v.items[lo], nil
+	q, _ := v.quantileAt(phi, 0)
+	return q, nil
 }

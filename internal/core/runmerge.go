@@ -13,10 +13,9 @@ package core
 // (both ascending under less) and returns the extended slice. After dst is
 // extended by len(add) the merge is performed backward in place, so no
 // scratch beyond dst's spare capacity is needed; add is only read and must
-// not alias dst's backing array. When dst is a level buffer, it is a capped
-// slab window whose capacity the caller has ensured (store.ensure), so the
-// append can never reallocate out of the slab — the merge runs entirely
-// inside the window's slack.
+// not alias dst's backing array. When dst is a level buffer, the caller has
+// grown it for add (slices.Grow), so the append never reallocates and the
+// merge runs entirely inside the buffer's spare capacity.
 func mergeSortedInto[T any](dst []T, add []T, less func(a, b T) bool) []T {
 	m, e := len(dst), len(add)
 	if e == 0 {
@@ -143,34 +142,6 @@ func gallopLE[T any](xs []T, from int, y T, less func(a, b T) bool) int {
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if less(y, xs[mid]) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-// gallopCumGE returns the index of the first entry ≥ target in the
-// non-decreasing cumulative-weight array, starting at from; see gallopLE.
-//
-//req:noalloc
-func gallopCumGE(cum []uint64, from int, target uint64) int {
-	n := len(cum)
-	if from >= n || cum[from] >= target {
-		return from
-	}
-	lo, hi := from, n // cum[lo] < target
-	for step := 1; lo+step < n; step <<= 1 {
-		if cum[lo+step] >= target {
-			hi = lo + step
-			break
-		}
-		lo += step
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] >= target {
 			hi = mid
 		} else {
 			lo = mid

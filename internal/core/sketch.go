@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"req/internal/rng"
 	"req/internal/schedule"
@@ -14,10 +15,10 @@ import (
 // never compacted, and the top half is divided into nsec sections of k items
 // compacted per the exponential schedule.
 type compactor[T any] struct {
-	// buf aliases this level's window of the sketch's contiguous slab (see
-	// levelStore): &buf[0] == &slab[win.off] and cap(buf) == win.cap. Appends
-	// that could exceed the window capacity must go through store.ensure
-	// first; a plain append can then never reallocate out of the slab.
+	// buf is the level's buffer, owned by the level alone: no other level,
+	// and neither scratch nor mergeBuf, shares its backing array. It grows
+	// by append, and its spare capacity is kept zeroed, so pointer-bearing
+	// item types never linger past a truncation.
 	buf []T
 	// sorted is the length of the sorted prefix of buf under the sketch's
 	// internal order: buf[:sorted] is sorted, buf[sorted:] is the unsorted
@@ -47,11 +48,11 @@ type Sketch[T any] struct {
 	cfg  Config
 	rnd  *rng.Source
 
-	levels []compactor[T] // levels[h] holds items of weight 2^h
-	// store is the contiguous storage engine backing every level buffer:
-	// levels[h].buf aliases a window of store.slab. All level growth routes
-	// through it, so Clone/CopyFrom move the whole hierarchy as one memcpy.
-	store    levelStore[T]
+	// levels[h] holds items of weight 2^h. The compactors past
+	// len(levels), up to its capacity, are levels Reset or CopyFrom cut
+	// off: empty, with their scrubbed buffers kept for reuse
+	// (resizeLevels).
+	levels   []compactor[T]
 	n        uint64   // total stream length summarised
 	bound    uint64   // current stream-length bound N
 	geom     geometry // current (k, nsec, b), derived from bound
@@ -108,10 +109,9 @@ func New[T any](less func(a, b T) bool, cfg Config) (*Sketch[T], error) {
 	return s, nil
 }
 
-// initialWindow is the level-0 window Init reserves, in items (B is at
-// least 16). The appends that fill it widen it by half through
-// levelStore.ensure as the level fills toward B, so a sketch holding a few
-// items costs a few slots, not B of them.
+// initialWindow is the level-0 buffer Init reserves, in items (B is at
+// least 16). The appends that fill it grow it as the level fills toward B,
+// so a sketch holding a few items costs a few slots, not B of them.
 const initialWindow = 8
 
 // Init initializes s in place as an empty sketch over the strict order
@@ -120,8 +120,8 @@ const initialWindow = 8
 // multi-tenant registry packs millions of sketches into block arenas, one
 // compact struct per key, with no per-sketch pointer allocation); s must
 // be the zero value. It reserves one level and an initialWindow-item
-// window: a registry key pays for the items it holds, and the level table
-// and window grow on demand.
+// buffer: a registry key pays for the items it holds, and the level table
+// and buffers grow on demand.
 func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	if less == nil {
 		return fmt.Errorf("core: nil less function")
@@ -134,8 +134,7 @@ func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	s.rnd = rng.New(cfg.Seed)
 	s.bound = cfg.initialBound()
 	s.geom = cfg.geometryFor(s.bound)
-	s.levels = make([]compactor[T], 0, 1)
-	s.levels = s.store.addLevel(s.levels, initialWindow)
+	s.levels = []compactor[T]{{buf: make([]T, 0, initialWindow)}}
 	return nil
 }
 
@@ -182,13 +181,6 @@ func (s *Sketch[T]) update(x T) {
 		s.growTo(s.n + 1)
 	}
 	lv := &s.levels[0]
-	if len(lv.buf) == cap(lv.buf) {
-		// The window is full (it starts at initialWindow items, and a
-		// geometry growth can raise b past it); widen it before appending
-		// so the append can never reallocate out of the slab.
-		s.store.ensure(s.levels, 0, len(lv.buf)+1)
-		lv = &s.levels[0]
-	}
 	if lv.sorted == len(lv.buf) && (lv.sorted == 0 || !s.internalLess(x, lv.buf[lv.sorted-1])) {
 		// x extends the sorted prefix: ascending ingest never builds a tail,
 		// making the pre-compaction settle free.
@@ -244,10 +236,6 @@ func (s *Sketch[T]) updateBatch(xs []T) {
 			s.growTo(s.n + uint64(take))
 			continue // growth changed the geometry; recompute the chunk
 		}
-		if len(lv.buf)+take > cap(lv.buf) {
-			s.store.ensure(s.levels, 0, len(lv.buf)+take)
-			lv = &s.levels[0]
-		}
 		wasSorted := lv.sorted == len(lv.buf)
 		lv.buf = append(lv.buf, xs[i:i+take]...)
 		s.retained += take
@@ -284,9 +272,9 @@ func (s *Sketch[T]) IngestRun(run []T) {
 
 // PrefetchHint reads the level-0 append position — the line an Update will
 // write next — and returns what it finds (the zero value on an empty
-// window). The batched keyed pipeline calls this for every resolved cell
+// level 0). The batched keyed pipeline calls this for every resolved cell
 // in its tight resolve loop and stores the result into scratch, forcing
-// the level array and slab lines of many keys to fault in concurrently
+// the level array and buffer lines of many keys to fault in concurrently
 // instead of one dependent chain at a time during ingest. Pure read; no
 // sketch state changes.
 //
@@ -429,36 +417,52 @@ func (s *Sketch[T]) emitHalf(h, keep int) {
 		}
 	}
 	if h+1 >= len(s.levels) {
-		s.levels = s.store.addLevel(s.levels, s.geom.b)
+		// Algorithm 2 opens a compactor when the level below first
+		// compacts.
+		s.resizeLevels(h + 2)
 	}
 	// The next level can carry an unsorted tail (direct weighted inserts);
 	// settle it before merging the emission. This must precede the scratch
 	// use below — settleLevel claims s.scratch too.
 	s.settleLevel(h + 1)
-	c = &s.levels[h] // re-take: addLevel may have moved the levels array
+	c = &s.levels[h] // re-take: resizeLevels may have moved the levels array
 	region := c.buf[keep:]
 	s.scratch = s.scratch[:0]
 	for i := offset; i < len(region); i += 2 {
 		s.scratch = append(s.scratch, region[i])
 	}
-	// Scrub the abandoned tail so the slab never keeps pointer-bearing
-	// items reachable, and shrink the window's occupied prefix in place.
+	// Scrub the abandoned tail so the buffer never keeps pointer-bearing
+	// items reachable past its length.
 	clear(c.buf[keep:])
 	s.retained -= len(c.buf) - keep
 	c.buf = c.buf[:keep]
 	if c.sorted > keep {
 		c.sorted = keep
 	}
-	// Widen the next level's window for the emission before merging; the
-	// merge then appends strictly within the slab.
-	s.store.ensure(s.levels, h+1, len(s.levels[h+1].buf)+len(s.scratch))
+	// Grow the next level for the emission first: the merge kernel needs
+	// the capacity (mergeSortedInto's contract).
 	next := &s.levels[h+1]
+	next.buf = slices.Grow(next.buf, len(s.scratch))
 	next.buf = s.mergeInternalInto(next.buf, s.scratch)
 	next.sorted = len(next.buf)
 	s.retained += len(s.scratch)
 	if len(next.buf) > s.stats.MaxBufferLen {
 		s.stats.MaxBufferLen = len(next.buf)
 	}
+}
+
+// resizeLevels sets the level count to n. A level cut off is scrubbed and
+// its buffer kept past len(s.levels); a level added later starts empty, on
+// the buffer kept at its index if there is one.
+func (s *Sketch[T]) resizeLevels(n int) {
+	for h := n; h < len(s.levels); h++ {
+		clear(s.levels[h].buf)
+		s.levels[h] = compactor[T]{buf: s.levels[h].buf[:0]}
+	}
+	if n > len(s.levels) {
+		s.levels = slices.Grow(s.levels, n-len(s.levels))
+	}
+	s.levels = s.levels[:n]
 }
 
 // growTo raises the stream-length bound N until it is at least need,
@@ -480,10 +484,10 @@ func (s *Sketch[T]) growTo(need uint64) {
 	}
 }
 
-// Reset returns the sketch to its empty state, retaining allocations where
-// convenient and preserving the configuration. The random stream continues
-// (it is not re-seeded), so a reset sketch is statistically fresh but not
-// bit-identical to a newly constructed one.
+// Reset returns the sketch to its empty state, keeping every level's
+// buffer (scrubbed) and preserving the configuration. The random stream
+// continues (it is not re-seeded), so a reset sketch is statistically fresh
+// but not bit-identical to a newly constructed one.
 func (s *Sketch[T]) Reset() {
 	s.invalidate()
 	// Drop the recycled view outright: its arrays hold items from the old
@@ -493,10 +497,8 @@ func (s *Sketch[T]) Reset() {
 	s.retained = 0
 	s.bound = s.cfg.initialBound()
 	s.geom = s.cfg.geometryFor(s.bound)
-	s.store.reset()
-	s.levels = s.levels[:1]
-	s.levels[0] = compactor[T]{}
-	s.store.realias(s.levels)
+	s.resizeLevels(0) // scrub every level ...
+	s.resizeLevels(1) // ... and reopen level 0 on its kept buffer
 	var zero T
 	s.min, s.max = zero, zero
 	s.hasMinMax = false
@@ -507,19 +509,17 @@ func (s *Sketch[T]) Reset() {
 // The clone's random source continues s's stream (state copied), so the
 // clone and the original behave bit-for-bit identically on identical
 // subsequent input. The cached sorted view is not carried over; the clone
-// rebuilds it on first query. Clone is a read-only operation on s.
-//
-// The whole level hierarchy transfers as one compact slab allocation with
-// one memcpy per level — O(1) allocations regardless of the level count.
+// rebuilds it on first query. Clone is a read-only operation on s; each
+// level's buffer is copied at its length.
 func (s *Sketch[T]) Clone() *Sketch[T] {
 	c := *s
 	c.rnd = rng.New(0)
 	c.rnd.Restore(s.rnd.State())
-	c.store = levelStore[T]{}
-	c.store.cloneFrom(&s.store, s.levels)
 	c.levels = make([]compactor[T], len(s.levels))
-	copy(c.levels, s.levels)
-	c.store.realias(c.levels)
+	for h := range s.levels {
+		c.levels[h] = s.levels[h]
+		c.levels[h].buf = slices.Clone(s.levels[h].buf)
+	}
 	c.view = nil
 	// Never share transient state with the original: the clone grows its
 	// own view storage, union and merge scratch on first use.
@@ -534,9 +534,9 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 
 // CopyFrom makes s a deep copy of src (same contract as src.Clone(), but in
 // place): s summarises the same stream, continues the same random stream, and
-// shares no mutable state with src. Unlike Clone it reuses s's storage slab
-// and cached-view arrays, so refreshing a long-lived staging sketch from a
-// live one allocates nothing once capacities have grown to match.
+// shares no mutable state with src. Unlike Clone it reuses s's level
+// buffers and cached-view arrays, so refreshing a long-lived staging sketch
+// from a live one allocates nothing once capacities have grown to match.
 // The sharded wrapper's snapshot rebuild uses it to re-stage shard state
 // every epoch without per-epoch garbage. s.CopyFrom(s) is a no-op.
 func (s *Sketch[T]) CopyFrom(src *Sketch[T]) {
@@ -553,15 +553,16 @@ func (s *Sketch[T]) CopyFrom(src *Sketch[T]) {
 	s.min, s.max, s.hasMinMax = src.min, src.max, src.hasMinMax
 	s.stats = src.stats
 	s.retained = src.retained
-	// Per-level memcpys within one reused slab; the grown slab capacity is
-	// what keeps repeated refreshes allocation-free.
-	s.store.copyFrom(&src.store, s.levels, src.levels)
-	if cap(s.levels) < len(src.levels) {
-		s.levels = make([]compactor[T], len(src.levels))
-	} else {
-		s.levels = s.levels[:len(src.levels)]
+	// One copy per level into the reused buffer; only what shrank needs
+	// clearing, as the spare capacity past it is already zero.
+	s.resizeLevels(len(src.levels))
+	for h := range src.levels {
+		buf, from := s.levels[h].buf, src.levels[h].buf
+		if len(buf) > len(from) {
+			clear(buf[len(from):])
+		}
+		s.levels[h] = src.levels[h]
+		s.levels[h].buf = append(buf[:0], from...)
 	}
-	copy(s.levels, src.levels)
-	s.store.realias(s.levels)
 	s.invalidate()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"req/internal/rng"
 	"req/internal/schedule"
@@ -36,8 +37,8 @@ type Snapshot[T any] struct {
 
 // Snapshot captures the sketch state. Item slices are copies (the caller
 // may retain or mutate them freely); they are windows of one contiguous
-// allocation, copied level by level from the sketch's slab — one allocation
-// and O(levels) memcpys regardless of the level count.
+// allocation, copied level by level from the sketch's buffers — one
+// allocation and O(levels) memcpys regardless of the level count.
 func (s *Sketch[T]) Snapshot() Snapshot[T] {
 	snap := Snapshot[T]{
 		Config:    s.cfg,
@@ -63,10 +64,11 @@ func (s *Sketch[T]) Snapshot() Snapshot[T] {
 	return snap
 }
 
-// maxRestoreCapacity caps the total level-slab capacity (in items) that
-// FromSnapshot will allocate for a decoded snapshot: untrusted headers
-// choose the geometry, so the implied allocation must be bounded by a
-// constant, not by attacker-supplied accuracy parameters.
+// maxRestoreCapacity caps the total level capacity (in items) a decoded
+// snapshot's geometry may demand: untrusted headers choose the geometry,
+// and a restored sketch's levels grow toward B items each, so the implied
+// allocation must be bounded by a constant, not by attacker-supplied
+// accuracy parameters.
 const maxRestoreCapacity = 1 << 28
 
 // FromSnapshot reconstructs a sketch from a snapshot, validating structural
@@ -106,18 +108,19 @@ func FromSnapshot[T any](less func(a, b T) bool, snap Snapshot[T]) (*Sketch[T], 
 		stats:     snap.Stats,
 	}
 	s.rnd.Restore(snap.RNG)
-	// The restored slab is levels × geom.b items, and geom.b is derived from
-	// header fields an attacker controls (k̂, K, ε, bound) — not from the
-	// payload. Cap the total before allocating: a tiny hostile record must
-	// not be able to demand a multi-gigabyte slab (or overflow the int
-	// arithmetic into a make panic). Honest sketches sit far below the cap —
-	// it admits ~2 GiB of 8-byte items, beyond ε = 10⁻⁵ at 2⁶² streams.
+	// The restored levels grow toward levels × geom.b items, and geom.b is
+	// derived from header fields an attacker controls (k̂, K, ε, bound) —
+	// not from the payload. Cap the total before restoring: a tiny hostile
+	// record must not be able to set up a sketch whose next updates demand
+	// multi-gigabyte buffers (or overflow the int arithmetic into a make
+	// panic). Honest sketches sit far below the cap — it admits ~2 GiB of
+	// 8-byte items, beyond ε = 10⁻⁵ at 2⁶² streams.
 	if s.geom.b <= 0 ||
 		int64(s.geom.b)*int64(len(snap.Levels)) > maxRestoreCapacity {
 		return nil, fmt.Errorf("core: snapshot geometry demands %d levels × %d capacity, beyond the restore cap", len(snap.Levels), s.geom.b)
 	}
-	// Validate level sizes before laying out storage, then build the whole
-	// slab in one allocation with a geometry-capacity window per level.
+	// Validate level sizes before copying any items; each level is then
+	// sized by the items it holds.
 	var weight uint64
 	for h, lv := range snap.Levels {
 		if len(lv.Items) >= s.geom.b {
@@ -125,12 +128,10 @@ func FromSnapshot[T any](less func(a, b T) bool, snap Snapshot[T]) (*Sketch[T], 
 		}
 		weight += uint64(len(lv.Items)) << uint(h)
 	}
-	s.store.initWindows(len(snap.Levels), s.geom.b)
 	s.levels = make([]compactor[T], len(snap.Levels))
-	s.store.realias(s.levels)
 	for h, lv := range snap.Levels {
 		c := &s.levels[h]
-		c.buf = append(c.buf, lv.Items...)
+		c.buf = slices.Clone(lv.Items)
 		c.state = schedule.State(lv.State)
 		// Re-establish the sorted-compactor invariant: snapshots carry raw
 		// buffers, so recover the sorted prefix (the whole buffer for any

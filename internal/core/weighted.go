@@ -81,14 +81,10 @@ func (s *Sketch[T]) UpdateWeighted(x T, weight uint64) error {
 // any tail left on levels ≥ 1 is settled by the next compaction, view
 // build or live read.
 func (s *Sketch[T]) insertAtLevel(h int, x T) {
-	for h >= len(s.levels) {
-		s.levels = s.store.addLevel(s.levels, s.geom.b)
+	if h >= len(s.levels) {
+		s.resizeLevels(h + 1)
 	}
 	lv := &s.levels[h]
-	if len(lv.buf) == cap(lv.buf) {
-		s.store.ensure(s.levels, h, len(lv.buf)+1)
-		lv = &s.levels[h]
-	}
 	if lv.sorted == len(lv.buf) && (lv.sorted == 0 || !s.internalLess(x, lv.buf[lv.sorted-1])) {
 		lv.sorted++
 	}

@@ -12,9 +12,9 @@
 // the cell from the shard map and pushes it onto the shard's freelist; the
 // next creation pops it and calls the owner's reuse hook, which resets the
 // payload in place — for a registry entry that means core.Sketch.Reset,
-// which keeps the sketch's grown level slab. Under key churn the steady
+// which keeps the sketch's grown level buffers. Under key churn the steady
 // state therefore allocates nothing per create/evict cycle: the arena and
-// the slabs inside it are recycled, not reallocated.
+// the buffers inside it are recycled, not reallocated.
 //
 // # Eviction
 //

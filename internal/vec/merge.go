@@ -8,8 +8,8 @@ package vec
 // ascending-sorted slice dst and returns the extended slice. The merge runs
 // backward in place over dst's spare capacity; add must not alias dst's
 // backing array, and the caller must have ensured capacity for
-// len(dst)+len(add) (dst is a capped slab window in core, so the append can
-// never reallocate out of the slab).
+// len(dst)+len(add) (core grows a level buffer before merging into it, so
+// the append never reallocates).
 //
 //req:noalloc
 func MergeIntoAsc[E Elem](dst []E, add []E) []E {

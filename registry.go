@@ -25,12 +25,12 @@ var ErrNoKey = errors.New("req: no sketch for key")
 //
 // Entries live in per-shard block arenas (256 entries per block), so a
 // million-key registry is a few thousand allocations, not a few million,
-// and the per-key sketch storage is one contiguous level slab whose
-// level-0 window starts at 8 items and grows with the key's items, so a
-// key holding a few items costs a few hundred bytes. Eviction never frees
-// an entry: the cell goes on the shard's freelist and the next created key
-// recycles it — Sketch.Reset keeps the grown slab — so steady-state key
-// churn allocates nothing. Shards are split by maphash; WithShards fixes
+// and each level of a key's sketch owns one buffer; level 0's starts at 8
+// items and grows with the key's items, so a key holding a few items costs
+// a few hundred bytes. Eviction never frees an entry: the cell goes on the
+// shard's freelist and the next created key recycles it — Sketch.Reset
+// keeps every grown level buffer — so steady-state key churn allocates
+// nothing. Shards are split by maphash; WithShards fixes
 // the shard count.
 //
 // # Eviction

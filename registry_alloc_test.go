@@ -11,7 +11,8 @@ import (
 // Allocation pins for the keyed hot paths: once every resident sketch has
 // grown past its high-water mark, keyed updates and keyed queries must not
 // allocate — the tenant arena recycles cells, the sketch recycles its
-// slab, and keyed reads select through the shard's grow-only union scratch.
+// level buffers, and keyed reads select through the shard's grow-only
+// union scratch.
 
 // warmRegistry builds a string-keyed registry with nkeys resident keys,
 // each warmed past its growth phase and read twice around a write.
@@ -126,7 +127,7 @@ func TestAllocsRegistryFirstReadPerKey(t *testing.T) {
 // storage to new data: at capacity the clock hand evicts a cell for each
 // fresh key; past the TTL a key's next update restarts its cell in place;
 // and an ExpireNow sweep returns expired cells to the freelist for fresh
-// keys. Each must reuse cells and reset slabs, not allocate. Key strings
+// keys. Each must reuse cells and reset their level buffers, not allocate. Key strings
 // are preallocated (the caller owns key construction; the registry must
 // add nothing).
 func TestAllocsRegistryChurn(t *testing.T) {
@@ -177,7 +178,7 @@ func TestAllocsRegistryChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warm: run full churn cycles so every shard has reclaimed and
-			// reused cells at their final slab sizes.
+			// reused cells at their final buffer sizes.
 			i := 0
 			for ; i < 1024; i++ {
 				tc.step(t, reg, clk, i)
@@ -410,7 +411,7 @@ func TestAllocsWindowedUpdatePairs(t *testing.T) {
 
 // TestRegistryBytesPerKey pins the heap a resident key costs with
 // keyed_ingest's options (WithK(16), high-rank accuracy): a sketch's
-// level-0 window is sized by the items it holds, so a cold key costs a few
+// level-0 buffer is sized by the items it holds, so a cold key costs a few
 // hundred bytes, not a reservation of B = 128 items and eight level
 // headers. Each case measures the HeapAlloc growth, after a GC, of
 // populating 16K keys through UpdateBatch; the key strings are built
@@ -431,9 +432,9 @@ func TestRegistryBytesPerKey(t *testing.T) {
 		windowed bool
 		limit    float64 // bytes per key
 	}{
-		{"1-item", 1, false, 800},
-		{"64-items", 64, false, 1300},
-		{"windowed-1-item", 1, true, 3300},
+		{"1-item", 1, false, 751},
+		{"64-items", 64, false, 1251},
+		{"windowed-1-item", 1, true, 2964},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []Option{WithK(16), WithHighRankAccuracy(), WithSeed(1)}

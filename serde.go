@@ -181,29 +181,7 @@ func marshalSnapshot[T any](snap core.Snapshot[T], codec itemCodec[T]) ([]byte, 
 	for _, lv := range snap.Levels {
 		size += 8 + 4 + 8*len(lv.Items)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, magic[:]...)
-	out = append(out, formatVersion, codec.tag, byte(snap.Config.Mode), byte(snap.Config.Schedule))
-	var flags byte
-	if snap.Config.HRA {
-		flags |= 1
-	}
-	if snap.Config.PaperConstants {
-		flags |= 2
-	}
-	if snap.Config.DetCoin {
-		flags |= 4
-	}
-	if snap.HasMinMax {
-		flags |= 8
-	}
-	out = append(out, flags)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(snap.Config.Eps))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(snap.Config.Delta))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(snap.Config.KHat))
-	out = binary.LittleEndian.AppendUint32(out, uint32(snap.Config.K))
-	out = binary.LittleEndian.AppendUint64(out, snap.Config.Seed)
-	out = binary.LittleEndian.AppendUint64(out, snap.N)
+	out := appendHeader(make([]byte, 0, size), codec.tag, snap.Config, 0, snap.HasMinMax, snap.N)
 	out = binary.LittleEndian.AppendUint64(out, snap.Bound)
 	out = binary.LittleEndian.AppendUint64(out, snap.Config.N0)
 	out = codec.put(out, snap.Min)
@@ -221,7 +199,7 @@ func marshalSnapshot[T any](snap core.Snapshot[T], codec itemCodec[T]) ([]byte, 
 		return nil, fmt.Errorf("req: %d levels cannot be encoded", len(snap.Levels))
 	}
 	out = append(out, byte(len(snap.Levels)))
-	// The level payloads are windows of one contiguous capture slab
+	// The level payloads are windows of one contiguous capture
 	// (core.Sketch.Snapshot lays them out back to back), so this loop is a
 	// single forward sweep over contiguous memory: 12 header bytes per
 	// level, then a bulk item write.
@@ -231,6 +209,33 @@ func marshalSnapshot[T any](snap core.Snapshot[T], codec itemCodec[T]) ([]byte, 
 		out = codec.putAll(out, lv.Items)
 	}
 	return out, nil
+}
+
+// appendHeader appends the header fields shared by both record kinds —
+// magic through the stream length n — that decodeHeader reads back. kind
+// is 0 for a full sketch record or flagSnapshotRecord.
+func appendHeader(out []byte, tag byte, cfg core.Config, kind byte, hasMinMax bool, n uint64) []byte {
+	flags := kind
+	if cfg.HRA {
+		flags |= 1
+	}
+	if cfg.PaperConstants {
+		flags |= 2
+	}
+	if cfg.DetCoin {
+		flags |= 4
+	}
+	if hasMinMax {
+		flags |= 8
+	}
+	out = append(out, magic[:]...)
+	out = append(out, formatVersion, tag, byte(cfg.Mode), byte(cfg.Schedule), flags)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.Eps))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.Delta))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.KHat))
+	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.K))
+	out = binary.LittleEndian.AppendUint64(out, cfg.Seed)
+	return binary.LittleEndian.AppendUint64(out, n)
 }
 
 // decodeHeader parses the header fields shared by both record kinds —
@@ -491,30 +496,9 @@ func (sn *Snapshot[T]) MarshalBinary() ([]byte, error) {
 // means one decoder (decodeSnapshotPrefix) serves both.
 func appendSnapshotHeader[T any](out []byte, f *core.Frozen[T], codec itemCodec[T]) []byte {
 	cfg := f.Config()
-	out = append(out, magic[:]...)
-	out = append(out, formatVersion, codec.tag, byte(cfg.Mode), byte(cfg.Schedule))
-	flags := byte(flagSnapshotRecord)
-	if cfg.HRA {
-		flags |= 1
-	}
-	if cfg.PaperConstants {
-		flags |= 2
-	}
-	if cfg.DetCoin {
-		flags |= 4
-	}
 	mn, hasMinMax := f.Min()
 	mx, _ := f.Max()
-	if hasMinMax {
-		flags |= 8
-	}
-	out = append(out, flags)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.Eps))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.Delta))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(cfg.KHat))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.K))
-	out = binary.LittleEndian.AppendUint64(out, cfg.Seed)
-	out = binary.LittleEndian.AppendUint64(out, f.Count())
+	out = appendHeader(out, codec.tag, cfg, flagSnapshotRecord, hasMinMax, f.Count())
 	out = binary.LittleEndian.AppendUint64(out, cfg.N0)
 	out = codec.put(out, mn)
 	out = codec.put(out, mx)
