@@ -235,8 +235,6 @@ var apiSurfaceGolden = []string{
 	"Sketch.Delta",
 	"Sketch.Empty",
 	"Sketch.Epsilon",
-	"Sketch.Freeze",
-	"Sketch.Frozen",
 	"Sketch.ItemsRetained",
 	"Sketch.K",
 	"Sketch.MarshalBinary",

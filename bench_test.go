@@ -235,15 +235,16 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 }
 
 // BenchmarkSnapshotREQ measures the immutable-snapshot path: capturing a
-// Snapshot from a plain sketch (one deep copy of the frozen coreset),
-// re-capturing after a single write (pays a full view rebuild plus the
-// copy), and querying a captured snapshot (one binary search, no locks).
+// Snapshot while the cached view is current (one deep copy of the sorted
+// view), re-capturing after a single write (pays a full view rebuild plus
+// the copy), and querying a captured snapshot (one binary search, no
+// locks).
 func BenchmarkSnapshotREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	vals := benchValues(1<<20, 2)
 	s.UpdateBatch(vals)
 	b.Run("capture", func(b *testing.B) {
-		s.Freeze()
+		_ = s.Snapshot() // build the cached view every capture below copies
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -304,11 +305,13 @@ func BenchmarkSnapshotShardedREQ(b *testing.B) {
 }
 
 // BenchmarkCoresetExportREQ walks the coreset through the allocation-free
-// All iterator.
+// All iterator, over the cached view its first walk builds.
 func BenchmarkCoresetExportREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	s.Freeze()
+	for range s.All() { // build the cached view every walk below reads
+		break
+	}
 	b.Run("All", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -336,13 +339,14 @@ func BenchmarkRankREQ(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRankFrozenREQ measures rank queries on a quiesced (frozen)
-// sketch: Rank routes through the cached sorted view, so each query is one
-// binary search instead of any per-level work.
+// BenchmarkRankFrozenREQ measures rank queries on a quiesced sketch whose
+// cached view is current. A single read never consults that view, so each
+// query is BenchmarkRankREQ's search of every level; the one-search frozen
+// Rank is a Snapshot's (BenchmarkSnapshotREQ/query).
 func BenchmarkRankFrozenREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	s.Freeze()
+	_ = s.Snapshot() // the view is current; Rank below still reads the levels
 	qs := benchValues(1024, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -383,13 +387,14 @@ func BenchmarkMixedREQ(b *testing.B) {
 	}
 }
 
-// BenchmarkRankBatchREQ measures the batch rank API per probe on a frozen
-// sketch (unsorted probe sets, answered probe by probe). Compare against
-// the single-probe cost of BenchmarkRankFrozenREQ.
+// BenchmarkRankBatchREQ measures the batch rank API per probe on a sketch
+// whose cached view is current (unsorted probe sets, answered probe by
+// probe on the view). Compare against the single-probe cost of
+// BenchmarkRankFrozenREQ, a search of every level.
 func BenchmarkRankBatchREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	s.Freeze()
+	_ = s.RankBatch(nil, nil) // build the cached view every batch below reads
 	for _, size := range []int{16, 64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			probes := benchValues(size, 3)

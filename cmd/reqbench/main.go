@@ -11,7 +11,7 @@
 //	reqbench                      # run every experiment to stdout
 //	reqbench -experiment E4       # run one experiment
 //	reqbench -experiment E16      # query-engine modes: first read after a
-//	                              # write burst (live read vs Freeze) and
+//	                              # write burst (live read vs Snapshot) and
 //	                              # batch-query amortization tables
 //	reqbench -experiment E17      # windowed registry vs an exact oracle
 //	                              # through ring rotations and partial slots

@@ -56,17 +56,15 @@
 // query-side code can be written once against Reader and handed any of
 // them.
 //
-// Snapshot[T] is the immutable reader: every container's Snapshot() method
-// captures the current coreset (its sorted items and cumulative weights)
-// as a Snapshot that owns its storage, answers exactly what the source
-// would have answered at capture time, and is safe for any number of
-// goroutines with no locks — while the source keeps writing. Three tools
-// cover the freeze/copy spectrum:
+// Snapshot[T] is the immutable reader, and the one frozen reader: every
+// container's Snapshot() method captures the current coreset (its sorted
+// items and cumulative weights) as a Snapshot that owns its storage,
+// answers what the source would have answered at capture time (ranks and
+// batch reads bit for bit, quantiles equal under the order), and is safe
+// for any number of goroutines with no locks — while the source keeps
+// writing. Two tools cover the copy spectrum, and there is no in-place
+// freeze between them:
 //
-//   - Freeze makes the live sketch itself cheap to query (the sorted view
-//     materialized in place); the next write undoes it. No copy, no
-//     concurrency safety — use it for query-heavy phases on one
-//     goroutine.
 //   - Snapshot copies the frozen coreset out (on Sharded it is free
 //     between writes: the published epoch snapshot is handed out
 //     directly, no per-call clone). Use it to hand consistent state to
@@ -172,7 +170,7 @@
 // key's coreset as one blob or one crash-safe snapstore generation
 // ("RREG" format), restored by UnmarshalRegistry* / OpenRegistry* as an
 // immutable RegistrySnapshot whose per-key answers are bit-identical to
-// the live registry's frozen answers at capture time. A restore's
+// the live registry's Snapshot of that key at capture time. A restore's
 // snapshots share its storage, so one kept snapshot keeps every key's
 // items alive.
 //
@@ -244,43 +242,41 @@
 //
 // # Query path and batch queries
 //
-// Rank queries on a live (recently written) sketch binary-search each
-// sorted level. Quantile reads are answered the same way, from the levels:
-// the paper's Estimate-Rank sums each compactor's weighted count, so the
-// φ-quantile is the smallest retained item whose summed weight reaches
-// ⌈φn⌉, and Quantile and QuantilesInto find it by selection over the
-// sorted level buffers — the engine windowed registry reads use too. A
-// read first settles each level in place (it sorts level 0's append tail
-// and merges it behind the sorted prefix, the step every compaction starts
-// with); the multiset is unchanged, so no answer moves and no coin is
-// drawn. No view is built: the sketch stays unfrozen (Frozen reports
-// false). The answers equal, under the order, those of a freshly rebuilt
-// view; among items equal under the order, such as +0 and −0, a live read
-// and a view may name different ones.
+// A sketch's single reads — Rank, RankExclusive, Quantile, QuantilesInto —
+// always read its levels, as the paper's Estimate-Rank (Algorithm 2) does.
+// Rank binary-searches each sorted level. Estimate-Rank sums each
+// compactor's weighted count, so the φ-quantile is the smallest retained
+// item whose summed weight reaches ⌈φn⌉, and Quantile and QuantilesInto
+// find it by selection over the sorted level buffers — the engine windowed
+// registry reads use too. A read first settles each level in place (it
+// sorts level 0's append tail and merges it behind the sorted prefix, the
+// step every compaction starts with); the multiset is unchanged, so no
+// answer moves and no coin is drawn. A single read neither builds nor
+// consults a view, so its answer is the same, bit for bit, whether or not
+// one is current. The answers equal, under the order, those of the sorted
+// view; among items equal under the order, such as +0 and −0, a single
+// read and a view may name different ones.
 //
 // Everything else goes through a cached sorted view built by a k-way merge
-// of the levels: SortedView, Freeze, Snapshot, RankBatch, CDF/PMF, All and
-// registry export. Writes invalidate the view; the next of those calls
-// rebuilds it into the storage of the previous view (grow-only backing
-// arrays), so a long-lived sketch stops allocating on the query path
-// entirely. While the view is current, quantile reads answer from it too.
-//
-// Freeze builds that view in place, making every subsequent
-// Rank/Quantile/CDF call one search over it until the next write. Call it
-// when entering a query-heavy phase; single queries after writes do not pay
-// for it. Sharded freezes for you before publishing an epoch snapshot. A
-// Snapshot carries its own copy of the frozen view, which is why its
-// queries never touch the source again.
+// of the levels: Snapshot, RankBatch, CDF/PMF, All, registry export and
+// Sharded's epoch rebuild. Writes invalidate the view; the next of those
+// calls rebuilds it into the storage of the previous view (grow-only
+// backing arrays), so a long-lived sketch stops allocating on the query
+// path entirely, and the calls between two writes share one build. A
+// Snapshot carries its own copy of the view, which is why its queries
+// never touch the source again; Sharded publishes its epoch's merged view
+// as the snapshot without a copy.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
 // loop of single queries. A batch settles or rebuilds once; a sorted probe
 // set is then answered with one galloping sweep, so per-probe cost
 // amortizes to O(1) comparisons for dense sets, and an unsorted one probe
-// by probe, without sorting a copy (QuantilesInto restarts its sweep
-// wherever φ drops). The ...Into variants write into a caller-supplied
-// destination, so a monitoring loop that reuses its slices queries with
-// zero allocations end to end.
+// by probe, without sorting a copy (a Snapshot's QuantilesInto restarts
+// its sweep wherever φ drops; a sketch's narrows its selection over the
+// levels as an ascending φ set goes). The ...Into variants write into a
+// caller-supplied destination, so a monitoring loop that reuses its
+// slices queries with zero allocations end to end.
 //
 // # Memory layout: one buffer per level
 //
@@ -294,7 +290,7 @@
 // recycled registry key allocates nothing.
 //
 // Frozen snapshots follow an explicit ownership rule: Snapshot() copies
-// the frozen view's two arrays into storage the snapshot owns (two
+// the sorted view's two arrays into storage the snapshot owns (two
 // allocations, two memcpys), because the source sketch keeps writing; the
 // sharded wrapper's published epoch snapshots instead alias their epoch
 // sketch's storage outright, because that sketch is immutable from

@@ -5,10 +5,12 @@
 //   - scratch and mergeBuf must never be assigned level-buffer storage
 //     (runtime debug.go checks this with unsafe.SliceData overlap; this
 //     analyzer rejects the assignment shapes that could create overlap);
-//   - a local aliasing a level buffer (tail := s.levels[0].buf[...]) must
-//     not be used after a call that can grow the levels slice or that
-//     buffer (resizeLevels, compactions, slices.Grow or append on the
-//     buffer) — the buffer may have been reallocated under it;
+//   - a local aliasing a level buffer (tail := s.levels[0].buf[...], also
+//     when bound in a multi-value assignment) must not be used after a
+//     call that can grow the levels slice or that buffer (resizeLevels,
+//     compactions, slices.Grow or append on the buffer, whether through
+//     the sketch or through a *compactor local) — the buffer may have
+//     been reallocated under it;
 //   - a *compactor pointer (c := &s.levels[h]) must be re-taken after any
 //     call that can grow the levels slice, matching the re-take idiom the
 //     code already uses.
@@ -112,8 +114,9 @@ type poison struct {
 
 // bufLocal tracks a local variable aliasing a level buffer, or a
 // *compactor pointer into the levels slice. root is the variable the
-// owning sketch expression is rooted at (src in src.levels[h].buf): only
-// growth through the same root invalidates the local.
+// owning sketch expression is rooted at (src in src.levels[h].buf), seen
+// through *compactor locals (s, not lv, in lv.buf after lv := &s.levels[0]):
+// only growth through the same root invalidates the local.
 type bufLocal struct {
 	obj     types.Object
 	root    types.Object
@@ -143,32 +146,9 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 				lhsPos[id.Pos()] = true
 			}
 		}
-		if len(x.Lhs) != 1 || len(x.Rhs) != 1 {
-			return true
-		}
-		id, ok := ast.Unparen(x.Lhs[0]).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := c.pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = c.pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
-			return true
-		}
-		rhs := ast.Unparen(x.Rhs[0])
-		if c.isLevelBuf(rhs) {
-			locals = append(locals, &bufLocal{
-				obj: obj, root: rootObject(c.pass.TypesInfo, rhs),
-				kind: "buffer", takenAt: x.Pos(),
-			})
-		} else if u, isUnary := rhs.(*ast.UnaryExpr); isUnary && u.Op == token.AND {
-			if typeNamed(c.pass.TypesInfo.TypeOf(rhs), "compactor") {
-				locals = append(locals, &bufLocal{
-					obj: obj, root: rootObject(c.pass.TypesInfo, u.X),
-					kind: "compactor", takenAt: x.Pos(),
-				})
+		if len(x.Lhs) == len(x.Rhs) {
+			for i := range x.Lhs {
+				locals = c.trackLocal(x.Lhs[i], x.Rhs[i], x.Pos(), locals)
 			}
 		}
 		return true
@@ -188,6 +168,48 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// trackLocal appends a bufLocal for lhs when rhs aliases a level buffer or
+// points at a compactor, and returns locals unchanged otherwise.
+func (c *checker) trackLocal(lhs, rhs ast.Expr, at token.Pos, locals []*bufLocal) []*bufLocal {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok {
+		return locals
+	}
+	obj := c.pass.TypesInfo.Defs[id]
+	if obj == nil {
+		obj = c.pass.TypesInfo.Uses[id]
+	}
+	if obj == nil {
+		return locals
+	}
+	rhs = ast.Unparen(rhs)
+	kind, from := "buffer", rhs
+	if u, isUnary := rhs.(*ast.UnaryExpr); isUnary && u.Op == token.AND && typeNamed(c.pass.TypesInfo.TypeOf(rhs), "compactor") {
+		kind, from = "compactor", u.X
+	} else if !c.isLevelBuf(rhs) {
+		return locals
+	}
+	root := resolveRoot(rootObject(c.pass.TypesInfo, from), at, locals)
+	return append(locals, &bufLocal{obj: obj, root: root, kind: kind, takenAt: at})
+}
+
+// resolveRoot sees a root through a *compactor local: when root is such a
+// local (lv after lv := &s.levels[0]), it returns that local's own root
+// (s) as of its latest take before pos, so an alias and a growth meet
+// whether each goes through lv or through s.
+func resolveRoot(root types.Object, pos token.Pos, locals []*bufLocal) types.Object {
+	var govern *bufLocal
+	for _, l := range locals {
+		if l.kind == "compactor" && l.obj == root && l.takenAt < pos && (govern == nil || l.takenAt > govern.takenAt) {
+			govern = l
+		}
+	}
+	if govern == nil {
+		return root
+	}
+	return govern.root
 }
 
 // calleeName extracts the bare method/function name of a call.
@@ -274,6 +296,7 @@ func (c *checker) poisonLocals(call *ast.CallExpr, locals []*bufLocal, callEnds 
 	if !grows {
 		return
 	}
+	root = resolveRoot(root, call.Pos(), locals)
 	end := callEnds[call]
 	if end == token.NoPos {
 		end = token.Pos(1 << 30)

@@ -99,3 +99,30 @@ func (s *sketch) okOtherSketchGrowth(src *sketch) {
 	s.levels[0].buf = slices.Grow(s.levels[0].buf, len(add))
 	s.levels[0].buf = append(s.levels[0].buf, add...) // ok: s grew, add aliases src's level
 }
+
+func (s *sketch) badStaleMultiValueAlias(x item) float64 {
+	head, n := s.levels[0].buf, 0
+	s.levels[0].buf = append(s.levels[0].buf, x)
+	return head[n].v // want "used after append may have reallocated it"
+}
+
+func (s *sketch) badStaleAfterGrowthViaCompactor(x item) float64 {
+	head := s.levels[0].buf
+	lv := &s.levels[0]
+	lv.buf = append(lv.buf, x)
+	return head[0].v // want "used after append may have reallocated it"
+}
+
+func (s *sketch) badStaleCompactorAliasAfterGrowth(x item) float64 {
+	lv := &s.levels[0]
+	head := lv.buf
+	s.levels[0].buf = append(s.levels[0].buf, x)
+	return head[0].v // want "used after append may have reallocated it"
+}
+
+func (s *sketch) okCompactorGrowthOtherSketch(src *sketch, x item) float64 {
+	head := src.levels[0].buf
+	lv := &s.levels[0]
+	lv.buf = append(lv.buf, x)
+	return head[0].v // ok: lv points into s, head aliases src's level
+}

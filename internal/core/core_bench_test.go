@@ -114,8 +114,10 @@ func BenchmarkCoreRankScan(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkCoreRankFrozen ranks on a frozen sketch: one binary search on
-// the cached view.
+// BenchmarkCoreRankFrozen ranks on a sketch whose view is current. A
+// single read never consults the view, so this is BenchmarkCoreRankScan's
+// level search on a quiesced sketch; the view's own search serves the
+// batch reads (BenchmarkCoreRankBatch) and frozen snapshots.
 func BenchmarkCoreRankFrozen(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
@@ -179,8 +181,9 @@ func BenchmarkCoreViewRebuildReuse(b *testing.B) {
 // values into a default-ε HRA sketch, then per op 64 Updates and one
 // QuantilesInto of p50/p90/p99. The union arm answers as the sketch does,
 // by selection over the settled levels; the view arm rebuilds the view
-// before the read and answers from it, as a read after SortedView, Freeze
-// or a batch query would. Each arm runs under both kernel tables (see
+// before the read, as a batch query or a snapshot would, yet the read
+// still selects over the levels: the arm prices the rebuild that a reader
+// who also takes views pays. Each arm runs under both kernel tables (see
 // benchOrders).
 func BenchmarkCoreStreamRead(b *testing.B) {
 	for _, arm := range []string{"union", "view"} {
@@ -222,8 +225,8 @@ func benchStreamRead(b *testing.B, less func(a, b float64) bool, view bool) {
 	}
 }
 
-// BenchmarkCoreRankBatch measures batch rank queries per probe on a frozen
-// sketch, for random (answered probe by probe) and pre-sorted probe sets.
+// BenchmarkCoreRankBatch measures batch rank queries per probe on a sketch
+// whose view is current, for random (answered probe by probe) and pre-sorted probe sets.
 func BenchmarkCoreRankBatch(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {

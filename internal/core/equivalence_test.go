@@ -377,11 +377,11 @@ func compareSketches(t *testing.T, s *Sketch[float64], r *refSketch, probes []fl
 			t.Fatalf("Quantile(%v): new %v, ref %v", phi, got, want)
 		}
 	}
-	// Ranks must still agree when routed through the frozen view (the
-	// quantile loop above read the levels and built none).
-	s.SortedView()
+	// Ranks must still agree when answered by the view (the quantile loop
+	// above read the levels and built none).
+	v := s.SortedView()
 	for _, y := range probes {
-		if got, want := s.Rank(y), r.rank(y); got != want {
+		if got, want := v.Rank(y), r.rank(y); got != want {
 			t.Fatalf("frozen Rank(%v): new %d, ref %d", y, got, want)
 		}
 	}
@@ -398,9 +398,9 @@ func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 	t.Helper()
 	v := s.SortedView()
 	fresh := s.Clone().SortedView() // clone carries no cached view: from scratch
-	if len(v.Items()) != len(fresh.Items()) || v.TotalWeight() != fresh.TotalWeight() {
+	if len(v.Items()) != len(fresh.Items()) || v.Count() != fresh.Count() {
 		t.Fatalf("cached view shape (%d items, w=%d) != from-scratch (%d items, w=%d)",
-			len(v.Items()), v.TotalWeight(), len(fresh.Items()), fresh.TotalWeight())
+			len(v.Items()), v.Count(), len(fresh.Items()), fresh.Count())
 	}
 	for i, x := range v.Items() {
 		if x != fresh.Items()[i] {

@@ -1,164 +1,124 @@
 package core
 
-import "slices"
+import (
+	"errors"
+	"fmt"
+	"slices"
+)
 
-// Frozen is an immutable, concurrency-safe snapshot of a sketch's weighted
-// coreset: the sorted view's items and cumulative weights, owning (or, for
-// FreezeShared, exclusively aliasing) its storage. Unlike the *View returned
-// by SortedView — which the sketch recycles on the next write — a Frozen
-// stays valid forever, so it is the type the root package hands to external
-// callers as req.Snapshot.
+// Frozen views. A View is a coreset frozen into two parallel arrays — the
+// sorted items and their cumulative weights — plus O(1) scalars. The view
+// SortedView returns is the sketch's memo, recycled on its next write; the
+// functions here yield a View that stays valid forever: FreezeOwned copies
+// the arrays, FreezeShared aliases those of a sketch that is never written
+// again, and FrozenFromParts and FrozenFromCoreset rebuild a View around
+// arrays mapped or decoded from storage. Every View method is a pure read,
+// so any number of goroutines may query such a View at once with no
+// synchronization; the root package serves it as req.Snapshot. Persisting
+// one is two contiguous array writes (Items, CumulativeWeights), and
+// opening one can be two slice aliases over a read-only mapping — no
+// per-item decode.
 //
-// Every method is a pure read: any number of goroutines may query one
-// Frozen concurrently, with no synchronization, while the source sketch
-// keeps writing.
-type Frozen[T any] struct {
-	v         View[T]
-	cfg       Config
-	hasMinMax bool
-}
+// Ownership rule (the package's aliasing discipline): FreezeShared,
+// FrozenFromParts and FrozenFromCoreset alias the arrays without copying,
+// so they must be provably frozen — a read-only file mapping, or buffers
+// no writer will ever touch again. A View never writes through them.
 
-// FreezeOwned captures the sketch's current coreset as a Frozen that owns
-// every byte of its storage: the sorted view's two arrays are deep copied,
-// so the result shares no mutable state with the sketch and remains valid
-// (and concurrency-safe) across any subsequent writes. It freezes the
-// sketch as a side effect (view materialized), costing O(retained) time
-// and space: two allocations and two memcpys no matter how large the
-// coreset.
-func (s *Sketch[T]) FreezeOwned() *Frozen[T] {
+// FreezeOwned returns the sketch's current coreset as a View that owns
+// every byte of its storage: the cached view's two arrays are deep copied,
+// so the result shares no mutable state with the sketch and stays valid
+// across any later write. It builds the cached view when it is stale and
+// costs two allocations and two memcpys no matter how large the coreset.
+func (s *Sketch[T]) FreezeOwned() View[T] {
 	v := *s.SortedView()
 	v.items, v.cum = slices.Clone(v.items), slices.Clone(v.cum)
-	return &Frozen[T]{v: v, cfg: s.cfg, hasMinMax: s.hasMinMax}
+	return v
 }
 
-// FreezeShared wraps the sketch's frozen view as a Frozen WITHOUT copying:
-// the result aliases the sketch's view storage. It is sound only when the
-// sketch is never mutated again — the sharded wrapper uses it to publish
-// each epoch's freshly merged (and from then on immutable) sketch without
-// paying a second copy of the coreset. For a live sketch use FreezeOwned
-// instead.
-func (s *Sketch[T]) FreezeShared() *Frozen[T] {
-	src := s.SortedView()
-	return &Frozen[T]{v: *src, cfg: s.cfg, hasMinMax: s.hasMinMax}
+// FreezeShared returns the sketch's cached view by value WITHOUT copying
+// its arrays, so the result is sound only while the sketch is not written:
+// the sharded wrapper uses it to publish each epoch's freshly merged (and
+// from then on immutable) sketch, and the registry encode to write each
+// key's record under its shard lock. For a durable copy of a live sketch
+// use FreezeOwned instead.
+func (s *Sketch[T]) FreezeShared() View[T] { return *s.SortedView() }
+
+// FrozenFromParts returns the View over items and cum — the sorted items
+// and their cumulative weights, of equal length, rising to n — WITHOUT
+// copying or decoding them. Validation is O(1): length consistency,
+// weight/count coherence, min/max present exactly when n > 0, admitted by
+// tab's item rule and bracketing the items. That keeps opening a persisted
+// snapshot free of per-item work; run VerifyStructure afterwards when the
+// arrays come from an untrusted source that no checksum covered.
+func FrozenFromParts[T any](tab Table[T], n uint64, min, max T, hasMinMax bool, items []T, cum []uint64) (View[T], error) {
+	if tab.k == nil {
+		return View[T]{}, errors.New("core: nil kernel table")
+	}
+	ni := len(items)
+	if len(cum) != ni {
+		return View[T]{}, fmt.Errorf("core: %d items but %d cumulative weights", ni, len(cum))
+	}
+	if n == 0 {
+		if ni != 0 {
+			return View[T]{}, errors.New("core: empty coreset carries items")
+		}
+		if hasMinMax {
+			return View[T]{}, errors.New("core: empty coreset carries min/max")
+		}
+	} else {
+		if ni == 0 {
+			return View[T]{}, errors.New("core: nonempty coreset has no items")
+		}
+		if !hasMinMax {
+			return View[T]{}, errors.New("core: nonempty coreset lacks min/max")
+		}
+		// Weight conservation and bracketing, all O(1): the last cumulative
+		// weight is the whole stream, and min/max bound the retained items.
+		if cum[ni-1] != n {
+			return View[T]{}, fmt.Errorf("core: retained weight %d != n %d", cum[ni-1], n)
+		}
+		if err := tab.checkBounds(items, min, max); err != nil {
+			return View[T]{}, err
+		}
+	}
+	return View[T]{items: items[:ni:ni], cum: cum[:ni:ni], kern: tab.k, n: n, min: min, max: max}, nil
 }
 
-// FrozenFromCoreset fills f with the Frozen of a decoded coreset: p.Items
-// ascending under tab's order and p.Cum their cumulative weights, rising
-// strictly to n. It runs FrozenFromParts' O(1) checks and then
-// VerifyStructure's bulk scans, so untrusted input cannot produce a
-// snapshot whose queries misbehave: a zero weight or an overflowing sum
-// shows as a cumulative weight that does not rise. f takes over the two
-// arrays, capped to their length, without copying; after an error it
-// holds no coreset. Filling in place lets a decoder keep many Frozen
-// values in one slice.
-func FrozenFromCoreset[T any](f *Frozen[T], tab Table[T], cfg Config, n uint64, min, max T, hasMinMax bool, p FrozenParts[T]) error {
-	if err := f.fromParts(tab, cfg, n, min, max, hasMinMax, p); err != nil {
+// FrozenFromCoreset is FrozenFromParts followed by VerifyStructure's bulk
+// scans: the entry for a decoded coreset, so untrusted input cannot yield
+// a View whose queries misbehave. A zero weight or an overflowing sum
+// shows as a cumulative weight that does not rise.
+func FrozenFromCoreset[T any](tab Table[T], n uint64, min, max T, hasMinMax bool, items []T, cum []uint64) (View[T], error) {
+	v, err := FrozenFromParts(tab, n, min, max, hasMinMax, items, cum)
+	if err == nil {
+		err = v.VerifyStructure()
+	}
+	if err != nil {
+		return View[T]{}, err
+	}
+	return v, nil
+}
+
+// VerifyStructure deep-checks a View's arrays: every item admitted by its
+// order's item rule (no NaN under the float64 order), the items ascending,
+// and the cumulative weights rising strictly to n. The items take two bulk
+// scans of the kernel table (admitsAll, isSortedAsc), the weights one
+// loop; the walk is read-only and allocation-free. Any violation is
+// reported as an error, never a panic, so untrusted checksum-valid files
+// cannot plant a snapshot that answers queries from inconsistent arrays.
+func (v *View[T]) VerifyStructure() error {
+	if err := (Table[T]{v.kern}).checkItems(v.items); err != nil {
 		return err
 	}
-	if err := f.VerifyStructure(); err != nil {
-		*f = Frozen[T]{}
-		return err
+	var prev uint64
+	for i, c := range v.cum {
+		if c <= prev {
+			return fmt.Errorf("core: cumulative weight not increasing at %d", i)
+		}
+		prev = c
+	}
+	if prev != v.n {
+		return fmt.Errorf("core: retained weight %d != n %d", prev, v.n)
 	}
 	return nil
-}
-
-// Count returns the total weight summarised (the stream length).
-//
-//req:noalloc
-func (f *Frozen[T]) Count() uint64 { return f.v.n }
-
-// Empty reports whether the snapshot summarises no items.
-//
-//req:noalloc
-func (f *Frozen[T]) Empty() bool { return f.v.n == 0 }
-
-// Min returns the smallest item seen. ok is false when empty.
-//
-//req:noalloc
-func (f *Frozen[T]) Min() (item T, ok bool) { return f.v.min, f.hasMinMax }
-
-// Max returns the largest item seen. ok is false when empty.
-//
-//req:noalloc
-func (f *Frozen[T]) Max() (item T, ok bool) { return f.v.max, f.hasMinMax }
-
-// Config returns the configuration of the source sketch.
-func (f *Frozen[T]) Config() Config { return f.cfg }
-
-// Size returns the number of retained coreset entries.
-//
-//req:noalloc
-func (f *Frozen[T]) Size() int { return len(f.v.items) }
-
-// ItemsRetained returns the number of retained coreset entries (alias of
-// Size, mirroring the sketch method).
-//
-//req:noalloc
-func (f *Frozen[T]) ItemsRetained() int { return len(f.v.items) }
-
-// Items returns the retained items ascending. Shared storage: read-only.
-func (f *Frozen[T]) Items() []T { return f.v.items }
-
-// Weight returns the weight carried by Items()[i].
-//
-//req:noalloc
-func (f *Frozen[T]) Weight(i int) uint64 { return f.v.Weight(i) }
-
-// Rank returns the estimated inclusive rank of y.
-//
-//req:noalloc
-func (f *Frozen[T]) Rank(y T) uint64 { return f.v.Rank(y) }
-
-// RankExclusive returns the estimated exclusive rank of y.
-//
-//req:noalloc
-func (f *Frozen[T]) RankExclusive(y T) uint64 { return f.v.RankExclusive(y) }
-
-// NormalizedRank returns Rank(y)/Count() in [0, 1] (0 when empty).
-//
-//req:noalloc
-func (f *Frozen[T]) NormalizedRank(y T) float64 {
-	if f.v.n == 0 {
-		return 0
-	}
-	return float64(f.v.Rank(y)) / float64(f.v.n)
-}
-
-// RankBatch answers Rank for every probe in ys, writing into dst (grown as
-// needed) in probe order; see View.RankBatch.
-func (f *Frozen[T]) RankBatch(dst []uint64, ys []T) []uint64 { return f.v.RankBatch(dst, ys) }
-
-// NormalizedRankBatch is RankBatch normalized by Count().
-func (f *Frozen[T]) NormalizedRankBatch(dst []float64, ys []T) []float64 {
-	return f.v.NormalizedRankBatch(dst, ys)
-}
-
-// Quantile returns the item at normalized rank phi; see View.Quantile.
-func (f *Frozen[T]) Quantile(phi float64) (T, error) { return f.v.Quantile(phi) }
-
-// Quantiles returns the items at each normalized rank (allocating wrapper
-// over QuantilesInto).
-func (f *Frozen[T]) Quantiles(phis []float64) ([]T, error) { return f.v.QuantilesInto(nil, phis) }
-
-// QuantilesInto answers every normalized rank in phis, writing into dst.
-func (f *Frozen[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
-	return f.v.QuantilesInto(dst, phis)
-}
-
-// CDF returns the estimated normalized ranks at each ascending split point
-// (allocating wrapper over CDFInto).
-func (f *Frozen[T]) CDF(splits []T) ([]float64, error) { return f.v.CDFInto(nil, splits) }
-
-// CDFInto is CDF writing into dst (grown as needed).
-func (f *Frozen[T]) CDFInto(dst []float64, splits []T) ([]float64, error) {
-	return f.v.CDFInto(dst, splits)
-}
-
-// PMF returns the estimated probability mass of each interval delimited by
-// the ascending split points (allocating wrapper over PMFInto).
-func (f *Frozen[T]) PMF(splits []T) ([]float64, error) { return f.PMFInto(nil, splits) }
-
-// PMFInto is PMF writing into dst (grown as needed).
-func (f *Frozen[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
-	return f.v.PMFInto(dst, splits)
 }

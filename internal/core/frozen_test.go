@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // buildFrozenSource returns a sketch that has seen enough of a stream to
@@ -23,9 +24,9 @@ func buildFrozenSource(t *testing.T, n int) (*Sketch[float64], []float64) {
 	return s, probes
 }
 
-// TestFreezeOwnedMatchesLive pins the core contract: a Frozen answers every
-// query bit-identically to the live sketch at capture time, and keeps those
-// answers after the sketch mutates.
+// TestFreezeOwnedMatchesLive pins the core contract: an owned frozen View
+// answers every query bit-identically to the live sketch at capture time,
+// and keeps those answers after the sketch mutates.
 func TestFreezeOwnedMatchesLive(t *testing.T) {
 	s, probes := buildFrozenSource(t, 50000)
 	f := s.FreezeOwned()
@@ -58,7 +59,7 @@ func TestFreezeOwnedMatchesLive(t *testing.T) {
 		return a
 	}
 	live := capture(s.Rank, s.RankExclusive, s.Quantile, s.CDF)
-	froz := capture(f.Rank, f.RankExclusive, f.Quantile, func(sp []float64) ([]float64, error) { return f.CDF(sp) })
+	froz := capture(f.Rank, f.RankExclusive, f.Quantile, func(sp []float64) ([]float64, error) { return f.CDFInto(nil, sp) })
 
 	for i := range live.ranks {
 		if live.ranks[i] != froz.ranks[i] || live.excl[i] != froz.excl[i] {
@@ -90,7 +91,7 @@ func TestFreezeOwnedMatchesLive(t *testing.T) {
 	if f.Count() != n0 || f.Size() != retained0 {
 		t.Fatalf("frozen state moved: n %d->%d retained %d->%d", n0, f.Count(), retained0, f.Size())
 	}
-	again := capture(f.Rank, f.RankExclusive, f.Quantile, func(sp []float64) ([]float64, error) { return f.CDF(sp) })
+	again := capture(f.Rank, f.RankExclusive, f.Quantile, func(sp []float64) ([]float64, error) { return f.CDFInto(nil, sp) })
 	for i := range live.ranks {
 		if live.ranks[i] != again.ranks[i] {
 			t.Fatalf("frozen rank drifted after source mutation at probe %d", i)
@@ -98,7 +99,7 @@ func TestFreezeOwnedMatchesLive(t *testing.T) {
 	}
 }
 
-// TestFrozenConcurrentReads hammers one Frozen from many goroutines while
+// TestFrozenConcurrentReads hammers one owned View from many goroutines while
 // the source sketch keeps writing — the -race proof of the ownership claim.
 func TestFrozenConcurrentReads(t *testing.T) {
 	s, probes := buildFrozenSource(t, 20000)
@@ -154,7 +155,7 @@ func TestFrozenEmpty(t *testing.T) {
 	}
 }
 
-// TestFrozenFromCoresetRoundTrip re-creates a Frozen from its own exported
+// TestFrozenFromCoresetRoundTrip re-creates a View from its own exported
 // coreset and checks identical answers; then exercises the validator's
 // rejection paths.
 func TestFrozenFromCoresetRoundTrip(t *testing.T) {
@@ -167,9 +168,9 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 	}
 	mn, _ := f.Min()
 	mx, _ := f.Max()
-	g := new(Frozen[float64])
-	if err := FrozenFromCoreset(g, TableFor(fless), f.Config(), f.Count(), mn, mx, true,
-		coresetParts(items, weights)); err != nil {
+	gi, gc := coresetParts(items, weights)
+	g, err := FrozenFromCoreset(TableFor(fless), f.Count(), mn, mx, true, gi, gc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range probes {
@@ -189,7 +190,8 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 		is := append([]float64(nil), items...)
 		ws := append([]uint64(nil), weights...)
 		n, lo, hi, hasMM := mutate(is, ws)
-		if err := FrozenFromCoreset(new(Frozen[float64]), TableFor(fless), f.Config(), n, lo, hi, hasMM, coresetParts(is, ws)); err == nil {
+		pi, pc := coresetParts(is, ws)
+		if _, err := FrozenFromCoreset(TableFor(fless), n, lo, hi, hasMM, pi, pc); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -214,14 +216,14 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 
 // coresetParts copies a coreset given as per-item weights into the
 // cumulative layout FrozenFromCoreset takes.
-func coresetParts[T any](items []T, weights []uint64) FrozenParts[T] {
-	p := FrozenParts[T]{Items: append([]T(nil), items...), Cum: make([]uint64, len(weights))}
+func coresetParts[T any](items []T, weights []uint64) ([]T, []uint64) {
+	cum := make([]uint64, len(weights))
 	var run uint64
 	for i, w := range weights {
 		run += w
-		p.Cum[i] = run
+		cum[i] = run
 	}
-	return p
+	return append([]T(nil), items...), cum
 }
 
 // TestFreezeSharedAliases pins FreezeShared's contract: same answers, no
@@ -240,5 +242,21 @@ func TestFreezeSharedAliases(t *testing.T) {
 		if f.Rank(p) != v.Rank(p) {
 			t.Fatalf("shared frozen disagrees with view at %v", p)
 		}
+	}
+}
+
+// TestViewAndSketchSizes pins the two structs every registry key pays for:
+// a key's sketch, and the sorted view an export leaves cached on it until
+// its next write. A frozen reader's config sits beside its View (in
+// req.Snapshot), not inside it, so the cached view stays this size.
+func TestViewAndSketchSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(View[float64]{}); got != 88 {
+		t.Errorf("View[float64] is %d bytes, want 88", got)
+	}
+	if got := unsafe.Sizeof(Sketch[float64]{}); got != 336 {
+		t.Errorf("Sketch[float64] is %d bytes, want 336", got)
 	}
 }

@@ -281,10 +281,10 @@ func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 			}
 			c.stateEqual(t, rk, g)
 
-			// Frozen snapshots answer identically too.
+			// Owned frozen views answer identically too.
 			fk := k.FreezeOwned()
 			fg := g.FreezeOwned()
-			if !c.isVec(fk.v.kern) {
+			if !c.isVec(fk.kern) {
 				t.Fatal("FreezeOwned dropped the vec table")
 			}
 			for _, y := range c.draw(r, 128) {

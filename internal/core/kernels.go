@@ -9,10 +9,10 @@ import (
 
 // Kernel dispatch: one table per order. Every hot loop of the engine —
 // sorting, merging, searching, counting and the view's k-way merge — runs
-// through the kernels table a Sketch, View or Frozen carries. kernelFor
-// chooses it once, where the order is fixed (Init, FromSnapshot, TableFor);
-// copies carry it along, and FrozenFromCoreset and FrozenFromParts take
-// the Table a decoder resolved once.
+// through the kernels table a Sketch or View carries. kernelFor chooses it
+// once, where the order is fixed (Init, FromSnapshot, TableFor); copies
+// carry it along, and FrozenFromParts and FrozenFromCoreset take the Table
+// a decoder resolved once.
 //
 // For the canonical natural orders LessF64 and LessU64 the table is
 // internal/vec's monomorphic kernels: one indirect call per *operation*

@@ -14,7 +14,7 @@ import (
 // that is ==, so +0 and −0 answer alike, but any other item fails.
 
 // rebuiltView returns the view a rebuild of s's current state produces,
-// built on a copy so that s itself stays unfrozen.
+// built on a copy so that s itself keeps no current view.
 func rebuiltView[T any](s *Sketch[T]) *View[T] { return s.Clone().SortedView() }
 
 // liveReadPhis: an unsorted set with the extremes, near-extreme ranks and
@@ -47,7 +47,7 @@ func (c *liveReadCase[T]) same(a, b T) bool {
 func (c *liveReadCase[T]) check(t *testing.T, round int) {
 	t.Helper()
 	s := c.s
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatalf("round %d: the view is current; the read would not select", round)
 	}
 	v := rebuiltView(s)
@@ -69,7 +69,7 @@ func (c *liveReadCase[T]) check(t *testing.T, round int) {
 			}
 		}
 	}
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatalf("round %d: a live read froze the sketch", round)
 	}
 	// A following Rank searches the settled levels; it must agree too.

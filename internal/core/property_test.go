@@ -281,7 +281,7 @@ func TestPropertyViewRepairEquivalence(t *testing.T) {
 		}
 		v := s.SortedView()
 		fresh := s.Clone().SortedView()
-		if v.TotalWeight() != fresh.TotalWeight() || len(v.Items()) != len(fresh.Items()) {
+		if v.Count() != fresh.Count() || len(v.Items()) != len(fresh.Items()) {
 			return false
 		}
 		for i := range v.Items() {

@@ -25,14 +25,11 @@ var (
 // Each level is a sorted buffer (plus at most a small unsorted append tail
 // at level 0), so the count per level is one binary search plus a scan of
 // the tail: O(levels·log b) instead of a linear pass over every retained
-// item. On a frozen sketch (cached view materialized) the rank is answered
-// by a single binary search on the view.
+// item. The cached view is never consulted: a single read always reads the
+// levels, so its answer does not depend on whether a view is current.
 //
 //req:noalloc
 func (s *Sketch[T]) Rank(y T) uint64 {
-	if s.view != nil {
-		return s.view.Rank(y)
-	}
 	var r uint64
 	for h := range s.levels {
 		c := &s.levels[h]
@@ -43,13 +40,10 @@ func (s *Sketch[T]) Rank(y T) uint64 {
 
 // RankExclusive returns the estimated exclusive rank of y: the number of
 // stream items x with x < y. Like Rank it binary-searches each sorted level
-// buffer, or the cached view when the sketch is frozen.
+// buffer.
 //
 //req:noalloc
 func (s *Sketch[T]) RankExclusive(y T) uint64 {
-	if s.view != nil {
-		return s.view.RankExclusive(y)
-	}
 	var r uint64
 	for h := range s.levels {
 		c := &s.levels[h]
@@ -105,29 +99,21 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 {
 // Quantile returns the estimated φ-quantile for φ ∈ [0, 1]: the smallest
 // retained item whose normalized inclusive rank reaches φ. φ = 0 yields the
 // exact minimum and φ = 1 the exact maximum (both tracked separately). It
-// reads as QuantileWith does, through the sketch's own union scratch; a
-// frozen sketch answers from its view without touching that scratch, so
-// its reads stay pure reads.
+// reads as QuantileWith does, through the sketch's own union scratch.
 func (s *Sketch[T]) Quantile(phi float64) (T, error) {
-	if s.view != nil {
-		return s.view.Quantile(phi)
-	}
 	return s.QuantileWith(s.liveUnion(), phi)
 }
 
 // QuantileWith is Quantile selecting through the caller's union scratch u,
 // which must be empty and is left empty; the registry keeps one per shard,
-// so a keyed read adds no union to the key. While the view is current
-// (after Freeze, SortedView or a batch query) it answers from the view and
-// u goes unused. Otherwise u takes s alone: every level is settled in place
-// (the sort-and-merge of the level-0 tail that each compaction starts
-// with) and φ is selected over the sorted levels. The answer equals, under
-// the order, that of a view rebuilt now; no view is built, so the sketch
-// stays unfrozen.
+// so a keyed read adds no union to the key. u takes s alone: every level is
+// settled in place (the sort-and-merge of the level-0 tail that each
+// compaction starts with) and φ is selected over the sorted levels. The
+// answer equals, under the order, that of the sorted view; the read
+// neither builds nor consults a view, so it answers the same bits whether
+// or not one is current (among items equal under the order, such as +0
+// and −0, the view may hold the other one).
 func (s *Sketch[T]) QuantileWith(u *Union[T], phi float64) (T, error) {
-	if s.view != nil {
-		return s.view.Quantile(phi)
-	}
 	defer u.Reset()
 	u.Add(s)
 	return u.Quantile(phi)
@@ -144,27 +130,20 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) {
 // allocation-free querying) and returning it with length len(phis). It
 // reads as Quantile does; see QuantilesIntoWith.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
-	if s.view != nil {
-		return s.view.QuantilesInto(dst, phis)
-	}
 	return s.QuantilesIntoWith(s.liveUnion(), dst, phis)
 }
 
 // QuantilesIntoWith is QuantilesInto selecting through the caller's union
-// scratch u, on QuantileWith's terms: from the view while it is current
-// (see View.QuantilesInto), otherwise by selection over the settled levels
-// (see Union.QuantilesInto).
+// scratch u, on QuantileWith's terms: by selection over the settled levels
+// (see Union.QuantilesInto), never from the view.
 func (s *Sketch[T]) QuantilesIntoWith(u *Union[T], dst []T, phis []float64) ([]T, error) {
-	if s.view != nil {
-		return s.view.QuantilesInto(dst, phis)
-	}
 	defer u.Reset()
 	u.Add(s)
 	return u.QuantilesInto(dst, phis)
 }
 
 // liveUnion returns the sketch's own union scratch, allocating it on the
-// first read that finds the view stale.
+// first single quantile read.
 func (s *Sketch[T]) liveUnion() *Union[T] {
 	if s.union == nil {
 		s.union = new(Union[T])
@@ -239,16 +218,16 @@ func (s *Sketch[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
 	return s.SortedView().PMFInto(dst, splits)
 }
 
-// View is a sorted snapshot of the sketch's weighted coreset: items
-// ascending in the caller's order with cumulative weights. It answers rank
-// and quantile queries with one O(log size) search and is what the
-// experiment harness uses for bulk evaluation.
+// View is a frozen weighted coreset: items ascending in the caller's order
+// with cumulative weights, the stream length and the exact min/max. It
+// answers rank and quantile queries with one O(log size) search and batch
+// queries with one galloping sweep, and it is what the experiment harness
+// uses for bulk evaluation and what the root package's Snapshot serves.
 //
 // Ownership: the view returned by SortedView is owned by the sketch, which
 // recycles its storage on the next rebuild — it is valid only until the
-// next mutation of the sketch. Callers that need a durable snapshot should
-// Clone the sketch (or copy Items/CumulativeWeights) instead of retaining
-// the view across writes.
+// next mutation of the sketch. A View from FreezeOwned owns its storage and
+// stays valid forever; see frozen.go for the other frozen constructors.
 type View[T any] struct {
 	items []T
 	cum   []uint64 // cum[i] = total weight of items[0..i]
@@ -259,18 +238,13 @@ type View[T any] struct {
 	max  T
 }
 
-// Frozen reports whether the cached sorted view is materialized, i.e.
-// whether quantile/CDF queries are currently pure reads. Updates and merges
-// un-freeze the sketch; SortedView (or the root package's Freeze) freezes
-// it again. Quantile reads never freeze it: on a stale view they select
-// over the levels (QuantileWith), so Frozen stays false and a following
-// Rank searches the levels too.
-func (s *Sketch[T]) Frozen() bool { return s.view != nil }
-
 // SortedView materializes (and caches) the sorted weighted view: a stale
 // view is rebuilt by one k-way merge of the settled levels. Steady state
 // performs no allocation: the rebuild writes into the storage of the
-// previously built view (grow-only backing arrays).
+// previously built view (grow-only backing arrays). The cached view is the
+// memo that the batch queries (RankBatch, CDF, PMF), FreezeOwned and
+// FreezeShared build into and reuse until the next write; single reads
+// (Rank, Quantile, QuantilesInto) never read it.
 func (s *Sketch[T]) SortedView() *View[T] {
 	if s.view != nil {
 		return s.view
@@ -406,11 +380,30 @@ func (k orderKernels[T]) kway(curs []vec.KWayCursor[T], items []T, cum []uint64)
 	}
 }
 
-// Size returns the number of distinct retained entries in the view.
+// Size returns the number of retained entries in the view.
+//
+//req:noalloc
 func (v *View[T]) Size() int { return len(v.items) }
 
-// TotalWeight returns the total weight (= stream length n).
-func (v *View[T]) TotalWeight() uint64 { return v.n }
+// Count returns the total weight summarised (the stream length n).
+//
+//req:noalloc
+func (v *View[T]) Count() uint64 { return v.n }
+
+// Empty reports whether the view summarises no items.
+//
+//req:noalloc
+func (v *View[T]) Empty() bool { return v.n == 0 }
+
+// Min returns the smallest item seen. ok is false when empty.
+//
+//req:noalloc
+func (v *View[T]) Min() (item T, ok bool) { return v.min, v.n > 0 }
+
+// Max returns the largest item seen. ok is false when empty.
+//
+//req:noalloc
+func (v *View[T]) Max() (item T, ok bool) { return v.max, v.n > 0 }
 
 // Items returns the retained items in ascending order. The slice is shared;
 // callers must not modify it.
@@ -431,6 +424,16 @@ func (v *View[T]) Rank(y T) uint64 {
 //req:noalloc
 func (v *View[T]) RankExclusive(y T) uint64 {
 	return v.rankAt(v.kern.searchLT(v.items, y))
+}
+
+// NormalizedRank returns Rank(y)/Count() in [0, 1] (0 when empty).
+//
+//req:noalloc
+func (v *View[T]) NormalizedRank(y T) float64 {
+	if v.n == 0 {
+		return 0
+	}
+	return float64(v.Rank(y)) / float64(v.n)
 }
 
 // rankAt returns the total weight of the first pos entries.

@@ -63,10 +63,10 @@ func TestViewCachedAndInvalidated(t *testing.T) {
 	if v1 != v2 {
 		t.Fatal("view not cached across calls")
 	}
-	weight1 := v1.TotalWeight()
+	weight1 := v1.Count()
 	rankBefore := s.Rank(0.25)
 	s.Update(0.5)
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatal("update did not invalidate the cached view")
 	}
 	v3 := s.SortedView()
@@ -75,10 +75,10 @@ func TestViewCachedAndInvalidated(t *testing.T) {
 		// returned object is the same, refreshed in place.
 		t.Fatal("view storage not recycled across rebuilds")
 	}
-	if v3.TotalWeight() != weight1+1 {
-		t.Fatalf("stale weight in refreshed view: %d vs %d", v3.TotalWeight(), weight1)
+	if v3.Count() != weight1+1 {
+		t.Fatalf("stale weight in refreshed view: %d vs %d", v3.Count(), weight1)
 	}
-	if got := s.Rank(0.25); got != rankBefore {
+	if got := v3.Rank(0.25); got != rankBefore {
 		t.Fatalf("rebuilt view rank %d != pre-update rank %d", got, rankBefore)
 	}
 }
@@ -99,8 +99,8 @@ func TestViewCumulativeWeights(t *testing.T) {
 			t.Fatalf("cumulative weights not strictly increasing at %d", i)
 		}
 	}
-	if cum[len(cum)-1] != v.TotalWeight() {
-		t.Fatalf("last cumulative weight %d != total %d", cum[len(cum)-1], v.TotalWeight())
+	if cum[len(cum)-1] != v.Count() {
+		t.Fatalf("last cumulative weight %d != total %d", cum[len(cum)-1], v.Count())
 	}
 }
 

@@ -61,14 +61,15 @@ type Sketch[T any] struct {
 	min, max  T
 	hasMinMax bool
 
-	// view is the cached sorted view when it is current (nil ⇒ stale).
+	// view is the cached sorted view when it is current (nil ⇒ stale): the
+	// memo of batch queries and freezes, which single reads never consult.
 	// spare retains the most recently built view so rebuilds recycle its
 	// storage: view == spare whenever view is non-nil.
 	view  *View[T]
 	spare *View[T]
-	// union is the selection scratch of live quantile reads, allocated by
-	// the first read that finds the view stale. A read leaves it empty, so
-	// it never aliases the levels between reads.
+	// union is the selection scratch of single quantile reads, allocated
+	// by the first one. A read leaves it empty, so it never aliases the
+	// levels between reads.
 	union *Union[T]
 
 	// scratch is reused by settleLevel and emitHalf (tail copies and

@@ -226,8 +226,8 @@ func TestUpdateBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// The frozen-rank satellite: on a frozen sketch, Rank must route through
-// the cached view and agree with the unfrozen answer.
+// TestRankFrozenMatchesUnfrozen: the cached view's ranks agree with the
+// level search, and a current view does not change what Rank answers.
 func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 	s, err := New(fless, Config{Eps: 0.05, Delta: 0.05, Seed: 7})
 	if err != nil {
@@ -247,24 +247,27 @@ func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 		unfrozen[i] = s.Rank(y)
 		unfrozenEx[i] = s.RankExclusive(y)
 	}
-	if s.Frozen() {
-		t.Fatal("plain Rank must not freeze the sketch")
+	if s.view != nil {
+		t.Fatal("plain Rank must not build the view")
 	}
-	s.SortedView()
-	if !s.Frozen() {
-		t.Fatal("SortedView must freeze the sketch")
+	v := s.SortedView()
+	if s.view == nil {
+		t.Fatal("SortedView must cache the view")
 	}
 	for i, y := range probes {
-		if got := s.Rank(y); got != unfrozen[i] {
+		if got := v.Rank(y); got != unfrozen[i] {
 			t.Fatalf("Rank(%v) frozen %d != unfrozen %d", y, got, unfrozen[i])
 		}
-		if got := s.RankExclusive(y); got != unfrozenEx[i] {
+		if got := v.RankExclusive(y); got != unfrozenEx[i] {
 			t.Fatalf("RankExclusive(%v) frozen %d != unfrozen %d", y, got, unfrozenEx[i])
+		}
+		if s.Rank(y) != unfrozen[i] || s.RankExclusive(y) != unfrozenEx[i] {
+			t.Fatalf("Rank(%v) moved once the view was current", y)
 		}
 	}
 	s.Update(1)
-	if s.Frozen() {
-		t.Fatal("Update must unfreeze")
+	if s.view != nil {
+		t.Fatal("Update must invalidate the view")
 	}
 }
 

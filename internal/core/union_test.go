@@ -11,7 +11,7 @@ import (
 // unionView is the reference for a Union: the sorted view over the added
 // sketches' coresets, every level-h item at weight 2^h, with the exact
 // extremes — what a union read must answer exactly like.
-func unionView[T any](t *testing.T, less func(a, b T) bool, sks []*Sketch[T]) *Frozen[T] {
+func unionView[T any](t *testing.T, less func(a, b T) bool, sks []*Sketch[T]) *View[T] {
 	t.Helper()
 	type entry struct {
 		x T
@@ -44,11 +44,12 @@ func unionView[T any](t *testing.T, less func(a, b T) bool, sks []*Sketch[T]) *F
 	for i, e := range all {
 		items[i], weights[i] = e.x, e.w
 	}
-	f := new(Frozen[T])
-	if err := FrozenFromCoreset(f, TableFor(less), sks[0].cfg, n, mn, mx, has, coresetParts(items, weights)); err != nil {
+	ci, cc := coresetParts(items, weights)
+	v, err := FrozenFromCoreset(TableFor(less), n, mn, mx, has, ci, cc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return &v
 }
 
 // unionPhis: a sorted run, an unsorted one with repeats, the extremes.

@@ -19,8 +19,8 @@ func checkViewAgainstScratch(t *testing.T, s *Sketch[float64]) {
 	t.Helper()
 	v := s.SortedView()
 	fresh := s.Clone().SortedView()
-	if v.TotalWeight() != fresh.TotalWeight() {
-		t.Fatalf("recycled view weight %d != from-scratch %d", v.TotalWeight(), fresh.TotalWeight())
+	if v.Count() != fresh.Count() {
+		t.Fatalf("recycled view weight %d != from-scratch %d", v.Count(), fresh.Count())
 	}
 	if len(v.Items()) != len(fresh.Items()) {
 		t.Fatalf("recycled view has %d items, from-scratch %d", len(v.Items()), len(fresh.Items()))
@@ -88,7 +88,7 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	if err := s.UpdateWeighted(0.5, 12); err != nil {
 		t.Fatal(err)
 	}
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatal("weighted update left the view current")
 	}
 	checkViewAgainstScratch(t, s)
@@ -98,7 +98,7 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	for i := 0; i < s.BufferCapacity()+4; i++ {
 		s.Update(r.Float64())
 	}
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatal("compaction left the view current")
 	}
 	checkViewAgainstScratch(t, s)
@@ -134,7 +134,7 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	if err := s.Merge(other); err != nil {
 		t.Fatal(err)
 	}
-	if s.Frozen() {
+	if s.view != nil {
 		t.Fatal("merge left the view current")
 	}
 	checkViewAgainstScratch(t, s)

@@ -187,9 +187,6 @@ func (m *Map[K, E]) NumShards() int { return len(m.shards) }
 // state). Call it before the first key is inserted.
 func (m *Map[K, E]) CopyHashSeed(src *Map[K, E]) { m.hseed = src.hseed }
 
-// TTL returns the configured idle time-to-live in nanoseconds (0 = none).
-func (m *Map[K, E]) TTL() int64 { return m.ttl }
-
 // Lock locks and returns the shard owning key. Every entry operation
 // takes the returned shard; call Unlock when done.
 //

@@ -84,3 +84,123 @@ func TestLiveReadsKeepTwinState(t *testing.T) {
 		}
 	}
 }
+
+// singleReader is the single-read surface of one summary: a sketch, or a
+// key of a registry.
+type singleReader struct {
+	quantile      func(phi float64) (float64, error)
+	quantilesInto func(dst, phis []float64) ([]float64, error)
+	rank          func(y float64) (uint64, error)
+}
+
+// bits returns the bits of every single read's answers: Quantile per φ,
+// one QuantilesInto over phis, and Rank at every probe.
+func (r singleReader) bits(t *testing.T, phis, probes []float64) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, phi := range phis {
+		q, err := r.quantile(phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, math.Float64bits(q))
+	}
+	qs, err := r.quantilesInto(nil, phis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		out = append(out, math.Float64bits(q))
+	}
+	for _, y := range probes {
+		rk, err := r.rank(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rk)
+	}
+	return out
+}
+
+// TestSingleReadsIgnoreCachedView: Quantile, QuantilesInto and Rank read
+// the levels whether or not the sorted view is cached, so building the
+// view must not change one bit of their answers — not even the sign of a
+// zero, where the view and the selection over the levels may hold
+// different ones. On ±0-heavy streams, LRA and HRA, several seeds, every
+// 499 items the reads are taken before and after the sketch builds its
+// view through Snapshot, RankBatch or All in turn; a registry key is
+// checked the same way across MarshalBinary, which caches every key's
+// view.
+func TestSingleReadsIgnoreCachedView(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	phis := []float64{0.5, 0, 0.01, 0.25, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.75, 0.99, 1}
+	probes := []float64{negZero, 0, -1, 1, -256, 255}
+	builds := []struct {
+		name  string
+		build func(s *Float64)
+	}{
+		{"Snapshot", func(s *Float64) { _ = s.Snapshot() }},
+		{"RankBatch", func(s *Float64) { _ = s.RankBatch(nil, probes) }},
+		{"All", func(s *Float64) {
+			for range s.All() {
+				break
+			}
+		}},
+	}
+	const n, every = 50000, 499
+	for _, hra := range []bool{false, true} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			opts := []Option{WithSeed(seed)}
+			if hra {
+				opts = append(opts, WithHighRankAccuracy())
+			}
+			s, err := NewFloat64(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, err := NewRegistryFloat64(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr := singleReader{s.Quantile, s.QuantilesInto, func(y float64) (uint64, error) { return s.Rank(y), nil }}
+			kr := singleReader{
+				func(phi float64) (float64, error) { return reg.Quantile("k", phi) },
+				func(dst, phis []float64) ([]float64, error) { return reg.QuantilesInto("k", dst, phis) },
+				func(y float64) (uint64, error) { return reg.Rank("k", y) },
+			}
+			x := seed * 0x9e3779b97f4a7c15
+			for i := 1; i <= n; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				v := float64(x>>40%512) - 256
+				switch x % 4 {
+				case 0:
+					v = 0
+				case 1:
+					v = negZero
+				}
+				s.Update(v)
+				reg.Update("k", v)
+				if i%every != 0 {
+					continue
+				}
+				b := builds[i/every%len(builds)]
+				before := sr.bits(t, phis, probes)
+				b.build(s)
+				if after := sr.bits(t, phis, probes); !slices.Equal(before, after) {
+					t.Fatalf("hra=%v seed=%d after %d items: building the view through %s changed the sketch's single reads:\n%x\n%x",
+						hra, seed, i, b.name, before, after)
+				}
+				before = kr.bits(t, phis, probes)
+				if _, err := reg.MarshalBinary(); err != nil {
+					t.Fatal(err)
+				}
+				if after := kr.bits(t, phis, probes); !slices.Equal(before, after) {
+					t.Fatalf("hra=%v seed=%d after %d items: MarshalBinary changed the key's single reads:\n%x\n%x",
+						hra, seed, i, before, after)
+				}
+			}
+		}
+	}
+}

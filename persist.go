@@ -131,21 +131,22 @@ func (m *MappedSnapshot[T]) Mapped() bool { return m.file.Mapped() }
 // from it — must not be used afterwards.
 func (m *MappedSnapshot[T]) Close() error { return m.file.Close() }
 
-// snapshotPayload lowers a frozen coreset to the slab format's payload:
-// the serde snapshot header as the application header, the stream length
-// as the total, and the two storage arrays as raw little-endian sections.
-func snapshotPayload[T any](f *core.Frozen[T], codec itemCodec[T]) *snapstore.Payload {
-	parts := f.Parts()
+// snapshotPayload lowers a snapshot's coreset to the slab format's
+// payload: the serde snapshot header as the application header, the
+// stream length as the total, and the view's two arrays as raw
+// little-endian sections.
+func snapshotPayload[T any](sn *Snapshot[T], codec itemCodec[T]) *snapstore.Payload {
+	items, cum := sn.v.Items(), sn.v.CumulativeWeights()
 	p := &snapstore.Payload{
-		App:   appendSnapshotHeader(make([]byte, 0, 128), f, codec),
-		Count: uint64(len(parts.Items)),
-		Total: f.Count(),
+		App:   appendSnapshotHeader(make([]byte, 0, 128), sn, codec),
+		Count: uint64(len(items)),
+		Total: sn.v.Count(),
 	}
-	if len(parts.Items) == 0 {
+	if len(items) == 0 {
 		return p
 	}
-	p.Sections[snapstore.SecViewItems] = codec.putAll(make([]byte, 0, 8*len(parts.Items)), parts.Items)
-	p.Sections[snapstore.SecViewCum] = uint64Codec.putAll(make([]byte, 0, 8*len(parts.Cum)), parts.Cum)
+	p.Sections[snapstore.SecViewItems] = codec.putAll(make([]byte, 0, 8*len(items)), items)
+	p.Sections[snapstore.SecViewCum] = uint64Codec.putAll(make([]byte, 0, 8*len(cum)), cum)
 	return p
 }
 
@@ -155,10 +156,10 @@ func payloadFor[T any](sn *Snapshot[T]) (*snapstore.Payload, error) {
 	if !ok {
 		return nil, fmt.Errorf("req: snapshot persistence supports float64 and uint64 items only")
 	}
-	if err := checkEncodable(sn.f, codec); err != nil {
+	if err := checkEncodable(sn, codec); err != nil {
 		return nil, err
 	}
-	return snapshotPayload(sn.f, codec), nil
+	return snapshotPayload(sn, codec), nil
 }
 
 // SaveSnapshot durably writes the snapshot as the next generation in the
@@ -247,7 +248,7 @@ func sectionFloats(sec []byte) []float64 {
 // openMapped bridges an opened slab file to a queryable snapshot: parse
 // the application header (the serde snapshot prefix — O(1)), check the
 // header's total against the stream length, alias the two sections as the
-// frozen coreset's arrays, and rebuild the Frozen around them with O(1)
+// frozen coreset's arrays, and rebuild the view around them with O(1)
 // validation. With VerifyFull, an O(n) structural audit runs on top. On
 // success the returned snapshot owns the file.
 func openMapped[T any](
@@ -270,23 +271,18 @@ func openMapped[T any](
 		file.Close()
 		return nil, fmt.Errorf("%w: %w: header total %d != n %d", ErrCorrupt, snapstore.ErrCorrupt, file.Header.Total, n)
 	}
-	parts := core.FrozenParts[T]{
-		Items: itemsOf(file.Section(snapstore.SecViewItems)),
-		Cum:   sectionWords(file.Section(snapstore.SecViewCum)),
+	v, err := core.FrozenFromParts(codec.tab, n, mn, mx, hasMinMax,
+		itemsOf(file.Section(snapstore.SecViewItems)),
+		sectionWords(file.Section(snapstore.SecViewCum)))
+	if err == nil && verify == VerifyFull {
+		err = v.VerifyStructure()
 	}
-	f, err := core.FrozenFromParts(codec.tab, cfg, n, mn, mx, hasMinMax, parts)
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("%w: %w: %v", ErrCorrupt, snapstore.ErrCorrupt, err)
 	}
-	if verify == VerifyFull {
-		if err := f.VerifyStructure(); err != nil {
-			file.Close()
-			return nil, fmt.Errorf("%w: %w: %v", ErrCorrupt, snapstore.ErrCorrupt, err)
-		}
-	}
 	return &MappedSnapshot[T]{
-		Snapshot: Snapshot[T]{f: f},
+		Snapshot: Snapshot[T]{v: v, cfg: cfg},
 		file:     file,
 		gen:      file.Header.Gen,
 	}, nil

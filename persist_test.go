@@ -324,7 +324,7 @@ func TestVerifyFullCatchesHostileStructure(t *testing.T) {
 		s.Update(float64(i))
 	}
 	sn := s.Snapshot()
-	p := snapshotPayload(sn.f, float64Codec)
+	p := snapshotPayload(sn, float64Codec)
 
 	// Swap two interior view items: still within [min, max], so the O(1)
 	// open checks cannot see it, and the CRCs are recomputed at write.

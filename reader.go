@@ -16,7 +16,12 @@ import "iter"
 // Implementations differ only in synchronization and staleness, not in
 // semantics: a Snapshot answers from one immutable coreset; Sharded
 // answers every query from one consistent published epoch snapshot (Count
-// runs slightly ahead of it, served by live per-shard counters). The
+// runs slightly ahead of it, served by live per-shard counters); a Sketch
+// answers its single reads (Rank, RankExclusive, Quantile, Quantiles,
+// QuantilesInto) from its levels and the rest from its cached sorted
+// view, which agree under the order — among items equal under it, such as
+// +0 and −0, a Sketch's quantile may name the other one than a Snapshot
+// taken from it. The
 // ...Into and ...Batch variants write into caller-supplied storage — their
 // dst slices must not be shared between concurrent callers even on
 // concurrency-safe readers.

@@ -241,7 +241,7 @@ func (r *Registry[K, T]) Snapshot(key K) (*Snapshot[T], error) {
 	if e == nil {
 		return nil, ErrNoKey
 	}
-	return &Snapshot[T]{f: e.sk.FreezeOwned()}, nil
+	return &Snapshot[T]{v: e.sk.FreezeOwned(), cfg: e.sk.Config()}, nil
 }
 
 // Delete removes key's sketch, recycling its storage. It reports whether

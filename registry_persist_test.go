@@ -78,7 +78,7 @@ func assertRegistryMatchesLive(t *testing.T, reg *RegistryFloat64, rs *RegistryS
 }
 
 // TestRegistryRoundTripBytes: export → decode → per-key answers
-// bit-identical to the live registry's frozen answers.
+// bit-identical to the live registry's snapshots.
 func TestRegistryRoundTripBytes(t *testing.T) {
 	reg := buildRegistry(t)
 	blob, err := reg.MarshalBinary()
@@ -116,7 +116,8 @@ func TestRegistryRecordBound(t *testing.T) {
 	levels := map[int]bool{}
 	reg.Visit(func(key string, s *Sketch[float64]) bool {
 		bound := recordBound(s, float64Codec)
-		n := frozenRecordLen(s.core.FreezeShared(), float64Codec)
+		sn := Snapshot[float64]{v: s.core.FreezeShared(), cfg: s.core.Config()}
+		n := frozenRecordLen(&sn, float64Codec)
 		if got := uvarintLen(uint64(n)) + n; got > bound {
 			t.Fatalf("%q: record takes %d bytes, bound %d", key, got, bound)
 		}
@@ -593,19 +594,19 @@ func FuzzDecodeRegistryFloat64(f *testing.F) {
 					t.Fatalf("accepted snapshot rejects Quantile: %v", err)
 				}
 			}
-			if err := sn.f.VerifyStructure(); err != nil {
+			if err := sn.v.VerifyStructure(); err != nil {
 				t.Fatalf("key %q: accepted coreset fails VerifyStructure: %v", k, err)
 			}
-			p := sn.f.Parts()
-			if cap(p.Items) != len(p.Items) || cap(p.Cum) != len(p.Cum) {
-				t.Fatalf("key %q: slices reach past their coreset: len %d cap %d / %d", k, len(p.Items), cap(p.Items), cap(p.Cum))
+			is, cum := sn.v.Items(), sn.v.CumulativeWeights()
+			if cap(is) != len(is) || cap(cum) != len(cum) {
+				t.Fatalf("key %q: slices reach past their coreset: len %d cap %d / %d", k, len(is), cap(is), cap(cum))
 			}
-			if len(p.Items) > 0 {
-				for _, v := range []reflect.Value{reflect.ValueOf(p.Items), reflect.ValueOf(p.Cum)} {
+			if len(is) > 0 {
+				for _, v := range []reflect.Value{reflect.ValueOf(is), reflect.ValueOf(cum)} {
 					spans = append(spans, span{v.Pointer(), v.Pointer() + uintptr(8*v.Len())})
 				}
 			}
-			items += len(p.Items)
+			items += len(is)
 		}
 		if items > len(data)/9 {
 			t.Fatalf("%d items decoded from %d bytes", items, len(data))

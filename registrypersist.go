@@ -31,10 +31,10 @@ import (
 // arrays can), so OpenRegistry* is O(total retained items) — the
 // zero-copy property belongs to the single-snapshot path. The decode
 // (decodeRegistryRecords) lays every key out in shared arenas: one item
-// array, one cumulative-weight array, one slice of core.Frozen, one of
-// Snapshot and one string of every key, so a restore makes a constant
-// handful of allocations beyond its key map's tables, about 35 for a
-// whole OpenRegistryFloat64 at 256 keys. Every record is structurally
+// array, one cumulative-weight array, one slice of Snapshot and one string
+// of every key, so a restore makes a constant handful of allocations
+// beyond its key map's tables, about 35 for a whole OpenRegistryFloat64 at
+// 256 keys. Every record is structurally
 // validated during decode regardless of VerifyMode; the mode only tunes
 // snapstore's section checksumming.
 

@@ -15,10 +15,10 @@ import (
 // coreset, exactly what SnapshotFloat64.MarshalBinary writes for a single
 // sketch — under its own header, so a saved registry restores as a
 // RegistrySnapshot whose per-key answers are bit-identical to the live
-// registry's frozen answers at capture time. The encoding is query-only:
-// like a snapshot record (and unlike a full sketch record) it carries no
-// mutable sketch state, because a registry export is a fleet of read
-// replicas, not a migration. All integers are little-endian.
+// registry's Snapshot of that key at capture time. The encoding is
+// query-only: like a snapshot record (and unlike a full sketch record) it
+// carries no mutable sketch state, because a registry export is a fleet of
+// read replicas, not a migration. All integers are little-endian.
 //
 // Layout:
 //
@@ -114,8 +114,9 @@ func appendRegistryHeader(out []byte, keyTag, itemTag byte, keyCount uint64) []b
 
 // encodeRegistry walks the registry's resident keys (shard by shard, each
 // shard consistent under its lock) and encodes every key's coreset as one
-// snapshot record. The walk freezes each sketch in place and marshals it
-// while the shard lock is held, so the record is an exact capture; keys
+// snapshot record. The walk builds each sketch's sorted view in place (the
+// view stays cached until the key's next write) and marshals it while the
+// shard lock is held, so the record is an exact capture; keys
 // updated on other shards during the walk land in whichever state the
 // walk finds them. A first, cheaper walk sizes the blob from the retained
 // counts, so the encode appends into one allocation (keys written between
@@ -132,9 +133,9 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 	var count uint64
 	r.Visit(func(key K, s *Sketch[T]) bool {
 		out = kc.put(out, key)
-		f := s.core.FreezeShared()
-		out = binary.AppendUvarint(out, uint64(frozenRecordLen(f, ic)))
-		out = appendFrozenRecord(out, f, ic)
+		sn := Snapshot[T]{v: s.core.FreezeShared(), cfg: s.core.Config()}
+		out = binary.AppendUvarint(out, uint64(frozenRecordLen(&sn, ic)))
+		out = appendFrozenRecord(out, &sn, ic)
 		count++
 		return true
 	})
@@ -151,8 +152,8 @@ func recordPrefixLen[T any](ic itemCodec[T]) int { return 65 + ic.width*2 }
 // snapshot record: the fixed prefix, then per entry a fixed-width item and
 // a varint weight of one byte, plus the extra bytes of the few weights of
 // 128 or more, found in one pass over the cumulative array.
-func frozenRecordLen[T any](f *core.Frozen[T], ic itemCodec[T]) int {
-	cum := f.Parts().Cum
+func frozenRecordLen[T any](sn *Snapshot[T], ic itemCodec[T]) int {
+	cum := sn.v.CumulativeWeights()
 	n := recordPrefixLen(ic) + (ic.width+1)*len(cum)
 	var prev uint64
 	for _, c := range cum {
@@ -220,9 +221,9 @@ func decodeRegistryHeader(r *reader, keyTag, itemTag byte) (keyCount uint64, err
 // record's coreset-size field, refusing what its bytes cannot hold, and
 // sums them. The second decodes every record into storage shared by the
 // whole decode — one item arena, one cumulative-weight arena, one slice
-// of core.Frozen, one of Snapshot and, for string keys, one string of
-// every key — so a restore allocates the same handful of blocks (plus the
-// map's) whatever its key count.
+// of Snapshot and, for string keys, one string of every key — so a
+// restore allocates the same handful of blocks (plus the map's) whatever
+// its key count.
 func decodeRegistryRecords[K comparable, T any](
 	r *reader, keyCount uint64,
 	kc keyCodec[K], ic itemCodec[T],
@@ -258,7 +259,6 @@ func decodeRegistryRecords[K comparable, T any](
 	}
 
 	a := arena[T]{items: make([]T, items), cum: make([]uint64, items)}
-	frozen := make([]core.Frozen[T], keyCount)
 	snaps := make([]Snapshot[T], keyCount)
 	var keys strings.Builder
 	keys.Grow(text)
@@ -271,10 +271,9 @@ func decodeRegistryRecords[K comparable, T any](
 			return nil, fmt.Errorf("%w: duplicate key at record %d", ErrCorrupt, i)
 		}
 		rec, _ := r.record() // the first walk accepted it
-		if err := decodeRecord(&frozen[i], rec, ic, &a); err != nil {
+		if err := decodeRecord(&snaps[i], rec, ic, &a); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		snaps[i].f = &frozen[i]
 		m[key] = &snaps[i]
 	}
 	return m, nil

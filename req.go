@@ -122,10 +122,8 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 { return s.core.NormalizedRank(y
 // Quantile returns the item at normalized rank phi ∈ [0, 1]: the smallest
 // retained item whose estimated rank reaches ⌈phi·n⌉. Quantile(0) is the
 // exact minimum and Quantile(1) the exact maximum. It returns ErrEmpty on
-// an empty sketch and ErrBadRank for phi outside [0, 1]. A frozen sketch
-// answers from its sorted view; otherwise the read selects over the
-// sketch's sorted levels and builds no view, so the sketch stays unfrozen.
-// Both give the same answer under the order (see QuantilesInto).
+// an empty sketch and ErrBadRank for phi outside [0, 1]. The read selects
+// over the sketch's sorted levels and builds no view (see QuantilesInto).
 func (s *Sketch[T]) Quantile(phi float64) (T, error) { return s.core.Quantile(phi) }
 
 // Quantiles returns the items at each normalized rank, sharing one read
@@ -136,11 +134,12 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) { return s.core.Quant
 // QuantilesInto answers every normalized rank in phis, writing into dst
 // (grown as needed — pass the previous result back in for steady-state
 // allocation-free querying) and returning it with length len(phis). Like
-// Quantile, it answers from the sorted view while the sketch is frozen and
-// otherwise selects over the sorted levels without building a view, the
-// sketch staying unfrozen; an ascending phis narrows the selection as it
-// goes. The two paths agree under the order: among items equal under it,
-// such as +0 and −0, they may return different ones.
+// Quantile, it selects over the sorted levels without building a view; an
+// ascending phis narrows the selection as it goes. A single read never
+// consults the sorted view that Snapshot, All and the batch queries cache,
+// so it answers the same bits whether or not that view is current. Its
+// answers equal a Snapshot's under the order: among items equal under it,
+// such as +0 and −0, the two may return different ones.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	return s.core.QuantilesInto(dst, phis)
 }
@@ -214,46 +213,27 @@ func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
 }
 
 // Snapshot captures the sketch's current state as an immutable,
-// concurrency-safe Snapshot: a deep copy of the frozen coreset (its sorted
-// items and cumulative weights), answering every query exactly as the live
-// sketch would at capture time, forever — except that where the live
-// sketch had not been frozen, a quantile answer may be the other of two
-// items equal under the order, such as −0 for +0 (see QuantilesInto). It
-// freezes the sketch as a side effect and costs one O(retained) copy, plus
-// a view rebuild when the sketch was written since its last freeze.
-// Contrast with Freeze, which makes the live sketch itself cheap to query
-// but whose effect the next write undoes, and with Clone, which copies the
-// full mutable state (levels, RNG) so the copy can keep ingesting.
+// concurrency-safe Snapshot: a deep copy of the sorted view (the coreset's
+// sorted items and cumulative weights), answering every query as the live
+// sketch would at capture time, forever — except that a quantile answer
+// may be the other of two items equal under the order, such as −0 for +0
+// (see QuantilesInto). It is the one way to get a frozen reader of a
+// sketch. It costs one O(retained) copy, plus a view rebuild when the
+// sketch was written since the view was last built; the view stays cached
+// until the next write, so Snapshot, All and the batch queries between
+// writes share one build. Contrast with Clone, which copies the full
+// mutable state (levels, RNG) so the copy can keep ingesting.
 func (s *Sketch[T]) Snapshot() *Snapshot[T] {
-	return &Snapshot[T]{f: s.core.FreezeOwned()}
+	return &Snapshot[T]{v: s.core.FreezeOwned(), cfg: s.core.Config()}
 }
 
 // Clone returns a deep copy of the sketch sharing no mutable state with s.
 // The clone continues the original's random stream, so clone and original
-// behave identically on identical subsequent input. Cloning is the cheap
-// path to a frozen queryable snapshot of a live sketch (no serialization
-// round-trip involved).
+// behave identically on identical subsequent input. When readers only
+// need to query, take a Snapshot instead: it copies the coreset alone.
 func (s *Sketch[T]) Clone() *Sketch[T] {
 	return &Sketch[T]{core: s.core.Clone()}
 }
-
-// Freeze materializes the cached sorted view — the coreset's items in
-// order with their cumulative weights — so that subsequent Rank, Quantile,
-// Quantiles, CDF and PMF calls are single searches over it and pure reads
-// until the next update or merge. Sharded freezes each epoch's merged
-// sketch before publishing it. Freezing after any write rebuilds the view
-// with one k-way merge of the sorted levels, so freeze where a query-heavy
-// phase follows: a live Quantile after a few updates costs microseconds
-// and needs no view. The view storage is recycled across freezes, so
-// periodic freeze-query cycles are allocation-free in steady state.
-func (s *Sketch[T]) Freeze() { s.core.SortedView() }
-
-// Frozen reports whether the cached sorted view is currently materialized
-// (no update or merge has happened since the last Freeze or view build).
-// Quantile reads never build the view — on an unfrozen sketch they select
-// over the sorted levels — so Frozen stays false across them, and a
-// following Rank searches the levels.
-func (s *Sketch[T]) Frozen() bool { return s.core.Frozen() }
 
 // Reset empties the sketch in place, keeping its configuration (and
 // continuing its random stream). Useful for pooling sketches across

@@ -486,7 +486,7 @@ func (sn *Snapshot[T]) MarshalBinary() ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("req: snapshot serialization supports float64 and uint64 items only; range over All to export other types")
 	}
-	return marshalFrozen(sn.f, codec)
+	return marshalFrozen(sn, codec)
 }
 
 // appendSnapshotHeader appends the snapshot-record header — the common
@@ -494,22 +494,22 @@ func (sn *Snapshot[T]) MarshalBinary() ([]byte, error) {
 // in-memory snapshot encoding (marshalFrozen) and the persisted slab
 // format's application header (persist.go). Keeping the two byte-identical
 // means one decoder (decodeSnapshotPrefix) serves both.
-func appendSnapshotHeader[T any](out []byte, f *core.Frozen[T], codec itemCodec[T]) []byte {
-	cfg := f.Config()
-	mn, hasMinMax := f.Min()
-	mx, _ := f.Max()
-	out = appendHeader(out, codec.tag, cfg, flagSnapshotRecord, hasMinMax, f.Count())
-	out = binary.LittleEndian.AppendUint64(out, cfg.N0)
+func appendSnapshotHeader[T any](out []byte, sn *Snapshot[T], codec itemCodec[T]) []byte {
+	mn, hasMinMax := sn.v.Min()
+	mx, _ := sn.v.Max()
+	out = appendHeader(out, codec.tag, sn.cfg, flagSnapshotRecord, hasMinMax, sn.v.Count())
+	out = binary.LittleEndian.AppendUint64(out, sn.cfg.N0)
 	out = codec.put(out, mn)
 	out = codec.put(out, mx)
 	return out
 }
 
 // decodeSnapshotPrefix decodes what appendSnapshotHeader wrote: the common
-// header plus n0/min/max. The cursor is left at the first byte after the
-// prefix. min and max are checked where the coreset is rebuilt
-// (core.FrozenFromCoreset, core.FrozenFromParts), against the order's
-// item rule.
+// header plus n0/min/max, and returns the config normalized — validated
+// as the source sketch's was, so a snapshot re-encodes it as written. The
+// cursor is left at the first byte after the prefix. min and max are
+// checked where the coreset is rebuilt (core.FrozenFromCoreset,
+// core.FrozenFromParts), against the order's item rule.
 func decodeSnapshotPrefix[T any](r *reader, codec itemCodec[T]) (cfg core.Config, hasMinMax bool, n uint64, mn, mx T, err error) {
 	cfg, flags, n, err := decodeHeader(r, codec.tag, true)
 	if err != nil {
@@ -520,6 +520,9 @@ func decodeSnapshotPrefix[T any](r *reader, codec itemCodec[T]) (cfg core.Config
 		return cfg, false, 0, mn, mx, fmt.Errorf("%w: truncated snapshot header", ErrCorrupt)
 	}
 	cfg.N0 = binary.LittleEndian.Uint64(b)
+	if err := cfg.Normalize(); err != nil {
+		return cfg, false, 0, mn, mx, fmt.Errorf("%w: coreset config: %v", ErrCorrupt, err)
+	}
 	mn = codec.get(b[8:])
 	mx = codec.get(b[8+codec.width:])
 	return cfg, flags&8 != 0, n, mn, mx, nil
@@ -531,13 +534,13 @@ func decodeSnapshotPrefix[T any](r *reader, codec itemCodec[T]) (cfg core.Config
 // per-key records into one growing buffer. The weights are the differences
 // of the frozen cumulative array, written in the same sweep that takes
 // them.
-func appendFrozenRecord[T any](out []byte, f *core.Frozen[T], codec itemCodec[T]) []byte {
-	p := f.Parts()
-	out = appendSnapshotHeader(out, f, codec)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Items)))
-	out = codec.putAll(out, p.Items)
+func appendFrozenRecord[T any](out []byte, sn *Snapshot[T], codec itemCodec[T]) []byte {
+	items := sn.v.Items()
+	out = appendSnapshotHeader(out, sn, codec)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(items)))
+	out = codec.putAll(out, items)
 	var prev uint64
-	for _, c := range p.Cum {
+	for _, c := range sn.v.CumulativeWeights() {
 		if w := c - prev; w < 0x80 {
 			out = append(out, byte(w))
 		} else {
@@ -550,11 +553,11 @@ func appendFrozenRecord[T any](out []byte, f *core.Frozen[T], codec itemCodec[T]
 
 // marshalFrozen encodes a frozen coreset as a snapshot record, into a
 // buffer of exactly the record's length.
-func marshalFrozen[T any](f *core.Frozen[T], codec itemCodec[T]) ([]byte, error) {
-	if err := checkEncodable(f, codec); err != nil {
+func marshalFrozen[T any](sn *Snapshot[T], codec itemCodec[T]) ([]byte, error) {
+	if err := checkEncodable(sn, codec); err != nil {
 		return nil, err
 	}
-	return appendFrozenRecord(make([]byte, 0, frozenRecordLen(f, codec)), f, codec), nil
+	return appendFrozenRecord(make([]byte, 0, frozenRecordLen(sn, codec)), sn, codec), nil
 }
 
 // checkEncodable applies the decoders' item rules before a coreset is
@@ -563,13 +566,13 @@ func marshalFrozen[T any](f *core.Frozen[T], codec itemCodec[T]) ([]byte, error)
 // core.Table.CheckCoreset, which the decoders run too. A snapshot of a
 // sketch built under another order, or holding NaN, is refused here
 // instead of being written as a record that no decoder accepts.
-func checkEncodable[T any](f *core.Frozen[T], codec itemCodec[T]) error {
-	mn, hasMinMax := f.Min()
+func checkEncodable[T any](sn *Snapshot[T], codec itemCodec[T]) error {
+	mn, hasMinMax := sn.v.Min()
 	if !hasMinMax {
 		return nil // empty: no items, no extremes
 	}
-	mx, _ := f.Max()
-	if err := codec.tab.CheckCoreset(f.Items(), mn, mx); err != nil {
+	mx, _ := sn.v.Max()
+	if err := codec.tab.CheckCoreset(sn.v.Items(), mn, mx); err != nil {
 		return fmt.Errorf("req: cannot encode snapshot: %w", err)
 	}
 	return nil
@@ -587,13 +590,13 @@ type arena[T any] struct {
 }
 
 // take returns the next n entries of both arrays.
-func (a *arena[T]) take(n int) core.FrozenParts[T] {
+func (a *arena[T]) take(n int) (items []T, cum []uint64) {
 	if len(a.items) < n {
 		a.items, a.cum = make([]T, n), make([]uint64, n)
 	}
-	p := core.FrozenParts[T]{Items: a.items[:n:n], Cum: a.cum[:n:n]}
+	items, cum = a.items[:n:n], a.cum[:n:n]
 	a.items, a.cum = a.items[n:], a.cum[n:]
-	return p
+	return items, cum
 }
 
 // recordSize reads a snapshot record's coreset-size field and refuses a
@@ -615,14 +618,14 @@ func recordSize[T any](rec []byte, codec itemCodec[T]) (int, error) {
 	return int(size), nil
 }
 
-// decodeRecord decodes one snapshot record into f, its coreset's storage
+// decodeRecord decodes one snapshot record into sn, its coreset's storage
 // taken from a. The items land in one bulk decode, the weights in one loop
 // that sums them into the cumulative array as it reads them (weights are
 // small powers of two, so nearly every varint is one byte, read without a
 // call), and core.FrozenFromCoreset validates the whole coreset in bulk
 // scans under the codec's table. It never panics on corrupt input; every
 // rejection is wrapped in ErrCorrupt.
-func decodeRecord[T any](f *core.Frozen[T], rec []byte, codec itemCodec[T], a *arena[T]) error {
+func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *arena[T]) error {
 	r := reader{buf: rec}
 	cfg, hasMinMax, n, mn, mx, err := decodeSnapshotPrefix(&r, codec)
 	if err != nil {
@@ -632,13 +635,13 @@ func decodeRecord[T any](f *core.Frozen[T], rec []byte, codec itemCodec[T], a *a
 	if err != nil {
 		return err
 	}
-	p := a.take(size)
+	items, cum := a.take(size)
 	b := rec[recordPrefixLen(codec):]
-	codec.getAll(b, p.Items)
+	codec.getAll(b, items)
 	b = b[size*codec.width:]
 	var run uint64
 	off := 0
-	for i := range p.Cum {
+	for i := range cum {
 		if off < len(b) && b[off] < 0x80 {
 			run += uint64(b[off])
 			off++
@@ -650,24 +653,26 @@ func decodeRecord[T any](f *core.Frozen[T], rec []byte, codec itemCodec[T], a *a
 			run += w
 			off += k
 		}
-		p.Cum[i] = run
+		cum[i] = run
 	}
 	if off != len(b) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
 	}
-	if err := core.FrozenFromCoreset(f, codec.tab, cfg, n, mn, mx, hasMinMax, p); err != nil {
+	v, err := core.FrozenFromCoreset(codec.tab, n, mn, mx, hasMinMax, items, cum)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	sn.v, sn.cfg = v, cfg
 	return nil
 }
 
 // decodeSnapshot decodes a single snapshot record.
 func decodeSnapshot[T any](data []byte, codec itemCodec[T]) (*Snapshot[T], error) {
-	f := new(core.Frozen[T])
-	if err := decodeRecord(f, data, codec, &arena[T]{}); err != nil {
+	sn := new(Snapshot[T])
+	if err := decodeRecord(sn, data, codec, &arena[T]{}); err != nil {
 		return nil, err
 	}
-	return &Snapshot[T]{f: f}, nil
+	return sn, nil
 }
 
 // UnmarshalSnapshotFloat64 decodes a snapshot record produced by

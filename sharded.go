@@ -341,12 +341,13 @@ func (s *Sharded[T]) snapshot() *shardedSnapshot[T] {
 		// staged copies are distinct instances.
 		_ = merged.Merge(st)
 	}
-	// Freeze the view: every query on the published snapshot — single or
+	// Build the view: every query on the published snapshot — single or
 	// batch — is a pure read of its sorted items and cumulative weights.
-	// The public Snapshot aliases the merged sketch's frozen view directly
+	// The public Snapshot aliases the merged sketch's view directly
 	// (FreezeShared): the merged sketch is fresh every epoch and never
 	// mutated after publication, so no copy is needed.
-	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: &Snapshot[T]{f: merged.FreezeShared()}}
+	pub := &Snapshot[T]{v: merged.FreezeShared(), cfg: merged.Config()}
+	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: pub}
 	s.snap.Store(sn)
 	return sn
 }

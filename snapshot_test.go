@@ -210,8 +210,8 @@ func TestSnapshotMatchesLiveAcrossLifecycles(t *testing.T) {
 // right after it rebuilds the view. Both must answer alike under the order
 // (==: the selection and the view may return different items among those
 // equal under <, so +0 where the view has −0), with tails accumulated over
-// several live reads and across compactions, and every live read must
-// leave the sketch unfrozen.
+// several live reads and across compactions. That no live read builds a
+// view is pinned in internal/core (liveread_test.go).
 func TestLiveQuantilesMatchSnapshot(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	phis := []float64{0.5, 0, 0.001, 0.1, 0.25, 0.9, 0.99, 0.999, 1}
@@ -240,7 +240,7 @@ func TestLiveQuantilesMatchSnapshot(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			s.Update(draw())
 		}
-		s.Freeze()
+		_ = s.Snapshot()
 		var live []float64
 		for round := 0; round < 400; round++ {
 			for i := 0; i < []int{1, 64, 7, 300, 64, 2}[round%6]; i++ {
@@ -248,9 +248,6 @@ func TestLiveQuantilesMatchSnapshot(t *testing.T) {
 			}
 			if live, err = s.QuantilesInto(live, phis); err != nil {
 				t.Fatal(err)
-			}
-			if s.Frozen() {
-				t.Fatalf("hra=%v round %d: a live read froze the sketch", hra, round)
 			}
 			if round%3 != 2 {
 				continue // let the tail accumulate over several reads

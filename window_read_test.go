@@ -12,13 +12,13 @@ import (
 	"req/internal/core"
 )
 
-// windowOracle is the exact reference for windowed reads: a Frozen filled
-// by core.FrozenFromCoreset over the live slots' Snapshot levels, each
+// windowOracle is the exact reference for windowed reads: a View built by
+// core.FrozenFromCoreset over the live slots' Snapshot levels, each
 // level's items at weight 2^h, with the slots' exact extremes. Liveness is
 // recomputed here from the slot tags (floored epoch, ep−slots < tag ≤ ep)
 // rather than borrowed from the registry. less is the order w was built
 // with. ok is false when key is absent.
-func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], less func(a, b T) bool, key K) (f *core.Frozen[T], ok bool) {
+func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], less func(a, b T) bool, key K) (f core.View[T], ok bool) {
 	t.Helper()
 	now := w.now()
 	ep := now / w.slotNanos
@@ -29,7 +29,7 @@ func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], 
 	defer sh.Unlock()
 	e := w.m.Peek(sh, key, now)
 	if e == nil {
-		return nil, false
+		return f, false
 	}
 	type weighted struct {
 		x T
@@ -62,15 +62,14 @@ func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], 
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return less(all[i].x, all[j].x) })
-	p := core.FrozenParts[T]{Items: make([]T, len(all)), Cum: make([]uint64, len(all))}
+	items, cum := make([]T, len(all)), make([]uint64, len(all))
 	var run uint64
 	for i, a := range all {
 		run += a.w
-		p.Items[i], p.Cum[i] = a.x, run
+		items[i], cum[i] = a.x, run
 	}
-	// Any slot's config will do: the slots differ only in their seeds.
-	f = new(core.Frozen[T])
-	if err := core.FrozenFromCoreset(f, core.TableFor(less), e.ring[0].Config(), n, mn, mx, has, p); err != nil {
+	f, err := core.FrozenFromCoreset(core.TableFor(less), n, mn, mx, has, items, cum)
+	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	return f, true
