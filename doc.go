@@ -170,9 +170,13 @@
 // key's coreset as one blob or one crash-safe snapstore generation
 // ("RREG" format), restored by UnmarshalRegistry* / OpenRegistry* as an
 // immutable RegistrySnapshot whose per-key answers are bit-identical to
-// the live registry's Snapshot of that key at capture time. A restore's
-// snapshots share its storage, so one kept snapshot keeps every key's
-// items alive.
+// the live registry's Snapshot of that key at capture time. An export
+// encodes only the keys written since the last one: the registry keeps
+// that export's record stream (one blob's worth of bytes, dropped by
+// Reset) and copies every other key's record from it, byte-identical to a
+// full encode. Reads and exports leave no view or scratch on a key; they
+// settle and merge through per-shard scratch. A restore's snapshots share
+// its storage, so one kept snapshot keeps every key's items alive.
 //
 // # Batched multi-tenant ingest
 //
@@ -258,14 +262,15 @@
 // read and a view may name different ones.
 //
 // Everything else goes through a cached sorted view built by a k-way merge
-// of the levels: Snapshot, RankBatch, CDF/PMF, All, registry export and
-// Sharded's epoch rebuild. Writes invalidate the view; the next of those
-// calls rebuilds it into the storage of the previous view (grow-only
-// backing arrays), so a long-lived sketch stops allocating on the query
-// path entirely, and the calls between two writes share one build. A
-// Snapshot carries its own copy of the view, which is why its queries
-// never touch the source again; Sharded publishes its epoch's merged view
-// as the snapshot without a copy.
+// of the levels: Snapshot, RankBatch, CDF/PMF, All and Sharded's epoch
+// rebuild. Writes invalidate the view; the next of those calls rebuilds it
+// into the storage of the previous view (grow-only backing arrays), so a
+// long-lived sketch stops allocating on the query path entirely, and the
+// calls between two writes share one build. A Snapshot carries its own
+// copy of the view, which is why its queries never touch the source
+// again; Sharded publishes its epoch's merged view as the snapshot without
+// a copy. A registry's export and Snapshot run the same merge on per-shard
+// scratch instead, so registry keys cache no view.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a

@@ -2,9 +2,11 @@
 // of internal/core: every compactor owns its buf, a slice that grows by
 // append, so
 //
-//   - scratch and mergeBuf must never be assigned level-buffer storage
-//     (runtime debug.go checks this with unsafe.SliceData overlap; this
-//     analyzer rejects the assignment shapes that could create overlap);
+//   - scratch buffers must never be assigned level-buffer storage: the
+//     sketch's scratch and mergeBuf, the settle tail of a Union or a Work,
+//     and the arrays of a Work's view (runtime debug.go checks the first
+//     two with unsafe.SliceData overlap; this analyzer rejects the
+//     assignment shapes that could create overlap);
 //   - a local aliasing a level buffer (tail := s.levels[0].buf[...], also
 //     when bound in a multi-value assignment) must not be used after a
 //     call that can grow the levels slice or that buffer (resizeLevels,
@@ -316,9 +318,15 @@ func (c *checker) poisonLocals(call *ast.CallExpr, locals []*bufLocal, callEnds 
 	}
 }
 
-// checkScratchAssign rejects assigning level-buffer storage to scratch or
-// mergeBuf directly (append-copies like append(s.scratch[:0], w...) copy
-// out of the level and are fine).
+// scratchFields names the scratch buffers that must never hold level
+// storage: the sketch's own (scratch, mergeBuf), the settle tail of a
+// Union or a Work, and the arrays a Work merges into (its view's items
+// and cum).
+var scratchFields = map[string]bool{"scratch": true, "mergeBuf": true, "tail": true, "items": true, "cum": true}
+
+// checkScratchAssign rejects assigning level-buffer storage to a scratch
+// field directly (append-copies like append(s.scratch[:0], w...) copy out
+// of the level and are fine).
 func (c *checker) checkScratchAssign(as *ast.AssignStmt, locals []*bufLocal) {
 	for i, lhs := range as.Lhs {
 		var rhs ast.Expr
@@ -328,7 +336,7 @@ func (c *checker) checkScratchAssign(as *ast.AssignStmt, locals []*bufLocal) {
 			rhs = as.Rhs[0]
 		}
 		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "scratch" && sel.Sel.Name != "mergeBuf") || rhs == nil {
+		if !ok || !scratchFields[sel.Sel.Name] || rhs == nil {
 			continue
 		}
 		if c.isLevelBuf(rhs) || c.isBufLocalExpr(rhs, locals) {

@@ -18,6 +18,16 @@ type sketch struct {
 	mergeBuf []item
 }
 
+// work mirrors core.Work: a settle tail and a view to merge into, lent
+// to a sketch by its container.
+type work struct {
+	tail []item
+	view struct {
+		items []item
+		cum   []uint64
+	}
+}
+
 func (s *sketch) resizeLevels(n int)   { s.levels = append(s.levels[:0], make([]compactor, n)...) }
 func (s *sketch) compactCascade(h int) {}
 
@@ -32,6 +42,20 @@ func (s *sketch) badScratchAliasViaLocal() {
 
 func (s *sketch) badMergeBufAlias() {
 	s.mergeBuf = s.levels[1].buf[:0] // want "scratch buffers must never alias a level"
+}
+
+func (s *sketch) badWorkTailAlias(w *work) {
+	w.tail = s.levels[0].buf // want "scratch buffers must never alias a level"
+}
+
+func (s *sketch) badWorkViewAlias(w *work) {
+	head := s.levels[1].buf
+	w.view.items = head[:0] // want "scratch buffers must never alias a level"
+}
+
+func (s *sketch) okWorkTailCopy(w *work) {
+	// Append-copy moves the items out of the level; no aliasing.
+	w.tail = append(w.tail[:0], s.levels[0].buf...)
 }
 
 func (s *sketch) okScratchCopy() {

@@ -12,7 +12,8 @@ import (
 // functions here yield a View that stays valid forever: FreezeOwned copies
 // the arrays, FreezeShared aliases those of a sketch that is never written
 // again, and FrozenFromParts and FrozenFromCoreset rebuild a View around
-// arrays mapped or decoded from storage. Every View method is a pure read,
+// arrays mapped or decoded from storage (Work.Freeze, in work.go, merges
+// a sketch straight into arrays it owns). Every View method is a pure read,
 // so any number of goroutines may query such a View at once with no
 // synchronization; the root package serves it as req.Snapshot. Persisting
 // one is two contiguous array writes (Items, CumulativeWeights), and
@@ -38,9 +39,10 @@ func (s *Sketch[T]) FreezeOwned() View[T] {
 // FreezeShared returns the sketch's cached view by value WITHOUT copying
 // its arrays, so the result is sound only while the sketch is not written:
 // the sharded wrapper uses it to publish each epoch's freshly merged (and
-// from then on immutable) sketch, and the registry encode to write each
-// key's record under its shard lock. For a durable copy of a live sketch
-// use FreezeOwned instead.
+// from then on immutable) sketch. It builds the view and leaves it cached,
+// so a container of many sketches merges through a Work instead (the
+// registry export does). For a durable copy of a live sketch use
+// FreezeOwned instead.
 func (s *Sketch[T]) FreezeShared() View[T] { return *s.SortedView() }
 
 // FrozenFromParts returns the View over items and cum — the sorted items

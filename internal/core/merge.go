@@ -143,7 +143,7 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 		if h >= len(m.levels) {
 			m.resizeLevels(h + 1)
 		}
-		m.settleLevel(h)
+		m.settleLevel(h, &m.scratch)
 		add := src.levels[h].buf
 		if sp := src.levels[h].sorted; sp < len(add) {
 			// The source is not ours to mutate: settle an unsorted tail on

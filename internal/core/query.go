@@ -239,41 +239,74 @@ type View[T any] struct {
 }
 
 // SortedView materializes (and caches) the sorted weighted view: a stale
-// view is rebuilt by one k-way merge of the settled levels. Steady state
-// performs no allocation: the rebuild writes into the storage of the
-// previously built view (grow-only backing arrays). The cached view is the
-// memo that the batch queries (RankBatch, CDF, PMF), FreezeOwned and
-// FreezeShared build into and reuse until the next write; single reads
-// (Rank, Quantile, QuantilesInto) never read it.
+// view is rebuilt by one k-way merge of the settled levels (mergeView, on
+// the sketch's own scratch). Steady state performs no allocation: the
+// rebuild writes into the storage of the previously built view (grow-only
+// backing arrays). The cached view is the memo that the batch queries
+// (RankBatch, CDF, PMF), FreezeOwned and FreezeShared build into and reuse
+// until the next write; single reads (Rank, Quantile, QuantilesInto) never
+// read it. A container that merges many sketches lends them a Work
+// instead, so none of them keeps a view.
 func (s *Sketch[T]) SortedView() *View[T] {
 	if s.view != nil {
 		return s.view
 	}
-	s.settleLevels()
-	total := s.ItemsRetained()
-	v := s.spare
-	if v == nil {
-		v = &View[T]{}
-		s.spare = v
+	if s.spare == nil {
+		s.spare = &View[T]{}
 	}
-	if total < len(v.items) {
-		// Zero the abandoned tail so pointer-bearing items do not linger in
-		// the recycled backing array.
-		var zero T
-		for i := total; i < len(v.items); i++ {
-			v.items[i] = zero
+	s.view = s.mergeView(&s.scratch, &s.kwayCurs, s.spare)
+	return s.view
+}
+
+// mergeView is the one merge of a sketch's levels into a sorted view, run
+// by SortedView on the sketch's own scratch and by Work on a container's:
+// it settles every level through the scratch *tail, sizes v's arrays to
+// the retained count (reusing their storage; see resize) and k-way merges
+// the levels into them through the cursor scratch *curs. It returns v.
+func (s *Sketch[T]) mergeView(tail *[]T, curs *[]vec.KWayCursor[T], v *View[T]) *View[T] {
+	s.settleLevels(tail)
+	v.resize(s.retained)
+	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
+	// The cursors are staged on a reusable heap slice: a slice handed
+	// through the kernel table's indirect call escapes, so a stack array
+	// here would allocate per merge — *curs amortizes that to one
+	// grow-only allocation.
+	cs := (*curs)[:0]
+	for h := range s.levels {
+		b := s.levels[h].buf
+		if len(b) == 0 {
+			continue
 		}
+		cur := vec.KWayCursor[T]{Buf: b, W: uint64(1) << uint(h)}
+		if s.cfg.HRA {
+			cur.Pos, cur.End, cur.Step = len(b)-1, -1, -1
+		} else {
+			cur.Pos, cur.End, cur.Step = 0, len(b), 1
+		}
+		cs = append(cs, cur)
+	}
+	s.kern.kway(cs, v.items, v.cum)
+	// Scrub the buffer aliases so the scratch never keeps level buffers
+	// reachable past the merge.
+	clear(cs)
+	*curs = cs
+	return v
+}
+
+// resize sets both arrays' length to n for a rebuild. The first build
+// (no storage yet) sizes them exactly, as a registry holds many small
+// views; later ones reuse the storage, growing it with headroom
+// (resizeAmortized). The abandoned tail is zeroed so pointer-bearing
+// items do not linger in the recycled backing array.
+func (v *View[T]) resize(n int) {
+	if n < len(v.items) {
+		clear(v.items[n:])
 	}
 	if cap(v.items) == 0 {
-		// The first build sizes the view exactly: registries hold millions.
-		v.items, v.cum = resizeSlice(v.items, total), resizeSlice(v.cum, total)
+		v.items, v.cum = resizeSlice(v.items, n), resizeSlice(v.cum, n)
 	} else {
-		v.items, v.cum = resizeAmortized(v.items, total), resizeAmortized(v.cum, total)
+		v.items, v.cum = resizeAmortized(v.items, n), resizeAmortized(v.cum, n)
 	}
-	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
-	s.kwayMergeInto(v)
-	s.view = v
-	return v
 }
 
 // resizeSlice returns xs with length n, reusing the backing array when
@@ -295,34 +328,6 @@ func resizeAmortized[T any](xs []T, n int) []T {
 		return xs[:n]
 	}
 	return make([]T, n, n+n/8+16)
-}
-
-// kwayMergeInto merges the (settled) level buffers into v.items ascending in
-// the caller's order, accumulating cumulative weights as it writes, one
-// cursor per non-empty level buffer.
-func (s *Sketch[T]) kwayMergeInto(v *View[T]) {
-	// The cursors are staged on a reusable heap slice: a slice handed
-	// through the kernel table's indirect call escapes, so a stack array
-	// here would allocate per rebuild — s.kwayCurs amortizes that to one
-	// grow-only allocation.
-	s.kwayCurs = s.kwayCurs[:0]
-	for h := range s.levels {
-		b := s.levels[h].buf
-		if len(b) == 0 {
-			continue
-		}
-		cur := vec.KWayCursor[T]{Buf: b, W: uint64(1) << uint(h)}
-		if s.cfg.HRA {
-			cur.Pos, cur.End, cur.Step = len(b)-1, -1, -1
-		} else {
-			cur.Pos, cur.End, cur.Step = 0, len(b), 1
-		}
-		s.kwayCurs = append(s.kwayCurs, cur)
-	}
-	s.kern.kway(s.kwayCurs, v.items, v.cum)
-	// Scrub the buffer aliases so the scratch never keeps level buffers
-	// reachable past the merge.
-	clear(s.kwayCurs)
 }
 
 // kway is the generic k-way merge: a min-heap over the cursors keyed by

@@ -65,22 +65,25 @@ func mergeSortedInto[T any](dst []T, add []T, less func(a, b T) bool) []T {
 
 // settleLevel restores the fully-sorted state of level h: the unsorted
 // append tail is sorted on its own and merged behind the sorted prefix in
-// one backward galloping pass through s.scratch. No-op when the buffer is
-// already fully sorted. Callers that need s.scratch afterwards must settle
-// first; settleLevel overwrites it.
-func (s *Sketch[T]) settleLevel(h int) {
+// one backward galloping pass through the scratch *tail, which must not
+// alias a level. No-op when the buffer is already fully sorted. Callers
+// that need the scratch afterwards must settle first; settleLevel
+// overwrites it. Compactions settle through s.scratch; reads and exports
+// settle through their container's scratch (Union, Work), so they leave
+// none on the sketch.
+func (s *Sketch[T]) settleLevel(h int, tail *[]T) {
 	c := &s.levels[h]
 	if c.sorted == len(c.buf) {
 		return
 	}
-	tail := c.buf[c.sorted:]
-	s.sortInternal(tail)
+	unsorted := c.buf[c.sorted:]
+	s.sortInternal(unsorted)
 	if c.sorted == 0 {
 		c.sorted = len(c.buf)
 		return
 	}
-	s.scratch = append(s.scratch[:0], tail...)
-	c.buf = s.mergeInternalInto(c.buf[:c.sorted], s.scratch)
+	*tail = append((*tail)[:0], unsorted...)
+	c.buf = s.mergeInternalInto(c.buf[:c.sorted], *tail)
 	c.sorted = len(c.buf)
 }
 

@@ -60,6 +60,10 @@ type Sketch[T any] struct {
 
 	min, max  T
 	hasMinMax bool
+	// recordCurrent marks the sketch unwritten since its owner last kept
+	// a record of it (MarkRecordCurrent); invalidate clears it on every
+	// write. It sits in the padding after hasMinMax, so it costs no byte.
+	recordCurrent bool
 
 	// view is the cached sorted view when it is current (nil ⇒ stale): the
 	// memo of batch queries and freezes, which single reads never consult.
@@ -72,8 +76,9 @@ type Sketch[T any] struct {
 	// levels between reads.
 	union *Union[T]
 
-	// scratch is reused by settleLevel and emitHalf (tail copies and
-	// emission staging), so steady-state ingest performs no allocation.
+	// scratch is reused by a compaction's settle and emitHalf (tail copies
+	// and emission staging), so steady-state ingest performs no allocation.
+	// Reads and exports settle through their container's scratch instead.
 	scratch []T
 	// mergeBuf stages settled copies of merge-source levels (Merge step 4),
 	// reused across merges so settling allocates only on growth.
@@ -150,11 +155,28 @@ func (s *Sketch[T]) internalLess(a, b T) bool {
 	return s.kern.less(a, b)
 }
 
-// invalidate marks the cached view stale after a write; the next view read
-// rebuilds it into the spare's storage.
+// invalidate runs on every write: it marks the cached view stale (the next
+// view read rebuilds it into the spare's storage) and clears the record
+// mark.
 //
 //req:noalloc
-func (s *Sketch[T]) invalidate() { s.view = nil }
+func (s *Sketch[T]) invalidate() {
+	s.view = nil
+	s.recordCurrent = false
+}
+
+// MarkRecordCurrent marks the sketch's current state as kept by its owner
+// (a registry export keeps each key's record for the next export), until
+// the next write clears the mark.
+//
+//req:noalloc
+func (s *Sketch[T]) MarkRecordCurrent() { s.recordCurrent = true }
+
+// RecordCurrent reports whether the sketch is unwritten since the last
+// MarkRecordCurrent.
+//
+//req:noalloc
+func (s *Sketch[T]) RecordCurrent() bool { return s.recordCurrent }
 
 // Update inserts one item into the sketch, unless the order's table drops
 // it (a NaN under LessF64; see kernels).
@@ -351,7 +373,7 @@ func (s *Sketch[T]) compactLevel(h int) {
 	if len(c.buf) > s.stats.MaxBufferLen {
 		s.stats.MaxBufferLen = len(c.buf)
 	}
-	s.settleLevel(h)
+	s.settleLevel(h, &s.scratch)
 
 	secs := schedule.SectionsFor(s.cfg.Schedule, c.state, s.geom.nsec)
 	keep := s.geom.b - secs*s.geom.k
@@ -380,7 +402,7 @@ func (s *Sketch[T]) specialCompactLevel(h int) bool {
 	if len(c.buf) <= keep {
 		return false
 	}
-	s.settleLevel(h)
+	s.settleLevel(h, &s.scratch)
 	s.emitHalf(h, keep)
 	c = &s.levels[h] // emitHalf may have grown s.levels and moved it
 	c.state = c.state.Next()
@@ -424,8 +446,8 @@ func (s *Sketch[T]) emitHalf(h, keep int) {
 	}
 	// The next level can carry an unsorted tail (direct weighted inserts);
 	// settle it before merging the emission. This must precede the scratch
-	// use below — settleLevel claims s.scratch too.
-	s.settleLevel(h + 1)
+	// use below — the settle claims s.scratch too.
+	s.settleLevel(h+1, &s.scratch)
 	c = &s.levels[h] // re-take: resizeLevels may have moved the levels array
 	region := c.buf[keep:]
 	s.scratch = s.scratch[:0]
@@ -521,7 +543,7 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 		c.levels[h] = s.levels[h]
 		c.levels[h].buf = slices.Clone(s.levels[h].buf)
 	}
-	c.view = nil
+	c.invalidate() // nothing is cached or kept for the clone yet
 	// Never share transient state with the original: the clone grows its
 	// own view storage, union and merge scratch on first use.
 	c.spare = nil

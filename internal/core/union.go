@@ -18,7 +18,8 @@ package core
 // Every added sketch must share one order and one accuracy mode; the ring
 // slots of a windowed registry do. The union aliases their level buffers, so
 // it is valid only until one of them is written; Reset drops the aliases.
-// The run scratch is grow-only: steady-state reads allocate nothing.
+// The run and settle scratch are grow-only: steady-state reads allocate
+// nothing, and a read leaves no scratch on the sketches it settles.
 type Union[T any] struct {
 	// s is the first sketch added: its order, accuracy mode and kernel
 	// table answer every comparison.
@@ -31,6 +32,8 @@ type Union[T any] struct {
 	// below is the total weight of the items every run's window has
 	// dropped from below: items already known to lie under the answer.
 	below uint64
+	// tail is the settle scratch of Add (see settleLevel).
+	tail []T
 }
 
 // unionRun is one settled level buffer of an added sketch. Its active
@@ -44,7 +47,7 @@ type unionRun[T any] struct {
 }
 
 // Reset empties the union and drops its aliases of the added sketches'
-// storage, keeping the run scratch.
+// storage, keeping the run and settle scratch.
 //
 //req:noalloc
 func (u *Union[T]) Reset() {
@@ -54,13 +57,14 @@ func (u *Union[T]) Reset() {
 	u.s, u.n, u.min, u.max = nil, 0, zero, zero
 }
 
-// Add settles every level of s (see settleLevels) and adds each non-empty
-// one as a sorted run of weight 2^h. An empty sketch adds nothing.
+// Add settles every level of s through the union's scratch (see
+// settleLevels) and adds each non-empty one as a sorted run of weight 2^h.
+// An empty sketch adds nothing.
 func (u *Union[T]) Add(s *Sketch[T]) {
 	if s.n == 0 {
 		return
 	}
-	s.settleLevels()
+	s.settleLevels(&u.tail)
 	switch {
 	case u.s == nil:
 		u.s, u.hra, u.min, u.max = s, s.cfg.HRA, s.min, s.max
@@ -82,11 +86,14 @@ func (u *Union[T]) Add(s *Sketch[T]) {
 	}
 }
 
-// settleLevels settles every level in place, leaving each buffer one
-// sorted run. The multiset is unchanged, so a current view stays current.
-func (s *Sketch[T]) settleLevels() {
+// settleLevels settles every level in place through the scratch *tail,
+// leaving each buffer one sorted run. The multiset is unchanged, so a
+// current view stays current; a settled sketch is left as it is, so a
+// record kept from one (a registry export settles before it encodes)
+// stays current too.
+func (s *Sketch[T]) settleLevels(tail *[]T) {
 	for h := range s.levels {
-		s.settleLevel(h)
+		s.settleLevel(h, tail)
 	}
 }
 

@@ -37,7 +37,7 @@
 // Lock returns the locked shard for a key (the +req:locksAcquired
 // contract); every entry operation requires it. The Aux field gives the
 // owner a per-shard scratch slot under the same lock — the registries
-// keep their reusable union query there.
+// keep their read and merge scratch there.
 package tenant
 
 import (
@@ -101,8 +101,8 @@ type Shard[K comparable, E any] struct {
 	// +req:guardedBy(mu)
 	evictions uint64
 	// Aux is a scratch slot for the Map's owner, guarded by the shard
-	// lock like everything else here; the registries keep the union
-	// scratch of their live quantile reads in it.
+	// lock like everything else here; the registries keep the scratch of
+	// their live reads and exports in it.
 	//
 	// +req:guardedBy(mu)
 	Aux any
@@ -462,24 +462,27 @@ func (m *Map[K, E]) expireShard(sh *Shard[K, E], now int64) int {
 func (m *Map[K, E]) Visit(now int64, fn func(key K, e *E) bool) {
 	for i := range m.shards {
 		sh := m.LockShard(i)
-		if !m.visitShard(sh, now, fn) {
-			sh.Unlock()
+		more := m.VisitShard(sh, now, func(_ int, key K, e *E) bool { return fn(key, e) })
+		sh.Unlock()
+		if !more {
 			return
 		}
-		sh.Unlock()
 	}
 }
 
-// visitShard walks one shard's arena cells in order.
+// VisitShard is Visit over the one shard sh, whose lock the caller holds:
+// it walks sh's arena cells in order and passes each entry's cell, its
+// arena position, which stays the entry's until the entry is evicted. It
+// reports whether the walk ran to the end.
 //
 // +req:locksRequired(sh.mu)
-func (m *Map[K, E]) visitShard(sh *Shard[K, E], now int64, fn func(key K, e *E) bool) bool {
+func (m *Map[K, E]) VisitShard(sh *Shard[K, E], now int64, fn func(cell int, key K, e *E) bool) bool {
 	for i := 0; i < sh.used; i++ {
 		c := &sh.blocks[i/blockSize].cells[i%blockSize]
 		if !c.live || m.expired(c, now) {
 			continue
 		}
-		if !fn(c.key, &c.val) {
+		if !fn(i, c.key, &c.val) {
 			return false
 		}
 	}

@@ -636,7 +636,7 @@ func TestKWayMergeMatchesGeneric(t *testing.T) {
 	}
 }
 
-// refKWay replays core's generic kwayMergeInto heap with explicit closures.
+// refKWay replays core's generic k-way heap (orderKernels.kway) with explicit closures.
 func refKWay(curs []KWayCursor[float64], items []float64, cum []uint64) {
 	if len(curs) == 0 {
 		return

@@ -30,8 +30,10 @@ var ErrNoKey = errors.New("req: no sketch for key")
 // a few hundred bytes. Eviction never frees an entry: the cell goes on the
 // shard's freelist and the next created key recycles it — Sketch.Reset
 // keeps every grown level buffer — so steady-state key churn allocates
-// nothing. Shards are split by maphash; WithShards fixes
-// the shard count.
+// nothing. Reads, Snapshot and exports settle and merge a key through the
+// shard's scratch and leave nothing on it; a registry that exports keeps
+// the last export's records instead (see MarshalBinary). Shards are split
+// by maphash; WithShards fixes the shard count.
 //
 // # Eviction
 //
@@ -52,6 +54,8 @@ type Registry[K comparable, T any] struct {
 	now func() int64
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
+	// exp is what the last export kept for the next (see encodeRegistry).
+	exp exportMemo
 }
 
 // regEntry is the arena payload: the per-key sketch, embedded by value so
@@ -178,10 +182,10 @@ func (r *Registry[K, T]) Contains(key K) bool {
 
 // Quantile returns the item at normalized rank phi of key's sketch; see
 // Sketch.Quantile. It returns ErrNoKey when the key is absent. Querying
-// refreshes the key's TTL. Unless the key's sketch is frozen, a read
-// selects over its settled levels through the shard's union scratch
-// (core.Union), which it leaves empty: the read adds no union and no view
-// to the key, and steady-state reads allocate nothing.
+// refreshes the key's TTL. A read settles the key's levels and selects
+// over them through the shard's union scratch (core.Union), which it
+// leaves empty: the read adds no union, view or scratch to the key, and
+// steady-state reads allocate nothing.
 func (r *Registry[K, T]) Quantile(key K, phi float64) (T, error) {
 	sh := r.m.Lock(key)
 	defer sh.Unlock()
@@ -190,7 +194,7 @@ func (r *Registry[K, T]) Quantile(key K, phi float64) (T, error) {
 		var zero T
 		return zero, ErrNoKey
 	}
-	return e.sk.QuantileWith(shardUnion[T](sh), phi)
+	return e.sk.QuantileWith(&shardScratchOf[T](sh).u, phi)
 }
 
 // QuantilesInto answers every normalized rank in phis against key's
@@ -204,20 +208,29 @@ func (r *Registry[K, T]) QuantilesInto(key K, dst []T, phis []float64) ([]T, err
 	if e == nil {
 		return dst, ErrNoKey
 	}
-	return e.sk.QuantilesIntoWith(shardUnion[T](sh), dst, phis)
+	return e.sk.QuantilesIntoWith(&shardScratchOf[T](sh).u, dst, phis)
 }
 
-// shardUnion returns sh's reusable union scratch, kept in sh.Aux and
-// created on the shard's first live read.
+// shardScratch is a registry shard's read and merge scratch, kept in its
+// Aux: the union of live reads, and the Work through which an export or
+// Snapshot merges a key's levels. Both are grow-only and lent to one key
+// at a time under the shard lock, so no read leaves scratch on a key.
+type shardScratch[T any] struct {
+	u core.Union[T]
+	w core.Work[T]
+}
+
+// shardScratchOf returns sh's scratch, created on the shard's first read
+// or export.
 //
 // +req:locksRequired(sh.mu)
-func shardUnion[T any, K comparable, E any](sh *tenant.Shard[K, E]) *core.Union[T] {
-	u, _ := sh.Aux.(*core.Union[T])
-	if u == nil {
-		u = new(core.Union[T])
-		sh.Aux = u
+func shardScratchOf[T any, K comparable, E any](sh *tenant.Shard[K, E]) *shardScratch[T] {
+	sc, _ := sh.Aux.(*shardScratch[T])
+	if sc == nil {
+		sc = new(shardScratch[T])
+		sh.Aux = sc
 	}
-	return u
+	return sc
 }
 
 // Rank returns the estimated inclusive rank of y in key's sketch; see
@@ -233,15 +246,18 @@ func (r *Registry[K, T]) Rank(key K, y T) (uint64, error) {
 
 // Snapshot captures key's sketch as an immutable, concurrency-safe
 // Snapshot (see Sketch.Snapshot), or ErrNoKey when the key is absent. The
-// copy is taken under the shard lock; the snapshot is then queryable
-// without any locking.
+// capture is taken under the shard lock: the key's levels are settled and
+// merged, through the shard's scratch, straight into the two arrays the
+// snapshot owns, so every call merges and the key keeps no view. The
+// snapshot is then queryable without any locking.
 func (r *Registry[K, T]) Snapshot(key K) (*Snapshot[T], error) {
-	sh, e := r.lockGet(key)
+	sh := r.m.Lock(key)
 	defer sh.Unlock()
+	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		return nil, ErrNoKey
 	}
-	return &Snapshot[T]{v: e.sk.FreezeOwned(), cfg: e.sk.Config()}, nil
+	return &Snapshot[T]{v: shardScratchOf[T](sh).w.Freeze(&e.sk), cfg: e.sk.Config()}, nil
 }
 
 // Delete removes key's sketch, recycling its storage. It reports whether
@@ -266,9 +282,15 @@ func (r *Registry[K, T]) Evictions() uint64 { return r.m.Evictions() }
 // Len and memory occupancy to track the live population promptly.
 func (r *Registry[K, T]) ExpireNow() int { return r.m.ExpireNow(r.now()) }
 
-// Reset drops every key and returns the arenas to the garbage collector.
-// It is a teardown, not an eviction: storage is not recycled.
-func (r *Registry[K, T]) Reset() { r.m.Reset() }
+// Reset drops every key and returns the arenas to the garbage collector,
+// together with the records the last export kept. It is a teardown, not
+// an eviction: storage is not recycled.
+func (r *Registry[K, T]) Reset() {
+	r.exp.mu.Lock()
+	defer r.exp.mu.Unlock()
+	r.exp.stream, r.exp.places = nil, nil
+	r.m.Reset()
+}
 
 // NumShards returns the registry's shard count.
 func (r *Registry[K, T]) NumShards() int { return r.m.NumShards() }

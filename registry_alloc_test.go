@@ -404,16 +404,52 @@ func TestAllocsWindowedUpdatePairs(t *testing.T) {
 	}
 }
 
+// TestAllocsRegistryCleanExport pins an export with no write since the
+// last one: every record is copied from the stream the last export kept,
+// so the export allocates its blob and the record places it keeps, the
+// same few blocks at 256 keys as at 4,096.
+func TestAllocsRegistryCleanExport(t *testing.T) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i * 37 % 64)
+	}
+	var allocs []float64
+	for _, nkeys := range []int{256, 4096} {
+		reg, err := NewRegistryFloat64(WithK(16), WithHighRankAccuracy(), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nkeys; i++ {
+			reg.UpdateBatch(fmt.Sprintf("key-%05d", i), vals)
+		}
+		if _, err := reg.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := reg.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Fatalf("a clean export allocates %v blocks at 256 keys and %v at 4,096, want the same ≤ 2", allocs[0], allocs[1])
+	}
+}
+
 // TestRegistryBytesPerKey pins the heap a resident key costs with
 // keyed_ingest's options (WithK(16), high-rank accuracy): a sketch's
 // level-0 buffer is sized by the items it holds, so a cold key costs a few
 // hundred bytes, not a reservation of B = 128 items and eight level
 // headers. Each case measures the HeapAlloc growth, after a GC, of
-// populating 16K keys through UpdateBatch; the key strings are built
-// before the first reading. The exported cases then run one MarshalBinary
-// and drop the blob: the export leaves each key's sorted view cached (a
-// View and its two arrays, kept until the key's next write), and the pin
-// keeps that memo from growing unnoticed.
+// populating 16K keys through UpdateBatch, then of what the case does to
+// every key; the key strings are built before the first reading. A live
+// read or a Snapshot of every key leaves nothing on the keys: both settle
+// and merge through per-shard scratch. An export (one MarshalBinary, its
+// blob dropped) leaves the registry the export's records for the next one
+// (each key's record and its place in the stream) and nothing on the
+// keys, so an exported key costs its unexported bytes plus its record. One
+// more Update per key after the export grows each level-0 buffer and
+// keeps the stale record until the next export.
 func TestRegistryBytesPerKey(t *testing.T) {
 	const nkeys = 1 << 14
 	keys := make([]string, nkeys)
@@ -424,18 +460,35 @@ func TestRegistryBytesPerKey(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i * 37 % 64)
 	}
+	each := func(f func(r *RegistryFloat64, k string) error) func(*RegistryFloat64) error {
+		return func(r *RegistryFloat64) error {
+			for _, k := range keys {
+				if err := f(r, k); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	read := each(func(r *RegistryFloat64, k string) error { _, err := r.Quantile(k, 0.5); return err })
+	snapshot := each(func(r *RegistryFloat64, k string) error { _, err := r.Snapshot(k); return err })
+	export := func(r *RegistryFloat64) error { _, err := r.MarshalBinary(); return err }
+	write := each(func(r *RegistryFloat64, k string) error { r.Update(k, 0.5); return nil })
 	for _, tc := range []struct {
 		name     string
 		items    int
 		windowed bool
-		exported bool
-		limit    float64 // bytes per key
+		then     []func(*RegistryFloat64) error // run on every key after populating
+		limit    float64                        // bytes per key
 	}{
-		{"1-item", 1, false, false, 751},
-		{"64-items", 64, false, false, 1251},
-		{"windowed-1-item", 1, true, false, 2964},
-		{"1-item-exported", 1, false, true, 927},
-		{"64-items-exported", 64, false, true, 2947},
+		{"1-item", 1, false, nil, 751},
+		{"64-items", 64, false, nil, 1251},
+		{"windowed-1-item", 1, true, nil, 2964},
+		{"64-items-read", 64, false, []func(*RegistryFloat64) error{read}, 1251},
+		{"64-items-snapshot", 64, false, []func(*RegistryFloat64) error{snapshot}, 1251},
+		{"1-item-exported", 1, false, []func(*RegistryFloat64) error{export}, 872},
+		{"64-items-exported", 64, false, []func(*RegistryFloat64) error{export}, 1957},
+		{"64-items-exported-then-written", 64, false, []func(*RegistryFloat64) error{export, write}, 2469},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := []Option{WithK(16), WithHighRankAccuracy(), WithSeed(1)}
@@ -454,8 +507,8 @@ func TestRegistryBytesPerKey(t *testing.T) {
 			for _, k := range keys {
 				reg.UpdateBatch(k, vals[:tc.items])
 			}
-			if tc.exported {
-				if _, err := reg.(*RegistryFloat64).MarshalBinary(); err != nil {
+			for _, f := range tc.then {
+				if err := f(reg.(*RegistryFloat64)); err != nil {
 					t.Fatal(err)
 				}
 			}

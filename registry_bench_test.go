@@ -1,9 +1,9 @@
 package req
 
 // Registry benchmark suite: the keyed hot paths (Update, Quantile, churn
-// under a capacity cap, windowed update+query, bulk export and restore).
-// CI's bench smoke runs every target; all but the export and the restore
-// read 0 allocs/op once warm.
+// under a capacity cap, windowed update+query, bulk export, one key's
+// Snapshot and restore). CI's bench smoke runs every target; all but the
+// export, the Snapshot and the restore read 0 allocs/op once warm.
 // perfbench's keyed_ingest and checkpoint workloads measure batched ingest
 // and export end to end.
 
@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"req/internal/rng"
 )
 
 // benchRegistryKeys returns n distinct key names, preallocated so key
@@ -150,25 +152,90 @@ func BenchmarkWindowedRegistryQuery(b *testing.B) {
 	}
 }
 
+// checkpointRegistry builds a registry at perfbench's checkpoint shape:
+// 2,048 keys of 64 values each under WithK(16) and
+// WithHighRankAccuracy().
+func checkpointRegistry(tb testing.TB, seed uint64) (*RegistryFloat64, []string) {
+	tb.Helper()
+	keys := benchRegistryKeys(1 << 11)
+	vals := benchValues(64<<11, seed)
+	reg, err := NewRegistryFloat64(WithK(16), WithHighRankAccuracy(), WithSeed(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, k := range keys {
+		reg.UpdateBatch(k, vals[64*i:64*(i+1)])
+	}
+	return reg, keys
+}
+
+// checkpointBatch fills ks and vs with one checkpoint-shaped batch: runs
+// of 8 values, 80% of the runs on the first 0.1% of the keys (two of
+// 2,048) and the rest on keys drawn uniformly.
+func checkpointBatch(r *rng.Source, keys, ks []string, vs []float64) {
+	hot := max(1, len(keys)/1000)
+	for i := 0; i < len(ks); i += 8 {
+		k := keys[r.Intn(len(keys))]
+		if r.Float64() < 0.8 {
+			k = keys[r.Intn(hot)]
+		}
+		for j := i; j < min(i+8, len(ks)); j++ {
+			ks[j], vs[j] = k, r.Float64()*1e6
+		}
+	}
+}
+
+// BenchmarkRegistryExport exports a registry at the checkpoint shape (see
+// checkpointRegistry). clean exports with no write since the last export,
+// so every record is the kept one; batch lands one checkpoint-shaped
+// batch of 256 pairs before each export; all-dirty writes every key once
+// before each export, which stands for traffic that writes every key
+// between checkpoints and is the incremental export's worst case. The
+// writes run outside the timer.
 func BenchmarkRegistryExport(b *testing.B) {
-	keys := benchRegistryKeys(1 << 10)
-	vals := benchValues(1<<16, 6)
-	reg, err := NewRegistryFloat64(WithEpsilon(0.01), WithSeed(6))
-	if err != nil {
-		b.Fatal(err)
+	for _, mode := range []string{"clean", "batch", "all-dirty"} {
+		b.Run(mode, func(b *testing.B) {
+			reg, keys := checkpointRegistry(b, 6)
+			r := rng.New(6)
+			ks, vs := make([]string, 256), make([]float64, 256)
+			blob, err := reg.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				switch mode {
+				case "batch":
+					b.StopTimer()
+					checkpointBatch(r, keys, ks, vs)
+					reg.UpdatePairs(ks, vs)
+					b.StartTimer()
+				case "all-dirty":
+					b.StopTimer()
+					for _, k := range keys {
+						reg.Update(k, r.Float64()*1e6)
+					}
+					b.StartTimer()
+				}
+				if _, err := reg.MarshalBinary(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	for i := 0; i < 1<<16; i++ {
-		reg.Update(keys[i&(1<<10-1)], vals[i])
-	}
-	blob, err := reg.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
+}
+
+// BenchmarkRegistrySnapshot takes one key's Snapshot at a time across a
+// checkpoint-shaped registry with no writes: each call settles and merges
+// the key's levels into the arrays it returns.
+func BenchmarkRegistrySnapshot(b *testing.B) {
+	reg, keys := checkpointRegistry(b, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reg.MarshalBinary(); err != nil {
+		if _, err := reg.Snapshot(keys[i&(len(keys)-1)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,7 +115,7 @@ func TestRegistryRecordBound(t *testing.T) {
 	reg := buildRegistry(t)
 	levels := map[int]bool{}
 	reg.Visit(func(key string, s *Sketch[float64]) bool {
-		bound := recordBound(s, float64Codec)
+		bound := recordBound(s.core, float64Codec)
 		sn := Snapshot[float64]{v: s.core.FreezeShared(), cfg: s.core.Config()}
 		n := frozenRecordLen(&sn, float64Codec)
 		if got := uvarintLen(uint64(n)) + n; got > bound {
@@ -429,37 +429,104 @@ func TestRegistrySnapshotConcurrentReaders(t *testing.T) {
 
 // TestRegistryExportConsistentPerShard: records marshalled under the shard
 // lock decode back to exactly the per-key state some interleaving of the
-// writer could have produced (counts are whole update-batches, never torn).
+// writer could have produced (counts are whole update-batches, never torn),
+// while a second exporter alternates MarshalBinary and SaveRegistry and a
+// third goroutine deletes keys; the writer keeps writing until both
+// exporters are done. Once the writers stop, the next export equals a full
+// encode (exportReference), byte for byte.
 func TestRegistryExportConsistentPerShard(t *testing.T) {
 	reg, err := NewRegistryFloat64(WithK(4), WithSeed(1), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const batch = 10
-	done := make(chan struct{})
-	go func() {
+	checkCounts := func(who string, i int, rs *RegistrySnapshotFloat64) {
+		for k, sn := range rs.All() {
+			if sn.Count()%batch != 0 {
+				t.Errorf("%s %d key %q: count %d is a torn batch", who, i, k, sn.Count())
+			}
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { // writer: at least 300 batches, then until stopped
 		defer close(done)
 		vals := make([]float64, batch)
-		for i := 0; i < 300; i++ {
+		for i := 0; ; i++ {
+			if i >= 300 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
 			for j := range vals {
 				vals[j] = float64(i*batch + j)
 			}
 			reg.UpdateBatch(fmt.Sprintf("w%d", i%5), vals)
 		}
 	}()
+	var deleter, exporter sync.WaitGroup
+	deleter.Add(1)
+	go func() { // deleter: drops one key at a time until the writer stops
+		defer deleter.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			reg.Delete(fmt.Sprintf("w%d", i%5))
+			runtime.Gosched()
+		}
+	}()
+	exporter.Add(1)
+	go func() { // second exporter: memory and durable exports in turn
+		defer exporter.Done()
+		dir := t.TempDir()
+		for i := 0; i < 20; i++ {
+			var rs *RegistrySnapshotFloat64
+			if i%2 == 0 {
+				blob, err := reg.MarshalBinary()
+				if err == nil {
+					rs, err = UnmarshalRegistryFloat64(blob)
+				}
+				if err != nil {
+					t.Errorf("export %d: %v", i, err)
+					return
+				}
+			} else {
+				if _, err := reg.SaveRegistry(dir); err != nil {
+					t.Errorf("save %d: %v", i, err)
+					return
+				}
+				if rs, err = OpenRegistryFloat64(dir); err != nil {
+					t.Errorf("open %d: %v", i, err)
+					return
+				}
+			}
+			checkCounts("second exporter", i, rs)
+		}
+	}()
 	for i := 0; i < 20; i++ {
 		blob, _ := reg.MarshalBinary()
 		rs, err := UnmarshalRegistryFloat64(blob)
 		if err != nil {
-			t.Fatalf("export %d: %v", i, err)
+			t.Errorf("export %d: %v", i, err)
+			break
 		}
-		for k, sn := range rs.All() {
-			if sn.Count()%batch != 0 {
-				t.Fatalf("export %d key %q: count %d is a torn batch", i, k, sn.Count())
-			}
-		}
+		checkCounts("export", i, rs)
 	}
+	exporter.Wait()
+	close(stop)
 	<-done
+	deleter.Wait()
+	blob, err := reg.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := exportReference(t, reg, putStringKey, keyString, float64Codec.tag); !bytes.Equal(blob, want) {
+		t.Fatalf("export after the writers stopped (%d bytes) differs from a full encode (%d bytes)", len(blob), len(want))
+	}
 }
 
 // TestRegistryDecodeKeyCountAmplification pins that a header claiming more

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"strings"
+	"sync"
 
 	"req/internal/core"
 )
@@ -112,34 +113,130 @@ func appendRegistryHeader(out []byte, keyTag, itemTag byte, keyCount uint64) []b
 	return binary.LittleEndian.AppendUint64(out, keyCount)
 }
 
+// exportMemo is what a registry keeps from its last export for the next
+// one: the record stream and each exported key's place in it. A registry
+// that never exports keeps it empty.
+type exportMemo struct {
+	// mu serializes exports, and Reset against them.
+	mu sync.Mutex
+	// stream is the last export's blob without its padding: the header,
+	// then one keyed record (key, length, snapshot record) per place, in
+	// the order of places.
+	//
+	// +req:guardedBy(mu)
+	stream []byte
+	// +req:guardedBy(mu)
+	places []keptPlace
+}
+
+// keptPlace is one key of the kept stream: where the key sits in the
+// export walk (its shard's index above its arena cell, which stays below
+// 2^32, so places ascend in walk order) and where its keyed record starts
+// in the stream. The record ends where the next place's starts, or at the
+// stream's end.
+type keptPlace struct {
+	at  uint64
+	off int
+}
+
+// keptCursor finds, for each key of an export walk in walk order, the
+// record the last export kept for it.
+type keptCursor struct {
+	places []keptPlace
+	stream []byte
+	j      int
+}
+
+// record returns the kept keyed record of the key at place at, or nil
+// when the key must be encoded: it was written since an export kept its
+// record (current is false), or the last export did not visit it (it was
+// created since, or read as expired then). A key whose record is current
+// was kept at its place by the last export that visited it: a cell that
+// changes hands is Reset, which clears the mark.
+func (c *keptCursor) record(at uint64, current bool) []byte {
+	for c.j < len(c.places) && c.places[c.j].at < at {
+		c.j++
+	}
+	if !current || c.j == len(c.places) || c.places[c.j].at != at {
+		return nil
+	}
+	end := len(c.stream)
+	if c.j+1 < len(c.places) {
+		end = c.places[c.j+1].off
+	}
+	return c.stream[c.places[c.j].off:end]
+}
+
+// walk calls fn for every resident, non-expired key, shard by shard in
+// arena order (Visit's order) under each shard's lock, with the shard's
+// scratch and the key's place in the walk.
+func (r *Registry[K, T]) walk(fn func(sc *shardScratch[T], at uint64, key K, s *core.Sketch[T])) {
+	now := r.now()
+	for i := 0; i < r.m.NumShards(); i++ {
+		sh := r.m.LockShard(i)
+		sc := shardScratchOf[T](sh)
+		r.m.VisitShard(sh, now, func(cell int, key K, e *regEntry[T]) bool {
+			fn(sc, uint64(i)<<32|uint64(cell), key, &e.sk)
+			return true
+		})
+		sh.Unlock()
+	}
+}
+
 // encodeRegistry walks the registry's resident keys (shard by shard, each
-// shard consistent under its lock) and encodes every key's coreset as one
-// snapshot record. The walk builds each sketch's sorted view in place (the
-// view stays cached until the key's next write) and marshals it while the
-// shard lock is held, so the record is an exact capture; keys
-// updated on other shards during the walk land in whichever state the
-// walk finds them. A first, cheaper walk sizes the blob from the retained
-// counts, so the encode appends into one allocation (keys written between
-// the two walks at worst cost an append's regrowth). The allocation also
-// reserves the zero padding a registry file adds to the record stream,
-// so saving it (registryPayload) copies nothing.
+// shard consistent under its lock) and writes every key's coreset as one
+// snapshot record, encoding only what changed since the last export: a
+// key unwritten since then (core.Sketch.RecordCurrent) has its record
+// copied from the stream that export kept, and any other key is merged
+// through the shard's Work (so the key keeps no view) and encoded. The
+// result is byte-identical to encoding every key afresh. Exports run one
+// at a time, and each keeps a copy of its blob's records for the next, so
+// an exporting registry holds one blob's worth of records; Reset drops
+// them. Keys updated on other shards during the walk land in whichever
+// state the walk finds them. A first, cheaper walk sizes the blob (a kept
+// record exactly, any other by its retained counts), so the encode appends
+// into one allocation (keys written between the two walks at worst cost
+// an append's regrowth). The allocation also reserves the zero padding a
+// registry file adds to the record stream, so saving it (registryPayload)
+// copies nothing. The caller owns the blob.
 func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic itemCodec[T]) []byte {
-	size := registryHeaderSize + packBytesPerCount - 1
-	r.Visit(func(key K, s *Sketch[T]) bool {
-		size += kc.size(key) + recordBound(s, ic)
-		return true
+	x := &r.exp
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	kept := keptCursor{places: x.places, stream: x.stream}
+	size, keys := registryHeaderSize+packBytesPerCount-1, 0
+	r.walk(func(_ *shardScratch[T], at uint64, key K, s *core.Sketch[T]) {
+		if rec := kept.record(at, s.RecordCurrent()); rec != nil {
+			size += len(rec)
+		} else {
+			size += kc.size(key) + recordBound(s, ic)
+		}
+		keys++
 	})
 	out := appendRegistryHeader(make([]byte, 0, size), kc.tag, ic.tag, 0)
-	var count uint64
-	r.Visit(func(key K, s *Sketch[T]) bool {
+	places := make([]keptPlace, 0, keys)
+	kept.j = 0
+	r.walk(func(sc *shardScratch[T], at uint64, key K, s *core.Sketch[T]) {
+		places = append(places, keptPlace{at: at, off: len(out)})
+		if rec := kept.record(at, s.RecordCurrent()); rec != nil {
+			out = append(out, rec...)
+			return
+		}
 		out = kc.put(out, key)
-		sn := Snapshot[T]{v: s.core.FreezeShared(), cfg: s.core.Config()}
+		sn := Snapshot[T]{v: *sc.w.View(s), cfg: s.Config()}
 		out = binary.AppendUvarint(out, uint64(frozenRecordLen(&sn, ic)))
 		out = appendFrozenRecord(out, &sn, ic)
-		count++
-		return true
+		s.MarkRecordCurrent()
 	})
-	binary.LittleEndian.PutUint64(out[8:], count)
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(places)))
+	// Keep the records in the old stream's storage when it fits without
+	// holding twice what it needs; regrow with a little headroom, as the
+	// stream creeps up from one export to the next.
+	if c := cap(x.stream); c < len(out) || c/2 > len(out) {
+		x.stream = make([]byte, 0, len(out)+len(out)/32)
+	}
+	x.stream = append(x.stream[:0], out...)
+	x.places = places
 	return out
 }
 
@@ -166,9 +263,9 @@ func frozenRecordLen[T any](sn *Snapshot[T], ic itemCodec[T]) int {
 }
 
 // recordBound upper-bounds a key's length-prefixed snapshot record before
-// its sketch is frozen: the frozen view holds one entry per retained item,
+// its sketch is merged: the merged view holds one entry per retained item,
 // and no entry weighs more than an item of the top level, 2^(levels−1).
-func recordBound[T any](s *Sketch[T], ic itemCodec[T]) int {
+func recordBound[T any](s *core.Sketch[T], ic itemCodec[T]) int {
 	maxW := uint64(1) << uint(s.NumLevels()-1)
 	n := recordPrefixLen(ic) + s.ItemsRetained()*(ic.width+uvarintLen(maxW))
 	return uvarintLen(uint64(n)) + n
@@ -378,6 +475,10 @@ func registryCodecs[K comparable, T any](tab core.Table[T]) (keyCodec[K], itemCo
 // MarshalBinary implements encoding.BinaryMarshaler: every resident key's
 // coreset as a keyed snapshot record (see the package format comment
 // above). The walk captures shard by shard under each shard's lock.
+// Exports are incremental and serialize with each other: the registry
+// keeps one blob's worth of records from its last export (Reset drops
+// them) and encodes only the keys written since, copying the rest, so the
+// blob is byte-identical to a full export and belongs to the caller.
 // UnmarshalRegistryFloat64 and UnmarshalRegistryUint64 decode it. Other
 // registry shapes, and registries under a custom order, return an error
 // and encode nothing.

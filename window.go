@@ -217,11 +217,11 @@ func (w *WindowedRegistry[K, T]) lockUnion(key K) (*tenant.Shard[K, winEntry[T]]
 }
 
 // union loads e's live slots into sh's reusable union query (see
-// shardUnion).
+// shardScratch).
 //
 // +req:locksRequired(sh.mu)
 func (w *WindowedRegistry[K, T]) union(sh *tenant.Shard[K, winEntry[T]], e *winEntry[T], ep int64) *core.Union[T] {
-	u := shardUnion[T](sh)
+	u := &shardScratchOf[T](sh).u
 	u.Reset()
 	for i := range e.ring {
 		if w.live(e.epochs[i], ep) {
