@@ -154,12 +154,14 @@
 //
 // Entries live in per-shard block arenas with freelists (internal/tenant):
 // a million-key registry is thousands of allocations, not millions, and
-// eviction recycles cells and their grown level buffers. A key costs what
-// it holds: its sketch starts with an 8-item level-0 buffer that doubles
-// as it fills, so with WithK(16) and WithHighRankAccuracy a key holding
-// a few items costs about 580 heap bytes, one holding 64 about 1,030 and
-// one holding 1,024 about 9.4 KB; a 5-slot windowed key holding one item
-// costs about 2,660. A key allocates only while its buffers grow toward
+// eviction recycles cells and their grown level buffers. A key is its
+// levels: its sketch starts with an 8-item level-0 buffer that doubles
+// as it fills, and it borrows the scratch of its compactions, settles,
+// merges and reads from the one core.Work its shard lends to every key,
+// so with WithK(16) and WithHighRankAccuracy a key holding one item costs
+// about 480 heap bytes, one holding 64 about 930 and one holding 1,024
+// about 7.6 KB; a 5-slot windowed key holding one item costs about 2,150.
+// A key allocates only while its buffers grow toward
 // the buffer capacity B (level 0 reallocates about log₂(B/8) times);
 // past that, steady-state keyed updates, keyed queries, and whole-key
 // churn are all 0 allocs/op.
@@ -174,8 +176,9 @@
 // encodes only the keys written since the last one: the registry keeps
 // that export's record stream (one blob's worth of bytes, dropped by
 // Reset) and copies every other key's record from it, byte-identical to a
-// full encode. Reads and exports leave no view or scratch on a key; they
-// settle and merge through per-shard scratch. A restore's snapshots share
+// full encode. Reads, exports and the Visit facade's reads leave no view
+// or scratch on a key: they settle and merge through the shard's Work. A
+// restore's snapshots share
 // its storage, so one kept snapshot keeps every key's items alive.
 //
 // # Batched multi-tenant ingest
@@ -208,8 +211,9 @@
 // exactly the answer of a sorted view over the slots' union, with no
 // merge, compaction or coin — so a windowed answer carries the slots'
 // summed rank error: the same ε budget as a single sketch over the
-// window's items (Theorem 3). The union scratch is per shard and
-// grow-only — steady-state windowed queries are also allocation-free.
+// window's items (Theorem 3). The union scratch is in the Work the shard
+// lends every ring slot, and grow-only — steady-state windowed queries
+// are also allocation-free.
 // This is the monitoring/SLO shape: per-endpoint p99 over the last N
 // minutes with keys appearing and expiring as traffic shifts (see
 // examples/slo and experiment E17). Windowed UpdatePairs
@@ -261,16 +265,17 @@
 // view; among items equal under the order, such as +0 and −0, a single
 // read and a view may name different ones.
 //
-// Everything else goes through a cached sorted view built by a k-way merge
-// of the levels: Snapshot, RankBatch, CDF/PMF, All and Sharded's epoch
-// rebuild. Writes invalidate the view; the next of those calls rebuilds it
-// into the storage of the previous view (grow-only backing arrays), so a
-// long-lived sketch stops allocating on the query path entirely, and the
-// calls between two writes share one build. A Snapshot carries its own
-// copy of the view, which is why its queries never touch the source
-// again; Sharded publishes its epoch's merged view as the snapshot without
-// a copy. A registry's export and Snapshot run the same merge on per-shard
-// scratch instead, so registry keys cache no view.
+// Everything else goes through a sorted view built by a k-way merge of the
+// levels. RankBatch, CDF/PMF, All and a registry export cache it in the
+// sketch's scratch (core.Work). Writes invalidate the view; the next of
+// those calls rebuilds it into the storage of the previous view
+// (grow-only backing arrays), so a long-lived sketch stops allocating on
+// the query path entirely, and the calls between two writes share one
+// build. A Snapshot merges the levels straight into arrays of its own (or
+// copies a current view), which is why its queries never touch the source
+// again; Sharded's epoch and a registry's Snapshot freeze the same way. A
+// registry shard lends one Work to all its keys, so a key caches no view:
+// one key's view lives until the next key's is built.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
@@ -294,13 +299,12 @@
 // CopyFrom and Reset keep the target's buffers, so a warm refresh or a
 // recycled registry key allocates nothing.
 //
-// Frozen snapshots follow an explicit ownership rule: Snapshot() copies
-// the sorted view's two arrays into storage the snapshot owns (two
-// allocations, two memcpys), because the source sketch keeps writing; the
-// sharded wrapper's published epoch snapshots instead alias their epoch
-// sketch's storage outright, because that sketch is immutable from
-// publication on. Own when the source keeps writing; alias only when the
-// source is provably frozen.
+// Frozen snapshots follow an explicit ownership rule: Snapshot() merges the
+// levels into two arrays the snapshot owns (two allocations), because the
+// source sketch keeps writing, as do the sharded wrapper's published
+// epochs; a restored RegistrySnapshot and a mapped snapshot alias storage
+// that no writer touches. Own when the source keeps writing; alias only
+// when the source is provably frozen.
 //
 // # Kernel tables
 //

@@ -2,11 +2,11 @@
 // of internal/core: every compactor owns its buf, a slice that grows by
 // append, so
 //
-//   - scratch buffers must never be assigned level-buffer storage: the
-//     sketch's scratch and mergeBuf, the settle tail of a Union or a Work,
-//     and the arrays of a Work's view (runtime debug.go checks the first
-//     two with unsafe.SliceData overlap; this analyzer rejects the
-//     assignment shapes that could create overlap);
+//   - scratch buffers must never be assigned level-buffer storage: a
+//     Work's scratch and mergeBuf, and the arrays its view merges into
+//     (items and cum) (runtime debug.go checks the first two with
+//     unsafe.SliceData overlap; this analyzer rejects the assignment
+//     shapes that could create overlap);
 //   - a local aliasing a level buffer (tail := s.levels[0].buf[...], also
 //     when bound in a multi-value assignment) must not be used after a
 //     call that can grow the levels slice or that buffer (resizeLevels,
@@ -319,10 +319,9 @@ func (c *checker) poisonLocals(call *ast.CallExpr, locals []*bufLocal, callEnds 
 }
 
 // scratchFields names the scratch buffers that must never hold level
-// storage: the sketch's own (scratch, mergeBuf), the settle tail of a
-// Union or a Work, and the arrays a Work merges into (its view's items
-// and cum).
-var scratchFields = map[string]bool{"scratch": true, "mergeBuf": true, "tail": true, "items": true, "cum": true}
+// storage: a Work's settle and emission scratch, its merge staging
+// (mergeBuf), and the arrays its view merges into (items and cum).
+var scratchFields = map[string]bool{"scratch": true, "mergeBuf": true, "items": true, "cum": true}
 
 // checkScratchAssign rejects assigning level-buffer storage to a scratch
 // field directly (append-copies like append(s.scratch[:0], w...) copy out

@@ -13,16 +13,17 @@ type compactor struct {
 }
 
 type sketch struct {
-	levels   []compactor
-	scratch  []item
-	mergeBuf []item
+	levels []compactor
+	work   *work
 }
 
-// work mirrors core.Work: a settle tail and a view to merge into, lent
-// to a sketch by its container.
+// work mirrors core.Work: the settle and emission scratch, the merge
+// staging and a view to merge into, which a sketch borrows from its
+// owner.
 type work struct {
-	tail []item
-	view struct {
+	scratch  []item
+	mergeBuf []item
+	view     struct {
 		items []item
 		cum   []uint64
 	}
@@ -32,20 +33,20 @@ func (s *sketch) resizeLevels(n int)   { s.levels = append(s.levels[:0], make([]
 func (s *sketch) compactCascade(h int) {}
 
 func (s *sketch) badScratchAlias() {
-	s.scratch = s.levels[0].buf // want "scratch buffers must never alias a level"
+	s.work.scratch = s.levels[0].buf // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) badScratchAliasViaLocal() {
 	w := s.levels[0].buf
-	s.scratch = w[:0] // want "scratch buffers must never alias a level"
+	s.work.scratch = w[:0] // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) badMergeBufAlias() {
-	s.mergeBuf = s.levels[1].buf[:0] // want "scratch buffers must never alias a level"
+	s.work.mergeBuf = s.levels[1].buf[:0] // want "scratch buffers must never alias a level"
 }
 
-func (s *sketch) badWorkTailAlias(w *work) {
-	w.tail = s.levels[0].buf // want "scratch buffers must never alias a level"
+func (s *sketch) badLentScratchAlias(w *work) {
+	w.scratch = s.levels[0].buf // want "scratch buffers must never alias a level"
 }
 
 func (s *sketch) badWorkViewAlias(w *work) {
@@ -53,14 +54,14 @@ func (s *sketch) badWorkViewAlias(w *work) {
 	w.view.items = head[:0] // want "scratch buffers must never alias a level"
 }
 
-func (s *sketch) okWorkTailCopy(w *work) {
+func (s *sketch) okLentMergeBufCopy(w *work) {
 	// Append-copy moves the items out of the level; no aliasing.
-	w.tail = append(w.tail[:0], s.levels[0].buf...)
+	w.mergeBuf = append(w.mergeBuf[:0], s.levels[1].buf...)
 }
 
 func (s *sketch) okScratchCopy() {
 	// Append-copy moves the items out of the level; no aliasing.
-	s.scratch = append(s.scratch[:0], s.levels[0].buf...)
+	s.work.scratch = append(s.work.scratch[:0], s.levels[0].buf...)
 }
 
 func (s *sketch) badStaleAfterGrow() float64 {
@@ -90,7 +91,7 @@ func (s *sketch) okReslicedBuffer() float64 {
 
 func (s *sketch) okScratchAppend(x item) float64 {
 	tail := s.levels[0].buf[1:]
-	s.scratch = append(s.scratch, x)
+	s.work.scratch = append(s.work.scratch, x)
 	return tail[0].v // ok: the append grew the scratch, not a level
 }
 

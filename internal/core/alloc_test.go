@@ -192,7 +192,7 @@ func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 					t.Errorf("%s allocates %v allocs/op", tc.name, avg)
 				}
 			}
-			if s.view == nil {
+			if s.memo() == nil {
 				t.Fatal("batch reads dropped the view")
 			}
 		})
@@ -200,8 +200,9 @@ func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 }
 
 func TestAllocsKernelRebuildAfterWarm(t *testing.T) {
-	// The kernel k-way merge stages cursors on s.kwayCurs; after one rebuild
-	// has grown it, further full rebuilds must not allocate.
+	// The kernel k-way merge stages cursors on the Work's cursor array;
+	// after one rebuild has grown it, further full rebuilds must not
+	// allocate.
 	s, vals := warmSketch(t, 1<<18, 8)
 	if avg := testing.AllocsPerRun(200, func() {
 		s.invalidate()
@@ -297,7 +298,7 @@ func TestAllocsReadThroughCycle(t *testing.T) {
 			if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
 				t.Fatalf("64-update + QuantilesInto cycle allocates %v allocs/op", avg)
 			}
-			if s.view != nil || s.spare != nil {
+			if s.memo() != nil || s.work.viewOf != nil || s.work.view.items != nil {
 				t.Fatal("live reads built a view")
 			}
 		})

@@ -151,7 +151,7 @@ func BenchmarkCoreSortedViewBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.view, s.spare = nil, nil // force a from-scratch build
+		s.workspace().view, s.viewCurrent = View[float64]{}, false // force a from-scratch build
 		_ = s.SortedView()
 	}
 }

@@ -25,12 +25,12 @@ import (
 //     covering geometry changes across growths);
 //  8. the sorted-compactor invariant: 0 ≤ sorted ≤ len(buf) and
 //     buf[:sorted] is sorted under the internal order at every level;
-//  9. read-cache consistency: a current view is the spare (recycled
-//     storage) and matches the sketch's count, and the union scratch holds
-//     no alias of the levels between reads;
+//  9. read-cache consistency: a current memo view matches the sketch's
+//     count, and the Work's union holds no alias of the levels between
+//     reads;
 //  10. storage: the O(1) ItemsRetained counter equals the per-level sum,
-//     and no two level buffers, nor a level buffer and the scratch or merge
-//     staging buffer, share memory.
+//     and no two level buffers, nor a level buffer and the Work's scratch
+//     or merge staging buffer, share memory.
 func (s *Sketch[T]) CheckInvariants() error {
 	g := s.geom
 	if g.b != 2*g.k*g.nsec {
@@ -72,15 +72,10 @@ func (s *Sketch[T]) CheckInvariants() error {
 	if s.bound < s.n {
 		return fmt.Errorf("core: bound %d < n %d", s.bound, s.n)
 	}
-	if s.view != nil {
-		if s.view != s.spare {
-			return fmt.Errorf("core: current view is not the recycled spare")
-		}
-		if s.view.n != s.n {
-			return fmt.Errorf("core: current view count %d != n %d", s.view.n, s.n)
-		}
+	if v := s.memo(); v != nil && v.n != s.n {
+		return fmt.Errorf("core: current view count %d != n %d", v.n, s.n)
 	}
-	if s.union != nil && (s.union.s != nil || len(s.union.runs) != 0) {
+	if w := s.work; w != nil && (w.union.s != nil || len(w.union.runs) != 0) {
 		return fmt.Errorf("core: union scratch still aliases the levels after a read")
 	}
 	if err := s.checkStorage(); err != nil {
@@ -110,11 +105,13 @@ func (s *Sketch[T]) checkStorage() error {
 				return fmt.Errorf("core: levels %d and %d share a buffer", h, j)
 			}
 		}
-		if slicesShareMemory(s.scratch, buf) {
-			return fmt.Errorf("core: scratch buffer aliases level %d", h)
-		}
-		if slicesShareMemory(s.mergeBuf, buf) {
-			return fmt.Errorf("core: merge staging buffer aliases level %d", h)
+		if w := s.work; w != nil {
+			if slicesShareMemory(w.scratch, buf) {
+				return fmt.Errorf("core: scratch buffer aliases level %d", h)
+			}
+			if slicesShareMemory(w.mergeBuf, buf) {
+				return fmt.Errorf("core: merge staging buffer aliases level %d", h)
+			}
 		}
 	}
 	if sum != s.retained {

@@ -8,42 +8,37 @@ import (
 
 // Frozen views. A View is a coreset frozen into two parallel arrays — the
 // sorted items and their cumulative weights — plus O(1) scalars. The view
-// SortedView returns is the sketch's memo, recycled on its next write; the
-// functions here yield a View that stays valid forever: FreezeOwned copies
-// the arrays, FreezeShared aliases those of a sketch that is never written
-// again, and FrozenFromParts and FrozenFromCoreset rebuild a View around
-// arrays mapped or decoded from storage (Work.Freeze, in work.go, merges
-// a sketch straight into arrays it owns). Every View method is a pure read,
+// SortedView returns is the memo in the sketch's Work, recycled on the
+// sketch's next write or the Work's next build; the functions here yield a
+// View that stays valid forever: FreezeOwned merges into (or copies to)
+// arrays it owns, and FrozenFromParts and FrozenFromCoreset rebuild a View
+// around arrays mapped or decoded from storage. Every View method is a pure read,
 // so any number of goroutines may query such a View at once with no
 // synchronization; the root package serves it as req.Snapshot. Persisting
 // one is two contiguous array writes (Items, CumulativeWeights), and
 // opening one can be two slice aliases over a read-only mapping — no
 // per-item decode.
 //
-// Ownership rule (the package's aliasing discipline): FreezeShared,
-// FrozenFromParts and FrozenFromCoreset alias the arrays without copying,
-// so they must be provably frozen — a read-only file mapping, or buffers
-// no writer will ever touch again. A View never writes through them.
+// Ownership rule (the package's aliasing discipline): FrozenFromParts and
+// FrozenFromCoreset alias the arrays without copying, so they must be
+// provably frozen — a read-only file mapping, or buffers no writer will
+// ever touch again. A View never writes through them.
 
 // FreezeOwned returns the sketch's current coreset as a View that owns
-// every byte of its storage: the cached view's two arrays are deep copied,
-// so the result shares no mutable state with the sketch and stays valid
-// across any later write. It builds the cached view when it is stale and
-// costs two allocations and two memcpys no matter how large the coreset.
+// every byte of its storage, so the result stays valid across any later
+// write. It copies the memo view's two arrays when the memo is current,
+// and otherwise merges the levels straight into two arrays of exactly the
+// retained size, leaving no view behind: two allocations either way.
 func (s *Sketch[T]) FreezeOwned() View[T] {
-	v := *s.SortedView()
-	v.items, v.cum = slices.Clone(v.items), slices.Clone(v.cum)
+	if m := s.memo(); m != nil {
+		v := *m
+		v.items, v.cum = slices.Clone(v.items), slices.Clone(v.cum)
+		return v
+	}
+	var v View[T]
+	s.mergeView(&v)
 	return v
 }
-
-// FreezeShared returns the sketch's cached view by value WITHOUT copying
-// its arrays, so the result is sound only while the sketch is not written:
-// the sharded wrapper uses it to publish each epoch's freshly merged (and
-// from then on immutable) sketch. It builds the view and leaves it cached,
-// so a container of many sketches merges through a Work instead (the
-// registry export does). For a durable copy of a live sketch use
-// FreezeOwned instead.
-func (s *Sketch[T]) FreezeShared() View[T] { return *s.SortedView() }
 
 // FrozenFromParts returns the View over items and cum — the sorted items
 // and their cumulative weights, of equal length, rising to n — WITHOUT

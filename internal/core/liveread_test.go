@@ -47,7 +47,7 @@ func (c *liveReadCase[T]) same(a, b T) bool {
 func (c *liveReadCase[T]) check(t *testing.T, round int) {
 	t.Helper()
 	s := c.s
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatalf("round %d: the view is current; the read would not select", round)
 	}
 	v := rebuiltView(s)
@@ -69,7 +69,7 @@ func (c *liveReadCase[T]) check(t *testing.T, round int) {
 			}
 		}
 	}
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatalf("round %d: a live read froze the sketch", round)
 	}
 	// A following Rank searches the settled levels; it must agree too.
@@ -237,9 +237,9 @@ func TestReadThroughMatchesRepairU64(t *testing.T) {
 	}
 }
 
-// TestLiveReadUnionScratch: the read scratch belongs to one sketch and
-// holds no alias of its levels once a read returns. A clone gets none, a
-// CopyFrom target keeps its own, and a Reset sketch keeps it empty.
+// TestLiveReadUnionScratch: the read scratch belongs to the sketch's Work
+// and holds no alias of its levels once a read returns. A clone gets no
+// Work, a CopyFrom target keeps its own, and a Reset sketch keeps it empty.
 func TestLiveReadUnionScratch(t *testing.T) {
 	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 45})
 	r := rng.New(46)
@@ -249,18 +249,18 @@ func TestLiveReadUnionScratch(t *testing.T) {
 	if _, err := s.Quantile(0.5); err != nil {
 		t.Fatal(err)
 	}
-	u := s.union
-	if u == nil || u.s != nil || len(u.runs) != 0 {
+	w := s.work
+	if w == nil || w.union.s != nil || len(w.union.runs) != 0 {
 		t.Fatal("a live Quantile left the union scratch missing or aliasing the levels")
 	}
 	s.Update(0.5)
 	if _, err := s.QuantilesInto(nil, []float64{0.5, 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if s.union != u || u.s != nil || len(u.runs) != 0 {
+	if s.work != w || w.union.s != nil || len(w.union.runs) != 0 {
 		t.Fatal("a live QuantilesInto left the union scratch aliasing the levels")
 	}
-	if c := s.Clone(); c.union != nil {
+	if c := s.Clone(); c.work != nil {
 		t.Fatal("Clone shares the union scratch")
 	}
 	dst := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 47})
@@ -268,19 +268,19 @@ func TestLiveReadUnionScratch(t *testing.T) {
 	if _, err := dst.Quantile(0.5); err != nil {
 		t.Fatal(err)
 	}
-	own := dst.union
+	own := dst.work
 	dst.CopyFrom(s)
-	if dst.union != own {
+	if dst.work != own {
 		t.Fatal("CopyFrom took over the source's union scratch")
 	}
 	s.Reset()
-	if s.union != u || len(u.runs) != 0 {
+	if s.work != w || len(w.union.runs) != 0 {
 		t.Fatal("Reset left the union scratch aliasing the old levels")
 	}
 	if _, err := s.Quantile(0.5); err != ErrEmpty {
 		t.Fatalf("empty sketch live read: %v, want ErrEmpty", err)
 	}
-	if u.s != nil || len(u.runs) != 0 {
+	if w.union.s != nil || len(w.union.runs) != 0 {
 		t.Fatal("an empty read left the union scratch aliasing the levels")
 	}
 }

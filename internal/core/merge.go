@@ -63,13 +63,15 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	}
 	s.invalidate()
 	if s.n == 0 {
-		// Adopt a deep copy of other wholesale, keeping s's seed identity.
+		// Adopt a deep copy of other, keeping s's seed identity and Work.
 		c := other.Clone()
 		c.rnd = s.rnd
 		c.cfg.Seed = s.cfg.Seed
+		c.work = s.work
 		*s = *c
 		return nil
 	}
+	w := s.workspace() // every step runs on s's Work, which s keeps
 
 	// Historical counters of both inputs; deltas accumulated during the
 	// merge are reconciled at the end so nothing is double-counted.
@@ -84,6 +86,7 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 		// holding s sees deterministic behaviour under a fixed seed.
 		m.rnd = s.rnd
 		m.cfg.Seed = s.cfg.Seed
+		m.work = w
 		src = s
 	} else {
 		m = s
@@ -105,11 +108,11 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 	}
 
 	// Step 3: if the source's geometry lags the target's, special-compact
-	// the source — on m's reusable staging sketch rather than a fresh deep
-	// copy, so repeated merges into a long-lived target stop allocating for
-	// this step once the stage's buffers have grown. The stage borrows m's
-	// random source for the special compactions (exactly as the old private
-	// clone did), keeping the coin stream bit-identical.
+	// the source — on the Work's reusable staging sketch rather than a
+	// fresh deep copy, so repeated merges into a long-lived target stop
+	// allocating for this step once the stage's buffers have grown. The
+	// stage borrows m's random source for the special compactions (exactly
+	// as the old private clone did), keeping the coin stream bit-identical.
 	if src.bound < m.bound {
 		needsSpecial := false
 		for h := 0; h < len(src.levels)-1; h++ {
@@ -119,10 +122,10 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 			}
 		}
 		if needsSpecial {
-			if m.stage == nil {
-				m.stage = &Sketch[T]{}
+			if w.stage == nil {
+				w.stage = &Sketch[T]{work: w}
 			}
-			stage := m.stage
+			stage := w.stage
 			stage.CopyFrom(src)
 			stageRnd := stage.rnd // keep the stage's own source for reuse
 			stage.rnd = m.rnd
@@ -143,23 +146,23 @@ func (s *Sketch[T]) Merge(other *Sketch[T]) error {
 		if h >= len(m.levels) {
 			m.resizeLevels(h + 1)
 		}
-		m.settleLevel(h, &m.scratch)
+		m.settleLevel(h)
 		add := src.levels[h].buf
 		if sp := src.levels[h].sorted; sp < len(add) {
 			// The source is not ours to mutate: settle an unsorted tail on
-			// m's reusable scratch buffers (only level 0 carries a tail in
-			// practice, and m.scratch is free here — settleLevel above is
-			// done with it), so settling allocates nothing once the buffers
-			// have grown.
-			m.scratch = append(m.scratch[:0], add[sp:]...)
-			m.sortInternal(m.scratch)
-			m.mergeBuf = append(m.mergeBuf[:0], add[:sp]...)
-			m.mergeBuf = slices.Grow(m.mergeBuf, len(m.scratch))
-			m.mergeBuf = m.mergeInternalInto(m.mergeBuf, m.scratch)
-			add = m.mergeBuf
+			// the Work's reusable scratch buffers (only level 0 carries a
+			// tail in practice, and the scratch is free here — settleLevel
+			// above is done with it), so settling allocates nothing once
+			// the buffers have grown.
+			w.scratch = append(w.scratch[:0], add[sp:]...)
+			m.sortInternal(w.scratch)
+			w.mergeBuf = append(w.mergeBuf[:0], add[:sp]...)
+			w.mergeBuf = slices.Grow(w.mergeBuf, len(w.scratch))
+			w.mergeBuf = m.mergeInternalInto(w.mergeBuf, w.scratch)
+			add = w.mergeBuf
 		}
 		// Grow the target level for the concatenation before merging, as
-		// the merge kernel needs (add lives in src's levels or m's
+		// the merge kernel needs (add lives in src's levels or the Work's
 		// mergeBuf, never in m's level, so the operands cannot overlap).
 		dst := &m.levels[h]
 		dst.buf = slices.Grow(dst.buf, len(add))

@@ -98,22 +98,16 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 {
 
 // Quantile returns the estimated φ-quantile for φ ∈ [0, 1]: the smallest
 // retained item whose normalized inclusive rank reaches φ. φ = 0 yields the
-// exact minimum and φ = 1 the exact maximum (both tracked separately). It
-// reads as QuantileWith does, through the sketch's own union scratch.
+// exact minimum and φ = 1 the exact maximum (both tracked separately).
+// The union of s's Work takes s alone: every level is settled in place
+// (the sort-and-merge of the level-0 tail that each compaction starts
+// with) and φ is selected over the sorted levels. The answer equals, under
+// the order, that of the sorted view; the read neither builds nor consults
+// a view, so it answers the same bits whether or not one is current (among
+// items equal under the order, such as +0 and −0, the view may hold the
+// other one).
 func (s *Sketch[T]) Quantile(phi float64) (T, error) {
-	return s.QuantileWith(s.liveUnion(), phi)
-}
-
-// QuantileWith is Quantile selecting through the caller's union scratch u,
-// which must be empty and is left empty; the registry keeps one per shard,
-// so a keyed read adds no union to the key. u takes s alone: every level is
-// settled in place (the sort-and-merge of the level-0 tail that each
-// compaction starts with) and φ is selected over the sorted levels. The
-// answer equals, under the order, that of the sorted view; the read
-// neither builds nor consults a view, so it answers the same bits whether
-// or not one is current (among items equal under the order, such as +0
-// and −0, the view may hold the other one).
-func (s *Sketch[T]) QuantileWith(u *Union[T], phi float64) (T, error) {
+	u := &s.workspace().union
 	defer u.Reset()
 	u.Add(s)
 	return u.Quantile(phi)
@@ -128,27 +122,13 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) {
 // QuantilesInto answers every φ in phis, writing the estimates into dst
 // (grown as needed; pass a slice retained across calls for steady-state
 // allocation-free querying) and returning it with length len(phis). It
-// reads as Quantile does; see QuantilesIntoWith.
+// reads as Quantile does: by selection over the settled levels (see
+// Union.QuantilesInto), never from the view.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
-	return s.QuantilesIntoWith(s.liveUnion(), dst, phis)
-}
-
-// QuantilesIntoWith is QuantilesInto selecting through the caller's union
-// scratch u, on QuantileWith's terms: by selection over the settled levels
-// (see Union.QuantilesInto), never from the view.
-func (s *Sketch[T]) QuantilesIntoWith(u *Union[T], dst []T, phis []float64) ([]T, error) {
+	u := &s.workspace().union
 	defer u.Reset()
 	u.Add(s)
 	return u.QuantilesInto(dst, phis)
-}
-
-// liveUnion returns the sketch's own union scratch, allocating it on the
-// first single quantile read.
-func (s *Sketch[T]) liveUnion() *Union[T] {
-	if s.union == nil {
-		s.union = new(Union[T])
-	}
-	return s.union
 }
 
 // badPhi reports whether φ lies outside [0, 1] (or is NaN).
@@ -224,10 +204,11 @@ func (s *Sketch[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
 // queries with one galloping sweep, and it is what the experiment harness
 // uses for bulk evaluation and what the root package's Snapshot serves.
 //
-// Ownership: the view returned by SortedView is owned by the sketch, which
-// recycles its storage on the next rebuild — it is valid only until the
-// next mutation of the sketch. A View from FreezeOwned owns its storage and
-// stays valid forever; see frozen.go for the other frozen constructors.
+// Ownership: the view returned by SortedView lives in the sketch's Work,
+// which recycles its storage on the next build — it is valid only until
+// the sketch's next write, or until its Work merges another sketch. A View
+// from FreezeOwned owns its storage and stays valid forever; see frozen.go
+// for the other frozen constructors.
 type View[T any] struct {
 	items []T
 	cum   []uint64 // cum[i] = total weight of items[0..i]
@@ -238,40 +219,46 @@ type View[T any] struct {
 	max  T
 }
 
-// SortedView materializes (and caches) the sorted weighted view: a stale
-// view is rebuilt by one k-way merge of the settled levels (mergeView, on
-// the sketch's own scratch). Steady state performs no allocation: the
-// rebuild writes into the storage of the previously built view (grow-only
-// backing arrays). The cached view is the memo that the batch queries
-// (RankBatch, CDF, PMF), FreezeOwned and FreezeShared build into and reuse
-// until the next write; single reads (Rank, Quantile, QuantilesInto) never
-// read it. A container that merges many sketches lends them a Work
-// instead, so none of them keeps a view.
+// SortedView merges the settled levels into the sorted weighted view kept
+// in the sketch's Work (mergeView), which recycles its grow-only storage,
+// so steady state allocates nothing. The view lives until the sketch's
+// next write, or until its Work merges another sketch; until then it is
+// the memo of the batch queries (RankBatch, CDF, PMF) and of FreezeOwned.
+// Single reads (Rank, Quantile, QuantilesInto) never read it.
 func (s *Sketch[T]) SortedView() *View[T] {
-	if s.view != nil {
-		return s.view
+	if v := s.memo(); v != nil {
+		return v
 	}
-	if s.spare == nil {
-		s.spare = &View[T]{}
+	w := s.workspace()
+	s.mergeView(&w.view)
+	w.viewOf, s.viewCurrent = s, true
+	return &w.view
+}
+
+// memo returns the view s's Work last built, when it was built for s and s
+// is unwritten since, or nil.
+func (s *Sketch[T]) memo() *View[T] {
+	if s.viewCurrent && s.work != nil && s.work.viewOf == s {
+		return &s.work.view
 	}
-	s.view = s.mergeView(&s.scratch, &s.kwayCurs, s.spare)
-	return s.view
+	return nil
 }
 
 // mergeView is the one merge of a sketch's levels into a sorted view, run
-// by SortedView on the sketch's own scratch and by Work on a container's:
-// it settles every level through the scratch *tail, sizes v's arrays to
-// the retained count (reusing their storage; see resize) and k-way merges
-// the levels into them through the cursor scratch *curs. It returns v.
-func (s *Sketch[T]) mergeView(tail *[]T, curs *[]vec.KWayCursor[T], v *View[T]) *View[T] {
-	s.settleLevels(tail)
+// by SortedView into its Work's view and by FreezeOwned into arrays the
+// result owns: it settles every level through s's Work, sizes v's arrays
+// to the retained count (reusing their storage; see resize) and k-way
+// merges the levels into them through the Work's cursor scratch.
+func (s *Sketch[T]) mergeView(v *View[T]) {
+	w := s.workspace()
+	s.settleLevels()
 	v.resize(s.retained)
 	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
 	// The cursors are staged on a reusable heap slice: a slice handed
 	// through the kernel table's indirect call escapes, so a stack array
-	// here would allocate per merge — *curs amortizes that to one
+	// here would allocate per merge — w.curs amortizes that to one
 	// grow-only allocation.
-	cs := (*curs)[:0]
+	cs := w.curs[:0]
 	for h := range s.levels {
 		b := s.levels[h].buf
 		if len(b) == 0 {
@@ -289,8 +276,7 @@ func (s *Sketch[T]) mergeView(tail *[]T, curs *[]vec.KWayCursor[T], v *View[T]) 
 	// Scrub the buffer aliases so the scratch never keeps level buffers
 	// reachable past the merge.
 	clear(cs)
-	*curs = cs
-	return v
+	w.curs = cs
 }
 
 // resize sets both arrays' length to n for a rebuild. The first build

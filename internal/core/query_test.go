@@ -66,7 +66,7 @@ func TestViewCachedAndInvalidated(t *testing.T) {
 	weight1 := v1.Count()
 	rankBefore := s.Rank(0.25)
 	s.Update(0.5)
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("update did not invalidate the cached view")
 	}
 	v3 := s.SortedView()

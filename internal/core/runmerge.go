@@ -65,13 +65,11 @@ func mergeSortedInto[T any](dst []T, add []T, less func(a, b T) bool) []T {
 
 // settleLevel restores the fully-sorted state of level h: the unsorted
 // append tail is sorted on its own and merged behind the sorted prefix in
-// one backward galloping pass through the scratch *tail, which must not
-// alias a level. No-op when the buffer is already fully sorted. Callers
+// one backward galloping pass through the scratch of s's Work, which no
+// level aliases. No-op when the buffer is already fully sorted. Callers
 // that need the scratch afterwards must settle first; settleLevel
-// overwrites it. Compactions settle through s.scratch; reads and exports
-// settle through their container's scratch (Union, Work), so they leave
-// none on the sketch.
-func (s *Sketch[T]) settleLevel(h int, tail *[]T) {
+// overwrites it.
+func (s *Sketch[T]) settleLevel(h int) {
 	c := &s.levels[h]
 	if c.sorted == len(c.buf) {
 		return
@@ -82,8 +80,9 @@ func (s *Sketch[T]) settleLevel(h int, tail *[]T) {
 		c.sorted = len(c.buf)
 		return
 	}
-	*tail = append((*tail)[:0], unsorted...)
-	c.buf = s.mergeInternalInto(c.buf[:c.sorted], *tail)
+	w := s.workspace()
+	w.scratch = append(w.scratch[:0], unsorted...)
+	c.buf = s.mergeInternalInto(c.buf[:c.sorted], w.scratch)
 	c.sorted = len(c.buf)
 }
 

@@ -118,14 +118,14 @@ func TestSettleLevelMergesTail(t *testing.T) {
 	s := mkSketch(t, 4, true)
 	loadLevel0(s, 1, 3, 5, 7, 6, 2, 4)
 	s.levels[0].sorted = 4
-	s.settleLevel(0, &s.scratch)
+	s.settleLevel(0)
 	lv := &s.levels[0]
 	if lv.sorted != len(lv.buf) || !isSorted(lv.buf, fless) {
 		t.Fatalf("settle failed: %v (sorted=%d)", lv.buf, lv.sorted)
 	}
 	// Idempotent.
 	before := append([]float64(nil), lv.buf...)
-	s.settleLevel(0, &s.scratch)
+	s.settleLevel(0)
 	for i, v := range s.levels[0].buf {
 		if before[i] != v {
 			t.Fatal("settle not idempotent")

@@ -6,7 +6,6 @@ import (
 
 	"req/internal/rng"
 	"req/internal/schedule"
-	"req/internal/vec"
 )
 
 // compactor is one relative-compactor (Algorithm 1): a buffer at level h of
@@ -16,7 +15,7 @@ import (
 // compacted per the exponential schedule.
 type compactor[T any] struct {
 	// buf is the level's buffer, owned by the level alone: no other level,
-	// and neither scratch nor mergeBuf, shares its backing array. It grows
+	// and no buffer of a Work, shares its backing array. It grows
 	// by append, and its spare capacity is kept zeroed, so pointer-bearing
 	// item types never linger past a truncation.
 	buf []T
@@ -61,35 +60,16 @@ type Sketch[T any] struct {
 	min, max  T
 	hasMinMax bool
 	// recordCurrent marks the sketch unwritten since its owner last kept
-	// a record of it (MarkRecordCurrent); invalidate clears it on every
-	// write. It sits in the padding after hasMinMax, so it costs no byte.
+	// a record of it (MarkRecordCurrent), and viewCurrent since its Work
+	// last built a view of it (SortedView); invalidate clears both on
+	// every write. They sit in the padding after hasMinMax, so they cost
+	// no byte.
 	recordCurrent bool
+	viewCurrent   bool
 
-	// view is the cached sorted view when it is current (nil ⇒ stale): the
-	// memo of batch queries and freezes, which single reads never consult.
-	// spare retains the most recently built view so rebuilds recycle its
-	// storage: view == spare whenever view is non-nil.
-	view  *View[T]
-	spare *View[T]
-	// union is the selection scratch of single quantile reads, allocated
-	// by the first one. A read leaves it empty, so it never aliases the
-	// levels between reads.
-	union *Union[T]
-
-	// scratch is reused by a compaction's settle and emitHalf (tail copies
-	// and emission staging), so steady-state ingest performs no allocation.
-	// Reads and exports settle through their container's scratch instead.
-	scratch []T
-	// mergeBuf stages settled copies of merge-source levels (Merge step 4),
-	// reused across merges so settling allocates only on growth.
-	mergeBuf []T
-	// kwayCurs is the k-way merge's reusable cursor array: a slice handed
-	// to the kernel table's indirect call escapes, so one grow-only
-	// allocation is amortized across rebuilds.
-	kwayCurs []vec.KWayCursor[T]
-	// stage is a reusable deep-copy target for merge sources that need a
-	// special compaction (Merge step 3), replacing a per-merge Clone.
-	stage *Sketch[T]
+	// work is the transient state of compactions, merges and reads: the
+	// sketch's own, allocated on first use, or one its owner lends.
+	work *Work[T]
 
 	// Instrumentation for the experiment harness.
 	stats Stats
@@ -137,11 +117,32 @@ func (s *Sketch[T]) Init(less func(a, b T) bool, cfg Config) error {
 	}
 	s.kern = kernelFor(less)
 	s.cfg = cfg
-	s.rnd = rng.New(cfg.Seed)
 	s.bound = cfg.initialBound()
 	s.geom = cfg.geometryFor(s.bound)
-	s.levels = []compactor[T]{{buf: make([]T, 0, initialWindow)}}
+	s.InitAs(s, cfg.Seed)
 	return nil
+}
+
+// InitAs initializes s, the zero value or proto itself, as Init of proto's
+// order and configuration under seed would, copying proto's validated
+// configuration, bound and geometry instead of deriving them again.
+func (s *Sketch[T]) InitAs(proto *Sketch[T], seed uint64) {
+	s.kern, s.cfg, s.bound, s.geom = proto.kern, proto.cfg, proto.bound, proto.geom
+	s.cfg.Seed = seed
+	s.rnd = rng.New(seed)
+	s.levels = []compactor[T]{{buf: make([]T, 0, initialWindow)}}
+}
+
+// Borrow makes s use w, which its owner lends to many sketches, in place
+// of a Work of its own; the owner then uses s only under w's lock.
+func (s *Sketch[T]) Borrow(w *Work[T]) { s.work, s.viewCurrent = w, false }
+
+// workspace returns s's Work, allocating one of its own on first use.
+func (s *Sketch[T]) workspace() *Work[T] {
+	if s.work == nil {
+		s.work = new(Work[T])
+	}
+	return s.work
 }
 
 // internalLess is the order compaction protects: the caller's order for
@@ -155,13 +156,13 @@ func (s *Sketch[T]) internalLess(a, b T) bool {
 	return s.kern.less(a, b)
 }
 
-// invalidate runs on every write: it marks the cached view stale (the next
-// view read rebuilds it into the spare's storage) and clears the record
+// invalidate runs on every write: it marks the memo view stale (the next
+// view read rebuilds it into its Work's storage) and clears the record
 // mark.
 //
 //req:noalloc
 func (s *Sketch[T]) invalidate() {
-	s.view = nil
+	s.viewCurrent = false
 	s.recordCurrent = false
 }
 
@@ -373,7 +374,7 @@ func (s *Sketch[T]) compactLevel(h int) {
 	if len(c.buf) > s.stats.MaxBufferLen {
 		s.stats.MaxBufferLen = len(c.buf)
 	}
-	s.settleLevel(h, &s.scratch)
+	s.settleLevel(h)
 
 	secs := schedule.SectionsFor(s.cfg.Schedule, c.state, s.geom.nsec)
 	keep := s.geom.b - secs*s.geom.k
@@ -402,7 +403,7 @@ func (s *Sketch[T]) specialCompactLevel(h int) bool {
 	if len(c.buf) <= keep {
 		return false
 	}
-	s.settleLevel(h, &s.scratch)
+	s.settleLevel(h)
 	s.emitHalf(h, keep)
 	c = &s.levels[h] // emitHalf may have grown s.levels and moved it
 	c.state = c.state.Next()
@@ -446,14 +447,16 @@ func (s *Sketch[T]) emitHalf(h, keep int) {
 	}
 	// The next level can carry an unsorted tail (direct weighted inserts);
 	// settle it before merging the emission. This must precede the scratch
-	// use below — the settle claims s.scratch too.
-	s.settleLevel(h+1, &s.scratch)
+	// use below — the settle claims the Work's scratch too.
+	s.settleLevel(h + 1)
 	c = &s.levels[h] // re-take: resizeLevels may have moved the levels array
 	region := c.buf[keep:]
-	s.scratch = s.scratch[:0]
+	w := s.workspace()
+	emit := w.scratch[:0]
 	for i := offset; i < len(region); i += 2 {
-		s.scratch = append(s.scratch, region[i])
+		emit = append(emit, region[i])
 	}
+	w.scratch = emit
 	// Scrub the abandoned tail so the buffer never keeps pointer-bearing
 	// items reachable past its length.
 	clear(c.buf[keep:])
@@ -465,10 +468,10 @@ func (s *Sketch[T]) emitHalf(h, keep int) {
 	// Grow the next level for the emission first: the merge kernel needs
 	// the capacity (mergeSortedInto's contract).
 	next := &s.levels[h+1]
-	next.buf = slices.Grow(next.buf, len(s.scratch))
-	next.buf = s.mergeInternalInto(next.buf, s.scratch)
+	next.buf = slices.Grow(next.buf, len(emit))
+	next.buf = s.mergeInternalInto(next.buf, emit)
 	next.sorted = len(next.buf)
-	s.retained += len(s.scratch)
+	s.retained += len(emit)
 	if len(next.buf) > s.stats.MaxBufferLen {
 		s.stats.MaxBufferLen = len(next.buf)
 	}
@@ -508,14 +511,15 @@ func (s *Sketch[T]) growTo(need uint64) {
 }
 
 // Reset returns the sketch to its empty state, keeping every level's
-// buffer (scrubbed) and preserving the configuration. The random stream
+// buffer (scrubbed), its Work and its configuration. The random stream
 // continues (it is not re-seeded), so a reset sketch is statistically fresh
 // but not bit-identical to a newly constructed one.
 func (s *Sketch[T]) Reset() {
 	s.invalidate()
-	// Drop the recycled view outright: its arrays hold items from the old
-	// stream, which pointer-bearing item types should not keep reachable.
-	s.spare = nil
+	// Drop a view of the old stream: pointer-bearing items must not linger.
+	if w := s.work; w != nil && w.viewOf == s {
+		w.view, w.viewOf = View[T]{}, nil
+	}
 	s.n = 0
 	s.retained = 0
 	s.bound = s.cfg.initialBound()
@@ -531,9 +535,9 @@ func (s *Sketch[T]) Reset() {
 // Clone returns a deep copy of the sketch sharing no mutable state with s.
 // The clone's random source continues s's stream (state copied), so the
 // clone and the original behave bit-for-bit identically on identical
-// subsequent input. The cached sorted view is not carried over; the clone
-// rebuilds it on first query. Clone is a read-only operation on s; each
-// level's buffer is copied at its length.
+// subsequent input. The clone borrows no Work: it allocates its own on
+// first use, and builds its own view on its first batch query. Clone is a
+// read-only operation on s; each level's buffer is copied at its length.
 func (s *Sketch[T]) Clone() *Sketch[T] {
 	c := *s
 	c.rnd = rng.New(0)
@@ -544,21 +548,14 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 		c.levels[h].buf = slices.Clone(s.levels[h].buf)
 	}
 	c.invalidate() // nothing is cached or kept for the clone yet
-	// Never share transient state with the original: the clone grows its
-	// own view storage, union and merge scratch on first use.
-	c.spare = nil
-	c.union = nil
-	c.scratch = nil
-	c.mergeBuf = nil
-	c.kwayCurs = nil
-	c.stage = nil
+	c.work = nil
 	return &c
 }
 
 // CopyFrom makes s a deep copy of src (same contract as src.Clone(), but in
 // place): s summarises the same stream, continues the same random stream, and
-// shares no mutable state with src. Unlike Clone it reuses s's level
-// buffers and cached-view arrays, so refreshing a long-lived staging sketch
+// shares no mutable state with src; s keeps its own Work. Unlike Clone it
+// reuses s's level buffers, so refreshing a long-lived staging sketch
 // from a live one allocates nothing once capacities have grown to match.
 // The sharded wrapper's snapshot rebuild uses it to re-stage shard state
 // every epoch without per-epoch garbage. s.CopyFrom(s) is a no-op.

@@ -247,11 +247,11 @@ func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 		unfrozen[i] = s.Rank(y)
 		unfrozenEx[i] = s.RankExclusive(y)
 	}
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("plain Rank must not build the view")
 	}
 	v := s.SortedView()
-	if s.view == nil {
+	if s.memo() == nil {
 		t.Fatal("SortedView must cache the view")
 	}
 	for i, y := range probes {
@@ -266,7 +266,7 @@ func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 		}
 	}
 	s.Update(1)
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("Update must invalidate the view")
 	}
 }

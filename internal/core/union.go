@@ -3,9 +3,9 @@ package core
 // Union answers quantile queries over the weighted union of one or more
 // sketches' coresets — every retained item of every added sketch at its
 // level weight 2^h — without merging the sketches or building a view. It is
-// the engine of every live quantile read: a single sketch's stale-view read
-// (Sketch.QuantileWith), a registry key's, and a windowed key's over its
-// live ring slots. Its answers are those of a sorted view over that union
+// the engine of every live quantile read, held by a Work: a single
+// sketch's (a registry key's too) and a windowed key's over its live ring
+// slots. Its answers are those of a sorted view over that union
 // (among items equal under the order, it may return a different one): φ
 // resolves to the smallest retained item y whose summed weight
 // Σ 2^h·#{x ≤ y} reaches ⌈φn⌉ (Algorithm 2's Estimate-Rank), found by
@@ -18,8 +18,8 @@ package core
 // Every added sketch must share one order and one accuracy mode; the ring
 // slots of a windowed registry do. The union aliases their level buffers, so
 // it is valid only until one of them is written; Reset drops the aliases.
-// The run and settle scratch are grow-only: steady-state reads allocate
-// nothing, and a read leaves no scratch on the sketches it settles.
+// The runs are grow-only and each sketch settles through its own Work, so
+// steady-state reads allocate nothing.
 type Union[T any] struct {
 	// s is the first sketch added: its order, accuracy mode and kernel
 	// table answer every comparison.
@@ -32,8 +32,6 @@ type Union[T any] struct {
 	// below is the total weight of the items every run's window has
 	// dropped from below: items already known to lie under the answer.
 	below uint64
-	// tail is the settle scratch of Add (see settleLevel).
-	tail []T
 }
 
 // unionRun is one settled level buffer of an added sketch. Its active
@@ -47,7 +45,7 @@ type unionRun[T any] struct {
 }
 
 // Reset empties the union and drops its aliases of the added sketches'
-// storage, keeping the run and settle scratch.
+// storage, keeping the run scratch.
 //
 //req:noalloc
 func (u *Union[T]) Reset() {
@@ -57,14 +55,14 @@ func (u *Union[T]) Reset() {
 	u.s, u.n, u.min, u.max = nil, 0, zero, zero
 }
 
-// Add settles every level of s through the union's scratch (see
-// settleLevels) and adds each non-empty one as a sorted run of weight 2^h.
-// An empty sketch adds nothing.
+// Add settles every level of s through s's Work (see settleLevels) and
+// adds each non-empty one as a sorted run of weight 2^h. An empty sketch
+// adds nothing.
 func (u *Union[T]) Add(s *Sketch[T]) {
 	if s.n == 0 {
 		return
 	}
-	s.settleLevels(&u.tail)
+	s.settleLevels()
 	switch {
 	case u.s == nil:
 		u.s, u.hra, u.min, u.max = s, s.cfg.HRA, s.min, s.max
@@ -86,14 +84,13 @@ func (u *Union[T]) Add(s *Sketch[T]) {
 	}
 }
 
-// settleLevels settles every level in place through the scratch *tail,
-// leaving each buffer one sorted run. The multiset is unchanged, so a
-// current view stays current; a settled sketch is left as it is, so a
-// record kept from one (a registry export settles before it encodes)
-// stays current too.
-func (s *Sketch[T]) settleLevels(tail *[]T) {
+// settleLevels settles every level in place through s's Work, leaving each
+// buffer one sorted run. The multiset is unchanged, so a current view
+// stays current; a settled sketch is left as it is, so a record kept from
+// one (a registry export settles before it encodes) stays current too.
+func (s *Sketch[T]) settleLevels() {
 	for h := range s.levels {
-		s.settleLevel(h, tail)
+		s.settleLevel(h)
 	}
 }
 

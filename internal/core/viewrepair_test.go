@@ -88,7 +88,7 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	if err := s.UpdateWeighted(0.5, 12); err != nil {
 		t.Fatal(err)
 	}
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("weighted update left the view current")
 	}
 	checkViewAgainstScratch(t, s)
@@ -98,15 +98,15 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	for i := 0; i < s.BufferCapacity()+4; i++ {
 		s.Update(r.Float64())
 	}
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("compaction left the view current")
 	}
 	checkViewAgainstScratch(t, s)
 
-	// Reset drops the recycled storage outright.
+	// Reset drops the view's storage outright.
 	s.Reset()
-	if s.spare != nil {
-		t.Fatal("Reset retained the spare view")
+	if s.work.viewOf != nil || s.work.view.items != nil {
+		t.Fatal("Reset retained the view storage")
 	}
 }
 
@@ -134,7 +134,7 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	if err := s.Merge(other); err != nil {
 		t.Fatal(err)
 	}
-	if s.view != nil {
+	if s.memo() != nil {
 		t.Fatal("merge left the view current")
 	}
 	checkViewAgainstScratch(t, s)

@@ -2,32 +2,33 @@ package core
 
 import "req/internal/vec"
 
-// Work is the scratch of merging a sketch's levels into one sorted run:
-// the settle scratch of a level's unsorted tail, the k-way merge's
-// cursors and a view to merge into. A container that merges many
-// sketches owns one and lends it to each (a registry keeps one per shard,
-// beside the shard's union), so a merge leaves no view, cursor array or
-// settle scratch on the sketch it reads; SortedView runs the same merge
-// (mergeView) on the sketch's own scratch. Every buffer is grow-only, so
-// steady-state merges allocate nothing. A Work is not safe for concurrent
-// use.
+// Work is the transient state of the sketches that borrow it, so that a
+// sketch holds only its levels: a standalone sketch allocates its own on
+// first use, and a container lends one Work to many sketches (a registry
+// shard to every key and ring slot it holds; see Borrow) and uses it only
+// under the lock that guards them. Clone, CopyFrom, Merge and Reset never
+// move a Work from one sketch to another. Every buffer is grow-only, so
+// steady-state writes and reads allocate nothing.
 type Work[T any] struct {
-	tail []T
+	// scratch holds a settle's copy of a level's unsorted tail
+	// (settleLevel) and a compaction's emission (emitHalf); mergeBuf
+	// stages settled copies of merge-source levels (Merge step 4).
+	scratch, mergeBuf []T
+	// stage is the reusable deep-copy target of a merge source that needs
+	// a special compaction (Merge step 3); it borrows this Work.
+	stage *Sketch[T]
+	// curs is the k-way merge's cursor array: a slice handed through the
+	// kernel table's indirect call escapes, so it is kept and reused.
 	curs []vec.KWayCursor[T]
-	view View[T]
+	// union selects live quantile reads; a read leaves it empty.
+	union Union[T]
+	// view is the storage SortedView merges into, and viewOf the sketch
+	// it was last built for: that sketch's memo while the sketch's
+	// viewCurrent bit, which every write clears, stays set.
+	view   View[T]
+	viewOf *Sketch[T]
 }
 
-// View merges s's levels into w's view and returns it, leaving no cached
-// view on s. The view is valid until w merges again or s is written.
-func (w *Work[T]) View(s *Sketch[T]) *View[T] {
-	return s.mergeView(&w.tail, &w.curs, &w.view)
-}
-
-// Freeze merges s's levels straight into two arrays of exactly its
-// retained size and returns the View that owns them: FreezeOwned's
-// durable copy, without building a view on s and copying it.
-func (w *Work[T]) Freeze(s *Sketch[T]) View[T] {
-	var v View[T]
-	s.mergeView(&w.tail, &w.curs, &v)
-	return v
-}
+// Union returns w's union, for a live read over several sketches that
+// borrow w (a windowed key's ring slots); the caller resets it after.
+func (w *Work[T]) Union() *Union[T] { return &w.union }

@@ -36,8 +36,8 @@
 // One mutex per shard guards that shard's map, arena, freelist, and hand.
 // Lock returns the locked shard for a key (the +req:locksAcquired
 // contract); every entry operation requires it. The Aux field gives the
-// owner a per-shard scratch slot under the same lock — the registries
-// keep their read and merge scratch there.
+// owner a per-shard slot under the same lock — the registries keep there
+// the core.Work that the shard lends to every sketch it holds.
 package tenant
 
 import (
@@ -100,9 +100,8 @@ type Shard[K comparable, E any] struct {
 	hand int
 	// +req:guardedBy(mu)
 	evictions uint64
-	// Aux is a scratch slot for the Map's owner, guarded by the shard
-	// lock like everything else here; the registries keep the scratch of
-	// their live reads and exports in it.
+	// Aux is a slot for the Map's owner, guarded by the shard lock; the
+	// registries keep in it the Work the shard's sketches borrow.
 	//
 	// +req:guardedBy(mu)
 	Aux any
@@ -127,18 +126,19 @@ type Map[K comparable, E any] struct {
 	maxPerShard int // 0 = unbounded
 	ttl         int64
 
-	// initCell initializes a freshly allocated payload; seq is a
-	// map-unique allocation sequence number (the registry derives per-key
-	// sketch seeds from it). reuseCell resets a recycled payload in place,
-	// keeping its grown storage.
-	initCell  func(e *E, seq uint64)
+	// initCell initializes a freshly allocated payload of shard sh; seq
+	// is a map-unique allocation sequence number (the registry derives
+	// per-key sketch seeds from it). reuseCell resets a recycled payload
+	// in place, keeping its grown storage.
+	initCell  func(sh *Shard[K, E], e *E, seq uint64)
 	reuseCell func(e *E)
 }
 
-// NewMap returns an empty Map. initCell runs once per arena-fresh cell;
-// reuseCell runs on every freelist recycle (and on in-place restart of a
-// TTL-expired entry). Both run under the owning shard's lock.
-func NewMap[K comparable, E any](cfg Config, initCell func(e *E, seq uint64), reuseCell func(e *E)) *Map[K, E] {
+// NewMap returns an empty Map. initCell runs once per arena-fresh cell,
+// with the cell's shard (whose Aux the owner may read and set); reuseCell
+// runs on every freelist recycle (and on in-place restart of a TTL-expired
+// entry). Both run under the owning shard's lock.
+func NewMap[K comparable, E any](cfg Config, initCell func(sh *Shard[K, E], e *E, seq uint64), reuseCell func(e *E)) *Map[K, E] {
 	n := cfg.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -337,7 +337,7 @@ func (m *Map[K, E]) alloc(sh *Shard[K, E]) *cell[K, E] {
 	c := &sh.blocks[sh.used/blockSize].cells[sh.used%blockSize]
 	// seq interleaves shards so it is map-unique: shard idx in the low
 	// bits, per-shard arena position above.
-	m.initCell(&c.val, uint64(sh.used)*uint64(len(m.shards))+uint64(sh.idx))
+	m.initCell(sh, &c.val, uint64(sh.used)*uint64(len(m.shards))+uint64(sh.idx))
 	sh.used++
 	return c
 }
@@ -489,9 +489,9 @@ func (m *Map[K, E]) VisitShard(sh *Shard[K, E], now int64, fn func(cell int, key
 	return true
 }
 
-// Reset empties the map: every shard's entries, arena, and freelist are
-// dropped (the arena blocks go to the GC; a Reset is a teardown, not an
-// eviction). Aux scratch state is kept — it belongs to the owner.
+// Reset empties the map: every shard's entries, arena, freelist and Aux
+// are dropped (they go to the GC; a Reset is a teardown, not an eviction).
+// The owner sets Aux again when the shard's next cell is initialized.
 func (m *Map[K, E]) Reset() {
 	for i := range m.shards {
 		sh := m.LockShard(i)
@@ -509,4 +509,5 @@ func (m *Map[K, E]) resetShard(sh *Shard[K, E]) {
 	sh.used = 0
 	sh.free = nil
 	sh.hand = 0
+	sh.Aux = nil
 }

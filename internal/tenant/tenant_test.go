@@ -16,7 +16,7 @@ type payload struct {
 
 func newTestMap(cfg Config) *Map[uint64, payload] {
 	return NewMap[uint64, payload](cfg,
-		func(e *payload, seq uint64) { *e = payload{seq: seq} },
+		func(_ *Shard[uint64, payload], e *payload, seq uint64) { *e = payload{seq: seq} },
 		func(e *payload) { e.reuses++; e.updates = 0 },
 	)
 }

@@ -27,13 +27,15 @@ var ErrNoKey = errors.New("req: no sketch for key")
 // million-key registry is a few thousand allocations, not a few million,
 // and each level of a key's sketch owns one buffer; level 0's starts at 8
 // items and grows with the key's items, so a key holding a few items costs
-// a few hundred bytes. Eviction never frees an entry: the cell goes on the
-// shard's freelist and the next created key recycles it — Sketch.Reset
-// keeps every grown level buffer — so steady-state key churn allocates
-// nothing. Reads, Snapshot and exports settle and merge a key through the
-// shard's scratch and leave nothing on it; a registry that exports keeps
-// the last export's records instead (see MarshalBinary). Shards are split
-// by maphash; WithShards fixes the shard count.
+// a few hundred bytes. A key is its levels: every key of a shard borrows
+// the shard's one core.Work for the scratch of its compactions, settles
+// and merges, so reads, Snapshot, exports and the Visit facade's reads
+// leave nothing on the key; a registry that exports keeps the last
+// export's records instead (see MarshalBinary). Eviction never frees an
+// entry: the cell goes on the shard's freelist and the next created key
+// recycles it — Sketch.Reset keeps every grown level buffer — so
+// steady-state key churn allocates nothing. Shards are split by maphash;
+// WithShards fixes the shard count.
 //
 // # Eviction
 //
@@ -51,7 +53,9 @@ var ErrNoKey = errors.New("req: no sketch for key")
 type Registry[K comparable, T any] struct {
 	m   *tenant.Map[K, regEntry[T]]
 	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
-	now func() int64
+	// proto is the empty sketch every key is stamped from (initKey).
+	proto core.Sketch[T]
+	now   func() int64
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
 	// exp is what the last export kept for the next (see encodeRegistry).
@@ -86,16 +90,29 @@ func NewRegistry[K comparable, T any](less func(a, b T) bool, opts ...Option) (*
 	if st.windowSlots > 0 {
 		return nil, errors.New("req: WithWindow configures a WindowedRegistry, not a Registry")
 	}
-	cfg := st.Config
 	r := &Registry[K, T]{tab: core.TableFor(less), now: st.clock()}
-	r.m = tenant.NewMap[K, regEntry[T]](st.tenantConfig(),
-		func(e *regEntry[T], seq uint64) {
-			// Init cannot fail: cfg was validated above and less is non-nil.
-			_ = e.sk.Init(less, seedCfg(cfg, seq))
-		},
-		func(e *regEntry[T]) { e.sk.Reset() },
-	)
+	if err := r.proto.Init(less, st.Config); err != nil {
+		return nil, err
+	}
+	r.m = tenant.NewMap(st.tenantConfig(), r.initEntry, func(e *regEntry[T]) { e.sk.Reset() })
 	return r, nil
+}
+
+// initEntry initializes an arena-fresh entry of shard sh with allocation
+// sequence seq (see tenant.NewMap).
+//
+// +req:locksRequired(sh.mu)
+func (r *Registry[K, T]) initEntry(sh *tenant.Shard[K, regEntry[T]], e *regEntry[T], seq uint64) {
+	initKey(&e.sk, &r.proto, seq, shardWork[T](sh))
+}
+
+// initKey initializes s as the key sketch of allocation sequence seq,
+// stamped from proto, and lends it w, the Work of the shard that holds it.
+// The prototype's seed is spread by seq (splitmix), so per-key compaction
+// coins are independent streams even under the default zero base seed.
+func initKey[T any](s, proto *core.Sketch[T], seq uint64, w *core.Work[T]) {
+	s.InitAs(proto, proto.Config().Seed^(seq+1)*0x9e3779b97f4a7c15)
+	s.Borrow(w)
 }
 
 // tenantConfig maps the registry knobs onto the tenant map's sizing.
@@ -110,14 +127,6 @@ func (st *settings) clock() func() int64 {
 		return st.now
 	}
 	return func() int64 { return time.Now().UnixNano() }
-}
-
-// seedCfg derives the per-key sketch config for allocation sequence seq:
-// the shared template with a splitmix-spread seed, so per-key compaction
-// coins are independent streams even under the default zero base seed.
-func seedCfg(cfg core.Config, seq uint64) core.Config {
-	cfg.Seed ^= (seq + 1) * 0x9e3779b97f4a7c15
-	return cfg
 }
 
 // Update inserts one item into key's sketch, creating the sketch on the
@@ -183,18 +192,17 @@ func (r *Registry[K, T]) Contains(key K) bool {
 // Quantile returns the item at normalized rank phi of key's sketch; see
 // Sketch.Quantile. It returns ErrNoKey when the key is absent. Querying
 // refreshes the key's TTL. A read settles the key's levels and selects
-// over them through the shard's union scratch (core.Union), which it
-// leaves empty: the read adds no union, view or scratch to the key, and
-// steady-state reads allocate nothing.
+// over them through the union of the shard's Work, which it leaves empty:
+// the read adds nothing to the key, and steady-state reads allocate
+// nothing.
 func (r *Registry[K, T]) Quantile(key K, phi float64) (T, error) {
-	sh := r.m.Lock(key)
+	sh, e := r.lockGet(key)
 	defer sh.Unlock()
-	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		var zero T
 		return zero, ErrNoKey
 	}
-	return e.sk.QuantileWith(&shardScratchOf[T](sh).u, phi)
+	return e.sk.Quantile(phi)
 }
 
 // QuantilesInto answers every normalized rank in phis against key's
@@ -202,35 +210,26 @@ func (r *Registry[K, T]) Quantile(key K, phi float64) (T, error) {
 // Sketch.QuantilesInto and Quantile. It returns ErrNoKey when the key is
 // absent.
 func (r *Registry[K, T]) QuantilesInto(key K, dst []T, phis []float64) ([]T, error) {
-	sh := r.m.Lock(key)
+	sh, e := r.lockGet(key)
 	defer sh.Unlock()
-	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		return dst, ErrNoKey
 	}
-	return e.sk.QuantilesIntoWith(&shardScratchOf[T](sh).u, dst, phis)
+	return e.sk.QuantilesInto(dst, phis)
 }
 
-// shardScratch is a registry shard's read and merge scratch, kept in its
-// Aux: the union of live reads, and the Work through which an export or
-// Snapshot merges a key's levels. Both are grow-only and lent to one key
-// at a time under the shard lock, so no read leaves scratch on a key.
-type shardScratch[T any] struct {
-	u core.Union[T]
-	w core.Work[T]
-}
-
-// shardScratchOf returns sh's scratch, created on the shard's first read
-// or export.
+// shardWork returns the Work that shard sh lends to every sketch it holds,
+// kept in its Aux and created with the shard's first cell: the shard lock
+// that guards the sketches guards their scratch too.
 //
 // +req:locksRequired(sh.mu)
-func shardScratchOf[T any, K comparable, E any](sh *tenant.Shard[K, E]) *shardScratch[T] {
-	sc, _ := sh.Aux.(*shardScratch[T])
-	if sc == nil {
-		sc = new(shardScratch[T])
-		sh.Aux = sc
+func shardWork[T any, K comparable, E any](sh *tenant.Shard[K, E]) *core.Work[T] {
+	w, _ := sh.Aux.(*core.Work[T])
+	if w == nil {
+		w = new(core.Work[T])
+		sh.Aux = w
 	}
-	return sc
+	return w
 }
 
 // Rank returns the estimated inclusive rank of y in key's sketch; see
@@ -247,17 +246,16 @@ func (r *Registry[K, T]) Rank(key K, y T) (uint64, error) {
 // Snapshot captures key's sketch as an immutable, concurrency-safe
 // Snapshot (see Sketch.Snapshot), or ErrNoKey when the key is absent. The
 // capture is taken under the shard lock: the key's levels are settled and
-// merged, through the shard's scratch, straight into the two arrays the
-// snapshot owns, so every call merges and the key keeps no view. The
+// merged, through the shard's Work, straight into the two arrays the
+// snapshot owns (core.Sketch.FreezeOwned), so the key keeps no view. The
 // snapshot is then queryable without any locking.
 func (r *Registry[K, T]) Snapshot(key K) (*Snapshot[T], error) {
-	sh := r.m.Lock(key)
+	sh, e := r.lockGet(key)
 	defer sh.Unlock()
-	e := r.m.Get(sh, key, r.now())
 	if e == nil {
 		return nil, ErrNoKey
 	}
-	return &Snapshot[T]{v: shardScratchOf[T](sh).w.Freeze(&e.sk), cfg: e.sk.Config()}, nil
+	return &Snapshot[T]{v: e.sk.FreezeOwned(), cfg: e.sk.Config()}, nil
 }
 
 // Delete removes key's sketch, recycling its storage. It reports whether
@@ -282,9 +280,9 @@ func (r *Registry[K, T]) Evictions() uint64 { return r.m.Evictions() }
 // Len and memory occupancy to track the live population promptly.
 func (r *Registry[K, T]) ExpireNow() int { return r.m.ExpireNow(r.now()) }
 
-// Reset drops every key and returns the arenas to the garbage collector,
-// together with the records the last export kept. It is a teardown, not
-// an eviction: storage is not recycled.
+// Reset drops every key and returns the arenas and the shards' Work to the
+// garbage collector, together with the records the last export kept. It is
+// a teardown, not an eviction: storage is not recycled.
 func (r *Registry[K, T]) Reset() {
 	r.exp.mu.Lock()
 	defer r.exp.mu.Unlock()

@@ -443,8 +443,9 @@ func TestAllocsRegistryCleanExport(t *testing.T) {
 // headers. Each case measures the HeapAlloc growth, after a GC, of
 // populating 16K keys through UpdateBatch, then of what the case does to
 // every key; the key strings are built before the first reading. A live
-// read or a Snapshot of every key leaves nothing on the keys: both settle
-// and merge through per-shard scratch. An export (one MarshalBinary, its
+// read, a Snapshot, or the Visit facade's Snapshot, All and RankBatch of
+// every key leaves nothing on the keys: every key borrows its shard's
+// Work, through which they all settle and merge. An export (one MarshalBinary, its
 // blob dropped) leaves the registry the export's records for the next one
 // (each key's record and its place in the stream) and nothing on the
 // keys, so an exported key costs its unexported bytes plus its record. One
@@ -473,6 +474,17 @@ func TestRegistryBytesPerKey(t *testing.T) {
 	read := each(func(r *RegistryFloat64, k string) error { _, err := r.Quantile(k, 0.5); return err })
 	snapshot := each(func(r *RegistryFloat64, k string) error { _, err := r.Snapshot(k); return err })
 	export := func(r *RegistryFloat64) error { _, err := r.MarshalBinary(); return err }
+	visit := func(r *RegistryFloat64) error {
+		var ranks []uint64
+		r.Visit(func(_ string, s *Sketch[float64]) bool {
+			s.Snapshot()
+			for range s.All() {
+			}
+			ranks = s.RankBatch(ranks, []float64{8, 32, 56})
+			return true
+		})
+		return nil
+	}
 	write := each(func(r *RegistryFloat64, k string) error { r.Update(k, 0.5); return nil })
 	for _, tc := range []struct {
 		name     string
@@ -486,6 +498,7 @@ func TestRegistryBytesPerKey(t *testing.T) {
 		{"windowed-1-item", 1, true, nil, 2964},
 		{"64-items-read", 64, false, []func(*RegistryFloat64) error{read}, 1251},
 		{"64-items-snapshot", 64, false, []func(*RegistryFloat64) error{snapshot}, 1251},
+		{"64-items-visited", 64, false, []func(*RegistryFloat64) error{visit}, 1251},
 		{"1-item-exported", 1, false, []func(*RegistryFloat64) error{export}, 872},
 		{"64-items-exported", 64, false, []func(*RegistryFloat64) error{export}, 1957},
 		{"64-items-exported-then-written", 64, false, []func(*RegistryFloat64) error{export, write}, 2469},

@@ -168,15 +168,14 @@ func (c *keptCursor) record(at uint64, current bool) []byte {
 }
 
 // walk calls fn for every resident, non-expired key, shard by shard in
-// arena order (Visit's order) under each shard's lock, with the shard's
-// scratch and the key's place in the walk.
-func (r *Registry[K, T]) walk(fn func(sc *shardScratch[T], at uint64, key K, s *core.Sketch[T])) {
+// arena order (Visit's order) under each shard's lock, with the key's
+// place in the walk.
+func (r *Registry[K, T]) walk(fn func(at uint64, key K, s *core.Sketch[T])) {
 	now := r.now()
 	for i := 0; i < r.m.NumShards(); i++ {
 		sh := r.m.LockShard(i)
-		sc := shardScratchOf[T](sh)
 		r.m.VisitShard(sh, now, func(cell int, key K, e *regEntry[T]) bool {
-			fn(sc, uint64(i)<<32|uint64(cell), key, &e.sk)
+			fn(uint64(i)<<32|uint64(cell), key, &e.sk)
 			return true
 		})
 		sh.Unlock()
@@ -188,7 +187,8 @@ func (r *Registry[K, T]) walk(fn func(sc *shardScratch[T], at uint64, key K, s *
 // snapshot record, encoding only what changed since the last export: a
 // key unwritten since then (core.Sketch.RecordCurrent) has its record
 // copied from the stream that export kept, and any other key is merged
-// through the shard's Work (so the key keeps no view) and encoded. The
+// into the view of the shard's Work (so the key keeps no view) and
+// encoded. The
 // result is byte-identical to encoding every key afresh. Exports run one
 // at a time, and each keeps a copy of its blob's records for the next, so
 // an exporting registry holds one blob's worth of records; Reset drops
@@ -205,7 +205,7 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 	defer x.mu.Unlock()
 	kept := keptCursor{places: x.places, stream: x.stream}
 	size, keys := registryHeaderSize+packBytesPerCount-1, 0
-	r.walk(func(_ *shardScratch[T], at uint64, key K, s *core.Sketch[T]) {
+	r.walk(func(at uint64, key K, s *core.Sketch[T]) {
 		if rec := kept.record(at, s.RecordCurrent()); rec != nil {
 			size += len(rec)
 		} else {
@@ -216,14 +216,14 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 	out := appendRegistryHeader(make([]byte, 0, size), kc.tag, ic.tag, 0)
 	places := make([]keptPlace, 0, keys)
 	kept.j = 0
-	r.walk(func(sc *shardScratch[T], at uint64, key K, s *core.Sketch[T]) {
+	r.walk(func(at uint64, key K, s *core.Sketch[T]) {
 		places = append(places, keptPlace{at: at, off: len(out)})
 		if rec := kept.record(at, s.RecordCurrent()); rec != nil {
 			out = append(out, rec...)
 			return
 		}
 		out = kc.put(out, key)
-		sn := Snapshot[T]{v: *sc.w.View(s), cfg: s.Config()}
+		sn := Snapshot[T]{v: *s.SortedView(), cfg: s.Config()}
 		out = binary.AppendUvarint(out, uint64(frozenRecordLen(&sn, ic)))
 		out = appendFrozenRecord(out, &sn, ic)
 		s.MarkRecordCurrent()

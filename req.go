@@ -136,8 +136,8 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) { return s.core.Quant
 // allocation-free querying) and returning it with length len(phis). Like
 // Quantile, it selects over the sorted levels without building a view; an
 // ascending phis narrows the selection as it goes. A single read never
-// consults the sorted view that Snapshot, All and the batch queries cache,
-// so it answers the same bits whether or not that view is current. Its
+// consults the sorted view that All and the batch queries cache, so it
+// answers the same bits whether or not that view is current. Its
 // answers equal a Snapshot's under the order: among items equal under it,
 // such as +0 and −0, the two may return different ones.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
@@ -194,11 +194,13 @@ func (s *Sketch[T]) K() int { return s.core.K() }
 // ascending order with the weight it carries. Weights sum to Count()
 // exactly. This is the raw material for custom serialization of generic
 // item types or for exporting the summary to other systems, and it
-// allocates nothing — the iteration walks the sketch's cached sorted view
-// in place (building it on first use).
+// allocates nothing once the sketch's scratch has grown — the iteration
+// walks the sketch's cached sorted view in place (building it on first
+// use).
 //
 // The sketch must not be mutated while the iteration is in progress: the
-// view being walked is owned by the sketch and recycled on the next write.
+// view being walked lives in the sketch's scratch and is recycled on the
+// next write (on a Registry's Visit facade, also by the next key's view).
 // To iterate a coreset that outlives writes, take a Snapshot and range over
 // its All instead.
 func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
@@ -218,11 +220,11 @@ func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
 // sketch would at capture time, forever — except that a quantile answer
 // may be the other of two items equal under the order, such as −0 for +0
 // (see QuantilesInto). It is the one way to get a frozen reader of a
-// sketch. It costs one O(retained) copy, plus a view rebuild when the
-// sketch was written since the view was last built; the view stays cached
-// until the next write, so Snapshot, All and the batch queries between
-// writes share one build. Contrast with Clone, which copies the full
-// mutable state (levels, RNG) so the copy can keep ingesting.
+// sketch. It costs one O(retained) merge of the sorted levels straight into
+// the snapshot's own two arrays, or one copy of the sorted view when All
+// or a batch query has cached it since the last write. Contrast with
+// Clone, which copies the full mutable state (levels, RNG) so the copy can
+// keep ingesting.
 func (s *Sketch[T]) Snapshot() *Snapshot[T] {
 	return &Snapshot[T]{v: s.core.FreezeOwned(), cfg: s.core.Config()}
 }

@@ -94,6 +94,36 @@ func goldenStreamF64(t testing.TB, hra bool) *Float64 {
 	return s
 }
 
+// goldenTailF64 builds an HRA float64 sketch whose record carries
+// unsorted tails: a shuffled stream, then single arrivals above its max
+// and below its min, a short ascending batch above the max, and two
+// weighted inserts whose even weights land only on levels ≥ 1. Nothing
+// reads the sketch before it is encoded, so no level is settled.
+func goldenTailF64(t testing.TB) *Float64 {
+	s, err := NewFloat64(WithEpsilon(0.02), WithDelta(0.01), WithSeed(44), WithHighRankAccuracy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(888)
+	for _, v := range r.Perm(20000) {
+		s.Update(float64(v))
+	}
+	for i := 0; i < 5; i++ {
+		s.Update(20000.5 + float64(i))
+		s.Update(-1 - float64(i))
+	}
+	s.UpdateBatch([]float64{30000, 30001, 30002, 30003, 30004, 30005})
+	for _, w := range []struct {
+		v float64
+		n uint64
+	}{{12345.25, 6}, {777.75, 10}} {
+		if err := s.UpdateWeighted(w.v, w.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func goldenStreamU64(t testing.TB) *Uint64 {
 	s, err := NewUint64(WithK(32), WithSeed(9))
 	if err != nil {
@@ -116,6 +146,13 @@ var serdeFixtures = []serdeFixture{
 	}},
 	{name: "full_f64_hra", kind: kindFullFloat64, build: func(t testing.TB) []byte {
 		b, err := goldenStreamF64(t, true).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}},
+	{name: "full_f64_hra_tail", kind: kindFullFloat64, build: func(t testing.TB) []byte {
+		b, err := goldenTailF64(t).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,6 +65,11 @@ type Sharded[T any] struct {
 	//
 	// +req:guardedBy(rebuildMu)
 	stage []*core.Sketch[T]
+	// work is the epoch merge's scratch, lent to each epoch's merged
+	// sketch; a published sketch is only read (Snapshot), never through it.
+	//
+	// +req:guardedBy(rebuildMu)
+	work *core.Work[T]
 }
 
 // shardOf is one stripe: a plain core sketch behind a mutex, plus lock-free
@@ -83,11 +88,11 @@ type shardOf[T any] struct {
 	_     [40]byte
 }
 
-// shardedSnapshot is an immutable published view: the merged sketch (with
-// its sorted view frozen), the public Snapshot wrapping that frozen state
-// (shared by every reader of this epoch — Snapshot() hands it out without
-// cloning), and the per-shard versions observed before the merge. A
-// snapshot is fresh while every shard still has its recorded version.
+// shardedSnapshot is an immutable published view: the merged sketch, the
+// public Snapshot frozen from it (shared by every reader of this epoch —
+// Snapshot() hands it out without cloning), and the per-shard versions
+// observed before the merge. A snapshot is fresh while every shard still
+// has its recorded version.
 type shardedSnapshot[T any] struct {
 	epochs []uint64
 	sk     *core.Sketch[T]
@@ -272,9 +277,10 @@ func (s *Sharded[T]) Count() uint64 {
 // Empty reports whether no shard has seen an item.
 func (s *Sharded[T]) Empty() bool { return s.Count() == 0 }
 
-// Reset empties every shard in place and drops the published snapshot and
-// the staging sketches (which hold deep copies of the old stream that
-// pointer-bearing item types should not keep reachable). Concurrent writers
+// Reset empties every shard in place and drops the published snapshot, the
+// staging sketches and the epoch merge's scratch (which hold copies of the
+// old stream that pointer-bearing item types should not keep reachable).
+// Concurrent writers
 // may interleave with a Reset shard-by-shard; quiesce writers first if an
 // atomic clear is required.
 func (s *Sharded[T]) Reset() {
@@ -286,7 +292,7 @@ func (s *Sharded[T]) Reset() {
 		sh.mu.Unlock()
 	}
 	s.rebuildMu.Lock()
-	s.stage = nil
+	s.stage, s.work = nil, nil
 	s.rebuildMu.Unlock()
 	s.snap.Store(nil)
 }
@@ -304,7 +310,7 @@ func (s *Sharded[T]) fresh(sn *shardedSnapshot[T]) bool {
 // snapshot returns a fresh published snapshot, rebuilding it if any shard
 // changed since the last build. The rebuild clones each shard under its
 // lock (a read-only operation on the shard apart from the brief lock hold),
-// merges the clones privately, freezes the sorted view, and publishes.
+// merges the clones privately, freezes the merged coreset, and publishes.
 func (s *Sharded[T]) snapshot() *shardedSnapshot[T] {
 	if sn := s.snap.Load(); sn != nil && s.fresh(sn) {
 		return sn
@@ -332,21 +338,24 @@ func (s *Sharded[T]) snapshot() *shardedSnapshot[T] {
 		}
 		sh.mu.Unlock()
 	}
-	// Merge the staged copies off to the side. The accumulator must be a
-	// fresh sketch (it gets published), so the first stage is deep-copied;
-	// every later stage is only read by Merge.
+	// Merge the staged copies off to the side, on the epoch's Work. The
+	// accumulator must be a fresh sketch (it gets published), so the first
+	// stage is deep-copied; every later stage is only read by Merge.
+	if s.work == nil {
+		s.work = new(core.Work[T])
+	}
 	merged := s.stage[0].Clone()
+	merged.Borrow(s.work)
 	for _, st := range s.stage[1:] {
 		// Cannot fail: every shard shares one normalized config and the
 		// staged copies are distinct instances.
 		_ = merged.Merge(st)
 	}
-	// Build the view: every query on the published snapshot — single or
-	// batch — is a pure read of its sorted items and cumulative weights.
-	// The public Snapshot aliases the merged sketch's view directly
-	// (FreezeShared): the merged sketch is fresh every epoch and never
-	// mutated after publication, so no copy is needed.
-	pub := &Snapshot[T]{v: merged.FreezeShared(), cfg: merged.Config()}
+	// Freeze the coreset: every query on the published snapshot — single
+	// or batch — is a pure read of its sorted items and cumulative
+	// weights, which FreezeOwned merges straight into two arrays the
+	// public Snapshot owns.
+	pub := &Snapshot[T]{v: merged.FreezeOwned(), cfg: merged.Config()}
 	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: pub}
 	s.snap.Store(sn)
 	return sn

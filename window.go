@@ -53,7 +53,9 @@ import (
 type WindowedRegistry[K comparable, T any] struct {
 	m   *tenant.Map[K, winEntry[T]]
 	tab core.Table[T] // the order's kernel table; writes are screened with its item rule
-	now func() int64
+	// proto is the empty sketch every ring slot is stamped from (initKey).
+	proto core.Sketch[T]
+	now   func() int64
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
 
@@ -109,25 +111,16 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 	if st.windowSlots == 0 {
 		return nil, errors.New("req: a WindowedRegistry requires WithWindow")
 	}
-	cfg := st.Config
 	w := &WindowedRegistry[K, T]{
 		tab:       core.TableFor(less),
 		now:       st.clock(),
 		slots:     st.windowSlots,
 		slotNanos: st.slotNanos,
 	}
-	slots := w.slots
-	w.m = tenant.NewMap[K, winEntry[T]](st.tenantConfig(),
-		func(e *winEntry[T], seq uint64) {
-			e.ring = make([]core.Sketch[T], slots)
-			e.epochs = make([]int64, slots)
-			for i := range e.ring {
-				// Init cannot fail: cfg was validated above, less is
-				// non-nil. Each (key, slot) pair gets its own seed stream.
-				_ = e.ring[i].Init(less, seedCfg(cfg, seq*uint64(slots)+uint64(i)))
-				e.epochs[i] = unwritten
-			}
-		},
+	if err := w.proto.Init(less, st.Config); err != nil {
+		return nil, err
+	}
+	w.m = tenant.NewMap(st.tenantConfig(), w.initEntry,
 		func(e *winEntry[T]) {
 			for i := range e.ring {
 				e.ring[i].Reset()
@@ -136,6 +129,21 @@ func NewWindowedRegistry[K comparable, T any](less func(a, b T) bool, opts ...Op
 		},
 	)
 	return w, nil
+}
+
+// initEntry initializes an arena-fresh ring of shard sh with allocation
+// sequence seq (see tenant.NewMap): each (key, slot) pair gets its own
+// seed stream, and every slot borrows the shard's Work.
+//
+// +req:locksRequired(sh.mu)
+func (w *WindowedRegistry[K, T]) initEntry(sh *tenant.Shard[K, winEntry[T]], e *winEntry[T], seq uint64) {
+	e.ring = make([]core.Sketch[T], w.slots)
+	e.epochs = make([]int64, w.slots)
+	work := shardWork[T](sh)
+	for i := range e.ring {
+		initKey(&e.ring[i], &w.proto, seq*uint64(w.slots)+uint64(i), work)
+		e.epochs[i] = unwritten
+	}
 }
 
 // epoch returns the epoch owning caller-clock time now: now/slot rounded
@@ -216,12 +224,12 @@ func (w *WindowedRegistry[K, T]) lockUnion(key K) (*tenant.Shard[K, winEntry[T]]
 	return sh, w.union(sh, e, w.epoch(now))
 }
 
-// union loads e's live slots into sh's reusable union query (see
-// shardScratch).
+// union loads e's live slots into the reusable union of the Work that sh
+// lends them (see shardWork).
 //
 // +req:locksRequired(sh.mu)
 func (w *WindowedRegistry[K, T]) union(sh *tenant.Shard[K, winEntry[T]], e *winEntry[T], ep int64) *core.Union[T] {
-	u := &shardScratchOf[T](sh).u
+	u := shardWork[T](sh).Union()
 	u.Reset()
 	for i := range e.ring {
 		if w.live(e.epochs[i], ep) {
@@ -323,8 +331,8 @@ func (w *WindowedRegistry[K, T]) Evictions() uint64 { return w.m.Evictions() }
 // Registry.ExpireNow.
 func (w *WindowedRegistry[K, T]) ExpireNow() int { return w.m.ExpireNow(w.now()) }
 
-// Reset drops every key (a teardown, not an eviction). The shards' union
-// scratch is kept.
+// Reset drops every key (a teardown, not an eviction), with the Work each
+// shard lent them.
 func (w *WindowedRegistry[K, T]) Reset() { w.m.Reset() }
 
 // NumShards returns the registry's shard count.
