@@ -15,10 +15,14 @@ import (
 // an offline-optimal relative-error cover of the stream. nHint is the
 // anticipated stream length used to size the union bound; overshooting it
 // is safe (the bound only tightens), undershooting weakens the simultaneous
-// guarantee back toward per-item.
+// guarantee back toward per-item. An eps outside (0, 1) or a delta outside
+// (0, 0.5] yields an option that fails the constructor.
 //
 //	s, _ := req.NewFloat64(req.AllQuantiles(0.01, 0.05, 1e9)...)
 func AllQuantiles(eps, delta float64, nHint uint64) []Option {
+	if err := validateAllQuantilesArgs(eps, delta); err != nil {
+		return []Option{func(*settings) error { return err }}
+	}
 	epsPrime := eps / 3
 	// Cover size Θ(ε⁻¹·log₂(εn)); the constant 1 suffices because the
 	// cover of Appendix A stores ℓ = ε⁻¹ items per doubling of rank.
@@ -69,13 +73,14 @@ func (s *Sketch[T]) Epsilon() float64 { return s.core.Config().Eps }
 // Delta returns the sketch's configured failure probability.
 func (s *Sketch[T]) Delta() float64 { return s.core.Config().Delta }
 
-// validateAllQuantilesArgs is used by tests to surface argument errors the
-// variadic helper would otherwise defer to New.
+// validateAllQuantilesArgs reports why AllQuantiles cannot take eps and
+// delta, or nil: the ε′ and δ′ it derives from them would pass the
+// constructor's checks even where the arguments are out of range.
 func validateAllQuantilesArgs(eps, delta float64) error {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		return fmt.Errorf("req: all-quantiles epsilon %v out of (0, 1)", eps)
 	}
-	if delta <= 0 || delta > 0.5 {
+	if !(delta > 0 && delta <= 0.5) {
 		return fmt.Errorf("req: all-quantiles delta %v out of (0, 0.5]", delta)
 	}
 	return nil

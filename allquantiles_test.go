@@ -54,11 +54,21 @@ func TestAllQuantilesSimultaneousGuarantee(t *testing.T) {
 	}
 }
 
+// TestAllQuantilesRejectsBadArgs: arguments out of range fail the
+// constructor, though the ε′ = ε/3 and δ′ derived from them would pass it.
+func TestAllQuantilesRejectsBadArgs(t *testing.T) {
+	for _, c := range []struct{ e, d float64 }{{1.5, 0.05}, {2.9, 0.05}, {0.01, 0.9}} {
+		if _, err := NewFloat64(AllQuantiles(c.e, c.d, 1<<20)...); err == nil {
+			t.Errorf("AllQuantiles(%v, %v) constructed a sketch", c.e, c.d)
+		}
+	}
+}
+
 func TestValidateAllQuantilesArgs(t *testing.T) {
 	if err := validateAllQuantilesArgs(0.1, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ e, d float64 }{{0, 0.1}, {1, 0.1}, {0.1, 0}, {0.1, 0.7}} {
+	for _, c := range []struct{ e, d float64 }{{0, 0.1}, {1, 0.1}, {0.1, 0}, {0.1, 0.7}, {math.NaN(), 0.1}, {0.1, math.NaN()}} {
 		if err := validateAllQuantilesArgs(c.e, c.d); err == nil {
 			t.Errorf("args (%v, %v) accepted", c.e, c.d)
 		}

@@ -235,16 +235,15 @@ func BenchmarkShardedSnapshot(b *testing.B) {
 }
 
 // BenchmarkSnapshotREQ measures the immutable-snapshot path: capturing a
-// Snapshot while the cached view is current (one deep copy of the sorted
-// view), re-capturing after a single write (pays a full view rebuild plus
-// the copy), and querying a captured snapshot (one binary search, no
+// Snapshot of an unchanged sketch and re-capturing after a single write
+// (each one k-way merge of the levels into the snapshot's two fresh
+// arrays), and querying a captured snapshot (one binary search, no
 // locks).
 func BenchmarkSnapshotREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	vals := benchValues(1<<20, 2)
 	s.UpdateBatch(vals)
 	b.Run("capture", func(b *testing.B) {
-		_ = s.Snapshot() // build the cached view every capture below copies
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -305,11 +304,12 @@ func BenchmarkSnapshotShardedREQ(b *testing.B) {
 }
 
 // BenchmarkCoresetExportREQ walks the coreset through the allocation-free
-// All iterator, over the cached view its first walk builds.
+// All iterator: every walk of the unchanged sketch merges its levels into
+// the view in its scratch, then reads that view.
 func BenchmarkCoresetExportREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	for range s.All() { // build the cached view every walk below reads
+	for range s.All() { // grow the scratch view every walk below merges into
 		break
 	}
 	b.Run("All", func(b *testing.B) {
@@ -339,24 +339,6 @@ func BenchmarkRankREQ(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRankFrozenREQ measures rank queries on a quiesced sketch whose
-// cached view is current. A single read never consults that view, so each
-// query is BenchmarkRankREQ's search of every level; the one-search frozen
-// Rank is a Snapshot's (BenchmarkSnapshotREQ/query).
-func BenchmarkRankFrozenREQ(b *testing.B) {
-	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateBatch(benchValues(1<<20, 2))
-	_ = s.Snapshot() // the view is current; Rank below still reads the levels
-	qs := benchValues(1024, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += s.Rank(qs[i&1023])
-	}
-	_ = sink
-}
-
 // BenchmarkMixedREQ interleaves writes and quantile queries at several
 // write:read ratios on a single sketch — the monitoring pattern. Every
 // query is a first-query-after-writes: it settles the levels (sorting the
@@ -371,7 +353,7 @@ func BenchmarkMixedREQ(b *testing.B) {
 			}
 			vals := benchValues(1<<20, 2)
 			s.UpdateBatch(vals)
-			_, _ = s.Quantile(0.5) // warm the view
+			_, _ = s.Quantile(0.5) // grow the read scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -387,14 +369,17 @@ func BenchmarkMixedREQ(b *testing.B) {
 	}
 }
 
-// BenchmarkRankBatchREQ measures the batch rank API per probe on a sketch
-// whose cached view is current (unsorted probe sets, answered probe by
-// probe on the view). Compare against the single-probe cost of
-// BenchmarkRankFrozenREQ, a search of every level.
+// BenchmarkRankBatchREQ measures the batch rank API per probe (unsorted
+// probe sets, answered probe by probe on the view). Every batch merges the
+// unchanged sketch's levels into the view in its scratch first, so the
+// per-probe cost carries that merge amortized over the batch. Compare
+// against the single-probe cost of BenchmarkRankREQ, a search of every
+// level, and of BenchmarkSnapshotREQ/query, one search of a view merged
+// once.
 func BenchmarkRankBatchREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	_ = s.RankBatch(nil, nil) // build the cached view every batch below reads
+	_ = s.RankBatch(nil, nil) // grow the scratch view every batch below merges into
 	for _, size := range []int{16, 64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			probes := benchValues(size, 3)
@@ -411,7 +396,7 @@ func BenchmarkRankBatchREQ(b *testing.B) {
 func BenchmarkQuantileREQ(b *testing.B) {
 	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
 	s.UpdateBatch(benchValues(1<<20, 2))
-	_, _ = s.Quantile(0.5) // build the sorted view once
+	_, _ = s.Quantile(0.5) // grow the read scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		phi := float64(i&1023) / 1024

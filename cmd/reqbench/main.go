@@ -1,4 +1,4 @@
-// Command reqbench runs the reproduction experiments (E1–E17, listed by
+// Command reqbench runs the reproduction experiments (E1–E15 and E17, listed by
 // -list; internal/harness defines one per file) and prints their tables
 // and ASCII figures. Each experiment reproduces one quantitative claim of
 // "Relative Error Streaming Quantiles" (PODS 2021) or documents an engine
@@ -10,9 +10,6 @@
 //
 //	reqbench                      # run every experiment to stdout
 //	reqbench -experiment E4       # run one experiment
-//	reqbench -experiment E16      # query-engine modes: first read after a
-//	                              # write burst (live read vs Snapshot) and
-//	                              # batch-query amortization tables
 //	reqbench -experiment E17      # windowed registry vs an exact oracle
 //	                              # through ring rotations and partial slots
 //	reqbench -quick               # reduced scale (seconds instead of minutes)

@@ -1,5 +1,5 @@
-// Reqlint is the project's static-analysis gate: the four custom contract
-// analyzers (viewlifetime, slabalias, locked, noalloc) plus the stock
+// Reqlint is the project's static-analysis gate: the three custom contract
+// analyzers (slabalias, locked, noalloc) plus the stock
 // x/tools passes, packaged as a go vet tool.
 //
 // Two ways to run it:

@@ -259,23 +259,21 @@
 // registry reads use too. A read first settles each level in place (it
 // sorts level 0's append tail and merges it behind the sorted prefix, the
 // step every compaction starts with); the multiset is unchanged, so no
-// answer moves and no coin is drawn. A single read neither builds nor
-// consults a view, so its answer is the same, bit for bit, whether or not
-// one is current. The answers equal, under the order, those of the sorted
-// view; among items equal under the order, such as +0 and −0, a single
-// read and a view may name different ones.
+// answer moves and no coin is drawn. A single read builds no view. The
+// answers equal, under the order, those of the sorted view; among items
+// equal under the order, such as +0 and −0, a single read and a view may
+// name different ones.
 //
 // Everything else goes through a sorted view built by a k-way merge of the
-// levels. RankBatch, CDF/PMF, All and a registry export cache it in the
-// sketch's scratch (core.Work). Writes invalidate the view; the next of
-// those calls rebuilds it into the storage of the previous view
+// levels. RankBatch, CDF/PMF and All merge one on every call, into the
+// sketch's scratch (core.Work), reusing the storage of the previous one
 // (grow-only backing arrays), so a long-lived sketch stops allocating on
-// the query path entirely, and the calls between two writes share one
-// build. A Snapshot merges the levels straight into arrays of its own (or
-// copies a current view), which is why its queries never touch the source
-// again; Sharded's epoch and a registry's Snapshot freeze the same way. A
-// registry shard lends one Work to all its keys, so a key caches no view:
-// one key's view lives until the next key's is built.
+// the query path entirely. Nothing is cached: repeated batch reads of one
+// state should go to a Snapshot, which merges the levels once straight
+// into arrays of its own and never touches the source again; Sharded's
+// epoch and a registry's Snapshot freeze the same way, and a registry
+// export merges each key it encodes into one view of its own. A view never
+// leaves the engine except as storage its caller owns.
 //
 // When several probes are answered at once, prefer the batch APIs —
 // RankBatch, NormalizedRankBatch, QuantilesInto, CDFInto, PMFInto — over a
@@ -357,11 +355,12 @@
 //
 // # Static guarantees
 //
-// The package's in-memory contracts — the view-recycling rule above, the
-// per-level buffer ownership, the lock discipline of Sharded, and the
-// zero-allocation hot query paths — are enforced at compile time by the
-// project linter, cmd/reqlint, a go/analysis multichecker run in CI over
-// the whole repository. Code carries the contracts as annotations:
+// The package's in-memory contracts — the per-level buffer ownership, the
+// lock discipline of Sharded, and the zero-allocation hot query paths —
+// are enforced at compile time by the project linter, cmd/reqlint, a
+// go/analysis multichecker run in CI over the whole repository. That the
+// engine's scratch view never leaves it, the compiler enforces: the view
+// is unexported. Code carries the contracts as annotations:
 //
 //   - //req:noalloc on a function asserts it allocates nothing; the
 //     noalloc analyzer rejects make/new, escaping composite literals,
@@ -372,7 +371,6 @@
 //     prove every access holds mu (exclusively for writes);
 //     // +req:locksRequired, +req:locksAcquired, +req:locksReleased and
 //     +req:callsWithLock describe lock handoff between functions.
-//   - //req:viewpass marks the rare helper allowed to return a *View.
 //
 // The slabalias analyzer needs no annotations: inside internal/core it
 // proves that no level-buffer alias or compactor pointer is used after a

@@ -159,7 +159,7 @@ var fuzzReadPhis = []float64{0.5, 0, 0.01, 0.25, 0.9, 0.99, 1}
 // track updates, ranks are monotone and bounded, quantiles invert ranks.
 // chunk (1 + chunk%97 items) splits the stream: after every chunk a live
 // QuantilesInto must answer like a Snapshot taken then (== under <), and
-// the live reads after that Snapshot cached the view must still do so.
+// the live reads after that Snapshot must still do so.
 func FuzzUpdateRank(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(0))
 	f.Add([]byte{255, 0, 255, 0}, uint8(1), uint8(3))

@@ -1,9 +1,8 @@
-// Package analysis assembles the reqlint analyzer suite: the four custom
+// Package analysis assembles the reqlint analyzer suite: the three custom
 // contract checkers plus the stock x/tools passes the project gates on.
 //
 // See the individual analyzer packages for what each one proves:
 //
-//	viewlifetime — *View recycling contract (internal/core/query.go)
 //	slabalias    — per-level buffer aliasing contract (internal/core)
 //	locked       — +req:guardedBy / +req:locksRequired mutex contracts
 //	noalloc      — //req:noalloc whole-path allocation-freedom
@@ -26,13 +25,11 @@ import (
 	"req/internal/analysis/locked"
 	"req/internal/analysis/noalloc"
 	"req/internal/analysis/slabalias"
-	"req/internal/analysis/viewlifetime"
 )
 
 // Custom returns the project-specific contract analyzers.
 func Custom() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		viewlifetime.Analyzer,
 		slabalias.Analyzer,
 		locked.Analyzer,
 		noalloc.Analyzer,

@@ -11,9 +11,8 @@ import (
 // and view storage have all reached their high-water marks) and then pins
 // allocs/op at zero with testing.AllocsPerRun.
 
-// warmSketch builds a sketch with n random values and a materialized view,
-// cycling the view cache once so the rebuild has run into recycled
-// storage.
+// warmSketch builds a sketch with n random values and a built view, then
+// writes and builds again so the rebuild has run into recycled storage.
 func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64) {
 	tb.Helper()
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: seed})
@@ -28,9 +27,9 @@ func warmSketch(tb testing.TB, n int, seed uint64) (*Sketch[float64], []float64)
 	for i := 0; i < n; i++ {
 		s.Update(vals[i&(1<<16-1)])
 	}
-	s.SortedView()
+	s.sortedView()
 	s.Update(vals[0])
-	s.SortedView() // rebuild into recycled storage
+	s.sortedView() // rebuild into recycled storage
 	return s, vals
 }
 
@@ -47,7 +46,7 @@ func TestAllocsSteadyStateUpdate(t *testing.T) {
 
 func TestAllocsFrozenRank(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 2)
-	s.SortedView()
+	s.sortedView()
 	i := 0
 	if avg := testing.AllocsPerRun(5000, func() {
 		_ = s.Rank(vals[i&1023])
@@ -67,7 +66,7 @@ func TestAllocsTailRepair(t *testing.T) {
 	if avg := testing.AllocsPerRun(2000, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
-		_ = s.SortedView()
+		_ = s.sortedView()
 	}); avg != 0 {
 		t.Fatalf("write+view cycle allocates %v allocs/op", avg)
 	}
@@ -77,11 +76,9 @@ func TestAllocsReusedStorageRebuild(t *testing.T) {
 	s, vals := warmSketch(t, 1<<18, 4)
 	i := 0
 	if avg := testing.AllocsPerRun(200, func() {
-		// Force the full-rebuild path every run: a structural invalidation
-		// with no actual state change keeps the retained set stable while
-		// the whole k-way merge re-runs into the recycled arrays.
-		s.invalidate()
-		_ = s.SortedView()
+		// Every build re-runs the whole k-way merge into the recycled
+		// arrays; with no write between builds the retained set is stable.
+		_ = s.sortedView()
 		_ = vals
 	}); avg != 0 {
 		t.Fatalf("reused-storage full rebuild allocates %v allocs/op", avg)
@@ -97,7 +94,7 @@ func TestAllocsFreezeCycle(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
-		s.SortedView()
+		s.sortedView()
 		_ = s.Rank(vals[i&1023])
 	}); avg != 0 {
 		t.Fatalf("write+freeze+rank cycle allocates %v allocs/op", avg)
@@ -111,7 +108,7 @@ func TestAllocsBatchQueriesSortedProbes(t *testing.T) {
 	dstR := make([]uint64, 0, len(probes))
 	dstN := make([]float64, 0, len(probes))
 	dstC := make([]float64, 0, len(probes)+1)
-	s.SortedView()
+	s.sortedView()
 	if avg := testing.AllocsPerRun(500, func() {
 		dstR = s.RankBatch(dstR, probes)
 		dstN = s.NormalizedRankBatch(dstN, probes)
@@ -132,7 +129,7 @@ func TestAllocsBatchQueriesSortedProbes(t *testing.T) {
 // non-canonical orders.
 
 // TestAllocsKernelUnsortedBatchDescent pins unsorted probe and φ sets at
-// zero allocations on a view built by SortedView, for the vec table and a
+// zero allocations on a view built by sortedView, for the vec table and a
 // closure table: an unsorted RankBatch or NormalizedRankBatch answers each
 // probe with Rank, and QuantilesInto restarts its gallop wherever φ drops,
 // so neither sorts a copy of its input.
@@ -153,7 +150,7 @@ func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 			for i := 0; i < 1<<18; i++ {
 				s.Update(r.Float64())
 			}
-			s.SortedView()
+			s.sortedView()
 			unsorted := func(n int) []float64 {
 				ys := make([]float64, n)
 				for i := range ys {
@@ -182,7 +179,7 @@ func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 				// A single read selects over the levels; the view's own
 				// unsorted sweep is what a frozen reader runs.
 				{"View.QuantilesInto/unsorted", func() {
-					if dstQ, err = s.SortedView().QuantilesInto(dstQ, phis); err != nil {
+					if dstQ, err = s.sortedView().QuantilesInto(dstQ, phis); err != nil {
 						panic(err)
 					}
 				}},
@@ -192,8 +189,8 @@ func TestAllocsKernelUnsortedBatchDescent(t *testing.T) {
 					t.Errorf("%s allocates %v allocs/op", tc.name, avg)
 				}
 			}
-			if s.memo() == nil {
-				t.Fatal("batch reads dropped the view")
+			if s.work.view.items == nil {
+				t.Fatal("batch reads built no view in the Work")
 			}
 		})
 	}
@@ -205,8 +202,7 @@ func TestAllocsKernelRebuildAfterWarm(t *testing.T) {
 	// allocate.
 	s, vals := warmSketch(t, 1<<18, 8)
 	if avg := testing.AllocsPerRun(200, func() {
-		s.invalidate()
-		_ = s.SortedView()
+		_ = s.sortedView()
 		_ = vals
 	}); avg != 0 {
 		t.Fatalf("kernel full rebuild allocates %v allocs/op", avg)
@@ -232,12 +228,12 @@ func TestAllocsClosureFallbackSteadyState(t *testing.T) {
 	for i := 0; i < 1<<18; i++ {
 		s.Update(vals[i&(1<<16-1)])
 	}
-	s.SortedView()
+	s.sortedView()
 	i := 0
 	if avg := testing.AllocsPerRun(2000, func() {
 		s.Update(vals[i&(1<<16-1)])
 		i++
-		s.SortedView()
+		s.sortedView()
 		_ = s.Rank(vals[i&1023])
 	}); avg != 0 {
 		t.Fatalf("closure-fallback write+freeze+rank cycle allocates %v allocs/op", avg)
@@ -298,9 +294,27 @@ func TestAllocsReadThroughCycle(t *testing.T) {
 			if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
 				t.Fatalf("64-update + QuantilesInto cycle allocates %v allocs/op", avg)
 			}
-			if s.memo() != nil || s.work.viewOf != nil || s.work.view.items != nil {
+			if s.work.view.items != nil {
 				t.Fatal("live reads built a view")
 			}
 		})
+	}
+}
+
+// TestAllocsAll pins a warm sketch's All at zero allocations: each
+// iteration merges into the Work's recycled view and walks it in place.
+func TestAllocsAll(t *testing.T) {
+	s, _ := warmSketch(t, 1<<18, 14)
+	var n uint64
+	if avg := testing.AllocsPerRun(200, func() {
+		n = 0
+		for _, w := range s.All() {
+			n += w
+		}
+	}); avg != 0 {
+		t.Fatalf("All allocates %v allocs/op", avg)
+	}
+	if n != s.Count() {
+		t.Fatalf("All weighs %d of %d", n, s.Count())
 	}
 }

@@ -57,7 +57,7 @@ func TestCloneContinuesIdentically(t *testing.T) {
 	if a.Count() != b.Count() || a.ItemsRetained() != b.ItemsRetained() {
 		t.Fatalf("clones diverged: n %d/%d items %d/%d", a.Count(), b.Count(), a.ItemsRetained(), b.ItemsRetained())
 	}
-	av, bv := a.SortedView(), b.SortedView()
+	av, bv := a.sortedView(), b.sortedView()
 	if av.Size() != bv.Size() {
 		t.Fatalf("view sizes differ: %d vs %d", av.Size(), bv.Size())
 	}

@@ -114,32 +114,10 @@ func BenchmarkCoreRankScan(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkCoreRankFrozen ranks on a sketch whose view is current. A
-// single read never consults the view, so this is BenchmarkCoreRankScan's
-// level search on a quiesced sketch; the view's own search serves the
-// batch reads (BenchmarkCoreRankBatch) and frozen snapshots.
-func BenchmarkCoreRankFrozen(b *testing.B) {
-	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	for i := 0; i < 1<<20; i++ {
-		s.Update(r.Float64())
-	}
-	s.SortedView()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += s.Rank(float64(i&1023) / 1024)
-	}
-	_ = sink
-}
-
-// BenchmarkCoreSortedViewBuild measures a cold view build: fresh storage,
-// full k-way merge (the spare is dropped every iteration).
-func BenchmarkCoreSortedViewBuild(b *testing.B) {
+// BenchmarkCoreMergeIntoFresh measures a cold view build: a full k-way
+// merge into a zero View, whose two arrays it allocates at exactly the
+// retained size, as a Snapshot does.
+func BenchmarkCoreMergeIntoFresh(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -151,14 +129,14 @@ func BenchmarkCoreSortedViewBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.workspace().view, s.viewCurrent = View[float64]{}, false // force a from-scratch build
-		_ = s.SortedView()
+		var v View[float64]
+		s.MergeInto(&v)
 	}
 }
 
 // BenchmarkCoreViewRebuildReuse measures the full k-way merge rebuilding
-// into recycled storage (invalidation with no write, steady state: 0
-// allocs): what a view read pays after any write.
+// into the Work's recycled view storage (steady state: 0 allocs): what
+// every batch read and All pay before they search.
 func BenchmarkCoreViewRebuildReuse(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
@@ -168,12 +146,11 @@ func BenchmarkCoreViewRebuildReuse(b *testing.B) {
 	for i := 0; i < 1<<20; i++ {
 		s.Update(r.Float64())
 	}
-	s.SortedView()
+	s.sortedView()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.invalidate() // force the full merge, storage recycled
-		_ = s.SortedView()
+		_ = s.sortedView()
 	}
 }
 
@@ -217,7 +194,7 @@ func benchStreamRead(b *testing.B, less func(a, b float64) bool, view bool) {
 			s.Update(vals[(i*64+j)&(1<<16-1)])
 		}
 		if view {
-			s.SortedView()
+			s.sortedView()
 		}
 		if dst, err = s.QuantilesInto(dst, phis); err != nil {
 			b.Fatal(err)
@@ -225,8 +202,10 @@ func benchStreamRead(b *testing.B, less func(a, b float64) bool, view bool) {
 	}
 }
 
-// BenchmarkCoreRankBatch measures batch rank queries per probe on a sketch
-// whose view is current, for random (answered probe by probe) and pre-sorted probe sets.
+// BenchmarkCoreRankBatch measures batch rank queries per probe, for random
+// (answered probe by probe) and pre-sorted probe sets. Every call merges
+// the unchanged sketch's levels into its Work's view before the search, so
+// the per-probe cost carries that merge amortized over the batch.
 func BenchmarkCoreRankBatch(b *testing.B) {
 	s, err := New(fless, Config{Eps: 0.01, Delta: 0.01, Seed: 1})
 	if err != nil {
@@ -236,7 +215,7 @@ func BenchmarkCoreRankBatch(b *testing.B) {
 	for i := 0; i < 1<<20; i++ {
 		s.Update(r.Float64())
 	}
-	s.SortedView()
+	s.sortedView() // grow the Work's view storage
 	for _, size := range []int{16, 64, 1024} {
 		probes := make([]float64, size)
 		for i := range probes {
@@ -269,7 +248,7 @@ func BenchmarkCoreViewRank(b *testing.B) {
 	for i := 0; i < 1<<20; i++ {
 		s.Update(r.Float64())
 	}
-	v := s.SortedView()
+	v := s.sortedView()
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {

@@ -25,8 +25,7 @@ import (
 //     covering geometry changes across growths);
 //  8. the sorted-compactor invariant: 0 ≤ sorted ≤ len(buf) and
 //     buf[:sorted] is sorted under the internal order at every level;
-//  9. read-cache consistency: a current memo view matches the sketch's
-//     count, and the Work's union holds no alias of the levels between
+//  9. read scratch: the Work's union holds no alias of the levels between
 //     reads;
 //  10. storage: the O(1) ItemsRetained counter equals the per-level sum,
 //     and no two level buffers, nor a level buffer and the Work's scratch
@@ -71,9 +70,6 @@ func (s *Sketch[T]) CheckInvariants() error {
 	}
 	if s.bound < s.n {
 		return fmt.Errorf("core: bound %d < n %d", s.bound, s.n)
-	}
-	if v := s.memo(); v != nil && v.n != s.n {
-		return fmt.Errorf("core: current view count %d != n %d", v.n, s.n)
 	}
 	if w := s.work; w != nil && (w.union.s != nil || len(w.union.runs) != 0) {
 		return fmt.Errorf("core: union scratch still aliases the levels after a read")

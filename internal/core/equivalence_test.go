@@ -379,7 +379,7 @@ func compareSketches(t *testing.T, s *Sketch[float64], r *refSketch, probes []fl
 	}
 	// Ranks must still agree when answered by the view (the quantile loop
 	// above read the levels and built none).
-	v := s.SortedView()
+	v := s.sortedView()
 	for _, y := range probes {
 		if got, want := v.Rank(y), r.rank(y); got != want {
 			t.Fatalf("frozen Rank(%v): new %d, ref %d", y, got, want)
@@ -389,22 +389,22 @@ func compareSketches(t *testing.T, s *Sketch[float64], r *refSketch, probes []fl
 }
 
 // verifyViewEngine cross-checks the whole read path against itself: the
-// cached (storage-recycled) view against a from-scratch rebuild on a clone,
+// Work's (storage-recycled) view against a from-scratch rebuild on a clone,
 // the view's binary searches against a linear scan, and every batch API
 // against its single-probe counterpart. Called from compareSketches, it runs
 // at intervals across streams, merges, growths, clones, and serde
 // round-trips.
 func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 	t.Helper()
-	v := s.SortedView()
-	fresh := s.Clone().SortedView() // clone carries no cached view: from scratch
+	v := s.sortedView()
+	fresh := s.Clone().sortedView() // a clone has no Work yet: from scratch
 	if len(v.Items()) != len(fresh.Items()) || v.Count() != fresh.Count() {
-		t.Fatalf("cached view shape (%d items, w=%d) != from-scratch (%d items, w=%d)",
+		t.Fatalf("recycled view shape (%d items, w=%d) != from-scratch (%d items, w=%d)",
 			len(v.Items()), v.Count(), len(fresh.Items()), fresh.Count())
 	}
 	for i, x := range v.Items() {
 		if x != fresh.Items()[i] {
-			t.Fatalf("cached view item %d = %v, from-scratch %v", i, x, fresh.Items()[i])
+			t.Fatalf("recycled view item %d = %v, from-scratch %v", i, x, fresh.Items()[i])
 		}
 	}
 	// Cumulative weights may legitimately differ from a from-scratch build
@@ -413,12 +413,12 @@ func verifyViewEngine(t *testing.T, s *Sketch[float64], probes []float64) {
 	// the probes.
 	for _, y := range probes {
 		if v.Rank(y) != fresh.Rank(y) || v.RankExclusive(y) != fresh.RankExclusive(y) {
-			t.Fatalf("cached view rank at %v diverges from from-scratch build", y)
+			t.Fatalf("recycled view rank at %v diverges from from-scratch build", y)
 		}
 	}
 	for _, y := range v.Items() {
 		if v.Rank(y) != fresh.Rank(y) {
-			t.Fatalf("cached view rank at retained item %v diverges from from-scratch build", y)
+			t.Fatalf("recycled view rank at retained item %v diverges from from-scratch build", y)
 		}
 	}
 

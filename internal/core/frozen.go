@@ -3,42 +3,22 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // Frozen views. A View is a coreset frozen into two parallel arrays — the
-// sorted items and their cumulative weights — plus O(1) scalars. The view
-// SortedView returns is the memo in the sketch's Work, recycled on the
-// sketch's next write or the Work's next build; the functions here yield a
-// View that stays valid forever: FreezeOwned merges into (or copies to)
-// arrays it owns, and FrozenFromParts and FrozenFromCoreset rebuild a View
-// around arrays mapped or decoded from storage. Every View method is a pure read,
-// so any number of goroutines may query such a View at once with no
-// synchronization; the root package serves it as req.Snapshot. Persisting
-// one is two contiguous array writes (Items, CumulativeWeights), and
-// opening one can be two slice aliases over a read-only mapping — no
-// per-item decode.
+// sorted items and their cumulative weights — plus O(1) scalars.
+// Sketch.MergeInto fills a View its caller owns, and FrozenFromParts and
+// FrozenFromCoreset rebuild a View around arrays mapped or decoded from
+// storage. Every View method is a pure read, so any number of goroutines
+// may query such a View at once with no synchronization; the root package
+// serves it as req.Snapshot. Persisting one is two contiguous array writes
+// (Items, CumulativeWeights), and opening one can be two slice aliases over
+// a read-only mapping — no per-item decode.
 //
 // Ownership rule (the package's aliasing discipline): FrozenFromParts and
 // FrozenFromCoreset alias the arrays without copying, so they must be
 // provably frozen — a read-only file mapping, or buffers no writer will
 // ever touch again. A View never writes through them.
-
-// FreezeOwned returns the sketch's current coreset as a View that owns
-// every byte of its storage, so the result stays valid across any later
-// write. It copies the memo view's two arrays when the memo is current,
-// and otherwise merges the levels straight into two arrays of exactly the
-// retained size, leaving no view behind: two allocations either way.
-func (s *Sketch[T]) FreezeOwned() View[T] {
-	if m := s.memo(); m != nil {
-		v := *m
-		v.items, v.cum = slices.Clone(v.items), slices.Clone(v.cum)
-		return v
-	}
-	var v View[T]
-	s.mergeView(&v)
-	return v
-}
 
 // FrozenFromParts returns the View over items and cum — the sorted items
 // and their cumulative weights, of equal length, rising to n — WITHOUT

@@ -24,12 +24,19 @@ func buildFrozenSource(t *testing.T, n int) (*Sketch[float64], []float64) {
 	return s, probes
 }
 
-// TestFreezeOwnedMatchesLive pins the core contract: an owned frozen View
+// owned returns s's coreset merged into a View of its own.
+func owned[T any](s *Sketch[T]) *View[T] {
+	v := new(View[T])
+	s.MergeInto(v)
+	return v
+}
+
+// TestMergeIntoMatchesLive pins the core contract: a View the caller owns
 // answers every query bit-identically to the live sketch at capture time,
 // and keeps those answers after the sketch mutates.
-func TestFreezeOwnedMatchesLive(t *testing.T) {
+func TestMergeIntoMatchesLive(t *testing.T) {
 	s, probes := buildFrozenSource(t, 50000)
-	f := s.FreezeOwned()
+	f := owned(s)
 
 	type answers struct {
 		ranks  []uint64
@@ -103,7 +110,7 @@ func TestFreezeOwnedMatchesLive(t *testing.T) {
 // the source sketch keeps writing — the -race proof of the ownership claim.
 func TestFrozenConcurrentReads(t *testing.T) {
 	s, probes := buildFrozenSource(t, 20000)
-	f := s.FreezeOwned()
+	f := owned(s)
 	want := f.Rank(probes[32])
 	var wg sync.WaitGroup
 	wg.Add(9)
@@ -140,7 +147,7 @@ func TestFrozenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := s.FreezeOwned()
+	f := owned(s)
 	if !f.Empty() || f.Count() != 0 || f.Size() != 0 {
 		t.Fatal("empty frozen misreports")
 	}
@@ -160,7 +167,7 @@ func TestFrozenEmpty(t *testing.T) {
 // rejection paths.
 func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 	s, probes := buildFrozenSource(t, 30000)
-	f := s.FreezeOwned()
+	f := owned(s)
 	items := append([]float64(nil), f.Items()...)
 	weights := make([]uint64, len(items))
 	for i := range weights {

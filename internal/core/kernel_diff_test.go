@@ -240,8 +240,8 @@ func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 				case 3: // queries mid-stream (live reads and view rebuilds)
 					c.queriesEqual(t, k, g, c.draw(r, 64))
 				case 4: // freeze (frozen view paths)
-					k.SortedView()
-					g.SortedView()
+					k.sortedView()
+					g.sortedView()
 					// unsorted probes: answered probe by probe
 					c.queriesEqual(t, k, g, c.draw(r, 100))
 				case 5: // merge a second pair in
@@ -282,10 +282,10 @@ func (c diffCase[T]) run(t *testing.T, seed int64, n int) {
 			c.stateEqual(t, rk, g)
 
 			// Owned frozen views answer identically too.
-			fk := k.FreezeOwned()
-			fg := g.FreezeOwned()
+			fk := owned(k)
+			fg := owned(g)
 			if !c.isVec(fk.kern) {
-				t.Fatal("FreezeOwned dropped the vec table")
+				t.Fatal("MergeInto dropped the vec table")
 			}
 			for _, y := range c.draw(r, 128) {
 				if a, b := fk.Rank(y), fg.Rank(y); a != b {
@@ -334,8 +334,8 @@ func TestKernelViewRepairEquivalence(t *testing.T) {
 		if round%4 != 3 {
 			continue // let several live reads settle before the next rebuild
 		}
-		kv := k.SortedView()
-		gv := g.SortedView()
+		kv := k.sortedView()
+		gv := g.sortedView()
 		if len(kv.items) != len(gv.items) {
 			t.Fatalf("round %d: view size diverged: %d vs %d", round, len(kv.items), len(gv.items))
 		}

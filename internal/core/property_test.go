@@ -241,7 +241,7 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 
 func TestPropertyViewRepairEquivalence(t *testing.T) {
 	// Under arbitrary interleavings of Update, UpdateBatch, UpdateWeighted,
-	// live quantile reads and view-building queries, the cached view
+	// live quantile reads and view-building queries, the Work's view
 	// (rebuilt into recycled storage) answers identically to a view built
 	// from scratch on a clone.
 	f := func(ops []uint16, seedByte uint8) bool {
@@ -270,7 +270,7 @@ func TestPropertyViewRepairEquivalence(t *testing.T) {
 				}
 			case 4:
 				if op%3 < 2 {
-					s.SortedView()
+					s.sortedView()
 				} else if _, err := s.Quantile(0.5); err != nil && s.Count() > 0 {
 					return false
 				}
@@ -279,8 +279,8 @@ func TestPropertyViewRepairEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		v := s.SortedView()
-		fresh := s.Clone().SortedView()
+		v := s.sortedView()
+		fresh := s.Clone().sortedView()
 		if v.Count() != fresh.Count() || len(v.Items()) != len(fresh.Items()) {
 			return false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"iter"
 	"math"
 
 	"req/internal/vec"
@@ -25,8 +26,7 @@ var (
 // Each level is a sorted buffer (plus at most a small unsorted append tail
 // at level 0), so the count per level is one binary search plus a scan of
 // the tail: O(levels·log b) instead of a linear pass over every retained
-// item. The cached view is never consulted: a single read always reads the
-// levels, so its answer does not depend on whether a view is current.
+// item. It builds no view.
 //
 //req:noalloc
 func (s *Sketch[T]) Rank(y T) uint64 {
@@ -101,11 +101,10 @@ func (s *Sketch[T]) NormalizedRank(y T) float64 {
 // exact minimum and φ = 1 the exact maximum (both tracked separately).
 // The union of s's Work takes s alone: every level is settled in place
 // (the sort-and-merge of the level-0 tail that each compaction starts
-// with) and φ is selected over the sorted levels. The answer equals, under
-// the order, that of the sorted view; the read neither builds nor consults
-// a view, so it answers the same bits whether or not one is current (among
-// items equal under the order, such as +0 and −0, the view may hold the
-// other one).
+// with) and φ is selected over the sorted levels, building no view. The
+// answer equals, under the order, that of the sorted view (among items
+// equal under the order, such as +0 and −0, the view may hold the other
+// one).
 func (s *Sketch[T]) Quantile(phi float64) (T, error) {
 	u := &s.workspace().union
 	defer u.Reset()
@@ -123,7 +122,7 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) {
 // (grown as needed; pass a slice retained across calls for steady-state
 // allocation-free querying) and returning it with length len(phis). It
 // reads as Quantile does: by selection over the settled levels (see
-// Union.QuantilesInto), never from the view.
+// Union.QuantilesInto), building no view.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	u := &s.workspace().union
 	defer u.Reset()
@@ -154,17 +153,18 @@ func quantileTarget(phi float64, n uint64) uint64 {
 }
 
 // RankBatch returns the estimated inclusive rank of every probe in ys,
-// written into dst (grown as needed) in the order of ys, from the sorted
-// view; see View.RankBatch. Building the view is amortized across the
-// batch; on an empty sketch every rank is 0.
+// written into dst (grown as needed) in the order of ys, from a sorted view
+// merged in the sketch's Work; see View.RankBatch. Every call merges the
+// levels once, amortized across the batch; on an empty sketch every rank
+// is 0.
 func (s *Sketch[T]) RankBatch(dst []uint64, ys []T) []uint64 {
-	return s.SortedView().RankBatch(dst, ys)
+	return s.sortedView().RankBatch(dst, ys)
 }
 
 // NormalizedRankBatch is RankBatch normalized by the stream length: every
 // entry is Rank(y)/n in [0, 1] (0 on an empty sketch).
 func (s *Sketch[T]) NormalizedRankBatch(dst []float64, ys []T) []float64 {
-	return s.SortedView().NormalizedRankBatch(dst, ys)
+	return s.sortedView().NormalizedRankBatch(dst, ys)
 }
 
 // CDF returns the estimated normalized inclusive ranks at each split point.
@@ -180,7 +180,7 @@ func (s *Sketch[T]) CDFInto(dst []float64, splits []T) ([]float64, error) {
 	if s.n == 0 {
 		return nil, ErrEmpty
 	}
-	return s.SortedView().CDFInto(dst, splits)
+	return s.sortedView().CDFInto(dst, splits)
 }
 
 // PMF returns the estimated probability mass in each interval delimited by
@@ -195,20 +195,34 @@ func (s *Sketch[T]) PMFInto(dst []float64, splits []T) ([]float64, error) {
 	if s.n == 0 {
 		return nil, ErrEmpty
 	}
-	return s.SortedView().PMFInto(dst, splits)
+	return s.sortedView().PMFInto(dst, splits)
+}
+
+// All iterates the sketch's weighted coreset: every retained item in
+// ascending order with its weight, from the view the iteration merges in
+// the sketch's Work when it starts. The sketch must not be written, nor
+// its Work used, until the iteration ends.
+func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
+	return func(yield func(item T, weight uint64) bool) {
+		v := s.sortedView()
+		for i, x := range v.items {
+			if !yield(x, v.Weight(i)) {
+				return
+			}
+		}
+	}
 }
 
 // View is a frozen weighted coreset: items ascending in the caller's order
 // with cumulative weights, the stream length and the exact min/max. It
 // answers rank and quantile queries with one O(log size) search and batch
-// queries with one galloping sweep, and it is what the experiment harness
-// uses for bulk evaluation and what the root package's Snapshot serves.
+// queries with one galloping sweep, and it is what the root package's
+// Snapshot serves.
 //
-// Ownership: the view returned by SortedView lives in the sketch's Work,
-// which recycles its storage on the next build — it is valid only until
-// the sketch's next write, or until its Work merges another sketch. A View
-// from FreezeOwned owns its storage and stays valid forever; see frozen.go
-// for the other frozen constructors.
+// Ownership: a View holds its own arrays (MergeInto fills a View its
+// caller owns) or arrays frozen elsewhere (see frozen.go). The one View a
+// sketch keeps is the scratch in its Work that the batch reads and All
+// merge into, which never leaves this package.
 type View[T any] struct {
 	items []T
 	cum   []uint64 // cum[i] = total weight of items[0..i]
@@ -219,37 +233,24 @@ type View[T any] struct {
 	max  T
 }
 
-// SortedView merges the settled levels into the sorted weighted view kept
-// in the sketch's Work (mergeView), which recycles its grow-only storage,
-// so steady state allocates nothing. The view lives until the sketch's
-// next write, or until its Work merges another sketch; until then it is
-// the memo of the batch queries (RankBatch, CDF, PMF) and of FreezeOwned.
-// Single reads (Rank, Quantile, QuantilesInto) never read it.
-func (s *Sketch[T]) SortedView() *View[T] {
-	if v := s.memo(); v != nil {
-		return v
-	}
-	w := s.workspace()
-	s.mergeView(&w.view)
-	w.viewOf, s.viewCurrent = s, true
-	return &w.view
+// sortedView merges the settled levels into the view in the sketch's Work
+// and returns it: the scratch of the batch reads and of All, recycled by
+// the Work's next build, so it is valid only until then or until the
+// sketch's next write. Its storage is grow-only, so steady state allocates
+// nothing. Single reads (Rank, Quantile, QuantilesInto) never build it.
+func (s *Sketch[T]) sortedView() *View[T] {
+	v := &s.workspace().view
+	s.MergeInto(v)
+	return v
 }
 
-// memo returns the view s's Work last built, when it was built for s and s
-// is unwritten since, or nil.
-func (s *Sketch[T]) memo() *View[T] {
-	if s.viewCurrent && s.work != nil && s.work.viewOf == s {
-		return &s.work.view
-	}
-	return nil
-}
-
-// mergeView is the one merge of a sketch's levels into a sorted view, run
-// by SortedView into its Work's view and by FreezeOwned into arrays the
-// result owns: it settles every level through s's Work, sizes v's arrays
-// to the retained count (reusing their storage; see resize) and k-way
-// merges the levels into them through the Work's cursor scratch.
-func (s *Sketch[T]) mergeView(v *View[T]) {
+// MergeInto merges the sketch's coreset into v, a view the caller owns:
+// it settles every level through s's Work, sizes v's arrays to the
+// retained count — exactly when v has no storage yet, reusing it otherwise
+// (see resize) — and k-way merges the levels into them through the Work's
+// cursor scratch. v shares no storage with s, so it stays valid across any
+// later write.
+func (s *Sketch[T]) MergeInto(v *View[T]) {
 	w := s.workspace()
 	s.settleLevels()
 	v.resize(s.retained)

@@ -42,7 +42,7 @@ func TestRankMonotonicity(t *testing.T) {
 func TestViewMatchesDirectRank(t *testing.T) {
 	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 103})
 	feedPerm(t, s, 1<<16, 104)
-	v := s.SortedView()
+	v := s.sortedView()
 	r := rng.New(105)
 	for i := 0; i < 500; i++ {
 		y := r.Float64() * float64(1<<16)
@@ -58,18 +58,15 @@ func TestViewMatchesDirectRank(t *testing.T) {
 func TestViewCachedAndInvalidated(t *testing.T) {
 	s := newFloat64(t, Config{Eps: 0.1, Delta: 0.1, Seed: 106})
 	feedPerm(t, s, 10000, 107)
-	v1 := s.SortedView()
-	v2 := s.SortedView()
+	v1 := s.sortedView()
+	v2 := s.sortedView()
 	if v1 != v2 {
-		t.Fatal("view not cached across calls")
+		t.Fatal("view not kept in the Work across calls")
 	}
 	weight1 := v1.Count()
 	rankBefore := s.Rank(0.25)
 	s.Update(0.5)
-	if s.memo() != nil {
-		t.Fatal("update did not invalidate the cached view")
-	}
-	v3 := s.SortedView()
+	v3 := s.sortedView()
 	if v3 != v1 {
 		// The rebuild recycles the previous view's storage by design; the
 		// returned object is the same, refreshed in place.
@@ -86,7 +83,7 @@ func TestViewCachedAndInvalidated(t *testing.T) {
 func TestViewCumulativeWeights(t *testing.T) {
 	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 108})
 	feedPerm(t, s, 1<<16, 109)
-	v := s.SortedView()
+	v := s.sortedView()
 	items, cum := v.Items(), v.CumulativeWeights()
 	if len(items) != len(cum) || len(items) != v.Size() {
 		t.Fatal("view slices inconsistent")
@@ -109,7 +106,7 @@ func TestQuantileRankDuality(t *testing.T) {
 	// smallest retained item with that property.
 	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 110})
 	feedPerm(t, s, 1<<16, 111)
-	v := s.SortedView()
+	v := s.sortedView()
 	n := float64(s.Count())
 	for _, phi := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
 		q, err := s.Quantile(phi)
@@ -287,7 +284,7 @@ func TestViewQuantileClampsTarget(t *testing.T) {
 	s.Update(3)
 	s.Update(1)
 	s.Update(2)
-	v := s.SortedView()
+	v := s.sortedView()
 	q, err := v.Quantile(1e-12) // target rounds to 0, must clamp to 1
 	if err != nil {
 		t.Fatal(err)

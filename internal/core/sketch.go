@@ -60,12 +60,9 @@ type Sketch[T any] struct {
 	min, max  T
 	hasMinMax bool
 	// recordCurrent marks the sketch unwritten since its owner last kept
-	// a record of it (MarkRecordCurrent), and viewCurrent since its Work
-	// last built a view of it (SortedView); invalidate clears both on
-	// every write. They sit in the padding after hasMinMax, so they cost
-	// no byte.
+	// a record of it (MarkRecordCurrent); invalidate clears it on every
+	// write. It sits in the padding after hasMinMax, so it costs no byte.
 	recordCurrent bool
-	viewCurrent   bool
 
 	// work is the transient state of compactions, merges and reads: the
 	// sketch's own, allocated on first use, or one its owner lends.
@@ -135,7 +132,7 @@ func (s *Sketch[T]) InitAs(proto *Sketch[T], seed uint64) {
 
 // Borrow makes s use w, which its owner lends to many sketches, in place
 // of a Work of its own; the owner then uses s only under w's lock.
-func (s *Sketch[T]) Borrow(w *Work[T]) { s.work, s.viewCurrent = w, false }
+func (s *Sketch[T]) Borrow(w *Work[T]) { s.work = w }
 
 // workspace returns s's Work, allocating one of its own on first use.
 func (s *Sketch[T]) workspace() *Work[T] {
@@ -156,15 +153,10 @@ func (s *Sketch[T]) internalLess(a, b T) bool {
 	return s.kern.less(a, b)
 }
 
-// invalidate runs on every write: it marks the memo view stale (the next
-// view read rebuilds it into its Work's storage) and clears the record
-// mark.
+// invalidate runs on every write: it clears the record mark.
 //
 //req:noalloc
-func (s *Sketch[T]) invalidate() {
-	s.viewCurrent = false
-	s.recordCurrent = false
-}
+func (s *Sketch[T]) invalidate() { s.recordCurrent = false }
 
 // MarkRecordCurrent marks the sketch's current state as kept by its owner
 // (a registry export keeps each key's record for the next export), until
@@ -222,14 +214,13 @@ func (s *Sketch[T]) update(x T) {
 }
 
 // UpdateBatch inserts every item of xs the order's table admits,
-// amortizing view invalidation, min/max tracking, bound checks, and
-// compaction cascades across the batch. It is equivalent to calling Update
-// once per item — bit-identical whenever no stream-length growth lands
-// mid-batch; across a growth boundary the bound is raised once for the
-// whole chunk rather than at the exact item, which preserves every
-// guarantee but may retain a slightly different coreset than item-at-a-time
-// insertion. The slice is only read; it is copied only when the table
-// drops an item.
+// amortizing min/max tracking, bound checks, and compaction cascades
+// across the batch. It is equivalent to calling Update once per item —
+// bit-identical whenever no stream-length growth lands mid-batch; across a
+// growth boundary the bound is raised once for the whole chunk rather than
+// at the exact item, which preserves every guarantee but may retain a
+// slightly different coreset than item-at-a-time insertion. The slice is
+// only read; it is copied only when the table drops an item.
 func (s *Sketch[T]) UpdateBatch(xs []T) {
 	s.updateBatch(s.Table().Admitted(xs))
 }
@@ -513,12 +504,13 @@ func (s *Sketch[T]) growTo(need uint64) {
 // Reset returns the sketch to its empty state, keeping every level's
 // buffer (scrubbed), its Work and its configuration. The random stream
 // continues (it is not re-seeded), so a reset sketch is statistically fresh
-// but not bit-identical to a newly constructed one.
+// but not bit-identical to a newly constructed one. Under an order whose
+// items may hold pointers (any but LessF64 and LessU64), Reset scrubs the
+// Work too, so no item of the old stream stays reachable through it.
 func (s *Sketch[T]) Reset() {
 	s.invalidate()
-	// Drop a view of the old stream: pointer-bearing items must not linger.
-	if w := s.work; w != nil && w.viewOf == s {
-		w.view, w.viewOf = View[T]{}, nil
+	if w := s.work; w != nil && !s.Table().Canonical() {
+		w.scrub()
 	}
 	s.n = 0
 	s.retained = 0
@@ -536,8 +528,8 @@ func (s *Sketch[T]) Reset() {
 // The clone's random source continues s's stream (state copied), so the
 // clone and the original behave bit-for-bit identically on identical
 // subsequent input. The clone borrows no Work: it allocates its own on
-// first use, and builds its own view on its first batch query. Clone is a
-// read-only operation on s; each level's buffer is copied at its length.
+// first use. Clone is a read-only operation on s; each level's buffer is
+// copied at its length.
 func (s *Sketch[T]) Clone() *Sketch[T] {
 	c := *s
 	c.rnd = rng.New(0)
@@ -547,7 +539,7 @@ func (s *Sketch[T]) Clone() *Sketch[T] {
 		c.levels[h] = s.levels[h]
 		c.levels[h].buf = slices.Clone(s.levels[h].buf)
 	}
-	c.invalidate() // nothing is cached or kept for the clone yet
+	c.invalidate() // nothing is kept for the clone yet
 	c.work = nil
 	return &c
 }

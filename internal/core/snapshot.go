@@ -21,9 +21,8 @@ type LevelSnapshot[T any] struct {
 // Snapshot is the complete portable state of a sketch, sufficient to resume
 // it bit-for-bit (including the random stream). The root req package uses it
 // to implement binary serialization for concrete item types. Derived state
-// is deliberately not captured: the cached sorted view and all reusable
-// scratch storage are rebuilt lazily by the first query on the restored
-// sketch.
+// is deliberately not captured: the reusable scratch storage (a Work) is
+// rebuilt lazily by the first compaction or query on the restored sketch.
 type Snapshot[T any] struct {
 	Config    Config
 	N         uint64

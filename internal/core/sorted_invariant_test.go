@@ -83,8 +83,8 @@ func TestPropertySortedInvariantSurvivesOps(t *testing.T) {
 				rt.Update(val())
 				checkAll(t, "FromSnapshot+Update", rt)
 			case 9: // view build settles tails; occasionally reset
-				_ = s.SortedView()
-				checkAll(t, "SortedView", s)
+				_ = s.sortedView()
+				checkAll(t, "sortedView", s)
 				if r.Intn(8) == 0 {
 					s.Reset()
 					checkAll(t, "Reset", s)
@@ -226,8 +226,9 @@ func TestUpdateBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRankFrozenMatchesUnfrozen: the cached view's ranks agree with the
-// level search, and a current view does not change what Rank answers.
+// TestRankFrozenMatchesUnfrozen: the sorted view's ranks agree with the
+// level search, Rank builds no view, and a built one does not change what
+// Rank answers.
 func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 	s, err := New(fless, Config{Eps: 0.05, Delta: 0.05, Seed: 7})
 	if err != nil {
@@ -247,13 +248,10 @@ func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 		unfrozen[i] = s.Rank(y)
 		unfrozenEx[i] = s.RankExclusive(y)
 	}
-	if s.memo() != nil {
+	if s.work.view.items != nil {
 		t.Fatal("plain Rank must not build the view")
 	}
-	v := s.SortedView()
-	if s.memo() == nil {
-		t.Fatal("SortedView must cache the view")
-	}
+	v := s.sortedView()
 	for i, y := range probes {
 		if got := v.Rank(y); got != unfrozen[i] {
 			t.Fatalf("Rank(%v) frozen %d != unfrozen %d", y, got, unfrozen[i])
@@ -262,12 +260,8 @@ func TestRankFrozenMatchesUnfrozen(t *testing.T) {
 			t.Fatalf("RankExclusive(%v) frozen %d != unfrozen %d", y, got, unfrozenEx[i])
 		}
 		if s.Rank(y) != unfrozen[i] || s.RankExclusive(y) != unfrozenEx[i] {
-			t.Fatalf("Rank(%v) moved once the view was current", y)
+			t.Fatalf("Rank(%v) moved once the view was built", y)
 		}
-	}
-	s.Update(1)
-	if s.memo() != nil {
-		t.Fatal("Update must invalidate the view")
 	}
 }
 

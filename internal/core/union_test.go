@@ -124,7 +124,7 @@ func TestUnionSettleKeepsSketchAnswers(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		s.Update(r.Float64())
 	}
-	_ = s.SortedView()
+	_ = s.sortedView()
 	for i := 0; i < 40; i++ {
 		s.Update(r.Float64())
 	}
@@ -140,7 +140,7 @@ func TestUnionSettleKeepsSketchAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := twin.QuantilesInto(nil, phis)
-		got, _ := s.SortedView().QuantilesInto(nil, phis)
+		got, _ := s.sortedView().QuantilesInto(nil, phis)
 		for i := range phis {
 			if math.Float64bits(live[i]) != math.Float64bits(want[i]) ||
 				math.Float64bits(got[i]) != math.Float64bits(want[i]) {

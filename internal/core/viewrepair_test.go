@@ -7,18 +7,18 @@ import (
 	"req/internal/rng"
 )
 
-// Tests for view rebuilds into recycled storage: after any write, the next
-// SortedView re-runs the k-way merge into the arrays of the previous view.
+// Tests for view rebuilds into recycled storage: every sortedView re-runs
+// the k-way merge into the arrays of the previous view.
 // Every such view must be indistinguishable (same items, same answers) from
 // a from-scratch build into fresh storage.
 
-// checkViewAgainstScratch compares the sketch's cached view to a view built
+// checkViewAgainstScratch compares the sketch's Work view to a view built
 // from scratch on a clone: identical items and identical answers at every
 // retained item and at synthetic probes around them.
 func checkViewAgainstScratch(t *testing.T, s *Sketch[float64]) {
 	t.Helper()
-	v := s.SortedView()
-	fresh := s.Clone().SortedView()
+	v := s.sortedView()
+	fresh := s.Clone().sortedView()
 	if v.Count() != fresh.Count() {
 		t.Fatalf("recycled view weight %d != from-scratch %d", v.Count(), fresh.Count())
 	}
@@ -62,7 +62,7 @@ func TestViewTailRepairMatchesRebuild(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				s.Update(math.Floor(r.Float64() * 1000)) // duplicates likely
 			}
-			s.SortedView()
+			s.sortedView()
 			for _, burst := range []int{1, 1, 2, 3, 7, 1, 16, 64, 1, 200, 1} {
 				for i := 0; i < burst; i++ {
 					s.Update(math.Floor(r.Float64() * 1000))
@@ -82,32 +82,29 @@ func TestViewRepairFallsBackOnStructuralChange(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		s.Update(r.Float64())
 	}
-	s.SortedView()
+	s.sortedView()
 
 	// A weighted update writes into levels above 0.
 	if err := s.UpdateWeighted(0.5, 12); err != nil {
 		t.Fatal(err)
 	}
-	if s.memo() != nil {
-		t.Fatal("weighted update left the view current")
-	}
 	checkViewAgainstScratch(t, s)
 
 	// A full buffer's worth of updates forces a compaction.
-	s.SortedView()
+	s.sortedView()
 	for i := 0; i < s.BufferCapacity()+4; i++ {
 		s.Update(r.Float64())
 	}
-	if s.memo() != nil {
-		t.Fatal("compaction left the view current")
-	}
 	checkViewAgainstScratch(t, s)
 
-	// Reset drops the view's storage outright.
+	// A reset sketch builds its empty view, then its next stream's, into
+	// the recycled storage.
 	s.Reset()
-	if s.work.viewOf != nil || s.work.view.items != nil {
-		t.Fatal("Reset retained the view storage")
+	checkViewAgainstScratch(t, s)
+	for i := 0; i < 100; i++ {
+		s.Update(r.Float64())
 	}
+	checkViewAgainstScratch(t, s)
 }
 
 func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
@@ -117,7 +114,7 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		s.Update(r.Float64())
 	}
-	s.SortedView()
+	s.sortedView()
 	for round := 0; round < 12; round++ {
 		buf = buf[:0]
 		for i := 0; i < 1+round*3; i++ {
@@ -133,9 +130,6 @@ func TestViewRepairAcrossBatchAndMerge(t *testing.T) {
 	}
 	if err := s.Merge(other); err != nil {
 		t.Fatal(err)
-	}
-	if s.memo() != nil {
-		t.Fatal("merge left the view current")
 	}
 	checkViewAgainstScratch(t, s)
 	if err := s.CheckInvariants(); err != nil {
@@ -178,14 +172,14 @@ func scanQuantile(v *View[float64], phi float64) float64 {
 func TestViewSearchEdgeCases(t *testing.T) {
 	// Empty sketch: every rank is 0.
 	s := newFloat64(t, Config{})
-	v := s.SortedView()
+	v := s.sortedView()
 	if v.Rank(1) != 0 || v.RankExclusive(1) != 0 {
 		t.Fatal("empty view rank != 0")
 	}
 
 	// Single item.
 	s.Update(5)
-	v = s.SortedView()
+	v = s.sortedView()
 	for _, tc := range []struct {
 		y            float64
 		rank, rankEx uint64
@@ -206,7 +200,7 @@ func TestViewSearchEdgeCases(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Update(math.Floor(r.Float64() * 10))
 		}
-		v := s.SortedView()
+		v := s.sortedView()
 		for y := -1.0; y <= 11; y += 0.5 {
 			le, lt := scanRanks(v, y)
 			if got, want := v.Rank(y), le; got != want {

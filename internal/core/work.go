@@ -22,11 +22,24 @@ type Work[T any] struct {
 	curs []vec.KWayCursor[T]
 	// union selects live quantile reads; a read leaves it empty.
 	union Union[T]
-	// view is the storage SortedView merges into, and viewOf the sketch
-	// it was last built for: that sketch's memo while the sketch's
-	// viewCurrent bit, which every write clears, stays set.
-	view   View[T]
-	viewOf *Sketch[T]
+	// view is the scratch the batch reads and All merge into (sortedView),
+	// valid until the next build.
+	view View[T]
+}
+
+// scrub zeroes every item w keeps past an operation — the compaction and
+// settle scratch, the merge staging, the view and the stage's levels — so
+// that a reset sketch's old items do not stay reachable through its Work.
+func (w *Work[T]) scrub() {
+	clear(w.scratch[:cap(w.scratch)])
+	clear(w.mergeBuf[:cap(w.mergeBuf)])
+	clear(w.view.items)
+	var zero T
+	w.view.min, w.view.max = zero, zero
+	if st := w.stage; st != nil {
+		st.resizeLevels(0)
+		st.min, st.max = zero, zero
+	}
 }
 
 // Union returns w's union, for a live read over several sketches that

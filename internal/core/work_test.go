@@ -2,7 +2,10 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"weak"
 
 	"req/internal/rng"
 )
@@ -111,9 +114,8 @@ func TestWorkStaysWithItsSketch(t *testing.T) {
 }
 
 // TestSharedWorkKeepsStatesApart: sketches that borrow one Work reach,
-// write for write and read for read, the states that sketches with a Work
-// each reach, and a view the Work builds for one sketch is never another
-// sketch's memo.
+// write for write and read for read, the states and views that sketches
+// with a Work each reach.
 func TestSharedWorkKeepsStatesApart(t *testing.T) {
 	var shared Work[float64]
 	const n = 4
@@ -141,14 +143,9 @@ func TestSharedWorkKeepsStatesApart(t *testing.T) {
 			}
 		}
 		if round%5 == 0 {
-			a, b := lent[i].SortedView(), own[i].SortedView()
+			a, b := lent[i].sortedView(), own[i].sortedView()
 			if !reflect.DeepEqual(a.Items(), b.Items()) || !reflect.DeepEqual(a.CumulativeWeights(), b.CumulativeWeights()) {
 				t.Fatalf("round %d: sketch %d's view differs on the shared Work", round, i)
-			}
-			for k := range lent {
-				if k != i && lent[k].memo() != nil {
-					t.Fatalf("round %d: sketch %d's memo survived a view of sketch %d", round, k, i)
-				}
 			}
 			got, err := lent[i].QuantilesInto(nil, phis)
 			if err != nil {
@@ -164,7 +161,7 @@ func TestSharedWorkKeepsStatesApart(t *testing.T) {
 		if !reflect.DeepEqual(lent[i].Snapshot(), own[i].Snapshot()) {
 			t.Fatalf("sketch %d: state on the shared Work differs", i)
 		}
-		if f, g := lent[i].FreezeOwned(), own[i].FreezeOwned(); !reflect.DeepEqual(f.Items(), g.Items()) {
+		if f, g := owned(lent[i]), owned(own[i]); !reflect.DeepEqual(f.Items(), g.Items()) {
 			t.Fatalf("sketch %d: frozen coreset on the shared Work differs", i)
 		}
 		if err := lent[i].CheckInvariants(); err != nil {
@@ -173,27 +170,124 @@ func TestSharedWorkKeepsStatesApart(t *testing.T) {
 	}
 }
 
-// TestFreezeOwnedMergesOrCopiesMemo: FreezeOwned merges into arrays of
-// exactly the retained size and leaves no view, or copies a current memo;
-// both give the same coreset in storage of its own.
-func TestFreezeOwnedMergesOrCopiesMemo(t *testing.T) {
+// TestMergeIntoOwnsItsStorage: MergeInto into a zero View sizes both
+// arrays at exactly the retained count, builds no view in the Work, and
+// leaves a View that a later write, compaction or Reset does not change.
+func TestMergeIntoOwnsItsStorage(t *testing.T) {
 	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 80})
 	feedWork(s, 30000, 81)
-	merged := s.FreezeOwned()
-	if s.work.viewOf != nil || s.memo() != nil {
-		t.Fatal("a merging FreezeOwned left a view")
+	var v View[float64]
+	s.MergeInto(&v)
+	if s.work.view.items != nil {
+		t.Fatal("MergeInto built a view in the Work")
 	}
-	if n := s.ItemsRetained(); len(merged.Items()) != n || cap(merged.Items()) != n || cap(merged.CumulativeWeights()) != n {
-		t.Fatalf("merged into %d/%d items, want exactly %d", len(merged.Items()), cap(merged.Items()), n)
+	n := s.ItemsRetained()
+	if len(v.Items()) != n || cap(v.Items()) != n || len(v.CumulativeWeights()) != n || cap(v.CumulativeWeights()) != n {
+		t.Fatalf("merged into %d/%d items and %d/%d weights, want exactly %d",
+			len(v.Items()), cap(v.Items()), len(v.CumulativeWeights()), cap(v.CumulativeWeights()), n)
 	}
-	v := s.SortedView()
-	copied := s.FreezeOwned()
-	if &copied.Items()[0] == &v.Items()[0] || &copied.CumulativeWeights()[0] == &v.CumulativeWeights()[0] {
-		t.Fatal("FreezeOwned aliased the memo view")
+	items := slices.Clone(v.Items())
+	cum := slices.Clone(v.CumulativeWeights())
+	count := v.Count()
+	compactions := s.Stats().Compactions
+	feedWork(s, 1, 82)
+	feedWork(s, 2*s.BufferCapacity(), 83)
+	if s.Stats().Compactions == compactions {
+		t.Fatal("the writes ran no compaction")
 	}
-	if !reflect.DeepEqual(merged.Items(), copied.Items()) || !reflect.DeepEqual(merged.CumulativeWeights(), copied.CumulativeWeights()) {
-		t.Fatal("the merged and copied coresets differ")
+	s.sortedView()
+	s.Reset()
+	feedWork(s, 100, 84)
+	s.sortedView()
+	if v.Count() != count || !slices.Equal(v.Items(), items) || !slices.Equal(v.CumulativeWeights(), cum) {
+		t.Fatal("a write, compaction or Reset of the sketch changed a View it merged into")
 	}
+}
+
+// TestAllocsMergeIntoReused: MergeInto into a View that already holds
+// storage reuses it, allocating nothing, and merges what a fresh View
+// holds.
+func TestAllocsMergeIntoReused(t *testing.T) {
+	s := newFloat64(t, Config{Eps: 0.05, Delta: 0.05, Seed: 85})
+	feedWork(s, 30000, 86)
+	var v View[float64]
+	s.MergeInto(&v)
+	items := &v.Items()[0]
+	if avg := testing.AllocsPerRun(200, func() { s.MergeInto(&v) }); avg != 0 {
+		t.Fatalf("MergeInto into a reused View allocates %v allocs/op", avg)
+	}
+	if &v.Items()[0] != items {
+		t.Fatal("MergeInto into a reused View moved its storage")
+	}
+	feedWork(s, 5000, 87)
+	s.MergeInto(&v)
+	if fresh := owned(s); !slices.Equal(v.Items(), fresh.Items()) || !slices.Equal(v.CumulativeWeights(), fresh.CumulativeWeights()) {
+		t.Fatal("a reused View holds another coreset than a fresh one")
+	}
+}
+
+// box is an item held by pointer, to see which items stay reachable. Its
+// padding keeps it out of the runtime's tiny-object blocks, where one live
+// neighbour would keep a dead box's weak pointer set.
+type box struct {
+	x float64
+	_ [2]uint64
+}
+
+// TestResetLeavesNoItemReachable: once a sketch of pointer-bearing items
+// is Reset, no item it has seen stays reachable through it — neither
+// through its levels nor through its Work's compaction scratch, view,
+// merge staging or merge stage — including the items of a sketch merged
+// into it.
+func TestResetLeavesNoItemReachable(t *testing.T) {
+	less := func(a, b *box) bool { return a.x < b.x }
+	cfg := Config{Eps: 0.05, Delta: 0.05, Seed: 90}
+	var seen []weak.Pointer[box]
+	feed := func(s *Sketch[*box], n int, seed uint64) {
+		r := rng.New(seed)
+		for i := 0; i < n; i++ {
+			b := &box{x: r.Float64()}
+			seen = append(seen, weak.Make(b))
+			s.Update(b)
+		}
+	}
+	s, err := New(less, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(s, 20000, 91)
+	// A shorter sketch merges its unsorted level-0 tail through the Work's
+	// merge staging, and one still at the initial bound through the stage.
+	for i, n := range []int{3000, 700} {
+		func() {
+			o, err := New(less, Config{Eps: 0.05, Delta: 0.05, Seed: 92 + uint64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(o, n, 94+uint64(i))
+			if err := s.Merge(o); err != nil {
+				t.Fatal(err)
+			}
+		}()
+	}
+	if w := s.work; len(w.mergeBuf) == 0 || w.stage == nil || len(w.stage.levels) == 0 {
+		t.Fatal("the merges did not run through both the merge staging and the stage")
+	}
+	probes := []*box{{x: 0.25}, {x: 0.5}, {x: 0.75}}
+	s.RankBatch(nil, probes)
+	s.Reset()
+	runtime.GC()
+	runtime.GC()
+	live := 0
+	for _, p := range seen {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	if live != 0 {
+		t.Fatalf("%d of %d items stay reachable after Reset", live, len(seen))
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestInitAsMatchesInit: a sketch stamped from a prototype is the sketch

@@ -123,14 +123,13 @@ func (r singleReader) bits(t *testing.T, phis, probes []float64) []uint64 {
 }
 
 // TestSingleReadsIgnoreCachedView: Quantile, QuantilesInto and Rank read
-// the levels whether or not the sorted view is cached, so building the
-// view must not change one bit of their answers — not even the sign of a
-// zero, where the view and the selection over the levels may hold
-// different ones. On ±0-heavy streams, LRA and HRA, several seeds, every
-// 499 items the reads are taken before and after the sketch builds its
-// view through Snapshot, RankBatch or All in turn; a registry key is
-// checked the same way across MarshalBinary, which caches every key's
-// view.
+// the levels, so building a view must not change one bit of their answers
+// — not even the sign of a zero, where the view and the selection over the
+// levels may hold different ones. On ±0-heavy streams, LRA and HRA,
+// several seeds, every 499 items the reads are taken before and after the
+// sketch builds a view through Snapshot, RankBatch or All in turn; a
+// registry key is checked the same way across MarshalBinary, which merges
+// every key it encodes into a view.
 func TestSingleReadsIgnoreCachedView(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	phis := []float64{0.5, 0, 0.01, 0.25, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.75, 0.99, 1}

@@ -18,13 +18,12 @@ import "iter"
 // answers every query from one consistent published epoch snapshot (Count
 // runs slightly ahead of it, served by live per-shard counters); a Sketch
 // answers its single reads (Rank, RankExclusive, Quantile, Quantiles,
-// QuantilesInto) from its levels and the rest from its cached sorted
-// view, which agree under the order — among items equal under it, such as
-// +0 and −0, a Sketch's quantile may name the other one than a Snapshot
-// taken from it. The
-// ...Into and ...Batch variants write into caller-supplied storage — their
-// dst slices must not be shared between concurrent callers even on
-// concurrency-safe readers.
+// QuantilesInto) from its levels and the rest from a sorted view it merges
+// on every call, which agree under the order — among items equal under
+// it, such as +0 and −0, a Sketch's quantile may name the other one than a
+// Snapshot taken from it. The ...Into and ...Batch variants write into
+// caller-supplied storage — their dst slices must not be shared between
+// concurrent callers even on concurrency-safe readers.
 type Reader[T any] interface {
 	// Count returns the total number of items summarised.
 	Count() uint64

@@ -59,7 +59,7 @@ type Registry[K comparable, T any] struct {
 	// pairs pools the batched-ingest scratch (*pairScratch[K, E, T]).
 	pairs sync.Pool
 	// exp is what the last export kept for the next (see encodeRegistry).
-	exp exportMemo
+	exp exportMemo[T]
 }
 
 // regEntry is the arena payload: the per-key sketch, embedded by value so
@@ -247,7 +247,7 @@ func (r *Registry[K, T]) Rank(key K, y T) (uint64, error) {
 // Snapshot (see Sketch.Snapshot), or ErrNoKey when the key is absent. The
 // capture is taken under the shard lock: the key's levels are settled and
 // merged, through the shard's Work, straight into the two arrays the
-// snapshot owns (core.Sketch.FreezeOwned), so the key keeps no view. The
+// snapshot owns (core.Sketch.MergeInto), so the key keeps no view. The
 // snapshot is then queryable without any locking.
 func (r *Registry[K, T]) Snapshot(key K) (*Snapshot[T], error) {
 	sh, e := r.lockGet(key)
@@ -255,7 +255,8 @@ func (r *Registry[K, T]) Snapshot(key K) (*Snapshot[T], error) {
 	if e == nil {
 		return nil, ErrNoKey
 	}
-	return &Snapshot[T]{v: e.sk.FreezeOwned(), cfg: e.sk.Config()}, nil
+	sn := snapshotOf(&e.sk)
+	return &sn, nil
 }
 
 // Delete removes key's sketch, recycling its storage. It reports whether
@@ -286,7 +287,7 @@ func (r *Registry[K, T]) ExpireNow() int { return r.m.ExpireNow(r.now()) }
 func (r *Registry[K, T]) Reset() {
 	r.exp.mu.Lock()
 	defer r.exp.mu.Unlock()
-	r.exp.stream, r.exp.places = nil, nil
+	r.exp.stream, r.exp.places, r.exp.view = nil, nil, core.View[T]{}
 	r.m.Reset()
 }
 

@@ -116,8 +116,7 @@ func TestRegistryRecordBound(t *testing.T) {
 	levels := map[int]bool{}
 	reg.Visit(func(key string, s *Sketch[float64]) bool {
 		bound := recordBound(s.core, float64Codec)
-		sn := Snapshot[float64]{v: *s.core.SortedView(), cfg: s.core.Config()}
-		n := frozenRecordLen(&sn, float64Codec)
+		n := frozenRecordLen(s.Snapshot(), float64Codec)
 		if got := uvarintLen(uint64(n)) + n; got > bound {
 			t.Fatalf("%q: record takes %d bytes, bound %d", key, got, bound)
 		}

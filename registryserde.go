@@ -114,9 +114,10 @@ func appendRegistryHeader(out []byte, keyTag, itemTag byte, keyCount uint64) []b
 }
 
 // exportMemo is what a registry keeps from its last export for the next
-// one: the record stream and each exported key's place in it. A registry
-// that never exports keeps it empty.
-type exportMemo struct {
+// one: the record stream and each exported key's place in it, and the view
+// each encoded key merges into. A registry that never exports keeps it
+// empty.
+type exportMemo[T any] struct {
 	// mu serializes exports, and Reset against them.
 	mu sync.Mutex
 	// stream is the last export's blob without its padding: the header,
@@ -127,6 +128,10 @@ type exportMemo struct {
 	stream []byte
 	// +req:guardedBy(mu)
 	places []keptPlace
+	// view is the scratch an encoded key's coreset is merged into.
+	//
+	// +req:guardedBy(mu)
+	view core.View[T]
 }
 
 // keptPlace is one key of the kept stream: where the key sits in the
@@ -187,11 +192,10 @@ func (r *Registry[K, T]) walk(fn func(at uint64, key K, s *core.Sketch[T])) {
 // snapshot record, encoding only what changed since the last export: a
 // key unwritten since then (core.Sketch.RecordCurrent) has its record
 // copied from the stream that export kept, and any other key is merged
-// into the view of the shard's Work (so the key keeps no view) and
-// encoded. The
-// result is byte-identical to encoding every key afresh. Exports run one
-// at a time, and each keeps a copy of its blob's records for the next, so
-// an exporting registry holds one blob's worth of records; Reset drops
+// into the export's one scratch view and encoded. The result is
+// byte-identical to encoding every key afresh. Exports run one at a time,
+// and each keeps a copy of its blob's records for the next, so an
+// exporting registry holds one blob's worth of records; Reset drops
 // them. Keys updated on other shards during the walk land in whichever
 // state the walk finds them. A first, cheaper walk sizes the blob (a kept
 // record exactly, any other by its retained counts), so the encode appends
@@ -204,6 +208,7 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	kept := keptCursor{places: x.places, stream: x.stream}
+	view := &x.view
 	size, keys := registryHeaderSize+packBytesPerCount-1, 0
 	r.walk(func(at uint64, key K, s *core.Sketch[T]) {
 		if rec := kept.record(at, s.RecordCurrent()); rec != nil {
@@ -223,7 +228,8 @@ func encodeRegistry[K comparable, T any](r *Registry[K, T], kc keyCodec[K], ic i
 			return
 		}
 		out = kc.put(out, key)
-		sn := Snapshot[T]{v: *s.SortedView(), cfg: s.Config()}
+		s.MergeInto(view)
+		sn := Snapshot[T]{v: *view, cfg: s.Config()}
 		out = binary.AppendUvarint(out, uint64(frozenRecordLen(&sn, ic)))
 		out = appendFrozenRecord(out, &sn, ic)
 		s.MarkRecordCurrent()

@@ -60,8 +60,8 @@ func (s *Sketch[T]) Update(item T) {
 }
 
 // UpdateBatch inserts every item of the slice through the batch ingest
-// path: min/max tracking, view invalidation, bound checks, and compaction
-// cascades are amortized across the whole batch instead of paid per item.
+// path: min/max tracking, bound checks, and compaction cascades are
+// amortized across the whole batch instead of paid per item.
 // Prefer it over per-item Update whenever the values are already in a slice
 // (log shipping, columnar scans, windowed aggregation). The slice is only
 // read, never retained. NaNs are skipped as in Update; the slice is copied
@@ -135,21 +135,20 @@ func (s *Sketch[T]) Quantiles(phis []float64) ([]T, error) { return s.core.Quant
 // (grown as needed — pass the previous result back in for steady-state
 // allocation-free querying) and returning it with length len(phis). Like
 // Quantile, it selects over the sorted levels without building a view; an
-// ascending phis narrows the selection as it goes. A single read never
-// consults the sorted view that All and the batch queries cache, so it
-// answers the same bits whether or not that view is current. Its
-// answers equal a Snapshot's under the order: among items equal under it,
-// such as +0 and −0, the two may return different ones.
+// ascending phis narrows the selection as it goes. Its answers equal a
+// Snapshot's under the order: among items equal under it, such as +0 and
+// −0, the two may return different ones.
 func (s *Sketch[T]) QuantilesInto(dst []T, phis []float64) ([]T, error) {
 	return s.core.QuantilesInto(dst, phis)
 }
 
 // RankBatch returns the estimated inclusive rank of every probe in ys,
-// written into dst (grown as needed) in probe order. The batch is answered
-// with one galloping sweep over the sorted view — probes are visited in
-// ascending order, so per-probe cost amortizes to O(1) comparisons for
-// batches that are dense relative to the retained items. Prefer it over a
-// Rank loop whenever the probes are already in a slice.
+// written into dst (grown as needed) in probe order. The call merges the
+// levels into a sorted view and answers the batch with one galloping sweep
+// over it — probes are visited in ascending order, so per-probe cost
+// amortizes to O(1) comparisons for batches that are dense relative to the
+// retained items. Prefer it over a Rank loop whenever the probes are
+// already in a slice, and a Snapshot when one state is read many times.
 func (s *Sketch[T]) RankBatch(dst []uint64, ys []T) []uint64 {
 	return s.core.RankBatch(dst, ys)
 }
@@ -194,39 +193,29 @@ func (s *Sketch[T]) K() int { return s.core.K() }
 // ascending order with the weight it carries. Weights sum to Count()
 // exactly. This is the raw material for custom serialization of generic
 // item types or for exporting the summary to other systems, and it
-// allocates nothing once the sketch's scratch has grown — the iteration
-// walks the sketch's cached sorted view in place (building it on first
-// use).
+// allocates nothing once the sketch's scratch has grown: each iteration
+// merges the levels into a sorted view in the sketch's scratch and walks
+// it in place.
 //
 // The sketch must not be mutated while the iteration is in progress: the
-// view being walked lives in the sketch's scratch and is recycled on the
-// next write (on a Registry's Visit facade, also by the next key's view).
-// To iterate a coreset that outlives writes, take a Snapshot and range over
-// its All instead.
-func (s *Sketch[T]) All() iter.Seq2[T, uint64] {
-	return func(yield func(item T, weight uint64) bool) {
-		v := s.core.SortedView()
-		for i, x := range v.Items() {
-			if !yield(x, v.Weight(i)) {
-				return
-			}
-		}
-	}
-}
+// view being walked is recycled by the next one (on a Registry's Visit
+// facade, also by the next key's). To iterate a coreset that outlives
+// writes, or one state many times, take a Snapshot and range over its All
+// instead.
+func (s *Sketch[T]) All() iter.Seq2[T, uint64] { return s.core.All() }
 
 // Snapshot captures the sketch's current state as an immutable,
-// concurrency-safe Snapshot: a deep copy of the sorted view (the coreset's
-// sorted items and cumulative weights), answering every query as the live
-// sketch would at capture time, forever — except that a quantile answer
-// may be the other of two items equal under the order, such as −0 for +0
-// (see QuantilesInto). It is the one way to get a frozen reader of a
-// sketch. It costs one O(retained) merge of the sorted levels straight into
-// the snapshot's own two arrays, or one copy of the sorted view when All
-// or a batch query has cached it since the last write. Contrast with
-// Clone, which copies the full mutable state (levels, RNG) so the copy can
-// keep ingesting.
+// concurrency-safe Snapshot: the coreset's sorted items and cumulative
+// weights, answering every query as the live sketch would at capture time,
+// forever — except that a quantile answer may be the other of two items
+// equal under the order, such as −0 for +0 (see QuantilesInto). It is the
+// one way to get a frozen reader of a sketch. It costs one O(retained)
+// merge of the sorted levels straight into the snapshot's own two arrays.
+// Contrast with Clone, which copies the full mutable state (levels, RNG)
+// so the copy can keep ingesting.
 func (s *Sketch[T]) Snapshot() *Snapshot[T] {
-	return &Snapshot[T]{v: s.core.FreezeOwned(), cfg: s.core.Config()}
+	sn := snapshotOf(s.core)
+	return &sn
 }
 
 // Clone returns a deep copy of the sketch sharing no mutable state with s.

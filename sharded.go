@@ -353,10 +353,10 @@ func (s *Sharded[T]) snapshot() *shardedSnapshot[T] {
 	}
 	// Freeze the coreset: every query on the published snapshot — single
 	// or batch — is a pure read of its sorted items and cumulative
-	// weights, which FreezeOwned merges straight into two arrays the
-	// public Snapshot owns.
-	pub := &Snapshot[T]{v: merged.FreezeOwned(), cfg: merged.Config()}
-	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: pub}
+	// weights, which MergeInto merges straight into two arrays the public
+	// Snapshot owns.
+	pub := snapshotOf(merged)
+	sn := &shardedSnapshot[T]{epochs: epochs, sk: merged, pub: &pub}
 	s.snap.Store(sn)
 	return sn
 }

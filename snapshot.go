@@ -37,10 +37,20 @@ import (
 // of storage shared by the whole restore; see RegistrySnapshot.
 type Snapshot[T any] struct {
 	// v is the frozen coreset. The source's config sits beside it, not in
-	// it: the view a sketch caches is a core.View too, and every exported
-	// registry key keeps one.
+	// it: the scratch view a sketch's batch reads merge into is a
+	// core.View too, and needs none.
 	v   core.View[T]
 	cfg core.Config
+}
+
+// snapshotOf captures s as a Snapshot whose two arrays s's levels are
+// merged straight into. It returns the Snapshot by value so that
+// Sketch.Snapshot stays inlinable: a snapshot its caller does not keep
+// then costs only its two arrays.
+func snapshotOf[T any](s *core.Sketch[T]) Snapshot[T] {
+	sn := Snapshot[T]{cfg: s.Config()}
+	s.MergeInto(&sn.v)
+	return sn
 }
 
 // SnapshotFloat64 is the float64 instantiation of Snapshot, as returned by

@@ -492,6 +492,32 @@ func TestAllIteratorCoreset(t *testing.T) {
 	}
 }
 
+// TestAllocsAll: once its scratch has grown, a sketch's All allocates
+// nothing, though every iteration merges the levels again.
+func TestAllocsAll(t *testing.T) {
+	s, err := NewFloat64(WithSeed(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<16; i++ {
+		s.Update(float64((i * 613) % 50021))
+	}
+	var n uint64
+	walk := func() {
+		n = 0
+		for _, w := range s.All() {
+			n += w
+		}
+	}
+	walk() // grow the scratch
+	if avg := testing.AllocsPerRun(100, walk); avg != 0 {
+		t.Fatalf("All allocates %v allocs/op", avg)
+	}
+	if n != s.Count() {
+		t.Fatalf("All weighs %d of %d", n, s.Count())
+	}
+}
+
 // TestAllOnWrappers exercises the iterator on the concurrent containers.
 func TestAllOnWrappers(t *testing.T) {
 	c, err := NewShardedFloat64(WithEpsilon(0.1), WithSeed(32), WithShards(1))
