@@ -271,6 +271,26 @@ func BenchmarkSnapshotREQ(b *testing.B) {
 	})
 }
 
+// BenchmarkUnmarshalSnapshotREQ measures decoding one snapshot record, the
+// coreset of BenchmarkSnapshotREQ's sketch: one pass over its items and
+// one over its weights into two fresh arrays.
+func BenchmarkUnmarshalSnapshotREQ(b *testing.B) {
+	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
+	s.UpdateBatch(benchValues(1<<20, 2))
+	blob, err := s.Snapshot().MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalSnapshotFloat64(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshotShardedREQ measures Snapshot on the sharded wrapper:
 // between writes it hands out the published epoch snapshot (an atomic load
 // plus staleness check, no clone — "shared"), and after a write it pays the

@@ -7,26 +7,26 @@ import (
 
 // Frozen views. A View is a coreset frozen into two parallel arrays — the
 // sorted items and their cumulative weights — plus O(1) scalars.
-// Sketch.MergeInto fills a View its caller owns, and FrozenFromParts and
-// FrozenFromCoreset rebuild a View around arrays mapped or decoded from
-// storage. Every View method is a pure read, so any number of goroutines
-// may query such a View at once with no synchronization; the root package
-// serves it as req.Snapshot. Persisting one is two contiguous array writes
-// (Items, CumulativeWeights), and opening one can be two slice aliases over
-// a read-only mapping — no per-item decode.
+// Sketch.MergeInto fills a View its caller owns, and FrozenFromParts
+// rebuilds a View around arrays mapped or decoded from storage. Every View
+// method is a pure read, so any number of goroutines may query such a View
+// at once with no synchronization; the root package serves it as
+// req.Snapshot. Persisting one is two contiguous array writes (Items,
+// CumulativeWeights), and opening one can be two slice aliases over a
+// read-only mapping — no per-item decode.
 //
-// Ownership rule (the package's aliasing discipline): FrozenFromParts and
-// FrozenFromCoreset alias the arrays without copying, so they must be
-// provably frozen — a read-only file mapping, or buffers no writer will
-// ever touch again. A View never writes through them.
+// Ownership rule (the package's aliasing discipline): FrozenFromParts
+// aliases the arrays without copying, so they must be provably frozen — a
+// read-only file mapping, or buffers no writer will ever touch again. A
+// View never writes through them.
 
 // FrozenFromParts returns the View over items and cum — the sorted items
 // and their cumulative weights, of equal length, rising to n — WITHOUT
 // copying or decoding them. Validation is O(1): length consistency,
 // weight/count coherence, min/max present exactly when n > 0, admitted by
 // tab's item rule and bracketing the items. That keeps opening a persisted
-// snapshot free of per-item work; run VerifyStructure afterwards when the
-// arrays come from an untrusted source that no checksum covered.
+// snapshot free of per-item work. Untrusted arrays need VerifyStructure's
+// per-item checks too, or a decoder that makes them as it writes them.
 func FrozenFromParts[T any](tab Table[T], n uint64, min, max T, hasMinMax bool, items []T, cum []uint64) (View[T], error) {
 	if tab.k == nil {
 		return View[T]{}, errors.New("core: nil kernel table")
@@ -59,21 +59,6 @@ func FrozenFromParts[T any](tab Table[T], n uint64, min, max T, hasMinMax bool, 
 		}
 	}
 	return View[T]{items: items[:ni:ni], cum: cum[:ni:ni], kern: tab.k, n: n, min: min, max: max}, nil
-}
-
-// FrozenFromCoreset is FrozenFromParts followed by VerifyStructure's bulk
-// scans: the entry for a decoded coreset, so untrusted input cannot yield
-// a View whose queries misbehave. A zero weight or an overflowing sum
-// shows as a cumulative weight that does not rise.
-func FrozenFromCoreset[T any](tab Table[T], n uint64, min, max T, hasMinMax bool, items []T, cum []uint64) (View[T], error) {
-	v, err := FrozenFromParts(tab, n, min, max, hasMinMax, items, cum)
-	if err == nil {
-		err = v.VerifyStructure()
-	}
-	if err != nil {
-		return View[T]{}, err
-	}
-	return v, nil
 }
 
 // VerifyStructure deep-checks a View's arrays: every item admitted by its

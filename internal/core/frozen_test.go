@@ -176,7 +176,10 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 	mn, _ := f.Min()
 	mx, _ := f.Max()
 	gi, gc := coresetParts(items, weights)
-	g, err := FrozenFromCoreset(TableFor(fless), f.Count(), mn, mx, true, gi, gc)
+	g, err := FrozenFromParts(TableFor(fless), f.Count(), mn, mx, true, gi, gc)
+	if err == nil {
+		err = g.VerifyStructure()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,11 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 		ws := append([]uint64(nil), weights...)
 		n, lo, hi, hasMM := mutate(is, ws)
 		pi, pc := coresetParts(is, ws)
-		if _, err := FrozenFromCoreset(TableFor(fless), n, lo, hi, hasMM, pi, pc); err == nil {
+		v, err := FrozenFromParts(TableFor(fless), n, lo, hi, hasMM, pi, pc)
+		if err == nil {
+			err = v.VerifyStructure()
+		}
+		if err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -222,7 +229,7 @@ func TestFrozenFromCoresetRoundTrip(t *testing.T) {
 }
 
 // coresetParts copies a coreset given as per-item weights into the
-// cumulative layout FrozenFromCoreset takes.
+// cumulative layout FrozenFromParts takes.
 func coresetParts[T any](items []T, weights []uint64) ([]T, []uint64) {
 	cum := make([]uint64, len(weights))
 	var run uint64

@@ -11,8 +11,8 @@ import (
 // sorting, merging, searching, counting and the view's k-way merge — runs
 // through the kernels table a Sketch or View carries. kernelFor chooses it
 // once, where the order is fixed (Init, FromSnapshot, TableFor); copies
-// carry it along, and FrozenFromParts and FrozenFromCoreset take the Table
-// a decoder resolved once.
+// carry it along, and FrozenFromParts takes the Table a decoder resolved
+// once.
 //
 // For the canonical natural orders LessF64 and LessU64 the table is
 // internal/vec's monomorphic kernels: one indirect call per *operation*
@@ -171,7 +171,7 @@ func (t Table[T]) Admitted(xs []T) []T {
 // max under the table's order, or nil: min, max and every item admitted
 // by its item rule, min ≤ items[0], items[len−1] ≤ max and min ≤ max, and
 // the items ascending. Beyond the O(1) bounds it is two bulk scans, the
-// same ones VerifyStructure runs on a decoded coreset.
+// same ones VerifyStructure runs on a View's arrays.
 func (t Table[T]) CheckCoreset(items []T, min, max T) error {
 	if err := t.checkBounds(items, min, max); err != nil {
 		return err

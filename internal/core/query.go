@@ -249,12 +249,16 @@ func (s *Sketch[T]) sortedView() *View[T] {
 // retained count — exactly when v has no storage yet, reusing it otherwise
 // (see resize) — and k-way merges the levels into them through the Work's
 // cursor scratch. v shares no storage with s, so it stays valid across any
-// later write.
+// later write. A sketch that retains nothing has nothing to merge, and
+// borrows no Work for it.
 func (s *Sketch[T]) MergeInto(v *View[T]) {
-	w := s.workspace()
 	s.settleLevels()
 	v.resize(s.retained)
 	v.kern, v.n, v.min, v.max = s.kern, s.n, s.min, s.max
+	if s.retained == 0 {
+		return
+	}
+	w := s.workspace()
 	// The cursors are staged on a reusable heap slice: a slice handed
 	// through the kernel table's indirect call escapes, so a stack array
 	// here would allocate per merge — w.curs amortizes that to one

@@ -45,7 +45,10 @@ func unionView[T any](t *testing.T, less func(a, b T) bool, sks []*Sketch[T]) *V
 		items[i], weights[i] = e.x, e.w
 	}
 	ci, cc := coresetParts(items, weights)
-	v, err := FrozenFromCoreset(TableFor(less), n, mn, mx, has, ci, cc)
+	v, err := FrozenFromParts(TableFor(less), n, mn, mx, has, ci, cc)
+	if err == nil {
+		err = v.VerifyStructure()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

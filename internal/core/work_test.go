@@ -226,6 +226,26 @@ func TestAllocsMergeIntoReused(t *testing.T) {
 	}
 }
 
+// TestAllocsMergeIntoEmpty: merging a sketch that retains nothing costs
+// no allocation beyond New's, borrows no Work, and leaves an empty View.
+func TestAllocsMergeIntoEmpty(t *testing.T) {
+	cfg := Config{Eps: 0.05, Delta: 0.05, Seed: 88}
+	alone := testing.AllocsPerRun(100, func() { newFloat64(t, cfg) })
+	var v View[float64]
+	merged := testing.AllocsPerRun(100, func() { newFloat64(t, cfg).MergeInto(&v) })
+	if merged != alone {
+		t.Fatalf("New plus MergeInto of the empty sketch: %v allocs/op, New alone: %v", merged, alone)
+	}
+	s := newFloat64(t, cfg)
+	s.MergeInto(&v)
+	if s.work != nil {
+		t.Fatal("MergeInto of the empty sketch borrowed a Work")
+	}
+	if !v.Empty() || v.Size() != 0 || len(v.CumulativeWeights()) != 0 {
+		t.Fatal("MergeInto of the empty sketch left a nonempty View")
+	}
+}
+
 // box is an item held by pointer, to see which items stay reachable. Its
 // padding keeps it out of the runtime's tiny-object blocks, where one live
 // neighbour would keep a dead box's weak pointer set.

@@ -606,12 +606,8 @@ func TestRegistryFilePacking(t *testing.T) {
 }
 
 // FuzzDecodeRegistryFloat64 hammers the registry decoder with hostile
-// bytes: it must never panic, anything it accepts must be queryable, and
-// every accepted key's coreset must stand on its own in the restore's
-// shared arenas — VerifyStructure passes under the codec's table, its item
-// and cumulative slices are capped to their length, no two keys' slices
-// share a byte, and the arena holds no more items than the input can
-// encode at 9 bytes per item.
+// bytes: it must never panic, and anything it accepts must pass
+// checkAcceptedRegistry.
 func FuzzDecodeRegistryFloat64(f *testing.F) {
 	reg, err := NewRegistryFloat64(WithK(4), WithSeed(3))
 	if err != nil {
@@ -624,76 +620,118 @@ func FuzzDecodeRegistryFloat64(f *testing.F) {
 		}
 	}
 	blob, _ := reg.MarshalBinary()
+	addRegistrySeeds(f, blob, stringKeyCodec)
+	// The first key's length pointing past the end of the payload.
+	past := binary.AppendUvarint(append([]byte(nil), blob[:registryHeaderSize]...), uint64(len(blob)))
+	f.Add(append(past, blob[registryHeaderSize+1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := UnmarshalRegistryFloat64(data)
+		checkAcceptedRegistry(t, data, rs, err)
+	})
+}
+
+// FuzzDecodeRegistryUint64 is FuzzDecodeRegistryFloat64 for uint64→uint64
+// registries: fixed-width keys and the uint64 item codec.
+func FuzzDecodeRegistryUint64(f *testing.F) {
+	reg, err := NewRegistryUint64(WithK(4), WithSeed(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := uint64(0); i < 5; i++ {
+		for j := uint64(0); j < 30*(i+1); j++ {
+			reg.Update(i<<40|7, j)
+		}
+	}
+	blob, _ := reg.MarshalBinary()
+	addRegistrySeeds(f, blob, uint64KeyCodec)
+	// The first record's length pointing past the end of the payload.
+	_, l := binary.Uvarint(blob[registryHeaderSize+8:])
+	past := binary.AppendUvarint(append([]byte(nil), blob[:registryHeaderSize+8]...), uint64(len(blob)))
+	f.Add(append(past, blob[registryHeaderSize+8+l:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := UnmarshalRegistryUint64(data)
+		checkAcceptedRegistry(t, data, rs, err)
+	})
+}
+
+// addRegistrySeeds adds blob, a registry encoding under the key codec kc,
+// its truncations, and each record's coreset-size field one above and one
+// below its count, which the first walk sizes the arenas by.
+func addRegistrySeeds[K comparable](f *testing.F, blob []byte, kc keyCodec[K]) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(blob[:registryHeaderSize])
 	f.Add([]byte("RREG"))
 	f.Add([]byte{})
-	// Each record's coreset-size field one above and one below its count,
-	// which the first walk sizes the arenas by.
-	for _, off := range registrySizeFields(f, blob) {
+	for _, off := range registrySizeFields(f, blob, kc) {
 		for _, d := range []int32{1, -1} {
 			mut := append([]byte(nil), blob...)
 			binary.LittleEndian.PutUint32(mut[off:], uint32(int32(binary.LittleEndian.Uint32(mut[off:]))+d))
 			f.Add(mut)
 		}
 	}
-	// The first key's length pointing past the end of the payload.
-	past := binary.AppendUvarint(append([]byte(nil), blob[:registryHeaderSize]...), uint64(len(blob)))
-	f.Add(append(past, blob[registryHeaderSize+1:]...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := UnmarshalRegistryFloat64(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
-			}
-			return
-		}
-		type span struct{ lo, hi uintptr }
-		var spans []span
-		items := 0
-		for k, sn := range rs.All() {
-			_ = sn.Count()
-			_ = sn.Rank(1)
-			if !sn.Empty() {
-				if _, err := sn.Quantile(0.99); err != nil {
-					t.Fatalf("accepted snapshot rejects Quantile: %v", err)
-				}
-			}
-			if err := sn.v.VerifyStructure(); err != nil {
-				t.Fatalf("key %q: accepted coreset fails VerifyStructure: %v", k, err)
-			}
-			is, cum := sn.v.Items(), sn.v.CumulativeWeights()
-			if cap(is) != len(is) || cap(cum) != len(cum) {
-				t.Fatalf("key %q: slices reach past their coreset: len %d cap %d / %d", k, len(is), cap(is), cap(cum))
-			}
-			if len(is) > 0 {
-				for _, v := range []reflect.Value{reflect.ValueOf(is), reflect.ValueOf(cum)} {
-					spans = append(spans, span{v.Pointer(), v.Pointer() + uintptr(8*v.Len())})
-				}
-			}
-			items += len(is)
-		}
-		if items > len(data)/9 {
-			t.Fatalf("%d items decoded from %d bytes", items, len(data))
-		}
-		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].lo < spans[i-1].hi {
-				t.Fatal("two keys' coreset slices share bytes")
-			}
-		}
-	})
 }
 
-// registrySizeFields returns the offset in blob, a string→float64
-// registry encoding, of every record's coreset-size field.
-func registrySizeFields(tb testing.TB, blob []byte) []int {
+// checkAcceptedRegistry checks a registry decode of data: a refusal must
+// wrap ErrCorrupt, and every accepted key's coreset must be queryable and
+// stand on its own in the restore's shared arenas — VerifyStructure passes
+// under the codec's table, its item and cumulative slices are capped to
+// their length, no two keys' slices share a byte, and the arena holds no
+// more items than the input can encode at 9 bytes per item.
+func checkAcceptedRegistry[K comparable, T any](t *testing.T, data []byte, rs *RegistrySnapshot[K, T], err error) {
+	t.Helper()
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
+		}
+		return
+	}
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	items := 0
+	var zero T
+	for k, sn := range rs.All() {
+		_ = sn.Count()
+		_ = sn.Rank(zero)
+		if !sn.Empty() {
+			if _, err := sn.Quantile(0.99); err != nil {
+				t.Fatalf("accepted snapshot rejects Quantile: %v", err)
+			}
+		}
+		if err := sn.v.VerifyStructure(); err != nil {
+			t.Fatalf("key %v: accepted coreset fails VerifyStructure: %v", k, err)
+		}
+		is, cum := sn.v.Items(), sn.v.CumulativeWeights()
+		if cap(is) != len(is) || cap(cum) != len(cum) {
+			t.Fatalf("key %v: slices reach past their coreset: len %d cap %d / %d", k, len(is), cap(is), cap(cum))
+		}
+		if len(is) > 0 {
+			for _, v := range []reflect.Value{reflect.ValueOf(is), reflect.ValueOf(cum)} {
+				spans = append(spans, span{v.Pointer(), v.Pointer() + uintptr(8*v.Len())})
+			}
+		}
+		items += len(is)
+	}
+	if items > len(data)/9 {
+		t.Fatalf("%d items decoded from %d bytes", items, len(data))
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatal("two keys' coreset slices share bytes")
+		}
+	}
+}
+
+// registrySizeFields returns the offset in blob, a registry encoding with
+// keys under kc, of every record's coreset-size field. Both item codecs
+// are 8 bytes wide, so the record prefix is the same for either.
+func registrySizeFields[K comparable](tb testing.TB, blob []byte, kc keyCodec[K]) []int {
 	tb.Helper()
 	r := reader{buf: blob, off: registryHeaderSize}
 	var offs []int
 	for r.remaining() > 0 {
-		n, _, ok := stringKeyCodec.span(r.buf[r.off:])
+		n, _, ok := kc.span(r.buf[r.off:])
 		if !ok {
 			tb.Fatal("malformed key")
 		}

@@ -370,14 +370,13 @@ func decodeRegistryRecords[K comparable, T any](
 	for i := range snaps {
 		key, n := kc.get(r.buf[r.off:], &keys)
 		r.off += n
-		if _, dup := m[key]; dup {
+		if m[key] = &snaps[i]; len(m) != i+1 {
 			return nil, fmt.Errorf("%w: duplicate key at record %d", ErrCorrupt, i)
 		}
 		rec, _ := r.record() // the first walk accepted it
 		if err := decodeRecord(&snaps[i], rec, ic, &a); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		m[key] = &snaps[i]
 	}
 	return m, nil
 }

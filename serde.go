@@ -100,12 +100,16 @@ type itemCodec[T any] struct {
 	// getAll decodes len(dst) items from the front of b, which holds
 	// width·len(dst) bytes, in one sweep.
 	getAll func(b []byte, dst []T)
+	// getAsc is getAll for a coreset: the same sweep also checks each item
+	// against the order's item rule and its predecessor, and reports false
+	// at the first item that is refused or descends.
+	getAsc func(b []byte, dst []T) bool
 	// less is the canonical order decoded sketches and coresets are
 	// rebuilt under (and encoded coresets must ascend in): the function
 	// NewFloat64/NewUint64 build with, so decoded snapshots answer through
 	// the same kernel table. tab is its kernel table, resolved once here
-	// rather than per record: its item rule (no NaN floats) and its
-	// ascending-order scan check whole coresets in bulk.
+	// rather than per record: its item rule (no NaN floats) checks a full
+	// sketch's levels, and its CheckCoreset names what getAsc refused.
 	less func(a, b T) bool
 	tab  core.Table[T]
 }
@@ -134,6 +138,18 @@ var float64Codec = itemCodec[float64]{
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	},
+	getAsc: func(b []byte, dst []float64) bool {
+		b = b[:8*len(dst)]
+		prev := math.Inf(-1)
+		for i := range dst {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			if !(x >= prev) { // a NaN or a descent
+				return false
+			}
+			dst[i], prev = x, x
+		}
+		return true
+	},
 	less: core.LessF64,
 	tab:  core.TableFor(core.LessF64),
 }
@@ -161,6 +177,18 @@ var uint64Codec = itemCodec[uint64]{
 		for i := range dst {
 			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
+	},
+	getAsc: func(b []byte, dst []uint64) bool {
+		b = b[:8*len(dst)]
+		var prev uint64
+		for i := range dst {
+			x := binary.LittleEndian.Uint64(b[8*i:])
+			if x < prev {
+				return false
+			}
+			dst[i], prev = x, x
+		}
+		return true
 	},
 	less: core.LessU64,
 	tab:  core.TableFor(core.LessU64),
@@ -508,8 +536,8 @@ func appendSnapshotHeader[T any](out []byte, sn *Snapshot[T], codec itemCodec[T]
 // header plus n0/min/max, and returns the config normalized — validated
 // as the source sketch's was, so a snapshot re-encodes it as written. The
 // cursor is left at the first byte after the prefix. min and max are
-// checked where the coreset is rebuilt (core.FrozenFromCoreset,
-// core.FrozenFromParts), against the order's item rule.
+// checked where the coreset is rebuilt (core.FrozenFromParts), against
+// the order's item rule.
 func decodeSnapshotPrefix[T any](r *reader, codec itemCodec[T]) (cfg core.Config, hasMinMax bool, n uint64, mn, mx T, err error) {
 	cfg, flags, n, err := decodeHeader(r, codec.tag, true)
 	if err != nil {
@@ -619,11 +647,12 @@ func recordSize[T any](rec []byte, codec itemCodec[T]) (int, error) {
 }
 
 // decodeRecord decodes one snapshot record into sn, its coreset's storage
-// taken from a. The items land in one bulk decode, the weights in one loop
-// that sums them into the cumulative array as it reads them (weights are
-// small powers of two, so nearly every varint is one byte, read without a
-// call), and core.FrozenFromCoreset validates the whole coreset in bulk
-// scans under the codec's table. It never panics on corrupt input; every
+// taken from a, in one pass over the items and one over the weights. The
+// item pass (codec.getAsc) admits each item and checks it against its
+// predecessor as it writes it. The weight pass (sumWeights) sums the
+// weights into the cumulative array and checks that the sum rises. What
+// is left for core.FrozenFromParts is O(1): the total against n and min
+// and max against the ends. It never panics on corrupt input; every
 // rejection is wrapped in ErrCorrupt.
 func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *arena[T]) error {
 	r := reader{buf: rec}
@@ -637,32 +666,67 @@ func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *are
 	}
 	items, cum := a.take(size)
 	b := rec[recordPrefixLen(codec):]
-	codec.getAll(b, items)
-	b = b[size*codec.width:]
-	var run uint64
-	off := 0
-	for i := range cum {
-		if off < len(b) && b[off] < 0x80 {
-			run += uint64(b[off])
-			off++
-		} else {
-			w, k := binary.Uvarint(b[off:])
-			if k <= 0 {
-				return fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
-			}
-			run += w
-			off += k
-		}
-		cum[i] = run
+	if !codec.getAsc(b, items) {
+		// Rare: decode them all so the table names the fault.
+		codec.getAll(b, items)
+		return fmt.Errorf("%w: %v", ErrCorrupt, codec.tab.CheckCoreset(items, mn, mx))
 	}
-	if off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
+	if err := sumWeights(b[size*codec.width:], cum); err != nil {
+		return err
 	}
-	v, err := core.FrozenFromCoreset(codec.tab, n, mn, mx, hasMinMax, items, cum)
+	v, err := core.FrozenFromParts(codec.tab, n, mn, mx, hasMinMax, items, cum)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	sn.v, sn.cfg = v, cfg
+	return nil
+}
+
+// sumWeights decodes len(cum) uvarint weights, which must fill b exactly,
+// into their running sums, and refuses a sum that does not rise: a zero
+// weight or one that wraps past 2^64. Weights are small powers of two, so
+// nearly every one is a single byte. Eight bytes that are all in 1..127
+// are eight whole weights, summed from one 64-bit load with no test per
+// weight: below 2^62 they cannot wrap the sum. Any other group, and every
+// group once the sum reaches 2^62, takes the byte loop.
+func sumWeights(b []byte, cum []uint64) error {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	var run uint64
+	off := 0
+	for i := 0; i < len(cum); {
+		if len(cum)-i >= 8 && len(b)-off >= 8 && run < 1<<62 {
+			// Every byte below 0x80 and none zero: neither v nor v−ones
+			// (no borrow when no byte is zero) sets a high bit.
+			if v := binary.LittleEndian.Uint64(b[off:]); (v|(v-ones))&highs == 0 {
+				c := cum[i : i+8 : i+8]
+				c[0] = run + v&0xff
+				c[1] = c[0] + v>>8&0xff
+				c[2] = c[1] + v>>16&0xff
+				c[3] = c[2] + v>>24&0xff
+				c[4] = c[3] + v>>32&0xff
+				c[5] = c[4] + v>>40&0xff
+				c[6] = c[5] + v>>48&0xff
+				c[7] = c[6] + v>>56
+				run = c[7]
+				i, off = i+8, off+8
+				continue
+			}
+		}
+		for end := min(i+8, len(cum)); i < end; i++ {
+			w, k := binary.Uvarint(b[off:])
+			if k <= 0 {
+				return fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
+			}
+			if run+w <= run {
+				return fmt.Errorf("%w: cumulative weight not increasing at %d", ErrCorrupt, i)
+			}
+			run += w
+			cum[i], off = run, off+k
+		}
+	}
+	if off != len(b) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
+	}
 	return nil
 }
 

@@ -13,11 +13,12 @@ import (
 )
 
 // windowOracle is the exact reference for windowed reads: a View built by
-// core.FrozenFromCoreset over the live slots' Snapshot levels, each
-// level's items at weight 2^h, with the slots' exact extremes. Liveness is
-// recomputed here from the slot tags (floored epoch, ep−slots < tag ≤ ep)
-// rather than borrowed from the registry. less is the order w was built
-// with. ok is false when key is absent.
+// core.FrozenFromParts, and checked by VerifyStructure, over the live
+// slots' Snapshot levels, each level's items at weight 2^h, with the
+// slots' exact extremes. Liveness is recomputed here from the slot tags
+// (floored epoch, ep−slots < tag ≤ ep) rather than borrowed from the
+// registry. less is the order w was built with. ok is false when key is
+// absent.
 func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], less func(a, b T) bool, key K) (f core.View[T], ok bool) {
 	t.Helper()
 	now := w.now()
@@ -68,7 +69,10 @@ func windowOracle[K comparable, T any](t testing.TB, w *WindowedRegistry[K, T], 
 		run += a.w
 		items[i], cum[i] = a.x, run
 	}
-	f, err := core.FrozenFromCoreset(core.TableFor(less), n, mn, mx, has, items, cum)
+	f, err := core.FrozenFromParts(core.TableFor(less), n, mn, mx, has, items, cum)
+	if err == nil {
+		err = f.VerifyStructure()
+	}
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
