@@ -271,23 +271,34 @@ func BenchmarkSnapshotREQ(b *testing.B) {
 	})
 }
 
-// BenchmarkUnmarshalSnapshotREQ measures decoding one snapshot record, the
-// coreset of BenchmarkSnapshotREQ's sketch: one pass over its items and
-// one over its weights into two fresh arrays.
+// BenchmarkUnmarshalSnapshotREQ measures decoding one snapshot record: one
+// pass over its items and one over its weights into two fresh arrays. n=2^20
+// is the coreset of BenchmarkSnapshotREQ's sketch, where 9% of the weights
+// (128) take two bytes; n=2^24 feeds the same values to the same sketch 16
+// times, and 40% of its weights (128 to 2048) take two bytes.
 func BenchmarkUnmarshalSnapshotREQ(b *testing.B) {
-	s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
-	s.UpdateBatch(benchValues(1<<20, 2))
-	blob, err := s.Snapshot().MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalSnapshotFloat64(blob); err != nil {
+	vals := benchValues(1<<20, 2)
+	for _, c := range []struct {
+		name   string
+		rounds int
+	}{{"n=2^20", 1}, {"n=2^24", 16}} {
+		s, _ := NewFloat64(WithEpsilon(0.01), WithSeed(1))
+		for range c.rounds {
+			s.UpdateBatch(vals)
+		}
+		blob, err := s.Snapshot().MarshalBinary()
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := UnmarshalSnapshotFloat64(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

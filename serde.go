@@ -101,15 +101,15 @@ type itemCodec[T any] struct {
 	// width·len(dst) bytes, in one sweep.
 	getAll func(b []byte, dst []T)
 	// getAsc is getAll for a coreset: the same sweep also checks each item
-	// against the order's item rule and its predecessor, and reports false
-	// at the first item that is refused or descends.
+	// against the order's item rule and its predecessor, and stops,
+	// reporting false, at the first item that is refused or descends.
 	getAsc func(b []byte, dst []T) bool
 	// less is the canonical order decoded sketches and coresets are
 	// rebuilt under (and encoded coresets must ascend in): the function
 	// NewFloat64/NewUint64 build with, so decoded snapshots answer through
 	// the same kernel table. tab is its kernel table, resolved once here
 	// rather than per record: its item rule (no NaN floats) checks a full
-	// sketch's levels, and its CheckCoreset names what getAsc refused.
+	// sketch's levels, and decoded coresets are rebuilt under it.
 	less func(a, b T) bool
 	tab  core.Table[T]
 }
@@ -590,10 +590,10 @@ func marshalFrozen[T any](sn *Snapshot[T], codec itemCodec[T]) ([]byte, error) {
 
 // checkEncodable applies the decoders' item rules before a coreset is
 // written: min, max and every item admitted by the codec's order (no NaN),
-// and the items ascending between min and max under it — the scans of
-// core.Table.CheckCoreset, which the decoders run too. A snapshot of a
-// sketch built under another order, or holding NaN, is refused here
-// instead of being written as a record that no decoder accepts.
+// and the items ascending between min and max under it, as the decoders
+// check them (core.Table.CheckCoreset). A snapshot of a sketch built under
+// another order, or holding NaN, is refused here instead of being written
+// as a record that no decoder accepts.
 func checkEncodable[T any](sn *Snapshot[T], codec itemCodec[T]) error {
 	mn, hasMinMax := sn.v.Min()
 	if !hasMinMax {
@@ -647,12 +647,11 @@ func recordSize[T any](rec []byte, codec itemCodec[T]) (int, error) {
 }
 
 // decodeRecord decodes one snapshot record into sn, its coreset's storage
-// taken from a, in one pass over the items and one over the weights. The
-// item pass (codec.getAsc) admits each item and checks it against its
-// predecessor as it writes it. The weight pass (sumWeights) sums the
-// weights into the cumulative array and checks that the sum rises. What
-// is left for core.FrozenFromParts is O(1): the total against n and min
-// and max against the ends. It never panics on corrupt input; every
+// taken from a, in one pass over the items (codec.getAsc decodes, admits
+// and order-checks them) and one over the weights (sumWeights), so that
+// core.FrozenFromParts has only O(1) checks left. A record either pass
+// flags is decoded in full and goes on to VerifyStructure, which refuses
+// it and names the fault. It never panics on corrupt input; every
 // rejection is wrapped in ErrCorrupt.
 func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *arena[T]) error {
 	r := reader{buf: rec}
@@ -666,15 +665,18 @@ func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *are
 	}
 	items, cum := a.take(size)
 	b := rec[recordPrefixLen(codec):]
-	if !codec.getAsc(b, items) {
-		// Rare: decode them all so the table names the fault.
-		codec.getAll(b, items)
-		return fmt.Errorf("%w: %v", ErrCorrupt, codec.tab.CheckCoreset(items, mn, mx))
+	ascends := codec.getAsc(b, items)
+	if !ascends {
+		codec.getAll(b, items) // rare: the checks below read every item
 	}
-	if err := sumWeights(b[size*codec.width:], cum); err != nil {
+	rises, err := sumWeights(b[size*codec.width:], cum)
+	if err != nil {
 		return err
 	}
 	v, err := core.FrozenFromParts(codec.tab, n, mn, mx, hasMinMax, items, cum)
+	if err == nil && !(ascends && rises) {
+		err = v.VerifyStructure() // rare: it decides and names the fault
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -683,14 +685,15 @@ func decodeRecord[T any](sn *Snapshot[T], rec []byte, codec itemCodec[T], a *are
 }
 
 // sumWeights decodes len(cum) uvarint weights, which must fill b exactly,
-// into their running sums, and refuses a sum that does not rise: a zero
-// weight or one that wraps past 2^64. Weights are small powers of two, so
-// nearly every one is a single byte. Eight bytes that are all in 1..127
-// are eight whole weights, summed from one 64-bit load with no test per
-// weight: below 2^62 they cannot wrap the sum. Any other group, and every
-// group once the sum reaches 2^62, takes the byte loop.
-func sumWeights(b []byte, cum []uint64) error {
+// into their running sums, and reports whether every sum rose (a zero
+// weight or a wrap past 2^64 does not). A weight is 2^h after h
+// compactions, one byte for h < 7: eight bytes all in 1..127 are eight
+// weights, summed from one 64-bit load with no test per weight, which
+// below 2^62 cannot wrap the sum. Other groups, and all once the sum
+// reaches 2^62, take the byte loop, which reads a one-byte weight inline.
+func sumWeights(b []byte, cum []uint64) (rises bool, err error) {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	rises = true
 	var run uint64
 	off := 0
 	for i := 0; i < len(cum); {
@@ -713,21 +716,23 @@ func sumWeights(b []byte, cum []uint64) error {
 			}
 		}
 		for end := min(i+8, len(cum)); i < end; i++ {
-			w, k := binary.Uvarint(b[off:])
-			if k <= 0 {
-				return fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
+			w, k := uint64(0), 1
+			if off < len(b) && b[off] < 0x80 {
+				w = uint64(b[off])
+			} else if w, k = binary.Uvarint(b[off:]); k <= 0 {
+				return false, fmt.Errorf("%w: weight %d truncated", ErrCorrupt, i)
 			}
 			if run+w <= run {
-				return fmt.Errorf("%w: cumulative weight not increasing at %d", ErrCorrupt, i)
+				rises = false
 			}
 			run += w
 			cum[i], off = run, off+k
 		}
 	}
 	if off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
+		return false, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-off)
 	}
-	return nil
+	return rises, nil
 }
 
 // decodeSnapshot decodes a single snapshot record.

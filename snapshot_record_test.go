@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"req/internal/core"
@@ -32,29 +33,30 @@ func uvarints(ws ...uint64) []byte {
 }
 
 // reference decodes c's weights as uvarints summed into a cumulative array,
-// wrapping as uint64 does, and reports whether core.FrozenFromParts and then
-// VerifyStructure accept those arrays. A truncated weight or a trailing byte
-// leaves no arrays to check, and is refused. It returns the arrays too.
-func (c recordCase[T]) reference(tab core.Table[T]) (cum []uint64, ok bool) {
+// wrapping as uint64 does, and returns those arrays with the refusal of
+// core.FrozenFromParts and then VerifyStructure, or nil if both accept. A
+// truncated weight or a trailing byte leaves no arrays to check, and is
+// refused as such.
+func (c recordCase[T]) reference(tab core.Table[T]) (cum []uint64, err error) {
 	cum = make([]uint64, len(c.items))
 	b := c.weights
 	var run uint64
 	for i := range cum {
 		w, k := binary.Uvarint(b)
 		if k <= 0 {
-			return nil, false
+			return nil, fmt.Errorf("weight %d truncated", i)
 		}
 		run += w
 		cum[i], b = run, b[k:]
 	}
 	if len(b) != 0 {
-		return nil, false
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
 	v, err := core.FrozenFromParts(tab, c.n, c.mn, c.mx, c.has, slices.Clone(c.items), slices.Clone(cum))
 	if err == nil {
 		err = v.VerifyStructure()
 	}
-	return cum, err == nil
+	return cum, err
 }
 
 // record encodes c as a snapshot record under cfg.
@@ -70,7 +72,8 @@ func (c recordCase[T]) record(codec itemCodec[T], cfg core.Config) []byte {
 
 // checkRecordCases decodes every case's record alone and inside a one-key
 // registry blob, and wants ErrCorrupt from both exactly when the reference
-// refuses the case; an accepted record must hold the reference's arrays.
+// refuses the case, naming the reference's fault; an accepted record must
+// hold the reference's arrays.
 func checkRecordCases[K, T comparable](
 	t *testing.T, cases []recordCase[T], cfg core.Config,
 	codec itemCodec[T], kc keyCodec[K], key K,
@@ -79,7 +82,8 @@ func checkRecordCases[K, T comparable](
 ) {
 	t.Helper()
 	for _, c := range cases {
-		cum, ok := c.reference(codec.tab)
+		cum, want := c.reference(codec.tab)
+		ok := want == nil
 		rec := c.record(codec, cfg)
 		blob := appendRegistryHeader(nil, kc.tag, codec.tag, 1)
 		blob = binary.AppendUvarint(kc.put(blob, key), uint64(len(rec)))
@@ -90,8 +94,8 @@ func checkRecordCases[K, T comparable](
 			if ok && e != nil {
 				t.Errorf("%s: refused: %v", c.name, e)
 			}
-			if !ok && !errors.Is(e, ErrCorrupt) {
-				t.Errorf("%s: want ErrCorrupt, got %v", c.name, e)
+			if !ok && (!errors.Is(e, ErrCorrupt) || !strings.Contains(e.Error(), want.Error())) {
+				t.Errorf("%s: want ErrCorrupt naming %q, got %v", c.name, want, e)
 			}
 		}
 		if !ok || err != nil || regErr != nil {
@@ -109,7 +113,8 @@ func checkRecordCases[K, T comparable](
 // TestDecodeRecordRefusals pins the snapshot-record decoder's refusals on
 // hand-built records: each case is refused with ErrCorrupt exactly when
 // core.FrozenFromParts followed by VerifyStructure refuses its arrays, alone
-// and inside a registry blob. The weight cases place one-byte runs, zero
+// and inside a registry blob, and the error names the fault those checks
+// name first. The weight cases place one-byte runs, zero
 // bytes and multi-byte weights at every position of an eight-byte group.
 func TestDecodeRecordRefusals(t *testing.T) {
 	const size = 24
@@ -145,6 +150,9 @@ func TestDecodeRecordRefusals(t *testing.T) {
 	fcases := []recordCase[float64]{
 		{name: "empty", weights: nil},
 		{name: "empty with an item", items: []float64{1}, weights: uvarints(1)},
+		{name: "empty with a NaN", items: []float64{math.NaN()}, weights: uvarints(1)},
+		{name: "empty with a descending pair", items: []float64{2, 1}, weights: uvarints(1, 1)},
+		{name: "empty with a zero weight", items: []float64{1, 2}, weights: uvarints(1, 0)},
 		fcase("clean", keep),
 		fcase("NaN first", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
 			is[0] = math.NaN()
@@ -210,6 +218,28 @@ func TestDecodeRecordRefusals(t *testing.T) {
 		}),
 		fcase("trailing byte", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
 			return is[0], is[size-1], sum(ws), append(uvarints(ws...), 1)
+		}),
+		// Two faults at once: the one the reference checks meet first is named.
+		fcase("NaN and a trailing byte", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
+			is[4] = math.NaN()
+			return is[0], is[size-1], sum(ws), append(uvarints(ws...), 1)
+		}),
+		fcase("descending pair and n+1", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
+			is[5], is[6] = is[6], is[5]
+			return is[0], is[size-1], sum(ws) + 1, uvarints(ws...)
+		}),
+		fcase("descending pair and a zero weight", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
+			is[5], is[6], ws[2] = is[6], is[5], 0
+			return keep(is, ws)
+		}),
+		fcase("zero weight and min above the first item", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
+			ws[2] = 0
+			return is[0] + 0.5, is[size-1], sum(ws), uvarints(ws...)
+		}),
+		fcase("zero weight and a truncated weight", func(is []float64, ws []uint64) (float64, float64, uint64, []byte) {
+			ws[2], ws[size-1] = 0, 200
+			b := uvarints(ws...)
+			return is[0], is[size-1], sum(ws), b[:len(b)-1]
 		}),
 	}
 	// A first weight just under 2^64, so that the sum wraps at each position
